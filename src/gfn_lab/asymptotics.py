@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -31,6 +30,9 @@ SLOPE_TOL = 0.3
 #: values at or below this are treated as identically zero (order +inf)
 ZERO_FLOOR = 1e-300
 
+#: x-derivative step relative to eps, tracking the scale of the inserted object
+H_FACTOR = 2.0**-7
+
 
 @dataclass
 class SweepSpec:
@@ -46,11 +48,6 @@ class SweepSpec:
     K: np.ndarray = field(default_factory=lambda: np.linspace(-1.0, 1.0, 41))
     alphas: tuple = (0,)
     fit_window: int = 6
-    quad_n: Optional[int] = None
-    h_factor: float = 2.0**-7
-    refine_dx: bool = False
-    battery_id: str = ""
-    workers: int = 1
 
     def __post_init__(self):
         if not (2 <= self.i_min < self.i_max <= 20):
@@ -115,64 +112,75 @@ class AsymptoticVerdict:
         return self.kind != "superpoly"
 
 
-def _path_member(path, eps: float, x: float) -> TestFunction:
-    return path(eps, x)
+def _sup_table(path, spec: SweepSpec, row) -> np.ndarray:
+    """The eps x K kernel: sup over x in K of one probe per eps row.
 
-
-def _check_membership(path, eps: float, x: float):
+    ``row(eps)`` does the work shared by a row once and returns the probe
+    x -> magnitude, an absolute value or a log2 magnitude.  Every point is
+    checked against the path's partial domain before it is probed, and a
+    NaN magnitude raises instead of reaching the max, where its effect
+    would depend on its position in the row.
+    """
     dom = getattr(path, "domain", None)
-    if dom is not None and not dom.contains(eps, x):
-        raise DomainError(
-            f"sweep point (eps={eps:g}, x={x:g}) outside the partial domain "
-            f"of {getattr(path, 'member_id', path)!r} (eps0 too large?)")
+    who = getattr(path, "member_id", path)
+    values = []
+    for e in spec.eps:
+        e = float(e)
+        probe = row(e)
+        vals = []
+        for x in spec.K:
+            x = float(x)
+            if dom is not None and not dom.contains(e, x):
+                raise DomainError(
+                    f"sweep point (eps={e:g}, x={x:g}) outside the partial "
+                    f"domain of {who!r} (eps0 too large?)")
+            v = probe(x)
+            if math.isnan(v):
+                raise FloatingPointError(
+                    f"probe returned NaN at (eps={e:g}, x={x:g}) for {who!r}")
+            vals.append(v)
+        values.append(float(max(vals)))
+    return np.asarray(values)
 
 
-def _eval_sup(rep: Representative, path, eps: float, spec: SweepSpec,
-              alpha: int) -> float:
-    vals = []
-    for x in spec.K:
-        _check_membership(path, eps, float(x))
-        x = float(x)
-        if rep.has_log_channel:
-            if alpha == 0:
-                member = scale(_path_member(path, eps, x), eps)
-                vals.append(rep.log_abs(member, x) / LN2)
-            else:
-                if alpha != 1:
-                    raise ValueError(
-                        "log-channel sweeps support first x-derivatives only")
+def _insertion_row(rep: Representative, path, alpha: int):
+    """Row builder for |d^alpha/dx^alpha R(S_eps path(eps, x), x)|.
 
-                def inner_section(y):
-                    return rep.inner(scale(_path_member(path, eps, y), eps), y)
+    Log-channel representatives yield log2 magnitudes instead, with the
+    first x-derivative taken through the inner functional.
+    """
+    log = rep.has_log_channel
+    if log and alpha not in (0, 1):
+        raise ValueError("log-channel sweeps support first x-derivatives only")
 
-                vals.append(rep.log_abs_dx(inner_section, x,
-                                           eps * spec.h_factor) / LN2)
+    def row(eps):
+        h = eps * H_FACTOR
+        if alpha == 0:
+            def probe(x):
+                member = scale(path(eps, x), eps)
+                return rep.log_abs(member, x) / LN2 if log else abs(rep(member, x))
+        elif log:
+            def section(y):
+                return rep.inner(scale(path(eps, y), eps), y)
+
+            def probe(x):
+                return rep.log_abs_dx(section, x, h) / LN2
         else:
-            if alpha == 0:
-                member = scale(_path_member(path, eps, x), eps)
-                vals.append(abs(rep(member, x)))
-            else:
-                vals.append(abs(partial_x(rep, alpha, None, x, path=path,
-                                          eps=eps, h=eps * spec.h_factor,
-                                          refine=spec.refine_dx)))
-    return float(max(vals))
+            def probe(x):
+                return abs(partial_x(rep, alpha, None, x, path=path, eps=eps,
+                                     h=h, refine=False))
+        return probe
+
+    return row
 
 
 def sweep(rep: Representative, path, spec: SweepSpec) -> list[SweepSeries]:
     """Dense sup-over-K tables, one per requested derivative order."""
-    eps = spec.eps
-    out = []
-    for alpha in spec.alphas:
-        if spec.workers > 1:
-            with ThreadPoolExecutor(max_workers=spec.workers) as pool:
-                values = list(pool.map(
-                    lambda e: _eval_sup(rep, path, float(e), spec, alpha), eps))
-        else:
-            values = [_eval_sup(rep, path, float(e), spec, alpha) for e in eps]
-        out.append(SweepSeries(getattr(path, "member_id", "member"), alpha,
-                               eps.copy(), np.asarray(values),
-                               is_log=rep.has_log_channel))
-    return out
+    return [SweepSeries(getattr(path, "member_id", "member"), alpha,
+                        spec.eps, _sup_table(path, spec,
+                                             _insertion_row(rep, path, alpha)),
+                        is_log=rep.has_log_channel)
+            for alpha in spec.alphas]
 
 
 def fit_order(series: SweepSeries, fit_window: Optional[int] = None,
@@ -323,29 +331,26 @@ def d1_form_test(rep: Representative, battery: Sequence,
     elif k_max >= 2:
         dir_tuples[2] = [(directions[0], directions[0])]
 
+    def directional_row(phi0, dirs):
+        def row(eps):
+            sphi = scale(phi0, eps)
+            sdirs = [scale(psi, eps) for psi in dirs]
+            if not rep.has_log_channel:
+                return lambda x: abs(d1_derivative(rep, sphi, x, sdirs))
+            if dirs:
+                return lambda x: rep.log_abs_d1(sphi, x, sdirs) / LN2
+            return lambda x: rep.log_abs(sphi, x) / LN2
+
+        return row
+
     verdicts = []
-    eps = spec.eps
     for path in battery:
         phi0 = path(1.0, 0.0)
         for k in range(0, k_max + 1):
             for ti, dirs in enumerate(dir_tuples.get(k, [])):
-                values = []
-                for e in eps:
-                    e = float(e)
-                    svals = []
-                    for x in spec.K:
-                        x = float(x)
-                        sphi = scale(phi0, e)
-                        sdirs = [scale(psi, e) for psi in dirs]
-                        if rep.has_log_channel and k >= 1:
-                            svals.append(rep.log_abs_d1(sphi, x, sdirs) / LN2)
-                        elif rep.has_log_channel:
-                            svals.append(rep.log_abs(sphi, x) / LN2)
-                        else:
-                            svals.append(abs(d1_derivative(rep, sphi, x, list(sdirs))))
-                    values.append(max(svals))
-                ser = SweepSeries(f"{path.member_id}|k{k}t{ti}", 0, eps.copy(),
-                                  np.asarray(values), is_log=rep.has_log_channel)
+                values = _sup_table(path, spec, directional_row(phi0, dirs))
+                ser = SweepSeries(f"{path.member_id}|k{k}t{ti}", 0, spec.eps,
+                                  values, is_log=rep.has_log_channel)
                 verdicts.append(fit_order(ser, spec.fit_window))
     passed = all(v.is_moderate for v in verdicts)
     Ns = [v.moderate_N() for v in verdicts if v.kind != "zero"]
@@ -410,23 +415,10 @@ def counterexample_scenario(mu, path, spec: SweepSpec, eps_battery: Sequence,
 
     pulled = rep.compose_pullback(pullback_pair_transform(mu), None,
                                   name=f"{mu.name}^[{rep.name}]")
-    eps = spec.eps
-    values = []
-    for e in eps:
-        e = float(e)
-        svals = []
-        for x in spec.K:
-            x = float(x)
-            _check_membership(path, e, x)
-
-            def inner_section(y):
-                return pulled.inner(scale(_path_member(path, e, y), e), y)
-
-            svals.append(pulled.log_abs_dx(inner_section, x,
-                                           e * spec.h_factor) / LN2)
-        values.append(max(svals))
     ser = SweepSeries(f"{getattr(path, 'member_id', 'path')}|{mu.name}", 1,
-                      eps.copy(), np.asarray(values), is_log=True)
+                      spec.eps, _sup_table(path, spec,
+                                           _insertion_row(pulled, path, 1)),
+                      is_log=True)
     verdict = fit_order(ser, spec.fit_window)
     mags = np.abs(verdict.local_slopes)
     ratio = float(mags[-1] / mags[0]) if len(mags) >= 2 and mags[0] != 0 else math.inf

@@ -285,26 +285,6 @@ def scalar_mul(c: complex, rep: Representative) -> Representative:
                           omega=rep.omega, name=f"({c}*{rep.name})")
 
 
-class GeneralizedFunction:
-    """An algebra element, presented by one representative.
-
-    Two presentations define the same element when their difference is
-    negligible; that verdict is rendered by the asymptotics engine against
-    test-object batteries and is never decided here, so ``==`` compares
-    presentations only.  ``difference`` hands the probe representative to
-    whoever runs the test.
-    """
-
-    def __init__(self, representative: Representative):
-        self.representative = representative
-
-    def difference(self, other: "GeneralizedFunction") -> Representative:
-        return sub(self.representative, other.representative)
-
-    def __repr__(self):
-        return f"GeneralizedFunction({self.representative.name})"
-
-
 # ---------------------------------------------------------------------------
 # derivatives
 

@@ -29,8 +29,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--eps-max", dest="eps_max", type=int, default=None,
                     help="largest i in eps = 2^-i")
     ap.add_argument("--diffeo", default=None, help="catalog map name")
-    ap.add_argument("--seed", type=int, default=7)
-    ap.add_argument("--out", default="out", help="output directory")
+    ap.add_argument("--seed", type=int, default=None)
+    ap.add_argument("--out", default=None, help="output directory")
     ap.add_argument("--count", dest="battery_count", type=int, default=None,
                     help="battery size")
     ap.add_argument("--k-points", dest="k_points", type=int, default=None)

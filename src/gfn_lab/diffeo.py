@@ -15,7 +15,7 @@ import numpy as np
 
 from .basic_space import FormalismError, Representative, pullback_pair_transform
 from .test_objects import TestObjectPath
-from .testfunc import Box, DomainError, from_evaluator
+from .testfunc import Box, DomainError, TestFunction
 
 EPS0_CAP = 2.0**-20
 
@@ -322,8 +322,8 @@ def transform_test_object(mu: Diffeomorphism, path: TestObjectPath,
             u = (mu.inverse(z) - xt) / eps
             return src.fn(u) * np.abs(mu.det_d_inverse(z))
 
-        return from_evaluator(fn, 1, 0.0, rb,
-                              label=f"tto[{src.label}|{mu.name}]")
+        return TestFunction(1, 0.0, rb, fn,
+                            label=f"tto[{src.label}|{mu.name}]")
 
     src_bound = path.radius_bound
     omega_src, omega_dst = mu.omega_src, mu.omega_dst

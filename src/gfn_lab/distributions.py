@@ -14,7 +14,7 @@ import numpy as np
 
 from . import numdiff
 from .testfunc import (DEFAULT_NODES, Box, DomainError, TestFunction,
-                       from_evaluator, support_grid)
+                       support_grid)
 
 #: maximum Dirac-derivative order handled by the Richardson stencils
 K_MAX = 4
@@ -230,8 +230,8 @@ def pullback_test_function(mu, psi: TestFunction) -> TestFunction:
         pre = mu.inverse(xi)
         return psi.fn(pre) * np.abs(mu.det_d_inverse(xi))
 
-    return from_evaluator(fn, psi.s, center, radius,
-                          label=f"{mu.name}#[{psi.label}]")
+    return TestFunction(psi.s, center, radius, fn,
+                        label=f"{mu.name}#[{psi.label}]")
 
 
 def classical_pullback(mu, u: Distribution, psi: TestFunction,

@@ -131,10 +131,10 @@ def _write_rows(path: str, header: list, rows: list) -> str:
 
 
 def _spec(cfg: ScenarioConfig, i_min: int, i_max: int, window: int,
-          K: np.ndarray, alphas=(0,), **kw) -> asy.SweepSpec:
+          K: np.ndarray, alphas=(0,)) -> asy.SweepSpec:
     return asy.SweepSpec(i_min=cfg.eps_min or i_min, i_max=cfg.eps_max or i_max,
                          K=K, alphas=alphas,
-                         fit_window=cfg.fit_window or window, **kw)
+                         fit_window=cfg.fit_window or window)
 
 
 # ---------------------------------------------------------------------------

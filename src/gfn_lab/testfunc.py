@@ -107,18 +107,6 @@ class QuadratureGrid:
             raise ValueError(f"node count must be a power of two >= 64, got {n}")
 
 
-@dataclass(frozen=True)
-class MomentSpec:
-    """Moment requirements: unit mass and |moments| <= tol up to ``order``."""
-
-    order: int
-    tol: float = TAU_M
-
-    def __post_init__(self):
-        if self.order < 0 or self.tol <= 0:
-            raise ValueError("need order >= 0 and tol > 0")
-
-
 class TestFunction:
     """A smooth function with support inside the closed ball B(center, radius).
 
@@ -315,27 +303,6 @@ def multi_indices(s: int, lo: int, hi: int) -> list[tuple[int, ...]]:
     return sorted(out, key=lambda a: (sum(a), a))
 
 
-def satisfies_moment_spec(tf: TestFunction, spec: MomentSpec,
-                          n: Optional[int] = None):
-    """Check unit mass and vanishing moments 1..order; returns (ok, moments)."""
-    report = {}
-    if tf.s == 1:
-        ms = moments_upto(tf, spec.order, n=n)
-        report[0] = ms[0]
-        ok = abs(ms[0] - 1.0) <= spec.tol
-        for a in range(1, spec.order + 1):
-            report[a] = ms[a]
-            ok = ok and abs(ms[a]) <= spec.tol
-        return ok, report
-    zero = (0,) * tf.s
-    report[zero] = moment(tf, zero, n=n)
-    ok = abs(report[zero] - 1.0) <= spec.tol
-    for alpha in multi_indices(tf.s, 1, spec.order):
-        report[alpha] = moment(tf, alpha, n=n)
-        ok = ok and abs(report[alpha]) <= spec.tol
-    return ok, report
-
-
 # ---------------------------------------------------------------------------
 # construction
 
@@ -484,12 +451,6 @@ def tf_lincomb(coeffs: Sequence[float], tfs: Sequence[TestFunction],
             return acc
 
         dfn = (dfn0,)
-    return TestFunction(s, center, radius, fn, dfn=dfn, label=label)
-
-
-def from_evaluator(fn, s: int, center, radius: float, label: str = "",
-                   dfn=None) -> TestFunction:
-    """Opaque test function from an evaluator plus a support radius bound."""
     return TestFunction(s, center, radius, fn, dfn=dfn, label=label)
 
 

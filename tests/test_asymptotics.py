@@ -100,15 +100,14 @@ class TestSweep:
         with pytest.raises(DomainError, match="eps"):
             sweep(rep, out, spec)
 
-    def test_workers_do_not_change_results(self):
+    def test_nan_probe_names_point(self):
+        """A NaN at one K point raises instead of reaching the max."""
         bat = make_battery("full_path", 0, 1, seed=21)
-        rep = embed_C(DiracDerivative(0), omega=OMEGA)
-        s1 = SweepSpec(i_min=2, i_max=8, K=np.linspace(-1, 1, 11),
-                       alphas=(0,), fit_window=4, workers=1)
-        s4 = SweepSpec(i_min=2, i_max=8, K=np.linspace(-1, 1, 11),
-                       alphas=(0,), fit_window=4, workers=4)
-        np.testing.assert_array_equal(sweep(rep, bat[0], s1)[0].values,
-                                      sweep(rep, bat[0], s4)[0].values)
+        rep = Representative(lambda phi, x: math.nan if x == 0.5 else 1.0)
+        spec = SweepSpec(i_min=2, i_max=8, K=np.linspace(-1, 1, 5),
+                         alphas=(0,), fit_window=4)
+        with pytest.raises(FloatingPointError, match=r"eps=0\.25, x=0\.5"):
+            sweep(rep, bat[0], spec)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

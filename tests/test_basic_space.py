@@ -238,20 +238,6 @@ class TestLinearityInvariant:
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
-class TestGeneralizedFunction:
-    def test_difference_feeds_the_probe(self, moll0):
-        from gfn_lab.basic_space import GeneralizedFunction
-        g1 = GeneralizedFunction(embed_C(smooth_density("sin")))
-        g2 = GeneralizedFunction(embed_sigma(np.sin))
-        d = g1.difference(g2)
-        assert abs(d(scale(moll0, 0.125), 0.3)) < 0.05  # small, not zero
-
-    def test_equality_is_presentation_identity(self):
-        from gfn_lab.basic_space import GeneralizedFunction
-        r = embed_C(DiracDerivative(0))
-        assert GeneralizedFunction(r) != GeneralizedFunction(r)  # distinct objects
-
-
 class TestExpExpRepresentative:
     def test_unit_modulus(self, moll0):
         rep = ExpExpRepresentative(squared_mass_inner(1024))

@@ -46,6 +46,18 @@ class TestCliSurface:
         rows = list(csv.DictReader(open(out / "mollifier_moments.csv")))
         assert {r["q"] for r in rows} == {"3"}
 
+    def test_config_seed_and_out_hold_without_flags(self, tmp_path,
+                                                     monkeypatch):
+        """Only explicit flags override the file's seed and out."""
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "from-file"
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"q": 1, "seed": 99, "out": str(out)}))
+        rc = main(["mollifier", "--config", str(cfgfile), "--quiet"])
+        assert rc == 0
+        assert "seed=99" in (out / "run_log.txt").read_text()
+        assert not (tmp_path / "out").exists()
+
     def test_battery_addressable_from_config(self, tmp_path):
         """Battery (mode, q, count, seed) resolves from the config file."""
         cfgfile = tmp_path / "cfg.json"
