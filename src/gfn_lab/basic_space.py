@@ -62,16 +62,15 @@ class Representative:
         if self.omega is None:
             return True
         if self.formalism == "C":
-            xv = np.atleast_1d(np.asarray(x, dtype=float))
-            return self.omega.contains_ball(phi.center + xv, phi.radius)
+            return self.omega.contains_ball(phi.center + x, phi.radius)
         return (self.omega.contains_ball(phi.center, phi.radius)
                 and self.omega.contains_point(x))
 
     def check_domain(self, phi: TestFunction, x):
         if not self.in_domain(phi, x):
             raise DomainError(
-                f"(phi, x) with x={x!r}, support B({phi.center}, "
-                f"{phi.radius:g}) is outside U(Omega)")
+                f"(phi, x) with x={x!r}, support [{phi.center:g} +/- "
+                f"{phi.radius:g}] is outside U(Omega)")
 
     def compose_pullback(self, transform, omega_src: Optional[Box],
                          name: str = "") -> "Representative":
@@ -214,7 +213,7 @@ def translate_formalism(rep: Representative) -> Representative:
                               omega=rep.omega, name=f"T*[{rep.name}]")
 
     def ev(phi, x):
-        return base(translate(phi, -np.asarray(x, dtype=float)), x)
+        return base(translate(phi, -x), x)
 
     return Representative(ev, formalism="J", linear=rep.linear,
                           omega=rep.omega, name=f"T-*[{rep.name}]")
@@ -235,8 +234,7 @@ def pullback_pair_transform(mu):
     def transform(phi_t: TestFunction, x_t):
         y = mu.forward(x_t)
         shifted = translate(phi_t, x_t)
-        chi = translate(pullback_test_function(mu, shifted),
-                        -np.asarray(y, dtype=float))
+        chi = translate(pullback_test_function(mu, shifted), -y)
         return chi, y
 
     return transform
@@ -372,17 +370,17 @@ def d1_derivative(rep: Representative, phi: TestFunction, x, directions,
     return (at(t1, t2) - at(t1, -t2) - at(-t1, t2) + at(-t1, -t2)) / (4 * t1 * t2)
 
 
-def Dj_derivative(rep: Representative, axis: int, phi: TestFunction, x):
+def Dj_derivative(rep: Representative, phi: TestFunction, x):
     """Derivative in the J-formalism:
 
-        (D_j R)(phi, x) = -(d_1 R(phi, x))(d_axis phi) + (d_x R)(phi, x).
+        (D_j R)(phi, x) = -(d_1 R(phi, x))(phi') + (d_x R)(phi, x).
 
     For the embedded image of a distribution the second term vanishes by
     x-independence and the first is exactly the embedded derivative.
     """
     if rep.formalism != "J":
         raise FormalismError("D_j derivative acts on J-formalism representatives")
-    dphi = phi.derivative(axis)
+    dphi = phi.derivative()
     term1 = -d1_derivative(rep, phi, x, [dphi])
     term2 = partial_x(rep, 1, phi, x, h=1e-5)
     return term1 + term2

@@ -47,7 +47,6 @@ class Diffeomorphism:
     omega_src: Optional[Box] = None
     omega_dst: Optional[Box] = None
     is_identity: bool = False
-    s: int = 1
 
     def __call__(self, x):
         return self.forward(x)
@@ -66,9 +65,10 @@ class Diffeomorphism:
                               _scalarized(dinv), _scalarized(detdinv),
                               omega_src=self.omega_dst,
                               omega_dst=self.omega_src,
-                              is_identity=self.is_identity, s=self.s)
+                              is_identity=self.is_identity)
 
-    def lipschitz_forward(self, lo, hi, n: int = 256, safety: float = 1.1) -> float:
+    def lipschitz_forward(self, lo: float, hi: float, n: int = 256,
+                          safety: float = 1.1) -> float:
         """Sampled bound on sup |mu'| over [lo, hi].
 
         |mu'(x)| = 1/|D mu^{-1}(mu(x))|, so the derivative of the inverse is
@@ -77,8 +77,8 @@ class Diffeomorphism:
         """
         if self.is_identity:
             return 1.0
-        a = float(np.atleast_1d(np.asarray(self.forward(float(np.atleast_1d(lo)[0]))))[0])
-        b = float(np.atleast_1d(np.asarray(self.forward(float(np.atleast_1d(hi)[0]))))[0])
+        a = float(self.forward(float(lo)))
+        b = float(self.forward(float(hi)))
         ys = np.linspace(min(a, b), max(a, b), n)
         dinv = np.abs(np.asarray(self.det_d_inverse(ys), dtype=float))
         m = float(np.min(dinv))
@@ -125,7 +125,7 @@ def affine_map(a: float, b: float = 0.0,
     dinv = _scalarized(lambda y: np.full_like(np.asarray(y, dtype=float), 1.0 / a))
     src = None
     if omega_dst is not None:
-        ends = sorted(((omega_dst.lo[0] - b) / a, (omega_dst.hi[0] - b) / a))
+        ends = sorted(((omega_dst.lo - b) / a, (omega_dst.hi - b) / a))
         src = Box.interval(ends[0], ends[1])
     return Diffeomorphism(f"affine({a:g},{b:g})", fwd, inv, dinv, dinv,
                           omega_src=src, omega_dst=omega_dst)
@@ -155,7 +155,7 @@ def sin_bend_map(amplitude: float = 0.25,
     fwd, inv, dinv = _scalarized(fwd_arr), _scalarized(inv_arr), _scalarized(dinv_arr)
     src = None
     if omega_dst is not None:
-        src = Box.interval(inv(float(omega_dst.lo[0])), inv(float(omega_dst.hi[0])))
+        src = Box.interval(inv(omega_dst.lo), inv(omega_dst.hi))
     return Diffeomorphism(f"sin-bend({amplitude:g})", fwd, inv, dinv, dinv,
                           omega_src=src, omega_dst=omega_dst)
 
@@ -181,7 +181,7 @@ def cubic_map(omega_dst: Optional[Box] = None) -> Diffeomorphism:
     fwd, inv, dinv = _scalarized(fwd_arr), _scalarized(inv_arr), _scalarized(dinv_arr)
     src = None
     if omega_dst is not None:
-        src = Box.interval(inv(float(omega_dst.lo[0])), inv(float(omega_dst.hi[0])))
+        src = Box.interval(inv(omega_dst.lo), inv(omega_dst.hi))
     return Diffeomorphism("cubic", fwd, inv, dinv, dinv,
                           omega_src=src, omega_dst=omega_dst)
 
@@ -217,8 +217,8 @@ def compose(mu: Diffeomorphism, nu: Diffeomorphism) -> Diffeomorphism:
     dinv = _scalarized(dinv_arr)
     src = None
     if mu.omega_src is not None:
-        ends = sorted((float(nu.inverse(float(mu.omega_src.lo[0]))),
-                       float(nu.inverse(float(mu.omega_src.hi[0])))))
+        ends = sorted((nu.inverse(mu.omega_src.lo),
+                       nu.inverse(mu.omega_src.hi)))
         src = Box.interval(ends[0], ends[1])
     return Diffeomorphism(f"{mu.name}.{nu.name}", fwd, inv, dinv, dinv,
                           omega_src=src, omega_dst=mu.omega_dst,
@@ -307,10 +307,10 @@ def transform_test_object(mu: Diffeomorphism, path: TestObjectPath,
     if lip_region is not None:
         lo, hi = lip_region
     elif mu.omega_src is not None:
-        lo, hi = float(mu.omega_src.lo[0]), float(mu.omega_src.hi[0])
+        lo, hi = mu.omega_src.lo, mu.omega_src.hi
     else:
         lo, hi = -3.0, 3.0
-    lip = mu.lipschitz_forward(np.array([lo]), np.array([hi]), safety=safety)
+    lip = mu.lipschitz_forward(lo, hi, safety=safety)
     rb = lip * path.radius_bound  # encloses support and its offset about 0
 
     def member(eps, x):
@@ -322,7 +322,7 @@ def transform_test_object(mu: Diffeomorphism, path: TestObjectPath,
             u = (mu.inverse(z) - xt) / eps
             return src.fn(u) * np.abs(mu.det_d_inverse(z))
 
-        return TestFunction(1, 0.0, rb, fn,
+        return TestFunction(0.0, rb, fn,
                             label=f"tto[{src.label}|{mu.name}]")
 
     src_bound = path.radius_bound
@@ -332,11 +332,11 @@ def transform_test_object(mu: Diffeomorphism, path: TestObjectPath,
         if omega_dst is not None:
             if not omega_dst.contains_point(x):
                 return False
-            if not omega_dst.contains_ball(np.array([x]), eps * rb):
+            if not omega_dst.contains_ball(x, eps * rb):
                 return False
         xt = mu.inverse(x)
         if omega_src is not None and not omega_src.contains_ball(
-                np.array([xt]), eps * src_bound):
+                xt, eps * src_bound):
             return False
         return True
 
@@ -379,10 +379,9 @@ def check_Z_requirements(path: TestObjectPath, L, eps0: float,
                 membership_ok = False
                 continue
             tf = path(float(e), float(x))
-            radius_obs = max(radius_obs, float(np.max(np.abs(tf.center))
-                                               + tf.radius))
+            radius_obs = max(radius_obs, abs(tf.center) + tf.radius)
             lo, hi = tf.box
-            xi = np.linspace(float(lo[0]), float(hi[0]), n_xi)
+            xi = np.linspace(lo, hi, n_xi)
             h = xi[1] - xi[0]
             vals = tf.fn(xi)
             deriv_bounds[0] = max(deriv_bounds[0], float(np.max(np.abs(vals))))

@@ -92,10 +92,9 @@ class AdjointDerivative(Distribution):
 
     kind = "adjoint"
 
-    def __init__(self, base: Distribution, axis: int = 0):
-        super().__init__(base.omega, f"d{axis}[{base.name or base.kind}]")
+    def __init__(self, base: Distribution):
+        super().__init__(base.omega, f"d[{base.name or base.kind}]")
         self.base = base
-        self.axis = axis
 
 
 class PullbackDistribution(Distribution):
@@ -132,7 +131,7 @@ def _psi_derivative_at(psi: TestFunction, a: float, order: int) -> float:
 def _check_domain(w: Distribution, psi: TestFunction):
     if w.omega is not None and not w.omega.contains_ball(psi.center, psi.radius):
         raise DomainError(
-            f"support ball B({psi.center}, {psi.radius:g}) escapes the open set")
+            f"support [{psi.center:g} +/- {psi.radius:g}] escapes the open set")
 
 
 def pair(w: Distribution, psi: TestFunction, n: Optional[int] = None):
@@ -145,7 +144,7 @@ def pair(w: Distribution, psi: TestFunction, n: Optional[int] = None):
     """
     _check_domain(w, psi)
     if n is None:
-        n = DEFAULT_NODES[psi.s]
+        n = DEFAULT_NODES
 
     if w.kind == "smooth":
         pts, wt = support_grid(psi, n)
@@ -158,21 +157,16 @@ def pair(w: Distribution, psi: TestFunction, n: Optional[int] = None):
         return sign * _psi_derivative_at(psi, w.position, w.order)
 
     if w.kind == "heaviside":
-        if psi.s != 1:
-            raise ValueError("Heaviside is one-dimensional")
-        lo, hi = psi.box
-        b = float(hi[0])
+        a, b = psi.box
         if b <= 0.0:
             return 0.0
-        a = max(0.0, float(lo[0]))
+        a = max(0.0, a)
         t = np.linspace(a, b, n + 1)
         return _simpson(psi.fn(t), (b - a) / n)
 
     if w.kind == "pv":
-        if psi.s != 1:
-            raise ValueError("vp(1/x) is one-dimensional")
         lo, hi = psi.box
-        b = max(abs(float(lo[0])), abs(float(hi[0])))
+        b = max(abs(lo), abs(hi))
         if b == 0.0:
             return 0.0
         t = np.linspace(0.0, b, n + 1)
@@ -190,7 +184,7 @@ def pair(w: Distribution, psi: TestFunction, n: Optional[int] = None):
         return acc
 
     if w.kind == "adjoint":
-        return -pair(w.base, psi.derivative(w.axis), n)
+        return -pair(w.base, psi.derivative(), n)
 
     if w.kind == "pullback":
         return classical_pullback(w.mu, w.base, psi, n)
@@ -198,7 +192,7 @@ def pair(w: Distribution, psi: TestFunction, n: Optional[int] = None):
     raise TypeError(f"unknown distribution kind {w.kind!r}")
 
 
-def derivative(w: Distribution, axis: int = 0) -> Distribution:
+def derivative(w: Distribution) -> Distribution:
     """Distributional derivative; closed forms where the variant has one."""
     if w.kind == "dirac":
         return DiracDerivative(w.order + 1, w.position, omega=w.omega)
@@ -208,9 +202,9 @@ def derivative(w: Distribution, axis: int = 0) -> Distribution:
         return SmoothDensity(w.fns[1:], omega=w.omega,
                              name=f"d[{w.name}]" if w.name else "")
     if w.kind == "lincomb":
-        return LinearCombination([(c, derivative(t, axis)) for c, t in w.terms],
+        return LinearCombination([(c, derivative(t)) for c, t in w.terms],
                                  omega=w.omega)
-    return AdjointDerivative(w, axis)
+    return AdjointDerivative(w)
 
 
 def pullback_test_function(mu, psi: TestFunction) -> TestFunction:
@@ -223,14 +217,14 @@ def pullback_test_function(mu, psi: TestFunction) -> TestFunction:
         return psi
     lo, hi = psi.box
     lip = mu.lipschitz_forward(lo, hi)
-    center = np.atleast_1d(np.asarray(mu.forward(psi.center)))
+    center = mu.forward(psi.center)
     radius = lip * psi.radius
 
     def fn(xi):
         pre = mu.inverse(xi)
         return psi.fn(pre) * np.abs(mu.det_d_inverse(xi))
 
-    return TestFunction(psi.s, center, radius, fn,
+    return TestFunction(center, radius, fn,
                         label=f"{mu.name}#[{psi.label}]")
 
 

@@ -38,7 +38,6 @@ SCENARIO_NAMES = ("mollifier", "embed-order", "delta-scaling", "association",
 @dataclass
 class ScenarioConfig:
     scenario: str
-    s: int = 1
     omega: tuple = (-2.5, 2.5)
     q: Optional[int] = None
     eps_min: Optional[int] = None   # i_min: eps starts at 2^-i_min
@@ -145,7 +144,7 @@ def _scn_mollifier(cfg: ScenarioConfig, outdir: str):
     qs = [cfg.q] if cfg.q is not None else list(range(1, 7))
     records, rows = [], []
     for q in qs:
-        phi = build_mollifier(q, s=cfg.s)
+        phi = build_mollifier(q)
         mass, mass_err = moment(phi, 0, return_error=True)
         _a(records, f"q{q}-mass", abs(mass - 1.0), "<=1e-12",
            abs(mass - 1.0) <= 1e-12)
@@ -357,7 +356,7 @@ def _scn_jform_commute(cfg: ScenarioConfig, outdir: str):
             phi = scale(build_mollifier(q, radius=r, center=c),
                         0.3 + 0.7 * rng.random())
             x = float((rng.random() - 0.5) * 1.6)
-            lhs = Dj_derivative(repJ, 0, phi, x)
+            lhs = Dj_derivative(repJ, phi, x)
             rhs = repdF(phi, x)
             err = abs(lhs - rhs)
             rows.append((fname, x, float(abs(lhs)), float(err)))

@@ -122,7 +122,7 @@ def make_battery(mode: str, q: int, count: int, seed: int,
 
         chi = _zero_mass_bump(rng)
         amp = 0.05 + 0.15 * rng.random()
-        chi_bound = float(np.abs(chi.center[0]) + chi.radius)
+        chi_bound = abs(chi.center) + chi.radius
 
         if mode == "eps_path":
             base = build_mollifier(qb + 2, radius=r, center=c)

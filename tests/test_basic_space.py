@@ -208,16 +208,16 @@ class TestDjDerivative:
         repJ = embed_J(w)
         repdF = embed_J(derivative(w))
         for phi, x in random_probes(5, seed=23):
-            lhs = Dj_derivative(repJ, 0, phi, x)
+            lhs = Dj_derivative(repJ, phi, x)
             assert abs(lhs - repdF(phi, x)) <= 1e-8
 
     def test_requires_j_formalism(self, moll0):
         with pytest.raises(FormalismError):
-            Dj_derivative(embed_C(DiracDerivative(0)), 0, moll0, 0.0)
+            Dj_derivative(embed_C(DiracDerivative(0)), moll0, 0.0)
 
     def test_constant_representative_vanishes(self, moll0):
         rep = Representative(lambda phi, x: 1.0, formalism="J", linear=False)
-        assert Dj_derivative(rep, 0, moll0, 0.1) == pytest.approx(0.0, abs=1e-9)
+        assert Dj_derivative(rep, moll0, 0.1) == pytest.approx(0.0, abs=1e-9)
 
 
 class TestLinearityInvariant:

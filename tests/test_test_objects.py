@@ -37,7 +37,7 @@ class TestMakeBattery:
         normalized bump."""
         path = make_battery("static", 0, 1, seed=1)[0]
         tf = path()
-        assert tf.radius == 1.0 and tf.center[0] == 0.0
+        assert tf.radius == 1.0 and tf.center == 0.0
         np.testing.assert_array_equal(tf.coeffs, build_mollifier(0).coeffs)
         assert abs(tf.mass() - 1.0) <= 1e-12
 
