@@ -46,7 +46,7 @@ def main(argv=None) -> int:
                   "battery_count", "k_points", "quad_n")}
     try:
         cfg = ScenarioConfig.from_sources(args.scenario, args.config, overrides)
-    except (KeyError, ValueError, OSError) as exc:
+    except (KeyError, TypeError, ValueError, OSError) as exc:
         print(f"gfn: {exc}", file=sys.stderr)
         return 2
     try:

@@ -28,7 +28,7 @@ from .distributions import (DiracDerivative, Heaviside, PullbackDistribution,
                             SMOOTH_CHAINS, derivative, smooth_density)
 from .test_objects import (MomentClass, check_moment_class, make_battery,
                            perturbation_directions)
-from .testfunc import Box, build_mollifier, moment, scale
+from .testfunc import Box, QuadratureGrid, build_mollifier, moment, scale
 
 SCENARIO_NAMES = ("mollifier", "embed-order", "delta-scaling", "association",
                   "moment-invariance", "counterexample", "jform-commute",
@@ -57,6 +57,12 @@ class ScenarioConfig:
                            f"choose from {', '.join(SCENARIO_NAMES)}")
         if self.seed is None:
             raise ValueError("a seed is mandatory for reproducible runs")
+        if self.quad_n is not None:
+            QuadratureGrid(self.quad_n)  # raises on a bad node count
+        if self.battery_count < 1:
+            raise ValueError(f"battery_count must be >= 1, got {self.battery_count}")
+        if self.k_points < 1:
+            raise ValueError(f"k_points must be >= 1, got {self.k_points}")
 
     @property
     def omega_box(self) -> Box:

@@ -96,7 +96,8 @@ class QuadratureGrid:
     def __post_init__(self):
         n = self.nodes_per_axis
         if n < 64 or (n & (n - 1)) != 0:
-            raise ValueError(f"node count must be a power of two >= 64, got {n}")
+            raise ValueError(f"quadrature node count must be a power of two >= 64, "
+                             f"got {n}")
 
 
 class TestFunction:

@@ -76,11 +76,30 @@ class TestCliSurface:
                    "--out", str(tmp_path / "d")])
         assert rc == 2
 
-    def test_bad_config_key_rejected(self, tmp_path):
+    @pytest.mark.parametrize("data", [
+        pytest.param({"qq": 1}, id="unknown-key"),
+        pytest.param({"s": 2}, id="dimension-key"),
+        pytest.param({"quad_n": 101}, id="quad-n-not-power-of-two"),
+        pytest.param({"quad_n": 32}, id="quad-n-too-small"),
+        pytest.param({"battery_count": 0}, id="count-zero"),
+        pytest.param({"k_points": 0}, id="k-points-zero"),
+    ])
+    def test_bad_config_key_rejected(self, tmp_path, data):
+        """Unknown keys and out-of-range numbers exit 2 (bad usage), never
+        1, which means a failed verdict."""
         cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps({"qq": 1}))
+        cfgfile.write_text(json.dumps(data))
+        out = tmp_path / "x"
         rc = main(["mollifier", "--config", str(cfgfile), "--quiet",
-                   "--out", str(tmp_path / "x")])
+                   "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--quad-n", "101"], ["--count", "0"],
+                                       ["--k-points", "0"]])
+    def test_bad_numeric_flag_rejected(self, tmp_path, flags):
+        rc = main(["mollifier", "--quiet", "--out", str(tmp_path / "x")]
+                  + flags)
         assert rc == 2
 
     def test_scenario_names_all_registered(self):
