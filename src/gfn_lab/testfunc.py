@@ -124,6 +124,8 @@ class TestFunction:
         self.label = label
         self._trans_base: Optional[TestFunction] = None
         self._trans_shift: Optional[float] = None
+        self._trans_prev: Optional[TestFunction] = None
+        self._trans_last: Optional[float] = None
         self._cache: dict = {}
 
     def __call__(self, x):
@@ -369,10 +371,18 @@ def scale(tf: TestFunction, eps: float) -> TestFunction:
 
 
 def translate(tf: TestFunction, x: float) -> TestFunction:
-    """tf(. - x), with exact cancellation of stacked opposite translations."""
+    """tf(. - x), with exact cancellation of opposite translations.
+
+    Stacked shifts fold into one offset from the untranslated base, and
+    undoing the latest shift returns the very function it was applied to,
+    so a round trip through the other formalism is bit-identical also for
+    members that are themselves translates.
+    """
     shift = float(x)
     if shift == 0.0:
         return tf
+    if tf._trans_last == -shift:
+        return tf._trans_prev
     base = tf._trans_base if tf._trans_base is not None else tf
     total = shift if tf._trans_shift is None else tf._trans_shift + shift
     if total == 0.0:
@@ -393,4 +403,6 @@ def translate(tf: TestFunction, x: float) -> TestFunction:
                        label=f"T[{base.label}]")
     out._trans_base = base
     out._trans_shift = total
+    out._trans_prev = tf
+    out._trans_last = shift
     return out

@@ -1,0 +1,108 @@
+"""Algebraic laws of the test-function operators, checked by hypothesis.
+
+The group laws of translate and scale, linearity of the smooth-density
+pairing, and the bit-identical C/J round trip are what the sweeps rely on
+when they rebuild the same member along different operator chains.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import assume, example, given, settings, strategies as st
+
+from gfn_lab.basic_space import embed_C, embed_J, translate_formalism
+from gfn_lab.distributions import pair, smooth_density
+from gfn_lab.testfunc import build_mollifier, scale, tf_lincomb, translate
+
+shifts = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
+scales = st.floats(min_value=0.05, max_value=1.0)
+weights = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
+
+
+def members(base, e, t):
+    """A scaled member, a translated one, and both in either order."""
+    return [scale(base, e), translate(base, t),
+            translate(scale(base, e), t), scale(translate(base, t), e)]
+
+
+class TestTranslateGroup:
+    @settings(max_examples=200, deadline=None)
+    @given(a=shifts, b=shifts)
+    def test_three_translations_cancel_to_the_original(self, moll2_offset,
+                                                        a, b):
+        # when b absorbs a (a + b rounds to b) the last shift undoes only
+        # the second one; see the test below
+        assume(a + b != b or a == 0.0)
+        f = moll2_offset
+        assert translate(translate(translate(f, a), b), -(a + b)) is f
+
+    @settings(max_examples=100, deadline=None)
+    @given(t=shifts, x=shifts)
+    def test_undoing_the_latest_shift_is_exact(self, moll2_offset, t, x):
+        assume(x != -t)  # then the first shift already cancels t
+        phi = translate(moll2_offset, t)
+        assert translate(translate(phi, x), -x) is phi
+        tiny = translate(moll2_offset, 1e-300)
+        assert translate(translate(tiny, 1.0), -1.0) is tiny
+
+    @settings(max_examples=50, deadline=None)
+    @given(a=shifts, b=shifts)
+    def test_composition_is_one_shift(self, moll2_offset, a, b):
+        f = moll2_offset
+        two = translate(translate(f, a), b)
+        xs = np.linspace(*two.box, 257)
+        np.testing.assert_array_equal(two.fn(xs), f.fn(xs - (a + b)))
+
+
+class TestScaleGroup:
+    @settings(max_examples=100, deadline=None)
+    @given(e1=scales, e2=scales)
+    def test_composition_matches_product(self, moll2_offset, e1, e2):
+        f = moll2_offset
+        two = scale(scale(f, e1), e2)
+        one = scale(f, e1 * e2)
+        assert two.center == pytest.approx(one.center, rel=1e-12, abs=1e-300)
+        assert two.radius == pytest.approx(one.radius, rel=1e-12)
+        xs = np.linspace(*one.box, 513)
+        lhs, rhs = two.fn(xs), one.fn(xs)
+        # near the flat support edge a few-ulp shift of the argument moves
+        # tiny values by a large relative amount; compare against the sup
+        sup = np.max(np.abs(rhs))
+        np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12 * sup)
+
+
+class TestPairLinearity:
+    @settings(max_examples=40, deadline=None)
+    @given(a=weights, b=weights, t=shifts, e=scales,
+           density=st.sampled_from(["sin", "cos", "x2", "x4"]))
+    def test_smooth_pair_is_linear_over_lincomb(self, moll2_offset, moll0,
+                                                a, b, t, e, density):
+        w = smooth_density(density)
+        f = moll2_offset
+        g = translate(scale(moll0, e), t)
+        wf, wg = pair(w, f), pair(w, g)
+        lhs = pair(w, tf_lincomb([a, b], [f, g]))
+        # the combination is integrated on its own, wider grid, which
+        # resolves a narrow g to about 2e-10 relative
+        tol = 1e-9 * (abs(a * wf) + abs(b * wg)) + 1e-12
+        assert lhs == pytest.approx(a * wf + b * wg, abs=tol)
+
+
+class TestFormalismRoundTrip:
+    @pytest.fixture(scope="class")
+    def reps(self):
+        mixed = build_mollifier(2, radius=0.8, center=0.1)
+        return mixed, [embed_C(smooth_density("sin")),
+                       embed_J(smooth_density("x2"))]
+
+    @settings(max_examples=60, deadline=None)
+    @given(e=scales, t=shifts, x=shifts)
+    @example(e=0.5, t=0.25, x=-0.25)
+    @example(e=0.5, t=0.25, x=0.25)
+    @example(e=1.0, t=1e-17, x=2.0)
+    def test_round_trip_is_bit_identical(self, reps, e, t, x):
+        base, representatives = reps
+        for rep in representatives:
+            back = translate_formalism(translate_formalism(rep))
+            assert back.formalism == rep.formalism
+            for phi in members(base, e, t):
+                assert back(phi, x) == rep(phi, x)
