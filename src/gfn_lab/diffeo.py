@@ -19,6 +19,11 @@ from .testfunc import Box, DomainError, TestFunction
 
 EPS0_CAP = 2.0**-20
 
+#: a Newton inverse has converged once a step moves the iterates by at most
+#: a few ulps of (1 + max |x|); it raises after NEWTON_MAX_ITER steps
+NEWTON_STEP_TOL = 4.0 * float(np.finfo(float).eps)
+NEWTON_MAX_ITER = 60
+
 
 def _scalarized(fn):
     def wrapped(x):
@@ -142,12 +147,16 @@ def sin_bend_map(amplitude: float = 0.25,
 
     def inv_arr(y):
         x = np.array(y, dtype=float, copy=True)
-        for _ in range(60):
-            f = x + amplitude * np.sin(x) - y
-            x = x - f / (1.0 + amplitude * np.cos(x))
-            if np.max(np.abs(f)) < 1e-16 * (1.0 + np.max(np.abs(y))):
-                break
-        return x
+        for _ in range(NEWTON_MAX_ITER):
+            step = (x + amplitude * np.sin(x) - y) / (1.0 + amplitude * np.cos(x))
+            x = x - step
+            # the residual has a rounding floor near eps * |y|, so the test
+            # is on the step, not on the residual
+            if np.max(np.abs(step)) <= NEWTON_STEP_TOL * (1.0 + np.max(np.abs(x))):
+                return x
+        raise FloatingPointError(
+            f"sin-bend({amplitude:g}) inverse did not converge in "
+            f"{NEWTON_MAX_ITER} Newton steps (last step {np.max(np.abs(step)):.3g})")
 
     def dinv_arr(y):
         return 1.0 / (1.0 + amplitude * np.cos(inv_arr(np.asarray(y, dtype=float))))

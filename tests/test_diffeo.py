@@ -38,6 +38,21 @@ class TestCatalog:
         assert mu.omega_src.lo == pytest.approx(-1.25)
         assert mu.omega_src.hi == pytest.approx(1.25)
 
+    def test_sin_bend_dense_round_trip_within_few_ulps(self):
+        mu = get_diffeo("sin-bend")
+        xs = np.linspace(-3.0, 3.0, 200001)
+        back = mu.inverse(mu.forward(xs))
+        ulps = np.abs(back - xs) / np.spacing(np.maximum(np.abs(xs), 1.0))
+        assert np.max(ulps) <= 4.0
+
+    def test_sin_bend_inverse_rejects_nan(self):
+        mu = get_diffeo("sin-bend")
+        ys = np.array([-1.0, np.nan, 0.5])
+        with pytest.raises(FloatingPointError, match="sin-bend"):
+            mu.inverse(ys)
+        with pytest.raises(FloatingPointError, match="sin-bend"):
+            mu.d_inverse(float("nan"))
+
     def test_lipschitz_bound_covers_samples(self):
         mu = get_diffeo("cubic", OMEGA)
         lip = mu.lipschitz_forward(-1.0, 1.0)
