@@ -69,8 +69,8 @@ class Representative:
     def check_domain(self, phi: TestFunction, x):
         if not self.in_domain(phi, x):
             raise DomainError(
-                f"(phi, x) with x={x!r}, support [{phi.center:g} +/- "
-                f"{phi.radius:g}] is outside U(Omega)")
+                f"(phi, x) with x={x!r}, support B({phi.center}, "
+                f"{phi.radius:g}) is outside U(Omega)")
 
     def compose_pullback(self, transform, omega_src: Optional[Box],
                          name: str = "") -> "Representative":

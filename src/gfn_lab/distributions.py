@@ -131,7 +131,7 @@ def _psi_derivative_at(psi: TestFunction, a: float, order: int) -> float:
 def _check_domain(w: Distribution, psi: TestFunction):
     if w.omega is not None and not w.omega.contains_ball(psi.center, psi.radius):
         raise DomainError(
-            f"support [{psi.center:g} +/- {psi.radius:g}] escapes the open set")
+            f"support ball B({psi.center}, {psi.radius:g}) escapes the open set")
 
 
 def pair(w: Distribution, psi: TestFunction, n: Optional[int] = None):

@@ -4,8 +4,9 @@ The parametric family used for construction is
 
     phi(xi) = sum_k c_k (xi - c)^k B((xi - c)/r),   B(t) = exp(-1/(1 - t^2))
 
-with B extended by zero outside |t| < 1.  The family evaluates exactly, is closed under scaling and translation, and its unit-mass /
-vanishing-moment members are obtained from one dense linear solve.
+with B extended by zero outside |t| < 1.  The family evaluates exactly, is
+closed under scaling and translation, and its unit-mass / vanishing-moment
+members are obtained from one dense linear solve.
 
 All moments are computed by uniform trapezoid quadrature over the support
 interval.  Because every function here is infinitely flat at the support
@@ -202,8 +203,8 @@ def moment(tf: TestFunction, alpha: int, n=None, return_error: bool = False):
         raise ValueError(f"moment order {alpha} outside 0..{2 * Q_CAP}")
     n = _node_count(n)
     pts, w = support_grid(tf, n)
-    vals = tf.fn(pts)
-    val = float(np.dot(w, (pts**alpha if alpha else np.ones_like(pts)) * vals))
+    mono = pts**alpha if alpha else np.ones_like(pts)
+    val = float(np.dot(w, mono * tf.fn(pts)))
     if not return_error:
         return val
     pts2, w2 = support_grid(tf, 2 * n)
@@ -314,7 +315,7 @@ def bump_testfunction(radius: float = 1.0, center: float = 0.0,
 
 def tf_lincomb(coeffs: Sequence[float], tfs: Sequence[TestFunction],
                label: str = "") -> TestFunction:
-    """Linear combination, supported in the smallest interval covering all terms."""
+    """Linear combination, supported on the interval covering all terms."""
     lo = min(t.center - t.radius for t in tfs)
     hi = max(t.center + t.radius for t in tfs)
     center = 0.5 * (lo + hi)
