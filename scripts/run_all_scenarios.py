@@ -5,15 +5,35 @@ Usage:
     python scripts/run_all_scenarios.py [--out DIR] [--seed N]
 
 Writes each scenario's CSVs under DIR/<scenario>/ and prints a one-line
-verdict per scenario; exits nonzero if any scenario assertion failed.
+verdict per scenario on standard output, ending in the first 16 hex digits
+of the sha256 of that scenario's CSVs (names and bytes; the run-log sidecar
+is left out).  Wall times go to standard error, so the standard output of
+two checkouts at the same seed differs exactly when their CSVs do:
+
+    python scripts/run_all_scenarios.py --out a > a.txt   # one checkout
+    python scripts/run_all_scenarios.py --out b > b.txt   # the other
+    diff a.txt b.txt
+
+Exits nonzero if any scenario assertion failed.
 """
 
 import argparse
+import hashlib
 import os
 import sys
 import time
 
 from gfn_lab.scenarios import SCENARIO_NAMES, ScenarioConfig, run_scenario
+
+
+def csv_digest(files) -> str:
+    """sha256 over the names and bytes of the CSVs among ``files``, in name
+    order, as perfbench/run.py computes it; the first 16 hex digits."""
+    h = hashlib.sha256()
+    for path in sorted(f for f in files if f.endswith(".csv")):
+        with open(path, "rb") as fh:
+            h.update(os.path.basename(path).encode() + b"\0" + fh.read() + b"\0")
+    return h.hexdigest()[:16]
 
 
 def main() -> int:
@@ -31,7 +51,9 @@ def main() -> int:
         n_ok = sum(a.passed for a in res.assertions)
         print(f"{name:20s} {'PASS' if res.passed else 'FAIL':4s} "
               f"{n_ok}/{len(res.assertions)} assertions "
-              f"({time.time() - t0:5.1f}s, {len(res.files)} files)")
+              f"({len(res.files)} files) sha256 {csv_digest(res.files)}",
+              flush=True)
+        print(f"{name:20s} {time.time() - t0:5.1f}s", file=sys.stderr)
         if not res.passed:
             failures.append(name)
             for a in res.assertions:

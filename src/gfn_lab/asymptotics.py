@@ -112,14 +112,15 @@ class AsymptoticVerdict:
         return self.kind != "superpoly"
 
 
-def _sup_table(path, spec: SweepSpec, row) -> np.ndarray:
-    """The eps x K kernel: sup over x in K of one probe per eps row.
+def _sup_table(path, spec: SweepSpec, row) -> list[np.ndarray]:
+    """The eps x K kernel: sup over x in K of each probed magnitude, per row.
 
     ``row(eps)`` does the work shared by a row once and returns the probe
-    x -> magnitude, an absolute value or a log2 magnitude.  Every point is
-    checked against the path's partial domain before it is probed, and a
-    NaN magnitude raises instead of reaching the max, where its effect
-    would depend on its position in the row.
+    x -> magnitudes, one per representative probed on the row: absolute
+    values or log2 magnitudes.  Every point is checked against the path's
+    partial domain before it is probed, and a NaN magnitude raises instead
+    of reaching the max, where its effect would depend on its position in
+    the row.  Returns one table per representative.
     """
     dom = getattr(path, "domain", None)
     who = getattr(path, "member_id", path)
@@ -134,53 +135,71 @@ def _sup_table(path, spec: SweepSpec, row) -> np.ndarray:
                 raise DomainError(
                     f"sweep point (eps={e:g}, x={x:g}) outside the partial "
                     f"domain of {who!r} (eps0 too large?)")
-            v = probe(x)
-            if math.isnan(v):
+            mags = probe(x)
+            if any(math.isnan(v) for v in mags):
                 raise FloatingPointError(
                     f"probe returned NaN at (eps={e:g}, x={x:g}) for {who!r}")
-            vals.append(v)
-        values.append(float(max(vals)))
-    return np.asarray(values)
+            vals.append(mags)
+        values.append([float(max(col)) for col in zip(*vals)])
+    return [np.asarray(col) for col in zip(*values)]
 
 
-def _insertion_row(rep: Representative, path, alpha: int):
-    """Row builder for |d^alpha/dx^alpha R(S_eps path(eps, x), x)|.
+def _insertion_row(reps: tuple, path, alpha: int):
+    """Row builder for |d^alpha/dx^alpha R(S_eps path(eps, x), x)|, one
+    magnitude per representative in ``reps``.
 
-    Log-channel representatives yield log2 magnitudes instead, with the
-    first x-derivative taken through the inner functional.
+    Without x-derivatives the member S_eps path(eps, x) is built once per
+    point and every representative is probed on it.  Log-channel
+    representatives yield log2 magnitudes instead, with the first
+    x-derivative taken through the inner functional.
     """
-    log = rep.has_log_channel
-    if log and alpha not in (0, 1):
-        raise ValueError("log-channel sweeps support first x-derivatives only")
+    for rep in reps:
+        if rep.has_log_channel and alpha not in (0, 1):
+            raise ValueError("log-channel sweeps support first x-derivatives only")
 
     def row(eps):
         h = eps * H_FACTOR
-        if alpha == 0:
-            def probe(x):
-                member = scale(path(eps, x), eps)
-                return rep.log_abs(member, x) / LN2 if log else abs(rep(member, x))
-        elif log:
-            def section(y):
-                return rep.inner(scale(path(eps, y), eps), y)
 
-            def probe(x):
+        def magnitude(rep, member, x):
+            if alpha == 0:
+                return rep.log_abs(member, x) / LN2 if rep.has_log_channel \
+                    else abs(rep(member, x))
+            if rep.has_log_channel:
+                def section(y):
+                    return rep.inner(scale(path(eps, y), eps), y)
+
                 return rep.log_abs_dx(section, x, h) / LN2
-        else:
-            def probe(x):
-                return abs(partial_x(rep, alpha, None, x, path=path, eps=eps,
-                                     h=h, refine=False))
+            return abs(partial_x(rep, alpha, None, x, path=path, eps=eps,
+                                 h=h, refine=False))
+
+        def probe(x):
+            member = scale(path(eps, x), eps) if alpha == 0 else None
+            return [magnitude(rep, member, x) for rep in reps]
+
         return probe
 
     return row
 
 
-def sweep(rep: Representative, path, spec: SweepSpec) -> list[SweepSeries]:
-    """Dense sup-over-K tables, one per requested derivative order."""
-    return [SweepSeries(getattr(path, "member_id", "member"), alpha,
-                        spec.eps, _sup_table(path, spec,
-                                             _insertion_row(rep, path, alpha)),
-                        is_log=rep.has_log_channel)
-            for alpha in spec.alphas]
+def _representatives(rep) -> tuple:
+    return rep if isinstance(rep, tuple) else (rep,)
+
+
+def sweep(rep, path, spec: SweepSpec):
+    """Dense sup-over-K tables, one per requested derivative order.
+
+    ``rep`` is a representative or a tuple of them probed on the same
+    members; a tuple yields a tuple of table lists, one per representative.
+    """
+    reps = _representatives(rep)
+    out = [[] for _ in reps]
+    for alpha in spec.alphas:
+        tables = _sup_table(path, spec, _insertion_row(reps, path, alpha))
+        for series, r, values in zip(out, reps, tables):
+            series.append(SweepSeries(getattr(path, "member_id", "member"),
+                                      alpha, spec.eps, values,
+                                      is_log=r.has_log_channel))
+    return tuple(out) if isinstance(rep, tuple) else out[0]
 
 
 def fit_order(series: SweepSeries, fit_window: Optional[int] = None,
@@ -244,16 +263,26 @@ class ModerateReport:
         raise KeyError((member_id, alpha))
 
 
-def test_moderate(rep: Representative, battery: Sequence, spec: SweepSpec) -> ModerateReport:
-    """Run sweep + fit over the battery; overall N is the worst member's."""
-    verdicts, series = [], []
+def test_moderate(rep, battery: Sequence, spec: SweepSpec):
+    """Run sweep + fit over the battery; overall N is the worst member's.
+
+    A tuple of representatives is swept on shared members and yields a
+    tuple of reports, one per representative.
+    """
+    reps = _representatives(rep)
+    verdicts = [[] for _ in reps]
+    series = [[] for _ in reps]
     for path in battery:
-        for ser in sweep(rep, path, spec):
-            series.append(ser)
-            verdicts.append(fit_order(ser, spec.fit_window))
-    passed = all(v.is_moderate for v in verdicts)
-    Ns = [v.moderate_N() for v in verdicts if v.kind != "zero"]
-    return ModerateReport(verdicts, series, max(Ns) if Ns else 0, passed)
+        for i, sers in enumerate(sweep(reps, path, spec)):
+            for ser in sers:
+                series[i].append(ser)
+                verdicts[i].append(fit_order(ser, spec.fit_window))
+    reports = []
+    for vs, ss in zip(verdicts, series):
+        passed = all(v.is_moderate for v in vs)
+        Ns = [v.moderate_N() for v in vs if v.kind != "zero"]
+        reports.append(ModerateReport(vs, ss, max(Ns) if Ns else 0, passed))
+    return tuple(reports) if isinstance(rep, tuple) else reports[0]
 
 
 @dataclass
@@ -269,10 +298,9 @@ class NegligibleReport:
     passed: bool
 
 
-def test_negligible(rep: Representative, n_targets: Sequence[int],
-                    spec: SweepSpec,
+def test_negligible(rep, n_targets: Sequence[int], spec: SweepSpec,
                     battery_factory: Callable[[str, int], Sequence],
-                    q_max: int = 8) -> NegligibleReport:
+                    q_max: int = 8):
     """Search a witness moment order q for each requested decay order n.
 
     For each candidate q the sweep must reach order >= n - tol on batteries
@@ -280,28 +308,42 @@ def test_negligible(rep: Representative, n_targets: Sequence[int],
     (derivative-)moment class; both are run so the two battery disciplines
     can be compared on equal footing.  Exhausting q_max yields the honest
     verdict "not negligible up to q_max" (witness None).
+
+    A tuple of representatives is swept on shared members and yields a
+    tuple of reports; each representative leaves the q search for n once
+    its own witness is found.
     """
-    entries = {}
+    reps = _representatives(rep)
+    entries = [{} for _ in reps]
     for n in n_targets:
-        found = None
-        orders = {}
+        found = [None] * len(reps)
+        orders = [{} for _ in reps]
+        active = list(range(len(reps)))
         for q in range(n, q_max + 1):
-            worst = math.inf
+            worst = {i: math.inf for i in active}
             for kind in ("strict", "alinf"):
                 for path in battery_factory(kind, q):
-                    for ser in sweep(rep, path, spec):
-                        v = fit_order(ser, spec.fit_window)
-                        if v.kind == "superpoly":
-                            worst = -math.inf
-                        elif v.kind != "zero":
-                            worst = min(worst, v.slope)
-            orders[q] = worst
-            if worst >= n - SLOPE_TOL:
-                found = q
+                    tables = sweep(tuple(reps[i] for i in active), path, spec)
+                    for i, sers in zip(active, tables):
+                        for ser in sers:
+                            v = fit_order(ser, spec.fit_window)
+                            if v.kind == "superpoly":
+                                worst[i] = -math.inf
+                            elif v.kind != "zero":
+                                worst[i] = min(worst[i], v.slope)
+            for i in active:
+                orders[i][q] = worst[i]
+                if worst[i] >= n - SLOPE_TOL:
+                    found[i] = q
+            active = [i for i in active if found[i] is None]
+            if not active:
                 break
-        entries[n] = NegligibleEntry(n, found, orders)
-    return NegligibleReport(entries, all(e.witness_q is not None
-                                         for e in entries.values()))
+        for i in range(len(reps)):
+            entries[i][n] = NegligibleEntry(n, found[i], orders[i])
+    reports = [NegligibleReport(e, all(x.witness_q is not None
+                                       for x in e.values()))
+               for e in entries]
+    return tuple(reports) if isinstance(rep, tuple) else reports[0]
 
 
 @dataclass
@@ -336,10 +378,10 @@ def d1_form_test(rep: Representative, battery: Sequence,
             sphi = scale(phi0, eps)
             sdirs = [scale(psi, eps) for psi in dirs]
             if not rep.has_log_channel:
-                return lambda x: abs(d1_derivative(rep, sphi, x, sdirs))
+                return lambda x: (abs(d1_derivative(rep, sphi, x, sdirs)),)
             if dirs:
-                return lambda x: rep.log_abs_d1(sphi, x, sdirs) / LN2
-            return lambda x: rep.log_abs(sphi, x) / LN2
+                return lambda x: (rep.log_abs_d1(sphi, x, sdirs) / LN2,)
+            return lambda x: (rep.log_abs(sphi, x) / LN2,)
 
         return row
 
@@ -348,7 +390,7 @@ def d1_form_test(rep: Representative, battery: Sequence,
         phi0 = path(1.0, 0.0)
         for k in range(0, k_max + 1):
             for ti, dirs in enumerate(dir_tuples.get(k, [])):
-                values = _sup_table(path, spec, directional_row(phi0, dirs))
+                values, = _sup_table(path, spec, directional_row(phi0, dirs))
                 ser = SweepSeries(f"{path.member_id}|k{k}t{ti}", 0, spec.eps,
                                   values, is_log=rep.has_log_channel)
                 verdicts.append(fit_order(ser, spec.fit_window))
@@ -417,7 +459,7 @@ def counterexample_scenario(mu, path, spec: SweepSpec, eps_battery: Sequence,
                                   name=f"{mu.name}^[{rep.name}]")
     ser = SweepSeries(f"{getattr(path, 'member_id', 'path')}|{mu.name}", 1,
                       spec.eps, _sup_table(path, spec,
-                                           _insertion_row(pulled, path, 1)),
+                                           _insertion_row((pulled,), path, 1))[0],
                       is_log=True)
     verdict = fit_order(ser, spec.fit_window)
     mags = np.abs(verdict.local_slopes)

@@ -134,6 +134,28 @@ def _check_domain(w: Distribution, psi: TestFunction):
             f"support ball B({psi.center}, {psi.radius:g}) escapes the open set")
 
 
+def _support_samples(psi: TestFunction, n: int):
+    """Trapezoid nodes and weights over psi's support, and psi's values there.
+
+    Kept in a single slot on the untranslated function, keyed by the shift,
+    so that every pairing against translates of one function by one shift
+    (a product of embeddings probed at one point) shares a single
+    evaluation.  One slot, not one per shift: a function that is translated
+    to every point of a sweep row would otherwise keep a row of samples
+    alive.
+    """
+    owner = psi if psi._trans_base is None else psi._trans_base
+    key = (psi._trans_shift, n)
+    slot = owner._cache.get("samples")
+    if slot is not None and slot[0] == key:
+        return slot[1]
+    pts, wt = support_grid(psi, n)
+    pts.flags.writeable = wt.flags.writeable = False  # shared from now on
+    entry = (pts, wt, psi.fn(pts))
+    owner._cache["samples"] = (key, entry)
+    return entry
+
+
 def pair(w: Distribution, psi: TestFunction, n: Optional[int] = None):
     """The pairing <w, psi>.
 
@@ -147,8 +169,8 @@ def pair(w: Distribution, psi: TestFunction, n: Optional[int] = None):
         n = DEFAULT_NODES
 
     if w.kind == "smooth":
-        pts, wt = support_grid(psi, n)
-        vals = w.f(pts) * psi.fn(pts)
+        pts, wt, samples = _support_samples(psi, n)
+        vals = w.f(pts) * samples
         out = np.dot(wt, vals)
         return complex(out) if np.iscomplexobj(vals) else float(out)
 

@@ -173,31 +173,37 @@ def _scn_mollifier(cfg: ScenarioConfig, outdir: str):
 def _scn_embed_order(cfg: ScenarioConfig, outdir: str):
     om = cfg.omega_box
     qs = [cfg.q] if cfg.q is not None else [1, 2, 3]
+    fnames = ("sin", "x4")
+    # one defect per function, swept together on shared members: the
+    # batteries do not depend on the function
+    diffs = tuple(sub(embed_C(smooth_density(fname), omega=om, n=cfg.quad_n),
+                      embed_sigma(SMOOTH_CHAINS[fname][0], omega=om))
+                  for fname in fnames)
+    moderate = {}
+    for q in qs:
+        bat = make_battery(cfg.battery_mode or "full_path", q,
+                           cfg.battery_count, cfg.seed + q, flavor="strict")
+        spec = _spec(cfg, 2, 9, 6, cfg.k_grid(), alphas=(0,))
+        moderate[q] = asy.test_moderate(diffs, bat, spec)
+
+    def factory(kind: str, q: int):
+        flavor = "strict" if kind == "strict" else "cm"
+        return make_battery("full_path", q, 3, cfg.seed + 31 + q,
+                            flavor=flavor)
+
+    neg_spec = _spec(cfg, 2, 9, 6, cfg.k_grid(n=11), alphas=(0,))
+    negligible = asy.test_negligible(diffs, [0, 1, 2, 3], neg_spec, factory)
+
     records, series_all, verdicts_all = [], [], []
-    for fname in ("sin", "x4"):
-        f = SMOOTH_CHAINS[fname][0]
-        diff = sub(embed_C(smooth_density(fname), omega=om, n=cfg.quad_n),
-                   embed_sigma(f, omega=om))
+    for i, fname in enumerate(fnames):
         for q in qs:
-            bat = make_battery(cfg.battery_mode or "full_path", q,
-                               cfg.battery_count, cfg.seed + q,
-                               flavor="strict")
-            spec = _spec(cfg, 2, 9, 6, cfg.k_grid(), alphas=(0,))
-            rep = asy.test_moderate(diff, bat, spec)
+            rep = moderate[q][i]
             series_all += rep.series
             verdicts_all += rep.verdicts
             worst = min(v.slope for v in rep.verdicts)
             _a(records, f"{fname}-q{q}-order", worst, f">={q + 1 - 0.2}",
                worst >= q + 1 - 0.2)
-
-        def factory(kind: str, q: int, fname=fname):
-            flavor = "strict" if kind == "strict" else "cm"
-            return make_battery("full_path", q, 3, cfg.seed + 31 + q,
-                                flavor=flavor)
-
-        neg_spec = _spec(cfg, 2, 9, 6, cfg.k_grid(n=11), alphas=(0,))
-        neg = asy.test_negligible(diff, [0, 1, 2, 3], neg_spec, factory)
-        for n, entry in neg.entries.items():
+        for n, entry in negligible[i].entries.items():
             _a(records, f"{fname}-witness-n{n}",
                entry.witness_q if entry.witness_q is not None else "none",
                "witness exists", entry.witness_q is not None)

@@ -24,7 +24,8 @@ import numpy as np
 
 from .asymptotics import SweepSeries, fit_order
 from .testfunc import (TAU_M, TestFunction, build_mollifier,
-                       bump_testfunction, moments_upto, tf_lincomb)
+                       bump_testfunction, falling_factorial, moments_upto,
+                       tf_lincomb)
 
 #: moment magnitudes at or below this are treated as numerically zero when
 #: fitting decay orders (quadrature / solve residual plateau)
@@ -262,7 +263,7 @@ def check_moment_class(path: TestObjectPath, cls: MomentClass,
             if gamma > beta:
                 orders[(beta, gamma)] = math.inf
                 continue
-            coef = math.factorial(beta) / math.factorial(beta - gamma)
+            coef = falling_factorial(beta, gamma)
             vals = coef * sup_m[:, beta - gamma]
             orders[(beta, gamma)] = _decay_order(eps_grid, vals,
                                                  path.member_id, zero_tol)

@@ -49,21 +49,23 @@ class DomainError(ValueError):
 def bump(t: np.ndarray) -> np.ndarray:
     """Unnormalized base bump exp(-1/(1-t^2)) for |t| < 1, else 0."""
     t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
     m = np.abs(t) < 1.0
-    tm = t[m]
-    out[m] = np.exp(-1.0 / (1.0 - tm * tm))
+    out = np.zeros_like(t)
+    np.divide(-1.0, 1.0 - t * t, out=out, where=m)
+    np.exp(out, out=out, where=m)
     return out
 
 
 def bump_deriv(t: np.ndarray) -> np.ndarray:
     """d/dt of the base bump: B(t) * (-2t) / (1-t^2)^2."""
     t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
     m = np.abs(t) < 1.0
-    tm = t[m]
-    g = 1.0 - tm * tm
-    out[m] = np.exp(-1.0 / g) * (-2.0 * tm) / (g * g)
+    g = 1.0 - t * t
+    out = np.zeros_like(t)
+    np.divide(-1.0, g, out=out, where=m)
+    np.exp(out, out=out, where=m)
+    np.multiply(out, -2.0 * t, out=out, where=m)
+    np.divide(out, g * g, out=out, where=m)
     return out
 
 
@@ -221,6 +223,12 @@ def moments_upto(tf: TestFunction, qmax: int, n: Optional[int] = None) -> np.nda
     return powers.T @ vals
 
 
+def falling_factorial(beta: int, gamma: int) -> float:
+    """beta! / (beta - gamma)!, the coefficient of xi^(beta - gamma) in
+    d^gamma xi^beta, for 0 <= gamma <= beta."""
+    return math.factorial(beta) / math.factorial(beta - gamma)
+
+
 def derivative_moment(tf: TestFunction, beta: int, gamma: int,
                       n: Optional[int] = None) -> float:
     """Integral of xi^beta * d^gamma tf, exactly via integration by parts.
@@ -231,7 +239,7 @@ def derivative_moment(tf: TestFunction, beta: int, gamma: int,
     beta, gamma = int(beta), int(gamma)
     if gamma > beta:
         return 0.0
-    coef = math.factorial(beta) / math.factorial(beta - gamma)
+    coef = falling_factorial(beta, gamma)
     sign = -1.0 if gamma % 2 else 1.0
     return sign * coef * moment(tf, beta - gamma, n=n)
 
@@ -244,23 +252,31 @@ def _parametric_eval(coeffs: np.ndarray, center: float, radius: float):
     c, r = float(center), float(radius)
 
     def fn(x):
-        u = (x - c) / r
-        B = bump(u)
+        d = x - c
+        B = bump(d / r)
         acc = np.zeros_like(B)
         for k in range(len(coeffs) - 1, -1, -1):
-            acc = acc * (x - c) + coeffs[k]
-        return acc * B
+            acc *= d
+            acc += coeffs[k]
+        acc *= B
+        return acc
 
     def dfn(x):
-        u = (x - c) / r
+        d = x - c
+        u = d / r
         B = bump(u)
         dB = bump_deriv(u) / r
         poly = np.zeros_like(B)
         dpoly = np.zeros_like(B)
         for k in range(len(coeffs) - 1, -1, -1):
-            dpoly = dpoly * (x - c) + poly
-            poly = poly * (x - c) + coeffs[k]
-        return dpoly * B + poly * dB
+            dpoly *= d
+            dpoly += poly
+            poly *= d
+            poly += coeffs[k]
+        dpoly *= B
+        poly *= dB
+        dpoly += poly
+        return dpoly
 
     return fn, dfn
 

@@ -3,14 +3,18 @@
 The group laws of translate and scale, linearity of the smooth-density
 pairing, and the bit-identical C/J round trip are what the sweeps rely on
 when they rebuild the same member along different operator chains.
+Pullback functoriality and the fit's invariance under rescaled values are
+what the transport and order verdicts rely on.
 """
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from gfn_lab.asymptotics import SweepSeries, fit_order
 from gfn_lab.basic_space import embed_C, embed_J, translate_formalism
-from gfn_lab.distributions import pair, smooth_density
+from gfn_lab.diffeo import affine_map, compose, pullback_rep
+from gfn_lab.distributions import DiracDerivative, pair, smooth_density
 from gfn_lab.testfunc import build_mollifier, scale, tf_lincomb, translate
 
 shifts = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
@@ -106,3 +110,42 @@ class TestFormalismRoundTrip:
             assert back.formalism == rep.formalism
             for phi in members(base, e, t):
                 assert back(phi, x) == rep(phi, x)
+
+
+factors = st.floats(min_value=0.3, max_value=3.0).flatmap(
+    lambda a: st.sampled_from([a, -a]))
+
+
+class TestPullbackFunctor:
+    @settings(max_examples=60, deadline=None)
+    @given(a1=factors, b1=shifts, a2=factors, b2=shifts, e=scales,
+           x=st.floats(min_value=-1.0, max_value=1.0),
+           dist=st.sampled_from(["delta", "sin"]))
+    def test_pullback_along_a_composition_is_the_iterated_pullback(
+            self, moll2_offset, a1, b1, a2, b2, e, x, dist):
+        mu, nu = affine_map(a1, b1), affine_map(a2, b2)
+        w = DiracDerivative(0) if dist == "delta" else smooth_density("sin")
+        R = embed_C(w)
+        comp = pullback_rep(compose(mu, nu), R)
+        seq = pullback_rep(nu, pullback_rep(mu, R))
+        phi = scale(moll2_offset, e)
+        # the transformed member's values are phi's times |det D(mu nu)^-1|
+        atol = 1e-12 * max(1.0, phi.sup_abs() / abs(a1 * a2))
+        assert comp(phi, x) == pytest.approx(seq(phi, x), rel=1e-12, abs=atol)
+
+
+class TestFitInvariance:
+    @settings(max_examples=200, deadline=None)
+    @given(slope=st.floats(min_value=-6.0, max_value=6.0),
+           wobble=st.lists(st.floats(min_value=-0.5, max_value=0.5),
+                           min_size=8, max_size=8),
+           k=st.integers(min_value=-60, max_value=60))
+    def test_rescaling_values_by_a_power_of_two(self, slope, wobble, k):
+        eps = 2.0 ** -np.arange(2, 10, dtype=float)
+        values = eps**slope * 2.0 ** np.asarray(wobble)
+        base = fit_order(SweepSeries("m", 0, eps, values), 6)
+        scaled = fit_order(SweepSeries("m", 0, eps, values * 2.0**k), 6)
+        assert scaled.slope == pytest.approx(base.slope, rel=1e-12,
+                                             abs=1e-12)
+        assert scaled.intercept == pytest.approx(base.intercept + k,
+                                                 rel=1e-12, abs=1e-12)

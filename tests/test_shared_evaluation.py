@@ -1,0 +1,252 @@
+"""Shared evaluation: the rewritten evaluators and the sample cache
+reproduce the straightforward computations bit for bit.
+
+The sweeps' CSVs are compared byte for byte across versions, so every
+speedup here must keep each floating-point operation.  The reference
+expressions below are the straightforward forms: the masked bump with a
+gather and scatter, and Horner's rule recomputing x - c at every step.
+"""
+
+import gc
+import weakref
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
+
+from gfn_lab import asymptotics as asy
+from gfn_lab.asymptotics import SweepSpec
+from gfn_lab.basic_space import (Representative, embed_C, embed_sigma,
+                                 mul, sub)
+from gfn_lab.distributions import DiracDerivative, pair, smooth_density
+from gfn_lab.test_objects import make_battery
+from gfn_lab.testfunc import (DEFAULT_NODES, Box, build_mollifier, bump,
+                              bump_deriv, scale, support_grid, translate)
+
+OMEGA = Box.interval(-2.5, 2.5)
+EDGE = 1.0 - 2.0**-53  # the largest double below 1
+
+
+def bump_reference(t):
+    t = np.asarray(t, dtype=float)
+    out = np.zeros_like(t)
+    m = np.abs(t) < 1.0
+    tm = t[m]
+    out[m] = np.exp(-1.0 / (1.0 - tm * tm))
+    return out
+
+
+def bump_deriv_reference(t):
+    t = np.asarray(t, dtype=float)
+    out = np.zeros_like(t)
+    m = np.abs(t) < 1.0
+    tm = t[m]
+    g = 1.0 - tm * tm
+    out[m] = np.exp(-1.0 / g) * (-2.0 * tm) / (g * g)
+    return out
+
+
+def horner_reference(coeffs, c, r, x):
+    B = bump_reference((x - c) / r)
+    acc = np.zeros_like(B)
+    for k in range(len(coeffs) - 1, -1, -1):
+        acc = acc * (x - c) + coeffs[k]
+    return acc * B
+
+
+def horner_deriv_reference(coeffs, c, r, x):
+    u = (x - c) / r
+    B = bump_reference(u)
+    dB = bump_deriv_reference(u) / r
+    poly = np.zeros_like(B)
+    dpoly = np.zeros_like(B)
+    for k in range(len(coeffs) - 1, -1, -1):
+        dpoly = dpoly * (x - c) + poly
+        poly = poly * (x - c) + coeffs[k]
+    return dpoly * B + poly * dB
+
+
+MOLLIFIERS = [build_mollifier(q) for q in range(8)]
+
+special = st.sampled_from([0.0, 1.0, -1.0, EDGE, -EDGE, np.nan,
+                           0.5, -2.0**-30])
+coords = st.one_of(special, st.floats(min_value=-1.5, max_value=1.5))
+inputs = arrays(np.float64, array_shapes(min_dims=0, max_dims=2, max_side=9),
+                elements=coords)
+
+
+def assert_same(out, ref):
+    assert np.ndim(out) == np.ndim(ref)
+    assert np.array_equal(out, ref, equal_nan=True)
+
+
+class TestEvaluatorsBitIdentical:
+    @settings(max_examples=300, deadline=None)
+    @given(t=inputs)
+    def test_bump(self, t):
+        assert_same(bump(t), bump_reference(t))
+        assert_same(bump_deriv(t), bump_deriv_reference(t))
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=inputs, q=st.integers(min_value=0, max_value=7))
+    def test_mollifier_fn_and_dfn(self, x, q):
+        m = MOLLIFIERS[q]
+        assert_same(m.fn(x), horner_reference(m.coeffs, 0.0, 1.0, x))
+        assert_same(m.dfn(x), horner_deriv_reference(m.coeffs, 0.0, 1.0, x))
+
+    @pytest.mark.parametrize("q", range(8))
+    def test_support_grid_of_offset_member(self, q):
+        m = build_mollifier(q, radius=0.8, center=0.15)
+        pts, _ = support_grid(m, DEFAULT_NODES)
+        np.testing.assert_array_equal(
+            m.fn(pts), horner_reference(m.coeffs, 0.15, 0.8, pts))
+        np.testing.assert_array_equal(
+            m.dfn(pts), horner_deriv_reference(m.coeffs, 0.15, 0.8, pts))
+
+
+def fresh_member():
+    return scale(build_mollifier(2, radius=0.9, center=0.1), 0.25)
+
+
+def fresh_pair(density, psi):
+    pts, wt = support_grid(psi, DEFAULT_NODES)
+    return float(np.dot(wt, density.f(pts) * psi.fn(pts)))
+
+
+class TestSharedSamples:
+    def test_association_gap_evaluates_the_member_once(self):
+        x = 0.3
+        ix = embed_C(smooth_density("x"), omega=OMEGA)
+        ix2 = embed_C(smooth_density("x2"), omega=OMEGA)
+        gap = sub(mul(ix, ix), ix2)
+        member = fresh_member()
+        calls = []
+        inner = member.fn
+
+        def counted(p):
+            calls.append(len(p))
+            return inner(p)
+
+        member.fn = counted
+        value = gap(member, x)
+        assert calls == [DEFAULT_NODES + 1]
+        # three fresh evaluations, nothing shared between them
+        a = fresh_pair(smooth_density("x"), translate(fresh_member(), x))
+        b = fresh_pair(smooth_density("x"), translate(fresh_member(), x))
+        c = fresh_pair(smooth_density("x2"), translate(fresh_member(), x))
+        assert value == a * b - c
+
+    def test_other_shift_or_node_count_is_evaluated_again(self):
+        w = smooth_density("sin")
+        member = fresh_member()
+        for x, n in [(0.3, 1024), (-0.4, 1024), (0.3, 1024), (0.3, 2048)]:
+            psi = translate(member, x)
+            pts, wt = support_grid(psi, n)
+            assert pair(w, psi, n) == float(np.dot(wt, w.f(pts) * psi.fn(pts)))
+
+    def test_owner_keeps_a_single_samples_entry(self):
+        rep = embed_C(smooth_density("sin"), omega=OMEGA)
+        owner = fresh_member()
+        xs = np.linspace(-1.0, 1.0, 41)
+        for x in xs:
+            rep(owner, float(x))
+        assert list(owner._cache) == ["samples"]
+        key, _ = owner._cache["samples"]
+        assert key == (float(xs[-1]), DEFAULT_NODES)
+
+    def test_samples_make_no_reference_cycle(self):
+        """Dropping the owner frees it at once, without the cycle collector."""
+        rep = embed_C(smooth_density("sin"), omega=OMEGA)
+        owner = fresh_member()
+        rep(owner, 0.2)
+        ref = weakref.ref(owner)
+        gc.disable()
+        try:
+            del owner
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_shared_grid_is_read_only(self):
+        owner = fresh_member()
+        pair(smooth_density("sin"), translate(owner, 0.1))
+        _, (pts, wt, _) = owner._cache["samples"]
+        with pytest.raises(ValueError):
+            pts[0] = 0.0
+        with pytest.raises(ValueError):
+            wt[0] = 0.0
+
+
+def defects():
+    """The embedding defects of sin and x^4, as embed-order sweeps them."""
+    return tuple(sub(embed_C(smooth_density(f), omega=OMEGA),
+                     embed_sigma(smooth_density(f).f, omega=OMEGA))
+                 for f in ("sin", "x4"))
+
+
+SMALL = SweepSpec(i_min=2, i_max=7, K=np.linspace(-1, 1, 5), alphas=(0,),
+                  fit_window=4)
+
+
+def assert_same_report(shared, alone):
+    assert shared.N == alone.N and shared.passed == alone.passed
+    assert [v.slope for v in shared.verdicts] == [v.slope for v in alone.verdicts]
+    assert [v.intercept for v in shared.verdicts] == \
+        [v.intercept for v in alone.verdicts]
+    for s1, s2 in zip(shared.series, alone.series, strict=True):
+        assert (s1.member_id, s1.alpha) == (s2.member_id, s2.alpha)
+        np.testing.assert_array_equal(s1.values, s2.values)
+
+
+class TestSharedMembers:
+    def test_moderate_on_a_tuple_matches_separate_calls(self):
+        bat = make_battery("full_path", 2, 2, seed=9, flavor="strict")
+        r1, r2 = defects()
+        shared = asy.test_moderate((r1, r2), bat, SMALL)
+        assert len(shared) == 2
+        assert_same_report(shared[0], asy.test_moderate(r1, bat, SMALL))
+        assert_same_report(shared[1], asy.test_moderate(r2, bat, SMALL))
+
+    def test_mixed_tuple_with_a_derivative_order(self):
+        """Each representative keeps its own x-stencil when alpha > 0."""
+        bat = make_battery("full_path", 0, 1, seed=21)
+        spec = SweepSpec(i_min=2, i_max=6, K=np.linspace(-1, 1, 3),
+                         alphas=(0, 1), fit_window=4)
+        reps = (embed_C(DiracDerivative(0), omega=OMEGA),
+                embed_sigma(np.sin, omega=OMEGA))
+        shared = asy.sweep(reps, bat[0], spec)
+        for rep, tables in zip(reps, shared, strict=True):
+            for s1, s2 in zip(tables, asy.sweep(rep, bat[0], spec),
+                              strict=True):
+                np.testing.assert_array_equal(s1.values, s2.values)
+
+    def test_negligible_on_a_tuple_matches_separate_calls(self):
+        def factory(kind, q):
+            flavor = "strict" if kind == "strict" else "cm"
+            return make_battery("full_path", q, 1, seed=31 + q, flavor=flavor)
+
+        def counted(rep, calls):
+            def ev(phi, x):
+                calls.append(x)
+                return rep(phi, x)
+
+            return Representative(ev, linear=rep.linear, omega=rep.omega)
+
+        # the zero representative has its witness at q = n and leaves the
+        # search there; the delta embedding never has one and runs to q_max
+        zero = Representative(lambda phi, x: 0.0, linear=True, omega=OMEGA)
+        delta = embed_C(DiracDerivative(0), omega=OMEGA)
+        shared_calls, alone_calls = [], []
+        reps = tuple(counted(r, shared_calls) for r in (zero, delta))
+        shared = asy.test_negligible(reps, [0, 1], SMALL, factory, q_max=3)
+        for rep, report in zip((zero, delta), shared, strict=True):
+            alone = asy.test_negligible(counted(rep, alone_calls), [0, 1],
+                                        SMALL, factory, q_max=3)
+            assert report.passed == alone.passed
+            for n in (0, 1):
+                assert report.entries[n].witness_q == alone.entries[n].witness_q
+                assert report.entries[n].orders == alone.entries[n].orders
+        assert [e.witness_q for e in shared[0].entries.values()] == [0, 1]
+        assert [e.witness_q for e in shared[1].entries.values()] == [None, None]
+        assert len(shared_calls) == len(alone_calls)
