@@ -22,6 +22,10 @@ import hashlib
 import os
 import sys
 import time
+from pathlib import Path
+
+# run from a fresh checkout without installing: import the lab from its src/
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from gfn_lab.scenarios import SCENARIO_NAMES, ScenarioConfig, run_scenario
 

@@ -360,40 +360,56 @@ def d1_form_test(rep: Representative, battery: Sequence,
 
     Sweeps d_1^k (R o S_eps)(phi, x)(psi_1..psi_k) for k <= k_max over the
     static battery, with directions from the zero-mass tangent battery.
-    k = 0 reduces to the plain static-battery sweep.
+    k = 0 reduces to the plain static-battery sweep.  Each member takes one
+    eps x K table holding every direction tuple; a representative that does
+    not depend on x is probed once per eps row.
     """
     if k_max > 2:
         raise ValueError("directional order capped at 2")
-    dir_tuples = {0: [()]}
-    if k_max >= 1:
-        dir_tuples[1] = [(psi,) for psi in directions[:2]]
-    if k_max >= 2 and len(directions) >= 2:
-        dir_tuples[2] = [(directions[0], directions[0]),
-                         (directions[0], directions[1])]
-    elif k_max >= 2:
-        dir_tuples[2] = [(directions[0], directions[0])]
+    # direction tuples as indices into the (at most two) directions used
+    dir_tuples = {0: [()], 1: [(i,) for i in range(len(directions[:2]))],
+                  2: [(0, 0), (0, 1)] if len(directions) >= 2 else [(0, 0)]}
+    labels, index_tuples = zip(*[(f"k{k}t{ti}", idx) for k in range(k_max + 1)
+                                 for ti, idx in enumerate(dir_tuples[k])])
 
-    def directional_row(phi0, dirs):
+    def magnitude(sphi, sdirs, x):
+        if not rep.has_log_channel:
+            return abs(d1_derivative(rep, sphi, x, sdirs))
+        if sdirs:
+            return rep.log_abs_d1(sphi, x, sdirs) / LN2
+        return rep.log_abs(sphi, x) / LN2
+
+    def directional_row(phi0):
         def row(eps):
             sphi = scale(phi0, eps)
-            sdirs = [scale(psi, eps) for psi in dirs]
-            if not rep.has_log_channel:
-                return lambda x: (abs(d1_derivative(rep, sphi, x, sdirs)),)
-            if dirs:
-                return lambda x: (rep.log_abs_d1(sphi, x, sdirs) / LN2,)
-            return lambda x: (rep.log_abs(sphi, x) / LN2,)
+            scaled = [scale(psi, eps) for psi in directions[:2]] if k_max else []
+            tuples = [[scaled[i] for i in idx] for idx in index_tuples]
+
+            def probe(x):
+                return [magnitude(sphi, sdirs, x) for sdirs in tuples]
+
+            if not rep.x_independent:
+                return probe
+            # every point of the row gives the same bits: probe the first
+            # point that passes the domain check, and reuse its magnitudes
+            first = []
+
+            def probe_once(x):
+                if not first:
+                    first.extend(probe(x))
+                return first
+
+            return probe_once
 
         return row
 
     verdicts = []
     for path in battery:
-        phi0 = path(1.0, 0.0)
-        for k in range(0, k_max + 1):
-            for ti, dirs in enumerate(dir_tuples.get(k, [])):
-                values, = _sup_table(path, spec, directional_row(phi0, dirs))
-                ser = SweepSeries(f"{path.member_id}|k{k}t{ti}", 0, spec.eps,
-                                  values, is_log=rep.has_log_channel)
-                verdicts.append(fit_order(ser, spec.fit_window))
+        tables = _sup_table(path, spec, directional_row(path(1.0, 0.0)))
+        for label, values in zip(labels, tables):
+            ser = SweepSeries(f"{path.member_id}|{label}", 0, spec.eps,
+                              values, is_log=rep.has_log_channel)
+            verdicts.append(fit_order(ser, spec.fit_window))
     passed = all(v.is_moderate for v in verdicts)
     Ns = [v.moderate_N() for v in verdicts if v.kind != "zero"]
     return D1FormReport(verdicts, max(Ns) if Ns else 0, passed)
@@ -411,6 +427,7 @@ def squared_mass_inner(quad_n: Optional[int] = None):
         v = phi.fn(pts)
         return float(np.dot(w, np.abs(v) ** 2))
 
+    inner.x_independent = True
     return inner
 
 

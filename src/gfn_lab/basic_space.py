@@ -38,9 +38,13 @@ class Representative:
     ``linear`` marks evaluators that are linear in the test-function slot
     (every embedded distribution is); the directional derivative exploits it.
     ``omega`` is the ambient open set realizing the domain predicate.
+    ``x_independent`` marks representatives whose magnitudes do not depend
+    on the point x, so a sweep row over a fixed test object may probe them
+    once.
     """
 
     has_log_channel = False
+    x_independent = False
 
     def __init__(self, eval_fn: Callable[[TestFunction, float], complex],
                  formalism: str = "C", linear: bool = False,
@@ -101,6 +105,7 @@ class ExpExpRepresentative(Representative):
                  formalism: str = "C", omega: Optional[Box] = None,
                  name: str = "exp-i-exp"):
         self.inner = inner
+        self.x_independent = getattr(inner, "x_independent", False)
 
         def ev(phi, x):
             ival = inner(phi, x)
@@ -248,16 +253,6 @@ def _merge_omega(r1: Representative, r2: Representative):
     return r1.omega if r1.omega is not None else r2.omega
 
 
-def add(r1: Representative, r2: Representative) -> Representative:
-    if r1.formalism != r2.formalism:
-        raise FormalismError("cannot add across formalisms")
-    return Representative(lambda phi, x: r1(phi, x) + r2(phi, x),
-                          formalism=r1.formalism,
-                          linear=r1.linear and r2.linear,
-                          omega=_merge_omega(r1, r2),
-                          name=f"({r1.name}+{r2.name})")
-
-
 def sub(r1: Representative, r2: Representative) -> Representative:
     if r1.formalism != r2.formalism:
         raise FormalismError("cannot subtract across formalisms")
@@ -271,16 +266,17 @@ def sub(r1: Representative, r2: Representative) -> Representative:
 def mul(r1: Representative, r2: Representative) -> Representative:
     if r1.formalism != r2.formalism:
         raise FormalismError("cannot multiply across formalisms")
-    return Representative(lambda phi, x: r1(phi, x) * r2(phi, x),
-                          formalism=r1.formalism, linear=False,
+    if r1 is r2:  # a square: evaluate once per (phi, x)
+        def ev(phi, x):
+            v = r1(phi, x)
+            return v * v
+    else:
+        def ev(phi, x):
+            return r1(phi, x) * r2(phi, x)
+
+    return Representative(ev, formalism=r1.formalism, linear=False,
                           omega=_merge_omega(r1, r2),
                           name=f"({r1.name}*{r2.name})")
-
-
-def scalar_mul(c: complex, rep: Representative) -> Representative:
-    return Representative(lambda phi, x: c * rep(phi, x),
-                          formalism=rep.formalism, linear=rep.linear,
-                          omega=rep.omega, name=f"({c}*{rep.name})")
 
 
 # ---------------------------------------------------------------------------

@@ -268,12 +268,25 @@ def classical_pullback(mu, u: Distribution, psi: TestFunction,
 # a small catalog of smooth functions with exact derivative chains
 
 
+def _horner(c: np.ndarray):
+    """Evaluator of the polynomial with ascending coefficients ``c``, with
+    the operations of ``np.polynomial.polynomial.polyval`` in its order."""
+
+    def f(x):
+        c0 = c[-1] + x * 0
+        for i in range(2, len(c) + 1):
+            c0 = c[-i] + c0 * x
+        return c0
+
+    return f
+
+
 def _poly_chain(coeffs: Sequence[float]) -> tuple:
     """Derivative chain for a polynomial given by ascending coefficients."""
     chain = []
     c = np.asarray(coeffs, dtype=float)
     while True:
-        chain.append((lambda cc: (lambda x: np.polynomial.polynomial.polyval(x, cc)))(c))
+        chain.append(_horner(c))
         if len(c) <= 1:
             break
         c = c[1:] * np.arange(1, len(c))

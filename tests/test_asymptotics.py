@@ -1,6 +1,7 @@
 """Sweep engine: order fitting, verdicts, CSV emission."""
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -11,8 +12,9 @@ from gfn_lab.asymptotics import (SweepSeries, SweepSpec,
                                  counterexample_scenario, d1_form_test,
                                  emit_plotdata, fit_order, sweep,
                                  squared_mass_inner, write_sweep_csv)
-from gfn_lab.basic_space import (Representative, embed_C, embed_sigma,
-                                 sub)
+from gfn_lab.basic_space import (ExpExpRepresentative, Representative,
+                                 embed_C, embed_sigma,
+                                 pullback_pair_transform, sub)
 from gfn_lab.diffeo import get_diffeo, identity_map, pullback_rep
 from gfn_lab.distributions import DiracDerivative, smooth_density
 from gfn_lab.test_objects import make_battery, perturbation_directions
@@ -215,6 +217,86 @@ class TestD1Form:
         for v in rep.verdicts:
             if "|k1" in v.member_id or "|k2" in v.member_id:
                 assert v.kind == "zero"
+
+
+    D1_SPEC = SweepSpec(i_min=2, i_max=8, K=np.linspace(-1, 1, 5),
+                        alphas=(0,), fit_window=4)
+
+    @staticmethod
+    def counted_squared_mass(calls):
+        """The counterexample representative, its inner calls recorded."""
+        rep = ExpExpRepresentative(squared_mass_inner(1024), omega=OMEGA)
+        inner = rep.inner
+
+        def counted(phi, x):
+            calls.append(x)
+            return inner(phi, x)
+
+        rep.inner = counted
+        return rep
+
+    def test_x_independent_row_probes_one_point(self):
+        """The squared-mass inner ignores x: each row costs one point."""
+        bat = make_battery("static", 0, 2, seed=6)
+        dirs = perturbation_directions(2, seed=5)
+        one_point = dataclasses.replace(self.D1_SPEC, K=self.D1_SPEC.K[:1])
+        calls, per_point = [], []
+        rep = self.counted_squared_mass(calls)
+        assert rep.x_independent
+        d1_form_test(rep, bat, dirs, 2, self.D1_SPEC)
+        d1_form_test(self.counted_squared_mass(per_point), bat, dirs, 2,
+                     one_point)
+        # k1: 1 + 2 inner calls per tuple, k2: 1 + 4; two tuples each
+        assert len(per_point) == 16 * len(bat) * len(self.D1_SPEC.eps)
+        assert calls == per_point
+
+    def test_x_independent_verdicts_bit_identical(self):
+        """Same verdicts as an unflagged inner probed at every point."""
+        bat = make_battery("static", 0, 2, seed=6)
+        dirs = perturbation_directions(2, seed=5)
+        flagged = ExpExpRepresentative(squared_mass_inner(1024), omega=OMEGA)
+        calls = []
+
+        def plain_inner(phi, x):
+            calls.append(x)
+            return flagged.inner(phi, x)
+
+        plain = ExpExpRepresentative(plain_inner, omega=OMEGA)
+        assert flagged.x_independent and not plain.x_independent
+        got = d1_form_test(flagged, bat, dirs, 2, self.D1_SPEC)
+        want = d1_form_test(plain, bat, dirs, 2, self.D1_SPEC)
+        assert len(calls) == 16 * len(bat) * len(self.D1_SPEC.eps) * \
+            len(self.D1_SPEC.K)
+        assert (got.N, got.passed) == (want.N, want.passed)
+        assert len(got.verdicts) == len(want.verdicts) == 5 * len(bat)
+        for a, b in zip(got.verdicts, want.verdicts, strict=True):
+            assert (a.member_id, a.kind, a.n_zero) == \
+                (b.member_id, b.kind, b.n_zero)
+            assert (a.slope, a.intercept, a.residual) == \
+                (b.slope, b.intercept, b.residual)
+            np.testing.assert_array_equal(a.local_slopes, b.local_slopes)
+
+    def test_pullback_drops_x_independence(self):
+        rep = ExpExpRepresentative(squared_mass_inner(1024), omega=OMEGA)
+        mu = get_diffeo("sin-bend", OMEGA)
+        pulled = rep.compose_pullback(pullback_pair_transform(mu), None)
+        assert rep.x_independent and not pulled.x_independent
+
+    def test_reused_row_keeps_the_domain_check(self):
+        """A probe reused along the row still checks every point of K."""
+
+        class RejectFrom:
+            def contains(self, eps, x):
+                return x < 0.5
+
+        path = dataclasses.replace(make_battery("static", 0, 1, seed=6)[0],
+                                   domain=RejectFrom())
+        dirs = perturbation_directions(2, seed=5)
+        calls = []
+        rep = self.counted_squared_mass(calls)
+        with pytest.raises(DomainError, match=r"eps=0\.25, x=0\.5"):
+            d1_form_test(rep, [path], dirs, 2, self.D1_SPEC)
+        assert len(calls) == 16
 
 
 class TestVerdictInvariance:

@@ -3,6 +3,9 @@
 import csv
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -94,6 +97,17 @@ class TestCliSurface:
                    "--out", str(out)])
         assert rc == 2
         assert not out.exists()
+
+    def test_run_all_scenarios_from_a_fresh_checkout(self, tmp_path):
+        """The script finds the lab without PYTHONPATH or an install."""
+        script = Path(__file__).resolve().parent.parent / "scripts" / \
+            "run_all_scenarios.py"
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        res = subprocess.run([sys.executable, str(script), "--help"],
+                             cwd=tmp_path, env=env, capture_output=True,
+                             text=True, timeout=60)
+        assert res.returncode == 0, res.stderr
+        assert "--seed" in res.stdout
 
     def test_scenario_names_all_registered(self):
         from gfn_lab.scenarios import _SCENARIOS

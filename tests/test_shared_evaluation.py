@@ -19,7 +19,8 @@ from gfn_lab import asymptotics as asy
 from gfn_lab.asymptotics import SweepSpec
 from gfn_lab.basic_space import (Representative, embed_C, embed_sigma,
                                  mul, sub)
-from gfn_lab.distributions import DiracDerivative, pair, smooth_density
+from gfn_lab.distributions import (SMOOTH_CHAINS, DiracDerivative, pair,
+                                   smooth_density)
 from gfn_lab.test_objects import make_battery
 from gfn_lab.testfunc import (DEFAULT_NODES, Box, build_mollifier, bump,
                               bump_deriv, scale, support_grid, translate)
@@ -74,6 +75,11 @@ special = st.sampled_from([0.0, 1.0, -1.0, EDGE, -EDGE, np.nan,
 coords = st.one_of(special, st.floats(min_value=-1.5, max_value=1.5))
 inputs = arrays(np.float64, array_shapes(min_dims=0, max_dims=2, max_side=9),
                 elements=coords)
+lines = arrays(np.float64, array_shapes(min_dims=0, max_dims=1, max_side=9),
+               elements=st.one_of(special, st.floats(allow_nan=True,
+                                                     allow_infinity=True)))
+POLYNOMIALS = {"x": [0.0, 1.0], "x2": [0.0, 0.0, 1.0],
+               "x4": [0.0, 0.0, 0.0, 0.0, 1.0]}
 
 
 def assert_same(out, ref):
@@ -94,6 +100,18 @@ class TestEvaluatorsBitIdentical:
         m = MOLLIFIERS[q]
         assert_same(m.fn(x), horner_reference(m.coeffs, 0.0, 1.0, x))
         assert_same(m.dfn(x), horner_deriv_reference(m.coeffs, 0.0, 1.0, x))
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=lines, name=st.sampled_from(sorted(POLYNOMIALS)))
+    def test_poly_chain_matches_polyval(self, x, name):
+        """Every polynomial link of a density's derivative chain."""
+        c = np.asarray(POLYNOMIALS[name])
+        links = SMOOTH_CHAINS[name][:-1]  # the last link is the zero function
+        assert len(links) == len(c)
+        with np.errstate(invalid="ignore", over="ignore"):
+            for f in links:
+                assert_same(f(x), np.polynomial.polynomial.polyval(x, c))
+                c = c[1:] * np.arange(1, len(c))
 
     @pytest.mark.parametrize("q", range(8))
     def test_support_grid_of_offset_member(self, q):
@@ -136,6 +154,25 @@ class TestSharedSamples:
         b = fresh_pair(smooth_density("x"), translate(fresh_member(), x))
         c = fresh_pair(smooth_density("x2"), translate(fresh_member(), x))
         assert value == a * b - c
+
+    def test_square_evaluates_its_factor_once(self):
+        """mul(ix, ix) in association: one evaluation per probe, squared."""
+        ix = embed_C(smooth_density("x"), omega=OMEGA)
+        calls = []
+        inner = ix.eval_fn
+
+        def counted(phi, x):
+            calls.append(x)
+            return inner(phi, x)
+
+        ix.eval_fn = counted
+        square = mul(ix, ix)
+        for x in (-0.7, 0.0, 0.3):
+            member = fresh_member()
+            calls.clear()
+            value = square(member, x)
+            assert calls == [x]
+            assert value == ix(fresh_member(), x) * ix(fresh_member(), x)
 
     def test_other_shift_or_node_count_is_evaluated_again(self):
         w = smooth_density("sin")
