@@ -314,6 +314,11 @@ def build_mollifier(q: int, radius: float = 1.0, center: float = 0.0,
     b[0] = 1.0
     coeffs = np.linalg.solve(A, b)
     coeffs += np.linalg.solve(A, b - A @ coeffs)  # one refinement pass
+    # unit mass on the member's own grid, through the evaluator itself: the
+    # solve leaves a mass defect of up to a few 1e-14, which products of
+    # embeddings amplify above the decay they are tested for
+    fn, _ = _parametric_eval(coeffs, c, r)
+    coeffs = coeffs / float(np.dot(w, fn(pts)))
     fn, dfn = _parametric_eval(coeffs, c, r)
     return TestFunction(c, r, fn, dfn=dfn, coeffs=coeffs,
                         label=f"moll(q={q},r={r:g},c={c:g})")
