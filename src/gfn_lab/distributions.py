@@ -13,8 +13,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import numdiff
-from .testfunc import (DEFAULT_NODES, Box, DomainError, TestFunction,
-                       support_grid)
+from .testfunc import DEFAULT_NODES, Box, DomainError, TestFunction
 
 #: maximum Dirac-derivative order handled by the Richardson stencils
 K_MAX = 4
@@ -134,43 +133,24 @@ def _check_domain(w: Distribution, psi: TestFunction):
             f"support ball B({psi.center}, {psi.radius:g}) escapes the open set")
 
 
-def _support_samples(psi: TestFunction, n: int):
-    """Trapezoid nodes and weights over psi's support, and psi's values there.
-
-    Kept in a single slot on the untranslated function, keyed by the shift,
-    so that every pairing against translates of one function by one shift
-    (a product of embeddings probed at one point) shares a single
-    evaluation.  One slot, not one per shift: a function that is translated
-    to every point of a sweep row would otherwise keep a row of samples
-    alive.
-    """
-    owner = psi if psi._trans_base is None else psi._trans_base
-    key = (psi._trans_shift, n)
-    slot = owner._cache.get("samples")
-    if slot is not None and slot[0] == key:
-        return slot[1]
-    pts, wt = support_grid(psi, n)
-    pts.flags.writeable = wt.flags.writeable = False  # shared from now on
-    entry = (pts, wt, psi.fn(pts))
-    owner._cache["samples"] = (key, entry)
-    return entry
-
-
 def pair(w: Distribution, psi: TestFunction, n: Optional[int] = None):
     """The pairing <w, psi>.
 
-    Smooth densities integrate over the support box (trapezoid); Dirac
-    derivatives use Richardson-extrapolated central differences on the exact
-    evaluator; the half-line integrals for Heaviside and vp(1/x) use
-    composite Simpson, since their integrands are not flat at the cut point.
+    Smooth densities integrate over the support grid xi of the base of psi's
+    frame (base, a, b), against the base's cached samples (trapezoid):
+    <f, psi> = sum_j w_j f(a xi_j + b) base(xi_j).  Dirac derivatives use
+    Richardson-extrapolated central differences on the exact evaluator; the
+    half-line integrals for Heaviside and vp(1/x) use composite Simpson,
+    since their integrands are not flat at the cut point.
     """
     _check_domain(w, psi)
     if n is None:
         n = DEFAULT_NODES
 
     if w.kind == "smooth":
-        pts, wt, samples = _support_samples(psi, n)
-        vals = w.f(pts) * samples
+        base, a, b = psi.frame
+        xi, wt, samples = base.reference_samples(n)
+        vals = w.f(a * xi + b) * samples
         out = np.dot(wt, vals)
         return complex(out) if np.iscomplexobj(vals) else float(out)
 

@@ -109,7 +109,13 @@ class TestFunction:
     ``fn`` is a vectorized evaluator returning exactly zero outside that
     interval.  ``dfn``, when present, is an exact derivative evaluator.
     ``coeffs`` records the construction coefficients of internally built
-    members; transformed functions are opaque and carry only a support bound.
+    members.
+
+    Every test function has an affine frame ``(base, a, b)``: it equals
+    ``base((p - b) / a) / a``.  Scaled and translated functions carry the
+    frame of what they were built from; every other function, opaque ones
+    included, is its own base with frame ``(self, 1, 0)``.  Linear
+    combinations also record their coefficients and terms.
     """
 
     __test__ = False  # pytest: a domain type, not a test case
@@ -125,8 +131,9 @@ class TestFunction:
         self.dfn = dfn
         self.coeffs = coeffs
         self.label = label
+        self._frame: Optional[tuple] = None   # (base, a, b) unless its own base
+        self._terms: Optional[tuple] = None   # (coeffs, terms) of a lincomb
         self._trans_base: Optional[TestFunction] = None
-        self._trans_shift: Optional[float] = None
         self._trans_prev: Optional[TestFunction] = None
         self._trans_last: Optional[float] = None
         self._cache: dict = {}
@@ -135,6 +142,45 @@ class TestFunction:
         arr = np.asarray(x, dtype=float)
         out = self.fn(arr)
         return float(out) if arr.ndim == 0 else out
+
+    @property
+    def frame(self) -> tuple:
+        """(base, a, b) with self(p) = base((p - b) / a) / a."""
+        return self._frame if self._frame is not None else (self, 1.0, 0.0)
+
+    def reference_samples(self, n: int):
+        """Trapezoid nodes and weights over this function's support, and its
+        values there; cached per node count and read-only.
+
+        A linear combination sums its terms' values on its grid.  Each term
+        keeps the grid it was last sampled on, with its values there, so
+        members built again and again from the same terms over the same
+        support evaluate each term once.
+        """
+        key = ("samples", n)
+        entry = self._cache.get(key)
+        if entry is None:
+            if self._terms is None:
+                entry = _read_only_samples(self, self, n)
+            else:
+                coeffs, terms = self._terms
+                xi, wt, first = terms[0]._sampled_on(self, n)
+                vals = coeffs[0] * first
+                for c, t in zip(coeffs[1:], terms[1:]):
+                    vals = vals + c * t._sampled_on(self, n)[2]
+                vals.flags.writeable = False
+                entry = (xi, wt, vals)
+            self._cache[key] = entry
+        return entry
+
+    def _sampled_on(self, owner: "TestFunction", n: int):
+        """(xi, wt, values) on the support grid of ``owner``, read-only; one
+        slot, holding the latest grid."""
+        grid = (owner.center, owner.radius, n)  # determines xi and wt
+        slot = self._cache.get("grid")
+        if slot is None or slot[0] != grid:
+            slot = self._cache["grid"] = (grid, _read_only_samples(self, owner, n))
+        return slot[1]
 
     def derivative(self) -> "TestFunction":
         """Exact derivative when the evaluator chain supports it, else a
@@ -192,6 +238,16 @@ def support_grid(tf: TestFunction, n=None):
     w[0] *= 0.5
     w[-1] *= 0.5
     return pts, w
+
+
+def _read_only_samples(tf: TestFunction, owner: TestFunction, n: int):
+    """Nodes and weights over the support of ``owner``, and tf's values
+    there, all read-only because they are shared from now on."""
+    xi, wt = support_grid(owner, n)
+    vals = tf.fn(xi)
+    for arr in (xi, wt, vals):
+        arr.flags.writeable = False
+    return xi, wt, vals
 
 
 def moment(tf: TestFunction, alpha: int, n=None, return_error: bool = False):
@@ -360,11 +416,35 @@ def tf_lincomb(coeffs: Sequence[float], tfs: Sequence[TestFunction],
                 acc = acc + c * f(x)
             return acc
 
-    return TestFunction(center, radius, fn, dfn=dfn, label=label)
+    out = TestFunction(center, radius, fn, dfn=dfn, label=label)
+    out._terms = (coeffs, tuple(tfs))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # operators
+
+
+def _framed(base: TestFunction, a: float, b: float, label: str) -> TestFunction:
+    """base((p - b) / a) / a, evaluated in one step from the base."""
+    fac = a ** -1
+    bfn = base.fn
+
+    def fn(p):
+        return fac * bfn((p - b) / a)
+
+    dfn = None
+    if base.dfn is not None:
+        bdfn = base.dfn
+        dfac = fac / a
+
+        def dfn(p):
+            return dfac * bdfn((p - b) / a)
+
+    out = TestFunction(base.center * a + b, base.radius * a, fn, dfn=dfn,
+                       label=label)
+    out._frame = (base, a, b)
+    return out
 
 
 def scale(tf: TestFunction, eps: float) -> TestFunction:
@@ -374,57 +454,31 @@ def scale(tf: TestFunction, eps: float) -> TestFunction:
         raise ValueError(f"scaling parameter must lie in (0, 1], got {eps}")
     if eps == 1.0:
         return tf
-    fac = eps ** -1
-    base = tf.fn
-
-    def fn(x):
-        return fac * base(x / eps)
-
-    dfn = None
-    if tf.dfn is not None:
-        bdfn = tf.dfn
-        dfac = fac / eps
-
-        def dfn(x):
-            return dfac * bdfn(x / eps)
-
-    return TestFunction(tf.center * eps, tf.radius * eps, fn, dfn=dfn,
-                        label=f"S_{eps:g}[{tf.label}]")
+    base, a, b = tf.frame
+    return _framed(base, a * eps, b * eps, f"S_{eps:g}[{tf.label}]")
 
 
 def translate(tf: TestFunction, x: float) -> TestFunction:
     """tf(. - x), with exact cancellation of opposite translations.
 
-    Stacked shifts fold into one offset from the untranslated base, and
-    undoing the latest shift returns the very function it was applied to,
-    so a round trip through the other formalism is bit-identical also for
-    members that are themselves translates.
+    Stacked shifts fold into the frame's offset, a zero net shift returns
+    the untranslated function, and undoing the latest shift returns the
+    very function it was applied to, so a round trip through the other
+    formalism is bit-identical also for members that are themselves
+    translates.
     """
     shift = float(x)
     if shift == 0.0:
         return tf
     if tf._trans_last == -shift:
         return tf._trans_prev
-    base = tf._trans_base if tf._trans_base is not None else tf
-    total = shift if tf._trans_shift is None else tf._trans_shift + shift
-    if total == 0.0:
-        return base
-    bfn = base.fn
-
-    def fn(p):
-        return bfn(p - total)
-
-    dfn = None
-    if base.dfn is not None:
-        bdfn = base.dfn
-
-        def dfn(p):
-            return bdfn(p - total)
-
-    out = TestFunction(base.center + total, base.radius, fn, dfn=dfn,
-                       label=f"T[{base.label}]")
-    out._trans_base = base
-    out._trans_shift = total
+    untranslated = tf._trans_base if tf._trans_base is not None else tf
+    base, a, b = tf.frame
+    b = b + shift
+    if b == untranslated.frame[2]:
+        return untranslated
+    out = _framed(base, a, b, f"T[{untranslated.label}]")
+    out._trans_base = untranslated
     out._trans_prev = tf
     out._trans_last = shift
     return out

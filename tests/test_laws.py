@@ -1,11 +1,15 @@
 """Algebraic laws of the test-function operators, checked by hypothesis.
 
-The group laws of translate and scale, linearity of the smooth-density
-pairing, and the bit-identical C/J round trip are what the sweeps rely on
-when they rebuild the same member along different operator chains.
+The group laws of translate and scale, their folding into one affine
+frame, the agreement of the frame pairing with the member's own evaluator,
+linearity of the smooth-density pairing, and the bit-identical C/J round
+trip are what the sweeps rely on when they rebuild the same member along
+different operator chains.
 Pullback functoriality and the fit's invariance under rescaled values are
 what the transport and order verdicts rely on.
 """
+
+import weakref
 
 import numpy as np
 import pytest
@@ -15,11 +19,13 @@ from gfn_lab.asymptotics import SweepSeries, fit_order
 from gfn_lab.basic_space import embed_C, embed_J, translate_formalism
 from gfn_lab.diffeo import affine_map, compose, pullback_rep
 from gfn_lab.distributions import DiracDerivative, pair, smooth_density
-from gfn_lab.testfunc import build_mollifier, scale, tf_lincomb, translate
+from gfn_lab.testfunc import (build_mollifier, scale, support_grid,
+                              tf_lincomb, translate)
 
 shifts = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 scales = st.floats(min_value=0.05, max_value=1.0)
 weights = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
+proper_scales = st.floats(min_value=0.05, max_value=1.0, exclude_max=True)
 
 
 def members(base, e, t):
@@ -89,6 +95,46 @@ class TestPairLinearity:
         # resolves a narrow g to about 2e-10 relative
         tol = 1e-9 * (abs(a * wf) + abs(b * wg)) + 1e-12
         assert lhs == pytest.approx(a * wf + b * wg, abs=tol)
+
+
+class TestFrames:
+    @settings(max_examples=60, deadline=None)
+    @given(w1=st.floats(min_value=0.1, max_value=0.9), amp=weights, e=scales,
+           x=shifts, n=st.sampled_from([256, 1024, 4096]),
+           density=st.sampled_from(["sin", "cos", "x", "x2", "x4"]))
+    def test_frame_pairing_matches_a_closure_pairing(self, moll2_offset,
+                                                     moll0, w1, amp, e, x, n,
+                                                     density):
+        """<f, T_x S_eps phi> from the base's cached samples agrees with
+        integrating the member's own evaluator over its own grid."""
+        chi = scale(moll0, 0.6).derivative()
+        phi = tf_lincomb([w1, 1.0 - w1, amp],
+                         [moll2_offset, translate(moll0, -0.2), chi])
+        psi = translate(scale(phi, e), x)
+        f = smooth_density(density).f
+        pts, wt = support_grid(psi, n)
+        integrand = f(pts) * psi.fn(pts)
+        closure = float(np.dot(wt, integrand))
+        l1 = float(np.dot(wt, np.abs(integrand)))
+        assert abs(pair(smooth_density(density), psi, n) - closure) <= \
+            1e-13 * l1
+
+    @settings(max_examples=100, deadline=None)
+    @given(e1=proper_scales, x=shifts, e2=proper_scales)
+    def test_scale_translate_scale_is_one_frame_level(self, moll2_offset,
+                                                      e1, x, e2):
+        f = moll2_offset
+        inner = scale(f, e1)
+        mid = translate(inner, x)
+        g = scale(mid, e2)
+        levels = [weakref.ref(inner)] + ([weakref.ref(mid)] if x else [])
+        del inner, mid
+        # g refers to f alone, not to the functions it was built through
+        assert all(r() is None for r in levels)
+        base, a, b = g.frame
+        assert base is f and a == e1 * e2 and b == x * e2
+        xs = np.linspace(*g.box, 257)
+        np.testing.assert_array_equal(g.fn(xs), a**-1 * f.fn((xs - b) / a))
 
 
 class TestFormalismRoundTrip:

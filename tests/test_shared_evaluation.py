@@ -21,9 +21,10 @@ from gfn_lab.basic_space import (Representative, embed_C, embed_sigma,
                                  mul, sub)
 from gfn_lab.distributions import (SMOOTH_CHAINS, DiracDerivative, pair,
                                    smooth_density)
-from gfn_lab.test_objects import make_battery
+from gfn_lab.test_objects import TestObjectPath, make_battery
 from gfn_lab.testfunc import (DEFAULT_NODES, Box, build_mollifier, bump,
-                              bump_deriv, scale, support_grid, translate)
+                              bump_deriv, scale, support_grid, tf_lincomb,
+                              translate)
 
 OMEGA = Box.interval(-2.5, 2.5)
 EDGE = 1.0 - 2.0**-53  # the largest double below 1
@@ -127,33 +128,37 @@ def fresh_member():
     return scale(build_mollifier(2, radius=0.9, center=0.1), 0.25)
 
 
-def fresh_pair(density, psi):
-    pts, wt = support_grid(psi, DEFAULT_NODES)
-    return float(np.dot(wt, density.f(pts) * psi.fn(pts)))
-
-
 class TestSharedSamples:
-    def test_association_gap_evaluates_the_member_once(self):
-        x = 0.3
+    def test_association_probe_evaluates_each_base_once_per_member(self):
+        """A full-path member is built again at every (eps, x), always over
+        the same support; its terms are evaluated once for the whole sweep."""
+        calls = {"base": [], "other": []}
+
+        def counted(tf, tag):
+            inner = tf.fn
+
+            def fn(p):
+                calls[tag].append(np.size(p))
+                return inner(p)
+
+            tf.fn = fn
+            return tf
+
+        base = counted(build_mollifier(2, radius=0.9, center=0.1), "base")
+        other = counted(build_mollifier(2, radius=1.1, center=-0.05), "other")
+
+        def member(eps, x):
+            w = 0.5 + 0.4 * np.sin(1.3 * x + 0.2)
+            return tf_lincomb([w, 1.0 - w], [base, other])
+
+        path = TestObjectPath("full_path", member, 2, 1.15, "counted")
         ix = embed_C(smooth_density("x"), omega=OMEGA)
         ix2 = embed_C(smooth_density("x2"), omega=OMEGA)
-        gap = sub(mul(ix, ix), ix2)
-        member = fresh_member()
-        calls = []
-        inner = member.fn
-
-        def counted(p):
-            calls.append(len(p))
-            return inner(p)
-
-        member.fn = counted
-        value = gap(member, x)
-        assert calls == [DEFAULT_NODES + 1]
-        # three fresh evaluations, nothing shared between them
-        a = fresh_pair(smooth_density("x"), translate(fresh_member(), x))
-        b = fresh_pair(smooth_density("x"), translate(fresh_member(), x))
-        c = fresh_pair(smooth_density("x2"), translate(fresh_member(), x))
-        assert value == a * b - c
+        tables = asy.sweep(sub(mul(ix, ix), ix2), path, SMALL)
+        assert calls == {"base": [DEFAULT_NODES + 1],
+                         "other": [DEFAULT_NODES + 1]}
+        # the gap vanishes on strict A_2 members up to rounding
+        assert np.max(tables[0].values) <= 1e-12
 
     def test_square_evaluates_its_factor_once(self):
         """mul(ix, ix) in association: one evaluation per probe, squared."""
@@ -174,23 +179,29 @@ class TestSharedSamples:
             assert calls == [x]
             assert value == ix(fresh_member(), x) * ix(fresh_member(), x)
 
-    def test_other_shift_or_node_count_is_evaluated_again(self):
+    def test_other_node_count_is_sampled_again(self):
+        """The pairing reads the base's samples on the base's own grid,
+        mapped through the frame, for every shift and node count."""
         w = smooth_density("sin")
         member = fresh_member()
+        base, a, _ = member.frame
         for x, n in [(0.3, 1024), (-0.4, 1024), (0.3, 1024), (0.3, 2048)]:
             psi = translate(member, x)
-            pts, wt = support_grid(psi, n)
-            assert pair(w, psi, n) == float(np.dot(wt, w.f(pts) * psi.fn(pts)))
+            assert psi.frame == (base, a, x)
+            xi, wt = support_grid(base, n)
+            assert pair(w, psi, n) == \
+                float(np.dot(wt, w.f(a * xi + x) * base.fn(xi)))
+        assert sorted(k for k in base._cache if k[0] == "samples") == \
+            [("samples", 1024), ("samples", 2048)]
 
-    def test_owner_keeps_a_single_samples_entry(self):
+    def test_base_keeps_one_samples_entry_along_a_row(self):
         rep = embed_C(smooth_density("sin"), omega=OMEGA)
         owner = fresh_member()
-        xs = np.linspace(-1.0, 1.0, 41)
-        for x in xs:
+        base = owner.frame[0]
+        for x in np.linspace(-1.0, 1.0, 41):
             rep(owner, float(x))
-        assert list(owner._cache) == ["samples"]
-        key, _ = owner._cache["samples"]
-        assert key == (float(xs[-1]), DEFAULT_NODES)
+        assert list(base._cache) == [("samples", DEFAULT_NODES)]
+        assert owner._cache == {}
 
     def test_samples_make_no_reference_cycle(self):
         """Dropping the owner frees it at once, without the cycle collector."""
@@ -205,14 +216,20 @@ class TestSharedSamples:
         finally:
             gc.enable()
 
-    def test_shared_grid_is_read_only(self):
+    def test_cached_grid_is_read_only(self):
+        """The base's nodes, weights and samples, and a term's values on a
+        combination's grid, are shared and cannot be written."""
         owner = fresh_member()
         pair(smooth_density("sin"), translate(owner, 0.1))
-        _, (pts, wt, _) = owner._cache["samples"]
-        with pytest.raises(ValueError):
-            pts[0] = 0.0
-        with pytest.raises(ValueError):
-            wt[0] = 0.0
+        term = build_mollifier(1, radius=0.7)
+        combo = tf_lincomb([0.5, 0.5], [owner.frame[0], term])
+        pair(smooth_density("sin"), translate(scale(combo, 0.5), 0.1))
+        arrays_ = [*owner.frame[0].reference_samples(DEFAULT_NODES),
+                   *combo.reference_samples(DEFAULT_NODES),
+                   term._cache["grid"][1][2]]
+        for arr in arrays_:
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 def defects():
