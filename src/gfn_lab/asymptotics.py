@@ -372,21 +372,22 @@ def d1_form_test(rep: Representative, battery: Sequence,
     labels, index_tuples = zip(*[(f"k{k}t{ti}", idx) for k in range(k_max + 1)
                                  for ti, idx in enumerate(dir_tuples[k])])
 
-    def magnitude(sphi, sdirs, x):
-        if not rep.has_log_channel:
-            return abs(d1_derivative(rep, sphi, x, sdirs))
-        if sdirs:
-            return rep.log_abs_d1(sphi, x, sdirs) / LN2
-        return rep.log_abs(sphi, x) / LN2
-
     def directional_row(phi0):
         def row(eps):
             sphi = scale(phi0, eps)
             scaled = [scale(psi, eps) for psi in directions[:2]] if k_max else []
-            tuples = [[scaled[i] for i in idx] for idx in index_tuples]
 
             def probe(x):
-                return [magnitude(sphi, sdirs, x) for sdirs in tuples]
+                if not rep.has_log_channel:
+                    return [abs(d1_derivative(rep, sphi, x,
+                                              [scaled[i] for i in idx]))
+                            for idx in index_tuples]
+                # one pass over the distinct directions serves every tuple
+                ival, logs = (rep.log_abs_d1_terms(sphi, x, scaled) if scaled
+                              else (0.0, []))
+                return [rep.log_abs_d1_from_terms(ival, [logs[i] for i in idx])
+                        / LN2 if idx else rep.log_abs(sphi, x) / LN2
+                        for idx in index_tuples]
 
             if not rep.x_independent:
                 return probe

@@ -135,23 +135,38 @@ class ExpExpRepresentative(Representative):
             return -np.inf
         return ival + float(np.log(abs(di)))
 
+    def log_abs_d1_terms(self, phi: TestFunction, x, directions,
+                         rel_step: float = 1e-4):
+        """I(phi, x), and log |d_1 I(psi)| for each direction psi, with d_1 I
+        by central differences; -inf where the difference is exactly 0."""
+        ival = self.inner(phi, x)
+        logs = []
+        for psi in directions:
+            t = rel_step * max(phi.sup_abs(), 1e-30) / max(psi.sup_abs(), 1e-30)
+            up = self.inner(tf_lincomb([1.0, t], [phi, psi]), x)
+            dn = self.inner(tf_lincomb([1.0, -t], [phi, psi]), x)
+            di = (up - dn) / (2.0 * t)
+            logs.append(-np.inf if di == 0.0 else float(np.log(abs(di))))
+        return ival, logs
+
+    @staticmethod
+    def log_abs_d1_from_terms(ival: float, logs) -> float:
+        """k I + sum of the k terms log |d_1 I(psi_j)|, in that order."""
+        acc = len(logs) * ival
+        for lg in logs:
+            if lg == -np.inf:
+                return -np.inf
+            acc += lg
+        return acc
+
     def log_abs_d1(self, phi: TestFunction, x, directions,
                    rel_step: float = 1e-4) -> float:
         """log |d_1^k R(phi,x)(psi_1..psi_k)| ~ k I + sum log |d_1 I(psi_j)|.
 
         Exact up to O(e^{-I}) corrections, which is the regime of interest.
         """
-        ival = self.inner(phi, x)
-        acc = len(directions) * ival
-        for psi in directions:
-            t = rel_step * max(phi.sup_abs(), 1e-30) / max(psi.sup_abs(), 1e-30)
-            up = self.inner(tf_lincomb([1.0, t], [phi, psi]), x)
-            dn = self.inner(tf_lincomb([1.0, -t], [phi, psi]), x)
-            di = (up - dn) / (2.0 * t)
-            if di == 0.0:
-                return -np.inf
-            acc += float(np.log(abs(di)))
-        return acc
+        return self.log_abs_d1_from_terms(
+            *self.log_abs_d1_terms(phi, x, directions, rel_step))
 
     def compose_pullback(self, transform, omega_src, name: str = ""):
         base_inner = self.inner

@@ -18,7 +18,8 @@ from gfn_lab.basic_space import (ExpExpRepresentative, Representative,
 from gfn_lab.diffeo import get_diffeo, identity_map, pullback_rep
 from gfn_lab.distributions import DiracDerivative, smooth_density
 from gfn_lab.test_objects import make_battery, perturbation_directions
-from gfn_lab.testfunc import Box, DomainError, scale
+from gfn_lab.testfunc import (Box, DomainError, TestFunction, scale,
+                              tf_lincomb)
 
 OMEGA = Box.interval(-2.5, 2.5)
 EPS = 2.0 ** -np.arange(2, 13, dtype=float)
@@ -246,8 +247,8 @@ class TestD1Form:
         d1_form_test(rep, bat, dirs, 2, self.D1_SPEC)
         d1_form_test(self.counted_squared_mass(per_point), bat, dirs, 2,
                      one_point)
-        # k1: 1 + 2 inner calls per tuple, k2: 1 + 4; two tuples each
-        assert len(per_point) == 16 * len(bat) * len(self.D1_SPEC.eps)
+        # I(phi) once, and phi +- t psi for each of the two directions
+        assert len(per_point) == 5 * len(bat) * len(self.D1_SPEC.eps)
         assert calls == per_point
 
     def test_x_independent_verdicts_bit_identical(self):
@@ -265,7 +266,7 @@ class TestD1Form:
         assert flagged.x_independent and not plain.x_independent
         got = d1_form_test(flagged, bat, dirs, 2, self.D1_SPEC)
         want = d1_form_test(plain, bat, dirs, 2, self.D1_SPEC)
-        assert len(calls) == 16 * len(bat) * len(self.D1_SPEC.eps) * \
+        assert len(calls) == 5 * len(bat) * len(self.D1_SPEC.eps) * \
             len(self.D1_SPEC.K)
         assert (got.N, got.passed) == (want.N, want.passed)
         assert len(got.verdicts) == len(want.verdicts) == 5 * len(bat)
@@ -282,6 +283,38 @@ class TestD1Form:
         pulled = rep.compose_pullback(pullback_pair_transform(mu), None)
         assert rep.x_independent and not pulled.x_independent
 
+    def test_shared_terms_sum_like_log_abs_d1(self):
+        """Each tuple summed from one pass over the directions equals the
+        straight per-tuple loop bit for bit, an exactly-zero d_1 I included."""
+        rep = ExpExpRepresentative(squared_mass_inner(1024), omega=OMEGA)
+
+        def straight(phi, x, directions, rel_step=1e-4):
+            ival = rep.inner(phi, x)
+            acc = len(directions) * ival
+            for psi in directions:
+                t = rel_step * max(phi.sup_abs(), 1e-30) / \
+                    max(psi.sup_abs(), 1e-30)
+                up = rep.inner(tf_lincomb([1.0, t], [phi, psi]), x)
+                dn = rep.inner(tf_lincomb([1.0, -t], [phi, psi]), x)
+                di = (up - dn) / (2.0 * t)
+                if di == 0.0:
+                    return -np.inf
+                acc += float(np.log(abs(di)))
+            return acc
+
+        zero = TestFunction(0.0, 0.5, np.zeros_like)
+        for eps in (0.5, 2.0**-6):
+            phi = scale(make_battery("static", 0, 1, seed=6)[0](), eps)
+            dirs = [scale(d, eps) for d in perturbation_directions(2, seed=5)]
+            dirs.append(zero)
+            ival, logs = rep.log_abs_d1_terms(phi, 0.0, dirs)
+            assert logs[2] == -np.inf
+            for idx in [(0,), (1,), (0, 0), (0, 1), (2,), (0, 2)]:
+                want = straight(phi, 0.0, [dirs[i] for i in idx])
+                got = rep.log_abs_d1_from_terms(ival, [logs[i] for i in idx])
+                assert got == want
+                assert rep.log_abs_d1(phi, 0.0, [dirs[i] for i in idx]) == want
+
     def test_reused_row_keeps_the_domain_check(self):
         """A probe reused along the row still checks every point of K."""
 
@@ -296,7 +329,7 @@ class TestD1Form:
         rep = self.counted_squared_mass(calls)
         with pytest.raises(DomainError, match=r"eps=0\.25, x=0\.5"):
             d1_form_test(rep, [path], dirs, 2, self.D1_SPEC)
-        assert len(calls) == 16
+        assert len(calls) == 5
 
 
 class TestVerdictInvariance:
