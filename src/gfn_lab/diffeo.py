@@ -92,24 +92,6 @@ class Diffeomorphism:
         return safety / m
 
 
-def sanity_check(mu: Diffeomorphism, lo: float, hi: float, count: int = 64,
-                 seed: int = 0, round_tol: float = 1e-10,
-                 jac_tol: float = 1e-6) -> None:
-    """Spot-check inverse consistency and the supplied inverse derivative."""
-    rng = np.random.default_rng(seed)
-    xs = lo + (hi - lo) * rng.random(count)
-    back = mu.inverse(mu.forward(xs))
-    worst = float(np.max(np.abs(back - xs)))
-    if worst > round_tol:
-        raise ValueError(f"{mu.name}: inverse round trip error {worst:.3e}")
-    ys = mu.forward(xs)
-    h = 1e-6 * max(1.0, float(np.max(np.abs(ys))))
-    fd = (mu.inverse(ys + h) - mu.inverse(ys - h)) / (2.0 * h)
-    rel = np.max(np.abs(fd - mu.d_inverse(ys)) / np.maximum(np.abs(fd), 1e-12))
-    if rel > jac_tol:
-        raise ValueError(f"{mu.name}: inverse derivative off by {rel:.3e} relative")
-
-
 # ---------------------------------------------------------------------------
 # catalog
 
