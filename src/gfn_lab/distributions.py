@@ -149,7 +149,7 @@ def pair(w: Distribution, psi: TestFunction, n: Optional[int] = None):
 
     if w.kind == "smooth":
         base, a, b = psi.frame
-        xi, wt, samples = base.reference_samples(n)
+        xi, wt, samples = base.samples_on(base, n)
         vals = w.f(a * xi + b) * samples
         out = np.dot(wt, vals)
         return complex(out) if np.iscomplexobj(vals) else float(out)

@@ -148,38 +148,30 @@ class TestFunction:
         """(base, a, b) with self(p) = base((p - b) / a) / a."""
         return self._frame if self._frame is not None else (self, 1.0, 0.0)
 
-    def reference_samples(self, n: int):
-        """Trapezoid nodes and weights over this function's support, and its
-        values there; cached per node count and read-only.
+    def samples_on(self, owner: "TestFunction", n: int):
+        """Trapezoid nodes and weights over the support of ``owner``, and
+        this function's values there, read-only; one cached slot, holding
+        the latest grid.
 
-        A linear combination sums its terms' values on its grid.  Each term
-        keeps the grid it was last sampled on, with its values there, so
-        members built again and again from the same terms over the same
-        support evaluate each term once.
+        A linear combination sums its terms' values on the grid, each term
+        caching its own, so members built again and again from the same
+        terms over the same support evaluate each term once.
         """
-        key = ("samples", n)
-        entry = self._cache.get(key)
-        if entry is None:
-            if self._terms is None:
-                entry = _read_only_samples(self, self, n)
-            else:
-                coeffs, terms = self._terms
-                xi, wt, first = terms[0]._sampled_on(self, n)
-                vals = coeffs[0] * first
-                for c, t in zip(coeffs[1:], terms[1:]):
-                    vals = vals + c * t._sampled_on(self, n)[2]
-                vals.flags.writeable = False
-                entry = (xi, wt, vals)
-            self._cache[key] = entry
-        return entry
-
-    def _sampled_on(self, owner: "TestFunction", n: int):
-        """(xi, wt, values) on the support grid of ``owner``, read-only; one
-        slot, holding the latest grid."""
-        grid = (owner.center, owner.radius, n)  # determines xi and wt
+        grid = (owner.center, owner.radius, n)  # determines the nodes
         slot = self._cache.get("grid")
         if slot is None or slot[0] != grid:
-            slot = self._cache["grid"] = (grid, _read_only_samples(self, owner, n))
+            if self._terms is None:
+                xi, wt = support_grid(owner, n)
+                xi.flags.writeable = wt.flags.writeable = False
+                vals = self.fn(xi)
+            else:
+                coeffs, terms = self._terms
+                xi, wt, first = terms[0].samples_on(owner, n)
+                vals = coeffs[0] * first
+                for c, t in zip(coeffs[1:], terms[1:]):
+                    vals = vals + c * t.samples_on(owner, n)[2]
+            vals.flags.writeable = False  # shared from now on
+            slot = self._cache["grid"] = (grid, (xi, wt, vals))
         return slot[1]
 
     def derivative(self) -> "TestFunction":
@@ -238,16 +230,6 @@ def support_grid(tf: TestFunction, n=None):
     w[0] *= 0.5
     w[-1] *= 0.5
     return pts, w
-
-
-def _read_only_samples(tf: TestFunction, owner: TestFunction, n: int):
-    """Nodes and weights over the support of ``owner``, and tf's values
-    there, all read-only because they are shared from now on."""
-    xi, wt = support_grid(owner, n)
-    vals = tf.fn(xi)
-    for arr in (xi, wt, vals):
-        arr.flags.writeable = False
-    return xi, wt, vals
 
 
 def moment(tf: TestFunction, alpha: int, n=None, return_error: bool = False):
@@ -390,6 +372,16 @@ def bump_testfunction(radius: float = 1.0, center: float = 0.0,
                         coeffs=np.array([1.0]), label="bump")
 
 
+def _weighted_sum(coeffs: list, fns: list):
+    def f(x):
+        acc = coeffs[0] * fns[0](x)
+        for c, g in zip(coeffs[1:], fns[1:]):
+            acc = acc + c * g(x)
+        return acc
+
+    return f
+
+
 def tf_lincomb(coeffs: Sequence[float], tfs: Sequence[TestFunction],
                label: str = "") -> TestFunction:
     """Linear combination, supported on the interval covering all terms."""
@@ -398,24 +390,10 @@ def tf_lincomb(coeffs: Sequence[float], tfs: Sequence[TestFunction],
     center = 0.5 * (lo + hi)
     radius = hi - center
     coeffs = [float(c) for c in coeffs]
-    fns = [t.fn for t in tfs]
-
-    def fn(x):
-        acc = coeffs[0] * fns[0](x)
-        for c, f in zip(coeffs[1:], fns[1:]):
-            acc = acc + c * f(x)
-        return acc
-
+    fn = _weighted_sum(coeffs, [t.fn for t in tfs])
     dfn = None
     if all(t.dfn is not None for t in tfs):
-        dfs = [t.dfn for t in tfs]
-
-        def dfn(x):
-            acc = coeffs[0] * dfs[0](x)
-            for c, f in zip(coeffs[1:], dfs[1:]):
-                acc = acc + c * f(x)
-            return acc
-
+        dfn = _weighted_sum(coeffs, [t.dfn for t in tfs])
     out = TestFunction(center, radius, fn, dfn=dfn, label=label)
     out._terms = (coeffs, tuple(tfs))
     return out
@@ -428,19 +406,12 @@ def tf_lincomb(coeffs: Sequence[float], tfs: Sequence[TestFunction],
 def _framed(base: TestFunction, a: float, b: float, label: str) -> TestFunction:
     """base((p - b) / a) / a, evaluated in one step from the base."""
     fac = a ** -1
-    bfn = base.fn
 
-    def fn(p):
-        return fac * bfn((p - b) / a)
+    def through(f, c):
+        return lambda p: c * f((p - b) / a)
 
-    dfn = None
-    if base.dfn is not None:
-        bdfn = base.dfn
-        dfac = fac / a
-
-        def dfn(p):
-            return dfac * bdfn((p - b) / a)
-
+    fn = through(base.fn, fac)
+    dfn = None if base.dfn is None else through(base.dfn, fac / a)
     out = TestFunction(base.center * a + b, base.radius * a, fn, dfn=dfn,
                        label=label)
     out._frame = (base, a, b)

@@ -191,16 +191,28 @@ class TestSharedSamples:
             xi, wt = support_grid(base, n)
             assert pair(w, psi, n) == \
                 float(np.dot(wt, w.f(a * xi + x) * base.fn(xi)))
-        assert sorted(k for k in base._cache if k[0] == "samples") == \
-            [("samples", 1024), ("samples", 2048)]
+            assert list(base._cache) == ["grid"]
+            assert base._cache["grid"][0] == (base.center, base.radius, n)
 
     def test_base_keeps_one_samples_entry_along_a_row(self):
+        """A 41-point row evaluates the base once and caches one grid."""
         rep = embed_C(smooth_density("sin"), omega=OMEGA)
         owner = fresh_member()
         base = owner.frame[0]
+        calls = []
+        inner = base.fn
+
+        def counted(p):
+            calls.append(np.size(p))
+            return inner(p)
+
+        base.fn = counted
         for x in np.linspace(-1.0, 1.0, 41):
             rep(owner, float(x))
-        assert list(base._cache) == [("samples", DEFAULT_NODES)]
+        assert calls == [DEFAULT_NODES + 1]
+        assert list(base._cache) == ["grid"]
+        assert base._cache["grid"][0] == \
+            (base.center, base.radius, DEFAULT_NODES)
         assert owner._cache == {}
 
     def test_samples_make_no_reference_cycle(self):
@@ -224,9 +236,9 @@ class TestSharedSamples:
         term = build_mollifier(1, radius=0.7)
         combo = tf_lincomb([0.5, 0.5], [owner.frame[0], term])
         pair(smooth_density("sin"), translate(scale(combo, 0.5), 0.1))
-        arrays_ = [*owner.frame[0].reference_samples(DEFAULT_NODES),
-                   *combo.reference_samples(DEFAULT_NODES),
-                   term._cache["grid"][1][2]]
+        arrays_ = [*owner.frame[0].samples_on(owner.frame[0], DEFAULT_NODES),
+                   *combo.samples_on(combo, DEFAULT_NODES),
+                   term.samples_on(combo, DEFAULT_NODES)[2]]
         for arr in arrays_:
             with pytest.raises(ValueError):
                 arr[0] = 0.0
