@@ -93,10 +93,6 @@ class AsymptoticVerdict:
     kind: str  # "power" | "superpoly" | "zero"
     n_zero: int = 0
 
-    @property
-    def order(self) -> float:
-        return self.slope
-
     def moderate_N(self) -> int:
         if self.kind == "zero":
             return 0
@@ -255,12 +251,6 @@ class ModerateReport:
     series: list[SweepSeries]
     N: int
     passed: bool
-
-    def verdict_for(self, member_id: str, alpha: int) -> AsymptoticVerdict:
-        for v in self.verdicts:
-            if v.member_id == member_id and v.alpha == alpha:
-                return v
-        raise KeyError((member_id, alpha))
 
 
 def test_moderate(rep, battery: Sequence, spec: SweepSpec):
