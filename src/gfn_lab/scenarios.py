@@ -181,10 +181,12 @@ def _scn_embed_order(cfg: ScenarioConfig, outdir: str):
                   for fname in fnames)
     moderate = {}
     for q in qs:
-        bat = make_battery(cfg.battery_mode or "full_path", q,
-                           cfg.battery_count, cfg.seed + q, flavor="strict")
         spec = _spec(cfg, 2, 9, 6, cfg.k_grid(), alphas=(0,))
-        moderate[q] = asy.test_moderate(diffs, bat, spec)
+        # a swept battery is dropped at once: its members hold cached samples
+        moderate[q] = asy.test_moderate(
+            diffs, make_battery(cfg.battery_mode or "full_path", q,
+                                cfg.battery_count, cfg.seed + q,
+                                flavor="strict"), spec)
 
     def factory(kind: str, q: int):
         flavor = "strict" if kind == "strict" else "cm"
@@ -244,11 +246,10 @@ def _scn_association(cfg: ScenarioConfig, outdir: str):
     ix2 = embed_C(smooth_density("x2"), omega=om, n=cfg.quad_n)
     gap = sub(mul(ix, ix), ix2)
 
-    bat = make_battery("full_path", 2, cfg.battery_count, cfg.seed,
-                       flavor="strict")
     spec = _spec(cfg, 2, 9, 6, cfg.k_grid(n=21), alphas=(0,))
     worst = 0.0
-    for path in bat:
+    for path in make_battery("full_path", 2, cfg.battery_count, cfg.seed,
+                             flavor="strict"):
         for ser in asy.sweep(gap, path, spec):
             series_all.append(ser)
             worst = max(worst, float(np.max(ser.values)))
@@ -256,10 +257,10 @@ def _scn_association(cfg: ScenarioConfig, outdir: str):
 
     qs = [cfg.q] if cfg.q is not None else [1, 2, 3]
     for q in qs:
-        bat_cm = make_battery("full_path", q, 4, cfg.seed + 17 + q,
-                              flavor="cm")
         spec_cm = _spec(cfg, 2, 8, 5, cfg.k_grid(n=21), alphas=(0,))
-        rep = asy.test_moderate(gap, bat_cm, spec_cm)
+        rep = asy.test_moderate(gap, make_battery("full_path", q, 4,
+                                                  cfg.seed + 17 + q,
+                                                  flavor="cm"), spec_cm)
         series_all += rep.series
         worst_order = min(v.slope for v in rep.verdicts)
         _a(records, f"cm-q{q}-order", worst_order, f">={q + 2 - 0.2}",

@@ -148,28 +148,29 @@ class TestFunction:
         """(base, a, b) with self(p) = base((p - b) / a) / a."""
         return self._frame if self._frame is not None else (self, 1.0, 0.0)
 
-    def samples_on(self, owner: "TestFunction", n: int):
+    def samples_on(self, owner: "TestFunction", n: int, nodes=None):
         """Trapezoid nodes and weights over the support of ``owner``, and
         this function's values there, read-only; one cached slot, holding
-        the latest grid.
+        the latest grid.  ``nodes`` passes that grid's (xi, wt) when the
+        caller already holds them.
 
         A linear combination sums its terms' values on the grid, each term
-        caching its own, so members built again and again from the same
-        terms over the same support evaluate each term once.
+        caching its own next to the shared nodes, so members built again
+        and again from the same terms over the same support evaluate each
+        term once.
         """
         grid = (owner.center, owner.radius, n)  # determines the nodes
         slot = self._cache.get("grid")
         if slot is None or slot[0] != grid:
             if self._terms is None:
-                xi, wt = support_grid(owner, n)
-                xi.flags.writeable = wt.flags.writeable = False
+                xi, wt = nodes or support_grid(owner, n)
                 vals = self.fn(xi)
             else:
                 coeffs, terms = self._terms
-                xi, wt, first = terms[0].samples_on(owner, n)
+                xi, wt, first = terms[0].samples_on(owner, n, nodes)
                 vals = coeffs[0] * first
                 for c, t in zip(coeffs[1:], terms[1:]):
-                    vals = vals + c * t.samples_on(owner, n)[2]
+                    vals = vals + c * t.samples_on(owner, n, (xi, wt))[2]
             vals.flags.writeable = False  # shared from now on
             slot = self._cache["grid"] = (grid, (xi, wt, vals))
         return slot[1]
@@ -218,7 +219,8 @@ def _node_count(n) -> int:
 
 
 def support_grid(tf: TestFunction, n=None):
-    """Trapezoid nodes and weights over the support interval of ``tf``.
+    """Trapezoid nodes and weights over the support interval of ``tf``,
+    read-only because the sample caches share them.
 
     ``n`` may be a panel count or a :class:`QuadratureGrid`.
     """
@@ -229,6 +231,7 @@ def support_grid(tf: TestFunction, n=None):
     w = np.full(n + 1, h)
     w[0] *= 0.5
     w[-1] *= 0.5
+    pts.flags.writeable = w.flags.writeable = False
     return pts, w
 
 
