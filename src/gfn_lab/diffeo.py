@@ -53,9 +53,6 @@ class Diffeomorphism:
     omega_dst: Optional[Box] = None
     is_identity: bool = False
 
-    def __call__(self, x):
-        return self.forward(x)
-
     def inverted(self) -> "Diffeomorphism":
         """The inverse map as a diffeomorphism in its own right."""
         fwd, inv = self.inverse, self.forward
