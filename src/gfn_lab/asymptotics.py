@@ -375,8 +375,8 @@ def d1_form_test(rep: Representative, battery: Sequence,
                 # one pass over the distinct directions serves every tuple
                 ival, logs = (rep.log_abs_d1_terms(sphi, x, scaled) if scaled
                               else (0.0, []))
-                return [rep.log_abs_d1_from_terms(ival, [logs[i] for i in idx])
-                        / LN2 if idx else rep.log_abs(sphi, x) / LN2
+                return [(rep.log_abs_d1_from_terms(ival, [logs[i] for i in idx])
+                         if idx else rep.log_abs(sphi, x)) / LN2
                         for idx in index_tuples]
 
             if not rep.x_independent:
