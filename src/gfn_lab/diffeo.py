@@ -38,33 +38,31 @@ def _scalarized(fn):
 class Diffeomorphism:
     """One-dimensional diffeomorphism with explicitly supplied inverse data.
 
-    ``forward`` maps the source open set onto the target; ``d_inverse`` and
-    ``det_d_inverse`` evaluate the derivative of the inverse at points of
-    the target.  No symbolic inversion is attempted: catalog entries supply
-    closed forms or a deterministic Newton iteration.
+    ``forward`` maps the source open set onto the target and ``d_forward``
+    is its derivative; ``inverse`` maps back.  No symbolic inversion is
+    attempted: catalog entries supply closed forms or a deterministic
+    Newton iteration.  The derivative of the inverse is taken from the
+    preimage, D mu^{-1}(y) = 1 / mu'(mu^{-1}(y)), so a caller that already
+    holds the preimage weights by ``1.0 / d_forward(pre)`` without
+    inverting again.
     """
 
     name: str
     forward: Callable
     inverse: Callable
-    d_inverse: Callable
-    det_d_inverse: Callable
+    d_forward: Callable
     omega_src: Optional[Box] = None
     omega_dst: Optional[Box] = None
     is_identity: bool = False
 
+    def det_d_inverse(self, y):
+        """det D mu^{-1}(y) = 1 / mu'(mu^{-1}(y)), signed."""
+        return 1.0 / self.d_forward(self.inverse(y))
+
     def inverted(self) -> "Diffeomorphism":
         """The inverse map as a diffeomorphism in its own right."""
-        fwd, inv = self.inverse, self.forward
-
-        def dinv(y):
-            return 1.0 / self.d_inverse(self.forward(y))
-
-        def detdinv(y):
-            return 1.0 / self.det_d_inverse(self.forward(y))
-
-        return Diffeomorphism(f"{self.name}-inverse", fwd, inv,
-                              _scalarized(dinv), _scalarized(detdinv),
+        return Diffeomorphism(f"{self.name}-inverse", self.inverse,
+                              self.forward, self.det_d_inverse,
                               omega_src=self.omega_dst,
                               omega_dst=self.omega_src,
                               is_identity=self.is_identity)
@@ -96,7 +94,7 @@ class Diffeomorphism:
 def identity_map(omega: Optional[Box] = None) -> Diffeomorphism:
     f = _scalarized(lambda x: x)
     one = _scalarized(lambda x: np.ones_like(x))
-    return Diffeomorphism("identity", f, f, one, one,
+    return Diffeomorphism("identity", f, f, one,
                           omega_src=omega, omega_dst=omega, is_identity=True)
 
 
@@ -106,12 +104,12 @@ def affine_map(a: float, b: float = 0.0,
         raise ValueError("affine map needs a != 0")
     fwd = _scalarized(lambda x: a * x + b)
     inv = _scalarized(lambda y: (y - b) / a)
-    dinv = _scalarized(lambda y: np.full_like(np.asarray(y, dtype=float), 1.0 / a))
+    dfwd = _scalarized(lambda x: np.full_like(x, a))
     src = None
     if omega_dst is not None:
         ends = sorted(((omega_dst.lo - b) / a, (omega_dst.hi - b) / a))
         src = Box.interval(ends[0], ends[1])
-    return Diffeomorphism(f"affine({a:g},{b:g})", fwd, inv, dinv, dinv,
+    return Diffeomorphism(f"affine({a:g},{b:g})", fwd, inv, dfwd,
                           omega_src=src, omega_dst=omega_dst)
 
 
@@ -137,14 +135,14 @@ def sin_bend_map(amplitude: float = 0.25,
             f"sin-bend({amplitude:g}) inverse did not converge in "
             f"{NEWTON_MAX_ITER} Newton steps (last step {np.max(np.abs(step)):.3g})")
 
-    def dinv_arr(y):
-        return 1.0 / (1.0 + amplitude * np.cos(inv_arr(np.asarray(y, dtype=float))))
+    def dfwd_arr(x):
+        return 1.0 + amplitude * np.cos(x)
 
-    fwd, inv, dinv = _scalarized(fwd_arr), _scalarized(inv_arr), _scalarized(dinv_arr)
+    fwd, inv, dfwd = _scalarized(fwd_arr), _scalarized(inv_arr), _scalarized(dfwd_arr)
     src = None
     if omega_dst is not None:
         src = Box.interval(inv(omega_dst.lo), inv(omega_dst.hi))
-    return Diffeomorphism(f"sin-bend({amplitude:g})", fwd, inv, dinv, dinv,
+    return Diffeomorphism(f"sin-bend({amplitude:g})", fwd, inv, dfwd,
                           omega_src=src, omega_dst=omega_dst)
 
 
@@ -162,15 +160,14 @@ def cubic_map(omega_dst: Optional[Box] = None) -> Diffeomorphism:
             x = x - (x**3 + x - y) / (3.0 * x * x + 1.0)
         return x
 
-    def dinv_arr(y):
-        x = inv_arr(np.asarray(y, dtype=float))
-        return 1.0 / (3.0 * x * x + 1.0)
+    def dfwd_arr(x):
+        return 3.0 * x * x + 1.0
 
-    fwd, inv, dinv = _scalarized(fwd_arr), _scalarized(inv_arr), _scalarized(dinv_arr)
+    fwd, inv, dfwd = _scalarized(fwd_arr), _scalarized(inv_arr), _scalarized(dfwd_arr)
     src = None
     if omega_dst is not None:
         src = Box.interval(inv(omega_dst.lo), inv(omega_dst.hi))
-    return Diffeomorphism("cubic", fwd, inv, dinv, dinv,
+    return Diffeomorphism("cubic", fwd, inv, dfwd,
                           omega_src=src, omega_dst=omega_dst)
 
 
@@ -197,18 +194,13 @@ def compose(mu: Diffeomorphism, nu: Diffeomorphism) -> Diffeomorphism:
 
     fwd = _scalarized(lambda x: mu.forward(nu.forward(x)))
     inv = _scalarized(lambda y: nu.inverse(mu.inverse(y)))
-
-    def dinv_arr(y):
-        my = mu.inverse(np.asarray(y, dtype=float))
-        return nu.d_inverse(my) * mu.d_inverse(y)
-
-    dinv = _scalarized(dinv_arr)
+    dfwd = _scalarized(lambda x: mu.d_forward(nu.forward(x)) * nu.d_forward(x))
     src = None
     if mu.omega_src is not None:
         ends = sorted((nu.inverse(mu.omega_src.lo),
                        nu.inverse(mu.omega_src.hi)))
         src = Box.interval(ends[0], ends[1])
-    return Diffeomorphism(f"{mu.name}.{nu.name}", fwd, inv, dinv, dinv,
+    return Diffeomorphism(f"{mu.name}.{nu.name}", fwd, inv, dfwd,
                           omega_src=src, omega_dst=mu.omega_dst,
                           is_identity=mu.is_identity and nu.is_identity)
 
@@ -306,9 +298,8 @@ def transform_test_object(mu: Diffeomorphism, path: TestObjectPath,
         src = path(eps, xt)
 
         def fn(xi):
-            z = eps * xi + x
-            u = (mu.inverse(z) - xt) / eps
-            return src.fn(u) * np.abs(mu.det_d_inverse(z))
+            pre = mu.inverse(eps * xi + x)
+            return src.fn((pre - xt) / eps) * np.abs(1.0 / mu.d_forward(pre))
 
         return TestFunction(0.0, rb, fn,
                             label=f"tto[{src.label}|{mu.name}]")
@@ -330,8 +321,7 @@ def transform_test_object(mu: Diffeomorphism, path: TestObjectPath,
 
     dom = PartialDomain(admissible, label=f"D[{mu.name}]")
     out = TestObjectPath("full_path", member, path.q, rb,
-                         member_id=f"{path.member_id}|{mu.name}", domain=dom,
-                         meta={"lipschitz": lip, "source": path.member_id})
+                         member_id=f"{path.member_id}|{mu.name}", domain=dom)
     for L in compacts:
         dom.register_compact(L)
     return out, dom

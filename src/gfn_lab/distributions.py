@@ -224,7 +224,7 @@ def pullback_test_function(mu, psi: TestFunction) -> TestFunction:
 
     def fn(xi):
         pre = mu.inverse(xi)
-        return psi.fn(pre) * np.abs(mu.det_d_inverse(xi))
+        return psi.fn(pre) * np.abs(1.0 / mu.d_forward(pre))
 
     return TestFunction(center, radius, fn,
                         label=f"{mu.name}#[{psi.label}]")

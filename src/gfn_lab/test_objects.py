@@ -17,7 +17,7 @@ over test objects; verdicts they support are evidence, not proof.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -44,7 +44,6 @@ class TestObjectPath:
     radius_bound: float        # uniform support radius bound about the origin
     member_id: str
     domain: Optional[object] = None   # PartialDomain when only partially defined
-    meta: dict = field(default_factory=dict)
 
     def __call__(self, eps: float = 1.0, x: float = 0.0) -> TestFunction:
         if self.mode == "static":
@@ -117,8 +116,7 @@ def make_battery(mode: str, q: int, count: int, seed: int,
         if mode == "static":
             base = build_mollifier(qb, radius=r, center=c)
             members.append(TestObjectPath(
-                "static", (lambda e, x, tf=base: tf), q, bound, mid,
-                meta={"radius": r, "center": c}))
+                "static", (lambda e, x, tf=base: tf), q, bound, mid))
             continue
 
         chi = _zero_mass_bump(rng)
@@ -133,8 +131,7 @@ def make_battery(mode: str, q: int, count: int, seed: int,
                                   label="cm-path")
 
             members.append(TestObjectPath(
-                "eps_path", fn, q, max(bound, chi_bound), mid,
-                meta={"amp": amp}))
+                "eps_path", fn, q, max(bound, chi_bound), mid))
             continue
 
         r2 = 0.75 + 0.5 * rng.random()
@@ -161,9 +158,7 @@ def make_battery(mode: str, q: int, count: int, seed: int,
                 w = 0.5 + 0.4 * math.sin(om * x + th)
                 return tf_lincomb([w, 1.0 - w], [base, other], label="full-mix")
 
-        members.append(TestObjectPath(
-            "full_path", fn, q, bound, mid,
-            meta={"cm": with_cm, "omega": omega_w}))
+        members.append(TestObjectPath("full_path", fn, q, bound, mid))
     return members
 
 

@@ -4,38 +4,44 @@ import numpy as np
 import pytest
 
 from gfn_lab.basic_space import embed_C
-from gfn_lab.diffeo import (PartialDomain, affine_map, catalog,
-                            check_Z_requirements, compose, get_diffeo,
-                            identity_map, pullback_rep,
+from gfn_lab.diffeo import (Diffeomorphism, PartialDomain, affine_map,
+                            catalog, check_Z_requirements, compose,
+                            get_diffeo, identity_map, pullback_rep,
                             transform_test_object)
 from gfn_lab.distributions import (DiracDerivative, Heaviside,
-                                   PullbackDistribution)
+                                   PullbackDistribution,
+                                   pullback_test_function)
 from gfn_lab.test_objects import TestObjectPath, make_battery
-from gfn_lab.testfunc import Box, DomainError, scale
+from gfn_lab.testfunc import Box, DomainError, scale, translate
 
 RNG = np.random.default_rng(17)
 OMEGA = Box.interval(-2.5, 2.5)
 
 
 def sanity_check(mu, lo: float, hi: float, count: int, seed: int) -> None:
-    """Spot-check inverse consistency to 1e-10 and the supplied inverse
-    derivative to 1e-6 relative."""
+    """Spot-check inverse consistency to 1e-10, and the supplied forward
+    derivative and the inverse derivative taken from it to 1e-6 relative."""
     rng = np.random.default_rng(seed)
     xs = lo + (hi - lo) * rng.random(count)
     back = mu.inverse(mu.forward(xs))
     worst = float(np.max(np.abs(back - xs)))
     assert worst <= 1e-10, f"{mu.name}: inverse round trip error {worst:.3e}"
+    h = 1e-6 * max(1.0, float(np.max(np.abs(xs))))
+    fd = (mu.forward(xs + h) - mu.forward(xs - h)) / (2.0 * h)
+    rel = np.max(np.abs(fd - mu.d_forward(xs)) / np.maximum(np.abs(fd), 1e-12))
+    assert rel <= 1e-6, f"{mu.name}: forward derivative off by {rel:.3e} relative"
     ys = mu.forward(xs)
     h = 1e-6 * max(1.0, float(np.max(np.abs(ys))))
     fd = (mu.inverse(ys + h) - mu.inverse(ys - h)) / (2.0 * h)
-    rel = np.max(np.abs(fd - mu.d_inverse(ys)) / np.maximum(np.abs(fd), 1e-12))
+    rel = np.max(np.abs(fd - mu.det_d_inverse(ys)) / np.maximum(np.abs(fd), 1e-12))
     assert rel <= 1e-6, f"{mu.name}: inverse derivative off by {rel:.3e} relative"
 
 
 class TestCatalog:
     @pytest.mark.parametrize("name", sorted(catalog()))
     def test_sanity(self, name):
-        """Inverse round trip to 1e-10, inverse derivative to 1e-6 rel."""
+        """Inverse round trip to 1e-10, forward and inverse derivatives to
+        1e-6 rel."""
         sanity_check(get_diffeo(name, OMEGA), -1.2, 1.2, count=64, seed=2)
 
     def test_unknown_name(self):
@@ -66,13 +72,158 @@ class TestCatalog:
         with pytest.raises(FloatingPointError, match="sin-bend"):
             mu.inverse(ys)
         with pytest.raises(FloatingPointError, match="sin-bend"):
-            mu.d_inverse(float("nan"))
+            mu.det_d_inverse(float("nan"))
 
     def test_lipschitz_bound_covers_samples(self):
         mu = get_diffeo("cubic", OMEGA)
         lip = mu.lipschitz_forward(-1.0, 1.0)
         xs = np.linspace(-1.0, 1.0, 1001)
         assert lip >= np.max(3 * xs**2 + 1)
+
+
+class TestJacobianFromPreimage:
+    """det D mu^{-1}(y) is 1 / mu'(mu^{-1}(y)), read off the preimage the
+    inverse has just produced, so each evaluation inverts once."""
+
+    YS = np.linspace(-2.5, 2.5, 20001)
+
+    def test_matches_the_closed_forms_bit_for_bit(self):
+        cat = catalog(OMEGA)
+        x = cat["sin-bend"].inverse(self.YS)
+        c = cat["cubic"].inverse(self.YS)
+        expected = {
+            "sin-bend": 1.0 / (1.0 + 0.25 * np.cos(x)),
+            "cubic": 1.0 / (3.0 * c * c + 1.0),
+            "affine-2x": np.full_like(self.YS, 0.5),
+            "shift-1": np.ones_like(self.YS),
+            "identity": np.ones_like(self.YS),
+        }
+        for name, mu in cat.items():
+            pre = mu.inverse(self.YS)
+            assert np.array_equal(mu.det_d_inverse(self.YS), expected[name]), name
+            assert np.array_equal(np.abs(1.0 / mu.d_forward(pre)),
+                                  np.abs(expected[name])), name
+
+    @staticmethod
+    def counted(name):
+        """A catalog map rebuilt with an inverse that records each call."""
+        base = get_diffeo(name, OMEGA)
+        sizes = []
+
+        def inverse(y):
+            sizes.append(np.size(y))
+            return base.inverse(y)
+
+        mu = Diffeomorphism(f"counted-{name}", base.forward, inverse,
+                            base.d_forward, omega_src=base.omega_src,
+                            omega_dst=base.omega_dst)
+        return base, mu, sizes
+
+    @pytest.mark.parametrize("name", ["sin-bend", "cubic", "affine-2x"])
+    def test_member_inverts_once_per_array(self, name):
+        base, mu, sizes = self.counted(name)
+        src = make_battery("full_path", 2, 1, seed=9, flavor="strict")[0]
+        out, _ = transform_test_object(mu, src)
+        ref, _ = transform_test_object(base, src)
+        xi = np.linspace(-2.0, 2.0, 257)
+        for e, x in ((0.25, 0.3), (0.0625, -0.5)):
+            member = out(e, x)
+            sizes.clear()
+            vals = member.fn(xi)
+            assert sizes == [xi.size]
+            assert np.array_equal(vals, ref(e, x).fn(xi))
+            assert np.any(vals != 0.0)
+
+    @pytest.mark.parametrize("name", ["sin-bend", "cubic", "affine-2x"])
+    def test_pulled_back_function_inverts_once_per_array(self, name, moll2):
+        base, mu, sizes = self.counted(name)
+        psi = translate(scale(moll2, 0.3), 0.2)
+        chi = pullback_test_function(mu, psi)
+        xi = np.linspace(chi.center - chi.radius, chi.center + chi.radius, 257)
+        sizes.clear()
+        vals = chi.fn(xi)
+        assert sizes == [xi.size]
+        assert np.array_equal(vals, pullback_test_function(base, psi).fn(xi))
+        assert np.any(vals != 0.0)
+
+
+class TestDeclaredSupport:
+    """Transformed members and pulled-back test functions vanish exactly
+    on [r, 2r] beyond their declared radius r, on both sides, over the
+    moment-invariance compact set and four scales from its eps0."""
+
+    L = np.linspace(-0.7, 0.7, 7)
+    OFFSETS = np.linspace(1.0, 2.0, 129)
+
+    @classmethod
+    def assert_vanishes_beyond_radius(cls, tf):
+        c, r = float(tf.center), float(tf.radius)
+        outside = np.concatenate([c + r * cls.OFFSETS, c - r * cls.OFFSETS])
+        assert np.all(tf.fn(outside) == 0.0), tf.label
+        inside = np.linspace(c - r, c + r, 257)
+        assert np.any(tf.fn(inside) != 0.0), tf.label
+
+    @pytest.mark.parametrize("name", ["sin-bend", "cubic", "affine-2x"])
+    def test_zero_beyond_declared_radius(self, name):
+        mu = get_diffeo(name, OMEGA)
+        for q in (2, 4):
+            bat = make_battery("full_path", q, 4, 7 + q, flavor="symmetric",
+                               build_q=2 * q - 2)
+            for path in bat:
+                tr, dom = transform_test_object(mu, path, compacts=[self.L])
+                eps0 = next(iter(dom.eps0_records.values()))[1]
+                for e in eps0 * 2.0 ** -np.arange(4, dtype=float):
+                    for x in self.L:
+                        assert dom.contains(e, x)
+                        self.assert_vanishes_beyond_radius(tr(e, x))
+                        xt = mu.inverse(float(x))
+                        psi = translate(scale(path(e, xt), e), xt)
+                        self.assert_vanishes_beyond_radius(
+                            pullback_test_function(mu, psi))
+
+
+class TestTracedMaps:
+    """The benchmark's traced run replaces ``inverse`` and
+    ``det_d_inverse`` on each map instance; the map must accept that and
+    evaluate through the replacements afterwards."""
+
+    @pytest.mark.parametrize(
+        "key", sorted(catalog()) + ["compose", "compose-nonlinear", "inverted"])
+    def test_instance_attributes_can_be_wrapped(self, key, moll2):
+        cat = catalog(OMEGA)
+        cat["compose"] = compose(cat["affine-2x"], cat["shift-1"])
+        cat["compose-nonlinear"] = compose(cat["cubic"], cat["sin-bend"])
+        cat["inverted"] = cat["sin-bend"].inverted()
+        mu = cat[key]
+        ys = np.linspace(-0.6, 0.6, 33)
+        psi = translate(scale(moll2, 0.2), 0.1)
+        src = make_battery("full_path", 2, 1, seed=9, flavor="strict")[0]
+
+        def evaluate():
+            tr, _ = transform_test_object(mu, src)
+            return (mu.inverse(ys), mu.det_d_inverse(ys),
+                    pullback_test_function(mu, psi).fn(ys),
+                    tr(0.25, 0.3).fn(ys))
+
+        before = evaluate()
+        calls = {"inverse": 0, "det_d_inverse": 0}
+
+        def wrap(fn, label):
+            def wrapped(*args, **kwargs):
+                calls[label] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        mu.inverse = wrap(mu.inverse, "inverse")
+        mu.det_d_inverse = wrap(mu.det_d_inverse, "det_d_inverse")
+        for b, a in zip(before, evaluate()):
+            assert np.array_equal(a, b)
+        if mu.is_identity:
+            assert calls == {"inverse": 2, "det_d_inverse": 1}
+        else:
+            # both lipschitz_forward calls, and both evaluators, go through
+            # the replacements too
+            assert calls == {"inverse": 7, "det_d_inverse": 3}
 
 
 class TestPullbackRep:
