@@ -189,7 +189,7 @@ def embed_C(w: Distribution, omega: Optional[Box] = None,
     """iota in the C-formalism: (phi, x) -> <w, phi(. - x)>."""
 
     def ev(phi, x):
-        return pair(w, translate(phi, x), n)
+        return pair(w, phi, n, shift=x)
 
     return Representative(ev, formalism="C", linear=True, omega=omega,
                           name=f"iota_C[{w.name or w.kind}]")

@@ -13,7 +13,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import numdiff
-from .testfunc import DEFAULT_NODES, Box, DomainError, TestFunction
+from .testfunc import (DEFAULT_NODES, Box, DomainError, TestFunction,
+                       falling_factorial, shifted_frame, translate)
 
 #: maximum Dirac-derivative order handled by the Richardson stencils
 K_MAX = 4
@@ -127,32 +128,40 @@ def _psi_derivative_at(psi: TestFunction, a: float, order: int) -> float:
         lambda t: psi(t), a, order=order, base_step=step, levels=2))
 
 
-def _check_domain(w: Distribution, psi: TestFunction):
-    if w.omega is not None and not w.omega.contains_ball(psi.center, psi.radius):
+def _check_domain(w: Distribution, center: float, radius: float):
+    if w.omega is not None and not w.omega.contains_ball(center, radius):
         raise DomainError(
-            f"support ball B({psi.center}, {psi.radius:g}) escapes the open set")
+            f"support ball B({center}, {radius:g}) escapes the open set")
 
 
-def pair(w: Distribution, psi: TestFunction, n: Optional[int] = None):
-    """The pairing <w, psi>.
+def pair(w: Distribution, psi: TestFunction, n: Optional[int] = None,
+         shift: float = 0.0):
+    """The pairing <w, psi(. - shift)>.
 
-    Smooth densities integrate over the support grid xi of the base of psi's
-    frame (base, a, b), against the base's cached samples (trapezoid):
-    <f, psi> = sum_j w_j f(a xi_j + b) base(xi_j).  Dirac derivatives use
+    The result is bit for bit ``pair(w, translate(psi, shift), n)``, the
+    exact cancellations of ``translate`` included.  A smooth density reads
+    the frame (base, a, b) of the translate from ``shifted_frame`` and
+    builds no translated function: it integrates over the support grid xi
+    of the base, against the base's cached samples (trapezoid),
+    <f, psi(. - shift)> = sum_j w_j f(a xi_j + b) base(xi_j).  Every other
+    kind pairs with ``translate(psi, shift)``.  Dirac derivatives use
     Richardson-extrapolated central differences on the exact evaluator; the
     half-line integrals for Heaviside and vp(1/x) use composite Simpson,
     since their integrands are not flat at the cut point.
     """
-    _check_domain(w, psi)
     if n is None:
         n = DEFAULT_NODES
 
     if w.kind == "smooth":
-        base, a, b = psi.frame
+        (base, a, b), center, radius, _ = shifted_frame(psi, shift)
+        _check_domain(w, center, radius)
         xi, wt, samples = base.samples_on(base, n)
         vals = w.f(a * xi + b) * samples
         out = np.dot(wt, vals)
         return complex(out) if np.iscomplexobj(vals) else float(out)
+
+    psi = translate(psi, shift)
+    _check_domain(w, psi.center, psi.radius)
 
     if w.kind == "dirac":
         sign = -1.0 if w.order % 2 else 1.0
@@ -248,28 +257,26 @@ def classical_pullback(mu, u: Distribution, psi: TestFunction,
 # a small catalog of smooth functions with exact derivative chains
 
 
-def _horner(c: np.ndarray):
-    """Evaluator of the polynomial with ascending coefficients ``c``, with
-    the operations of ``np.polynomial.polynomial.polyval`` in its order."""
+def _monomial(c: float, k: int):
+    """Evaluator of c x^k as the left-to-right products (c x) x ... x, with
+    no factor c when it is 1; a constant is c + x*0, shaped like x.  For
+    finite x these are the operations of Horner's rule on ascending
+    coefficients (0, ..., 0, c) without its additions of zero."""
+    if k == 0:
+        return lambda x: c + x * 0
 
     def f(x):
-        c0 = c[-1] + x * 0
-        for i in range(2, len(c) + 1):
-            c0 = c[-i] + c0 * x
-        return c0
+        acc = x if c == 1.0 else c * x
+        for _ in range(k - 1):
+            acc = acc * x
+        return acc
 
     return f
 
 
-def _poly_chain(coeffs: Sequence[float]) -> tuple:
-    """Derivative chain for a polynomial given by ascending coefficients."""
-    chain = []
-    c = np.asarray(coeffs, dtype=float)
-    while True:
-        chain.append(_horner(c))
-        if len(c) <= 1:
-            break
-        c = c[1:] * np.arange(1, len(c))
+def _monomial_chain(k: int) -> tuple:
+    """Derivative chain of x^k: the links k!/(k-j)! x^(k-j), then zero."""
+    chain = [_monomial(falling_factorial(k, j), k - j) for j in range(k + 1)]
     chain.append(lambda x: np.zeros_like(np.asarray(x, dtype=float)))
     return tuple(chain)
 
@@ -281,10 +288,10 @@ def _neg(f):
 SMOOTH_CHAINS = {
     "sin": (np.sin, np.cos, _neg(np.sin), _neg(np.cos), np.sin),
     "cos": (np.cos, _neg(np.sin), _neg(np.cos), np.sin, np.cos),
-    "one": _poly_chain([1.0]),
-    "x": _poly_chain([0.0, 1.0]),
-    "x2": _poly_chain([0.0, 0.0, 1.0]),
-    "x4": _poly_chain([0.0, 0.0, 0.0, 0.0, 1.0]),
+    "one": _monomial_chain(0),
+    "x": _monomial_chain(1),
+    "x2": _monomial_chain(2),
+    "x4": _monomial_chain(4),
 }
 
 

@@ -432,6 +432,29 @@ def scale(tf: TestFunction, eps: float) -> TestFunction:
     return _framed(base, a * eps, b * eps, f"S_{eps:g}[{tf.label}]")
 
 
+def shifted_frame(tf: TestFunction, x: float) -> tuple:
+    """The frame, center and radius of ``translate(tf, x)`` without building
+    it: ``((base, a, b), center, radius, same)``.
+
+    ``same`` is the existing function that the translate is, when the shift
+    cancels exactly, else None.  Stacked shifts fold into the frame's
+    offset, a zero net shift gives the untranslated function, and undoing
+    the latest shift gives the very function it was applied to.
+    """
+    shift = float(x)
+    if shift == 0.0:
+        same = tf
+    elif tf._trans_last == -shift:
+        same = tf._trans_prev
+    else:
+        same = tf._trans_base if tf._trans_base is not None else tf
+        base, a, b = tf.frame
+        b = b + shift
+        if b != same.frame[2]:
+            return (base, a, b), base.center * a + b, base.radius * a, None
+    return same.frame, same.center, same.radius, same
+
+
 def translate(tf: TestFunction, x: float) -> TestFunction:
     """tf(. - x), with exact cancellation of opposite translations.
 
@@ -441,18 +464,12 @@ def translate(tf: TestFunction, x: float) -> TestFunction:
     formalism is bit-identical also for members that are themselves
     translates.
     """
-    shift = float(x)
-    if shift == 0.0:
-        return tf
-    if tf._trans_last == -shift:
-        return tf._trans_prev
+    frame, _, _, same = shifted_frame(tf, x)
+    if same is not None:
+        return same
     untranslated = tf._trans_base if tf._trans_base is not None else tf
-    base, a, b = tf.frame
-    b = b + shift
-    if b == untranslated.frame[2]:
-        return untranslated
-    out = _framed(base, a, b, f"T[{untranslated.label}]")
+    out = _framed(*frame, f"T[{untranslated.label}]")
     out._trans_base = untranslated
     out._trans_prev = tf
-    out._trans_last = shift
+    out._trans_last = float(x)
     return out

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gfn_lab import basic_space, distributions
 from gfn_lab.basic_space import (Dj_derivative, ExpExpRepresentative,
                                  FormalismError, PreconditionError,
                                  Representative, d1_derivative, embed_C,
@@ -10,7 +11,7 @@ from gfn_lab.basic_space import (Dj_derivative, ExpExpRepresentative,
                                  translate_formalism)
 from gfn_lab.asymptotics import squared_mass_inner
 from gfn_lab.distributions import (DiracDerivative, Heaviside, SmoothDensity,
-                                   derivative, smooth_density)
+                                   derivative, pair, smooth_density)
 from gfn_lab.testfunc import (Box, DomainError, build_mollifier, moment,
                               scale, tf_lincomb)
 
@@ -61,6 +62,28 @@ class TestEmbedC:
         assert not rep.in_domain(moll0, 1.5)
         with pytest.raises(DomainError):
             rep(moll0, 1.5)
+
+
+class TestTracedPair:
+    def test_counting_wrapper_sees_each_embed_C_pairing_once(self,
+                                                             monkeypatch,
+                                                             moll2_offset):
+        """The benchmark's traced run replaces ``pair`` where it is bound
+        with a wrapper taking (*args, **kwargs) and naming the call by the
+        kind of its first argument; an embedding must pair through it."""
+        rep = embed_C(smooth_density("sin"))
+        phi = scale(moll2_offset, 0.5)
+        before = rep(phi, 0.3)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].kind)
+            return pair(*args, **kwargs)
+
+        monkeypatch.setattr(distributions, "pair", counted)
+        monkeypatch.setattr(basic_space, "pair", counted)
+        assert rep(phi, 0.3) == before
+        assert calls == ["smooth"]
 
 
 class TestEmbedJ:

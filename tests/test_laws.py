@@ -2,9 +2,10 @@
 
 The group laws of translate and scale, their folding into one affine
 frame, the agreement of the frame pairing with the member's own evaluator,
-linearity of the smooth-density pairing, and the bit-identical C/J round
-trip are what the sweeps rely on when they rebuild the same member along
-different operator chains.
+pairing at a shift as pairing with the translate, linearity of the
+smooth-density pairing, and the bit-identical C/J round trip are what
+the sweeps rely on when they rebuild the same member along different
+operator chains.
 Pullback functoriality and the fit's invariance under rescaled values are
 what the transport and order verdicts rely on.
 """
@@ -18,14 +19,17 @@ from hypothesis import assume, example, given, settings, strategies as st
 from gfn_lab.asymptotics import SweepSeries, fit_order
 from gfn_lab.basic_space import embed_C, embed_J, translate_formalism
 from gfn_lab.diffeo import affine_map, compose, pullback_rep
-from gfn_lab.distributions import DiracDerivative, pair, smooth_density
-from gfn_lab.testfunc import (build_mollifier, scale, support_grid,
-                              tf_lincomb, translate)
+from gfn_lab.distributions import (DiracDerivative, Heaviside,
+                                   LinearCombination, PrincipalValue, pair,
+                                   smooth_density)
+from gfn_lab.testfunc import (Box, DomainError, build_mollifier, scale,
+                              support_grid, tf_lincomb, translate)
 
 shifts = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 scales = st.floats(min_value=0.05, max_value=1.0)
 weights = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 proper_scales = st.floats(min_value=0.05, max_value=1.0, exclude_max=True)
+OMEGA = Box.interval(-2.5, 2.5)
 
 
 def members(base, e, t):
@@ -135,6 +139,50 @@ class TestFrames:
         assert base is f and a == e1 * e2 and b == x * e2
         xs = np.linspace(*g.box, 257)
         np.testing.assert_array_equal(g.fn(xs), a**-1 * f.fn((xs - b) / a))
+
+
+def shifted_members(base, combo, e, t, u):
+    """(phi, the shift undoing its latest one, the shift back to its
+    untranslated offset) for a scaled, a translated and a combined phi."""
+    scaled = scale(base, e)
+    twice = translate(translate(scaled, t), u)
+    return [(scaled, None, None),
+            (translate(base, t), -t, -t),
+            (scale(translate(base, t), e), None, None),
+            (translate(scale(combo, e), t), -t, -t),
+            (twice, -u, -twice.frame[2])]
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except DomainError as err:
+        return str(err)
+
+
+class TestPairAtAShift:
+    KINDS = [*(smooth_density(f, omega=OMEGA)
+               for f in ("sin", "x", "x2", "x4")),
+             DiracDerivative(0, omega=OMEGA), DiracDerivative(1, omega=OMEGA),
+             Heaviside(OMEGA), PrincipalValue(OMEGA),
+             LinearCombination([(2.0, smooth_density("x2")),
+                                (-0.5, DiracDerivative(1))], omega=OMEGA)]
+
+    @settings(max_examples=25, deadline=None)
+    @given(e=proper_scales, t=shifts, u=shifts, x=shifts,
+           n=st.sampled_from([1024, 4096]))
+    @example(e=0.5, t=0.25, u=0.5, x=-0.75, n=1024)
+    @example(e=0.3, t=1e-17, u=2.0, x=2.0, n=4096)
+    def test_pair_at_a_shift_is_pair_with_the_translate(self, moll2_offset,
+                                                        moll0, e, t, u, x, n):
+        """pair(w, phi, n, shift=s) is pair(w, translate(phi, s), n) bit for
+        bit, the domain check and the exact cancellations included."""
+        combo = tf_lincomb([0.6, 0.4], [moll2_offset, translate(moll0, -0.2)])
+        for phi, undo, home in shifted_members(moll2_offset, combo, e, t, u):
+            for s in {x, 0.0, undo, home} - {None}:
+                for w in self.KINDS:
+                    assert outcome(lambda: pair(w, phi, n, shift=s)) == \
+                        outcome(lambda: pair(w, translate(phi, s), n))
 
 
 class TestFormalismRoundTrip:

@@ -8,6 +8,8 @@ gather and scatter, and Horner's rule recomputing x - c at every step.
 """
 
 import gc
+import math
+import sys
 import weakref
 
 import numpy as np
@@ -79,8 +81,25 @@ inputs = arrays(np.float64, array_shapes(min_dims=0, max_dims=2, max_side=9),
 lines = arrays(np.float64, array_shapes(min_dims=0, max_dims=1, max_side=9),
                elements=st.one_of(special, st.floats(allow_nan=True,
                                                      allow_infinity=True)))
+# every finite double, the ones whose powers overflow included
+finite_lines = arrays(np.float64,
+                      array_shapes(min_dims=0, max_dims=1, max_side=9),
+                      elements=st.one_of(special.filter(np.isfinite),
+                                         st.floats(allow_nan=False,
+                                                   allow_infinity=False)))
 POLYNOMIALS = {"x": [0.0, 1.0], "x2": [0.0, 0.0, 1.0],
                "x4": [0.0, 0.0, 0.0, 0.0, 1.0]}
+DEGREES = {"one": 0, "x": 1, "x2": 2, "x4": 4}
+
+
+def monomial_reference(c, k, x):
+    """c x^k as the products (c x) x ... x; a constant as c + x*0."""
+    if k == 0:
+        return c + x * 0
+    acc = c * x
+    for _ in range(k - 1):
+        acc = acc * x
+    return acc
 
 
 def assert_same(out, ref):
@@ -103,9 +122,11 @@ class TestEvaluatorsBitIdentical:
         assert_same(m.dfn(x), horner_deriv_reference(m.coeffs, 0.0, 1.0, x))
 
     @settings(max_examples=200, deadline=None)
-    @given(x=lines, name=st.sampled_from(sorted(POLYNOMIALS)))
+    @given(x=finite_lines, name=st.sampled_from(sorted(POLYNOMIALS)))
     def test_poly_chain_matches_polyval(self, x, name):
-        """Every polynomial link of a density's derivative chain."""
+        """Every polynomial link of a density's derivative chain, at every
+        finite input.  Equal as values: polyval's additions of zero turn
+        -0.0 into 0.0, which the products keep."""
         c = np.asarray(POLYNOMIALS[name])
         links = SMOOTH_CHAINS[name][:-1]  # the last link is the zero function
         assert len(links) == len(c)
@@ -113,6 +134,35 @@ class TestEvaluatorsBitIdentical:
             for f in links:
                 assert_same(f(x), np.polynomial.polynomial.polyval(x, c))
                 c = c[1:] * np.arange(1, len(c))
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=lines, name=st.sampled_from(sorted(DEGREES)))
+    def test_poly_chain_links_are_products(self, x, name):
+        """Link j of x^k is k!/(k-j)! x^(k-j) as left-to-right products, bit
+        for bit and at every input; the last link is zero."""
+        k = DEGREES[name]
+        chain = SMOOTH_CHAINS[name]
+        assert len(chain) == k + 2
+        with np.errstate(invalid="ignore", over="ignore"):
+            for j, f in enumerate(chain[:-1]):
+                out = f(x)
+                ref = monomial_reference(math.perm(k, j) * 1.0, k - j, x)
+                assert_same(out, ref)
+                assert np.array_equal(np.signbit(out), np.signbit(ref))
+        assert_same(chain[-1](x), np.zeros_like(x))
+
+    @pytest.mark.parametrize("name", sorted(DEGREES))
+    def test_poly_chain_at_nan_and_inf(self, name):
+        """nan stays nan; +-inf gives the product's infinity, where
+        polyval's c + x*0 start gives nan; a constant link is nan there."""
+        k = DEGREES[name]
+        x = np.array([np.nan, np.inf, -np.inf])
+        with np.errstate(invalid="ignore"):
+            for j, f in enumerate(SMOOTH_CHAINS[name][:-1]):
+                d = k - j
+                want = [np.nan, np.nan, np.nan] if d == 0 else \
+                    [np.nan, np.inf, np.inf if d % 2 == 0 else -np.inf]
+                assert_same(f(x), np.array(want))
 
     @pytest.mark.parametrize("q", range(8))
     def test_support_grid_of_offset_member(self, q):
@@ -159,6 +209,41 @@ class TestSharedSamples:
                          "other": [DEFAULT_NODES + 1]}
         # the gap vanishes on strict A_2 members up to rounding
         assert np.max(tables[0].values) <= 1e-12
+
+    def test_smooth_sweep_pairs_at_a_shift(self, monkeypatch):
+        """embed_C of a smooth density pairs at the probe's shift: a sweep
+        over a full-path member builds no translated function and makes
+        one pair call per point."""
+        translated, paired, built = [], [], []
+
+        def counting(original, log):
+            def wrapper(*args, **kwargs):
+                log.append(args[0])
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for original, log in ((translate, translated), (pair, paired)):
+            attr, wrapper = original.__name__, counting(original, log)
+            for name, mod in list(sys.modules.items()):
+                if name.startswith("gfn_lab") and \
+                        vars(mod).get(attr) is original:
+                    monkeypatch.setattr(mod, attr, wrapper)
+        base = build_mollifier(2, radius=0.9, center=0.1)
+        other = build_mollifier(2, radius=1.1, center=-0.05)
+
+        def member(eps, x):
+            built.append((eps, x))
+            w = 0.5 + 0.4 * np.sin(1.3 * x + 0.2)
+            return tf_lincomb([w, 1.0 - w], [base, other])
+
+        path = TestObjectPath("full_path", member, 2, 1.15, "counted")
+        w = smooth_density("x4")
+        asy.sweep(embed_C(w, omega=OMEGA), path, SMALL)
+        points = len(SMALL.eps) * len(SMALL.K)
+        assert len(built) == points
+        assert translated == []
+        assert paired == [w] * points
 
     def test_square_evaluates_its_factor_once(self):
         """mul(ix, ix) in association: one evaluation per probe, squared."""
