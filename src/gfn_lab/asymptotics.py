@@ -339,6 +339,7 @@ def test_negligible(rep, n_targets: Sequence[int], spec: SweepSpec,
 @dataclass
 class D1FormReport:
     verdicts: list[AsymptoticVerdict]
+    series: list[SweepSeries]
     N: int
     passed: bool
 
@@ -394,16 +395,17 @@ def d1_form_test(rep: Representative, battery: Sequence,
 
         return row
 
-    verdicts = []
+    verdicts, series = [], []
     for path in battery:
         tables = _sup_table(path, spec, directional_row(path(1.0, 0.0)))
         for label, values in zip(labels, tables):
             ser = SweepSeries(f"{path.member_id}|{label}", 0, spec.eps,
                               values, is_log=rep.has_log_channel)
+            series.append(ser)
             verdicts.append(fit_order(ser, spec.fit_window))
     passed = all(v.is_moderate for v in verdicts)
     Ns = [v.moderate_N() for v in verdicts if v.kind != "zero"]
-    return D1FormReport(verdicts, max(Ns) if Ns else 0, passed)
+    return D1FormReport(verdicts, series, max(Ns) if Ns else 0, passed)
 
 
 # ---------------------------------------------------------------------------

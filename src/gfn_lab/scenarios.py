@@ -14,7 +14,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -411,17 +411,22 @@ def _scn_d1_form(cfg: ScenarioConfig, outdir: str):
          ExpExpRepresentative(asy.squared_mass_inner(cfg.quad_n or 1024),
                               omega=om)),
     ]
+    series = []
     for name, rep in catalog:
         d1rep = asy.d1_form_test(rep, static, dirs, 2, spec_d1)
         modrep = asy.test_moderate(rep, full, spec_mod)
         agree = d1rep.passed == modrep.passed
         rows.append((name, "d1-form", d1rep.passed, d1rep.N))
         rows.append((name, "insertion", modrep.passed, modrep.N))
+        series += [replace(ser, member_id=f"{name}|{ser.member_id}")
+                   for ser in d1rep.series + modrep.series]
         _a(records, f"{name}-agreement",
            f"d1={d1rep.passed}/mod={modrep.passed}", "equal", agree)
     p = _write_rows(os.path.join(outdir, "d1-form_verdicts.csv"),
                     ["representative", "test", "moderate", "N"], rows)
-    return records, [p]
+    p_sweep = os.path.join(outdir, "d1-form_sweep.csv")
+    asy.write_sweep_csv(p_sweep, series)
+    return records, [p, p_sweep]
 
 
 def _scn_pullback_functor(cfg: ScenarioConfig, outdir: str):

@@ -208,6 +208,19 @@ class TestD1Form:
         k0 = [v for v in d1rep.verdicts if "|k0" in v.member_id][0]
         assert abs(k0.slope - fit_order(direct, 5).slope) <= 1e-12
 
+    def test_report_series_are_the_fitted_tables(self):
+        """The report carries one table per verdict, in verdict order."""
+        bat = make_battery("static", 0, 2, seed=6)
+        dirs = perturbation_directions(2, seed=5)
+        spec = SweepSpec(i_min=2, i_max=8, K=np.linspace(-1, 1, 5),
+                         alphas=(0,), fit_window=4)
+        rep = d1_form_test(embed_C(DiracDerivative(0), omega=OMEGA), bat,
+                           dirs, 2, spec)
+        assert len(rep.series) == len(rep.verdicts) == 5 * len(bat)
+        for ser, v in zip(rep.series, rep.verdicts, strict=True):
+            assert ser.member_id == v.member_id
+            assert fit_order(ser, 4).slope == v.slope
+
     def test_sigma_higher_terms_vanish(self):
         bat = make_battery("static", 0, 1, seed=6)
         dirs = perturbation_directions(2, seed=5)

@@ -142,3 +142,26 @@ class TestDeterminism:
         assert rows[0] == ["scenario", "assertion", "observed", "threshold",
                           "passed"]
         assert all(r[4] in ("pass", "FAIL") for r in rows[1:])
+
+    def test_d1_form_sweep_holds_both_tables(self, tmp_path):
+        """d1-form writes its d1 and insertion tables in the sweep schema,
+        each member id prefixed by its catalog representative."""
+        cfg = ScenarioConfig("d1-form", eps_max=7, seed=5,
+                             out=str(tmp_path / "d"))
+        res = run_scenario(cfg)
+        names = sorted(os.path.basename(f) for f in res.files)
+        assert names == ["d1-form_summary.csv", "d1-form_sweep.csv",
+                         "d1-form_verdicts.csv"]
+        rows = list(csv.DictReader(open(tmp_path / "d" / "d1-form_sweep.csv")))
+        catalog = ["iota-delta", "iota-H", "iota-sin", "sigma-sin",
+                   "counterexample"]
+        ids = list(dict.fromkeys(r["member_id"] for r in rows))
+        assert [i.split("|")[0] for i in ids] == \
+            [name for name in catalog for _ in range(4 * 5 + 4)]
+        d1 = [i for i in ids if "|k" in i]
+        assert len(d1) == 5 * 4 * 5
+        assert {i.rsplit("|", 1)[1] for i in d1} == \
+            {"k0t0", "k1t0", "k1t1", "k2t0", "k2t1"}
+        alphas = {(r["member_id"], r["alpha"]) for r in rows}
+        assert len(alphas) == 5 * (4 * 5 + 4 * 2)
+        assert len(rows) == len(alphas) * 6  # eps rows 2^-2 .. 2^-7
