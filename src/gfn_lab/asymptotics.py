@@ -20,7 +20,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .basic_space import Representative, d1_derivative, partial_x, pullback_pair_transform
-from .testfunc import DomainError, TestFunction, scale, support_grid
+from .testfunc import (DomainError, TestFunction, _node_count, scale,
+                       support_grid)
 
 LN2 = math.log(2.0)
 
@@ -353,32 +354,49 @@ def d1_form_test(rep: Representative, battery: Sequence,
     static battery, with directions from the zero-mass tangent battery.
     k = 0 reduces to the plain static-battery sweep.  Each member takes one
     eps x K table holding every direction tuple; a representative that does
-    not depend on x is probed once per eps row.
+    not depend on x is probed once per eps row.  The directions are scaled
+    once per eps for the whole battery, and the k >= 1 magnitudes of a
+    linear representative, R(S_eps psi, x) and 0, which no member enters,
+    are computed by the first member to reach each (eps, x).
     """
-    if k_max > 2:
-        raise ValueError("directional order capped at 2")
+    if not 0 <= k_max <= 2:
+        raise ValueError(f"directional order k_max must lie in 0..2, got {k_max}")
+    if k_max and not directions:
+        raise ValueError(f"k_max = {k_max} needs at least one direction")
+    directions = list(directions[:2]) if k_max else []
     # direction tuples as indices into the (at most two) directions used
-    dir_tuples = {0: [()], 1: [(i,) for i in range(len(directions[:2]))],
+    dir_tuples = {0: [()], 1: [(i,) for i in range(len(directions))],
                   2: [(0, 0), (0, 1)] if len(directions) >= 2 else [(0, 0)]}
     labels, index_tuples = zip(*[(f"k{k}t{ti}", idx) for k in range(k_max + 1)
                                  for ti, idx in enumerate(dir_tuples[k])])
+    scaled_at = {float(e): [scale(psi, float(e)) for psi in directions]
+                 for e in spec.eps}
+    shared = {}  # (eps, x) -> k >= 1 magnitudes of a linear representative
 
     def directional_row(phi0):
         def row(eps):
             sphi = scale(phi0, eps)
-            scaled = [scale(psi, eps) for psi in directions[:2]] if k_max else []
+            scaled = scaled_at[eps]
+
+            def magnitude(x, idx):
+                return abs(d1_derivative(rep, sphi, x, [scaled[i] for i in idx]))
 
             def probe(x):
-                if not rep.has_log_channel:
-                    return [abs(d1_derivative(rep, sphi, x,
-                                              [scaled[i] for i in idx]))
+                if rep.has_log_channel:
+                    # one pass over the distinct directions serves every tuple
+                    ival, logs = (rep.log_abs_d1_terms(sphi, x, scaled)
+                                  if scaled else (0.0, []))
+                    return [(rep.log_abs_d1_from_terms(
+                                ival, [logs[i] for i in idx])
+                             if idx else rep.log_abs(sphi, x)) / LN2
                             for idx in index_tuples]
-                # one pass over the distinct directions serves every tuple
-                ival, logs = (rep.log_abs_d1_terms(sphi, x, scaled) if scaled
-                              else (0.0, []))
-                return [(rep.log_abs_d1_from_terms(ival, [logs[i] for i in idx])
-                         if idx else rep.log_abs(sphi, x)) / LN2
-                        for idx in index_tuples]
+                if not rep.linear:
+                    return [magnitude(x, idx) for idx in index_tuples]
+                k0 = magnitude(x, ())
+                if (eps, x) not in shared:
+                    shared[eps, x] = [magnitude(x, idx)
+                                      for idx in index_tuples[1:]]
+                return [k0] + shared[eps, x]
 
             if not rep.x_independent:
                 return probe
@@ -413,10 +431,22 @@ def d1_form_test(rep: Representative, battery: Sequence,
 
 
 def squared_mass_inner(quad_n: Optional[int] = None):
-    """inner(phi, x) = integral of |phi|^2 over the support box."""
+    """inner(phi, x) = integral of |phi|^2 over the support box.
+
+    A dyadic rescale of an untranslated function, frame (base, 2^-i, 0), is
+    integrated over the base's cached samples and multiplied by 2^i.
+    Scaling by a power of two commutes with rounding, so this is the
+    quadrature on the scaled support bit for bit; every other frame is
+    integrated directly.
+    """
+    n = _node_count(quad_n)
 
     def inner(phi: TestFunction, x) -> float:
-        pts, w = support_grid(phi, quad_n)
+        base, a, b = phi.frame
+        if b == 0.0 and a <= 1.0 and math.frexp(a)[0] == 0.5:
+            _, wt, v = base.samples_on(base, n)
+            return float(np.dot(wt, np.abs(v) ** 2)) * a ** -1
+        pts, w = support_grid(phi, n)
         v = phi.fn(pts)
         return float(np.dot(w, np.abs(v) ** 2))
 

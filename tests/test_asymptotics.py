@@ -13,7 +13,7 @@ from gfn_lab.asymptotics import (SweepSeries, SweepSpec,
                                  emit_plotdata, fit_order, sweep,
                                  squared_mass_inner, write_sweep_csv)
 from gfn_lab.basic_space import (ExpExpRepresentative, Representative,
-                                 embed_C, embed_sigma,
+                                 d1_derivative, embed_C, embed_sigma,
                                  pullback_pair_transform, sub)
 from gfn_lab.diffeo import get_diffeo, identity_map, pullback_rep
 from gfn_lab.distributions import DiracDerivative, smooth_density
@@ -343,6 +343,119 @@ class TestD1Form:
         with pytest.raises(DomainError, match=r"eps=0\.25, x=0\.5"):
             d1_form_test(rep, [path], dirs, 2, self.D1_SPEC)
         assert len(calls) == 5
+
+
+class TestD1FormSharedDirections:
+    """A linear representative's k >= 1 magnitudes, R(S_eps psi, x) and 0,
+    do not depend on the member: the battery pairs each direction once per
+    (eps, x), with the same tables as a per-member loop."""
+
+    SPEC = SweepSpec(i_min=2, i_max=7, K=np.linspace(-1, 1, 5),
+                     alphas=(0,), fit_window=4)
+
+    @staticmethod
+    def linear_catalog():
+        from gfn_lab.distributions import Heaviside
+        return [embed_C(DiracDerivative(0), omega=OMEGA),
+                embed_C(Heaviside(), omega=OMEGA),
+                embed_C(smooth_density("sin"), omega=OMEGA)]
+
+    @staticmethod
+    def reference_tables(rep, battery, directions, spec):
+        """d1_derivative per member, per eps, per point and per tuple."""
+        tuples = [(), (0,), (1,), (0, 0), (0, 1)]
+        tables = []
+        for path in battery:
+            phi0 = path(1.0, 0.0)
+            rows = []
+            for e in spec.eps:
+                e = float(e)
+                sphi = scale(phi0, e)
+                scaled = [scale(psi, e) for psi in directions]
+                rows.append([max(abs(d1_derivative(rep, sphi, float(x),
+                                                   [scaled[i] for i in idx]))
+                                 for x in spec.K)
+                             for idx in tuples])
+            tables += [np.asarray(col) for col in zip(*rows)]
+        return tables
+
+    def test_pairings_do_not_grow_with_the_battery(self):
+        dirs = perturbation_directions(2, seed=5)
+        points = len(self.SPEC.eps) * len(self.SPEC.K)
+        for rep in self.linear_catalog():
+            ev = rep.eval_fn
+            bases = []
+
+            def counted(phi, x, ev=ev, bases=bases):
+                bases.append(phi.frame[0])
+                return ev(phi, x)
+
+            rep.eval_fn = counted
+            per_size = []
+            for count in (1, 4):
+                bases.clear()
+                bat = make_battery("static", 0, count, seed=6)
+                d1_form_test(rep, bat, dirs, 2, self.SPEC)
+                on_dirs = [sum(b is d for b in bases) for d in dirs]
+                per_size.append(on_dirs)
+                assert len(bases) - sum(on_dirs) == count * points
+            assert per_size == [[points, points]] * 2
+
+    def test_tables_match_a_per_member_loop(self):
+        bat = make_battery("static", 0, 3, seed=6)
+        dirs = perturbation_directions(2, seed=5)
+        for rep in self.linear_catalog() + [embed_sigma(np.sin, omega=OMEGA)]:
+            got = d1_form_test(rep, bat, dirs, 2, self.SPEC)
+            want = self.reference_tables(rep, bat, dirs, self.SPEC)
+            assert len(got.series) == len(want)
+            for ser, values in zip(got.series, want, strict=True):
+                assert np.array_equal(ser.values, values), ser.member_id
+
+    def test_direction_with_mass_still_raises(self):
+        from gfn_lab.basic_space import PreconditionError
+        from gfn_lab.testfunc import build_mollifier
+        bat = make_battery("static", 0, 2, seed=6)
+        for rep in self.linear_catalog():
+            for k_max in (1, 2):
+                with pytest.raises(PreconditionError, match="mass"):
+                    d1_form_test(rep, bat, [build_mollifier(0, radius=0.8)],
+                                 k_max, self.SPEC)
+
+    def test_second_member_domain_is_checked(self):
+        """Magnitudes shared from the first member do not skip the second
+        member's domain check."""
+
+        class RejectFrom:
+            def contains(self, eps, x):
+                return not (eps == 0.125 and x >= 0.5)
+
+        first, second = make_battery("static", 0, 2, seed=6)
+        second = dataclasses.replace(second, domain=RejectFrom())
+        dirs = perturbation_directions(2, seed=5)
+        for rep in self.linear_catalog():
+            with pytest.raises(DomainError,
+                               match=rf"eps=0\.125, x=0\.5\).*"
+                                     rf"{second.member_id!r}"):
+                d1_form_test(rep, [first, second], dirs, 2, self.SPEC)
+
+    @pytest.mark.parametrize("k_max", [-1, 3])
+    def test_order_outside_range_rejected(self, k_max):
+        bat = make_battery("static", 0, 1, seed=6)
+        dirs = perturbation_directions(2, seed=5)
+        with pytest.raises(ValueError, match="0..2"):
+            d1_form_test(embed_C(DiracDerivative(0), omega=OMEGA), bat, dirs,
+                         k_max, self.SPEC)
+
+    @pytest.mark.parametrize("k_max", [1, 2])
+    def test_directional_order_without_directions_rejected(self, k_max):
+        bat = make_battery("static", 0, 1, seed=6)
+        for rep in (embed_C(DiracDerivative(0), omega=OMEGA),
+                    ExpExpRepresentative(squared_mass_inner(1024),
+                                         omega=OMEGA)):
+            with pytest.raises(ValueError, match="direction"):
+                d1_form_test(rep, bat, [], k_max, self.SPEC)
+        d1_form_test(embed_C(DiracDerivative(0), omega=OMEGA), bat, [], 0,
+                     self.SPEC)
 
 
 class TestVerdictInvariance:

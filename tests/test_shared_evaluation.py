@@ -7,6 +7,7 @@ expressions below are the straightforward forms: the masked bump with a
 gather and scatter, and Horner's rule recomputing x - c at every step.
 """
 
+import dataclasses
 import gc
 import math
 import sys
@@ -19,11 +20,12 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from gfn_lab import asymptotics as asy
 from gfn_lab.asymptotics import SweepSpec
-from gfn_lab.basic_space import (Representative, embed_C, embed_sigma,
-                                 mul, sub)
+from gfn_lab.basic_space import (ExpExpRepresentative, Representative,
+                                 embed_C, embed_sigma, mul, sub)
 from gfn_lab.distributions import (SMOOTH_CHAINS, DiracDerivative, pair,
                                    smooth_density)
-from gfn_lab.test_objects import TestObjectPath, make_battery
+from gfn_lab.test_objects import (TestObjectPath, make_battery,
+                                  perturbation_directions)
 from gfn_lab.testfunc import (DEFAULT_NODES, Box, build_mollifier, bump,
                               bump_deriv, scale, support_grid, tf_lincomb,
                               translate)
@@ -401,3 +403,88 @@ class TestSharedMembers:
         assert [e.witness_q for e in shared[0].entries.values()] == [0, 1]
         assert [e.witness_q for e in shared[1].entries.values()] == [None, None]
         assert len(shared_calls) == len(alone_calls)
+
+
+def squared_mass_direct(phi, n):
+    """The quadrature of |phi|^2 on phi's own support grid."""
+    pts, w = support_grid(phi, n)
+    return float(np.dot(w, np.abs(phi.fn(pts)) ** 2))
+
+
+class TestSquaredMassFromSamples:
+    """The squared-mass inner reads a dyadic rescale of an untranslated
+    function from the base's cached samples, bit for bit the quadrature on
+    the scaled support; every other frame is integrated directly."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(i=st.integers(0, 20),
+           kind=st.sampled_from(["mollifier", "perturbed", "scaled-perturbed",
+                                 "full-path"]),
+           q=st.integers(0, 4), radius=st.floats(0.3, 1.2),
+           center=st.floats(-0.3, 0.3), t=st.floats(-1e-3, 1e-3),
+           x=st.floats(-1.0, 1.0), seed=st.integers(0, 50),
+           n=st.sampled_from([None, 64, 1024, 2048]))
+    def test_dyadic_scale_equals_direct_quadrature(self, i, kind, q, radius,
+                                                   center, t, x, seed, n):
+        eps = 2.0 ** -i
+        moll = build_mollifier(q, radius=radius, center=center)
+        psi = perturbation_directions(1, seed)[0]
+        if kind == "mollifier":
+            phi = scale(moll, eps)
+        elif kind == "perturbed":  # d_1's phi + t psi, both scaled
+            phi = tf_lincomb([1.0, t], [scale(moll, eps), scale(psi, eps)])
+        elif kind == "scaled-perturbed":
+            phi = scale(tf_lincomb([1.0, t], [moll, psi]), eps)
+        else:
+            phi = scale(make_battery("full_path", q, 1, seed)[0](eps, x), eps)
+        base, a, b = phi.frame
+        assert (a, b) in ((eps, 0.0), (1.0, 0.0))
+        got = asy.squared_mass_inner(n)(phi, x)
+        assert base._cache["grid"][0] == \
+            (base.center, base.radius, n or DEFAULT_NODES)
+        assert got == squared_mass_direct(phi, n or DEFAULT_NODES)
+
+    def test_other_frames_are_integrated_directly(self):
+        from gfn_lab.basic_space import pullback_pair_transform
+        from gfn_lab.diffeo import get_diffeo
+
+        moll = build_mollifier(2, radius=0.9, center=0.1)
+        chi, _ = pullback_pair_transform(get_diffeo("sin-bend", OMEGA))(
+            scale(moll, 0.25), 0.4)
+        for phi in (translate(scale(moll, 0.25), 0.3), scale(moll, 0.3),
+                    scale(moll, 0.75), scale(translate(moll, 0.2), 0.5),
+                    chi):
+            base = phi.frame[0]
+            read = []
+            base.samples_on = lambda *args, read=read: read.append(args)
+            assert asy.squared_mass_inner(1024)(phi, 0.0) == \
+                squared_mass_direct(phi, 1024)
+            assert read == []
+            del base.samples_on
+
+    def test_full_path_terms_once_across_log_abs_dx_rows(self):
+        """The counterexample's first x-derivative sweeps a full-path member
+        built again at every stencil point; each term is evaluated once."""
+        calls = {"base": [], "other": []}
+
+        def counted(tf, tag):
+            inner = tf.fn
+
+            def fn(p):
+                calls[tag].append(np.size(p))
+                return inner(p)
+
+            tf.fn = fn
+            return tf
+
+        base = counted(build_mollifier(0, radius=0.9, center=0.1), "base")
+        other = counted(build_mollifier(0, radius=1.1, center=-0.05), "other")
+
+        def member(eps, x):
+            w = 0.5 + 0.4 * np.sin(1.3 * x + 0.2)
+            return tf_lincomb([w, 1.0 - w], [base, other])
+
+        path = TestObjectPath("full_path", member, 0, 1.15, "counted")
+        rep = ExpExpRepresentative(asy.squared_mass_inner(1024), omega=OMEGA)
+        asy.sweep(rep, path, dataclasses.replace(SMALL, alphas=(1,)))
+        assert calls == {"base": [1025], "other": [1025]}
