@@ -143,35 +143,39 @@ def pair(w: Distribution, psi: TestFunction, n: Optional[int] = None,
     the frame (base, a, b) of the translate from ``shifted_frame`` and
     builds no translated function: it integrates over the support grid xi
     of the base, against the base's cached samples (trapezoid),
-    <f, psi(. - shift)> = sum_j w_j f(a xi_j + b) base(xi_j).  Every other
-    kind pairs with ``translate(psi, shift)``.  Dirac derivatives use
+    <f, psi(. - shift)> = sum_j w_j f(a xi_j + b) base(xi_j).  A Dirac of
+    order 0 at a point off the translate's support box, and a Heaviside
+    whose box lies in x <= 0, pair to +0.0 without building the translate:
+    ``TestFunction`` is exactly zero outside that box, so only the sign of
+    a zero can differ.  Every other case pairs with the translate (the
+    function itself when the shift cancels).  Dirac derivatives use
     Richardson-extrapolated central differences on the exact evaluator; the
     half-line integrals for Heaviside and vp(1/x) use composite Simpson,
     since their integrands are not flat at the cut point.
     """
     if n is None:
         n = DEFAULT_NODES
+    (base, a, b), center, radius, same = shifted_frame(psi, shift)
+    _check_domain(w, center, radius)
 
     if w.kind == "smooth":
-        (base, a, b), center, radius, _ = shifted_frame(psi, shift)
-        _check_domain(w, center, radius)
         xi, wt, samples = base.samples_on(base, n)
         vals = w.f(a * xi + b) * samples
         out = np.dot(wt, vals)
         return complex(out) if np.iscomplexobj(vals) else float(out)
 
-    psi = translate(psi, shift)
-    _check_domain(w, psi.center, psi.radius)
+    if (w.kind == "dirac" and w.order == 0
+            and abs(w.position - center) > radius) or \
+            (w.kind == "heaviside" and center + radius <= 0.0):
+        return 0.0
+    psi = same if same is not None else translate(psi, shift)
 
     if w.kind == "dirac":
         sign = -1.0 if w.order % 2 else 1.0
         return sign * _psi_derivative_at(psi, w.position, w.order)
 
     if w.kind == "heaviside":
-        a, b = psi.box
-        if b <= 0.0:
-            return 0.0
-        a = max(0.0, a)
+        a, b = max(0.0, center - radius), center + radius
         t = np.linspace(a, b, n + 1)
         return _simpson(psi.fn(t), (b - a) / n)
 

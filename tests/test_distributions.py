@@ -112,6 +112,22 @@ class TestDomain:
         w = SmoothDensity(np.sin, omega=Box.interval(-2.0, 2.0))
         pair(w, translate(moll0, 0.5))
 
+    def test_missed_dirac_still_checks_the_domain(self, moll0):
+        """The point misses the support, but the support escapes the open
+        set: the domain check comes before the zero."""
+        w = DiracDerivative(0, -1.9, omega=Box.interval(-2.0, 2.0))
+        with pytest.raises(DomainError):
+            pair(w, translate(moll0, 1.5))
+        with pytest.raises(DomainError):
+            pair(w, moll0, shift=1.5)
+
+    def test_heaviside_left_of_zero_still_checks_the_domain(self, moll0):
+        w = Heaviside(Box.interval(-2.0, 2.0))
+        with pytest.raises(DomainError):
+            pair(w, translate(moll0, -1.5))
+        with pytest.raises(DomainError):
+            pair(w, moll0, shift=-1.5)
+
 
 class TestClassicalPullback:
     def test_identity_is_plain_pair(self, moll2_offset):

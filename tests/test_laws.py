@@ -10,6 +10,7 @@ Pullback functoriality and the fit's invariance under rescaled values are
 what the transport and order verdicts rely on.
 """
 
+import math
 import weakref
 
 import numpy as np
@@ -30,6 +31,9 @@ scales = st.floats(min_value=0.05, max_value=1.0)
 weights = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 proper_scales = st.floats(min_value=0.05, max_value=1.0, exclude_max=True)
 OMEGA = Box.interval(-2.5, 2.5)
+# shifts x at which translate(scale(moll2_offset, 0.75), x) has its box edge
+# exactly on a pairing's point: 0.3 on the left edge, 0 on the right
+EDGE_X, ZERO_EDGE_X = 0.9375, -0.8625
 
 
 def members(base, e, t):
@@ -183,6 +187,53 @@ class TestPairAtAShift:
                 for w in self.KINDS:
                     assert outcome(lambda: pair(w, phi, n, shift=s)) == \
                         outcome(lambda: pair(w, translate(phi, s), n))
+
+    @settings(max_examples=25, deadline=None)
+    @given(e=proper_scales, t=shifts, u=shifts, x=shifts,
+           n=st.sampled_from([1024, 4096]))
+    @example(e=0.75, t=0.25, u=0.5, x=EDGE_X, n=1024)
+    @example(e=0.75, t=0.25, u=0.5, x=np.nextafter(EDGE_X, 2.0), n=1024)
+    @example(e=0.75, t=0.25, u=0.5, x=np.nextafter(EDGE_X, -2.0), n=1024)
+    @example(e=0.75, t=0.25, u=0.5, x=ZERO_EDGE_X, n=4096)
+    @example(e=0.75, t=0.25, u=0.5, x=np.nextafter(ZERO_EDGE_X, 2.0), n=4096)
+    @example(e=0.75, t=0.25, u=0.5, x=np.nextafter(ZERO_EDGE_X, -2.0),
+             n=4096)
+    def test_point_and_half_line_pairings_are_the_direct_values(
+            self, moll2_offset, moll0, e, t, u, x, n):
+        """A point value or half-line integral at a shift is the value it
+        stands for, computed on the translate without ``pair``; where the
+        support box misses the point or the half-line it is +0.0."""
+        combo = tf_lincomb([0.6, 0.4], [moll2_offset, translate(moll0, -0.2)])
+        for phi, undo, home in shifted_members(moll2_offset, combo, e, t, u):
+            for s in {x, 0.0, undo, home} - {None}:
+                psi = translate(phi, s)
+                if not OMEGA.contains_ball(psi.center, psi.radius):
+                    continue  # DomainError, checked by the law above
+                lo, hi = psi.box
+                for p in (0.0, 0.3):
+                    got = pair(DiracDerivative(0, p, omega=OMEGA), phi, n,
+                               shift=s)
+                    assert got == psi(p)
+                    if abs(p - psi.center) > psi.radius:
+                        assert math.copysign(1.0, got) == 1.0
+                # composite Simpson on [max(0, lo), hi]; a box in x <= 0
+                # gives a sum of zeros
+                a = max(0.0, lo)
+                v = psi.fn(np.linspace(a, hi, n + 1))
+                simpson = (hi - a) / n / 3.0 * (
+                    v[0] + v[-1] + 4.0 * v[1:-1:2].sum()
+                    + 2.0 * v[2:-1:2].sum())
+                got = pair(Heaviside(OMEGA), phi, n, shift=s)
+                assert got == simpson
+                if hi <= 0.0:
+                    assert math.copysign(1.0, got) == 1.0
+
+    def test_edge_examples_sit_on_the_edge(self, moll2_offset):
+        left = translate(scale(moll2_offset, 0.75), EDGE_X)
+        right = translate(scale(moll2_offset, 0.75), ZERO_EDGE_X)
+        assert left.center - 0.3 == left.radius
+        assert right.center + right.radius == 0.0
+        assert abs(0.0 - right.center) == right.radius
 
 
 class TestFormalismRoundTrip:

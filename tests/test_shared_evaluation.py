@@ -217,20 +217,8 @@ class TestSharedSamples:
         over a full-path member builds no translated function and makes
         one pair call per point."""
         translated, paired, built = [], [], []
-
-        def counting(original, log):
-            def wrapper(*args, **kwargs):
-                log.append(args[0])
-                return original(*args, **kwargs)
-
-            return wrapper
-
-        for original, log in ((translate, translated), (pair, paired)):
-            attr, wrapper = original.__name__, counting(original, log)
-            for name, mod in list(sys.modules.items()):
-                if name.startswith("gfn_lab") and \
-                        vars(mod).get(attr) is original:
-                    monkeypatch.setattr(mod, attr, wrapper)
+        count_calls(monkeypatch, translate, translated)
+        count_calls(monkeypatch, pair, paired)
         base = build_mollifier(2, radius=0.9, center=0.1)
         other = build_mollifier(2, radius=1.1, center=-0.05)
 
@@ -245,7 +233,40 @@ class TestSharedSamples:
         points = len(SMALL.eps) * len(SMALL.K)
         assert len(built) == points
         assert translated == []
-        assert paired == [w] * points
+        assert [args[0] for args in paired] == [w] * points
+
+    def test_missed_dirac_evaluates_and_translates_nothing(self,
+                                                         monkeypatch):
+        """embed_C of delta over a full-path member: the terms are evaluated,
+        and a translate is built, only at points whose shifted box holds 0;
+        elsewhere the pairing is +0.0."""
+        spec = dataclasses.replace(SMALL, K=np.linspace(-1, 1, 9))
+        base = build_mollifier(2, radius=0.9, center=0.1)
+        other = build_mollifier(2, radius=1.1, center=-0.05)
+
+        def member(eps, x):
+            w = 0.5 + 0.4 * np.sin(1.3 * x + 0.2)
+            return tf_lincomb([w, 1.0 - w], [base, other])
+
+        hits = []
+        for eps in spec.eps:
+            for x in spec.K:
+                lo, hi = translate(scale(member(eps, x), eps), x).box
+                if lo <= 0.0 <= hi:
+                    hits.append((eps, x))
+        assert 0 < len(hits) < len(spec.eps) * len(spec.K)
+        evaluated, translated = [], []
+        for tf in (base, other):
+            inner = tf.fn
+            tf.fn = lambda p, inner=inner: evaluated.append(p) or inner(p)
+        count_calls(monkeypatch, translate, translated)
+        path = TestObjectPath("full_path", member, 2, 1.15, "counted")
+        tables = asy.sweep(embed_C(DiracDerivative(0), omega=OMEGA), path,
+                           spec)
+        assert len(evaluated) == 2 * len(hits)
+        assert [x for _, x in hits if x != 0.0] == \
+            [args[1] for args in translated]
+        assert np.all(tables[0].values > 0.0)
 
     def test_square_evaluates_its_factor_once(self):
         """mul(ix, ix) in association: one evaluation per probe, squared."""
@@ -336,6 +357,19 @@ def defects():
     return tuple(sub(embed_C(smooth_density(f), omega=OMEGA),
                      embed_sigma(smooth_density(f).f, omega=OMEGA))
                  for f in ("sin", "x4"))
+
+
+def count_calls(monkeypatch, original, log):
+    """Replace ``original`` at every gfn_lab binding site by a wrapper that
+    appends the tuple of its positional arguments to ``log``."""
+    def wrapper(*args, **kwargs):
+        log.append(args)
+        return original(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("gfn_lab") and \
+                vars(mod).get(original.__name__) is original:
+            monkeypatch.setattr(mod, original.__name__, wrapper)
 
 
 SMALL = SweepSpec(i_min=2, i_max=7, K=np.linspace(-1, 1, 5), alphas=(0,),
