@@ -204,13 +204,18 @@ def fit_order(series: SweepSeries, fit_window: Optional[int] = None,
     """Least-squares slope of the log-log table over the fit window.
 
     Zero and underflowing rows count as order +infinity (negligible at
-    machine level) and are flagged.  Local slopes whose magnitudes increase
-    strictly and substantially across the window mark super-polynomial
-    behavior.
+    machine level) and are flagged, as are log entries of -inf; a NaN or
+    +inf entry in the window raises ``FloatingPointError``.  Local slopes
+    whose magnitudes increase strictly and substantially across the window
+    mark super-polynomial behavior.
     """
     w = fit_window or max(4, len(series.eps) // 2)
     eps = series.eps[-w:]
     raw = series.values[-w:]
+    for e, v in zip(eps, raw):
+        if np.isnan(v) or v == math.inf:
+            raise FloatingPointError(
+                f"{series.member_id}: entry {v} at eps={e:g} cannot be fitted")
     le = np.log2(eps)
     if series.is_log:
         lv = raw.astype(float)

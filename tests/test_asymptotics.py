@@ -68,6 +68,29 @@ class TestFitOrder:
         assert fit_order(series_from(EPS**0.1), 6).moderate_N() == 0
         assert fit_order(series_from(EPS**-2.5), 6).moderate_N() == 3
 
+    def test_log_table_with_inf_raises(self):
+        """A blow-up is not a zero: +inf in the log channel names its eps."""
+        log2_vals = np.log2(EPS**-1)
+        log2_vals[-3:] = math.inf
+        with pytest.raises(FloatingPointError,
+                           match=rf"synthetic.*eps={EPS[-3]:g}"):
+            fit_order(series_from(log2_vals, is_log=True), fit_window=6)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_value_table_with_inf_or_nan_raises(self, bad):
+        vals = EPS**-1
+        vals[-2] = bad
+        with pytest.raises(FloatingPointError,
+                           match=rf"synthetic.*eps={EPS[-2]:g}"):
+            fit_order(series_from(vals), fit_window=6)
+
+    def test_log_minus_inf_counts_as_zero(self):
+        log2_vals = np.log2(EPS**2)
+        log2_vals[-2:] = -math.inf
+        v = fit_order(series_from(log2_vals, is_log=True), fit_window=6)
+        assert v.n_zero == 2 and v.kind == "power"
+        assert v.slope == pytest.approx(2.0, abs=1e-12)
+
 
 class TestSweep:
     def test_delta_table_rows(self, moll2_offset):
