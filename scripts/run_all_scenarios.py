@@ -2,7 +2,7 @@
 """Run every named scenario and collect the verdicts.
 
 Usage:
-    python scripts/run_all_scenarios.py [--out DIR] [--seed N]
+    python scripts/run_all_scenarios.py [--out DIR] [--seed N | --seeds A-B]
 
 Writes each scenario's CSVs under DIR/<scenario>/ and prints a one-line
 verdict per scenario on standard output, ending in the first 16 hex digits
@@ -13,6 +13,10 @@ two checkouts at the same seed differs exactly when their CSVs do:
     python scripts/run_all_scenarios.py --out a > a.txt   # one checkout
     python scripts/run_all_scenarios.py --out b > b.txt   # the other
     diff a.txt b.txt
+
+``--seeds A-B`` runs every seed from A to B inclusive, writes under
+DIR/seed<S>/<scenario>/ and starts each scenario's lines with ``seed=<S> ``,
+so one run per checkout and one diff compare a whole seed range.
 
 Exits nonzero if any scenario assertion failed.
 """
@@ -40,29 +44,55 @@ def csv_digest(files) -> str:
     return h.hexdigest()[:16]
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--out", default="out")
-    ap.add_argument("--seed", type=int, default=7)
-    args = ap.parse_args()
+def seed_range(text: str) -> range:
+    """``A-B`` as the inclusive range of seeds A..B."""
+    try:
+        a, b = (int(v) for v in text.split("-"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected A-B, got {text!r}")
+    if b < a:
+        raise argparse.ArgumentTypeError(f"empty seed range {text!r}")
+    return range(a, b + 1)
 
+
+def run_seed(seed: int, out: str, tag: str) -> list:
+    """Run every scenario at ``seed`` under ``out``, printing one verdict
+    line per scenario that starts with ``tag``; the failed scenarios."""
     failures = []
     for name in SCENARIO_NAMES:
-        cfg = ScenarioConfig(name, seed=args.seed,
-                             out=os.path.join(args.out, name))
+        cfg = ScenarioConfig(name, seed=seed, out=os.path.join(out, name))
         t0 = time.time()
         res = run_scenario(cfg)
         n_ok = sum(a.passed for a in res.assertions)
-        print(f"{name:20s} {'PASS' if res.passed else 'FAIL':4s} "
+        print(f"{tag}{name:20s} {'PASS' if res.passed else 'FAIL':4s} "
               f"{n_ok}/{len(res.assertions)} assertions "
               f"({len(res.files)} files) sha256 {csv_digest(res.files)}",
               flush=True)
-        print(f"{name:20s} {time.time() - t0:5.1f}s", file=sys.stderr)
+        print(f"{tag}{name:20s} {time.time() - t0:5.1f}s", file=sys.stderr)
         if not res.passed:
-            failures.append(name)
+            failures.append(f"{tag}{name}")
             for a in res.assertions:
                 if not a.passed:
-                    print(f"    FAIL {a.name}: {a.observed} (want {a.threshold})")
+                    print(f"{tag}    FAIL {a.name}: {a.observed} "
+                          f"(want {a.threshold})")
+    return failures
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser()
+    ap.add_argument("--out", default="out")
+    which = ap.add_mutually_exclusive_group()
+    which.add_argument("--seed", type=int, default=7)
+    which.add_argument("--seeds", type=seed_range, metavar="A-B")
+    args = ap.parse_args()
+
+    if args.seeds is None:
+        failures = run_seed(args.seed, args.out, "")
+    else:
+        failures = []
+        for seed in args.seeds:
+            failures += run_seed(seed, os.path.join(args.out, f"seed{seed}"),
+                                 f"seed={seed} ")
     if failures:
         print(f"\nfailed scenarios: {', '.join(failures)}")
         return 1

@@ -107,7 +107,21 @@ class TestCliSurface:
                              cwd=tmp_path, env=env, capture_output=True,
                              text=True, timeout=60)
         assert res.returncode == 0, res.stderr
-        assert "--seed" in res.stdout
+        assert "--seed" in res.stdout and "--seeds A-B" in res.stdout
+
+    @pytest.mark.parametrize("args, message", [
+        (["--seed", "3", "--seeds", "1-2"], "not allowed with"),
+        (["--seeds", "3-1"], "empty seed range"),
+        (["--seeds", "7"], "expected A-B")])
+    def test_run_all_scenarios_rejects_bad_seeds(self, tmp_path, args,
+                                                 message):
+        script = Path(__file__).resolve().parent.parent / "scripts" / \
+            "run_all_scenarios.py"
+        res = subprocess.run([sys.executable, str(script), *args,
+                              "--out", str(tmp_path / "o")],
+                             capture_output=True, text=True, timeout=60)
+        assert res.returncode == 2 and message in res.stderr
+        assert not (tmp_path / "o").exists()
 
     def test_scenario_names_all_registered(self):
         from gfn_lab.scenarios import _SCENARIOS
