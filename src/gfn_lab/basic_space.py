@@ -24,6 +24,10 @@ from .testfunc import (TAU_M, Box, DomainError, TestFunction, scale,
                        tf_lincomb, translate)
 
 
+#: d_1 central-difference step, in units of sup |phi| / sup |psi|
+D1_REL_STEP = 1e-4
+
+
 class FormalismError(ValueError):
     """Mixed C/J operands where a single formalism is required."""
 
@@ -94,9 +98,9 @@ class Representative:
 class ExpExpRepresentative(Representative):
     """R(phi, x) = exp(i exp(I(phi, x))) for a real inner functional I.
 
-    The plain value overflows the moment I exceeds ~700, so all asymptotic
-    work runs through the log-magnitude channel: |R| = 1 identically, and
-    the magnitudes of x- or phi-derivatives are I + log |dI|.
+    The plain value overflows once I exceeds ~700 and then raises, so all
+    asymptotic work runs through the log-magnitude channel: |R| = 1
+    identically, and the magnitudes of x- or phi-derivatives are I + log |dI|.
     """
 
     has_log_channel = True
@@ -110,7 +114,8 @@ class ExpExpRepresentative(Representative):
         def ev(phi, x):
             ival = inner(phi, x)
             if ival > 700.0:
-                return complex(np.nan, np.nan)
+                raise FloatingPointError(
+                    f"exp(I) overflows at I = {ival:.6g}; use the log channel")
             return complex(np.exp(1j * np.exp(ival)))
 
         super().__init__(ev, formalism=formalism, linear=False, omega=omega,
@@ -135,14 +140,14 @@ class ExpExpRepresentative(Representative):
             return -np.inf
         return ival + float(np.log(abs(di)))
 
-    def log_abs_d1_terms(self, phi: TestFunction, x, directions,
-                         rel_step: float = 1e-4):
+    def log_abs_d1_terms(self, phi: TestFunction, x, directions):
         """I(phi, x), and log |d_1 I(psi)| for each direction psi, with d_1 I
         by central differences; -inf where the difference is exactly 0."""
         ival = self.inner(phi, x)
         logs = []
         for psi in directions:
-            t = rel_step * max(phi.sup_abs(), 1e-30) / max(psi.sup_abs(), 1e-30)
+            t = (D1_REL_STEP * max(phi.sup_abs(), 1e-30)
+                 / max(psi.sup_abs(), 1e-30))
             up = self.inner(tf_lincomb([1.0, t], [phi, psi]), x)
             dn = self.inner(tf_lincomb([1.0, -t], [phi, psi]), x)
             di = (up - dn) / (2.0 * t)
@@ -159,14 +164,13 @@ class ExpExpRepresentative(Representative):
             acc += lg
         return acc
 
-    def log_abs_d1(self, phi: TestFunction, x, directions,
-                   rel_step: float = 1e-4) -> float:
+    def log_abs_d1(self, phi: TestFunction, x, directions) -> float:
         """log |d_1^k R(phi,x)(psi_1..psi_k)| ~ k I + sum log |d_1 I(psi_j)|.
 
         Exact up to O(e^{-I}) corrections, which is the regime of interest.
         """
         return self.log_abs_d1_from_terms(
-            *self.log_abs_d1_terms(phi, x, directions, rel_step))
+            *self.log_abs_d1_terms(phi, x, directions))
 
     def compose_pullback(self, transform, omega_src, name: str = ""):
         base_inner = self.inner
@@ -339,12 +343,11 @@ def partial_x(rep: Representative, alpha: int, phi: Optional[TestFunction],
     return numdiff.central_difference(section, x, alpha, h)
 
 
-def d1_derivative(rep: Representative, phi: TestFunction, x, directions,
-                  rel_step: float = 1e-4, mass_tol: float = TAU_M):
+def d1_derivative(rep: Representative, phi: TestFunction, x, directions):
     """Iterated directional derivative in the test-function slot.
 
-    Directions must have vanishing integral (the tangent space of the
-    unit-mass constraint).  Linear representatives take the exact path:
+    Directions must have vanishing integral, up to ``TAU_M`` (the tangent
+    space of the unit-mass constraint).  Linear representatives take the exact path:
     first order returns rep(psi, x), second and higher vanish.
     """
     k = len(directions)
@@ -353,7 +356,7 @@ def d1_derivative(rep: Representative, phi: TestFunction, x, directions,
     if k > 2:
         raise ValueError("directional derivatives implemented up to order 2")
     for psi in directions:
-        if abs(psi.mass()) > mass_tol:
+        if abs(psi.mass()) > TAU_M:
             raise PreconditionError(
                 f"direction has mass {psi.mass():.3e}, not in the zero-mass tangent")
 
@@ -363,7 +366,7 @@ def d1_derivative(rep: Representative, phi: TestFunction, x, directions,
         return 0.0
 
     sup_phi = max(phi.sup_abs(), 1e-30)
-    steps = [rel_step * sup_phi / max(psi.sup_abs(), 1e-30)
+    steps = [D1_REL_STEP * sup_phi / max(psi.sup_abs(), 1e-30)
              for psi in directions]
     if k == 1:
         t = steps[0]

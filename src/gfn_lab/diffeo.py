@@ -9,7 +9,7 @@ domains, and a small catalog of one-dimensional maps used by scenarios.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -17,7 +17,15 @@ from .basic_space import FormalismError, Representative, pullback_pair_transform
 from .test_objects import TestObjectPath
 from .testfunc import Box, DomainError, TestFunction
 
+#: smallest eps0 the registration of a compact set searches down to
 EPS0_CAP = 2.0**-20
+
+#: samples and safety factor of the Lipschitz bound on a forward map
+LIP_SAMPLES = 256
+LIP_SAFETY = 1.1
+
+#: xi samples per member when bounding xi-derivatives in check_Z_requirements
+Z_XI_SAMPLES = 161
 
 #: a Newton inverse has converged once a step moves the iterates by at most
 #: a few ulps of (1 + max |x|); it raises after NEWTON_MAX_ITER steps
@@ -67,24 +75,23 @@ class Diffeomorphism:
                               omega_dst=self.omega_src,
                               is_identity=self.is_identity)
 
-    def lipschitz_forward(self, lo: float, hi: float, n: int = 256,
-                          safety: float = 1.1) -> float:
+    def lipschitz_forward(self, lo: float, hi: float) -> float:
         """Sampled bound on sup |mu'| over [lo, hi].
 
         |mu'(x)| = 1/|D mu^{-1}(mu(x))|, so the derivative of the inverse is
-        sampled on the image interval and the reciprocal of its smallest
-        magnitude is inflated by the safety factor.
+        sampled at LIP_SAMPLES points of the image interval and the
+        reciprocal of its smallest magnitude is inflated by LIP_SAFETY.
         """
         if self.is_identity:
             return 1.0
         a = float(self.forward(float(lo)))
         b = float(self.forward(float(hi)))
-        ys = np.linspace(min(a, b), max(a, b), n)
+        ys = np.linspace(min(a, b), max(a, b), LIP_SAMPLES)
         dinv = np.abs(np.asarray(self.det_d_inverse(ys), dtype=float))
         m = float(np.min(dinv))
         if m <= 0.0 or not np.isfinite(m):
             raise ValueError(f"{self.name}: inverse derivative vanishes on the region")
-        return safety / m
+        return LIP_SAFETY / m
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +233,7 @@ def pullback_rep(mu: Diffeomorphism, rep: Representative,
 
 
 class PartialDomain:
-    """Admissible subset D of (0,1] x Omega with per-compact eps0 records.
+    """Admissible subset D of (0,1] x Omega.
 
     Admissibility is monotone downward in eps (supports shrink), which the
     registration search relies on and spot-checks.
@@ -236,61 +243,44 @@ class PartialDomain:
                  label: str = ""):
         self._contains = contains_fn
         self.label = label
-        self.eps0_records: dict = {}
-
-    @staticmethod
-    def everywhere() -> "PartialDomain":
-        return PartialDomain(lambda eps, x: True, label="full")
 
     def contains(self, eps: float, x: float) -> bool:
         if not 0.0 < eps <= 1.0:
             return False
         return bool(self._contains(float(eps), float(x)))
 
-    def register_compact(self, grid, key: Optional[str] = None,
-                         cap: float = EPS0_CAP) -> float:
-        """Largest eps0 = 2^-m such that (0, eps0] x grid is admissible."""
+    def register_compact(self, grid) -> float:
+        """Largest eps0 = 2^-m >= EPS0_CAP with (0, eps0] x grid admissible."""
         grid = np.asarray(grid, dtype=float)
-        key = key or f"L[{grid.min():g},{grid.max():g}]#{len(grid)}"
         eps = 1.0
-        while eps >= cap:
+        while eps >= EPS0_CAP:
             if all(self.contains(eps, float(x)) for x in grid):
                 # spot-check monotonicity at two smaller scales
                 for sub in (0.5 * eps, 0.25 * eps):
                     if not all(self.contains(sub, float(x)) for x in grid):
                         raise DomainError(
                             f"admissibility not monotone below eps={eps:g}")
-                self.eps0_records[key] = (grid, eps)
                 return eps
             eps *= 0.5
-        raise DomainError(f"no admissible eps0 above {cap:g} for {key}")
+        raise DomainError(f"no admissible eps0 above {EPS0_CAP:g} for "
+                          f"L[{grid.min():g},{grid.max():g}]#{len(grid)}")
 
 
-def transform_test_object(mu: Diffeomorphism, path: TestObjectPath,
-                          compacts: Sequence = (), safety: float = 1.1,
-                          lip_region: Optional[tuple] = None):
-    """Transformed test object of a source path, with its partial domain.
+def transform_test_object(mu: Diffeomorphism,
+                          path: TestObjectPath) -> TestObjectPath:
+    """Transformed test object of a source path, on its partial domain.
 
         phi(eps, x)(xi) = phi~(eps, mu^{-1} x)((mu^{-1}(eps xi + x) - mu^{-1} x)/eps)
                           * |det D mu^{-1}(eps xi + x)|
 
-    Returns (path, domain); each requested compact grid gets an eps0
-    registered by geometric halving.  The identity map returns the source
-    path itself on a full domain.
+    The returned path carries the partial domain as ``domain``; its
+    ``register_compact`` gives the eps0 of a compact grid.
     """
-    if mu.is_identity:
-        dom = PartialDomain.everywhere()
-        for L in compacts:
-            dom.register_compact(L)
-        return path, dom
-
-    if lip_region is not None:
-        lo, hi = lip_region
-    elif mu.omega_src is not None:
+    if mu.omega_src is not None:
         lo, hi = mu.omega_src.lo, mu.omega_src.hi
     else:
         lo, hi = -3.0, 3.0
-    lip = mu.lipschitz_forward(lo, hi, safety=safety)
+    lip = mu.lipschitz_forward(lo, hi)
     rb = lip * path.radius_bound  # encloses support and its offset about 0
 
     def member(eps, x):
@@ -320,11 +310,8 @@ def transform_test_object(mu: Diffeomorphism, path: TestObjectPath,
         return True
 
     dom = PartialDomain(admissible, label=f"D[{mu.name}]")
-    out = TestObjectPath("full_path", member, path.q, rb,
-                         member_id=f"{path.member_id}|{mu.name}", domain=dom)
-    for L in compacts:
-        dom.register_compact(L)
-    return out, dom
+    return TestObjectPath("full_path", member, path.q, rb,
+                          member_id=f"{path.member_id}|{mu.name}", domain=dom)
 
 
 @dataclass
@@ -340,8 +327,7 @@ class ZReport:
 
 
 def check_Z_requirements(path: TestObjectPath, L, eps0: float,
-                         beta_max: int = 4, n_eps: int = 6,
-                         n_xi: int = 161) -> ZReport:
+                         beta_max: int = 4, n_eps: int = 6) -> ZReport:
     """Verify, on (0, eps0] x L: membership in the domain, a finite uniform
     support radius bound, and finite sup bounds on xi-derivatives up to
     beta_max (recorded; derivatives by repeated central differences)."""
@@ -359,7 +345,7 @@ def check_Z_requirements(path: TestObjectPath, L, eps0: float,
             tf = path(float(e), float(x))
             radius_obs = max(radius_obs, abs(tf.center) + tf.radius)
             lo, hi = tf.box
-            xi = np.linspace(lo, hi, n_xi)
+            xi = np.linspace(lo, hi, Z_XI_SAMPLES)
             h = xi[1] - xi[0]
             vals = tf.fn(xi)
             deriv_bounds[0] = max(deriv_bounds[0], float(np.max(np.abs(vals))))

@@ -1,14 +1,13 @@
 """Distributions as linear pairings against test functions.
 
-Variants: smooth densities, Dirac derivatives, the Heaviside step, the
-principal value of 1/x, and linear combinations.  The classical pullback
-under a diffeomorphism is provided so embedding consistency can be checked
-against it.
+Variants: smooth densities, Dirac derivatives and the Heaviside step.  The
+classical pullback under a diffeomorphism is provided so embedding
+consistency can be checked against it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -36,8 +35,8 @@ class Distribution:
 class SmoothDensity(Distribution):
     """Pairing by integration against a smooth density f.
 
-    ``fns`` is the evaluator or a chain (f, f', f'', ...); a chain makes
-    distributional derivatives exact instead of adjoint-numerical.
+    ``fns`` is the evaluator or a chain (f, f', f'', ...); a chain gives
+    the distributional derivative in closed form.
     """
 
     kind = "smooth"
@@ -70,31 +69,6 @@ class Heaviside(Distribution):
     """Unit step at 0 (one-dimensional)."""
 
     kind = "heaviside"
-
-
-class PrincipalValue(Distribution):
-    """vp(1/x) (one-dimensional)."""
-
-    kind = "pv"
-
-
-class LinearCombination(Distribution):
-    kind = "lincomb"
-
-    def __init__(self, terms: Sequence[tuple[complex, Distribution]],
-                 omega=None, name=""):
-        super().__init__(omega, name)
-        self.terms = [(complex(c), w) for c, w in terms]
-
-
-class AdjointDerivative(Distribution):
-    """Derivative defined through the pairing: <w', psi> = -<w, psi'>."""
-
-    kind = "adjoint"
-
-    def __init__(self, base: Distribution):
-        super().__init__(base.omega, f"d[{base.name or base.kind}]")
-        self.base = base
 
 
 class PullbackDistribution(Distribution):
@@ -150,8 +124,8 @@ def pair(w: Distribution, psi: TestFunction, n: Optional[int] = None,
     a zero can differ.  Every other case pairs with the translate (the
     function itself when the shift cancels).  Dirac derivatives use
     Richardson-extrapolated central differences on the exact evaluator; the
-    half-line integrals for Heaviside and vp(1/x) use composite Simpson,
-    since their integrands are not flat at the cut point.
+    half-line integral for Heaviside uses composite Simpson, since its
+    integrand is not flat at the cut point.
     """
     if n is None:
         n = DEFAULT_NODES
@@ -179,28 +153,6 @@ def pair(w: Distribution, psi: TestFunction, n: Optional[int] = None,
         t = np.linspace(a, b, n + 1)
         return _simpson(psi.fn(t), (b - a) / n)
 
-    if w.kind == "pv":
-        lo, hi = psi.box
-        b = max(abs(lo), abs(hi))
-        if b == 0.0:
-            return 0.0
-        t = np.linspace(0.0, b, n + 1)
-        vals = np.empty(n + 1)
-        vals[1:] = (psi.fn(t[1:]) - psi.fn(-t[1:])) / t[1:]
-        vals[0] = 2.0 * _psi_derivative_at(psi, 0.0, 1)  # smooth limit at 0
-        return _simpson(vals, b / n)
-
-    if w.kind == "lincomb":
-        acc = 0.0
-        for c, term in w.terms:
-            acc = acc + c * pair(term, psi, n)
-        if isinstance(acc, complex) and acc.imag == 0.0:
-            return acc.real
-        return acc
-
-    if w.kind == "adjoint":
-        return -pair(w.base, psi.derivative(), n)
-
     if w.kind == "pullback":
         return classical_pullback(w.mu, w.base, psi, n)
 
@@ -208,7 +160,8 @@ def pair(w: Distribution, psi: TestFunction, n: Optional[int] = None,
 
 
 def derivative(w: Distribution) -> Distribution:
-    """Distributional derivative; closed forms where the variant has one."""
+    """Distributional derivative in closed form; a kind without one raises
+    ``TypeError``."""
     if w.kind == "dirac":
         return DiracDerivative(w.order + 1, w.position, omega=w.omega)
     if w.kind == "heaviside":
@@ -216,10 +169,7 @@ def derivative(w: Distribution) -> Distribution:
     if w.kind == "smooth" and len(w.fns) > 1:
         return SmoothDensity(w.fns[1:], omega=w.omega,
                              name=f"d[{w.name}]" if w.name else "")
-    if w.kind == "lincomb":
-        return LinearCombination([(c, derivative(t)) for c, t in w.terms],
-                                 omega=w.omega)
-    return AdjointDerivative(w)
+    raise TypeError(f"no closed-form derivative for {w!r}")
 
 
 def pullback_test_function(mu, psi: TestFunction) -> TestFunction:

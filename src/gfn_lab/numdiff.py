@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from typing import Callable
 
-import numpy as np
-
 # central stencil offsets (in units of h) and weights for d^k/dx^k, O(h^2)
 _CENTRAL = {
     0: ((0,), (1.0,)),
@@ -63,14 +61,3 @@ def stencil_halfwidth(order: int) -> int:
     offsets, _ = _CENTRAL[order]
     return max(abs(o) for o in offsets)
 
-
-def derivative_closure(fn: Callable[[np.ndarray], np.ndarray], h: float):
-    """Vectorized first-derivative closure (one Richardson level)."""
-
-    def dfn(x):
-        d1 = (fn(x + h) - fn(x - h)) / (2.0 * h)
-        h2 = 0.5 * h
-        d2 = (fn(x + h2) - fn(x - h2)) / (2.0 * h2)
-        return (4.0 * d2 - d1) / 3.0
-
-    return dfn

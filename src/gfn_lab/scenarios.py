@@ -75,11 +75,15 @@ class ScenarioConfig:
     @staticmethod
     def from_sources(scenario: str, config_file: Optional[str] = None,
                      overrides: Optional[dict] = None) -> "ScenarioConfig":
-        """File keys first, command-line overrides on top."""
+        """File keys first, command-line overrides on top.  A file whose
+        ``scenario`` key names another scenario raises ``KeyError``."""
         data: dict = {}
         if config_file:
             with open(config_file) as fh:
                 data.update(json.load(fh))
+        if data.get("scenario", scenario) != scenario:
+            raise KeyError(f"config file {config_file!r} is for scenario "
+                           f"{data['scenario']!r}, not {scenario!r}")
         for k, v in (overrides or {}).items():
             if v is not None:
                 data[k] = v
@@ -294,12 +298,13 @@ def _scn_moment_invariance(cfg: ScenarioConfig, outdir: str):
         for name in names:
             mu = get_diffeo(name, om)
             for path in bat:
-                tr, dom = transform_test_object(mu, path, compacts=[L])
-                eps0 = dom.eps0_records[next(iter(dom.eps0_records))][1]
+                tr = transform_test_object(mu, path)
+                eps0 = tr.domain.register_compact(L)
                 i0 = max(2, int(-math.log2(eps0)))
                 eps_grid = 2.0 ** -np.arange(i0, i0 + 6, dtype=float)
-                # moments of the transformed object are O(1)-box integrals;
-                # their quadrature roundoff plateaus near 1e-12, so smaller
+                # (mu^{-1}(eps xi + x) - xt) / eps in the member cancels, with
+                # a rounding floor that grows like u |x| / eps (u the unit
+                # roundoff; ROADMAP item 2), near 1e-12 on this grid: smaller
                 # magnitudes count as decayed-to-zero rather than fit fodder
                 chk = check_moment_class(tr, MomentClass("asympt_CM", q),
                                          eps_grid, x_grid=L, n=quad_n,
@@ -313,7 +318,7 @@ def _scn_moment_invariance(cfg: ScenarioConfig, outdir: str):
                 for _ in range(5):
                     e = float(eps0 * (0.3 + 0.7 * rng.random()))
                     x = float(L[rng.integers(len(L))])
-                    if dom.contains(e, x):
+                    if tr.domain.contains(e, x):
                         masses.append(abs(tr(e, x).mass(n=quad_n) - 1.0))
                 _a(records, f"{name}-q{q}-{path.member_id}-mass",
                    max(masses), "<=1e-9", max(masses) <= 1e-9)

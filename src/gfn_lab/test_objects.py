@@ -24,8 +24,7 @@ import numpy as np
 
 from .asymptotics import SweepSeries, fit_order
 from .testfunc import (TAU_M, TestFunction, build_mollifier,
-                       bump_testfunction, falling_factorial, moments_upto,
-                       tf_lincomb)
+                       bump_testfunction, moments_upto, tf_lincomb)
 
 #: moment magnitudes at or below this are treated as numerically zero when
 #: fitting decay orders (quadrature / solve residual plateau)
@@ -55,16 +54,13 @@ class TestObjectPath:
 
 @dataclass(frozen=True)
 class MomentClass:
-    """Moment discipline: strict A_q, asymptotically vanishing (CM), or the
-    uniform derivative-moment class over a compact grid K."""
+    """Moment discipline: strict A_q or asymptotically vanishing (CM)."""
 
-    kind: str                 # "strict_Aq" | "asympt_CM" | "A_l_inf"
+    kind: str                 # "strict_Aq" | "asympt_CM"
     q: int
-    K: Optional[np.ndarray] = None
-    gamma_cap: int = 3
 
     def __post_init__(self):
-        if self.kind not in ("strict_Aq", "asympt_CM", "A_l_inf"):
+        if self.kind not in ("strict_Aq", "asympt_CM"):
             raise ValueError(f"unknown moment class kind {self.kind!r}")
         if self.q < 0:
             raise ValueError("q must be >= 0")
@@ -206,24 +202,16 @@ def _decay_order(eps_grid: np.ndarray, vals: np.ndarray,
 def check_moment_class(path: TestObjectPath, cls: MomentClass,
                        eps_grid: Sequence[float],
                        x_grid: Optional[Sequence[float]] = None,
-                       n: Optional[int] = None, tau: float = TAU_M,
+                       n: Optional[int] = None,
                        zero_tol: float = MOMENT_FLOOR) -> MomentClassReport:
     """Classify a path against a moment discipline.
 
-    strict_Aq: every sampled member has unit mass and |m_1..m_q| <= tau.
+    strict_Aq: every sampled member has unit mass and |m_1..m_q| <= TAU_M.
     asympt_CM: each moment's sup over x decays with order >= q - 0.3.
-    A_l_inf:   every derivative moment xi^beta d^gamma, reduced exactly by
-               integration by parts, decays with order >= q - 0.3 uniformly
-               over K.  Pairs with gamma == beta reduce to the constant mass
-               term beta! * m_0 and are excluded from the decay requirement;
-               pairs with gamma exceeding beta vanish identically.
     """
     eps_grid = np.asarray(list(eps_grid), dtype=float)
-    if cls.kind == "A_l_inf":
-        xs = cls.K if cls.K is not None else np.array([0.0])
-    else:
-        xs = np.asarray(list(x_grid), dtype=float) if x_grid is not None \
-            else np.array([0.0])
+    xs = np.asarray(list(x_grid), dtype=float) if x_grid is not None \
+        else np.array([0.0])
     q = cls.q
 
     # sup over x of |m_alpha| for every alpha 0..q, per eps
@@ -237,30 +225,13 @@ def check_moment_class(path: TestObjectPath, cls: MomentClass,
 
     if cls.kind == "strict_Aq":
         worst = float(sup_m[:, 1:].max()) if q >= 1 else 0.0
-        passed = worst <= tau and mass_dev <= tau
+        passed = worst <= TAU_M and mass_dev <= TAU_M
         return MomentClassReport(cls.kind, q, passed, {}, max(worst, mass_dev))
-
-    if cls.kind == "asympt_CM":
-        orders = {}
-        ok = True
-        for a in range(1, q + 1):
-            orders[a] = _decay_order(eps_grid, sup_m[:, a], path.member_id,
-                                     zero_tol)
-            ok = ok and orders[a] >= q - 0.3
-        return MomentClassReport(cls.kind, q, ok, orders, None)
 
     orders = {}
     ok = True
-    for beta in range(1, q + 1):
-        for gamma in range(0, cls.gamma_cap + 1):
-            if gamma == beta:
-                continue  # reduces to beta! * mass, constant by normalization
-            if gamma > beta:
-                orders[(beta, gamma)] = math.inf
-                continue
-            coef = falling_factorial(beta, gamma)
-            vals = coef * sup_m[:, beta - gamma]
-            orders[(beta, gamma)] = _decay_order(eps_grid, vals,
-                                                 path.member_id, zero_tol)
-            ok = ok and orders[(beta, gamma)] >= q - 0.3
+    for a in range(1, q + 1):
+        orders[a] = _decay_order(eps_grid, sup_m[:, a], path.member_id,
+                                 zero_tol)
+        ok = ok and orders[a] >= q - 0.3
     return MomentClassReport(cls.kind, q, ok, orders, None)

@@ -22,8 +22,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import numdiff
-
 #: default quadrature nodes (panels) over a support interval
 DEFAULT_NODES = 4096
 
@@ -176,12 +174,11 @@ class TestFunction:
         return slot[1]
 
     def derivative(self) -> "TestFunction":
-        """Exact derivative when the evaluator chain supports it, else a
-        Richardson finite-difference closure on the exact evaluator."""
-        dfn = self.dfn
-        if dfn is None:
-            dfn = numdiff.derivative_closure(self.fn, 1e-4 * self.radius)
-        return TestFunction(self.center, self.radius, dfn,
+        """The exact derivative, from the evaluator chain; a function
+        without an exact derivative evaluator raises ``TypeError``."""
+        if self.dfn is None:
+            raise TypeError(f"{self!r} has no exact derivative evaluator")
+        return TestFunction(self.center, self.radius, self.dfn,
                             label=f"d[{self.label}]")
 
     @property
@@ -268,21 +265,6 @@ def falling_factorial(beta: int, gamma: int) -> float:
     """beta! / (beta - gamma)!, the coefficient of xi^(beta - gamma) in
     d^gamma xi^beta, for 0 <= gamma <= beta."""
     return math.factorial(beta) / math.factorial(beta - gamma)
-
-
-def derivative_moment(tf: TestFunction, beta: int, gamma: int,
-                      n: Optional[int] = None) -> float:
-    """Integral of xi^beta * d^gamma tf, exactly via integration by parts.
-
-    Equals (-1)^gamma * integral of d^gamma(xi^beta) * tf; no numerical
-    differentiation is involved.  Returns 0 when gamma exceeds beta.
-    """
-    beta, gamma = int(beta), int(gamma)
-    if gamma > beta:
-        return 0.0
-    coef = falling_factorial(beta, gamma)
-    sign = -1.0 if gamma % 2 else 1.0
-    return sign * coef * moment(tf, beta - gamma, n=n)
 
 
 # ---------------------------------------------------------------------------

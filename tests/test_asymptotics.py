@@ -17,9 +17,10 @@ from gfn_lab.basic_space import (ExpExpRepresentative, Representative,
                                  pullback_pair_transform, sub)
 from gfn_lab.diffeo import get_diffeo, identity_map, pullback_rep
 from gfn_lab.distributions import DiracDerivative, smooth_density
-from gfn_lab.test_objects import make_battery, perturbation_directions
-from gfn_lab.testfunc import (Box, DomainError, TestFunction, scale,
-                              tf_lincomb)
+from gfn_lab.test_objects import (TestObjectPath, make_battery,
+                                  perturbation_directions)
+from gfn_lab.testfunc import (Box, DomainError, TestFunction,
+                              build_mollifier, scale, tf_lincomb)
 
 OMEGA = Box.interval(-2.5, 2.5)
 EPS = 2.0 ** -np.arange(2, 13, dtype=float)
@@ -45,7 +46,6 @@ class TestFitOrder:
     def test_zero_rows_are_infinite_order(self):
         v = fit_order(series_from(np.zeros_like(EPS)), fit_window=6)
         assert v.kind == "zero" and v.slope == math.inf
-        assert v.negligible_for(10)
 
     def test_superpolynomial_growth(self):
         """exp(1/eps) in the log channel: local slope magnitude doubles per
@@ -119,7 +119,7 @@ class TestSweep:
         from gfn_lab.diffeo import transform_test_object
         mu = get_diffeo("affine-2x", OMEGA)
         src = make_battery("full_path", 0, 1, seed=9, flavor="strict")[0]
-        out, dom = transform_test_object(mu, src)
+        out = transform_test_object(mu, src)
         spec = SweepSpec(i_min=2, i_max=8, K=np.linspace(-2.3, 2.3, 5),
                          alphas=(0,), fit_window=4)
         rep = embed_C(DiracDerivative(0), omega=OMEGA)
@@ -508,7 +508,8 @@ class TestVerdictInvariance:
 
         trans_bat = []
         for path in bat:
-            out, dom = transform_test_object(mu, path, compacts=[K])
+            out = transform_test_object(mu, path)
+            out.domain.register_compact(K)
             trans_bat.append(out)
         via_battery = asy.test_moderate(rep, trans_bat, spec)
         assert via_battery.passed and via_battery.N == expected_N
@@ -547,6 +548,19 @@ class TestCounterexample:
                          alphas=(1,), fit_window=9)
         rep = counterexample_scenario(mu, src, spec, eps_bat, quad_n=1024)
         assert rep.verdict.kind == "zero"
+
+    def test_overflowing_probe_raises(self):
+        """A probe whose I passes 700 gives no evidence of |R| = 1: the
+        modulus check raises, naming I, instead of passing."""
+        probe = scale(build_mollifier(0), 2.0**-11)
+        src = TestObjectPath("static", lambda e, x: probe, 0, probe.radius,
+                             "overflow-probe")
+        mu = get_diffeo("sin-bend", OMEGA)
+        eps_bat = make_battery("eps_path", 0, 1, seed=14)
+        spec = SweepSpec(i_min=4, i_max=12, K=np.linspace(-1, 1, 7),
+                         alphas=(1,), fit_window=9)
+        with pytest.raises(FloatingPointError, match=r"I = 1382\.\d"):
+            counterexample_scenario(mu, src, spec, eps_bat, quad_n=1024)
 
 
 class TestCSV:

@@ -261,8 +261,11 @@ class TestExpExpRepresentative:
         assert rep.log_abs(moll0, 0.0) == 0.0
 
     def test_overflow_guard(self, moll0):
+        """Past I = 700 the value channel raises, naming I; the log channel
+        still answers."""
         rep = ExpExpRepresentative(lambda phi, x: 1e4)
-        assert np.isnan(rep(moll0, 0.0).real)
+        with pytest.raises(FloatingPointError, match="I = 10000"):
+            rep(moll0, 0.0)
         assert rep.log_abs(moll0, 0.0) == 0.0
 
     def test_d1_log_magnitude_matches_analytic(self, moll0, moll2):

@@ -74,6 +74,30 @@ class TestCliSurface:
         rows = list(csv.DictReader(open(out / "delta-scaling_sweep.csv")))
         assert all(r["member_id"].startswith("eps_path-") for r in rows)
 
+    def test_config_for_another_scenario_rejected(self, tmp_path, capsys):
+        """A file naming another scenario exits 2 and writes nothing."""
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"scenario": "d1-form", "seed": 3}))
+        out = tmp_path / "x"
+        rc = main(["mollifier", "--config", str(cfgfile), "--quiet",
+                   "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "'d1-form'" in err and "'mollifier'" in err
+
+    def test_config_naming_the_same_scenario_runs(self, tmp_path):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"scenario": "mollifier", "q": 1,
+                                       "seed": 3}))
+        cfg = ScenarioConfig.from_sources("mollifier", str(cfgfile))
+        assert (cfg.scenario, cfg.q, cfg.seed) == ("mollifier", 1, 3)
+        out = tmp_path / "m"
+        rc = main(["mollifier", "--config", str(cfgfile), "--quiet",
+                   "--out", str(out)])
+        assert rc == 0
+        assert (out / "mollifier_summary.csv").exists()
+
     def test_unknown_diffeo_nonzero_exit(self, tmp_path):
         rc = main(["counterexample", "--diffeo", "moebius", "--quiet",
                    "--out", str(tmp_path / "d")])

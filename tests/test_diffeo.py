@@ -123,8 +123,8 @@ class TestJacobianFromPreimage:
     def test_member_inverts_once_per_array(self, name):
         base, mu, sizes = self.counted(name)
         src = make_battery("full_path", 2, 1, seed=9, flavor="strict")[0]
-        out, _ = transform_test_object(mu, src)
-        ref, _ = transform_test_object(base, src)
+        out = transform_test_object(mu, src)
+        ref = transform_test_object(base, src)
         xi = np.linspace(-2.0, 2.0, 257)
         for e, x in ((0.25, 0.3), (0.0625, -0.5)):
             member = out(e, x)
@@ -170,11 +170,11 @@ class TestDeclaredSupport:
             bat = make_battery("full_path", q, 4, 7 + q, flavor="symmetric",
                                build_q=2 * q - 2)
             for path in bat:
-                tr, dom = transform_test_object(mu, path, compacts=[self.L])
-                eps0 = next(iter(dom.eps0_records.values()))[1]
+                tr = transform_test_object(mu, path)
+                eps0 = tr.domain.register_compact(self.L)
                 for e in eps0 * 2.0 ** -np.arange(4, dtype=float):
                     for x in self.L:
-                        assert dom.contains(e, x)
+                        assert tr.domain.contains(e, x)
                         self.assert_vanishes_beyond_radius(tr(e, x))
                         xt = mu.inverse(float(x))
                         psi = translate(scale(path(e, xt), e), xt)
@@ -200,7 +200,7 @@ class TestTracedMaps:
         src = make_battery("full_path", 2, 1, seed=9, flavor="strict")[0]
 
         def evaluate():
-            tr, _ = transform_test_object(mu, src)
+            tr = transform_test_object(mu, src)
             return (mu.inverse(ys), mu.det_d_inverse(ys),
                     pullback_test_function(mu, psi).fn(ys),
                     tr(0.25, 0.3).fn(ys))
@@ -219,7 +219,9 @@ class TestTracedMaps:
         for b, a in zip(before, evaluate()):
             assert np.array_equal(a, b)
         if mu.is_identity:
-            assert calls == {"inverse": 2, "det_d_inverse": 1}
+            # lipschitz_forward answers 1 without sampling the map; the
+            # transformed member's two inverses go through the replacement
+            assert calls == {"inverse": 4, "det_d_inverse": 1}
         else:
             # both lipschitz_forward calls, and both evaluators, go through
             # the replacements too
@@ -277,18 +279,25 @@ class TestPullbackRep:
 
 
 class TestTransformTestObject:
-    def test_identity_returns_source(self):
+    def test_identity_reproduces_source(self):
+        """The identity map goes through the general transform: members
+        equal the source's up to the rounding of (eps xi + x - x) / eps."""
         src = make_battery("full_path", 2, 1, seed=4, flavor="strict")[0]
-        out, dom = transform_test_object(identity_map(), src,
-                                         compacts=[np.linspace(-1, 1, 5)])
-        assert out is src
-        assert dom.contains(0.3, 0.0)
+        out = transform_test_object(identity_map(), src)
+        assert out.domain.register_compact(np.linspace(-1, 1, 5)) == 1.0
+        assert out.domain.contains(0.3, 0.0)
+        xi = np.linspace(-1.5, 1.5, 61)
+        for e, x in ((0.3, 0.0), (0.125, -0.7), (1.0, 0.4)):
+            want = src(e, x).fn(xi)
+            np.testing.assert_allclose(out(e, x).fn(xi), want, rtol=0,
+                                       atol=1e-12 * np.max(np.abs(want)))
 
     def test_doubling_closed_form(self):
         """For mu = 2x: phi(eps,x)(xi) = phi~(eps, x/2)(xi/2) / 2."""
         mu = affine_map(2.0, omega_dst=OMEGA)
         src = make_battery("full_path", 2, 1, seed=9, flavor="strict")[0]
-        out, dom = transform_test_object(mu, src)
+        out = transform_test_object(mu, src)
+        dom = out.domain
         for _ in range(100):
             e = 0.05 + 0.5 * RNG.random()
             x = float((RNG.random() - 0.5) * 1.2)
@@ -301,7 +310,8 @@ class TestTransformTestObject:
     def test_unit_mass_preserved(self):
         mu = get_diffeo("sin-bend", OMEGA)
         src = make_battery("full_path", 2, 1, seed=9, flavor="strict")[0]
-        out, dom = transform_test_object(mu, src)
+        out = transform_test_object(mu, src)
+        dom = out.domain
         for _ in range(10):
             e = 0.05 + 0.3 * RNG.random()
             x = float((RNG.random() - 0.5) * 1.2)
@@ -314,7 +324,8 @@ class TestTransformTestObject:
         from gfn_lab.basic_space import pullback_pair_transform
         mu = get_diffeo("cubic", OMEGA)
         src = make_battery("full_path", 1, 1, seed=6, flavor="strict")[0]
-        out, dom = transform_test_object(mu, src)
+        out = transform_test_object(mu, src)
+        dom = out.domain
         trans = pullback_pair_transform(mu)
         for _ in range(20):
             e = 0.05 + 0.2 * RNG.random()
@@ -336,14 +347,15 @@ class TestPartialDomain:
         mu = affine_map(2.0, omega_dst=OMEGA)
         src = make_battery("full_path", 2, 1, seed=9, flavor="strict")[0]
         L = np.linspace(-0.8, 0.8, 9)
-        out, dom = transform_test_object(mu, src, compacts=[L])
-        eps0 = next(iter(dom.eps0_records.values()))[1]
+        out = transform_test_object(mu, src)
+        eps0 = out.domain.register_compact(L)
         dist = 2.5 - 0.8
         predicted = dist / out.radius_bound
         assert predicted / 2 <= eps0 <= 2 * predicted
 
     def test_everywhere_domain(self):
-        dom = PartialDomain.everywhere()
+        """A predicate admitting every point still bounds eps to (0, 1]."""
+        dom = PartialDomain(lambda e, x: True)
         assert dom.contains(0.5, 100.0)
         assert not dom.contains(1.5, 0.0)
 
@@ -367,8 +379,8 @@ class TestZRequirements:
         mu = affine_map(2.0, omega_dst=OMEGA)
         src = make_battery("full_path", 2, 1, seed=9, flavor="strict")[0]
         L = np.linspace(-0.8, 0.8, 9)
-        out, dom = transform_test_object(mu, src, compacts=[L])
-        eps0 = next(iter(dom.eps0_records.values()))[1]
+        out = transform_test_object(mu, src)
+        eps0 = out.domain.register_compact(L)
         rep = check_Z_requirements(out, L, eps0, beta_max=3, n_eps=4)
         assert rep.passed
 

@@ -6,12 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from gfn_lab.diffeo import affine_map, get_diffeo, identity_map
 from gfn_lab.distributions import (DiracDerivative, Heaviside,
-                                   LinearCombination, PrincipalValue,
-                                   SmoothDensity, classical_pullback,
-                                   derivative, pair, smooth_density)
+                                   PullbackDistribution, SmoothDensity,
+                                   classical_pullback, derivative, pair,
+                                   smooth_density)
 from gfn_lab.testfunc import Box, DomainError, tf_lincomb, translate
 
-from conftest import _np_trapezoid, oracle_trapezoid
+from conftest import oracle_trapezoid
 
 RNG = np.random.default_rng(3)
 
@@ -43,34 +43,16 @@ class TestPairHalfLine:
     def test_heaviside_support_left_of_zero(self, moll0):
         assert pair(Heaviside(), translate(moll0, -5.0)) == 0.0
 
-    def test_pv_even_function_vanishes(self, moll2):
-        assert abs(pair(PrincipalValue(), moll2)) <= 1e-10
-
-    def test_pv_vs_oracle(self, moll2_offset):
-        psi = moll2_offset
-        got = pair(PrincipalValue(), psi)
-        t = np.linspace(1e-7, 1.2, 2**20 + 1)
-        g = (psi.fn(t) - psi.fn(-t)) / t
-        oracle = float(_np_trapezoid(g, t)) + 1e-7 * g[0]
-        assert got == pytest.approx(oracle, abs=1e-8)
-
 
 class TestLinearity:
     @settings(max_examples=15, deadline=None)
     @given(a=st.floats(-3, 3), b=st.floats(-3, 3))
     def test_pair_linear_in_test_function(self, moll0, moll2_offset, a, b):
         combo = tf_lincomb([a, b], [moll0, moll2_offset])
-        for w in (DiracDerivative(1), Heaviside(), PrincipalValue(),
-                  smooth_density("sin")):
+        for w in (DiracDerivative(1), Heaviside(), smooth_density("sin")):
             lhs = pair(w, combo)
             rhs = a * pair(w, moll0) + b * pair(w, moll2_offset)
             assert lhs == pytest.approx(rhs, abs=1e-10)
-
-    def test_linear_combination_distribution(self, moll2_offset):
-        w = LinearCombination([(2.0, DiracDerivative(0)), (-1.0, Heaviside())])
-        expect = 2 * pair(DiracDerivative(0), moll2_offset) \
-            - pair(Heaviside(), moll2_offset)
-        assert pair(w, moll2_offset) == pytest.approx(expect, abs=1e-14)
 
 
 class TestDerivative:
@@ -92,14 +74,21 @@ class TestDerivative:
         assert got == pytest.approx(oracle, abs=1e-12)
 
     @pytest.mark.parametrize("w", [DiracDerivative(0), DiracDerivative(1),
-                                   Heaviside(), PrincipalValue(),
-                                   smooth_density("sin")],
-                             ids=["delta", "delta1", "H", "pv", "sin"])
+                                   Heaviside(), smooth_density("sin")],
+                             ids=["delta", "delta1", "H", "sin"])
     def test_derivation_against_pairing(self, w, moll2_offset):
         """<w', psi> + <w, psi'> = 0."""
         psi = moll2_offset
         total = pair(derivative(w), psi) + pair(w, psi.derivative())
         assert abs(total) <= 1e-8
+
+    @pytest.mark.parametrize("w", [SmoothDensity(np.sin),
+                                   PullbackDistribution(identity_map(),
+                                                        Heaviside())],
+                             ids=["bare-density", "pullback"])
+    def test_no_closed_form_raises(self, w):
+        with pytest.raises(TypeError, match="closed-form"):
+            derivative(w)
 
 
 class TestDomain:

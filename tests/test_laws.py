@@ -20,8 +20,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from gfn_lab.asymptotics import SweepSeries, fit_order
 from gfn_lab.basic_space import embed_C, embed_J, translate_formalism
 from gfn_lab.diffeo import affine_map, compose, pullback_rep
-from gfn_lab.distributions import (DiracDerivative, Heaviside,
-                                   LinearCombination, PrincipalValue, pair,
+from gfn_lab.distributions import (DiracDerivative, Heaviside, pair,
                                    smooth_density)
 from gfn_lab.testfunc import (Box, DomainError, build_mollifier, scale,
                               support_grid, tf_lincomb, translate)
@@ -168,9 +167,7 @@ class TestPairAtAShift:
     KINDS = [*(smooth_density(f, omega=OMEGA)
                for f in ("sin", "x", "x2", "x4")),
              DiracDerivative(0, omega=OMEGA), DiracDerivative(1, omega=OMEGA),
-             Heaviside(OMEGA), PrincipalValue(OMEGA),
-             LinearCombination([(2.0, smooth_density("x2")),
-                                (-0.5, DiracDerivative(1))], omega=OMEGA)]
+             Heaviside(OMEGA)]
 
     @settings(max_examples=25, deadline=None)
     @given(e=proper_scales, t=shifts, u=shifts, x=shifts,

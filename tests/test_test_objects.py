@@ -131,16 +131,6 @@ class TestMomentClasses:
             assert check_moment_class(path, MomentClass("asympt_CM", 1),
                                       EPS_GRID).passed
 
-    def test_alinf_class_on_cm_battery(self):
-        """Derivative moments reduce by parts and decay at order q on K."""
-        K = np.linspace(-0.5, 0.5, 5)
-        for path in make_battery("full_path", 2, 2, seed=23, flavor="cm"):
-            rep = check_moment_class(path, MomentClass("A_l_inf", 2, K=K),
-                                     EPS_GRID)
-            assert rep.passed, rep.orders
-            # gamma exceeding beta vanishes identically
-            assert rep.orders[(1, 3)] == math.inf
-
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             MomentClass("weak_Aq", 2)

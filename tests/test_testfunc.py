@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gfn_lab.testfunc import (MollifierError, QuadratureGrid,
-                              build_mollifier, derivative_moment, moment,
-                              moments_upto, scale,
+from gfn_lab.testfunc import (MollifierError, QuadratureGrid, TestFunction,
+                              build_mollifier, moment, moments_upto, scale,
                               tf_lincomb, translate)
 
 from conftest import oracle_trapezoid
@@ -106,38 +105,6 @@ class TestMoment:
             assert moment(shifted, 1) == pytest.approx(expect, abs=1e-10)
 
 
-class TestDerivativeMoment:
-    def test_by_parts_identity(self, moll2_offset):
-        got = derivative_moment(moll2_offset, 2, 1)
-        assert got == pytest.approx(-2.0 * moment(moll2_offset, 1), abs=1e-14)
-
-    def test_degree_exhausted_is_exact_zero(self, moll2):
-        assert derivative_moment(moll2, 1, 2) == 0.0
-
-    def test_on_strict_mollifier(self, moll2):
-        # beta=2, gamma=1 reduces to -2 m1, which the construction kills
-        assert abs(derivative_moment(moll2, 2, 1)) <= 2e-10
-
-    def test_against_numerical_differentiation(self, moll2_offset):
-        """Cross-check the exact reduction against quadrature of a centrally
-        differenced evaluator (step 1e-5)."""
-        h = 1e-5
-        lo, hi = moll2_offset.box
-        for beta, gamma in ((1, 1), (2, 1), (3, 2)):
-            def integrand(x):
-                d = moll2_offset.fn(x + h) - moll2_offset.fn(x - h)
-                if gamma == 2:
-                    d = (moll2_offset.fn(x + h) - 2 * moll2_offset.fn(x)
-                         + moll2_offset.fn(x - h)) / h**2
-                else:
-                    d = d / (2 * h)
-                return x**beta * d
-            oracle = oracle_trapezoid(integrand, lo - 2 * h, hi + 2 * h,
-                                      65536)
-            got = derivative_moment(moll2_offset, beta, gamma)
-            assert got == pytest.approx(oracle, abs=1e-6)
-
-
 class TestScale:
     def test_identity_at_one(self, moll2):
         assert scale(moll2, 1.0) is moll2
@@ -207,3 +174,9 @@ class TestSupport:
         h = 1e-6
         fd = (moll2_offset.fn(xs + h) - moll2_offset.fn(xs - h)) / (2 * h)
         np.testing.assert_allclose(d.fn(xs), fd, atol=5e-7)
+
+    def test_opaque_function_has_no_derivative(self, moll2):
+        """Without an exact derivative evaluator there is no derivative."""
+        opaque = TestFunction(moll2.center, moll2.radius, moll2.fn)
+        with pytest.raises(TypeError, match="exact derivative"):
+            opaque.derivative()
