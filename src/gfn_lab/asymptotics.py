@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .basic_space import Representative, d1_derivative, partial_x, pullback_pair_transform
-from .testfunc import (DomainError, TestFunction, _node_count, scale,
-                       support_grid)
+from .basic_space import (ExpExpRepresentative, Representative, d1_derivative,
+                          partial_x, pullback_pair_transform)
+from .testfunc import DomainError, TestFunction, scale, support_grid
 
 LN2 = math.log(2.0)
 
@@ -198,9 +198,9 @@ def sweep(rep, path, spec: SweepSpec):
     return tuple(out) if isinstance(rep, tuple) else out[0]
 
 
-def fit_order(series: SweepSeries,
-              fit_window: Optional[int] = None) -> AsymptoticVerdict:
-    """Least-squares slope of the log-log table over the fit window.
+def fit_order(series: SweepSeries, fit_window: int) -> AsymptoticVerdict:
+    """Least-squares slope of the log-log table over its last ``fit_window``
+    rows.
 
     Zero and underflowing rows count as order +infinity (negligible at
     machine level) and are flagged, as are log entries of -inf; a NaN or
@@ -208,9 +208,8 @@ def fit_order(series: SweepSeries,
     whose magnitudes increase strictly and substantially across the window
     mark super-polynomial behavior.
     """
-    w = fit_window or max(4, len(series.eps) // 2)
-    eps = series.eps[-w:]
-    raw = series.values[-w:]
+    eps = series.eps[-fit_window:]
+    raw = series.values[-fit_window:]
     for e, v in zip(eps, raw):
         if np.isnan(v) or v == math.inf:
             raise FloatingPointError(
@@ -427,8 +426,9 @@ def d1_form_test(rep: Representative, battery: Sequence,
 # the oscillatory counterexample, run entirely in log space
 
 
-def squared_mass_inner(quad_n: Optional[int] = None):
-    """inner(phi, x) = integral of |phi|^2 over the support box.
+def squared_mass_inner(quad_n: int):
+    """inner(phi, x) = integral of |phi|^2 over the support box, on
+    ``quad_n`` panels.
 
     A dyadic rescale of an untranslated function, frame (base, 2^-i, 0), is
     integrated over the base's cached samples and multiplied by 2^i.
@@ -436,7 +436,7 @@ def squared_mass_inner(quad_n: Optional[int] = None):
     quadrature on the scaled support bit for bit; every other frame is
     integrated directly.
     """
-    n = _node_count(quad_n)
+    n = int(quad_n)
 
     def inner(phi: TestFunction, x) -> float:
         base, a, b = phi.frame
@@ -468,7 +468,7 @@ class CounterexampleReport:
 
 
 def counterexample_scenario(mu, path, spec: SweepSpec, eps_battery: Sequence,
-                            quad_n: int = 2048) -> CounterexampleReport:
+                            quad_n: int) -> CounterexampleReport:
     """R(phi, x) = exp(i exp(int |phi|^2)) before and after a pullback.
 
     The untransformed representative has |R| = 1 identically and passes the
@@ -478,10 +478,6 @@ def counterexample_scenario(mu, path, spec: SweepSpec, eps_battery: Sequence,
     has local slopes growing without bound: the super-polynomial verdict.
     All of this runs in log space; the raw value would overflow at once.
     """
-    from dataclasses import replace
-
-    from .basic_space import ExpExpRepresentative
-
     rep = ExpExpRepresentative(squared_mass_inner(quad_n))
 
     # modulus check straight from the log channel, plus direct small-I probes
@@ -494,10 +490,8 @@ def counterexample_scenario(mu, path, spec: SweepSpec, eps_battery: Sequence,
 
     pulled = rep.compose_pullback(pullback_pair_transform(mu), None,
                                   name=f"{mu.name}^[{rep.name}]")
-    ser = SweepSeries(f"{getattr(path, 'member_id', 'path')}|{mu.name}", 1,
-                      spec.eps, _sup_table(path, spec,
-                                           _insertion_row((pulled,), path, 1))[0],
-                      is_log=True)
+    ser = replace(sweep(pulled, path, replace(spec, alphas=(1,)))[0],
+                  member_id=f"{path.member_id}|{mu.name}")
     verdict = fit_order(ser, spec.fit_window)
     mags = np.abs(verdict.local_slopes)
     ratio = float(mags[-1] / mags[0]) if len(mags) >= 2 and mags[0] != 0 else math.inf
@@ -517,37 +511,41 @@ def _fmt(v) -> str:
     return f"{v:.17g}" if isinstance(v, float) else str(v)
 
 
-def write_sweep_csv(path, series_list: Sequence[SweepSeries]):
-    """Per-sweep table: epsilon, alpha, member_id, sup_value_or_log, local_slope."""
+def write_rows(path, header: Sequence[str], rows) -> str:
+    """CSV with a header row; floats at full precision, None as empty."""
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
-        wr.writerow(["epsilon", "alpha", "member_id", "sup_value_or_log",
-                     "local_slope"])
-        for ser in series_list:
-            lv = ser.log2_values()
-            le = np.log2(ser.eps)
-            for j, (e, v) in enumerate(zip(ser.eps, ser.values)):
-                if j == 0 or not np.isfinite(lv[j]) or not np.isfinite(lv[j - 1]):
-                    slope = None
-                else:
-                    slope = float((lv[j] - lv[j - 1]) / (le[j] - le[j - 1]))
-                wr.writerow([_fmt(float(e)), ser.alpha, ser.member_id,
-                             _fmt(float(v)), _fmt(slope)])
+        wr.writerow(header)
+        for row in rows:
+            wr.writerow([_fmt(v) for v in row])
+    return path
+
+
+def write_sweep_csv(path, series_list: Sequence[SweepSeries]):
+    """Per-sweep table: epsilon, alpha, member_id, sup_value_or_log, local_slope."""
+    rows = []
+    for ser in series_list:
+        lv = ser.log2_values()
+        le = np.log2(ser.eps)
+        for j, (e, v) in enumerate(zip(ser.eps, ser.values)):
+            if j == 0 or not np.isfinite(lv[j]) or not np.isfinite(lv[j - 1]):
+                slope = None
+            else:
+                slope = float((lv[j] - lv[j - 1]) / (le[j] - le[j - 1]))
+            rows.append((float(e), ser.alpha, ser.member_id, float(v), slope))
+    write_rows(path, ["epsilon", "alpha", "member_id", "sup_value_or_log",
+                      "local_slope"], rows)
 
 
 def emit_plotdata(path, series_list: Sequence[SweepSeries],
                   verdicts: Sequence[AsymptoticVerdict]):
     """log2-eps vs log2-value series with the fitted line coefficients."""
     vmap = {(v.member_id, v.alpha): v for v in verdicts}
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["member_id", "alpha", "log2_eps", "log2_value",
-                     "fit_slope", "fit_intercept"])
-        for ser in series_list:
-            v = vmap.get((ser.member_id, ser.alpha))
-            lv = ser.log2_values()
-            for e, val in zip(np.log2(ser.eps), lv):
-                wr.writerow([ser.member_id, ser.alpha, _fmt(float(e)),
-                             _fmt(float(val)),
-                             _fmt(v.slope if v else None),
-                             _fmt(v.intercept if v else None)])
+    rows = []
+    for ser in series_list:
+        v = vmap.get((ser.member_id, ser.alpha))
+        for e, val in zip(np.log2(ser.eps), ser.log2_values()):
+            rows.append((ser.member_id, ser.alpha, float(e), float(val),
+                         v.slope if v else None, v.intercept if v else None))
+    write_rows(path, ["member_id", "alpha", "log2_eps", "log2_value",
+                      "fit_slope", "fit_intercept"], rows)

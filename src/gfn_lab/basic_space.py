@@ -81,7 +81,7 @@ class Representative:
                 f"{phi.radius:g}) is outside U(Omega)")
 
     def compose_pullback(self, transform, omega_src: Optional[Box],
-                         name: str = "") -> "Representative":
+                         name: str) -> "Representative":
         """Representative (phi~, x~) -> self(transform(phi~, x~))."""
 
         def ev(phi_t, x_t):
@@ -89,7 +89,7 @@ class Representative:
             return self(chi, y)  # re-check the base domain at (chi, y)
 
         return Representative(ev, formalism=self.formalism, linear=self.linear,
-                              omega=omega_src, name=name or f"pb[{self.name}]")
+                              omega=omega_src, name=name)
 
     def __repr__(self):
         return f"Representative({self.name or self.eval_fn}, {self.formalism})"
@@ -106,8 +106,7 @@ class ExpExpRepresentative(Representative):
     has_log_channel = True
 
     def __init__(self, inner: Callable[[TestFunction, float], float],
-                 formalism: str = "C", omega: Optional[Box] = None,
-                 name: str = "exp-i-exp"):
+                 omega: Optional[Box] = None, name: str = "exp-i-exp"):
         self.inner = inner
         self.x_independent = getattr(inner, "x_independent", False)
 
@@ -118,7 +117,7 @@ class ExpExpRepresentative(Representative):
                     f"exp(I) overflows at I = {ival:.6g}; use the log channel")
             return complex(np.exp(1j * np.exp(ival)))
 
-        super().__init__(ev, formalism=formalism, linear=False, omega=omega,
+        super().__init__(ev, formalism="C", linear=False, omega=omega,
                          name=name)
 
     def log_abs(self, phi: TestFunction, x) -> float:
@@ -142,15 +141,13 @@ class ExpExpRepresentative(Representative):
 
     def log_abs_d1_terms(self, phi: TestFunction, x, directions):
         """I(phi, x), and log |d_1 I(psi)| for each direction psi, with d_1 I
-        by central differences; -inf where the difference is exactly 0."""
+        from ``d1_derivative`` on the inner functional; -inf where it is
+        exactly 0."""
         ival = self.inner(phi, x)
+        inner = Representative(self.inner)
         logs = []
         for psi in directions:
-            t = (D1_REL_STEP * max(phi.sup_abs(), 1e-30)
-                 / max(psi.sup_abs(), 1e-30))
-            up = self.inner(tf_lincomb([1.0, t], [phi, psi]), x)
-            dn = self.inner(tf_lincomb([1.0, -t], [phi, psi]), x)
-            di = (up - dn) / (2.0 * t)
+            di = d1_derivative(inner, phi, x, [psi])
             logs.append(-np.inf if di == 0.0 else float(np.log(abs(di))))
         return ival, logs
 
@@ -172,16 +169,14 @@ class ExpExpRepresentative(Representative):
         return self.log_abs_d1_from_terms(
             *self.log_abs_d1_terms(phi, x, directions))
 
-    def compose_pullback(self, transform, omega_src, name: str = ""):
+    def compose_pullback(self, transform, omega_src, name: str):
         base_inner = self.inner
 
         def inner2(phi_t, x_t):
             chi, y = transform(phi_t, x_t)
             return base_inner(chi, y)
 
-        return ExpExpRepresentative(inner2, formalism=self.formalism,
-                                    omega=omega_src,
-                                    name=name or f"pb[{self.name}]")
+        return ExpExpRepresentative(inner2, omega=omega_src, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -199,26 +194,26 @@ def embed_C(w: Distribution, omega: Optional[Box] = None,
                           name=f"iota_C[{w.name or w.kind}]")
 
 
-def embed_J(w: Distribution, omega: Optional[Box] = None,
-            n: Optional[int] = None) -> Representative:
+def embed_J(w: Distribution, n: Optional[int] = None) -> Representative:
     """iota in the J-formalism: (phi, x) -> <w, phi>, independent of x."""
 
     def ev(phi, x):
         return pair(w, phi, n)
 
-    return Representative(ev, formalism="J", linear=True, omega=omega,
+    return Representative(ev, formalism="J", linear=True,
                           name=f"iota_J[{w.name or w.kind}]")
 
 
-def embed_sigma(f: Callable[[float], complex], formalism: str = "C",
-                omega: Optional[Box] = None, name: str = "") -> Representative:
-    """The constant embedding of a smooth function: (phi, x) -> f(x)."""
+def embed_sigma(f: Callable[[float], complex],
+                omega: Optional[Box] = None) -> Representative:
+    """The constant embedding of a smooth function, in the C-formalism:
+    (phi, x) -> f(x)."""
 
     def ev(phi, x):
         return f(x)
 
-    return Representative(ev, formalism=formalism, linear=False, omega=omega,
-                          name=name or "sigma")
+    return Representative(ev, formalism="C", linear=False, omega=omega,
+                          name="sigma")
 
 
 def translate_formalism(rep: Representative) -> Representative:
@@ -303,14 +298,14 @@ def mul(r1: Representative, r2: Representative) -> Representative:
 
 
 def partial_x(rep: Representative, alpha: int, phi: Optional[TestFunction],
-              x: float, path=None, eps: Optional[float] = None,
-              h: Optional[float] = None, refine: bool = True):
+              x: float, h: float, path=None, eps: Optional[float] = None,
+              refine: bool = True):
     """d^alpha/dx^alpha of x -> rep(slot(x), x) by central differences.
 
     With a test-object ``path`` the slot is the scaled member S_eps
     path(eps, x), so the total derivative includes the path's own
-    x-dependence.  The step tracks the scale of the inserted object
-    (eps * 2^-7) and shrinks symmetrically near the boundary of Omega.
+    x-dependence.  The step ``h`` shrinks symmetrically near the boundary
+    of Omega.
     """
     if alpha < 0 or alpha > numdiff.MAX_ORDER:
         raise ValueError(f"derivative order {alpha} unsupported")
@@ -328,8 +323,6 @@ def partial_x(rep: Representative, alpha: int, phi: Optional[TestFunction],
     if alpha == 0:
         return section(x)
 
-    if h is None:
-        h = eps * 2.0**-7 if eps is not None else 1e-5
     hw = numdiff.stencil_halfwidth(alpha)
     if rep.omega is not None:
         dist = rep.omega.distance_to_boundary(x)

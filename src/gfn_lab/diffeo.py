@@ -216,8 +216,7 @@ def compose(mu: Diffeomorphism, nu: Diffeomorphism) -> Diffeomorphism:
 # action on representatives and on test objects
 
 
-def pullback_rep(mu: Diffeomorphism, rep: Representative,
-                 name: str = "") -> Representative:
+def pullback_rep(mu: Diffeomorphism, rep: Representative) -> Representative:
     """The action on a representative:
 
         (mu^ R)(phi~, x~) = R(phi~(mu^{-1}(. + mu x~) - x~)|det D mu^{-1}(. + mu x~)|, mu x~).
@@ -229,7 +228,7 @@ def pullback_rep(mu: Diffeomorphism, rep: Representative,
     if rep.formalism != "C":
         raise FormalismError("pullback acts on C-formalism representatives")
     return rep.compose_pullback(pullback_pair_transform(mu), mu.omega_src,
-                                name=name or f"{mu.name}^[{rep.name}]")
+                                name=f"{mu.name}^[{rep.name}]")
 
 
 class PartialDomain:
@@ -239,10 +238,8 @@ class PartialDomain:
     registration search relies on and spot-checks.
     """
 
-    def __init__(self, contains_fn: Callable[[float, float], bool],
-                 label: str = ""):
+    def __init__(self, contains_fn: Callable[[float, float], bool]):
         self._contains = contains_fn
-        self.label = label
 
     def contains(self, eps: float, x: float) -> bool:
         if not 0.0 < eps <= 1.0:
@@ -309,9 +306,9 @@ def transform_test_object(mu: Diffeomorphism,
             return False
         return True
 
-    dom = PartialDomain(admissible, label=f"D[{mu.name}]")
-    return TestObjectPath("full_path", member, path.q, rb,
-                          member_id=f"{path.member_id}|{mu.name}", domain=dom)
+    return TestObjectPath(member, path.q, rb,
+                          member_id=f"{path.member_id}|{mu.name}",
+                          domain=PartialDomain(admissible))
 
 
 @dataclass

@@ -12,7 +12,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import numdiff
-from .testfunc import (DEFAULT_NODES, Box, DomainError, TestFunction,
+from .testfunc import (DEFAULT_NODES, DomainError, TestFunction,
                        falling_factorial, shifted_frame, translate)
 
 #: maximum Dirac-derivative order handled by the Richardson stencils
@@ -20,12 +20,12 @@ K_MAX = 4
 
 
 class Distribution:
-    """Base: a linear functional on test functions, optionally on an open set."""
+    """Base: a linear functional on test functions.  The open set of the
+    pairs it is evaluated on belongs to the representative that embeds it."""
 
     kind = "abstract"
 
-    def __init__(self, omega: Optional[Box] = None, name: str = ""):
-        self.omega = omega
+    def __init__(self, name: str = ""):
         self.name = name
 
     def __repr__(self):
@@ -41,8 +41,8 @@ class SmoothDensity(Distribution):
 
     kind = "smooth"
 
-    def __init__(self, fns, omega=None, name=""):
-        super().__init__(omega, name)
+    def __init__(self, fns, name=""):
+        super().__init__(name)
         if callable(fns):
             fns = (fns,)
         self.fns = tuple(fns)
@@ -57,10 +57,10 @@ class DiracDerivative(Distribution):
 
     kind = "dirac"
 
-    def __init__(self, order: int = 0, position: float = 0.0, omega=None, name=""):
+    def __init__(self, order: int = 0, position: float = 0.0, name=""):
         if not 0 <= order <= K_MAX:
             raise ValueError(f"Dirac derivative order must be in 0..{K_MAX}")
-        super().__init__(omega, name or f"delta^({order})")
+        super().__init__(name or f"delta^({order})")
         self.order = int(order)
         self.position = float(position)
 
@@ -76,8 +76,8 @@ class PullbackDistribution(Distribution):
 
     kind = "pullback"
 
-    def __init__(self, mu, base: Distribution, omega=None, name=""):
-        super().__init__(omega, name or f"{mu.name}*[{base.name or base.kind}]")
+    def __init__(self, mu, base: Distribution, name=""):
+        super().__init__(name or f"{mu.name}*[{base.name or base.kind}]")
         self.mu = mu
         self.base = base
 
@@ -102,12 +102,6 @@ def _psi_derivative_at(psi: TestFunction, a: float, order: int) -> float:
         lambda t: psi(t), a, order=order, base_step=step, levels=2))
 
 
-def _check_domain(w: Distribution, center: float, radius: float):
-    if w.omega is not None and not w.omega.contains_ball(center, radius):
-        raise DomainError(
-            f"support ball B({center}, {radius:g}) escapes the open set")
-
-
 def pair(w: Distribution, psi: TestFunction, n: Optional[int] = None,
          shift: float = 0.0):
     """The pairing <w, psi(. - shift)>.
@@ -130,7 +124,6 @@ def pair(w: Distribution, psi: TestFunction, n: Optional[int] = None,
     if n is None:
         n = DEFAULT_NODES
     (base, a, b), center, radius, same = shifted_frame(psi, shift)
-    _check_domain(w, center, radius)
 
     if w.kind == "smooth":
         xi, wt, samples = base.samples_on(base, n)
@@ -163,12 +156,11 @@ def derivative(w: Distribution) -> Distribution:
     """Distributional derivative in closed form; a kind without one raises
     ``TypeError``."""
     if w.kind == "dirac":
-        return DiracDerivative(w.order + 1, w.position, omega=w.omega)
+        return DiracDerivative(w.order + 1, w.position)
     if w.kind == "heaviside":
-        return DiracDerivative(0, 0.0, omega=w.omega)
+        return DiracDerivative(0, 0.0)
     if w.kind == "smooth" and len(w.fns) > 1:
-        return SmoothDensity(w.fns[1:], omega=w.omega,
-                             name=f"d[{w.name}]" if w.name else "")
+        return SmoothDensity(w.fns[1:], name=f"d[{w.name}]" if w.name else "")
     raise TypeError(f"no closed-form derivative for {w!r}")
 
 
@@ -249,5 +241,5 @@ SMOOTH_CHAINS = {
 }
 
 
-def smooth_density(name: str, omega: Optional[Box] = None) -> SmoothDensity:
-    return SmoothDensity(SMOOTH_CHAINS[name], omega=omega, name=name)
+def smooth_density(name: str) -> SmoothDensity:
+    return SmoothDensity(SMOOTH_CHAINS[name], name=name)

@@ -38,8 +38,8 @@ def central_difference(fn: Callable[[float], complex], x: float, order: int,
 
 
 def richardson_derivative(fn: Callable[[float], complex], x: float,
-                          order: int = 1, base_step: float = 1e-4,
-                          levels: int = 2) -> complex:
+                          order: int, base_step: float,
+                          levels: int) -> complex:
     """Richardson-extrapolated central difference.
 
     ``levels`` extrapolation levels on top of the base stencil; the error

@@ -9,7 +9,6 @@ only to the run-log sidecar.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -22,13 +21,14 @@ import numpy as np
 from . import asymptotics as asy
 from .basic_space import (Dj_derivative, ExpExpRepresentative, embed_C,
                           embed_J, embed_sigma, mul, sub, translate_formalism)
-from .diffeo import (check_Z_requirements, compose, get_diffeo,
+from .diffeo import (catalog, check_Z_requirements, compose, get_diffeo,
                      pullback_rep, transform_test_object)
 from .distributions import (DiracDerivative, Heaviside, PullbackDistribution,
                             SMOOTH_CHAINS, derivative, smooth_density)
 from .test_objects import (MomentClass, check_moment_class, make_battery,
                            perturbation_directions)
-from .testfunc import Box, QuadratureGrid, build_mollifier, moment, scale
+from .testfunc import (Q_CAP, Box, build_mollifier, check_node_count, moment,
+                       scale)
 
 SCENARIO_NAMES = ("mollifier", "embed-order", "delta-scaling", "association",
                   "moment-invariance", "counterexample", "jform-commute",
@@ -45,7 +45,7 @@ class ScenarioConfig:
     fit_window: Optional[int] = None
     battery_count: int = 8
     battery_mode: Optional[str] = None  # override a scenario's default mode
-    k_points: int = 41
+    k_points: Optional[int] = None  # points of K, else each scenario's own
     quad_n: Optional[int] = None
     diffeo: Optional[str] = None
     seed: int = 7
@@ -58,19 +58,37 @@ class ScenarioConfig:
         if self.seed is None:
             raise ValueError("a seed is mandatory for reproducible runs")
         if self.quad_n is not None:
-            QuadratureGrid(self.quad_n)  # raises on a bad node count
+            check_node_count(self.quad_n)
         if self.battery_count < 1:
             raise ValueError(f"battery_count must be >= 1, got {self.battery_count}")
-        if self.k_points < 1:
-            raise ValueError(f"k_points must be >= 1, got {self.k_points}")
+        for key, lo, hi in (("q", 0, Q_CAP), ("eps_min", 2, 20),
+                            ("eps_max", 2, 20), ("fit_window", 4, math.inf),
+                            ("k_points", 1, math.inf)):
+            v = getattr(self, key)
+            if v is not None and not lo <= v <= hi:
+                raise ValueError(f"{key} must lie in {lo}..{hi}, got {v}")
+        if None not in (self.eps_min, self.eps_max) and \
+                self.eps_min >= self.eps_max:
+            raise ValueError("eps_min must be below eps_max")
+        try:
+            lo, hi = map(float, self.omega)
+        except (TypeError, ValueError):
+            lo = hi = math.nan
+        if not -math.inf < lo < hi < math.inf:
+            raise ValueError(f"omega must be two finite numbers lo < hi, "
+                             f"got {self.omega!r}")
+        if self.diffeo not in (None, *catalog()):
+            raise KeyError(f"unknown diffeomorphism {self.diffeo!r}")
+        if self.battery_mode not in (None, "static", "eps_path", "full_path"):
+            raise ValueError(f"unknown battery mode {self.battery_mode!r}")
 
     @property
     def omega_box(self) -> Box:
         return Box.interval(self.omega[0], self.omega[1])
 
-    def k_grid(self, lo: float = -1.0, hi: float = 1.0,
-               n: Optional[int] = None) -> np.ndarray:
-        return np.linspace(lo, hi, n or self.k_points)
+    def k_grid(self, n: int, lo: float = -1.0, hi: float = 1.0) -> np.ndarray:
+        """K: ``k_points`` points on [lo, hi] if set, else the scenario's ``n``."""
+        return np.linspace(lo, hi, self.k_points or n)
 
     @staticmethod
     def from_sources(scenario: str, config_file: Optional[str] = None,
@@ -119,24 +137,11 @@ def _a(records: list, name: str, observed, threshold: str, passed: bool):
 
 
 def _write_summary(outdir: str, scenario: str, assertions: list) -> str:
-    path = os.path.join(outdir, f"{scenario}_summary.csv")
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["scenario", "assertion", "observed", "threshold", "passed"])
-        for a in assertions:
-            wr.writerow([scenario, a.name, a.observed, a.threshold,
-                         "pass" if a.passed else "FAIL"])
-    return path
-
-
-def _write_rows(path: str, header: list, rows: list) -> str:
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(header)
-        for row in rows:
-            wr.writerow([f"{v:.17g}" if isinstance(v, float) else str(v)
-                         for v in row])
-    return path
+    return asy.write_rows(
+        os.path.join(outdir, f"{scenario}_summary.csv"),
+        ["scenario", "assertion", "observed", "threshold", "passed"],
+        [(scenario, a.name, a.observed, a.threshold,
+          "pass" if a.passed else "FAIL") for a in assertions])
 
 
 def _spec(cfg: ScenarioConfig, i_min: int, i_max: int, window: int,
@@ -169,7 +174,7 @@ def _scn_mollifier(cfg: ScenarioConfig, outdir: str):
             _a(records, f"q{q}-moments", worst, "<=1e-10", worst <= 1e-10)
         _a(records, f"q{q}-doubled-grid", worst_dbl, "<=1e-11",
            worst_dbl <= 1e-11)
-    files = [_write_rows(os.path.join(outdir, "mollifier_moments.csv"),
+    files = [asy.write_rows(os.path.join(outdir, "mollifier_moments.csv"),
                          ["q", "k", "moment", "doubling_diff"], rows)]
     return records, files
 
@@ -185,7 +190,7 @@ def _scn_embed_order(cfg: ScenarioConfig, outdir: str):
                   for fname in fnames)
     moderate = {}
     for q in qs:
-        spec = _spec(cfg, 2, 9, 6, cfg.k_grid(), alphas=(0,))
+        spec = _spec(cfg, 2, 9, 6, cfg.k_grid(41), alphas=(0,))
         # a swept battery is dropped at once: its members hold cached samples
         moderate[q] = asy.test_moderate(
             diffs, make_battery(cfg.battery_mode or "full_path", q,
@@ -197,7 +202,7 @@ def _scn_embed_order(cfg: ScenarioConfig, outdir: str):
         return make_battery("full_path", q, 3, cfg.seed + 31 + q,
                             flavor=flavor)
 
-    neg_spec = _spec(cfg, 2, 9, 6, cfg.k_grid(n=11), alphas=(0,))
+    neg_spec = _spec(cfg, 2, 9, 6, cfg.k_grid(11), alphas=(0,))
     negligible = asy.test_negligible(diffs, [0, 1, 2, 3], neg_spec, factory)
 
     records, series_all, verdicts_all = [], [], []
@@ -225,7 +230,7 @@ def _scn_delta_scaling(cfg: ScenarioConfig, outdir: str):
     records = []
     bat = make_battery(cfg.battery_mode or "full_path", cfg.q or 0,
                        cfg.battery_count, cfg.seed)
-    spec = _spec(cfg, 2, 14, 6, cfg.k_grid(), alphas=(0,))
+    spec = _spec(cfg, 2, 14, 6, cfg.k_grid(41), alphas=(0,))
     rep = asy.test_moderate(embed_C(DiracDerivative(0), omega=om,
                                     n=cfg.quad_n), bat, spec)
     for v in rep.verdicts:
@@ -250,7 +255,7 @@ def _scn_association(cfg: ScenarioConfig, outdir: str):
     ix2 = embed_C(smooth_density("x2"), omega=om, n=cfg.quad_n)
     gap = sub(mul(ix, ix), ix2)
 
-    spec = _spec(cfg, 2, 9, 6, cfg.k_grid(n=21), alphas=(0,))
+    spec = _spec(cfg, 2, 9, 6, cfg.k_grid(21), alphas=(0,))
     worst = 0.0
     for path in make_battery("full_path", 2, cfg.battery_count, cfg.seed,
                              flavor="strict"):
@@ -261,7 +266,7 @@ def _scn_association(cfg: ScenarioConfig, outdir: str):
 
     qs = [cfg.q] if cfg.q is not None else [1, 2, 3]
     for q in qs:
-        spec_cm = _spec(cfg, 2, 8, 5, cfg.k_grid(n=21), alphas=(0,))
+        spec_cm = _spec(cfg, 2, 8, 5, cfg.k_grid(21), alphas=(0,))
         rep = asy.test_moderate(gap, make_battery("full_path", q, 4,
                                                   cfg.seed + 17 + q,
                                                   flavor="cm"), spec_cm)
@@ -280,7 +285,7 @@ def _scn_moment_invariance(cfg: ScenarioConfig, outdir: str):
     rng = np.random.default_rng(cfg.seed)
     names = [cfg.diffeo] if cfg.diffeo else ["affine-2x", "sin-bend", "cubic"]
     qs = [cfg.q] if cfg.q is not None else [2, 4]
-    L = cfg.k_grid(-0.7, 0.7, 7)
+    L = cfg.k_grid(7, -0.7, 0.7)
     quad_n = cfg.quad_n or 2048
     for q in qs:
         # symmetric members built with extra vanishing moments: under a
@@ -326,7 +331,7 @@ def _scn_moment_invariance(cfg: ScenarioConfig, outdir: str):
                 _a(records, f"{name}-q{q}-{path.member_id}-Z",
                    f"radius {z.radius_observed:.3g}", "all clauses",
                    z.passed)
-    p = _write_rows(os.path.join(outdir, "moment-invariance_orders.csv"),
+    p = asy.write_rows(os.path.join(outdir, "moment-invariance_orders.csv"),
                     ["diffeo", "q", "member_id", "alpha", "fitted_order"], rows)
     return records, [p]
 
@@ -339,9 +344,9 @@ def _scn_counterexample(cfg: ScenarioConfig, outdir: str):
     # object is introduced by the (nonlinear) map itself
     src = make_battery("eps_path", 0, 1, cfg.seed)[0]
     eps_bat = make_battery("eps_path", 0, 4, cfg.seed + 1)
-    spec = _spec(cfg, 4, 14, 11, cfg.k_grid(n=11), alphas=(1,))
+    spec = _spec(cfg, 4, 14, 11, cfg.k_grid(11), alphas=(1,))
     rep = asy.counterexample_scenario(mu, src, spec, eps_bat,
-                                      quad_n=cfg.quad_n or 1024)
+                                      cfg.quad_n or 1024)
     _a(records, "modulus-one", rep.value_deviation, "==0",
        rep.value_deviation == 0.0)
     _a(records, "untransformed-N", rep.untransformed.N, "==0",
@@ -394,7 +399,7 @@ def _scn_jform_commute(cfg: ScenarioConfig, outdir: str):
         x = float((rng.random() - 0.5) * 1.6)
         worst_rt = max(worst_rt, abs(rt(phi, x) - base(phi, x)))
     _a(records, "roundtrip-bit-identical", worst_rt, "==0", worst_rt == 0.0)
-    p = _write_rows(os.path.join(outdir, "jform-commute_probes.csv"),
+    p = asy.write_rows(os.path.join(outdir, "jform-commute_probes.csv"),
                     ["distribution", "x", "abs_value", "abs_error"], rows)
     return records, [p]
 
@@ -405,8 +410,8 @@ def _scn_d1_form(cfg: ScenarioConfig, outdir: str):
     dirs = perturbation_directions(2, cfg.seed + 5)
     static = make_battery("static", 0, 4, cfg.seed + 6)
     full = make_battery("full_path", 0, 4, cfg.seed + 7)
-    spec_d1 = _spec(cfg, 2, 12, 6, cfg.k_grid(n=21), alphas=(0,))
-    spec_mod = _spec(cfg, 2, 12, 6, cfg.k_grid(n=21), alphas=(0, 1))
+    spec_d1 = _spec(cfg, 2, 12, 6, cfg.k_grid(21), alphas=(0,))
+    spec_mod = _spec(cfg, 2, 12, 6, cfg.k_grid(21), alphas=(0, 1))
     catalog = [
         ("iota-delta", embed_C(DiracDerivative(0), omega=om, n=cfg.quad_n)),
         ("iota-H", embed_C(Heaviside(), omega=om, n=cfg.quad_n)),
@@ -427,7 +432,7 @@ def _scn_d1_form(cfg: ScenarioConfig, outdir: str):
                    for ser in d1rep.series + modrep.series]
         _a(records, f"{name}-agreement",
            f"d1={d1rep.passed}/mod={modrep.passed}", "equal", agree)
-    p = _write_rows(os.path.join(outdir, "d1-form_verdicts.csv"),
+    p = asy.write_rows(os.path.join(outdir, "d1-form_verdicts.csv"),
                     ["representative", "test", "moderate", "N"], rows)
     p_sweep = os.path.join(outdir, "d1-form_sweep.csv")
     asy.write_sweep_csv(p_sweep, series)
@@ -478,7 +483,7 @@ def _scn_pullback_functor(cfg: ScenarioConfig, outdir: str):
                 worst = max(worst, float(err))
             _a(records, f"embed-commutes-{name}-{uname}", worst, "<=1e-8",
                worst <= 1e-8)
-    p = _write_rows(os.path.join(outdir, "pullback-functor_probes.csv"),
+    p = asy.write_rows(os.path.join(outdir, "pullback-functor_probes.csv"),
                     ["check", "x", "abs_error"], rows)
     return records, [p]
 

@@ -33,11 +33,14 @@ MOMENT_FLOOR = 1e-13
 
 @dataclass
 class TestObjectPath:
-    """A (possibly eps- and x-dependent) family of unit-mass test functions."""
+    """A (possibly eps- and x-dependent) family of unit-mass test functions.
+
+    ``fn(eps, x)`` builds the member; a static or eps-only family's ``fn``
+    ignores the arguments its members do not depend on.
+    """
 
     __test__ = False  # pytest: a domain type, not a test case
 
-    mode: str                  # "static" | "eps_path" | "full_path"
     fn: Callable[[float, float], TestFunction]
     q: int                     # declared vanishing-moment order of the members
     radius_bound: float        # uniform support radius bound about the origin
@@ -45,10 +48,6 @@ class TestObjectPath:
     domain: Optional[object] = None   # PartialDomain when only partially defined
 
     def __call__(self, eps: float = 1.0, x: float = 0.0) -> TestFunction:
-        if self.mode == "static":
-            return self.fn(1.0, 0.0)
-        if self.mode == "eps_path":
-            return self.fn(float(eps), 0.0)
         return self.fn(float(eps), float(x))
 
 
@@ -71,7 +70,7 @@ def _zero_mass_bump(rng: np.random.Generator) -> TestFunction:
     generically nonzero."""
     rho = 0.5 + 0.4 * rng.random()
     d = (rng.random() - 0.5) * 0.4
-    return bump_testfunction(radius=rho, center=d, normalized=False).derivative()
+    return bump_testfunction(radius=rho, center=d).derivative()
 
 
 def make_battery(mode: str, q: int, count: int, seed: int,
@@ -112,7 +111,7 @@ def make_battery(mode: str, q: int, count: int, seed: int,
         if mode == "static":
             base = build_mollifier(qb, radius=r, center=c)
             members.append(TestObjectPath(
-                "static", (lambda e, x, tf=base: tf), q, bound, mid))
+                (lambda e, x, tf=base: tf), q, bound, mid))
             continue
 
         chi = _zero_mass_bump(rng)
@@ -126,8 +125,7 @@ def make_battery(mode: str, q: int, count: int, seed: int,
                 return tf_lincomb([1.0, amp * e**q * (1.0 + e)], [base, chi],
                                   label="cm-path")
 
-            members.append(TestObjectPath(
-                "eps_path", fn, q, max(bound, chi_bound), mid))
+            members.append(TestObjectPath(fn, q, max(bound, chi_bound), mid))
             continue
 
         r2 = 0.75 + 0.5 * rng.random()
@@ -154,7 +152,7 @@ def make_battery(mode: str, q: int, count: int, seed: int,
                 w = 0.5 + 0.4 * math.sin(om * x + th)
                 return tf_lincomb([w, 1.0 - w], [base, other], label="full-mix")
 
-        members.append(TestObjectPath("full_path", fn, q, bound, mid))
+        members.append(TestObjectPath(fn, q, bound, mid))
     return members
 
 
@@ -200,8 +198,7 @@ def _decay_order(eps_grid: np.ndarray, vals: np.ndarray,
 
 
 def check_moment_class(path: TestObjectPath, cls: MomentClass,
-                       eps_grid: Sequence[float],
-                       x_grid: Optional[Sequence[float]] = None,
+                       eps_grid: Sequence[float], x_grid: Sequence[float],
                        n: Optional[int] = None,
                        zero_tol: float = MOMENT_FLOOR) -> MomentClassReport:
     """Classify a path against a moment discipline.
@@ -210,8 +207,7 @@ def check_moment_class(path: TestObjectPath, cls: MomentClass,
     asympt_CM: each moment's sup over x decays with order >= q - 0.3.
     """
     eps_grid = np.asarray(list(eps_grid), dtype=float)
-    xs = np.asarray(list(x_grid), dtype=float) if x_grid is not None \
-        else np.array([0.0])
+    xs = np.asarray(list(x_grid), dtype=float)
     q = cls.q
 
     # sup over x of |m_alpha| for every alpha 0..q, per eps

@@ -35,6 +35,9 @@ COND_LIMIT = 1e12
 #: orders up to twice this
 Q_CAP = 8
 
+#: nodes of the support grid that sup_abs samples
+SUP_NODES = 1024
+
 
 class MollifierError(ValueError):
     """Moment system too ill-conditioned (or otherwise unsolvable)."""
@@ -88,17 +91,11 @@ class Box:
         return float(min(x - self.lo, self.hi - x))
 
 
-@dataclass(frozen=True)
-class QuadratureGrid:
-    """Uniform trapezoid panels over a support interval."""
-
-    nodes_per_axis: int
-
-    def __post_init__(self):
-        n = self.nodes_per_axis
-        if n < 64 or (n & (n - 1)) != 0:
-            raise ValueError(f"quadrature node count must be a power of two >= 64, "
-                             f"got {n}")
+def check_node_count(n: int):
+    """Raise unless ``n`` is a usable panel count: a power of two >= 64."""
+    if n < 64 or (n & (n - 1)) != 0:
+        raise ValueError(f"quadrature node count must be a power of two >= 64, "
+                         f"got {n}")
 
 
 class TestFunction:
@@ -185,12 +182,11 @@ class TestFunction:
     def box(self) -> tuple[float, float]:
         return self.center - self.radius, self.center + self.radius
 
-    def sup_abs(self, n: int = 1024) -> float:
-        key = ("sup", n)
-        if key not in self._cache:
-            pts, _ = support_grid(self, n)
-            self._cache[key] = float(np.max(np.abs(self.fn(pts))))
-        return self._cache[key]
+    def sup_abs(self) -> float:
+        if "sup" not in self._cache:
+            pts, _ = support_grid(self, SUP_NODES)
+            self._cache["sup"] = float(np.max(np.abs(self.fn(pts))))
+        return self._cache["sup"]
 
     def mass(self, n: Optional[int] = None) -> float:
         key = ("mass", n)
@@ -208,19 +204,13 @@ class TestFunction:
 
 
 def _node_count(n) -> int:
-    if n is None:
-        return DEFAULT_NODES
-    if isinstance(n, QuadratureGrid):
-        return n.nodes_per_axis
-    return int(n)
+    return DEFAULT_NODES if n is None else int(n)
 
 
 def support_grid(tf: TestFunction, n=None):
-    """Trapezoid nodes and weights over the support interval of ``tf``,
-    read-only because the sample caches share them.
-
-    ``n`` may be a panel count or a :class:`QuadratureGrid`.
-    """
+    """Trapezoid nodes and weights over ``n`` panels (default
+    ``DEFAULT_NODES``) of the support interval of ``tf``, read-only because
+    the sample caches share them."""
     n = _node_count(n)
     lo, hi = tf.box
     pts = np.linspace(lo, hi, n + 1)
@@ -304,8 +294,8 @@ def _parametric_eval(coeffs: np.ndarray, center: float, radius: float):
     return fn, dfn
 
 
-def build_mollifier(q: int, radius: float = 1.0, center: float = 0.0,
-                    n: Optional[int] = None) -> TestFunction:
+def build_mollifier(q: int, radius: float = 1.0,
+                    center: float = 0.0) -> TestFunction:
     """Unit-mass mollifier with moments 1..q vanishing (about the origin).
 
     Solves the dense moment system over the bump-monomial basis centered at
@@ -318,8 +308,7 @@ def build_mollifier(q: int, radius: float = 1.0, center: float = 0.0,
         raise ValueError("q must be >= 0")
     c = float(center)
     r = float(radius)
-    if n is None:
-        n = DEFAULT_NODES
+    n = DEFAULT_NODES
     pts = np.linspace(c - r, c + r, n + 1)
     h = 2 * r / n
     w = np.full(n + 1, h)
@@ -347,11 +336,8 @@ def build_mollifier(q: int, radius: float = 1.0, center: float = 0.0,
                         label=f"moll(q={q},r={r:g},c={c:g})")
 
 
-def bump_testfunction(radius: float = 1.0, center: float = 0.0,
-                      normalized: bool = True) -> TestFunction:
-    """The base bump at the given center/radius, unit mass unless disabled."""
-    if normalized:
-        return build_mollifier(0, radius=radius, center=center)
+def bump_testfunction(radius: float = 1.0, center: float = 0.0) -> TestFunction:
+    """The base bump B((xi - center)/radius), not normalized."""
     fn, dfn = _parametric_eval(np.array([1.0]), center, radius)
     return TestFunction(center, radius, fn, dfn=dfn,
                         coeffs=np.array([1.0]), label="bump")

@@ -316,7 +316,7 @@ class TestD1Form:
     def test_pullback_drops_x_independence(self):
         rep = ExpExpRepresentative(squared_mass_inner(1024), omega=OMEGA)
         mu = get_diffeo("sin-bend", OMEGA)
-        pulled = rep.compose_pullback(pullback_pair_transform(mu), None)
+        pulled = rep.compose_pullback(pullback_pair_transform(mu), None, "pb")
         assert rep.x_independent and not pulled.x_independent
 
     def test_shared_terms_sum_like_log_abs_d1(self):
@@ -553,7 +553,7 @@ class TestCounterexample:
         """A probe whose I passes 700 gives no evidence of |R| = 1: the
         modulus check raises, naming I, instead of passing."""
         probe = scale(build_mollifier(0), 2.0**-11)
-        src = TestObjectPath("static", lambda e, x: probe, 0, probe.radius,
+        src = TestObjectPath(lambda e, x: probe, 0, probe.radius,
                              "overflow-probe")
         mu = get_diffeo("sin-bend", OMEGA)
         eps_bat = make_battery("eps_path", 0, 1, seed=14)

@@ -127,7 +127,7 @@ class TestFormalismTranslation:
             assert repC(phi, x) == pytest.approx(direct(phi, x), abs=1e-12)
 
     def test_phi_independent_fixed_point(self, moll0):
-        rep = embed_sigma(np.cos, formalism="C")
+        rep = embed_sigma(np.cos)
         out = translate_formalism(rep)
         assert out(moll0, 0.4) == rep(moll0, 0.4)
 
@@ -162,12 +162,12 @@ class TestPartialX:
     def test_sigma_sin_derivative(self, moll0):
         rep = embed_sigma(np.sin)
         for x in (-0.8, 0.0, 0.5):
-            got = partial_x(rep, 1, moll0, x)
+            got = partial_x(rep, 1, moll0, x, h=1e-5)
             assert got == pytest.approx(np.cos(x), abs=1e-8)
 
     def test_embed_j_x_derivative_vanishes(self, moll2_offset):
         rep = embed_J(Heaviside())
-        assert partial_x(rep, 1, moll2_offset, 0.3) == 0.0
+        assert partial_x(rep, 1, moll2_offset, 0.3, h=1e-5) == 0.0
 
     def test_delta_embedding_derivative(self, moll2_offset):
         """d/dx iota(delta)(S_eps phi, x) at 0 is -eps^{-2} phi'(0)."""

@@ -3,12 +3,14 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from gfn_lab import cli
 from gfn_lab.cli import main
 from gfn_lab.scenarios import SCENARIO_NAMES, ScenarioConfig, run_scenario
 
@@ -103,6 +105,32 @@ class TestCliSurface:
                    "--out", str(tmp_path / "d")])
         assert rc == 2
 
+    def test_k_points_sets_the_grid_of_a_scenario_with_its_own_size(
+            self, tmp_path):
+        """association sizes K itself (21 points); --k-points overrides it."""
+        sweeps = []
+        for tag, extra in (("default", []), ("k3", ["--k-points", "3"])):
+            out = tmp_path / tag
+            rc = main(["association", "--seed", "0", "--quiet",
+                       "--out", str(out), *extra])
+            assert rc in (0, 1)
+            sweeps.append((out / "association_sweep.csv").read_bytes())
+        assert sweeps[0] != sweeps[1]
+
+    def test_every_flag_is_in_both_synopses(self, capsys):
+        """The flags ``gfn --help`` prints are those of the synopsis in the
+        README and in the cli module's docstring."""
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        flags.discard("--help")
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        synopses = [readme.split("## CLI", 1)[1].split("```")[1],
+                    cli.__doc__.split("\n\n")[1]]
+        for text in synopses:
+            assert text.lstrip().startswith("gfn <scenario>")
+            assert set(re.findall(r"--[a-z][a-z-]*", text)) == flags
+
     @pytest.mark.parametrize("data", [
         pytest.param({"qq": 1}, id="unknown-key"),
         pytest.param({"s": 2}, id="dimension-key"),
@@ -110,6 +138,18 @@ class TestCliSurface:
         pytest.param({"quad_n": 32}, id="quad-n-too-small"),
         pytest.param({"battery_count": 0}, id="count-zero"),
         pytest.param({"k_points": 0}, id="k-points-zero"),
+        pytest.param({"q": -1}, id="q-negative"),
+        pytest.param({"q": 99}, id="q-above-cap"),
+        pytest.param({"eps_min": 1}, id="eps-min-below-2"),
+        pytest.param({"eps_max": 30}, id="eps-max-above-20"),
+        pytest.param({"eps_min": 12, "eps_max": 10}, id="eps-min-above-max"),
+        pytest.param({"eps_min": 10, "eps_max": 10}, id="eps-min-equals-max"),
+        pytest.param({"fit_window": 2}, id="fit-window-below-4"),
+        pytest.param({"omega": [1.0, -1.0]}, id="omega-reversed"),
+        pytest.param({"omega": [-1.0, float("inf")]}, id="omega-infinite"),
+        pytest.param({"omega": [1.0]}, id="omega-one-number"),
+        pytest.param({"diffeo": "nope"}, id="diffeo-not-in-catalog"),
+        pytest.param({"battery_mode": "cm"}, id="battery-mode-unknown"),
     ])
     def test_bad_config_key_rejected(self, tmp_path, data):
         """Unknown keys and out-of-range numbers exit 2 (bad usage), never

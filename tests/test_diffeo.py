@@ -367,7 +367,7 @@ class TestPartialDomain:
 
 class TestZRequirements:
     def test_constant_path_passes(self, moll2):
-        path = TestObjectPath("static", lambda e, x: moll2, 2,
+        path = TestObjectPath(lambda e, x: moll2, 2,
                               float(moll2.radius), "const")
         rep = check_Z_requirements(path, np.linspace(-1, 1, 5), 1.0,
                                    beta_max=3)
@@ -398,7 +398,7 @@ class TestZRequirements:
                            lambda xi: grown(xi * e * e), label="grow")
             return out
 
-        path = TestObjectPath("full_path", fn_grow, 0, float("inf"), "grow")
+        path = TestObjectPath(fn_grow, 0, float("inf"), "grow")
         rep = check_Z_requirements(path, np.array([0.0]), 0.5, beta_max=1,
                                    n_eps=3)
         assert not rep.radius_ok

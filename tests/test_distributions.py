@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gfn_lab.basic_space import embed_C
 from gfn_lab.diffeo import affine_map, get_diffeo, identity_map
 from gfn_lab.distributions import (DiracDerivative, Heaviside,
                                    PullbackDistribution, SmoothDensity,
@@ -92,30 +93,35 @@ class TestDerivative:
 
 
 class TestDomain:
+    """The open set belongs to the representative: ``embed_C(w, omega)``
+    checks U(Omega) before ``pair`` runs, its exact zeros included."""
+
+    OMEGA = Box.interval(-2.0, 2.0)
+
     def test_support_escape_raises(self, moll0):
-        w = SmoothDensity(np.sin, omega=Box.interval(-2.0, 2.0))
+        rep = embed_C(SmoothDensity(np.sin), omega=self.OMEGA)
         with pytest.raises(DomainError):
-            pair(w, translate(moll0, 1.5))
+            rep(moll0, 1.5)
 
     def test_inside_is_fine(self, moll0):
-        w = SmoothDensity(np.sin, omega=Box.interval(-2.0, 2.0))
-        pair(w, translate(moll0, 0.5))
+        for w in (SmoothDensity(np.sin), DiracDerivative(0, -1.9),
+                  Heaviside()):
+            rep = embed_C(w, omega=self.OMEGA)
+            assert rep(moll0, 0.5) == pair(w, moll0, shift=0.5)
 
     def test_missed_dirac_still_checks_the_domain(self, moll0):
         """The point misses the support, but the support escapes the open
         set: the domain check comes before the zero."""
-        w = DiracDerivative(0, -1.9, omega=Box.interval(-2.0, 2.0))
+        rep = embed_C(DiracDerivative(0, -1.9), omega=self.OMEGA)
+        assert pair(DiracDerivative(0, -1.9), moll0, shift=1.5) == 0.0
         with pytest.raises(DomainError):
-            pair(w, translate(moll0, 1.5))
-        with pytest.raises(DomainError):
-            pair(w, moll0, shift=1.5)
+            rep(moll0, 1.5)
 
     def test_heaviside_left_of_zero_still_checks_the_domain(self, moll0):
-        w = Heaviside(Box.interval(-2.0, 2.0))
+        rep = embed_C(Heaviside(), omega=self.OMEGA)
+        assert pair(Heaviside(), moll0, shift=-1.5) == 0.0
         with pytest.raises(DomainError):
-            pair(w, translate(moll0, -1.5))
-        with pytest.raises(DomainError):
-            pair(w, moll0, shift=-1.5)
+            rep(moll0, -1.5)
 
 
 class TestClassicalPullback:

@@ -22,14 +22,13 @@ from gfn_lab.basic_space import embed_C, embed_J, translate_formalism
 from gfn_lab.diffeo import affine_map, compose, pullback_rep
 from gfn_lab.distributions import (DiracDerivative, Heaviside, pair,
                                    smooth_density)
-from gfn_lab.testfunc import (Box, DomainError, build_mollifier, scale,
-                              support_grid, tf_lincomb, translate)
+from gfn_lab.testfunc import (build_mollifier, scale, support_grid,
+                              tf_lincomb, translate)
 
 shifts = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 scales = st.floats(min_value=0.05, max_value=1.0)
 weights = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 proper_scales = st.floats(min_value=0.05, max_value=1.0, exclude_max=True)
-OMEGA = Box.interval(-2.5, 2.5)
 # shifts x at which translate(scale(moll2_offset, 0.75), x) has its box edge
 # exactly on a pairing's point: 0.3 on the left edge, 0 on the right
 EDGE_X, ZERO_EDGE_X = 0.9375, -0.8625
@@ -156,18 +155,9 @@ def shifted_members(base, combo, e, t, u):
             (twice, -u, -twice.frame[2])]
 
 
-def outcome(fn):
-    try:
-        return fn()
-    except DomainError as err:
-        return str(err)
-
-
 class TestPairAtAShift:
-    KINDS = [*(smooth_density(f, omega=OMEGA)
-               for f in ("sin", "x", "x2", "x4")),
-             DiracDerivative(0, omega=OMEGA), DiracDerivative(1, omega=OMEGA),
-             Heaviside(OMEGA)]
+    KINDS = [*(smooth_density(f) for f in ("sin", "x", "x2", "x4")),
+             DiracDerivative(0), DiracDerivative(1), Heaviside()]
 
     @settings(max_examples=25, deadline=None)
     @given(e=proper_scales, t=shifts, u=shifts, x=shifts,
@@ -177,13 +167,13 @@ class TestPairAtAShift:
     def test_pair_at_a_shift_is_pair_with_the_translate(self, moll2_offset,
                                                         moll0, e, t, u, x, n):
         """pair(w, phi, n, shift=s) is pair(w, translate(phi, s), n) bit for
-        bit, the domain check and the exact cancellations included."""
+        bit, the exact cancellations included."""
         combo = tf_lincomb([0.6, 0.4], [moll2_offset, translate(moll0, -0.2)])
         for phi, undo, home in shifted_members(moll2_offset, combo, e, t, u):
             for s in {x, 0.0, undo, home} - {None}:
                 for w in self.KINDS:
-                    assert outcome(lambda: pair(w, phi, n, shift=s)) == \
-                        outcome(lambda: pair(w, translate(phi, s), n))
+                    assert pair(w, phi, n, shift=s) == \
+                        pair(w, translate(phi, s), n)
 
     @settings(max_examples=25, deadline=None)
     @given(e=proper_scales, t=shifts, u=shifts, x=shifts,
@@ -204,11 +194,9 @@ class TestPairAtAShift:
         for phi, undo, home in shifted_members(moll2_offset, combo, e, t, u):
             for s in {x, 0.0, undo, home} - {None}:
                 psi = translate(phi, s)
-                if not OMEGA.contains_ball(psi.center, psi.radius):
-                    continue  # DomainError, checked by the law above
                 lo, hi = psi.box
                 for p in (0.0, 0.3):
-                    got = pair(DiracDerivative(0, p, omega=OMEGA), phi, n,
+                    got = pair(DiracDerivative(0, p), phi, n,
                                shift=s)
                     assert got == psi(p)
                     if abs(p - psi.center) > psi.radius:
@@ -220,7 +208,7 @@ class TestPairAtAShift:
                 simpson = (hi - a) / n / 3.0 * (
                     v[0] + v[-1] + 4.0 * v[1:-1:2].sum()
                     + 2.0 * v[2:-1:2].sum())
-                got = pair(Heaviside(OMEGA), phi, n, shift=s)
+                got = pair(Heaviside(), phi, n, shift=s)
                 assert got == simpson
                 if hi <= 0.0:
                     assert math.copysign(1.0, got) == 1.0

@@ -203,7 +203,7 @@ class TestSharedSamples:
             w = 0.5 + 0.4 * np.sin(1.3 * x + 0.2)
             return tf_lincomb([w, 1.0 - w], [base, other])
 
-        path = TestObjectPath("full_path", member, 2, 1.15, "counted")
+        path = TestObjectPath(member, 2, 1.15, "counted")
         ix = embed_C(smooth_density("x"), omega=OMEGA)
         ix2 = embed_C(smooth_density("x2"), omega=OMEGA)
         tables = asy.sweep(sub(mul(ix, ix), ix2), path, SMALL)
@@ -227,7 +227,7 @@ class TestSharedSamples:
             w = 0.5 + 0.4 * np.sin(1.3 * x + 0.2)
             return tf_lincomb([w, 1.0 - w], [base, other])
 
-        path = TestObjectPath("full_path", member, 2, 1.15, "counted")
+        path = TestObjectPath(member, 2, 1.15, "counted")
         w = smooth_density("x4")
         asy.sweep(embed_C(w, omega=OMEGA), path, SMALL)
         points = len(SMALL.eps) * len(SMALL.K)
@@ -260,7 +260,7 @@ class TestSharedSamples:
             inner = tf.fn
             tf.fn = lambda p, inner=inner: evaluated.append(p) or inner(p)
         count_calls(monkeypatch, translate, translated)
-        path = TestObjectPath("full_path", member, 2, 1.15, "counted")
+        path = TestObjectPath(member, 2, 1.15, "counted")
         tables = asy.sweep(embed_C(DiracDerivative(0), omega=OMEGA), path,
                            spec)
         assert len(evaluated) == 2 * len(hits)
@@ -457,7 +457,7 @@ class TestSquaredMassFromSamples:
            q=st.integers(0, 4), radius=st.floats(0.3, 1.2),
            center=st.floats(-0.3, 0.3), t=st.floats(-1e-3, 1e-3),
            x=st.floats(-1.0, 1.0), seed=st.integers(0, 50),
-           n=st.sampled_from([None, 64, 1024, 2048]))
+           n=st.sampled_from([64, 1024, 2048, DEFAULT_NODES]))
     def test_dyadic_scale_equals_direct_quadrature(self, i, kind, q, radius,
                                                    center, t, x, seed, n):
         eps = 2.0 ** -i
@@ -475,8 +475,8 @@ class TestSquaredMassFromSamples:
         assert (a, b) in ((eps, 0.0), (1.0, 0.0))
         got = asy.squared_mass_inner(n)(phi, x)
         assert base._cache["grid"][0] == \
-            (base.center, base.radius, n or DEFAULT_NODES)
-        assert got == squared_mass_direct(phi, n or DEFAULT_NODES)
+            (base.center, base.radius, n)
+        assert got == squared_mass_direct(phi, n)
 
     def test_other_frames_are_integrated_directly(self):
         from gfn_lab.basic_space import pullback_pair_transform
@@ -518,7 +518,7 @@ class TestSquaredMassFromSamples:
             w = 0.5 + 0.4 * np.sin(1.3 * x + 0.2)
             return tf_lincomb([w, 1.0 - w], [base, other])
 
-        path = TestObjectPath("full_path", member, 0, 1.15, "counted")
+        path = TestObjectPath(member, 0, 1.15, "counted")
         rep = ExpExpRepresentative(asy.squared_mass_inner(1024), omega=OMEGA)
         asy.sweep(rep, path, dataclasses.replace(SMALL, alphas=(1,)))
         assert calls == {"base": [1025], "other": [1025]}

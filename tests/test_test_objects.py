@@ -28,6 +28,19 @@ class TestMakeBattery:
             np.testing.assert_array_equal(pc(0.3, 0.4).fn(xs),
                                           pd(0.3, 0.4).fn(xs))
 
+    @pytest.mark.parametrize("mode", ["static", "eps_path"])
+    def test_member_ignores_what_its_mode_ignores(self, mode):
+        """A static member at any (eps, x) is its member at (1, 0), and an
+        eps-path member its member at (eps, 0), bit for bit."""
+        xs = np.linspace(-1.5, 1.5, 257)
+        for path in make_battery(mode, 2, 3, seed=5):
+            assert path.member_id.startswith(f"{mode}-q2-s5-")
+            for eps, x in ((1.0, 0.0), (0.25, 0.7), (2.0**-9, -1.3)):
+                got = path(eps, x)
+                want = path(1.0, 0.0) if mode == "static" else path(eps, 0.0)
+                assert (got.center, got.radius) == (want.center, want.radius)
+                assert got.fn(xs).tobytes() == want.fn(xs).tobytes()
+
     def test_static_ignores_arguments(self):
         path = make_battery("static", 0, 1, seed=1)[0]
         assert path(0.3, 0.7) is path(0.9, -1.0)
@@ -94,17 +107,16 @@ class TestMomentClasses:
         phi = build_mollifier(1)
         assert abs(moment(phi, 2)) > 1e-3
         from gfn_lab.test_objects import TestObjectPath
-        path = TestObjectPath("static", lambda e, x: phi, 1,
-                              float(phi.radius), "a1")
+        path = TestObjectPath(lambda e, x: phi, 1, float(phi.radius), "a1")
         rep = check_moment_class(path, MomentClass("strict_Aq", 2),
-                                 EPS_GRID[:2])
+                                 EPS_GRID[:2], x_grid=[0.0])
         assert not rep.passed
 
     def test_cm_battery_order(self):
         """eps-path members realize moments decaying at exactly order q."""
         for path in make_battery("eps_path", 2, 3, seed=11):
             rep = check_moment_class(path, MomentClass("asympt_CM", 2),
-                                     EPS_GRID)
+                                     EPS_GRID, x_grid=[0.0])
             assert rep.passed
             assert rep.orders[1] >= 2 - 0.1
 
@@ -127,9 +139,9 @@ class TestMomentClasses:
                                       EPS_GRID, x_grid=[0.1]).passed
         for path in make_battery("eps_path", 2, 2, seed=19):
             assert check_moment_class(path, MomentClass("asympt_CM", 2),
-                                      EPS_GRID).passed
+                                      EPS_GRID, x_grid=[0.0]).passed
             assert check_moment_class(path, MomentClass("asympt_CM", 1),
-                                      EPS_GRID).passed
+                                      EPS_GRID, x_grid=[0.0]).passed
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

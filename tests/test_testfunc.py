@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gfn_lab.testfunc import (MollifierError, QuadratureGrid, TestFunction,
-                              build_mollifier, moment, moments_upto, scale,
+from gfn_lab.testfunc import (MollifierError, TestFunction, build_mollifier,
+                              check_node_count, moment, moments_upto, scale,
                               tf_lincomb, translate)
 
 from conftest import oracle_trapezoid
@@ -51,15 +51,10 @@ class TestBuildMollifier:
 
     def test_quadrature_grid_validation(self):
         with pytest.raises(ValueError):
-            QuadratureGrid(100)
+            check_node_count(100)
         with pytest.raises(ValueError):
-            QuadratureGrid(32)
-        QuadratureGrid(64)
-
-    def test_quadrature_grid_usable_in_moment(self, moll2):
-        direct = moment(moll2, 2, n=1024)
-        via_grid = moment(moll2, 2, n=QuadratureGrid(1024))
-        assert direct == via_grid
+            check_node_count(32)
+        check_node_count(64)
 
     def test_moment_order_cap(self, moll2):
         with pytest.raises(ValueError):
