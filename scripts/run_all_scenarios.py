@@ -3,6 +3,7 @@
 
 Usage:
     python scripts/run_all_scenarios.py [--out DIR] [--seed N | --seeds A-B]
+                                        [--jobs N]
 
 Writes each scenario's CSVs under DIR/<scenario>/ and prints a one-line
 verdict per scenario on standard output, ending in the first 16 hex digits
@@ -17,12 +18,15 @@ two checkouts at the same seed differs exactly when their CSVs do:
 ``--seeds A-B`` runs every seed from A to B inclusive, writes under
 DIR/seed<S>/<scenario>/ and starts each scenario's lines with ``seed=<S> ``,
 so one run per checkout and one diff compare a whole seed range.
+``--jobs N`` runs those seeds in N worker processes; each seed's lines are
+still printed in seed order, so standard output does not depend on N.
 
 Exits nonzero if any scenario assertion failed.
 """
 
 import argparse
 import hashlib
+import multiprocessing
 import os
 import sys
 import time
@@ -55,26 +59,60 @@ def seed_range(text: str) -> range:
     return range(a, b + 1)
 
 
-def run_seed(seed: int, out: str, tag: str) -> list:
-    """Run every scenario at ``seed`` under ``out``, printing one verdict
-    line per scenario that starts with ``tag``; the failed scenarios."""
-    failures = []
-    for name in SCENARIO_NAMES:
+def positive(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected N >= 1, got {n}")
+    return n
+
+
+def run_seed(seed: int, out: str, tag: str, names=SCENARIO_NAMES) -> tuple:
+    """Run the scenarios ``names`` at ``seed`` under ``out``; the verdict
+    lines for standard output, each starting with ``tag``, and the failed
+    scenarios."""
+    lines, failures = [], []
+    for name in names:
         cfg = ScenarioConfig(name, seed=seed, out=os.path.join(out, name))
         t0 = time.time()
         res = run_scenario(cfg)
         n_ok = sum(a.passed for a in res.assertions)
-        print(f"{tag}{name:20s} {'PASS' if res.passed else 'FAIL':4s} "
-              f"{n_ok}/{len(res.assertions)} assertions "
-              f"({len(res.files)} files) sha256 {csv_digest(res.files)}",
+        lines.append(f"{tag}{name:20s} {'PASS' if res.passed else 'FAIL':4s} "
+                     f"{n_ok}/{len(res.assertions)} assertions "
+                     f"({len(res.files)} files) sha256 "
+                     f"{csv_digest(res.files)}")
+        print(f"{tag}{name:20s} {time.time() - t0:5.1f}s", file=sys.stderr,
               flush=True)
-        print(f"{tag}{name:20s} {time.time() - t0:5.1f}s", file=sys.stderr)
         if not res.passed:
             failures.append(f"{tag}{name}")
-            for a in res.assertions:
-                if not a.passed:
-                    print(f"{tag}    FAIL {a.name}: {a.observed} "
-                          f"(want {a.threshold})")
+            lines += [f"{tag}    FAIL {a.name}: {a.observed} "
+                      f"(want {a.threshold})"
+                      for a in res.assertions if not a.passed]
+    return lines, failures
+
+
+def run_seeds(seeds, out: str, jobs: int, names=SCENARIO_NAMES) -> list:
+    """Run every seed of ``seeds`` under ``out``/seed<S> in ``jobs`` worker
+    processes, printing each seed's lines in seed order; the failed
+    scenarios."""
+    tasks = [(seed, os.path.join(out, f"seed{seed}"), f"seed={seed} ", names)
+             for seed in seeds]
+    if jobs == 1:
+        return report(map(run_task, tasks))
+    with multiprocessing.get_context("spawn").Pool(jobs) as pool:
+        return report(pool.imap(run_task, tasks))
+
+
+def run_task(task: tuple) -> tuple:
+    return run_seed(*task)
+
+
+def report(results) -> list:
+    """Print the lines of each (lines, failures) in turn; every failure."""
+    failures = []
+    for lines, failed in results:
+        for line in lines:
+            print(line, flush=True)
+        failures += failed
     return failures
 
 
@@ -84,15 +122,16 @@ def main() -> int:
     which = ap.add_mutually_exclusive_group()
     which.add_argument("--seed", type=int, default=7)
     which.add_argument("--seeds", type=seed_range, metavar="A-B")
+    ap.add_argument("--jobs", type=positive, default=1, metavar="N",
+                    help="worker processes for --seeds")
     args = ap.parse_args()
+    if args.seeds is None and args.jobs != 1:
+        ap.error("--jobs needs --seeds")
 
     if args.seeds is None:
-        failures = run_seed(args.seed, args.out, "")
+        failures = report([run_seed(args.seed, args.out, "")])
     else:
-        failures = []
-        for seed in args.seeds:
-            failures += run_seed(seed, os.path.join(args.out, f"seed{seed}"),
-                                 f"seed={seed} ")
+        failures = run_seeds(args.seeds, args.out, args.jobs)
     if failures:
         print(f"\nfailed scenarios: {', '.join(failures)}")
         return 1

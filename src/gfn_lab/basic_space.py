@@ -21,7 +21,7 @@ import numpy as np
 from . import numdiff
 from .distributions import Distribution, pair, pullback_test_function
 from .testfunc import (TAU_M, Box, DomainError, TestFunction, scale,
-                       tf_lincomb, translate)
+                       tf_lincomb, translate, union_box)
 
 
 #: d_1 central-difference step, in units of sup |phi| / sup |psi|
@@ -44,11 +44,13 @@ class Representative:
     ``omega`` is the ambient open set realizing the domain predicate.
     ``x_independent`` marks representatives whose magnitudes do not depend
     on the point x, so a sweep row over a fixed test object may probe them
-    once.
+    once.  ``phi_independent`` marks those whose value does not depend on
+    the test function, so their directional derivatives vanish.
     """
 
     has_log_channel = False
     x_independent = False
+    phi_independent = False
 
     def __init__(self, eval_fn: Callable[[TestFunction, float], complex],
                  formalism: str = "C", linear: bool = False,
@@ -212,8 +214,10 @@ def embed_sigma(f: Callable[[float], complex],
     def ev(phi, x):
         return f(x)
 
-    return Representative(ev, formalism="C", linear=False, omega=omega,
-                          name="sigma")
+    rep = Representative(ev, formalism="C", linear=False, omega=omega,
+                         name="sigma")
+    rep.phi_independent = True
+    return rep
 
 
 def translate_formalism(rep: Representative) -> Representative:
@@ -357,6 +361,13 @@ def d1_derivative(rep: Representative, phi: TestFunction, x, directions):
         if k == 1:
             return rep(directions[0], x)
         return 0.0
+    if rep.phi_independent:
+        # every perturbation of phi has the support of their lincomb and
+        # the value v = rep(phi, x): the quotient is v - v (0, or NaN)
+        rep.check_domain(TestFunction(*union_box([phi, *directions]), phi.fn),
+                         x)
+        v = rep.eval_fn(phi, x)
+        return v - v
 
     sup_phi = max(phi.sup_abs(), 1e-30)
     steps = [D1_REL_STEP * sup_phi / max(psi.sup_abs(), 1e-30)

@@ -32,7 +32,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--seed", type=int, default=None)
     ap.add_argument("--out", default=None, help="output directory")
     ap.add_argument("--count", dest="battery_count", type=int, default=None,
-                    help="battery size")
+                    help="members of every battery (each one's own size "
+                         "otherwise)")
     ap.add_argument("--k-points", dest="k_points", type=int, default=None)
     ap.add_argument("--quad-n", dest="quad_n", type=int, default=None)
     ap.add_argument("--quiet", action="store_true")

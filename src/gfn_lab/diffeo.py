@@ -279,9 +279,16 @@ def transform_test_object(mu: Diffeomorphism,
         lo, hi = -3.0, 3.0
     lip = mu.lipschitz_forward(lo, hi)
     rb = lip * path.radius_bound  # encloses support and its offset about 0
+    pre_of: dict = {}  # x -> mu^{-1} x, shared by members and the domain
+
+    def preimage(x):
+        # look mu.inverse up per call: a traced run replaces it on the map
+        if x not in pre_of:
+            pre_of[x] = mu.inverse(x)
+        return pre_of[x]
 
     def member(eps, x):
-        xt = mu.inverse(x)
+        xt = preimage(x)
         src = path(eps, xt)
 
         def fn(xi):
@@ -300,7 +307,7 @@ def transform_test_object(mu: Diffeomorphism,
                 return False
             if not omega_dst.contains_ball(x, eps * rb):
                 return False
-        xt = mu.inverse(x)
+        xt = preimage(x)
         if omega_src is not None and not omega_src.contains_ball(
                 xt, eps * src_bound):
             return False

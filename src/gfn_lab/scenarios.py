@@ -34,6 +34,16 @@ SCENARIO_NAMES = ("mollifier", "embed-order", "delta-scaling", "association",
                   "moment-invariance", "counterexample", "jform-commute",
                   "d1-form", "pullback-functor")
 
+#: (i_min, i_max, fit window) of each eps sweep a scenario runs, by sweep;
+#: eps_min, eps_max and fit_window override every one
+SWEEPS = {
+    "embed-order": {"moderate": (2, 9, 6), "negligible": (2, 9, 6)},
+    "delta-scaling": {"moderate": (2, 14, 6)},
+    "association": {"strict": (2, 9, 6), "cm": (2, 8, 5)},
+    "counterexample": {"transformed": (4, 14, 11)},
+    "d1-form": {"d1": (2, 12, 6), "moderate": (2, 12, 6)},
+}
+
 
 @dataclass
 class ScenarioConfig:
@@ -43,7 +53,7 @@ class ScenarioConfig:
     eps_min: Optional[int] = None   # i_min: eps starts at 2^-i_min
     eps_max: Optional[int] = None   # i_max
     fit_window: Optional[int] = None
-    battery_count: int = 8
+    battery_count: Optional[int] = None  # members, else each battery's own
     battery_mode: Optional[str] = None  # override a scenario's default mode
     k_points: Optional[int] = None  # points of K, else each scenario's own
     quad_n: Optional[int] = None
@@ -59,11 +69,10 @@ class ScenarioConfig:
             raise ValueError("a seed is mandatory for reproducible runs")
         if self.quad_n is not None:
             check_node_count(self.quad_n)
-        if self.battery_count < 1:
-            raise ValueError(f"battery_count must be >= 1, got {self.battery_count}")
         for key, lo, hi in (("q", 0, Q_CAP), ("eps_min", 2, 20),
                             ("eps_max", 2, 20), ("fit_window", 4, math.inf),
-                            ("k_points", 1, math.inf)):
+                            ("k_points", 1, math.inf),
+                            ("battery_count", 1, math.inf)):
             v = getattr(self, key)
             if v is not None and not lo <= v <= hi:
                 raise ValueError(f"{key} must lie in {lo}..{hi}, got {v}")
@@ -81,10 +90,22 @@ class ScenarioConfig:
             raise KeyError(f"unknown diffeomorphism {self.diffeo!r}")
         if self.battery_mode not in (None, "static", "eps_path", "full_path"):
             raise ValueError(f"unknown battery mode {self.battery_mode!r}")
+        for which in SWEEPS.get(self.scenario, ()):
+            i_min, i_max, window = self.sweep_bounds(which)
+            if i_max - i_min + 1 < window:
+                raise ValueError(
+                    f"{self.scenario}'s {which} sweep over eps = 2^-{i_min} "
+                    f"to 2^-{i_max} is shorter than its fit window {window}")
 
     @property
     def omega_box(self) -> Box:
         return Box.interval(self.omega[0], self.omega[1])
+
+    def sweep_bounds(self, which: str) -> tuple:
+        """(i_min, i_max, fit window) of this scenario's sweep ``which``."""
+        i_min, i_max, window = SWEEPS[self.scenario][which]
+        return (self.eps_min or i_min, self.eps_max or i_max,
+                self.fit_window or window)
 
     def k_grid(self, n: int, lo: float = -1.0, hi: float = 1.0) -> np.ndarray:
         """K: ``k_points`` points on [lo, hi] if set, else the scenario's ``n``."""
@@ -144,11 +165,11 @@ def _write_summary(outdir: str, scenario: str, assertions: list) -> str:
           "pass" if a.passed else "FAIL") for a in assertions])
 
 
-def _spec(cfg: ScenarioConfig, i_min: int, i_max: int, window: int,
-          K: np.ndarray, alphas=(0,)) -> asy.SweepSpec:
-    return asy.SweepSpec(i_min=cfg.eps_min or i_min, i_max=cfg.eps_max or i_max,
-                         K=K, alphas=alphas,
-                         fit_window=cfg.fit_window or window)
+def _spec(cfg: ScenarioConfig, which: str, K: np.ndarray,
+          alphas=(0,)) -> asy.SweepSpec:
+    i_min, i_max, window = cfg.sweep_bounds(which)
+    return asy.SweepSpec(i_min=i_min, i_max=i_max, K=K, alphas=alphas,
+                         fit_window=window)
 
 
 # ---------------------------------------------------------------------------
@@ -190,19 +211,19 @@ def _scn_embed_order(cfg: ScenarioConfig, outdir: str):
                   for fname in fnames)
     moderate = {}
     for q in qs:
-        spec = _spec(cfg, 2, 9, 6, cfg.k_grid(41), alphas=(0,))
+        spec = _spec(cfg, "moderate", cfg.k_grid(41), alphas=(0,))
         # a swept battery is dropped at once: its members hold cached samples
         moderate[q] = asy.test_moderate(
             diffs, make_battery(cfg.battery_mode or "full_path", q,
-                                cfg.battery_count, cfg.seed + q,
+                                cfg.battery_count or 8, cfg.seed + q,
                                 flavor="strict"), spec)
 
     def factory(kind: str, q: int):
         flavor = "strict" if kind == "strict" else "cm"
-        return make_battery("full_path", q, 3, cfg.seed + 31 + q,
-                            flavor=flavor)
+        return make_battery("full_path", q, cfg.battery_count or 3,
+                            cfg.seed + 31 + q, flavor=flavor)
 
-    neg_spec = _spec(cfg, 2, 9, 6, cfg.k_grid(11), alphas=(0,))
+    neg_spec = _spec(cfg, "negligible", cfg.k_grid(11), alphas=(0,))
     negligible = asy.test_negligible(diffs, [0, 1, 2, 3], neg_spec, factory)
 
     records, series_all, verdicts_all = [], [], []
@@ -229,8 +250,8 @@ def _scn_delta_scaling(cfg: ScenarioConfig, outdir: str):
     om = cfg.omega_box
     records = []
     bat = make_battery(cfg.battery_mode or "full_path", cfg.q or 0,
-                       cfg.battery_count, cfg.seed)
-    spec = _spec(cfg, 2, 14, 6, cfg.k_grid(41), alphas=(0,))
+                       cfg.battery_count or 8, cfg.seed)
+    spec = _spec(cfg, "moderate", cfg.k_grid(41), alphas=(0,))
     rep = asy.test_moderate(embed_C(DiracDerivative(0), omega=om,
                                     n=cfg.quad_n), bat, spec)
     for v in rep.verdicts:
@@ -255,9 +276,9 @@ def _scn_association(cfg: ScenarioConfig, outdir: str):
     ix2 = embed_C(smooth_density("x2"), omega=om, n=cfg.quad_n)
     gap = sub(mul(ix, ix), ix2)
 
-    spec = _spec(cfg, 2, 9, 6, cfg.k_grid(21), alphas=(0,))
+    spec = _spec(cfg, "strict", cfg.k_grid(21), alphas=(0,))
     worst = 0.0
-    for path in make_battery("full_path", 2, cfg.battery_count, cfg.seed,
+    for path in make_battery("full_path", 2, cfg.battery_count or 8, cfg.seed,
                              flavor="strict"):
         for ser in asy.sweep(gap, path, spec):
             series_all.append(ser)
@@ -266,8 +287,9 @@ def _scn_association(cfg: ScenarioConfig, outdir: str):
 
     qs = [cfg.q] if cfg.q is not None else [1, 2, 3]
     for q in qs:
-        spec_cm = _spec(cfg, 2, 8, 5, cfg.k_grid(21), alphas=(0,))
-        rep = asy.test_moderate(gap, make_battery("full_path", q, 4,
+        spec_cm = _spec(cfg, "cm", cfg.k_grid(21), alphas=(0,))
+        rep = asy.test_moderate(gap, make_battery("full_path", q,
+                                                  cfg.battery_count or 4,
                                                   cfg.seed + 17 + q,
                                                   flavor="cm"), spec_cm)
         series_all += rep.series
@@ -293,8 +315,9 @@ def _scn_moment_invariance(cfg: ScenarioConfig, outdir: str):
         # moments of every higher order, so plain A_q sources only give
         # decay q+1-a; symmetric A_{2q-2} members (class A_{2q-1}) restore
         # order >= q for every a <= q while still being a strict-A_q battery.
-        bat = make_battery("full_path", q, 4, cfg.seed + q,
-                           flavor="symmetric", build_q=2 * q - 2)
+        bat = make_battery("full_path", q, cfg.battery_count or 4,
+                           cfg.seed + q, flavor="symmetric",
+                           build_q=2 * q - 2)
         for path in bat:
             chk = check_moment_class(path, MomentClass("strict_Aq", q),
                                      [0.5, 0.25], x_grid=L[::3], n=quad_n)
@@ -343,8 +366,8 @@ def _scn_counterexample(cfg: ScenarioConfig, outdir: str):
     # x-independent source: every bit of x-dependence in the transformed
     # object is introduced by the (nonlinear) map itself
     src = make_battery("eps_path", 0, 1, cfg.seed)[0]
-    eps_bat = make_battery("eps_path", 0, 4, cfg.seed + 1)
-    spec = _spec(cfg, 4, 14, 11, cfg.k_grid(11), alphas=(1,))
+    eps_bat = make_battery("eps_path", 0, cfg.battery_count or 4, cfg.seed + 1)
+    spec = _spec(cfg, "transformed", cfg.k_grid(11), alphas=(1,))
     rep = asy.counterexample_scenario(mu, src, spec, eps_bat,
                                       cfg.quad_n or 1024)
     _a(records, "modulus-one", rep.value_deviation, "==0",
@@ -408,10 +431,10 @@ def _scn_d1_form(cfg: ScenarioConfig, outdir: str):
     om = cfg.omega_box
     records, rows = [], []
     dirs = perturbation_directions(2, cfg.seed + 5)
-    static = make_battery("static", 0, 4, cfg.seed + 6)
-    full = make_battery("full_path", 0, 4, cfg.seed + 7)
-    spec_d1 = _spec(cfg, 2, 12, 6, cfg.k_grid(21), alphas=(0,))
-    spec_mod = _spec(cfg, 2, 12, 6, cfg.k_grid(21), alphas=(0, 1))
+    static = make_battery("static", 0, cfg.battery_count or 4, cfg.seed + 6)
+    full = make_battery("full_path", 0, cfg.battery_count or 4, cfg.seed + 7)
+    spec_d1 = _spec(cfg, "d1", cfg.k_grid(21), alphas=(0,))
+    spec_mod = _spec(cfg, "moderate", cfg.k_grid(21), alphas=(0, 1))
     catalog = [
         ("iota-delta", embed_C(DiracDerivative(0), omega=om, n=cfg.quad_n)),
         ("iota-H", embed_C(Heaviside(), omega=om, n=cfg.quad_n)),

@@ -243,12 +243,22 @@ def moment(tf: TestFunction, alpha: int, n=None, return_error: bool = False):
     return val, abs(val - val2)
 
 
+#: [(center, radius, n, qmax), (nodes, weights, powers)] of the latest box
+_moment_slot: list = [None, None]
+
+
 def moments_upto(tf: TestFunction, qmax: int, n: Optional[int] = None) -> np.ndarray:
-    """All moments m_0..m_qmax from a single evaluation pass."""
-    pts, w = support_grid(tf, n)
-    vals = tf.fn(pts) * w
-    powers = np.vander(pts, qmax + 1, increasing=True)  # columns xi^0..xi^qmax
-    return powers.T @ vals
+    """All moments m_0..m_qmax from a single evaluation pass.  The grid and
+    powers of the latest box stay in one slot, since the members of a path
+    share their box."""
+    key = (tf.center, tf.radius, _node_count(n), qmax)
+    if _moment_slot[0] != key:
+        pts, w = support_grid(tf, n)
+        powers = np.vander(pts, qmax + 1, increasing=True)  # xi^0..xi^qmax
+        powers.flags.writeable = False
+        _moment_slot[:] = key, (pts, w, powers)
+    pts, w, powers = _moment_slot[1]
+    return powers.T @ (tf.fn(pts) * w)
 
 
 def falling_factorial(beta: int, gamma: int) -> float:
@@ -353,13 +363,18 @@ def _weighted_sum(coeffs: list, fns: list):
     return f
 
 
-def tf_lincomb(coeffs: Sequence[float], tfs: Sequence[TestFunction],
-               label: str = "") -> TestFunction:
-    """Linear combination, supported on the interval covering all terms."""
+def union_box(tfs: Sequence[TestFunction]) -> tuple[float, float]:
+    """(center, radius) of the interval covering the supports of ``tfs``."""
     lo = min(t.center - t.radius for t in tfs)
     hi = max(t.center + t.radius for t in tfs)
     center = 0.5 * (lo + hi)
-    radius = hi - center
+    return center, hi - center
+
+
+def tf_lincomb(coeffs: Sequence[float], tfs: Sequence[TestFunction],
+               label: str = "") -> TestFunction:
+    """Linear combination, supported on the interval covering all terms."""
+    center, radius = union_box(tfs)
     coeffs = [float(c) for c in coeffs]
     fn = _weighted_sum(coeffs, [t.fn for t in tfs])
     dfn = None

@@ -203,6 +203,30 @@ class TestD1Derivative:
         got = d1_derivative(rep, moll0, 0.0, [psi])
         assert abs(got) <= 1e-8
 
+    @pytest.mark.parametrize("f", [np.sin, lambda x: np.inf],
+                             ids=["sin", "inf"])
+    def test_phi_independent_skips_the_perturbations(self, f, moll0, moll2,
+                                                     monkeypatch):
+        """A representative that ignores phi gives the quotient's bits
+        (+0.0, or NaN from a value that is not finite) without building a
+        perturbation, and still checks the perturbations' domain."""
+        om = Box.interval(-1.5, 1.5)
+        flagged = embed_sigma(f, omega=om)
+        plain = Representative(flagged.eval_fn, omega=om)
+        assert flagged.phi_independent and not plain.phi_independent
+        phi = scale(moll0, 0.25)
+        psi = tf_lincomb([1.0, -1.0], [moll0, moll2])  # zero mass, radius 1
+        for dirs in ([psi], [psi, scale(psi, 0.5)]):
+            want = d1_derivative(plain, phi, 0.3, dirs)
+            monkeypatch.setattr(basic_space, "tf_lincomb", None)
+            got = d1_derivative(flagged, phi, 0.3, dirs)
+            monkeypatch.undo()
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+            with pytest.raises(DomainError):
+                d1_derivative(plain, phi, 0.6, dirs)
+            with pytest.raises(DomainError):
+                d1_derivative(flagged, phi, 0.6, dirs)
+
     def test_nonzero_mass_direction_rejected(self, moll0, moll2):
         rep = embed_C(DiracDerivative(0))
         with pytest.raises(PreconditionError):

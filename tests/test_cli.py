@@ -176,7 +176,9 @@ class TestCliSurface:
     @pytest.mark.parametrize("args, message", [
         (["--seed", "3", "--seeds", "1-2"], "not allowed with"),
         (["--seeds", "3-1"], "empty seed range"),
-        (["--seeds", "7"], "expected A-B")])
+        (["--seeds", "7"], "expected A-B"),
+        (["--seeds", "1-2", "--jobs", "0"], "expected N >= 1"),
+        (["--seed", "3", "--jobs", "2"], "--jobs needs --seeds")])
     def test_run_all_scenarios_rejects_bad_seeds(self, tmp_path, args,
                                                  message):
         script = Path(__file__).resolve().parent.parent / "scripts" / \
@@ -186,6 +188,46 @@ class TestCliSurface:
                              capture_output=True, text=True, timeout=60)
         assert res.returncode == 2 and message in res.stderr
         assert not (tmp_path / "o").exists()
+
+    def test_run_all_scenarios_jobs_print_in_seed_order(self, tmp_path,
+                                                         capsys, monkeypatch):
+        """Seeds run in two worker processes print what one process
+        prints, seed by seed."""
+        monkeypatch.syspath_prepend(
+            str(Path(__file__).resolve().parent.parent / "scripts"))
+        import run_all_scenarios
+        printed = []
+        for jobs in (1, 2):
+            failed = run_all_scenarios.run_seeds(
+                range(3, 7), str(tmp_path / f"j{jobs}"), jobs, ("mollifier",))
+            assert failed == []
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+        assert [line.split()[0] for line in printed[0].splitlines()] == \
+            [f"seed={s}" for s in range(3, 7)]
+
+    @pytest.mark.parametrize("args", [
+        ["delta-scaling", "--eps-min", "12"],
+        ["delta-scaling", "--eps-max", "5"],
+        ["embed-order", "--eps-min", "12"]])
+    def test_sweep_shorter_than_its_fit_window_is_bad_usage(self, tmp_path,
+                                                            args):
+        """Values valid on their own that leave one of the scenario's sweeps
+        fewer rows than its fit window exit 2 before anything runs."""
+        out = tmp_path / "x"
+        assert main([*args, "--quiet", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_count_sizes_a_fixed_size_battery(self, tmp_path):
+        """counterexample's eps battery has 4 members; --count overrides it."""
+        sweeps = []
+        for tag, extra in (("default", []), ("c2", ["--count", "2"])):
+            out = tmp_path / tag
+            rc = main(["counterexample", "--seed", "0", "--quiet",
+                       "--out", str(out), *extra])
+            assert rc == 0
+            sweeps.append((out / "counterexample_sweep.csv").read_bytes())
+        assert sweeps[0] != sweeps[1]
 
     def test_scenario_names_all_registered(self):
         from gfn_lab.scenarios import _SCENARIOS

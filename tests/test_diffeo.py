@@ -292,6 +292,39 @@ class TestTransformTestObject:
             np.testing.assert_allclose(out(e, x).fn(xi), want, rtol=0,
                                        atol=1e-12 * np.max(np.abs(want)))
 
+    @pytest.mark.parametrize("name", ["sin-bend", "cubic"])
+    def test_one_scalar_inverse_per_point(self, name):
+        """Members and domain checks at several eps reuse each point's
+        preimage: one scalar inverse per distinct x, looked up on the map
+        when first needed, and members bitwise those of the formula."""
+        mu = get_diffeo(name, OMEGA)
+        src = make_battery("full_path", 2, 1, seed=9, flavor="strict")[0]
+        out = transform_test_object(mu, src)
+        inverse, scalar = mu.inverse, []
+
+        def counted(y):
+            if np.ndim(y) == 0:
+                scalar.append(float(y))
+            return inverse(y)
+
+        mu.inverse = counted
+        L = np.linspace(-0.7, 0.7, 7)
+        xi = np.linspace(-2.0, 2.0, 101)
+        members = 0
+        for e in (0.5, 0.25, 0.125):
+            for x in map(float, L):
+                if not out.domain.contains(e, x):
+                    continue
+                got = out(e, x).fn(xi)
+                xt = inverse(x)
+                pre = inverse(e * xi + x)
+                want = src(e, xt).fn((pre - xt) / e) * np.abs(
+                    1.0 / mu.d_forward(pre))
+                assert got.tobytes() == want.tobytes()
+                members += 1
+        assert members >= 14
+        assert sorted(scalar) == sorted(map(float, L))
+
     def test_doubling_closed_form(self):
         """For mu = 2x: phi(eps,x)(xi) = phi~(eps, x/2)(xi/2) / 2."""
         mu = affine_map(2.0, omega_dst=OMEGA)

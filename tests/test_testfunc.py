@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gfn_lab import testfunc
 from gfn_lab.testfunc import (MollifierError, TestFunction, build_mollifier,
                               check_node_count, moment, moments_upto, scale,
                               tf_lincomb, translate)
@@ -91,6 +92,30 @@ class TestMoment:
         ms = moments_upto(moll2_offset, 5)
         for a in range(6):
             assert ms[a] == pytest.approx(moment(moll2_offset, a), abs=1e-14)
+
+    def test_moments_upto_reuses_the_latest_box_bit_for_bit(
+            self, moll2, moll2_offset, monkeypatch):
+        """On interleaved boxes and orders, each call equals the uncached
+        product bitwise; a repeated box builds no second grid, and writing
+        to a returned array leaves the kept grid intact."""
+        grids = []
+        build = testfunc.support_grid
+        monkeypatch.setattr(testfunc, "support_grid",
+                            lambda tf, n=None: grids.append(n) or build(tf, n))
+        member = scale(moll2_offset, 0.5)
+        same_box = tf_lincomb([0.5, 0.5], [moll2, moll2])
+        calls = [(member, 3, 64),  # whatever the slot held before
+                 (moll2, 3, None), (same_box, 3, None), (moll2, 5, None),
+                 (member, 5, 1024), (moll2, 5, 1024), (moll2, 5, 1024)]
+        for i, (tf, qmax, n) in enumerate(calls):
+            pts, w = build(tf, n)
+            want = np.vander(pts, qmax + 1, increasing=True).T @ (tf.fn(pts) * w)
+            got = moments_upto(tf, qmax, n)
+            assert got.tobytes() == want.tobytes()
+            got[:] = np.nan
+            if i == 0:
+                grids.clear()
+        assert grids == [None, None, 1024, 1024]
 
     def test_translated_first_moment(self, moll2_offset):
         """m1(phi(.-x)) = m1 + x*m0."""
