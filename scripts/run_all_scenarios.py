@@ -3,7 +3,6 @@
 
 Usage:
     python scripts/run_all_scenarios.py [--out DIR] [--seed N | --seeds A-B]
-                                        [--jobs N]
 
 Writes each scenario's CSVs under DIR/<scenario>/ and prints a one-line
 verdict per scenario on standard output, ending in the first 16 hex digits
@@ -18,8 +17,8 @@ two checkouts at the same seed differs exactly when their CSVs do:
 ``--seeds A-B`` runs every seed from A to B inclusive, writes under
 DIR/seed<S>/<scenario>/ and starts each scenario's lines with ``seed=<S> ``,
 so one run per checkout and one diff compare a whole seed range.
-``--jobs N`` runs those seeds in N worker processes; each seed's lines are
-still printed in seed order, so standard output does not depend on N.
+The seeds run in one worker process per usable core; each seed's lines are
+printed in seed order, so standard output does not depend on the core count.
 
 Exits nonzero if any scenario assertion failed.
 """
@@ -30,6 +29,7 @@ import multiprocessing
 import os
 import sys
 import time
+import traceback
 from pathlib import Path
 
 # run from a fresh checkout without installing: import the lab from its src/
@@ -59,60 +59,58 @@ def seed_range(text: str) -> range:
     return range(a, b + 1)
 
 
-def positive(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"expected N >= 1, got {n}")
-    return n
-
-
-def run_seed(seed: int, out: str, tag: str, names=SCENARIO_NAMES) -> tuple:
-    """Run the scenarios ``names`` at ``seed`` under ``out``; the verdict
-    lines for standard output, each starting with ``tag``, and the failed
-    scenarios."""
-    lines, failures = [], []
+def run_seed(seed: int, out: str, tag: str, names=SCENARIO_NAMES,
+             emit=print) -> list:
+    """Run the scenarios ``names`` at ``seed`` under ``out``, passing each
+    verdict line, which starts with ``tag``, to ``emit`` as its scenario
+    finishes; the failed scenarios."""
+    failures = []
     for name in names:
         cfg = ScenarioConfig(name, seed=seed, out=os.path.join(out, name))
         t0 = time.time()
         res = run_scenario(cfg)
         n_ok = sum(a.passed for a in res.assertions)
-        lines.append(f"{tag}{name:20s} {'PASS' if res.passed else 'FAIL':4s} "
-                     f"{n_ok}/{len(res.assertions)} assertions "
-                     f"({len(res.files)} files) sha256 "
-                     f"{csv_digest(res.files)}")
+        emit(f"{tag}{name:20s} {'PASS' if res.passed else 'FAIL':4s} "
+             f"{n_ok}/{len(res.assertions)} assertions "
+             f"({len(res.files)} files) sha256 {csv_digest(res.files)}")
         print(f"{tag}{name:20s} {time.time() - t0:5.1f}s", file=sys.stderr,
               flush=True)
         if not res.passed:
             failures.append(f"{tag}{name}")
-            lines += [f"{tag}    FAIL {a.name}: {a.observed} "
-                      f"(want {a.threshold})"
-                      for a in res.assertions if not a.passed]
-    return lines, failures
+            for a in res.assertions:
+                if not a.passed:
+                    emit(f"{tag}    FAIL {a.name}: {a.observed} "
+                         f"(want {a.threshold})")
+    return failures
 
 
-def run_seeds(seeds, out: str, jobs: int, names=SCENARIO_NAMES) -> list:
-    """Run every seed of ``seeds`` under ``out``/seed<S> in ``jobs`` worker
-    processes, printing each seed's lines in seed order; the failed
-    scenarios."""
+def run_seed_task(task: tuple) -> tuple:
+    """``run_seed(*task)`` in a worker process: its verdict lines, its
+    failed scenarios, and the traceback of a scenario that raised (None if
+    none did; the lines before it are kept)."""
+    lines = []
+    try:
+        return lines, run_seed(*task, emit=lines.append), None
+    except Exception:
+        return lines, [], traceback.format_exc()
+
+
+def run_seeds(seeds, out: str, names=SCENARIO_NAMES) -> list:
+    """Run every seed of ``seeds`` under ``out``/seed<S>, one worker process
+    per usable core, and print each seed's lines in seed order; the failed
+    scenarios.  A scenario that raises ends the run with its traceback, as
+    it would in one process."""
     tasks = [(seed, os.path.join(out, f"seed{seed}"), f"seed={seed} ", names)
              for seed in seeds]
-    if jobs == 1:
-        return report(map(run_task, tasks))
-    with multiprocessing.get_context("spawn").Pool(jobs) as pool:
-        return report(pool.imap(run_task, tasks))
-
-
-def run_task(task: tuple) -> tuple:
-    return run_seed(*task)
-
-
-def report(results) -> list:
-    """Print the lines of each (lines, failures) in turn; every failure."""
+    workers = min(len(tasks), len(os.sched_getaffinity(0)))
     failures = []
-    for lines, failed in results:
-        for line in lines:
-            print(line, flush=True)
-        failures += failed
+    with multiprocessing.get_context("spawn").Pool(workers) as pool:
+        for lines, failed, error in pool.imap(run_seed_task, tasks):
+            for line in lines:
+                print(line)
+            if error is not None:
+                sys.exit(error)
+            failures += failed
     return failures
 
 
@@ -122,16 +120,13 @@ def main() -> int:
     which = ap.add_mutually_exclusive_group()
     which.add_argument("--seed", type=int, default=7)
     which.add_argument("--seeds", type=seed_range, metavar="A-B")
-    ap.add_argument("--jobs", type=positive, default=1, metavar="N",
-                    help="worker processes for --seeds")
     args = ap.parse_args()
-    if args.seeds is None and args.jobs != 1:
-        ap.error("--jobs needs --seeds")
+    sys.stdout.reconfigure(line_buffering=True)
 
     if args.seeds is None:
-        failures = report([run_seed(args.seed, args.out, "")])
+        failures = run_seed(args.seed, args.out, "")
     else:
-        failures = run_seeds(args.seeds, args.out, args.jobs)
+        failures = run_seeds(args.seeds, args.out)
     if failures:
         print(f"\nfailed scenarios: {', '.join(failures)}")
         return 1

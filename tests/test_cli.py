@@ -176,9 +176,7 @@ class TestCliSurface:
     @pytest.mark.parametrize("args, message", [
         (["--seed", "3", "--seeds", "1-2"], "not allowed with"),
         (["--seeds", "3-1"], "empty seed range"),
-        (["--seeds", "7"], "expected A-B"),
-        (["--seeds", "1-2", "--jobs", "0"], "expected N >= 1"),
-        (["--seed", "3", "--jobs", "2"], "--jobs needs --seeds")])
+        (["--seeds", "7"], "expected A-B")])
     def test_run_all_scenarios_rejects_bad_seeds(self, tmp_path, args,
                                                  message):
         script = Path(__file__).resolve().parent.parent / "scripts" / \
@@ -189,22 +187,36 @@ class TestCliSurface:
         assert res.returncode == 2 and message in res.stderr
         assert not (tmp_path / "o").exists()
 
-    def test_run_all_scenarios_jobs_print_in_seed_order(self, tmp_path,
-                                                         capsys, monkeypatch):
-        """Seeds run in two worker processes print what one process
-        prints, seed by seed."""
+    @pytest.fixture
+    def run_all(self, monkeypatch):
         monkeypatch.syspath_prepend(
             str(Path(__file__).resolve().parent.parent / "scripts"))
         import run_all_scenarios
-        printed = []
-        for jobs in (1, 2):
-            failed = run_all_scenarios.run_seeds(
-                range(3, 7), str(tmp_path / f"j{jobs}"), jobs, ("mollifier",))
-            assert failed == []
-            printed.append(capsys.readouterr().out)
-        assert printed[0] == printed[1]
-        assert [line.split()[0] for line in printed[0].splitlines()] == \
-            [f"seed={s}" for s in range(3, 7)]
+        return run_all_scenarios
+
+    def test_run_all_scenarios_seeds_print_in_seed_order(self, tmp_path,
+                                                         capsys, run_all):
+        """Seeds run in worker processes print what one process prints,
+        seed by seed."""
+        seeds = range(3, 7)
+        for s in seeds:
+            assert run_all.run_seed(s, str(tmp_path / "one" / f"seed{s}"),
+                                    f"seed={s} ", ("mollifier",)) == []
+        one = capsys.readouterr().out
+        assert run_all.run_seeds(seeds, str(tmp_path / "pool"),
+                                 ("mollifier",)) == []
+        assert capsys.readouterr().out == one
+        assert [line.split()[0] for line in one.splitlines()] == \
+            [f"seed={s}" for s in seeds]
+
+    def test_run_all_scenarios_keeps_the_lines_before_a_raise(self,
+                                                               tmp_path,
+                                                               run_all):
+        lines, failed, error = run_all.run_seed_task(
+            (3, str(tmp_path), "", ("mollifier", "no-such-scenario")))
+        assert [line.split()[:2] for line in lines] == [["mollifier",
+                                                         "PASS"]]
+        assert failed == [] and "no-such-scenario" in error
 
     @pytest.mark.parametrize("args", [
         ["delta-scaling", "--eps-min", "12"],
