@@ -271,30 +271,40 @@ def _merge_omega(r1: Representative, r2: Representative):
     return r1.omega if r1.omega is not None else r2.omega
 
 
+def _operand(r: Representative, omega: Optional[Box]):
+    """Evaluator of an operand of a composite on ``omega``.  Operands share
+    the composite's formalism, so the composite's own check covers an
+    operand without an open set or on the same one, which then runs its
+    bare ``eval_fn``; an operand on another set keeps its own check."""
+    return r.eval_fn if r.omega is None or r.omega == omega else r
+
+
 def sub(r1: Representative, r2: Representative) -> Representative:
     if r1.formalism != r2.formalism:
         raise FormalismError("cannot subtract across formalisms")
-    return Representative(lambda phi, x: r1(phi, x) - r2(phi, x),
+    omega = _merge_omega(r1, r2)
+    f1, f2 = _operand(r1, omega), _operand(r2, omega)
+    return Representative(lambda phi, x: f1(phi, x) - f2(phi, x),
                           formalism=r1.formalism,
                           linear=r1.linear and r2.linear,
-                          omega=_merge_omega(r1, r2),
-                          name=f"({r1.name}-{r2.name})")
+                          omega=omega, name=f"({r1.name}-{r2.name})")
 
 
 def mul(r1: Representative, r2: Representative) -> Representative:
     if r1.formalism != r2.formalism:
         raise FormalismError("cannot multiply across formalisms")
+    omega = _merge_omega(r1, r2)
+    f1, f2 = _operand(r1, omega), _operand(r2, omega)
     if r1 is r2:  # a square: evaluate once per (phi, x)
         def ev(phi, x):
-            v = r1(phi, x)
+            v = f1(phi, x)
             return v * v
     else:
         def ev(phi, x):
-            return r1(phi, x) * r2(phi, x)
+            return f1(phi, x) * f2(phi, x)
 
     return Representative(ev, formalism=r1.formalism, linear=False,
-                          omega=_merge_omega(r1, r2),
-                          name=f"({r1.name}*{r2.name})")
+                          omega=omega, name=f"({r1.name}*{r2.name})")
 
 
 # ---------------------------------------------------------------------------

@@ -126,10 +126,17 @@ def pair(w: Distribution, psi: TestFunction, n: Optional[int] = None,
     (base, a, b), center, radius, same = shifted_frame(psi, shift)
 
     if w.kind == "smooth":
-        xi, wt, samples = base.samples_on(base, n)
-        vals = w.f(a * xi + b) * samples
+        xi, wt, samples = base.samples_on(base, n)  # shared, read-only
+        arg = a * xi
+        arg += b
+        vals = w.f(arg)
+        if (isinstance(vals, np.ndarray) and vals.dtype == np.float64
+                and vals.shape == arg.shape):
+            vals = np.multiply(vals, samples, out=arg)  # arg is ours
+        else:
+            vals = vals * samples
         out = np.dot(wt, vals)
-        return complex(out) if np.iscomplexobj(vals) else float(out)
+        return complex(out) if vals.dtype.kind == "c" else float(out)
 
     if (w.kind == "dirac" and w.order == 0
             and abs(w.position - center) > radius) or \
@@ -207,14 +214,19 @@ def _monomial(c: float, k: int):
     """Evaluator of c x^k as the left-to-right products (c x) x ... x, with
     no factor c when it is 1; a constant is c + x*0, shaped like x.  For
     finite x these are the operations of Horner's rule on ascending
-    coefficients (0, ..., 0, c) without its additions of zero."""
+    coefficients (0, ..., 0, c) without its additions of zero.  x itself
+    is returned for x^1; otherwise the first product is the one new
+    array, and the remaining factors multiply into it."""
     if k == 0:
         return lambda x: c + x * 0
+    if c == 1.0 and k == 1:
+        return lambda x: x
+    rest = k - 2 if c == 1.0 else k - 1  # factors after the first product
 
     def f(x):
-        acc = x if c == 1.0 else c * x
-        for _ in range(k - 1):
-            acc = acc * x
+        acc = x * x if c == 1.0 else c * x
+        for _ in range(rest):
+            acc *= x
         return acc
 
     return f

@@ -44,6 +44,12 @@ SWEEPS = {
     "d1-form": {"d1": (2, 12, 6), "moderate": (2, 12, 6)},
 }
 
+#: q range of a scenario whose range is narrower than 0..Q_CAP:
+#: moment-invariance fits moments 1..q, so it needs q >= 1, and builds
+#: symmetric A_{max(q, 2q-2)} sources, whose moment system is too
+#: ill-conditioned from q = 8 (A_14) on
+Q_RANGES = {"moment-invariance": (1, Q_CAP - 1)}
+
 
 @dataclass
 class ScenarioConfig:
@@ -69,7 +75,8 @@ class ScenarioConfig:
             raise ValueError("a seed is mandatory for reproducible runs")
         if self.quad_n is not None:
             check_node_count(self.quad_n)
-        for key, lo, hi in (("q", 0, Q_CAP), ("eps_min", 2, 20),
+        q_lo, q_hi = Q_RANGES.get(self.scenario, (0, Q_CAP))
+        for key, lo, hi in (("q", q_lo, q_hi), ("eps_min", 2, 20),
                             ("eps_max", 2, 20), ("fit_window", 4, math.inf),
                             ("k_points", 1, math.inf),
                             ("battery_count", 1, math.inf)):
@@ -314,7 +321,7 @@ def _scn_moment_invariance(cfg: ScenarioConfig, outdir: str):
         # order >= q for every a <= q while still being a strict-A_q battery.
         bat = make_battery("full_path", q, cfg.battery_count or 4,
                            cfg.seed + q, flavor="symmetric",
-                           build_q=2 * q - 2)
+                           build_q=max(q, 2 * q - 2))
         for path in bat:
             chk = check_moment_class(path, MomentClass("strict_Aq", q),
                                      [0.5, 0.25], x_grid=L[::3], n=quad_n)

@@ -115,6 +115,13 @@ class TestFunction:
 
     __test__ = False  # pytest: a domain type, not a test case
 
+    # set only on the instances that have them
+    _frame: Optional[tuple] = None   # (base, a, b) unless its own base
+    _terms: Optional[tuple] = None   # (coeffs, terms) of a lincomb
+    _trans_base: Optional["TestFunction"] = None
+    _trans_prev: Optional["TestFunction"] = None
+    _trans_last: Optional[float] = None
+
     def __init__(self, center: float, radius: float,
                  fn: Callable[[np.ndarray], np.ndarray],
                  dfn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
@@ -126,11 +133,6 @@ class TestFunction:
         self.dfn = dfn
         self.coeffs = coeffs
         self.label = label
-        self._frame: Optional[tuple] = None   # (base, a, b) unless its own base
-        self._terms: Optional[tuple] = None   # (coeffs, terms) of a lincomb
-        self._trans_base: Optional[TestFunction] = None
-        self._trans_prev: Optional[TestFunction] = None
-        self._trans_last: Optional[float] = None
         self._cache: dict = {}
 
     def __call__(self, x):
@@ -163,9 +165,9 @@ class TestFunction:
             else:
                 coeffs, terms = self._terms
                 xi, wt, first = terms[0].samples_on(owner, n, nodes)
-                vals = coeffs[0] * first
+                vals = coeffs[0] * first  # a new array, summed into
                 for c, t in zip(coeffs[1:], terms[1:]):
-                    vals = vals + c * t.samples_on(owner, n, (xi, wt))[2]
+                    vals += c * t.samples_on(owner, n, (xi, wt))[2]
             vals.flags.writeable = False  # shared from now on
             slot = self._cache["grid"] = (grid, (xi, wt, vals))
         return slot[1]
@@ -365,8 +367,8 @@ def _weighted_sum(coeffs: list, fns: list):
 
 def union_box(tfs: Sequence[TestFunction]) -> tuple[float, float]:
     """(center, radius) of the interval covering the supports of ``tfs``."""
-    lo = min(t.center - t.radius for t in tfs)
-    hi = max(t.center + t.radius for t in tfs)
+    lo = min([t.center - t.radius for t in tfs])
+    hi = max([t.center + t.radius for t in tfs])
     center = 0.5 * (lo + hi)
     return center, hi - center
 

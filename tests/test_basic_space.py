@@ -148,6 +148,21 @@ class TestAlgebra:
         r = embed_C(DiracDerivative(0))
         assert not mul(r, r).linear
 
+    @pytest.mark.parametrize("op, value", [(sub, lambda u, v: u - v),
+                                           (mul, lambda u, v: u * v)],
+                             ids=["sub", "mul"])
+    def test_operand_on_another_box_keeps_its_check(self, op, value, moll0):
+        """A composite checks its own open set once; an operand on another
+        one still raises where only its own set is left."""
+        wide = embed_C(smooth_density("sin"), omega=Box.interval(-2.5, 2.5))
+        narrow = embed_C(smooth_density("x"), omega=Box.interval(-1.5, 1.5))
+        phi = scale(moll0, 0.5)  # support B(x, 0.5) at x
+        for r1, r2 in ((wide, narrow), (narrow, wide)):
+            both = op(r1, r2)
+            assert both(phi, 0.3) == value(r1(phi, 0.3), r2(phi, 0.3))
+            with pytest.raises(DomainError):
+                both(phi, 1.2)  # inside the wide box, not the narrow one
+
     def test_embedded_product_gap_strict_a2(self, moll2):
         """iota(x)^2 - iota(x^2) = eps^2 (m1^2 - m2), zero on strict A_2."""
         ix = embed_C(smooth_density("x"))

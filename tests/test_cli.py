@@ -230,6 +230,23 @@ class TestCliSurface:
         assert main([*args, "--quiet", "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("q", ["0", "8"])
+    def test_moment_invariance_q_outside_its_range_is_bad_usage(self, tmp_path,
+                                                                q):
+        """q = 0 leaves no moment to fit and q = 8 needs an A_14 source:
+        both exit 2 before anything runs, not 1 mid-run."""
+        out = tmp_path / "x"
+        assert main(["moment-invariance", "--q", q, "--quiet",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_moment_invariance_runs_at_q_1(self, tmp_path):
+        """The sources need at least q vanishing moments, more than the
+        2q - 2 of the default q."""
+        assert main(["moment-invariance", "--q", "1", "--count", "1",
+                     "--k-points", "3", "--quiet",
+                     "--out", str(tmp_path / "x")]) == 0
+
     def test_count_sizes_a_fixed_size_battery(self, tmp_path):
         """counterexample's eps battery has 4 members; --count overrides it."""
         sweeps = []

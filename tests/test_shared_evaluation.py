@@ -22,8 +22,8 @@ from gfn_lab import asymptotics as asy
 from gfn_lab.asymptotics import SweepSpec
 from gfn_lab.basic_space import (ExpExpRepresentative, Representative,
                                  embed_C, embed_sigma, mul, sub)
-from gfn_lab.distributions import (SMOOTH_CHAINS, DiracDerivative, pair,
-                                   smooth_density)
+from gfn_lab.distributions import (SMOOTH_CHAINS, DiracDerivative,
+                                   SmoothDensity, pair, smooth_density)
 from gfn_lab.test_objects import (TestObjectPath, make_battery,
                                   perturbation_directions)
 from gfn_lab.testfunc import (DEFAULT_NODES, Box, build_mollifier, bump,
@@ -141,16 +141,25 @@ class TestEvaluatorsBitIdentical:
     @given(x=lines, name=st.sampled_from(sorted(DEGREES)))
     def test_poly_chain_links_are_products(self, x, name):
         """Link j of x^k is k!/(k-j)! x^(k-j) as left-to-right products, bit
-        for bit and at every input; the last link is zero."""
+        for bit and at every input, on floats, 0-d and 1-d arrays alike,
+        leaving the input as it was; the last link is zero."""
         k = DEGREES[name]
         chain = SMOOTH_CHAINS[name]
         assert len(chain) == k + 2
+        given_x = x.copy()
         with np.errstate(invalid="ignore", over="ignore"):
             for j, f in enumerate(chain[:-1]):
                 out = f(x)
                 ref = monomial_reference(math.perm(k, j) * 1.0, k - j, x)
                 assert_same(out, ref)
                 assert np.array_equal(np.signbit(out), np.signbit(ref))
+                assert_same(x, given_x)
+                for v, want in zip(np.ravel(x), np.ravel(ref)):
+                    for arg in (float(v), np.asarray(v)):
+                        got = f(arg)
+                        assert np.ndim(got) == 0
+                        assert np.array_equal(got, want, equal_nan=True)
+                        assert np.signbit(got) == np.signbit(want)
         assert_same(chain[-1](x), np.zeros_like(x))
 
     @pytest.mark.parametrize("name", sorted(DEGREES))
@@ -287,6 +296,27 @@ class TestSharedSamples:
             assert calls == [x]
             assert value == ix(fresh_member(), x) * ix(fresh_member(), x)
 
+    def test_composite_probe_checks_the_domain_once(self, monkeypatch):
+        """An embed-order or association probe tests U(Omega) once: the
+        operands on the composite's own open set skip their checks."""
+        checks = []
+        in_domain = Representative.in_domain
+
+        def counted(rep, phi, x):
+            checks.append(x)
+            return in_domain(rep, phi, x)
+
+        monkeypatch.setattr(Representative, "in_domain", counted)
+        diff = sub(embed_C(smooth_density("sin"), omega=OMEGA),
+                   embed_sigma(np.sin, omega=OMEGA))
+        ix = embed_C(smooth_density("x"), omega=OMEGA)
+        gap = sub(mul(ix, ix), embed_C(smooth_density("x2"), omega=OMEGA))
+        for rep in (diff, gap):
+            for x in (-0.7, 0.3):
+                checks.clear()
+                rep(fresh_member(), x)
+                assert checks == [x]
+
     def test_other_node_count_is_sampled_again(self):
         """The pairing reads the base's samples on the base's own grid,
         mapped through the frame, for every shift and node count."""
@@ -384,6 +414,34 @@ def assert_same_report(shared, alone):
     for s1, s2 in zip(shared.series, alone.series, strict=True):
         assert (s1.member_id, s1.alpha) == (s2.member_id, s2.alpha)
         np.testing.assert_array_equal(s1.values, s2.values)
+
+
+LINCOMB_TERMS = [build_mollifier(2, radius=0.9, center=0.1),
+                 build_mollifier(0, radius=1.1, center=-0.05),
+                 build_mollifier(3, radius=0.7, center=0.2)]
+
+
+class TestSmoothPairingBuffers:
+    @settings(max_examples=40, deadline=None)
+    @given(coeffs=st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=3),
+           eps=st.sampled_from([1.0, 0.5, 0.3, 2.0**-6]),
+           shift=st.floats(-1.0, 1.0), n=st.sampled_from([None, 256]))
+    def test_every_chain_link_pairs_as_the_plain_expression(self, coeffs,
+                                                             eps, shift, n):
+        """Each link of every density chain, the x link that returns its
+        argument and the constant links included, pairs a scaled and
+        shifted lincomb to the one-line trapezoid sum, and leaves the
+        shared nodes, weights and samples as they were."""
+        psi = scale(tf_lincomb(coeffs, LINCOMB_TERMS[:len(coeffs)]), eps)
+        base, a, b = translate(psi, shift).frame
+        xi, wt, samples = base.samples_on(base, n or DEFAULT_NODES)
+        shared = [v.copy() for v in (xi, wt, samples)]
+        for chain in SMOOTH_CHAINS.values():
+            for f in chain:
+                want = float(np.dot(wt, f(a * xi + b) * samples))
+                assert pair(SmoothDensity(f), psi, n, shift=shift) == want
+                for v, kept in zip((xi, wt, samples), shared):
+                    assert np.array_equal(v, kept)
 
 
 class TestSharedMembers:
