@@ -20,7 +20,7 @@ from .testfunc import Box, DomainError, TestFunction
 #: smallest eps0 the registration of a compact set searches down to
 EPS0_CAP = 2.0**-20
 
-#: samples and safety factor of the Lipschitz bound on a forward map
+#: samples and safety factor of the sampled sup |mu'| of a transformed path
 LIP_SAMPLES = 256
 LIP_SAFETY = 1.1
 
@@ -75,23 +75,22 @@ class Diffeomorphism:
                               omega_dst=self.omega_src,
                               is_identity=self.is_identity)
 
-    def lipschitz_forward(self, lo: float, hi: float) -> float:
-        """Sampled bound on sup |mu'| over [lo, hi].
-
-        |mu'(x)| = 1/|D mu^{-1}(mu(x))|, so the derivative of the inverse is
-        sampled at LIP_SAMPLES points of the image interval and the
-        reciprocal of its smallest magnitude is inflated by LIP_SAFETY.
+    def image_box(self, a: float, b: float, x: float = 0.0,
+                  eps: float = 1.0) -> tuple[float, float]:
+        """(center, radius) of the interval between (mu(a) - x)/eps and
+        (mu(b) - x)/eps, the exact image of [a, b] under p -> (mu(p) - x)/eps
+        since a diffeomorphism of an interval is strictly monotone.  It is
+        widened by NEWTON_STEP_TOL (|x| + |mu(a)| + |mu(b)|) / eps: the ends,
+        and an evaluator that inverts eps xi + x, round at a few ulps of
+        |x| + |y|.  Non-finite images or an empty interval raise ValueError.
         """
-        if self.is_identity:
-            return 1.0
-        a = float(self.forward(float(lo)))
-        b = float(self.forward(float(hi)))
-        ys = np.linspace(min(a, b), max(a, b), LIP_SAMPLES)
-        dinv = np.abs(np.asarray(self.det_d_inverse(ys), dtype=float))
-        m = float(np.min(dinv))
-        if m <= 0.0 or not np.isfinite(m):
-            raise ValueError(f"{self.name}: inverse derivative vanishes on the region")
-        return LIP_SAFETY / m
+        ya, yb = (float(y) for y in self.forward(np.array([a, b], dtype=float)))
+        lo, hi = sorted(((ya - x) / eps, (yb - x) / eps))
+        if not -np.inf < lo < hi < np.inf:
+            raise ValueError(f"{self.name}: the image of [{a:g}, {b:g}] is "
+                             f"the empty or non-finite [{lo:g}, {hi:g}]")
+        margin = NEWTON_STEP_TOL * (abs(x) + abs(ya) + abs(yb)) / eps
+        return 0.5 * (lo + hi), 0.5 * (hi - lo) + margin
 
 
 # ---------------------------------------------------------------------------
@@ -157,14 +156,14 @@ def cubic_map(omega_dst: Optional[Box] = None) -> Diffeomorphism:
     """x -> x^3 + x; globally invertible, inverse by Cardano plus polish."""
 
     def fwd_arr(x):
-        return x**3 + x
+        return x * x * x + x
 
     def inv_arr(y):
         y = np.asarray(y, dtype=float)
         disc = np.sqrt(0.25 * y * y + 1.0 / 27.0)
         x = np.cbrt(0.5 * y + disc) + np.cbrt(0.5 * y - disc)
         for _ in range(2):  # Newton polish to machine precision
-            x = x - (x**3 + x - y) / (3.0 * x * x + 1.0)
+            x = x - (x * x * x + x - y) / (3.0 * x * x + 1.0)
         return x
 
     def dfwd_arr(x):
@@ -221,9 +220,9 @@ def pullback_rep(mu: Diffeomorphism, rep: Representative) -> Representative:
 
         (mu^ R)(phi~, x~) = R(phi~(mu^{-1}(. + mu x~) - x~)|det D mu^{-1}(. + mu x~)|, mu x~).
 
-    The transformed slot function is opaque, with a support radius bound
-    from the sampled Lipschitz constant; a log-magnitude channel on R is
-    transported along.
+    The transformed test function is opaque, supported on the exact image
+    of its source box (``Diffeomorphism.image_box``); a log-magnitude
+    channel on R is transported along.
     """
     if rep.formalism != "C":
         raise FormalismError("pullback acts on C-formalism representatives")
@@ -270,15 +269,17 @@ def transform_test_object(mu: Diffeomorphism,
         phi(eps, x)(xi) = phi~(eps, mu^{-1} x)((mu^{-1}(eps xi + x) - mu^{-1} x)/eps)
                           * |det D mu^{-1}(eps xi + x)|
 
-    The returned path carries the partial domain as ``domain``; its
-    ``register_compact`` gives the eps0 of a compact grid.
+    A member lives on the exact image of its source member's box under
+    s -> (mu(xt + eps s) - x)/eps, xt = mu^{-1} x (``image_box``); the
+    uniform radius bound is LIP_SAFETY sup |mu'|, sampled on the source set,
+    times the source's (mean value theorem).  The path carries the partial
+    domain as ``domain``, whose ``register_compact`` gives a grid's eps0.
     """
-    if mu.omega_src is not None:
-        lo, hi = mu.omega_src.lo, mu.omega_src.hi
-    else:
-        lo, hi = -3.0, 3.0
-    lip = mu.lipschitz_forward(lo, hi)
-    rb = lip * path.radius_bound  # encloses support and its offset about 0
+    src_set = mu.omega_src or Box(-3.0, 3.0)
+    dmu = mu.d_forward(np.linspace(src_set.lo, src_set.hi, LIP_SAMPLES))
+    rb = LIP_SAFETY * float(np.max(np.abs(dmu))) * path.radius_bound
+    if not np.isfinite(rb):
+        raise ValueError(f"{mu.name}: derivative not finite on {src_set}")
     pre_of: dict = {}  # x -> mu^{-1} x, shared by members and the domain
 
     def preimage(x):
@@ -290,12 +291,14 @@ def transform_test_object(mu: Diffeomorphism,
     def member(eps, x):
         xt = preimage(x)
         src = path(eps, xt)
+        a, b = src.box
+        center, radius = mu.image_box(xt + eps * a, xt + eps * b, x, eps)
 
         def fn(xi):
             pre = mu.inverse(eps * xi + x)
             return src.fn((pre - xt) / eps) * np.abs(1.0 / mu.d_forward(pre))
 
-        return TestFunction(0.0, rb, fn,
+        return TestFunction(center, radius, fn,
                             label=f"tto[{src.label}|{mu.name}]")
 
     src_bound = path.radius_bound

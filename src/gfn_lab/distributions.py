@@ -174,15 +174,13 @@ def derivative(w: Distribution) -> Distribution:
 def pullback_test_function(mu, psi: TestFunction) -> TestFunction:
     """(psi o mu^{-1}) |det D mu^{-1}| as an opaque test function.
 
-    The support radius bound comes from a sampled Lipschitz estimate of the
-    forward map over the support of psi, inflated by a safety factor.
+    Its box is the exact image of psi's box, the interval between mu(lo)
+    and mu(hi) (a one-dimensional diffeomorphism is strictly monotone),
+    widened by the rounding margin of ``mu.image_box``.
     """
     if getattr(mu, "is_identity", False):
         return psi
-    lo, hi = psi.box
-    lip = mu.lipschitz_forward(lo, hi)
-    center = mu.forward(psi.center)
-    radius = lip * psi.radius
+    center, radius = mu.image_box(*psi.box)
 
     def fn(xi):
         pre = mu.inverse(xi)

@@ -225,7 +225,8 @@ def support_grid(tf: TestFunction, n=None):
 
 
 def moment(tf: TestFunction, alpha: int, n=None, return_error: bool = False):
-    """Moment integral of xi^alpha against ``tf`` over its support interval.
+    """Moment integral of xi^alpha against ``tf`` over its support interval,
+    the values multiplied by the nodes alpha times.
 
     With ``return_error`` the node count is doubled once and the difference
     is attached as an error estimate.
@@ -233,34 +234,32 @@ def moment(tf: TestFunction, alpha: int, n=None, return_error: bool = False):
     alpha = int(alpha)
     if not 0 <= alpha <= 2 * Q_CAP:
         raise ValueError(f"moment order {alpha} outside 0..{2 * Q_CAP}")
+
+    def integral(m):
+        pts, w = support_grid(tf, m)
+        vals = tf.fn(pts)
+        for _ in range(alpha):
+            vals = vals * pts
+        return float(np.dot(w, vals))
+
     n = _node_count(n)
-    pts, w = support_grid(tf, n)
-    mono = pts**alpha if alpha else np.ones_like(pts)
-    val = float(np.dot(w, mono * tf.fn(pts)))
+    val = integral(n)
     if not return_error:
         return val
-    pts2, w2 = support_grid(tf, 2 * n)
-    mono2 = pts2**alpha if alpha else np.ones_like(pts2)
-    val2 = float(np.dot(w2, mono2 * tf.fn(pts2)))
-    return val, abs(val - val2)
-
-
-#: [(center, radius, n, qmax), (nodes, weights, powers)] of the latest box
-_moment_slot: list = [None, None]
+    return val, abs(val - integral(2 * n))
 
 
 def moments_upto(tf: TestFunction, qmax: int, n: Optional[int] = None) -> np.ndarray:
-    """All moments m_0..m_qmax from a single evaluation pass.  The grid and
-    powers of the latest box stay in one slot, since the members of a path
-    share their box."""
-    key = (tf.center, tf.radius, _node_count(n), qmax)
-    if _moment_slot[0] != key:
-        pts, w = support_grid(tf, n)
-        powers = np.vander(pts, qmax + 1, increasing=True)  # xi^0..xi^qmax
-        powers.flags.writeable = False
-        _moment_slot[:] = key, (pts, w, powers)
-    pts, w, powers = _moment_slot[1]
-    return powers.T @ (tf.fn(pts) * w)
+    """All moments m_0..m_qmax from one evaluation on the support grid of
+    ``tf``: with v = fn w on the nodes, m_a is the sum of v, which is then
+    multiplied by the nodes for the next order."""
+    pts, w = support_grid(tf, n)
+    v = tf.fn(pts) * w
+    out = [v.sum()]
+    for _ in range(qmax):
+        v *= pts
+        out.append(v.sum())
+    return np.array(out)
 
 
 def falling_factorial(beta: int, gamma: int) -> float:

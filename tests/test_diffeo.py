@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gfn_lab.basic_space import embed_C
 from gfn_lab.diffeo import (Diffeomorphism, PartialDomain, affine_map,
@@ -12,7 +13,8 @@ from gfn_lab.distributions import (DiracDerivative, Heaviside,
                                    PullbackDistribution,
                                    pullback_test_function)
 from gfn_lab.test_objects import TestObjectPath, make_battery
-from gfn_lab.testfunc import Box, DomainError, scale, translate
+from gfn_lab.testfunc import (Box, DomainError, bump_testfunction, scale,
+                              translate)
 
 RNG = np.random.default_rng(17)
 OMEGA = Box.interval(-2.5, 2.5)
@@ -35,6 +37,16 @@ def sanity_check(mu, lo: float, hi: float, count: int, seed: int) -> None:
     fd = (mu.inverse(ys + h) - mu.inverse(ys - h)) / (2.0 * h)
     rel = np.max(np.abs(fd - mu.det_d_inverse(ys)) / np.maximum(np.abs(fd), 1e-12))
     assert rel <= 1e-6, f"{mu.name}: inverse derivative off by {rel:.3e} relative"
+
+
+def transport_maps() -> dict:
+    """Every catalog map, two compositions and two inverted maps."""
+    cat = catalog(OMEGA)
+    cat["compose"] = compose(cat["affine-2x"], cat["shift-1"])
+    cat["compose-nonlinear"] = compose(cat["cubic"], cat["sin-bend"])
+    cat["inverted"] = cat["sin-bend"].inverted()
+    cat["inverted-cubic"] = cat["cubic"].inverted()
+    return cat
 
 
 class TestCatalog:
@@ -74,11 +86,14 @@ class TestCatalog:
         with pytest.raises(FloatingPointError, match="sin-bend"):
             mu.det_d_inverse(float("nan"))
 
-    def test_lipschitz_bound_covers_samples(self):
+    def test_transformed_radius_bound_covers_the_derivative(self):
+        """A transformed path's radius bound is at least sup |mu'| over
+        the source set times the source path's bound."""
         mu = get_diffeo("cubic", OMEGA)
-        lip = mu.lipschitz_forward(-1.0, 1.0)
-        xs = np.linspace(-1.0, 1.0, 1001)
-        assert lip >= np.max(3 * xs**2 + 1)
+        src = make_battery("full_path", 2, 1, seed=9, flavor="strict")[0]
+        xs = np.linspace(mu.omega_src.lo, mu.omega_src.hi, 100001)
+        bound = transform_test_object(mu, src).radius_bound
+        assert bound >= np.max(3.0 * xs * xs + 1.0) * src.radius_bound
 
 
 class TestJacobianFromPreimage:
@@ -187,14 +202,9 @@ class TestTracedMaps:
     ``det_d_inverse`` on each map instance; the map must accept that and
     evaluate through the replacements afterwards."""
 
-    @pytest.mark.parametrize(
-        "key", sorted(catalog()) + ["compose", "compose-nonlinear", "inverted"])
+    @pytest.mark.parametrize("key", sorted(transport_maps()))
     def test_instance_attributes_can_be_wrapped(self, key, moll2):
-        cat = catalog(OMEGA)
-        cat["compose"] = compose(cat["affine-2x"], cat["shift-1"])
-        cat["compose-nonlinear"] = compose(cat["cubic"], cat["sin-bend"])
-        cat["inverted"] = cat["sin-bend"].inverted()
-        mu = cat[key]
+        mu = transport_maps()[key]
         ys = np.linspace(-0.6, 0.6, 33)
         psi = translate(scale(moll2, 0.2), 0.1)
         src = make_battery("full_path", 2, 1, seed=9, flavor="strict")[0]
@@ -218,14 +228,112 @@ class TestTracedMaps:
         mu.det_d_inverse = wrap(mu.det_d_inverse, "det_d_inverse")
         for b, a in zip(before, evaluate()):
             assert np.array_equal(a, b)
+        # the direct inverse and det_d_inverse (which inverts once), the
+        # member's scalar preimage and its evaluator, and the pulled-back
+        # evaluator, which the identity does not build; the support boxes
+        # and the radius bound read the forward map only
         if mu.is_identity:
-            # lipschitz_forward answers 1 without sampling the map; the
-            # transformed member's two inverses go through the replacement
             assert calls == {"inverse": 4, "det_d_inverse": 1}
         else:
-            # both lipschitz_forward calls, and both evaluators, go through
-            # the replacements too
-            assert calls == {"inverse": 7, "det_d_inverse": 3}
+            assert calls == {"inverse": 5, "det_d_inverse": 1}
+
+
+class TestExactImageBoxes:
+    """A pulled-back function lives on the image of its source box, and a
+    transformed member on the image of its source member's box under
+    s -> (mu(xt + eps s) - x)/eps: exactly 0 outside the box, and nonzero
+    within 1% of each end, so a loose box fails."""
+
+    FAR = np.geomspace(1e-15, 1.0, 61)
+    NEAR = np.linspace(0.0, 0.01, 129)[1:]
+
+    @classmethod
+    def assert_fills_its_box(cls, tf, label):
+        lo, hi = tf.box
+        width = hi - lo
+        outside = np.concatenate([lo - width * cls.FAR, hi + width * cls.FAR,
+                                  [np.nextafter(lo, -np.inf),
+                                   np.nextafter(hi, np.inf)]])
+        assert np.all(tf.fn(outside) == 0.0), label
+        assert np.any(tf.fn(lo + width * cls.NEAR) != 0.0), label
+        assert np.any(tf.fn(hi - width * cls.NEAR) != 0.0), label
+
+    @settings(max_examples=60, deadline=None)
+    @given(key=st.sampled_from(sorted(transport_maps())),
+           c=st.floats(min_value=-1.0, max_value=1.0),
+           r=st.floats(min_value=0.05, max_value=1.0),
+           log_eps=st.floats(min_value=-20.0, max_value=0.0),
+           x=st.floats(min_value=-1.0, max_value=1.0))
+    def test_zero_outside_and_filled_to_the_ends(self, key, c, r, log_eps, x):
+        mu = transport_maps()[key]
+        psi = bump_testfunction(radius=r, center=c)
+        label = f"{key} c={c!r} r={r!r} eps=2^{log_eps!r} x={x!r}"
+        if not mu.is_identity:
+            self.assert_fills_its_box(pullback_test_function(mu, psi), label)
+        path = TestObjectPath(lambda e, y: psi, 0, abs(c) + r, "box")
+        tr = transform_test_object(mu, path)
+        member = tr(2.0**log_eps, x)
+        self.assert_fills_its_box(member, label)
+        if tr.domain.contains(2.0**log_eps, x):  # where the bound holds
+            assert abs(member.center) + member.radius <= tr.radius_bound, label
+
+
+class TestBoundsWithoutInverse:
+    """Support boxes and radius bounds read the forward map and its
+    derivative only: building a pulled-back function, a transformed path
+    and one of its members inverts nothing but the member's point."""
+
+    @pytest.mark.parametrize("key", sorted(set(transport_maps())
+                                           - {"identity"}))
+    def test_building_inverts_no_array(self, key, moll2):
+        mu = transport_maps()[key]
+        calls = []
+
+        def recorded(fn, label):
+            def wrapped(y):
+                calls.append((label, np.ndim(y)))
+                return fn(y)
+            return wrapped
+
+        mu.inverse = recorded(mu.inverse, "inverse")
+        mu.det_d_inverse = recorded(mu.det_d_inverse, "det_d_inverse")
+        psi = translate(scale(moll2, 0.2), 0.1)
+        src = make_battery("full_path", 2, 1, seed=9, flavor="strict")[0]
+        chi = pullback_test_function(mu, psi)
+        member = transform_test_object(mu, src)(0.25, 0.3)
+        assert calls == [("inverse", 0)]
+        xi = np.linspace(-1.0, 1.0, 65)
+        chi.fn(xi)
+        member.fn(xi)
+        assert calls == [("inverse", 0), ("inverse", 1), ("inverse", 1)]
+
+
+class TestFailLoudly:
+    """A map that overflows or is not injective on a box raises, naming
+    the map, instead of giving a non-finite or empty support."""
+
+    def test_overflowing_image_raises(self):
+        mu = get_diffeo("cubic")
+        path = TestObjectPath(lambda e, y: bump_testfunction(1e103), 0,
+                              1e103, "huge")
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="cubic"):
+                pullback_test_function(mu, bump_testfunction(1.0, 1e103))
+            with pytest.raises(ValueError, match="cubic"):
+                transform_test_object(mu, path)(0.5, 0.0)
+
+    def test_empty_image_raises(self, moll2):
+        flat = Diffeomorphism("flat", lambda x: 0.0 * np.asarray(x),
+                              lambda y: y, lambda x: 0.0 * np.asarray(x))
+        with pytest.raises(ValueError, match="flat"):
+            pullback_test_function(flat, moll2)
+
+    def test_non_finite_derivative_raises(self):
+        mu = Diffeomorphism("nan-slope", lambda x: x, lambda y: y,
+                            lambda x: np.full_like(x, np.nan))
+        src = make_battery("full_path", 2, 1, seed=9, flavor="strict")[0]
+        with pytest.raises(ValueError, match="nan-slope"):
+            transform_test_object(mu, src)
 
 
 class TestPullbackRep:

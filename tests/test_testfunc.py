@@ -93,29 +93,37 @@ class TestMoment:
         for a in range(6):
             assert ms[a] == pytest.approx(moment(moll2_offset, a), abs=1e-14)
 
-    def test_moments_upto_reuses_the_latest_box_bit_for_bit(
-            self, moll2, moll2_offset, monkeypatch):
-        """On interleaved boxes and orders, each call equals the uncached
-        product bitwise; a repeated box builds no second grid, and writing
-        to a returned array leaves the kept grid intact."""
-        grids = []
-        build = testfunc.support_grid
-        monkeypatch.setattr(testfunc, "support_grid",
-                            lambda tf, n=None: grids.append(n) or build(tf, n))
+    def test_moments_upto_agrees_with_moment_on_consecutive_boxes(
+            self, moll2, moll2_offset):
+        """Each order agrees with ``moment`` to 1e-15 relative to the
+        moment of |xi^a fn| (the scale of the sums' rounding), and nothing
+        is kept between calls: on interleaved boxes and orders, every call
+        equals the same call made fresh, bit for bit."""
         member = scale(moll2_offset, 0.5)
-        same_box = tf_lincomb([0.5, 0.5], [moll2, moll2])
-        calls = [(member, 3, 64),  # whatever the slot held before
-                 (moll2, 3, None), (same_box, 3, None), (moll2, 5, None),
-                 (member, 5, 1024), (moll2, 5, 1024), (moll2, 5, 1024)]
-        for i, (tf, qmax, n) in enumerate(calls):
-            pts, w = build(tf, n)
-            want = np.vander(pts, qmax + 1, increasing=True).T @ (tf.fn(pts) * w)
+        calls = [(member, 3, 64), (moll2, 3, None),
+                 (tf_lincomb([0.5, 0.5], [moll2, moll2]), 5, None),
+                 (translate(moll2_offset, 0.7), 8, 1024),
+                 (member, 5, 1024), (moll2, 16, 1024)]
+        fresh = [moments_upto(tf, qmax, n) for tf, qmax, n in calls[::-1]]
+        for (tf, qmax, n), want in zip(calls, fresh[::-1]):
             got = moments_upto(tf, qmax, n)
             assert got.tobytes() == want.tobytes()
-            got[:] = np.nan
-            if i == 0:
-                grids.clear()
-        assert grids == [None, None, 1024, 1024]
+            pts, w = testfunc.support_grid(tf, n)
+            absf = np.abs(tf.fn(pts))
+            for a in range(qmax + 1):
+                size = float(np.dot(w, np.abs(pts) ** a * absf))
+                assert abs(got[a] - moment(tf, a, n)) <= 1e-15 * size
+
+    def test_moment_powers_are_products(self, moll2_offset):
+        """xi^alpha comes from multiplying the values by the nodes alpha
+        times, not from ``pow``; the mass is the plain dot product of
+        weights and values."""
+        tf = translate(moll2_offset, 0.3)
+        pts, w = testfunc.support_grid(tf, 512)
+        vals = tf.fn(pts)
+        for a in range(9):
+            assert moment(tf, a, 512) == float(np.dot(w, vals))
+            vals = vals * pts
 
     def test_translated_first_moment(self, moll2_offset):
         """m1(phi(.-x)) = m1 + x*m0."""
