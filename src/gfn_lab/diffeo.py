@@ -271,9 +271,12 @@ def transform_test_object(mu: Diffeomorphism,
 
     A member lives on the exact image of its source member's box under
     s -> (mu(xt + eps s) - x)/eps, xt = mu^{-1} x (``image_box``); the
-    uniform radius bound is LIP_SAFETY sup |mu'|, sampled on the source set,
-    times the source's (mean value theorem).  The path carries the partial
-    domain as ``domain``, whose ``register_compact`` gives a grid's eps0.
+    uniform radius bound is LIP_SAFETY sup |mu'|, sampled on the source set
+    (``mu.omega_src``, else (-3, 3)), times the source's (mean value
+    theorem); the partial domain admits only points whose source ball lies
+    in that set, so every admitted member keeps the bound.  The path carries
+    the partial domain as ``domain``, whose ``register_compact`` gives a
+    grid's eps0.
     """
     src_set = mu.omega_src or Box(-3.0, 3.0)
     dmu = mu.d_forward(np.linspace(src_set.lo, src_set.hi, LIP_SAMPLES))
@@ -302,7 +305,7 @@ def transform_test_object(mu: Diffeomorphism,
                             label=f"tto[{src.label}|{mu.name}]")
 
     src_bound = path.radius_bound
-    omega_src, omega_dst = mu.omega_src, mu.omega_dst
+    omega_dst = mu.omega_dst
 
     def admissible(eps, x):
         if omega_dst is not None:
@@ -310,11 +313,9 @@ def transform_test_object(mu: Diffeomorphism,
                 return False
             if not omega_dst.contains_ball(x, eps * rb):
                 return False
-        xt = preimage(x)
-        if omega_src is not None and not omega_src.contains_ball(
-                xt, eps * src_bound):
-            return False
-        return True
+        # the source ball must lie in the set that rb's derivative was
+        # sampled on, also when the map names no source set
+        return src_set.contains_ball(preimage(x), eps * src_bound)
 
     return TestObjectPath(member, path.q, rb,
                           member_id=f"{path.member_id}|{mu.name}",

@@ -115,11 +115,15 @@ def pair(w: Distribution, psi: TestFunction, n: Optional[int] = None,
     order 0 at a point off the translate's support box, and a Heaviside
     whose box lies in x <= 0, pair to +0.0 without building the translate:
     ``TestFunction`` is exactly zero outside that box, so only the sign of
-    a zero can differ.  Every other case pairs with the translate (the
-    function itself when the shift cancels).  Dirac derivatives use
-    Richardson-extrapolated central differences on the exact evaluator; the
-    half-line integral for Heaviside uses composite Simpson, since its
-    integrand is not flat at the cut point.
+    a zero can differ.  A Heaviside whose box lies in x >= 0 integrates the
+    whole translate, which is the integral of the base: composite Simpson
+    on the base's cached samples, again without building the translate.
+    Every other case pairs with the translate (the function itself when the
+    shift cancels).  Dirac derivatives use Richardson-extrapolated central
+    differences on the exact evaluator; the Heaviside integrals use
+    composite Simpson, since a box that straddles 0 gives an integrand that
+    is not flat at the cut point, and only that box builds a fresh grid, on
+    [0, hi].
     """
     if n is None:
         n = DEFAULT_NODES
@@ -142,16 +146,18 @@ def pair(w: Distribution, psi: TestFunction, n: Optional[int] = None,
             and abs(w.position - center) > radius) or \
             (w.kind == "heaviside" and center + radius <= 0.0):
         return 0.0
+    if w.kind == "heaviside" and center - radius >= 0.0:
+        lo, hi = base.box
+        return _simpson(base.samples_on(base, n)[2], (hi - lo) / n)
     psi = same if same is not None else translate(psi, shift)
 
     if w.kind == "dirac":
         sign = -1.0 if w.order % 2 else 1.0
         return sign * _psi_derivative_at(psi, w.position, w.order)
 
-    if w.kind == "heaviside":
-        a, b = max(0.0, center - radius), center + radius
-        t = np.linspace(a, b, n + 1)
-        return _simpson(psi.fn(t), (b - a) / n)
+    if w.kind == "heaviside":  # the box straddles 0
+        hi = center + radius
+        return _simpson(psi.fn(np.linspace(0.0, hi, n + 1)), hi / n)
 
     if w.kind == "pullback":
         return classical_pullback(w.mu, w.base, psi, n)

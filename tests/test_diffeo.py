@@ -95,6 +95,26 @@ class TestCatalog:
         bound = transform_test_object(mu, src).radius_bound
         assert bound >= np.max(3.0 * xs * xs + 1.0) * src.radius_bound
 
+    def test_domain_without_source_set_keeps_the_radius_bound(self):
+        """A map with no open sets samples mu' on (-3, 3) for the bound, so
+        the partial domain admits only source balls inside (-3, 3): every
+        admitted member's support lies within eps * radius_bound of x."""
+        mu = get_diffeo("cubic")
+        assert mu.omega_src is None
+        src = make_battery("full_path", 2, 1, seed=9, flavor="strict")[0]
+        tr = transform_test_object(mu, src)
+        # the preimage of 100 is about 4.6; this member reaches 89.7 > 38.1
+        assert not tr.domain.contains(0.5, 100.0)
+        rng = np.random.default_rng(3)
+        admitted = 0
+        for e, x in zip(2.0 ** -rng.uniform(0.0, 8.0, 300),
+                        rng.uniform(-40.0, 40.0, 300)):
+            if tr.domain.contains(e, x):
+                admitted += 1
+                member = tr(e, x)
+                assert abs(member.center) + member.radius <= tr.radius_bound
+        assert 50 < admitted < 300
+
 
 class TestJacobianFromPreimage:
     """det D mu^{-1}(y) is 1 / mu'(mu^{-1}(y)), read off the preimage the

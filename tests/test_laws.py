@@ -29,6 +29,8 @@ shifts = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 scales = st.floats(min_value=0.05, max_value=1.0)
 weights = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 proper_scales = st.floats(min_value=0.05, max_value=1.0, exclude_max=True)
+tiny_scales = st.floats(min_value=2.0**-14, max_value=1.0)
+far_shifts = st.floats(min_value=0.0, max_value=3.0)
 # shifts x at which translate(scale(moll2_offset, 0.75), x) has its box edge
 # exactly on a pairing's point: 0.3 on the left edge, 0 on the right
 EDGE_X, ZERO_EDGE_X = 0.9375, -0.8625
@@ -201,17 +203,61 @@ class TestPairAtAShift:
                     assert got == psi(p)
                     if abs(p - psi.center) > psi.radius:
                         assert math.copysign(1.0, got) == 1.0
-                # composite Simpson on [max(0, lo), hi]; a box in x <= 0
-                # gives a sum of zeros
-                a = max(0.0, lo)
-                v = psi.fn(np.linspace(a, hi, n + 1))
-                simpson = (hi - a) / n / 3.0 * (
-                    v[0] + v[-1] + 4.0 * v[1:-1:2].sum()
-                    + 2.0 * v[2:-1:2].sum())
+                if lo >= 0.0:
+                    # the whole integral: composite Simpson on the base's
+                    # own samples, whose nodes the translate's box is the
+                    # affine image of
+                    base = psi.frame[0]
+                    blo, bhi = base.box
+                    v = base.samples_on(base, n)[2]
+                    simpson = (bhi - blo) / n / 3.0 * (
+                        v[0] + v[-1] + 4.0 * v[1:-1:2].sum()
+                        + 2.0 * v[2:-1:2].sum())
+                else:
+                    # composite Simpson on [max(0, lo), hi]; a box in x <= 0
+                    # gives a sum of zeros
+                    a = max(0.0, lo)
+                    v = psi.fn(np.linspace(a, hi, n + 1))
+                    simpson = (hi - a) / n / 3.0 * (
+                        v[0] + v[-1] + 4.0 * v[1:-1:2].sum()
+                        + 2.0 * v[2:-1:2].sum())
                 got = pair(Heaviside(), phi, n, shift=s)
                 assert got == simpson
                 if hi <= 0.0:
                     assert math.copysign(1.0, got) == 1.0
+
+    @settings(max_examples=25, deadline=None)
+    @given(e=proper_scales, t=shifts, x=far_shifts, y=far_shifts,
+           n=st.sampled_from([1024, 4096]))
+    @example(e=0.5, t=0.25, x=1.0, y=3.0, n=1024)
+    def test_heaviside_over_the_whole_box_ignores_the_shift(
+            self, moll2_offset, moll0, e, t, x, y, n):
+        """Two shifts that both put the box in x >= 0 give the same
+        Heaviside pairing, bit for bit: the integral of the base."""
+        combo = tf_lincomb([0.6, 0.4], [moll2_offset, translate(moll0, -0.2)])
+        for phi in members(moll2_offset, e, t) + members(combo, e, t):
+            if min(translate(phi, s).box[0] for s in (x, y)) >= 0.0:
+                assert pair(Heaviside(), phi, n, shift=x) == \
+                    pair(Heaviside(), phi, n, shift=y)
+
+    @settings(max_examples=25, deadline=None)
+    @given(e=tiny_scales, x=far_shifts, n=st.sampled_from([1024, 4096]))
+    @example(e=2.0**-14, x=3.0, n=1024)
+    def test_heaviside_over_the_whole_box_is_accurate(self, moll2_offset,
+                                                      moll0, e, x, n):
+        """A Heaviside pairing whose box lies in x >= 0 is within 1e-14 of
+        composite Simpson on 8n panels in base coordinates, also at small
+        scales, where a grid over the translated box would lose bits to
+        the cancellation in (p - b) / a."""
+        combo = tf_lincomb([0.6, 0.4], [moll2_offset, translate(moll0, -0.2)])
+        for base in (moll2_offset, combo):
+            phi = scale(base, e)
+            assume(translate(phi, x).box[0] >= 0.0)
+            lo, hi = base.box
+            v = base.fn(np.linspace(lo, hi, 8 * n + 1))
+            ref = (hi - lo) / (8 * n) / 3.0 * (
+                v[0] + v[-1] + 4.0 * v[1:-1:2].sum() + 2.0 * v[2:-1:2].sum())
+            assert abs(pair(Heaviside(), phi, n, shift=x) - ref) <= 1e-14
 
     def test_edge_examples_sit_on_the_edge(self, moll2_offset):
         left = translate(scale(moll2_offset, 0.75), EDGE_X)

@@ -22,7 +22,7 @@ from gfn_lab import asymptotics as asy
 from gfn_lab.asymptotics import SweepSpec
 from gfn_lab.basic_space import (ExpExpRepresentative, Representative,
                                  embed_C, embed_sigma, mul, sub)
-from gfn_lab.distributions import (SMOOTH_CHAINS, DiracDerivative,
+from gfn_lab.distributions import (SMOOTH_CHAINS, DiracDerivative, Heaviside,
                                    SmoothDensity, pair, smooth_density)
 from gfn_lab.test_objects import (TestObjectPath, make_battery,
                                   perturbation_directions)
@@ -276,6 +276,33 @@ class TestSharedSamples:
         assert [x for _, x in hits if x != 0.0] == \
             [args[1] for args in translated]
         assert np.all(tables[0].values > 0.0)
+
+    def test_heaviside_over_the_whole_box_reads_cached_samples(self,
+                                                              monkeypatch):
+        """A Heaviside pairing whose shifted box lies in x > 0 sums the
+        base's cached samples: a freshly built full-path member, over the
+        support its terms were sampled on, builds no grid and no translate
+        and evaluates no term."""
+        base = build_mollifier(2, radius=0.9, center=0.1)
+        other = build_mollifier(2, radius=1.1, center=-0.05)
+
+        def member(x):
+            w = 0.5 + 0.4 * np.sin(1.3 * x + 0.2)
+            return tf_lincomb([w, 1.0 - w], [base, other])
+
+        eps, x = 0.25, 1.5  # the box is x + eps * [-1.15, 1.15]
+        pair(Heaviside(), scale(member(0.5), eps), shift=0.5)  # samples terms
+        phi = scale(member(x), eps)
+        assert translate(phi, x).box[0] > 0.0
+        gridded, translated, evaluated = [], [], []
+        count_calls(monkeypatch, support_grid, gridded)
+        count_calls(monkeypatch, translate, translated)
+        for tf in (base, other):
+            inner = tf.fn
+            tf.fn = lambda p, inner=inner: evaluated.append(p) or inner(p)
+        got = pair(Heaviside(), phi, shift=x)
+        assert (gridded, translated, evaluated) == ([], [], [])
+        assert got == pytest.approx(1.0, abs=1e-12)  # unit mass
 
     def test_square_evaluates_its_factor_once(self):
         """mul(ix, ix) in association: one evaluation per probe, squared."""
