@@ -21,7 +21,7 @@ import numpy as np
 
 from .basic_space import (ExpExpRepresentative, Representative, d1_derivative,
                           partial_x, pullback_pair_transform)
-from .testfunc import DomainError, TestFunction, scale, support_grid
+from .testfunc import Q_CAP, DomainError, TestFunction, scale, support_grid
 
 LN2 = math.log(2.0)
 
@@ -62,6 +62,8 @@ class SweepSpec:
         if self.i_max - self.i_min + 1 < self.fit_window:
             raise ValueError("sweep shorter than the fit window")
         self.K = np.asarray(self.K, dtype=float)
+        if self.K.size == 0:
+            raise ValueError("K must hold at least one point")
 
     @property
     def eps(self) -> np.ndarray:
@@ -259,6 +261,8 @@ class ModerateReport:
 
 def _moderate_report(verdicts: list, series: list) -> ModerateReport:
     """Moderate unless a verdict is super-polynomial; N is the worst one's."""
+    if not verdicts:
+        raise ValueError("no verdict to report: the battery is empty")
     Ns = [v.moderate_N() for v in verdicts if v.kind != "zero"]
     return ModerateReport(verdicts, series, max(Ns) if Ns else 0,
                           all(v.is_moderate for v in verdicts))
@@ -297,14 +301,15 @@ class NegligibleReport:
 
 def test_negligible(rep, n_targets: Sequence[int], spec: SweepSpec,
                     battery_factory: Callable[[str, int], Sequence],
-                    q_max: int = 8):
+                    q_max: int = Q_CAP):
     """Search a witness moment order q for each requested decay order n.
 
     For each candidate q the sweep must reach order >= n - tol on batteries
     of strict vanishing-moment class *and* of asymptotically-vanishing
     moment class; both are run so the two battery disciplines can be
     compared on equal footing.  Exhausting q_max yields the honest
-    verdict "not negligible up to q_max" (witness None).
+    verdict "not negligible up to q_max" (witness None).  An empty battery
+    raises ``ValueError``: it would witness any order.
 
     A tuple of representatives is swept on shared members and yields a
     tuple of reports; each representative leaves the q search for n once
@@ -319,7 +324,10 @@ def test_negligible(rep, n_targets: Sequence[int], spec: SweepSpec,
         for q in range(n, q_max + 1):
             worst = {i: math.inf for i in active}
             for kind in ("strict", "cm"):
-                for path in battery_factory(kind, q):
+                battery = battery_factory(kind, q)
+                if not battery:
+                    raise ValueError(f"empty {kind} battery at q = {q}")
+                for path in battery:
                     tables = sweep(tuple(reps[i] for i in active), path, spec)
                     for i, sers in zip(active, tables):
                         for ser in sers:
@@ -349,10 +357,11 @@ def d1_form_test(rep: Representative, battery: Sequence,
     """Moderateness test in differential form.
 
     Sweeps d_1^k (R o S_eps)(phi, x)(psi_1..psi_k) for k <= k_max over the
-    static battery, with directions from the zero-mass tangent battery.
-    k = 0 reduces to the plain static-battery sweep.  Each member takes one
-    eps x K table holding every direction tuple; a representative that does
-    not depend on x is probed once per eps row.  The directions are scaled
+    static battery, with one or two directions from the zero-mass tangent
+    battery (more raise ``ValueError``).  k = 0 reduces to the plain
+    static-battery sweep.  Each member takes one eps x K table holding
+    every direction tuple; a representative that does not depend on x is
+    probed once per eps row.  The directions are scaled
     once per eps for the whole battery, and the k >= 1 magnitudes of a
     linear representative, R(S_eps psi, x) and 0, which no member enters,
     are computed by the first member to reach each (eps, x).
@@ -361,8 +370,10 @@ def d1_form_test(rep: Representative, battery: Sequence,
         raise ValueError(f"directional order k_max must lie in 0..2, got {k_max}")
     if k_max and not directions:
         raise ValueError(f"k_max = {k_max} needs at least one direction")
-    directions = list(directions[:2]) if k_max else []
-    # direction tuples as indices into the (at most two) directions used
+    if len(directions) > 2:
+        raise ValueError(f"at most two directions, got {len(directions)}")
+    directions = list(directions) if k_max else []
+    # direction tuples as indices into the directions
     dir_tuples = {0: [()], 1: [(i,) for i in range(len(directions))],
                   2: [(0, 0), (0, 1)] if len(directions) >= 2 else [(0, 0)]}
     labels, index_tuples = zip(*[(f"k{k}t{ti}", idx) for k in range(k_max + 1)
@@ -488,8 +499,7 @@ def counterexample_scenario(mu, path, spec: SweepSpec, eps_battery: Sequence,
 
     untrans = test_moderate(rep, eps_battery, replace(spec, alphas=(0,)))
 
-    pulled = rep.compose_pullback(pullback_pair_transform(mu), None,
-                                  name=f"{mu.name}^[{rep.name}]")
+    pulled = rep.compose_pullback(pullback_pair_transform(mu), None)
     ser = replace(sweep(pulled, path, replace(spec, alphas=(1,)))[0],
                   member_id=f"{path.member_id}|{mu.name}")
     verdict = fit_order(ser, spec.fit_window)

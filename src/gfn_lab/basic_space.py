@@ -54,14 +54,13 @@ class Representative:
 
     def __init__(self, eval_fn: Callable[[TestFunction, float], complex],
                  formalism: str = "C", linear: bool = False,
-                 omega: Optional[Box] = None, name: str = ""):
+                 omega: Optional[Box] = None):
         if formalism not in ("C", "J"):
             raise ValueError("formalism must be 'C' or 'J'")
         self.eval_fn = eval_fn
         self.formalism = formalism
         self.linear = bool(linear)
         self.omega = omega
-        self.name = name
 
     def __call__(self, phi: TestFunction, x):
         if self.omega is not None:
@@ -82,8 +81,8 @@ class Representative:
                 f"(phi, x) with x={x!r}, support B({phi.center}, "
                 f"{phi.radius:g}) is outside U(Omega)")
 
-    def compose_pullback(self, transform, omega_src: Optional[Box],
-                         name: str) -> "Representative":
+    def compose_pullback(self, transform,
+                         omega_src: Optional[Box]) -> "Representative":
         """Representative (phi~, x~) -> self(transform(phi~, x~))."""
 
         def ev(phi_t, x_t):
@@ -91,10 +90,10 @@ class Representative:
             return self(chi, y)  # re-check the base domain at (chi, y)
 
         return Representative(ev, formalism=self.formalism, linear=self.linear,
-                              omega=omega_src, name=name)
+                              omega=omega_src)
 
     def __repr__(self):
-        return f"Representative({self.name or self.eval_fn}, {self.formalism})"
+        return f"Representative({self.eval_fn}, {self.formalism})"
 
 
 class ExpExpRepresentative(Representative):
@@ -108,7 +107,7 @@ class ExpExpRepresentative(Representative):
     has_log_channel = True
 
     def __init__(self, inner: Callable[[TestFunction, float], float],
-                 omega: Optional[Box] = None, name: str = "exp-i-exp"):
+                 omega: Optional[Box] = None):
         self.inner = inner
         self.x_independent = getattr(inner, "x_independent", False)
 
@@ -119,8 +118,7 @@ class ExpExpRepresentative(Representative):
                     f"exp(I) overflows at I = {ival:.6g}; use the log channel")
             return complex(np.exp(1j * np.exp(ival)))
 
-        super().__init__(ev, formalism="C", linear=False, omega=omega,
-                         name=name)
+        super().__init__(ev, formalism="C", linear=False, omega=omega)
 
     def log_abs(self, phi: TestFunction, x) -> float:
         return 0.0
@@ -171,14 +169,14 @@ class ExpExpRepresentative(Representative):
         return self.log_abs_d1_from_terms(
             *self.log_abs_d1_terms(phi, x, directions))
 
-    def compose_pullback(self, transform, omega_src, name: str):
+    def compose_pullback(self, transform, omega_src):
         base_inner = self.inner
 
         def inner2(phi_t, x_t):
             chi, y = transform(phi_t, x_t)
             return base_inner(chi, y)
 
-        return ExpExpRepresentative(inner2, omega=omega_src, name=name)
+        return ExpExpRepresentative(inner2, omega=omega_src)
 
 
 # ---------------------------------------------------------------------------
@@ -192,8 +190,7 @@ def embed_C(w: Distribution, omega: Optional[Box] = None,
     def ev(phi, x):
         return pair(w, phi, n, shift=x)
 
-    return Representative(ev, formalism="C", linear=True, omega=omega,
-                          name=f"iota_C[{w.name or w.kind}]")
+    return Representative(ev, formalism="C", linear=True, omega=omega)
 
 
 def embed_J(w: Distribution, n: Optional[int] = None) -> Representative:
@@ -202,8 +199,7 @@ def embed_J(w: Distribution, n: Optional[int] = None) -> Representative:
     def ev(phi, x):
         return pair(w, phi, n)
 
-    return Representative(ev, formalism="J", linear=True,
-                          name=f"iota_J[{w.name or w.kind}]")
+    return Representative(ev, formalism="J", linear=True)
 
 
 def embed_sigma(f: Callable[[float], complex],
@@ -214,8 +210,7 @@ def embed_sigma(f: Callable[[float], complex],
     def ev(phi, x):
         return f(x)
 
-    rep = Representative(ev, formalism="C", linear=False, omega=omega,
-                         name="sigma")
+    rep = Representative(ev, formalism="C", linear=False, omega=omega)
     rep.phi_independent = True
     return rep
 
@@ -233,13 +228,13 @@ def translate_formalism(rep: Representative) -> Representative:
             return base(translate(phi, x), x)
 
         return Representative(ev, formalism="C", linear=rep.linear,
-                              omega=rep.omega, name=f"T*[{rep.name}]")
+                              omega=rep.omega)
 
     def ev(phi, x):
         return base(translate(phi, -x), x)
 
     return Representative(ev, formalism="J", linear=rep.linear,
-                          omega=rep.omega, name=f"T-*[{rep.name}]")
+                          omega=rep.omega)
 
 
 def pullback_pair_transform(mu):
@@ -286,8 +281,7 @@ def sub(r1: Representative, r2: Representative) -> Representative:
     f1, f2 = _operand(r1, omega), _operand(r2, omega)
     return Representative(lambda phi, x: f1(phi, x) - f2(phi, x),
                           formalism=r1.formalism,
-                          linear=r1.linear and r2.linear,
-                          omega=omega, name=f"({r1.name}-{r2.name})")
+                          linear=r1.linear and r2.linear, omega=omega)
 
 
 def mul(r1: Representative, r2: Representative) -> Representative:
@@ -304,7 +298,7 @@ def mul(r1: Representative, r2: Representative) -> Representative:
             return f1(phi, x) * f2(phi, x)
 
     return Representative(ev, formalism=r1.formalism, linear=False,
-                          omega=omega, name=f"({r1.name}*{r2.name})")
+                          omega=omega)
 
 
 # ---------------------------------------------------------------------------

@@ -42,9 +42,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {k: getattr(args, k) for k in
-                 ("q", "eps_min", "eps_max", "diffeo", "seed", "out",
-                  "battery_count", "k_points", "quad_n")}
+    overrides = {k: v for k, v in vars(args).items()
+                 if k not in ("scenario", "config", "quiet")}
     try:
         cfg = ScenarioConfig.from_sources(args.scenario, args.config, overrides)
     except (KeyError, TypeError, ValueError, OSError) as exc:

@@ -53,6 +53,10 @@ class Diffeomorphism:
     preimage, D mu^{-1}(y) = 1 / mu'(mu^{-1}(y)), so a caller that already
     holds the preimage weights by ``1.0 / d_forward(pre)`` without
     inverting again.
+
+    The evaluators are given on arrays and wrapped to return a float on a
+    scalar.  Without ``omega_src``, the source chart is the preimage of
+    ``omega_dst``: its two inverted ends, in increasing order.
     """
 
     name: str
@@ -62,6 +66,15 @@ class Diffeomorphism:
     omega_src: Optional[Box] = None
     omega_dst: Optional[Box] = None
     is_identity: bool = False
+
+    def __post_init__(self):
+        self.forward = _scalarized(self.forward)
+        self.inverse = _scalarized(self.inverse)
+        self.d_forward = _scalarized(self.d_forward)
+        if self.omega_src is None and self.omega_dst is not None:
+            ends = sorted((self.inverse(self.omega_dst.lo),
+                           self.inverse(self.omega_dst.hi)))
+            self.omega_src = Box.interval(*ends)
 
     def det_d_inverse(self, y):
         """det D mu^{-1}(y) = 1 / mu'(mu^{-1}(y)), signed."""
@@ -98,25 +111,17 @@ class Diffeomorphism:
 
 
 def identity_map(omega: Optional[Box] = None) -> Diffeomorphism:
-    f = _scalarized(lambda x: x)
-    one = _scalarized(lambda x: np.ones_like(x))
-    return Diffeomorphism("identity", f, f, one,
-                          omega_src=omega, omega_dst=omega, is_identity=True)
+    return Diffeomorphism("identity", np.asarray, np.asarray, np.ones_like,
+                          omega_dst=omega, is_identity=True)
 
 
 def affine_map(a: float, b: float = 0.0,
                omega_dst: Optional[Box] = None) -> Diffeomorphism:
     if a == 0.0:
         raise ValueError("affine map needs a != 0")
-    fwd = _scalarized(lambda x: a * x + b)
-    inv = _scalarized(lambda y: (y - b) / a)
-    dfwd = _scalarized(lambda x: np.full_like(x, a))
-    src = None
-    if omega_dst is not None:
-        ends = sorted(((omega_dst.lo - b) / a, (omega_dst.hi - b) / a))
-        src = Box.interval(ends[0], ends[1])
-    return Diffeomorphism(f"affine({a:g},{b:g})", fwd, inv, dfwd,
-                          omega_src=src, omega_dst=omega_dst)
+    return Diffeomorphism(f"affine({a:g},{b:g})", lambda x: a * x + b,
+                          lambda y: (y - b) / a,
+                          lambda x: np.full_like(x, a), omega_dst=omega_dst)
 
 
 def sin_bend_map(amplitude: float = 0.25,
@@ -125,10 +130,10 @@ def sin_bend_map(amplitude: float = 0.25,
     if not abs(amplitude) < 1.0:
         raise ValueError("amplitude must satisfy |a| < 1")
 
-    def fwd_arr(x):
+    def fwd(x):
         return x + amplitude * np.sin(x)
 
-    def inv_arr(y):
+    def inv(y):
         x = np.array(y, dtype=float, copy=True)
         for _ in range(NEWTON_MAX_ITER):
             step = (x + amplitude * np.sin(x) - y) / (1.0 + amplitude * np.cos(x))
@@ -141,24 +146,20 @@ def sin_bend_map(amplitude: float = 0.25,
             f"sin-bend({amplitude:g}) inverse did not converge in "
             f"{NEWTON_MAX_ITER} Newton steps (last step {np.max(np.abs(step)):.3g})")
 
-    def dfwd_arr(x):
+    def dfwd(x):
         return 1.0 + amplitude * np.cos(x)
 
-    fwd, inv, dfwd = _scalarized(fwd_arr), _scalarized(inv_arr), _scalarized(dfwd_arr)
-    src = None
-    if omega_dst is not None:
-        src = Box.interval(inv(omega_dst.lo), inv(omega_dst.hi))
     return Diffeomorphism(f"sin-bend({amplitude:g})", fwd, inv, dfwd,
-                          omega_src=src, omega_dst=omega_dst)
+                          omega_dst=omega_dst)
 
 
 def cubic_map(omega_dst: Optional[Box] = None) -> Diffeomorphism:
     """x -> x^3 + x; globally invertible, inverse by Cardano plus polish."""
 
-    def fwd_arr(x):
+    def fwd(x):
         return x * x * x + x
 
-    def inv_arr(y):
+    def inv(y):
         y = np.asarray(y, dtype=float)
         disc = np.sqrt(0.25 * y * y + 1.0 / 27.0)
         x = np.cbrt(0.5 * y + disc) + np.cbrt(0.5 * y - disc)
@@ -166,15 +167,11 @@ def cubic_map(omega_dst: Optional[Box] = None) -> Diffeomorphism:
             x = x - (x * x * x + x - y) / (3.0 * x * x + 1.0)
         return x
 
-    def dfwd_arr(x):
+    def dfwd(x):
         return 3.0 * x * x + 1.0
 
-    fwd, inv, dfwd = _scalarized(fwd_arr), _scalarized(inv_arr), _scalarized(dfwd_arr)
-    src = None
-    if omega_dst is not None:
-        src = Box.interval(inv(omega_dst.lo), inv(omega_dst.hi))
     return Diffeomorphism("cubic", fwd, inv, dfwd,
-                          omega_src=src, omega_dst=omega_dst)
+                          omega_dst=omega_dst)
 
 
 def catalog(omega_dst: Optional[Box] = None) -> dict:
@@ -197,18 +194,11 @@ def get_diffeo(name: str, omega_dst: Optional[Box] = None) -> Diffeomorphism:
 
 def compose(mu: Diffeomorphism, nu: Diffeomorphism) -> Diffeomorphism:
     """mu o nu (apply nu first)."""
-
-    fwd = _scalarized(lambda x: mu.forward(nu.forward(x)))
-    inv = _scalarized(lambda y: nu.inverse(mu.inverse(y)))
-    dfwd = _scalarized(lambda x: mu.d_forward(nu.forward(x)) * nu.d_forward(x))
-    src = None
-    if mu.omega_src is not None:
-        ends = sorted((nu.inverse(mu.omega_src.lo),
-                       nu.inverse(mu.omega_src.hi)))
-        src = Box.interval(ends[0], ends[1])
-    return Diffeomorphism(f"{mu.name}.{nu.name}", fwd, inv, dfwd,
-                          omega_src=src, omega_dst=mu.omega_dst,
-                          is_identity=mu.is_identity and nu.is_identity)
+    return Diffeomorphism(
+        f"{mu.name}.{nu.name}", lambda x: mu.forward(nu.forward(x)),
+        lambda y: nu.inverse(mu.inverse(y)),
+        lambda x: mu.d_forward(nu.forward(x)) * nu.d_forward(x),
+        omega_dst=mu.omega_dst, is_identity=mu.is_identity and nu.is_identity)
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +216,7 @@ def pullback_rep(mu: Diffeomorphism, rep: Representative) -> Representative:
     """
     if rep.formalism != "C":
         raise FormalismError("pullback acts on C-formalism representatives")
-    return rep.compose_pullback(pullback_pair_transform(mu), mu.omega_src,
-                                name=f"{mu.name}^[{rep.name}]")
+    return rep.compose_pullback(pullback_pair_transform(mu), mu.omega_src)
 
 
 class PartialDomain:
@@ -301,23 +290,18 @@ def transform_test_object(mu: Diffeomorphism,
             pre = mu.inverse(eps * xi + x)
             return src.fn((pre - xt) / eps) * np.abs(1.0 / mu.d_forward(pre))
 
-        return TestFunction(center, radius, fn,
-                            label=f"tto[{src.label}|{mu.name}]")
+        return TestFunction(center, radius, fn)
 
     src_bound = path.radius_bound
     omega_dst = mu.omega_dst
 
     def admissible(eps, x):
-        if omega_dst is not None:
-            if not omega_dst.contains_point(x):
-                return False
-            if not omega_dst.contains_ball(x, eps * rb):
-                return False
         # the source ball must lie in the set that rb's derivative was
         # sampled on, also when the map names no source set
-        return src_set.contains_ball(preimage(x), eps * src_bound)
+        return ((omega_dst is None or omega_dst.contains_ball(x, eps * rb))
+                and src_set.contains_ball(preimage(x), eps * src_bound))
 
-    return TestObjectPath(member, path.q, rb,
+    return TestObjectPath(member, rb,
                           member_id=f"{path.member_id}|{mu.name}",
                           domain=PartialDomain(admissible))
 

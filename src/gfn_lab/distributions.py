@@ -16,7 +16,7 @@ from .testfunc import (DEFAULT_NODES, DomainError, TestFunction,
                        falling_factorial, shifted_frame, translate)
 
 #: maximum Dirac-derivative order handled by the Richardson stencils
-K_MAX = 4
+K_MAX = numdiff.MAX_ORDER
 
 
 class Distribution:
@@ -25,11 +25,9 @@ class Distribution:
 
     kind = "abstract"
 
-    def __init__(self, name: str = ""):
-        self.name = name
-
     def __repr__(self):
-        return f"{type(self).__name__}({self.name or self.kind})"
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"{type(self).__name__}({fields})"
 
 
 class SmoothDensity(Distribution):
@@ -41,8 +39,7 @@ class SmoothDensity(Distribution):
 
     kind = "smooth"
 
-    def __init__(self, fns, name=""):
-        super().__init__(name)
+    def __init__(self, fns):
         if callable(fns):
             fns = (fns,)
         self.fns = tuple(fns)
@@ -57,10 +54,9 @@ class DiracDerivative(Distribution):
 
     kind = "dirac"
 
-    def __init__(self, order: int = 0, position: float = 0.0, name=""):
+    def __init__(self, order: int = 0, position: float = 0.0):
         if not 0 <= order <= K_MAX:
             raise ValueError(f"Dirac derivative order must be in 0..{K_MAX}")
-        super().__init__(name or f"delta^({order})")
         self.order = int(order)
         self.position = float(position)
 
@@ -76,8 +72,7 @@ class PullbackDistribution(Distribution):
 
     kind = "pullback"
 
-    def __init__(self, mu, base: Distribution, name=""):
-        super().__init__(name or f"{mu.name}*[{base.name or base.kind}]")
+    def __init__(self, mu, base: Distribution):
         self.mu = mu
         self.base = base
 
@@ -111,11 +106,12 @@ def pair(w: Distribution, psi: TestFunction, n: Optional[int] = None,
     the frame (base, a, b) of the translate from ``shifted_frame`` and
     builds no translated function: it integrates over the support grid xi
     of the base, against the base's cached samples (trapezoid),
-    <f, psi(. - shift)> = sum_j w_j f(a xi_j + b) base(xi_j).  A Dirac of
-    order 0 at a point off the translate's support box, and a Heaviside
-    whose box lies in x <= 0, pair to +0.0 without building the translate:
-    ``TestFunction`` is exactly zero outside that box, so only the sign of
-    a zero can differ.  A Heaviside whose box lies in x >= 0 integrates the
+    <f, psi(. - shift)> = sum_j w_j f(a xi_j + b) base(xi_j).  Densities
+    are real: a complex-valued f raises numpy's casting ``TypeError``.  A
+    Dirac of order 0 at a point off the translate's support box, and a
+    Heaviside whose box lies in x <= 0, pair to +0.0 without building the
+    translate: ``TestFunction`` is exactly zero outside that box, so only
+    the sign of a zero can differ.  A Heaviside whose box lies in x >= 0 integrates the
     whole translate, which is the integral of the base: composite Simpson
     on the base's cached samples, again without building the translate.
     Every other case pairs with the translate (the function itself when the
@@ -133,14 +129,8 @@ def pair(w: Distribution, psi: TestFunction, n: Optional[int] = None,
         xi, wt, samples = base.samples_on(base, n)  # shared, read-only
         arg = a * xi
         arg += b
-        vals = w.f(arg)
-        if (isinstance(vals, np.ndarray) and vals.dtype == np.float64
-                and vals.shape == arg.shape):
-            vals = np.multiply(vals, samples, out=arg)  # arg is ours
-        else:
-            vals = vals * samples
-        out = np.dot(wt, vals)
-        return complex(out) if vals.dtype.kind == "c" else float(out)
+        vals = np.multiply(w.f(arg), samples, out=arg)  # arg is ours
+        return float(np.dot(wt, vals))
 
     if (w.kind == "dirac" and w.order == 0
             and abs(w.position - center) > radius) or \
@@ -173,7 +163,7 @@ def derivative(w: Distribution) -> Distribution:
     if w.kind == "heaviside":
         return DiracDerivative(0, 0.0)
     if w.kind == "smooth" and len(w.fns) > 1:
-        return SmoothDensity(w.fns[1:], name=f"d[{w.name}]" if w.name else "")
+        return SmoothDensity(w.fns[1:])
     raise TypeError(f"no closed-form derivative for {w!r}")
 
 
@@ -192,8 +182,7 @@ def pullback_test_function(mu, psi: TestFunction) -> TestFunction:
         pre = mu.inverse(xi)
         return psi.fn(pre) * np.abs(1.0 / mu.d_forward(pre))
 
-    return TestFunction(center, radius, fn,
-                        label=f"{mu.name}#[{psi.label}]")
+    return TestFunction(center, radius, fn)
 
 
 def classical_pullback(mu, u: Distribution, psi: TestFunction,
@@ -258,4 +247,4 @@ SMOOTH_CHAINS = {
 
 
 def smooth_density(name: str) -> SmoothDensity:
-    return SmoothDensity(SMOOTH_CHAINS[name], name=name)
+    return SmoothDensity(SMOOTH_CHAINS[name])

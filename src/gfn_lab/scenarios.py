@@ -30,10 +30,6 @@ from .test_objects import (MomentClass, check_moment_class, make_battery,
 from .testfunc import (Q_CAP, Box, build_mollifier, check_node_count, moment,
                        scale)
 
-SCENARIO_NAMES = ("mollifier", "embed-order", "delta-scaling", "association",
-                  "moment-invariance", "counterexample", "jform-commute",
-                  "d1-form", "pullback-functor")
-
 #: (i_min, i_max, fit window) of each eps sweep a scenario runs, by sweep;
 #: eps_min, eps_max and fit_window override every one
 SWEEPS = {
@@ -526,6 +522,8 @@ _SCENARIOS: dict = {
     "d1-form": _scn_d1_form,
     "pullback-functor": _scn_pullback_functor,
 }
+
+SCENARIO_NAMES = tuple(_SCENARIOS)
 
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:

@@ -36,13 +36,13 @@ class TestObjectPath:
     """A (possibly eps- and x-dependent) family of unit-mass test functions.
 
     ``fn(eps, x)`` builds the member; a static or eps-only family's ``fn``
-    ignores the arguments its members do not depend on.
+    ignores the arguments its members do not depend on.  It declares no
+    moment order: a ``MomentClass`` carries the order it is checked against.
     """
 
     __test__ = False  # pytest: a domain type, not a test case
 
     fn: Callable[[float, float], TestFunction]
-    q: int                     # declared vanishing-moment order of the members
     radius_bound: float        # uniform support radius bound about the origin
     member_id: str
     domain: Optional[object] = None   # PartialDomain when only partially defined
@@ -111,7 +111,7 @@ def make_battery(mode: str, q: int, count: int, seed: int,
         if mode == "static":
             base = build_mollifier(qb, radius=r, center=c)
             members.append(TestObjectPath(
-                (lambda e, x, tf=base: tf), q, bound, mid))
+                (lambda e, x, tf=base: tf), bound, mid))
             continue
 
         chi = _zero_mass_bump(rng)
@@ -122,10 +122,9 @@ def make_battery(mode: str, q: int, count: int, seed: int,
             base = build_mollifier(qb + 2, radius=r, center=c)
 
             def fn(e, x, base=base, chi=chi, amp=amp, q=q):
-                return tf_lincomb([1.0, amp * e**q * (1.0 + e)], [base, chi],
-                                  label="cm-path")
+                return tf_lincomb([1.0, amp * e**q * (1.0 + e)], [base, chi])
 
-            members.append(TestObjectPath(fn, q, max(bound, chi_bound), mid))
+            members.append(TestObjectPath(fn, max(bound, chi_bound), mid))
             continue
 
         r2 = 0.75 + 0.5 * rng.random()
@@ -144,32 +143,30 @@ def make_battery(mode: str, q: int, count: int, seed: int,
                    om=omega_w, th=theta):
                 w = 0.5 + 0.4 * math.sin(om * x + th)
                 return tf_lincomb([w, 1.0 - w, amp * e**q * (1.0 + e)],
-                                  [base, other, chi], label="full-cm")
+                                  [base, other, chi])
 
             bound = max(bound, chi_bound)
         else:
             def fn(e, x, base=base, other=other, om=omega_w, th=theta):
                 w = 0.5 + 0.4 * math.sin(om * x + th)
-                return tf_lincomb([w, 1.0 - w], [base, other], label="full-mix")
+                return tf_lincomb([w, 1.0 - w], [base, other])
 
-        members.append(TestObjectPath(fn, q, bound, mid))
+        members.append(TestObjectPath(fn, bound, mid))
     return members
 
 
 def perturbation_directions(count: int, seed: int) -> list[TestFunction]:
-    """Zero-integral directions: differences of unit-mass bumps, with the
-    battery's sup-norm bound recorded on each member."""
+    """Zero-integral directions: differences of unit-mass bumps."""
     rng = np.random.default_rng(seed)
     out = []
-    for i in range(count):
+    for _ in range(count):
         ra = 0.6 + 0.5 * rng.random()
         rb = 0.6 + 0.5 * rng.random()
         ca = (rng.random() - 0.5) * 0.4
         cb = (rng.random() - 0.5) * 0.4
         a = build_mollifier(0, radius=ra, center=ca)
         b = build_mollifier(0, radius=rb, center=cb)
-        psi = tf_lincomb([1.0, -1.0], [a, b], label=f"a00-s{seed}-m{i:02d}")
-        out.append(psi)
+        out.append(tf_lincomb([1.0, -1.0], [a, b]))
     return out
 
 

@@ -104,7 +104,7 @@ class TestFunction:
     ``fn`` is a vectorized evaluator returning exactly zero outside that
     interval.  ``dfn``, when present, is an exact derivative evaluator.
     ``coeffs`` records the construction coefficients of internally built
-    members.
+    members; a test function carries no name or label.
 
     Every test function has an affine frame ``(base, a, b)``: it equals
     ``base((p - b) / a) / a``.  Scaled and translated functions carry the
@@ -125,14 +125,12 @@ class TestFunction:
     def __init__(self, center: float, radius: float,
                  fn: Callable[[np.ndarray], np.ndarray],
                  dfn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-                 coeffs: Optional[np.ndarray] = None,
-                 label: str = ""):
+                 coeffs: Optional[np.ndarray] = None):
         self.center = float(center)
         self.radius = float(radius)
         self.fn = fn
         self.dfn = dfn
         self.coeffs = coeffs
-        self.label = label
         self._cache: dict = {}
 
     def __call__(self, x):
@@ -179,8 +177,7 @@ class TestFunction:
         without an exact derivative evaluator raises ``TypeError``."""
         if self.dfn is None:
             raise TypeError(f"{self!r} has no exact derivative evaluator")
-        return TestFunction(self.center, self.radius, self.dfn,
-                            label=f"d[{self.label}]")
+        return TestFunction(self.center, self.radius, self.dfn)
 
     @property
     def box(self) -> tuple[float, float]:
@@ -199,8 +196,7 @@ class TestFunction:
         return self._cache[key]
 
     def __repr__(self):
-        return (f"TestFunction(center={self.center:g}, "
-                f"radius={self.radius:g}, label={self.label!r})")
+        return f"TestFunction(center={self.center:g}, radius={self.radius:g})"
 
 
 # ---------------------------------------------------------------------------
@@ -345,15 +341,13 @@ def build_mollifier(q: int, radius: float = 1.0,
     fn, _ = _parametric_eval(coeffs, c, r)
     coeffs = coeffs / float(np.dot(w, fn(pts)))
     fn, dfn = _parametric_eval(coeffs, c, r)
-    return TestFunction(c, r, fn, dfn=dfn, coeffs=coeffs,
-                        label=f"moll(q={q},r={r:g},c={c:g})")
+    return TestFunction(c, r, fn, dfn=dfn, coeffs=coeffs)
 
 
 def bump_testfunction(radius: float = 1.0, center: float = 0.0) -> TestFunction:
     """The base bump B((xi - center)/radius), not normalized."""
     fn, dfn = _parametric_eval(np.array([1.0]), center, radius)
-    return TestFunction(center, radius, fn, dfn=dfn,
-                        coeffs=np.array([1.0]), label="bump")
+    return TestFunction(center, radius, fn, dfn=dfn, coeffs=np.array([1.0]))
 
 
 def _weighted_sum(coeffs: list, fns: list):
@@ -374,8 +368,8 @@ def union_box(tfs: Sequence[TestFunction]) -> tuple[float, float]:
     return center, hi - center
 
 
-def tf_lincomb(coeffs: Sequence[float], tfs: Sequence[TestFunction],
-               label: str = "") -> TestFunction:
+def tf_lincomb(coeffs: Sequence[float],
+               tfs: Sequence[TestFunction]) -> TestFunction:
     """Linear combination, supported on the interval covering all terms."""
     center, radius = union_box(tfs)
     coeffs = [float(c) for c in coeffs]
@@ -383,7 +377,7 @@ def tf_lincomb(coeffs: Sequence[float], tfs: Sequence[TestFunction],
     dfn = None
     if all(t.dfn is not None for t in tfs):
         dfn = _weighted_sum(coeffs, [t.dfn for t in tfs])
-    out = TestFunction(center, radius, fn, dfn=dfn, label=label)
+    out = TestFunction(center, radius, fn, dfn=dfn)
     out._terms = (coeffs, tuple(tfs))
     return out
 
@@ -392,7 +386,7 @@ def tf_lincomb(coeffs: Sequence[float], tfs: Sequence[TestFunction],
 # operators
 
 
-def _framed(base: TestFunction, a: float, b: float, label: str) -> TestFunction:
+def _framed(base: TestFunction, a: float, b: float) -> TestFunction:
     """base((p - b) / a) / a, evaluated in one step from the base."""
     fac = a ** -1
 
@@ -401,8 +395,7 @@ def _framed(base: TestFunction, a: float, b: float, label: str) -> TestFunction:
 
     fn = through(base.fn, fac)
     dfn = None if base.dfn is None else through(base.dfn, fac / a)
-    out = TestFunction(base.center * a + b, base.radius * a, fn, dfn=dfn,
-                       label=label)
+    out = TestFunction(base.center * a + b, base.radius * a, fn, dfn=dfn)
     out._frame = (base, a, b)
     return out
 
@@ -415,7 +408,7 @@ def scale(tf: TestFunction, eps: float) -> TestFunction:
     if eps == 1.0:
         return tf
     base, a, b = tf.frame
-    return _framed(base, a * eps, b * eps, f"S_{eps:g}[{tf.label}]")
+    return _framed(base, a * eps, b * eps)
 
 
 def shifted_frame(tf: TestFunction, x: float) -> tuple:
@@ -453,9 +446,8 @@ def translate(tf: TestFunction, x: float) -> TestFunction:
     frame, _, _, same = shifted_frame(tf, x)
     if same is not None:
         return same
-    untranslated = tf._trans_base if tf._trans_base is not None else tf
-    out = _framed(*frame, f"T[{untranslated.label}]")
-    out._trans_base = untranslated
+    out = _framed(*frame)
+    out._trans_base = tf._trans_base if tf._trans_base is not None else tf
     out._trans_prev = tf
     out._trans_last = float(x)
     return out

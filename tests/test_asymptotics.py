@@ -174,6 +174,62 @@ class TestModerateness:
             np.testing.assert_array_equal(s1.values, s2.values)
 
 
+class TestNothingToJudge:
+    """A verdict over no point, no member or no direction beyond the second
+    raises instead of passing vacuously."""
+
+    SPEC = SweepSpec(i_min=2, i_max=8, K=np.linspace(-1, 1, 5),
+                     alphas=(0,), fit_window=4)
+
+    @staticmethod
+    def delta():
+        return embed_C(DiracDerivative(0))
+
+    def test_moderate_over_an_empty_K_raises(self):
+        bat = make_battery("static", 0, 2, 7)
+        with pytest.raises(ValueError, match="K"):
+            asy.test_moderate(self.delta(), bat, SweepSpec(K=np.array([])))
+
+    def test_negligible_over_an_empty_K_raises(self):
+        """An empty K would witness q = n for every n of the delta, which
+        has no witness on a real K."""
+        def factory(kind, q):
+            flavor = "strict" if kind == "strict" else "cm"
+            return make_battery("full_path", q, 1, seed=3, flavor=flavor)
+
+        with pytest.raises(ValueError, match="K"):
+            asy.test_negligible(self.delta(), [0, 1, 2, 3],
+                                SweepSpec(K=np.array([])), factory, q_max=3)
+
+    def test_moderate_over_an_empty_battery_raises(self):
+        with pytest.raises(ValueError, match="no verdict"):
+            asy.test_moderate(self.delta(), [], self.SPEC)
+
+    def test_d1_form_over_an_empty_battery_raises(self):
+        dirs = perturbation_directions(2, seed=5)
+        with pytest.raises(ValueError, match="no verdict"):
+            d1_form_test(self.delta(), [], dirs, 2, self.SPEC)
+
+    @pytest.mark.parametrize("empty", ["strict", "cm"])
+    def test_negligible_over_an_empty_battery_raises(self, empty):
+        def factory(kind, q):
+            if kind == empty:
+                return []
+            return make_battery("full_path", q, 1, seed=3, flavor=kind)
+
+        with pytest.raises(ValueError, match=f"empty {empty} battery"):
+            asy.test_negligible(self.delta(), [0], self.SPEC, factory,
+                                q_max=1)
+
+    def test_d1_form_with_three_directions_raises(self):
+        """A third direction used to be dropped without a word."""
+        bat = make_battery("static", 0, 1, seed=6)
+        dirs = perturbation_directions(3, seed=5)
+        with pytest.raises(ValueError, match="at most two directions"):
+            d1_form_test(embed_C(DiracDerivative(0), omega=OMEGA), bat, dirs,
+                         2, self.SPEC)
+
+
 class TestNegligibility:
     def test_zero_representative_witness_is_n(self):
         rep = Representative(lambda phi, x: 0.0, linear=True, omega=OMEGA)
@@ -316,7 +372,7 @@ class TestD1Form:
     def test_pullback_drops_x_independence(self):
         rep = ExpExpRepresentative(squared_mass_inner(1024), omega=OMEGA)
         mu = get_diffeo("sin-bend", OMEGA)
-        pulled = rep.compose_pullback(pullback_pair_transform(mu), None, "pb")
+        pulled = rep.compose_pullback(pullback_pair_transform(mu), None)
         assert rep.x_independent and not pulled.x_independent
 
     def test_shared_terms_sum_like_log_abs_d1(self):
@@ -553,7 +609,7 @@ class TestCounterexample:
         """A probe whose I passes 700 gives no evidence of |R| = 1: the
         modulus check raises, naming I, instead of passing."""
         probe = scale(build_mollifier(0), 2.0**-11)
-        src = TestObjectPath(lambda e, x: probe, 0, probe.radius,
+        src = TestObjectPath(lambda e, x: probe, probe.radius,
                              "overflow-probe")
         mu = get_diffeo("sin-bend", OMEGA)
         eps_bat = make_battery("eps_path", 0, 1, seed=14)

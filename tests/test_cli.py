@@ -173,6 +173,55 @@ class TestCliSurface:
         assert res.returncode == 0, res.stderr
         assert "--seed" in res.stdout and "--seeds A-B" in res.stdout
 
+    def test_surface_from_a_fresh_checkout(self, tmp_path):
+        """scripts/surface.py runs without PYTHONPATH or an install, counts
+        the src/ lines as wc -l does, and at most every value has a
+        default."""
+        root = Path(__file__).resolve().parent.parent
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        res = subprocess.run([sys.executable,
+                              str(root / "scripts" / "surface.py")],
+                             cwd=tmp_path, env=env, capture_output=True,
+                             text=True, timeout=60)
+        assert res.returncode == 0, res.stderr
+        got = dict(line.split(": ") for line in res.stdout.splitlines())
+        lines = sum(p.read_text().count("\n")
+                    for p in (root / "src" / "gfn_lab").glob("*.py"))
+        assert int(got["src lines"]) == lines
+        assert 0 < int(got["with a default"]) \
+            <= int(got["settable public values"])
+
+    def test_surface_counts_public_parameters_and_fields(self, monkeypatch):
+        monkeypatch.syspath_prepend(
+            str(Path(__file__).resolve().parent.parent / "scripts"))
+        import ast
+        import surface
+        src = """
+from dataclasses import dataclass
+def f(a, b=1, *args, c, d=2, **kw): pass
+def _hidden(a): pass
+class C:
+    def __init__(self, x, y=0): pass
+    def m(self, z): pass
+    @classmethod
+    def k(cls, w=1): pass
+    def _p(self, v): pass
+    def __call__(self, u): pass
+@dataclass
+class D:
+    n: int
+    s: str = ""
+    plain = 3
+class _E:
+    def __init__(self, t): pass
+"""
+        got = surface.settable_values(ast.parse(src))
+        assert got == [("f(a)", False), ("f(b)", True), ("f(c)", False),
+                       ("f(d)", True), ("f(args)", False), ("f(kw)", False),
+                       ("C.__init__(x)", False), ("C.__init__(y)", True),
+                       ("C.m(z)", False), ("C.k(w)", True),
+                       ("D.n", False), ("D.s", True)]
+
     @pytest.mark.parametrize("args, message", [
         (["--seed", "3", "--seeds", "1-2"], "not allowed with"),
         (["--seeds", "3-1"], "empty seed range"),

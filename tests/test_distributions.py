@@ -17,6 +17,14 @@ from conftest import oracle_trapezoid
 RNG = np.random.default_rng(3)
 
 
+class TestPairSmooth:
+    def test_complex_density_raises(self, moll2):
+        """Densities are real: a complex one fails numpy's cast into the
+        real sample buffer instead of being paired."""
+        with pytest.raises(TypeError):
+            pair(SmoothDensity(lambda x: np.exp(1j * x)), moll2)
+
+
 class TestPairDirac:
     def test_delta_is_point_evaluation(self, moll2):
         assert pair(DiracDerivative(0), moll2) == moll2(0.0)

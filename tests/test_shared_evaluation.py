@@ -212,7 +212,7 @@ class TestSharedSamples:
             w = 0.5 + 0.4 * np.sin(1.3 * x + 0.2)
             return tf_lincomb([w, 1.0 - w], [base, other])
 
-        path = TestObjectPath(member, 2, 1.15, "counted")
+        path = TestObjectPath(member, 1.15, "counted")
         ix = embed_C(smooth_density("x"), omega=OMEGA)
         ix2 = embed_C(smooth_density("x2"), omega=OMEGA)
         tables = asy.sweep(sub(mul(ix, ix), ix2), path, SMALL)
@@ -236,7 +236,7 @@ class TestSharedSamples:
             w = 0.5 + 0.4 * np.sin(1.3 * x + 0.2)
             return tf_lincomb([w, 1.0 - w], [base, other])
 
-        path = TestObjectPath(member, 2, 1.15, "counted")
+        path = TestObjectPath(member, 1.15, "counted")
         w = smooth_density("x4")
         asy.sweep(embed_C(w, omega=OMEGA), path, SMALL)
         points = len(SMALL.eps) * len(SMALL.K)
@@ -269,7 +269,7 @@ class TestSharedSamples:
             inner = tf.fn
             tf.fn = lambda p, inner=inner: evaluated.append(p) or inner(p)
         count_calls(monkeypatch, translate, translated)
-        path = TestObjectPath(member, 2, 1.15, "counted")
+        path = TestObjectPath(member, 1.15, "counted")
         tables = asy.sweep(embed_C(DiracDerivative(0), omega=OMEGA), path,
                            spec)
         assert len(evaluated) == 2 * len(hits)
@@ -603,7 +603,7 @@ class TestSquaredMassFromSamples:
             w = 0.5 + 0.4 * np.sin(1.3 * x + 0.2)
             return tf_lincomb([w, 1.0 - w], [base, other])
 
-        path = TestObjectPath(member, 0, 1.15, "counted")
+        path = TestObjectPath(member, 1.15, "counted")
         rep = ExpExpRepresentative(asy.squared_mass_inner(1024), omega=OMEGA)
         asy.sweep(rep, path, dataclasses.replace(SMALL, alphas=(1,)))
         assert calls == {"base": [1025], "other": [1025]}

@@ -107,7 +107,7 @@ class TestMomentClasses:
         phi = build_mollifier(1)
         assert abs(moment(phi, 2)) > 1e-3
         from gfn_lab.test_objects import TestObjectPath
-        path = TestObjectPath(lambda e, x: phi, 1, float(phi.radius), "a1")
+        path = TestObjectPath(lambda e, x: phi, float(phi.radius), "a1")
         rep = check_moment_class(path, MomentClass("strict_Aq", 2),
                                  EPS_GRID[:2], x_grid=[0.0])
         assert not rep.passed
