@@ -309,12 +309,14 @@ def test_negligible(rep, n_targets: Sequence[int], spec: SweepSpec,
     moment class; both are run so the two battery disciplines can be
     compared on equal footing.  Exhausting q_max yields the honest
     verdict "not negligible up to q_max" (witness None).  An empty battery
-    raises ``ValueError``: it would witness any order.
+    (it would witness any order) or no decay order raises ``ValueError``.
 
     A tuple of representatives is swept on shared members and yields a
     tuple of reports; each representative leaves the q search for n once
     its own witness is found.
     """
+    if not len(n_targets):
+        raise ValueError("negligibility test over no decay order")
     reps = _representatives(rep)
     entries = [{} for _ in reps]
     for n in n_targets:
@@ -504,7 +506,8 @@ def counterexample_scenario(mu, path, spec: SweepSpec, eps_battery: Sequence,
                   member_id=f"{path.member_id}|{mu.name}")
     verdict = fit_order(ser, spec.fit_window)
     mags = np.abs(verdict.local_slopes)
-    ratio = float(mags[-1] / mags[0]) if len(mags) >= 2 and mags[0] != 0 else math.inf
+    ratio = (math.nan if len(mags) < 2 else  # no growth to read: fails
+             math.inf if mags[0] == 0 else float(mags[-1] / mags[0]))
     increasing = bool(len(mags) >= 2 and np.all(np.diff(mags) > 0))
     return CounterexampleReport(dev, untrans, ser, verdict, ratio, increasing)
 

@@ -322,8 +322,11 @@ def check_Z_requirements(path: TestObjectPath, L, eps0: float,
                          beta_max: int = 4, n_eps: int = 6) -> ZReport:
     """Verify, on (0, eps0] x L: membership in the domain, a finite uniform
     support radius bound, and finite sup bounds on xi-derivatives up to
-    beta_max (recorded; derivatives by repeated central differences)."""
+    beta_max (recorded; derivatives by repeated central differences).
+    An empty L raises ``ValueError``: it probes no point."""
     L = np.asarray(L, dtype=float)
+    if not L.size:
+        raise ValueError("Z requirements over an empty set of points L")
     eps_grid = eps0 * 2.0 ** -np.arange(n_eps, dtype=float)
     dom = path.domain
     membership_ok = True

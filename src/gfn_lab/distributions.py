@@ -7,6 +7,7 @@ consistency can be checked against it.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional
 
 import numpy as np
@@ -97,6 +98,40 @@ def _psi_derivative_at(psi: TestFunction, a: float, order: int) -> float:
         lambda t: psi(t), a, order=order, base_step=step, levels=2))
 
 
+def _by_terms(form: tuple, tf: TestFunction, a: float, b: float, d: float,
+              n: int) -> float:
+    """<f, tf((. - b - d) / a) / a> for f of closed ``form``: a combination
+    pairs each term tb((. - s) / r) / r at scale a r and offset d + a s, and
+    any other function pairs by an addition theorem on its own grid, from
+    its cached moments (per n) or C, S = <cos, sin(a . + d), tf> (per a, d,
+    n).  b is kept from d: b + d, rounded, moves a sine near its zeros."""
+    if tf._terms is not None:
+        total = 0.0
+        for c, t in zip(*tf._terms):
+            tb, r, s = t.frame
+            total += c * _by_terms(form, tb, a * r, b, d + a * s, n)
+        return total
+    kind, p, q = form  # ("mono", c, k) or ("trig", alpha, beta)
+    key = ("moments", n) if kind == "mono" else ("trig", a, d, n)
+    sums = tf._cache.get(key)
+    if sums is None or (kind == "mono" and len(sums) <= q):
+        xi, wt, v = tf.samples_on(tf, n)
+        if kind == "mono":  # moments_upto(tf, q, n), from the samples
+            sums = [(v := v * m).sum() for m in [wt] + [xi] * q]
+        else:
+            sums = [np.dot(wt, g(a * xi + d) * v) for g in (np.cos, np.sin)]
+        tf._cache[key] = sums
+    if kind == "mono":  # p sum_j C(q, j) a^j (b + d)^(q - j) m_j, no pow
+        pa, pb = [1.0], [1.0]
+        for _ in range(q):
+            pa.append(pa[-1] * a)
+            pb.append(pb[-1] * (b + d))
+        return p * sum(math.comb(q, j) * pa[j] * pb[q - j] * sums[j]
+                       for j in range(q + 1))
+    (C, S), sb, cb = sums, math.sin(b), math.cos(b)
+    return p * (sb * C + cb * S) + q * (cb * C - sb * S)
+
+
 def pair(w: Distribution, psi: TestFunction, n: Optional[int] = None,
          shift: float = 0.0):
     """The pairing <w, psi(. - shift)>.
@@ -104,8 +139,10 @@ def pair(w: Distribution, psi: TestFunction, n: Optional[int] = None,
     The result is bit for bit ``pair(w, translate(psi, shift), n)``, the
     exact cancellations of ``translate`` included.  A smooth density reads
     the frame (base, a, b) of the translate from ``shifted_frame`` and
-    builds no translated function: it integrates over the support grid xi
-    of the base, against the base's cached samples (trapezoid),
+    builds no translated function.  One of closed form (a ``form`` on its
+    evaluator, as on every ``SMOOTH_CHAINS`` link) pairs by addition
+    theorems on the base's terms (``_by_terms``); an opaque one integrates
+    over the support grid xi of the base, against its cached samples,
     <f, psi(. - shift)> = sum_j w_j f(a xi_j + b) base(xi_j).  Densities
     are real: a complex-valued f raises numpy's casting ``TypeError``.  A
     Dirac of order 0 at a point off the translate's support box, and a
@@ -126,6 +163,8 @@ def pair(w: Distribution, psi: TestFunction, n: Optional[int] = None,
     (base, a, b), center, radius, same = shifted_frame(psi, shift)
 
     if w.kind == "smooth":
+        if hasattr(w.f, "form"):
+            return float(_by_terms(w.f.form, base, a, b, 0.0, n))
         xi, wt, samples = base.samples_on(base, n)  # shared, read-only
         arg = a * xi
         arg += b
@@ -203,6 +242,12 @@ def classical_pullback(mu, u: Distribution, psi: TestFunction,
 # a small catalog of smooth functions with exact derivative chains
 
 
+def _with_form(f, *form):
+    """``f`` tagged with its closed form, which ``pair`` reads."""
+    f.form = form
+    return f
+
+
 def _monomial(c: float, k: int):
     """Evaluator of c x^k as the left-to-right products (c x) x ... x, with
     no factor c when it is 1; a constant is c + x*0, shaped like x.  For
@@ -211,9 +256,9 @@ def _monomial(c: float, k: int):
     is returned for x^1; otherwise the first product is the one new
     array, and the remaining factors multiply into it."""
     if k == 0:
-        return lambda x: c + x * 0
+        return _with_form(lambda x: c + x * 0, "mono", c, k)
     if c == 1.0 and k == 1:
-        return lambda x: x
+        return _with_form(lambda x: x, "mono", c, k)
     rest = k - 2 if c == 1.0 else k - 1  # factors after the first product
 
     def f(x):
@@ -222,23 +267,29 @@ def _monomial(c: float, k: int):
             acc *= x
         return acc
 
-    return f
+    return _with_form(f, "mono", c, k)
 
 
 def _monomial_chain(k: int) -> tuple:
     """Derivative chain of x^k: the links k!/(k-j)! x^(k-j), then zero."""
     chain = [_monomial(falling_factorial(k, j), k - j) for j in range(k + 1)]
-    chain.append(lambda x: np.zeros_like(np.asarray(x, dtype=float)))
+    chain.append(_with_form(
+        lambda x: np.zeros_like(np.asarray(x, dtype=float)), "mono", 0.0, 0))
     return tuple(chain)
 
 
-def _neg(f):
-    return lambda x: -f(x)
+def _trig(alpha: float, beta: float):
+    """alpha sin + beta cos, (alpha, beta) a signed unit vector."""
+    g = np.sin if alpha else np.cos
+    f = (lambda x: g(x)) if alpha + beta > 0 else (lambda x: -g(x))
+    return _with_form(f, "trig", alpha, beta)
 
 
+_SIN, _COS, _NSIN, _NCOS = (_trig(1.0, 0.0), _trig(0.0, 1.0),
+                            _trig(-1.0, 0.0), _trig(0.0, -1.0))
 SMOOTH_CHAINS = {
-    "sin": (np.sin, np.cos, _neg(np.sin), _neg(np.cos), np.sin),
-    "cos": (np.cos, _neg(np.sin), _neg(np.cos), np.sin, np.cos),
+    "sin": (_SIN, _COS, _NSIN, _NCOS, _SIN),
+    "cos": (_COS, _NSIN, _NCOS, _SIN, _COS),
     "one": _monomial_chain(0),
     "x": _monomial_chain(1),
     "x2": _monomial_chain(2),

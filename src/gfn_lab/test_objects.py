@@ -202,9 +202,12 @@ def check_moment_class(path: TestObjectPath, cls: MomentClass,
 
     strict_Aq: every sampled member has unit mass and |m_1..m_q| <= TAU_M.
     asympt_CM: each moment's sup over x decays with order >= q - 0.3.
+    An empty eps or x grid raises ``ValueError``: it samples no member.
     """
     eps_grid = np.asarray(list(eps_grid), dtype=float)
     xs = np.asarray(list(x_grid), dtype=float)
+    if not (len(eps_grid) and len(xs)):
+        raise ValueError("moment class check over an empty eps or x grid")
     q = cls.q
 
     # sup over x of |m_alpha| for every alpha 0..q, per eps

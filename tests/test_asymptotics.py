@@ -17,6 +17,7 @@ from gfn_lab.basic_space import (ExpExpRepresentative, Representative,
                                  pullback_pair_transform, sub)
 from gfn_lab.diffeo import get_diffeo, identity_map, pullback_rep
 from gfn_lab.distributions import DiracDerivative, smooth_density
+from gfn_lab.scenarios import ScenarioConfig, run_scenario
 from gfn_lab.test_objects import (TestObjectPath, make_battery,
                                   perturbation_directions)
 from gfn_lab.testfunc import (Box, DomainError, TestFunction,
@@ -220,6 +221,14 @@ class TestNothingToJudge:
         with pytest.raises(ValueError, match=f"empty {empty} battery"):
             asy.test_negligible(self.delta(), [0], self.SPEC, factory,
                                 q_max=1)
+
+    def test_negligible_over_no_decay_order_raises(self):
+        """No decay order used to pass with no entry."""
+        def factory(kind, q):
+            return make_battery("full_path", q, 1, seed=3, flavor=kind)
+
+        with pytest.raises(ValueError, match="no decay order"):
+            asy.test_negligible(self.delta(), [], self.SPEC, factory)
 
     def test_d1_form_with_three_directions_raises(self):
         """A third direction used to be dropped without a word."""
@@ -604,6 +613,16 @@ class TestCounterexample:
                          alphas=(1,), fit_window=9)
         rep = counterexample_scenario(mu, src, spec, eps_bat, quad_n=1024)
         assert rep.verdict.kind == "zero"
+
+    def test_no_slopes_give_a_failing_ratio(self, tmp_path):
+        """Under an affine map the log table is exactly -inf and has no
+        local slope: the ratio is NaN, not inf, so the scenario's
+        slope-ratio assertion fails instead of passing on nothing."""
+        res = run_scenario(ScenarioConfig("counterexample", seed=7,
+                                          diffeo="affine-2x",
+                                          out=str(tmp_path)))
+        ratio, = [a for a in res.assertions if a.name == "slope-ratio"]
+        assert ratio.observed == "nan" and not ratio.passed
 
     def test_overflowing_probe_raises(self):
         """A probe whose I passes 700 gives no evidence of |R| = 1: the

@@ -603,6 +603,14 @@ class TestZRequirements:
         rep = check_Z_requirements(out, L, eps0, beta_max=3, n_eps=4)
         assert rep.passed
 
+    def test_empty_point_set_raises(self):
+        """No point of L used to pass every clause vacuously."""
+        mu = get_diffeo("cubic", Box(-2.5, 2.5))
+        path = transform_test_object(
+            mu, make_battery("full_path", 2, 1, 9)[0])
+        with pytest.raises(ValueError, match="empty set of points"):
+            check_Z_requirements(path, [], 0.25)
+
     def test_growing_support_fails_boundedness(self, moll0):
         """A path whose support radius grows like 1/eps cannot carry a
         finite uniform bound."""

@@ -26,8 +26,9 @@ from gfn_lab.distributions import (SMOOTH_CHAINS, DiracDerivative, Heaviside,
                                    SmoothDensity, pair, smooth_density)
 from gfn_lab.test_objects import (TestObjectPath, make_battery,
                                   perturbation_directions)
-from gfn_lab.testfunc import (DEFAULT_NODES, Box, build_mollifier, bump,
-                              bump_deriv, scale, support_grid, tf_lincomb,
+from gfn_lab.testfunc import (DEFAULT_NODES, Box, TestFunction,
+                              build_mollifier, bump, bump_deriv,
+                              moments_upto, scale, support_grid, tf_lincomb,
                               translate)
 
 OMEGA = Box.interval(-2.5, 2.5)
@@ -346,7 +347,8 @@ class TestSharedSamples:
 
     def test_other_node_count_is_sampled_again(self):
         """The pairing reads the base's samples on the base's own grid,
-        mapped through the frame, for every shift and node count."""
+        once per node count, and keeps one (C, S) pair per (scale, offset,
+        node count): <sin, base((. - x) / a) / a> = sin(x) C + cos(x) S."""
         w = smooth_density("sin")
         member = fresh_member()
         base, a, _ = member.frame
@@ -354,16 +356,20 @@ class TestSharedSamples:
             psi = translate(member, x)
             assert psi.frame == (base, a, x)
             xi, wt = support_grid(base, n)
-            assert pair(w, psi, n) == \
-                float(np.dot(wt, w.f(a * xi + x) * base.fn(xi)))
-            assert list(base._cache) == ["grid"]
+            v = base.fn(xi)
+            C = np.dot(wt, np.cos(a * xi) * v)
+            S = np.dot(wt, np.sin(a * xi) * v)
+            assert pair(w, psi, n) == math.sin(x) * C + math.cos(x) * S
             assert base._cache["grid"][0] == (base.center, base.radius, n)
+        assert list(base._cache) == ["grid", ("trig", a, 0.0, 1024),
+                                     ("trig", a, 0.0, 2048)]
 
     def test_base_keeps_one_samples_entry_along_a_row(self):
-        """A 41-point row evaluates the base once and caches one grid."""
+        """A 41-point row evaluates the base once and caches one grid and
+        one (C, S) pair."""
         rep = embed_C(smooth_density("sin"), omega=OMEGA)
         owner = fresh_member()
-        base = owner.frame[0]
+        base, a, _ = owner.frame
         calls = []
         inner = base.fn
 
@@ -375,7 +381,8 @@ class TestSharedSamples:
         for x in np.linspace(-1.0, 1.0, 41):
             rep(owner, float(x))
         assert calls == [DEFAULT_NODES + 1]
-        assert list(base._cache) == ["grid"]
+        assert list(base._cache) == ["grid",
+                                     ("trig", a, 0.0, DEFAULT_NODES)]
         assert base._cache["grid"][0] == \
             (base.center, base.radius, DEFAULT_NODES)
         assert owner._cache == {}
@@ -416,13 +423,17 @@ def defects():
                  for f in ("sin", "x4"))
 
 
-def count_calls(monkeypatch, original, log):
-    """Replace ``original`` at every gfn_lab binding site by a wrapper that
-    appends the tuple of its positional arguments to ``log``."""
+def count_calls(monkeypatch, original, log, owner=None):
+    """Replace ``original`` at every gfn_lab binding site, or on ``owner``
+    (a class, for a method) when given, by a wrapper that appends the tuple
+    of its positional arguments to ``log``."""
     def wrapper(*args, **kwargs):
         log.append(args)
         return original(*args, **kwargs)
 
+    if owner is not None:
+        monkeypatch.setattr(owner, original.__name__, wrapper)
+        return
     for name, mod in list(sys.modules.items()):
         if name.startswith("gfn_lab") and \
                 vars(mod).get(original.__name__) is original:
@@ -456,19 +467,78 @@ class TestSmoothPairingBuffers:
     def test_every_chain_link_pairs_as_the_plain_expression(self, coeffs,
                                                              eps, shift, n):
         """Each link of every density chain, the x link that returns its
-        argument and the constant links included, pairs a scaled and
-        shifted lincomb to the one-line trapezoid sum, and leaves the
-        shared nodes, weights and samples as they were."""
+        argument and the constant links included, wrapped so that it
+        declares no closed form, pairs a scaled and shifted lincomb to the
+        one-line trapezoid sum, and leaves the shared nodes, weights and
+        samples as they were."""
         psi = scale(tf_lincomb(coeffs, LINCOMB_TERMS[:len(coeffs)]), eps)
         base, a, b = translate(psi, shift).frame
         xi, wt, samples = base.samples_on(base, n or DEFAULT_NODES)
         shared = [v.copy() for v in (xi, wt, samples)]
         for chain in SMOOTH_CHAINS.values():
             for f in chain:
+                opaque = SmoothDensity(lambda t, f=f: f(t))  # no closed form
                 want = float(np.dot(wt, f(a * xi + b) * samples))
-                assert pair(SmoothDensity(f), psi, n, shift=shift) == want
+                assert pair(opaque, psi, n, shift=shift) == want
                 for v, kept in zip((xi, wt, samples), shared):
                     assert np.array_equal(v, kept)
+
+
+LEAVES = [*LINCOMB_TERMS, scale(build_mollifier(0), 0.6).derivative()]
+
+
+@st.composite
+def nested_lincombs(draw, depth=1):
+    """A linear combination of scaled and shifted terms, some of them
+    combinations themselves; no term narrower than 0.09 of its leaf, so
+    that 32,768 panels of the member's grid resolve every term."""
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        if depth and draw(st.booleans()):
+            t = draw(nested_lincombs(depth - 1))
+        else:
+            t = draw(st.sampled_from(LEAVES))
+        t = translate(scale(t, draw(st.floats(0.3, 1.0))),
+                      draw(st.floats(-0.3, 0.3)))
+        terms.append(t)
+    coeffs = draw(st.lists(st.floats(-2.0, 2.0).filter(lambda c: abs(c) > 0.1),
+                           min_size=len(terms), max_size=len(terms)))
+    return tf_lincomb(coeffs, terms)
+
+
+class TestSmoothPairingByTerms:
+    @settings(max_examples=40, deadline=None)
+    @given(member=nested_lincombs(), eps=st.floats(2.0**-14, 1.0),
+           x=st.floats(-2.0, 2.0), n=st.sampled_from([1024, DEFAULT_NODES]))
+    def test_every_chain_link_pairs_by_addition_theorems(self, member, eps,
+                                                         x, n):
+        """Every link of every density chain pairs a framed nested
+        combination within 1e-14 of the integrand's L1 norm of the member's
+        own evaluator on 32,768 panels of its grid, in the member's
+        coordinates; no combination's samples are read, only the terms'
+        own.  The reference forms the argument eps xi + x in extended
+        precision: rounded to ulp(x), it moves a sine or cosine near one of
+        its zeros by more than the tolerance."""
+        psi = translate(scale(member, eps), x)
+        assert psi.frame == (member, eps, x)
+        xi, wt = support_grid(member, 32768)
+        v = member.fn(xi)
+        arg = eps * xi.astype(np.longdouble) + x
+        read = []
+        with pytest.MonkeyPatch.context() as mp:
+            count_calls(mp, TestFunction.samples_on, read, owner=TestFunction)
+            for chain in SMOOTH_CHAINS.values():
+                for f in chain:
+                    integrand = f(arg) * v
+                    l1 = np.dot(wt, np.abs(integrand))
+                    got = pair(SmoothDensity(f), psi, n)
+                    assert abs(got - np.dot(wt, integrand)) <= 1e-14 * l1
+        assert all(args[0]._terms is None and args[1] is args[0]
+                   for args in read)
+        for leaf in LEAVES:  # a term's moments are moments_upto's
+            m = leaf._cache.get(("moments", n))
+            assert m is None or \
+                np.array_equal(m, moments_upto(leaf, len(m) - 1, n))
 
 
 class TestSharedMembers:

@@ -102,6 +102,15 @@ class TestMomentClasses:
                                      EPS_GRID[:3], x_grid=[-0.6, 0.0, 0.8])
             assert rep.passed, rep.max_moment
 
+    @pytest.mark.parametrize("kind", ["strict_Aq", "asympt_CM"])
+    def test_empty_grid_raises(self, kind):
+        """An empty x grid used to pass strict A_2 with no member seen."""
+        path = make_battery("eps_path", 2, 1, 7)[0]
+        for eps_grid, x_grid in (([0.5], []), ([], [0.0])):
+            with pytest.raises(ValueError, match="empty eps or x grid"):
+                check_moment_class(path, MomentClass(kind, 2), eps_grid,
+                                   x_grid)
+
     def test_a1_mollifier_fails_strict_a2(self):
         """Only the first moment vanishes at order 1; m2 stays O(1)."""
         phi = build_mollifier(1)
