@@ -21,7 +21,9 @@ import numpy as np
 
 from .basic_space import (ExpExpRepresentative, Representative, d1_derivative,
                           partial_x, pullback_pair_transform)
-from .testfunc import Q_CAP, DomainError, TestFunction, scale, support_grid
+from .numdiff import MAX_ORDER
+from .testfunc import (Q_CAP, DomainError, TestFunction, scale, support_grid,
+                       union_box)
 
 LN2 = math.log(2.0)
 
@@ -62,8 +64,10 @@ class SweepSpec:
         if self.i_max - self.i_min + 1 < self.fit_window:
             raise ValueError("sweep shorter than the fit window")
         self.K = np.asarray(self.K, dtype=float)
-        if self.K.size == 0:
-            raise ValueError("K must hold at least one point")
+        if self.K.size == 0 or not np.all(np.isfinite(self.K)):
+            raise ValueError("K must hold at least one point, all finite")
+        if not self.alphas or not {*self.alphas} <= {*range(MAX_ORDER + 1)}:
+            raise ValueError(f"alphas must be orders in 0..{MAX_ORDER}")
 
     @property
     def eps(self) -> np.ndarray:
@@ -142,20 +146,34 @@ def _sup_table(path, spec: SweepSpec, row) -> list[np.ndarray]:
     return [np.asarray(col) for col in zip(*values)]
 
 
-def _insertion_row(reps: tuple, path, alpha: int):
+def _insertion_row(reps: tuple, path, alpha: int, K: np.ndarray):
     """Row builder for |d^alpha/dx^alpha R(S_eps path(eps, x), x)|, one
     magnitude per representative in ``reps``.
 
     Without x-derivatives the member S_eps path(eps, x) is built once per
-    point and every representative is probed on it.  Log-channel
+    point and every representative is probed on it; if all have a ``row``
+    and the path is in coefficient form without a partial domain, a row
+    whose points all pass their U(Omega) checks, on the support all members
+    share, is evaluated at once with no member built.  Log-channel
     representatives yield log2 magnitudes instead, with the first
     x-derivative taken through the inner functional.
     """
     for rep in reps:
         if rep.has_log_channel and alpha not in (0, 1):
             raise ValueError("log-channel sweeps support first x-derivatives only")
+    xs, support = [float(x) for x in K], None
+    if alpha == 0 and getattr(path, "weights", None) is not None and \
+            path.domain is None and all(rep.row for rep in reps):
+        support = TestFunction(*union_box(path.terms), None)
 
     def row(eps):
+        if support is not None:
+            scaled = scale(support, eps)
+            if all(rep.in_domain(scaled, x) for x in xs for rep in reps):
+                coeffs = np.array(path.weights(eps, xs))
+                mags = iter(np.abs([rep.row((coeffs, path.terms, eps), xs)
+                                    for rep in reps]).T.tolist())
+                return lambda x: next(mags)
         h = eps * H_FACTOR
 
         def magnitude(rep, member, x):
@@ -192,7 +210,8 @@ def sweep(rep, path, spec: SweepSpec):
     reps = _representatives(rep)
     out = [[] for _ in reps]
     for alpha in spec.alphas:
-        tables = _sup_table(path, spec, _insertion_row(reps, path, alpha))
+        tables = _sup_table(path, spec,
+                            _insertion_row(reps, path, alpha, spec.K))
         for series, r, values in zip(out, reps, tables):
             series.append(SweepSeries(getattr(path, "member_id", "member"),
                                       alpha, spec.eps, values,

@@ -14,12 +14,14 @@ probes it with scaled test objects.
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import numdiff
-from .distributions import Distribution, pair, pullback_test_function
+from .distributions import (Distribution, pair, pair_row,
+                            pullback_test_function)
 from .testfunc import (TAU_M, Box, DomainError, TestFunction, scale,
                        tf_lincomb, translate, union_box)
 
@@ -46,11 +48,14 @@ class Representative:
     on the point x, so a sweep row over a fixed test object may probe them
     once.  ``phi_independent`` marks those whose value does not depend on
     the test function, so their directional derivatives vanish.
+    ``row((coeffs, terms, eps), xs)``, where set, is ``eval_fn`` at each
+    (S_eps tf_lincomb(coeffs[:, k], terms), xs[k]), bit for bit, unchecked.
     """
 
     has_log_channel = False
     x_independent = False
     phi_independent = False
+    row = None
 
     def __init__(self, eval_fn: Callable[[TestFunction, float], complex],
                  formalism: str = "C", linear: bool = False,
@@ -190,7 +195,10 @@ def embed_C(w: Distribution, omega: Optional[Box] = None,
     def ev(phi, x):
         return pair(w, phi, n, shift=x)
 
-    return Representative(ev, formalism="C", linear=True, omega=omega)
+    rep = Representative(ev, formalism="C", linear=True, omega=omega)
+    if w.kind == "smooth" and hasattr(w.f, "form"):  # pairs by terms
+        rep.row = lambda member, xs: pair_row(w, *member, xs, n)
+    return rep
 
 
 def embed_J(w: Distribution, n: Optional[int] = None) -> Representative:
@@ -212,6 +220,7 @@ def embed_sigma(f: Callable[[float], complex],
 
     rep = Representative(ev, formalism="C", linear=False, omega=omega)
     rep.phi_independent = True
+    rep.row = lambda member, xs: np.array([f(x) for x in xs])
     return rep
 
 
@@ -262,10 +271,6 @@ def pullback_pair_transform(mu):
 # algebra operations (pointwise on U(Omega))
 
 
-def _merge_omega(r1: Representative, r2: Representative):
-    return r1.omega if r1.omega is not None else r2.omega
-
-
 def _operand(r: Representative, omega: Optional[Box]):
     """Evaluator of an operand of a composite on ``omega``.  Operands share
     the composite's formalism, so the composite's own check covers an
@@ -274,31 +279,34 @@ def _operand(r: Representative, omega: Optional[Box]):
     return r.eval_fn if r.omega is None or r.omega == omega else r
 
 
-def sub(r1: Representative, r2: Representative) -> Representative:
+def _combined(op, g1, g2):
+    """(phi, x) -> op(g1(phi, x), g2(phi, x)); a square evaluates g1 once."""
+    if g1 is g2:
+        return lambda phi, x: op(v := g1(phi, x), v)
+    return lambda phi, x: op(g1(phi, x), g2(phi, x))
+
+
+def _composite(r1: Representative, r2: Representative, op,
+               linear: bool) -> Representative:
+    """op of the operands' values on the first operand's open set, else the
+    second's; and op of their rows if both have one and its check covers."""
     if r1.formalism != r2.formalism:
-        raise FormalismError("cannot subtract across formalisms")
-    omega = _merge_omega(r1, r2)
+        raise FormalismError(f"cannot {op.__name__} across formalisms")
+    omega = r1.omega if r1.omega is not None else r2.omega
     f1, f2 = _operand(r1, omega), _operand(r2, omega)
-    return Representative(lambda phi, x: f1(phi, x) - f2(phi, x),
-                          formalism=r1.formalism,
-                          linear=r1.linear and r2.linear, omega=omega)
+    rep = Representative(_combined(op, f1, f2), formalism=r1.formalism,
+                         linear=linear, omega=omega)
+    if r1.row and r2.row and f1 is r1.eval_fn and f2 is r2.eval_fn:
+        rep.row = _combined(op, r1.row, r2.row)
+    return rep
+
+
+def sub(r1: Representative, r2: Representative) -> Representative:
+    return _composite(r1, r2, operator.sub, r1.linear and r2.linear)
 
 
 def mul(r1: Representative, r2: Representative) -> Representative:
-    if r1.formalism != r2.formalism:
-        raise FormalismError("cannot multiply across formalisms")
-    omega = _merge_omega(r1, r2)
-    f1, f2 = _operand(r1, omega), _operand(r2, omega)
-    if r1 is r2:  # a square: evaluate once per (phi, x)
-        def ev(phi, x):
-            v = f1(phi, x)
-            return v * v
-    else:
-        def ev(phi, x):
-            return f1(phi, x) * f2(phi, x)
-
-    return Representative(ev, formalism=r1.formalism, linear=False,
-                          omega=omega)
+    return _composite(r1, r2, operator.mul, linear=False)
 
 
 # ---------------------------------------------------------------------------

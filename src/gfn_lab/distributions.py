@@ -98,16 +98,18 @@ def _psi_derivative_at(psi: TestFunction, a: float, order: int) -> float:
         lambda t: psi(t), a, order=order, base_step=step, levels=2))
 
 
-def _by_terms(form: tuple, tf: TestFunction, a: float, b: float, d: float,
-              n: int) -> float:
+def _by_terms(form: tuple, tf, a: float, b, d: float, n: int):
     """<f, tf((. - b - d) / a) / a> for f of closed ``form``: a combination
     pairs each term tb((. - s) / r) / r at scale a r and offset d + a s, and
     any other function pairs by an addition theorem on its own grid, from
     its cached moments (per n) or C, S = <cos, sin(a . + d), tf> (per a, d,
-    n).  b is kept from d: b + d, rounded, moves a sine near its zeros."""
-    if tf._terms is not None:
+    n).  b is kept from d: b + d, rounded, moves a sine near its zeros.
+    ``tf`` may be the (coeffs, terms) of a combination, with coefficients
+    per shift of an array b: each shift pairs by its operations alone."""
+    terms = tf if isinstance(tf, tuple) else tf._terms
+    if terms is not None:
         total = 0.0
-        for c, t in zip(*tf._terms):
+        for c, t in zip(*terms):
             tb, r, s = t.frame
             total += c * _by_terms(form, tb, a * r, b, d + a * s, n)
         return total
@@ -128,7 +130,11 @@ def _by_terms(form: tuple, tf: TestFunction, a: float, b: float, d: float,
             pb.append(pb[-1] * (b + d))
         return p * sum(math.comb(q, j) * pa[j] * pb[q - j] * sums[j]
                        for j in range(q + 1))
-    (C, S), sb, cb = sums, math.sin(b), math.cos(b)
+    if isinstance(b, np.ndarray):  # libm per shift, as for one shift
+        sb, cb = (np.array([*map(g, b)]) for g in (math.sin, math.cos))
+    else:
+        sb, cb = math.sin(b), math.cos(b)
+    C, S = sums
     return p * (sb * C + cb * S) + q * (cb * C - sb * S)
 
 
@@ -192,6 +198,15 @@ def pair(w: Distribution, psi: TestFunction, n: Optional[int] = None,
         return classical_pullback(w.mu, w.base, psi, n)
 
     raise TypeError(f"unknown distribution kind {w.kind!r}")
+
+
+def pair_row(w: SmoothDensity, coeffs: np.ndarray, terms: tuple, eps: float,
+             xs: list, n: Optional[int] = None) -> np.ndarray:
+    """``pair(w, scale(tf_lincomb(coeffs[:, k], terms), eps), n,
+    shift=xs[k])`` for each k, bit for bit, for ``w`` of closed form."""
+    b = 0.0 + np.array(xs)  # the offsets of the translates' frames
+    return _by_terms(w.f.form, (coeffs, terms), eps, b, 0.0,
+                     DEFAULT_NODES if n is None else n)
 
 
 def derivative(w: Distribution) -> Distribution:

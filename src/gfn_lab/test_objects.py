@@ -36,19 +36,26 @@ class TestObjectPath:
     """A (possibly eps- and x-dependent) family of unit-mass test functions.
 
     ``fn(eps, x)`` builds the member; a static or eps-only family's ``fn``
-    ignores the arguments its members do not depend on.  It declares no
-    moment order: a ``MomentClass`` carries the order it is checked against.
+    ignores the arguments its members do not depend on.  A path in
+    coefficient form has no ``fn``: its member at xs[k] combines fixed
+    ``terms`` with weights ``weights(eps, xs)[j][k]`` (``tf_lincomb``).  It
+    declares no moment order: a ``MomentClass`` carries the order.
     """
 
     __test__ = False  # pytest: a domain type, not a test case
 
-    fn: Callable[[float, float], TestFunction]
+    fn: Optional[Callable[[float, float], TestFunction]]
     radius_bound: float        # uniform support radius bound about the origin
     member_id: str
     domain: Optional[object] = None   # PartialDomain when only partially defined
+    terms: tuple = ()
+    weights: Optional[Callable[[float, list], list]] = None
 
     def __call__(self, eps: float = 1.0, x: float = 0.0) -> TestFunction:
-        return self.fn(float(eps), float(x))
+        if self.weights is None:
+            return self.fn(float(eps), float(x))
+        column, = zip(*self.weights(float(eps), [float(x)]))
+        return tf_lincomb(column, self.terms)
 
 
 @dataclass(frozen=True)
@@ -81,7 +88,7 @@ def make_battery(mode: str, q: int, count: int, seed: int,
     ``flavor`` applies to full paths: "strict" members are pointwise strict
     A_q mixes, "cm" members carry an extra eps^q zero-mass term, "mixed"
     alternates, and "symmetric" restricts to even members (centers at 0),
-    whose odd moments vanish identically.
+    whose odd moments vanish identically; any other flavor raises.
 
     ``build_q`` imposes vanishing moments beyond the declared order q on
     the member mollifiers; A_{q'} members with q' > q still form a
@@ -95,6 +102,8 @@ def make_battery(mode: str, q: int, count: int, seed: int,
         raise ValueError("count must be >= 1")
     if mode not in ("static", "eps_path", "full_path"):
         raise ValueError(f"unknown battery mode {mode!r}")
+    if flavor not in ("strict", "cm", "mixed", "symmetric"):
+        raise ValueError(f"unknown battery flavor {flavor!r}")
     qb = q if build_q is None else int(build_q)
     if qb < q:
         raise ValueError("build_q must be at least the declared order")
@@ -120,11 +129,10 @@ def make_battery(mode: str, q: int, count: int, seed: int,
 
         if mode == "eps_path":
             base = build_mollifier(qb + 2, radius=r, center=c)
-
-            def fn(e, x, base=base, chi=chi, amp=amp, q=q):
-                return tf_lincomb([1.0, amp * e**q * (1.0 + e)], [base, chi])
-
-            members.append(TestObjectPath(fn, max(bound, chi_bound), mid))
+            members.append(TestObjectPath(
+                None, max(bound, chi_bound), mid, terms=(base, chi),
+                weights=lambda e, xs, amp=amp: [
+                    [1.0] * len(xs), [amp * e**q * (1.0 + e)] * len(xs)]))
             continue
 
         r2 = 0.75 + 0.5 * rng.random()
@@ -135,23 +143,22 @@ def make_battery(mode: str, q: int, count: int, seed: int,
         with_cm = {"strict": False, "symmetric": False,
                    "cm": True}.get(flavor, i % 2 == 1)
         member_q = qb + 2 if with_cm else qb
-        base = build_mollifier(member_q, radius=r, center=c)
-        other = build_mollifier(member_q, radius=r2, center=c2)
-
+        terms = (build_mollifier(member_q, radius=r, center=c),
+                 build_mollifier(member_q, radius=r2, center=c2))
         if with_cm:
-            def fn(e, x, base=base, other=other, chi=chi, amp=amp, q=q,
-                   om=omega_w, th=theta):
-                w = 0.5 + 0.4 * math.sin(om * x + th)
-                return tf_lincomb([w, 1.0 - w, amp * e**q * (1.0 + e)],
-                                  [base, other, chi])
-
+            terms += (chi,)
             bound = max(bound, chi_bound)
-        else:
-            def fn(e, x, base=base, other=other, om=omega_w, th=theta):
-                w = 0.5 + 0.4 * math.sin(om * x + th)
-                return tf_lincomb([w, 1.0 - w], [base, other])
 
-        members.append(TestObjectPath(fn, bound, mid))
+        def weights(e, xs, om=omega_w, th=theta, amp=amp, cm=with_cm):
+            rows = [[], []]  # w and 1 - w; a loop: one x is the common case
+            for x in xs:
+                w = 0.5 + 0.4 * math.sin(om * x + th)
+                rows[0].append(w)
+                rows[1].append(1.0 - w)
+            return rows + ([[amp * e**q * (1.0 + e)] * len(xs)] if cm else [])
+
+        members.append(TestObjectPath(None, bound, mid, terms=terms,
+                                      weights=weights))
     return members
 
 

@@ -202,6 +202,33 @@ class TestNothingToJudge:
             asy.test_negligible(self.delta(), [0, 1, 2, 3],
                                 SweepSpec(K=np.array([])), factory, q_max=3)
 
+    def test_sweep_over_no_derivative_order_raises(self):
+        """No alpha used to pass negligibility with witness q = n and order
+        inf for every n, and to blame moderateness on an empty battery."""
+        def factory(kind, q):
+            return make_battery("full_path", q, 1, seed=3, flavor=kind)
+
+        with pytest.raises(ValueError, match="alphas"):
+            asy.test_negligible(self.delta(), [0, 1, 2, 3],
+                                SweepSpec(alphas=()), factory)
+        with pytest.raises(ValueError, match="alphas"):
+            asy.test_moderate(self.delta(), make_battery("static", 0, 2, 7),
+                              SweepSpec(alphas=()))
+
+    @pytest.mark.parametrize("alphas", [(0, 5), (-1,), (0.5,), (0, 1, 2, 9)])
+    def test_unsupported_derivative_order_raises(self, alphas):
+        with pytest.raises(ValueError, match="alphas"):
+            SweepSpec(alphas=alphas)
+
+    @pytest.mark.parametrize("alphas", [(0,), (0, 1), (1, 2, 3, 4)])
+    def test_supported_derivative_orders_pass(self, alphas):
+        assert SweepSpec(alphas=alphas).alphas == alphas
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_K_with_a_point_that_is_not_finite_raises(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            SweepSpec(K=np.array([-0.5, bad, 0.5]))
+
     def test_moderate_over_an_empty_battery_raises(self):
         with pytest.raises(ValueError, match="no verdict"):
             asy.test_moderate(self.delta(), [], self.SPEC)

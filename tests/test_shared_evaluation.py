@@ -26,7 +26,7 @@ from gfn_lab.distributions import (SMOOTH_CHAINS, DiracDerivative, Heaviside,
                                    SmoothDensity, pair, smooth_density)
 from gfn_lab.test_objects import (TestObjectPath, make_battery,
                                   perturbation_directions)
-from gfn_lab.testfunc import (DEFAULT_NODES, Box, TestFunction,
+from gfn_lab.testfunc import (DEFAULT_NODES, Box, DomainError, TestFunction,
                               build_mollifier, bump, bump_deriv,
                               moments_upto, scale, support_grid, tf_lincomb,
                               translate)
@@ -677,3 +677,123 @@ class TestSquaredMassFromSamples:
         rep = ExpExpRepresentative(asy.squared_mass_inner(1024), omega=OMEGA)
         asy.sweep(rep, path, dataclasses.replace(SMALL, alphas=(1,)))
         assert calls == {"base": [1025], "other": [1025]}
+
+
+def point_by_point(path):
+    """The same members behind an opaque ``fn``: swept point by point."""
+    return TestObjectPath(lambda e, x: path(e, x), path.radius_bound,
+                          path.member_id)
+
+
+def sweep_outcome(rep, path, spec):
+    """The bytes of every table of the sweep, or the exception it raised
+    with its message."""
+    try:
+        tables = asy.sweep(rep, path, spec)
+    except (DomainError, FloatingPointError) as exc:
+        return type(exc), str(exc)
+    if isinstance(rep, tuple):
+        tables = [t for per_rep in tables for t in per_rep]
+    return [(t.member_id, t.alpha, t.values.tobytes()) for t in tables]
+
+
+def rows_catalog(omega, nan_above):
+    """Representatives with a row, by name: every SMOOTH_CHAINS link
+    embedded, sin on 256 panels, sigma of sin, a sigma that is NaN above
+    ``nan_above``, the composites that embed-order and association sweep,
+    a tuple of them, and a composite whose operand keeps its own open set
+    (it has no row)."""
+    links = {f"{name}[{j}]": embed_C(SmoothDensity(f), omega=omega)
+             for name, chain in SMOOTH_CHAINS.items()
+             for j, f in enumerate(chain)}
+    ix = embed_C(smooth_density("x"), omega=omega, n=256)
+    ix2 = embed_C(smooth_density("x2"), omega=omega, n=256)
+    iota = {f: embed_C(smooth_density(f), omega=omega) for f in ("sin", "x4")}
+    sigma = {f: embed_sigma(smooth_density(f).f, omega=omega)
+             for f in ("sin", "x4")}
+    gap = embed_sigma(lambda x: math.nan if x > nan_above else math.cos(x),
+                      omega=omega)
+    defect = {f: sub(iota[f], sigma[f]) for f in ("sin", "x4")}
+    return {
+        **links,
+        "sin@256": embed_C(smooth_density("sin"), omega=omega, n=256),
+        "sigma-sin": embed_sigma(np.sin, omega=omega),
+        "sigma-nan": gap,
+        "defect-sin": defect["sin"],
+        "defect-x4": defect["x4"],
+        "association": sub(mul(ix, ix), ix2),
+        "product": mul(iota["sin"], sigma["x4"]),
+        "nan-product": mul(gap, iota["x4"]),
+        "shared": (defect["sin"], defect["x4"], gap),
+        "other-set": sub(iota["sin"],
+                         embed_sigma(np.sin, omega=Box.interval(-9.0, 9.0))),
+    }
+
+
+class TestCoefficientRows:
+    """A coefficient-form path swept by representatives with a row pairs
+    the whole row at once; every table, and every error with its message,
+    is the point-by-point sweep's."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(mode=st.sampled_from(["static", "eps_path", "full_path"]),
+           flavor=st.sampled_from(["strict", "cm", "mixed", "symmetric"]),
+           q=st.integers(0, 3), seed=st.integers(0, 2**16),
+           index=st.integers(0, 2), k=st.integers(1, 7),
+           half=st.sampled_from([2.5, 1.6, 1.3, 1.1]),
+           nan_above=st.sampled_from([math.inf, 0.6, -0.2]),
+           name=st.sampled_from(list(rows_catalog(OMEGA, 0.0))))
+    def test_row_tables_are_the_point_by_point_tables(
+            self, mode, flavor, q, seed, index, k, half, nan_above, name):
+        """Random battery members, every SMOOTH_CHAINS link and the swept
+        composites; an open set of half-width ``half`` that K = [-1, 1]
+        may leave, and a sigma that may turn NaN at some point."""
+        path = make_battery(mode, q, 3, seed, flavor=flavor)[index]
+        rep = rows_catalog(Box.interval(-half, half), nan_above)[name]
+        spec = dataclasses.replace(SMALL, K=np.linspace(-1, 1, k))
+        built = []
+        with pytest.MonkeyPatch.context() as mp:
+            count_calls(mp, TestObjectPath.__call__, built,
+                        owner=TestObjectPath)
+            got = sweep_outcome(rep, path, spec)
+        want = sweep_outcome(rep, point_by_point(path), spec)
+        assert got == want
+        if mode != "static" and name != "other-set" and \
+                isinstance(got, list):
+            assert built == []  # every row at once
+        if half == 1.1:  # the first row leaves the open set
+            assert got[0] is DomainError
+
+    def test_closed_form_sweep_builds_no_member(self, monkeypatch):
+        """embed-order's defects over a battery path build no member, no
+        combination and call no representative; the same members behind an
+        opaque fn, or the delta, are probed at every point."""
+        built, combined, called = [], [], []
+        count_calls(monkeypatch, TestObjectPath.__call__, built,
+                    owner=TestObjectPath)
+        count_calls(monkeypatch, tf_lincomb, combined)
+        count_calls(monkeypatch, Representative.__call__, called,
+                    owner=Representative)
+        path = make_battery("full_path", 2, 2, seed=9, flavor="mixed")[1]
+        assert len(path.terms) == 3
+        asy.sweep(defects(), path, SMALL)
+        assert (built, combined, called) == ([], [], [])
+        points = len(SMALL.eps) * len(SMALL.K)
+        asy.sweep(defects(), point_by_point(path), SMALL)
+        assert sum(args[0] is path for args in built) == points
+        assert len(combined) == points and len(called) == 2 * points
+        built.clear()
+        asy.sweep(embed_C(DiracDerivative(0), omega=OMEGA), path, SMALL)
+        assert len(built) == points
+
+    def test_row_leaves_the_shared_caches_as_a_point_would(self):
+        """The (C, S) sums and moments a row caches in each term are those
+        the point-by-point sweep caches."""
+        caches = []
+        for swept in (lambda p: p, point_by_point):
+            path = make_battery("full_path", 1, 1, seed=5, flavor="cm")[0]
+            asy.sweep(defects(), swept(path), SMALL)
+            caches.append([{k: [np.asarray(v).tobytes() for v in vals]
+                            for k, vals in t._cache.items() if k != "grid"}
+                           for t in path.terms])
+        assert caches[0] == caches[1]

@@ -7,10 +7,56 @@ import pytest
 
 from gfn_lab.test_objects import (MomentClass, check_moment_class,
                                   make_battery, perturbation_directions)
-from gfn_lab.testfunc import build_mollifier, moment
+from gfn_lab.testfunc import (build_mollifier, bump_testfunction, moment,
+                              tf_lincomb)
 
 RNG = np.random.default_rng(29)
 EPS_GRID = 2.0 ** -np.arange(2, 9, dtype=float)
+
+
+def closure_battery(mode, q, count, seed, flavor):
+    """make_battery's members as closures over their mollifiers build them,
+    draw for draw: one function (eps, x) -> member per path."""
+    symmetric = flavor == "symmetric"
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(count):
+        r = 1.0 if i == 0 else 0.75 + 0.5 * rng.random()
+        c = 0.0 if (i == 0 or symmetric) else (rng.random() - 0.5) * 0.4 * r
+        if mode == "static":
+            out.append(lambda e, x, tf=build_mollifier(q, radius=r, center=c):
+                       tf)
+            continue
+        rho = 0.5 + 0.4 * rng.random()
+        d = (rng.random() - 0.5) * 0.4
+        chi = bump_testfunction(radius=rho, center=d).derivative()
+        amp = 0.05 + 0.15 * rng.random()
+        if mode == "eps_path":
+            base = build_mollifier(q + 2, radius=r, center=c)
+
+            def member(e, x, base=base, chi=chi, amp=amp):
+                return tf_lincomb([1.0, amp * e**q * (1.0 + e)], [base, chi])
+
+            out.append(member)
+            continue
+        r2 = 0.75 + 0.5 * rng.random()
+        c2 = 0.0 if symmetric else (rng.random() - 0.5) * 0.4 * r2
+        om = 0.5 + 1.0 * rng.random()
+        th = 2.0 * math.pi * rng.random()
+        with_cm = flavor == "cm" or (flavor == "mixed" and i % 2 == 1)
+        base = build_mollifier(q + 2 * with_cm, radius=r, center=c)
+        other = build_mollifier(q + 2 * with_cm, radius=r2, center=c2)
+
+        def member(e, x, base=base, other=other, chi=chi, amp=amp, om=om,
+                   th=th, with_cm=with_cm):
+            w = 0.5 + 0.4 * math.sin(om * x + th)
+            if with_cm:
+                return tf_lincomb([w, 1.0 - w, amp * e**q * (1.0 + e)],
+                                  [base, other, chi])
+            return tf_lincomb([w, 1.0 - w], [base, other])
+
+        out.append(member)
+    return out
 
 
 class TestMakeBattery:
@@ -40,6 +86,45 @@ class TestMakeBattery:
                 want = path(1.0, 0.0) if mode == "static" else path(eps, 0.0)
                 assert (got.center, got.radius) == (want.center, want.radius)
                 assert got.fn(xs).tobytes() == want.fn(xs).tobytes()
+
+    @pytest.mark.parametrize("mode, flavor", [
+        ("static", "mixed"), ("eps_path", "mixed"), ("full_path", "strict"),
+        ("full_path", "cm"), ("full_path", "mixed"),
+        ("full_path", "symmetric")])
+    def test_members_are_the_closures_members(self, mode, flavor):
+        """A member in coefficient form is, bit for bit, the member the
+        closure over the same mollifiers builds: the same support, the same
+        coefficients, the same samples of it and of its derivative."""
+        xs = np.linspace(-2.0, 2.0, 513)
+        for q, seed in ((0, 3), (2, 8)):
+            paths = make_battery(mode, q, 4, seed, flavor=flavor)
+            refs = closure_battery(mode, q, 4, seed, flavor)
+            for path, ref in zip(paths, refs, strict=True):
+                assert (path.fn is None) == (mode != "static")
+                for eps, x in ((1.0, 0.0), (0.25, 0.7), (2.0**-9, -1.3),
+                               (0.3, -0.0), (0.5, 0.123456789)):
+                    got, want = path(eps, x), ref(eps, x)
+                    assert (got.center, got.radius) == \
+                        (want.center, want.radius)
+                    if mode != "static":
+                        assert got._terms[0] == want._terms[0]
+                    assert got.fn(xs).tobytes() == want.fn(xs).tobytes()
+                    assert (got.dfn is None) == (want.dfn is None)
+                    if got.dfn is not None:
+                        assert got.dfn(xs).tobytes() == \
+                            want.dfn(xs).tobytes()
+
+    def test_weights_give_every_point_its_members_coefficients(self):
+        """A row of weights holds, at each x, the coefficients of the member
+        at x."""
+        xs = [-1.0, -0.3, 0.0, 0.45, 1.0]
+        for mode in ("eps_path", "full_path"):
+            for path in make_battery(mode, 1, 3, seed=4):
+                rows = path.weights(0.125, xs)
+                assert len(rows) == len(path.terms)
+                for k, x in enumerate(xs):
+                    assert path(0.125, x)._terms == \
+                        ([row[k] for row in rows], path.terms)
 
     def test_static_ignores_arguments(self):
         path = make_battery("static", 0, 1, seed=1)[0]
@@ -85,6 +170,13 @@ class TestMakeBattery:
         for path in make_battery("full_path", 1, 3, seed=2):
             rep = check_Z_requirements(path, L, 0.5, beta_max=3, n_eps=3)
             assert rep.passed, (path.member_id, rep)
+
+    @pytest.mark.parametrize("flavor", ["cmm", "Strict", "", "full"])
+    def test_unknown_flavor_raises(self, flavor):
+        """Any unknown flavor used to build a "mixed" battery."""
+        for mode in ("static", "eps_path", "full_path"):
+            with pytest.raises(ValueError, match="flavor"):
+                make_battery(mode, 1, 2, seed=0, flavor=flavor)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
