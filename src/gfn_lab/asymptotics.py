@@ -21,9 +21,9 @@ import numpy as np
 
 from .basic_space import (ExpExpRepresentative, Representative, d1_derivative,
                           partial_x, pullback_pair_transform)
-from .numdiff import MAX_ORDER
-from .testfunc import (Q_CAP, DomainError, TestFunction, scale, support_grid,
-                       union_box)
+from .numdiff import MAX_ORDER, central_difference, stencil_halfwidth
+from .testfunc import (Q_CAP, DomainError, TestFunction, _lincomb_samples,
+                       scale, support_grid, union_box)
 
 LN2 = math.log(2.0)
 
@@ -119,10 +119,12 @@ def _sup_table(path, spec: SweepSpec, row) -> list[np.ndarray]:
 
     ``row(eps)`` does the work shared by a row once and returns the probe
     x -> magnitudes, one per representative probed on the row: absolute
-    values or log2 magnitudes.  Every point is checked against the path's
-    partial domain before it is probed, and a NaN magnitude raises instead
-    of reaching the max, where its effect would depend on its position in
-    the row.  Returns one table per representative.
+    values or log2 magnitudes; or, for a path without a partial domain,
+    an array of them, a row per representative.  Every point is checked
+    against the path's partial domain before it is probed, and a NaN
+    magnitude raises instead of reaching the max, where its effect would
+    depend on its position in the row.  Returns one table per
+    representative.
     """
     dom = getattr(path, "domain", None)
     who = getattr(path, "member_id", path)
@@ -130,6 +132,12 @@ def _sup_table(path, spec: SweepSpec, row) -> list[np.ndarray]:
     for e in spec.eps:
         e = float(e)
         probe = row(e)
+        if isinstance(probe, np.ndarray):
+            if not np.isnan(probe).any():
+                values.append(probe.max(axis=1).tolist())
+                continue
+            # the loop below names the first x with a NaN
+            probe = dict(zip(spec.K.tolist(), probe.T.tolist())).__getitem__
         vals = []
         for x in spec.K:
             x = float(x)
@@ -150,31 +158,60 @@ def _insertion_row(reps: tuple, path, alpha: int, K: np.ndarray):
     """Row builder for |d^alpha/dx^alpha R(S_eps path(eps, x), x)|, one
     magnitude per representative in ``reps``.
 
-    Without x-derivatives the member S_eps path(eps, x) is built once per
-    point and every representative is probed on it; if all have a ``row``
-    and the path is in coefficient form without a partial domain, a row
-    whose points all pass their U(Omega) checks, on the support all members
-    share, is evaluated at once with no member built.  Log-channel
-    representatives yield log2 magnitudes instead, with the first
-    x-derivative taken through the inner functional.
+    A coefficient-form path without a partial domain, probed by
+    representatives with rows (a log channel: its inner functional's, at
+    alpha = 1), is evaluated a row at once, bit for bit, if every point,
+    or stencil point at ``partial_x``'s steps, passes U(Omega) on the
+    support all members share (rows are C-formalism); otherwise each
+    member S_eps path(eps, x) is built and probed, raising as it would.
+    Log-channel representatives yield log2 magnitudes instead, with the
+    first x-derivative taken through the inner functional, unchecked.
     """
     for rep in reps:
         if rep.has_log_channel and alpha not in (0, 1):
             raise ValueError("log-channel sweeps support first x-derivatives only")
-    xs, support = [float(x) for x in K], None
-    if alpha == 0 and getattr(path, "weights", None) is not None and \
-            path.domain is None and all(rep.row for rep in reps):
+    xs, support, hw = [float(x) for x in K], None, stencil_halfwidth(alpha)
+    if getattr(path, "weights", None) is not None and path.domain is None \
+            and all(getattr(rep.inner, "row", None) and alpha == 1
+                    if rep.has_log_channel else rep.row for rep in reps):
         support = TestFunction(*union_box(path.terms), None)
 
+    def row_members(eps, ys):
+        return np.array(path.weights(eps, ys)), path.terms, eps
+
+    def at_once(eps, h):  # an array row per representative, or None
+        scaled, steps = scale(support, eps), []
+        for rep in reps:
+            hs, om, rad = np.full(len(xs), h), rep.omega, scaled.radius
+            if om is not None and not rep.has_log_channel:
+                dist = np.minimum(K - om.lo, om.hi - K)
+                if alpha:  # shrunk near the boundary, as in partial_x
+                    hs = np.where(hw * h >= dist, 0.5 * dist / hw, h)
+                c = scaled.center + np.array([K - hw * hs, K + hw * hs])
+                if alpha and np.any(dist <= 0) or not np.all(
+                        (c - rad > om.lo) & (c + rad < om.hi)):
+                    return None
+            steps.append(hs)
+        out, at_xs = [], row_members(eps, xs) if alpha == 0 else None
+        for rep, hs in zip(reps, steps):
+            if rep.has_log_channel:  # I at x and x +- h
+                ys = [y for x in xs for y in (x, x + h, x - h)]
+                inner = rep.inner.row(row_members(eps, ys), ys)
+                section = dict(zip(ys, inner)).__getitem__
+                out.append([rep.log_abs_dx(section, x, h) / LN2 for x in xs])
+            elif alpha == 0:
+                out.append(np.abs(rep.row(at_xs, xs)))
+            else:
+                out.append(np.abs(central_difference(
+                    lambda ys, r=rep: r.row(row_members(eps, ys.tolist()),
+                                            ys.tolist()), K, alpha, hs)))
+        return np.array(out)
+
     def row(eps):
-        if support is not None:
-            scaled = scale(support, eps)
-            if all(rep.in_domain(scaled, x) for x in xs for rep in reps):
-                coeffs = np.array(path.weights(eps, xs))
-                mags = iter(np.abs([rep.row((coeffs, path.terms, eps), xs)
-                                    for rep in reps]).T.tolist())
-                return lambda x: next(mags)
         h = eps * H_FACTOR
+        mags = None if support is None else at_once(eps, h)
+        if mags is not None:
+            return mags
 
         def magnitude(rep, member, x):
             if alpha == 0:
@@ -466,7 +503,8 @@ def squared_mass_inner(quad_n: int):
     integrated over the base's cached samples and multiplied by 2^i.
     Scaling by a power of two commutes with rounding, so this is the
     quadrature on the scaled support bit for bit; every other frame is
-    integrated directly.
+    integrated directly.  ``inner.row((coeffs, terms, eps), ys)`` is that
+    branch on a sweep row's members at once, for a sweep's eps = 2^-i.
     """
     n = int(quad_n)
 
@@ -479,7 +517,13 @@ def squared_mass_inner(quad_n: int):
         v = phi.fn(pts)
         return float(np.dot(w, np.abs(v) ** 2))
 
+    def row(member, ys):
+        coeffs, terms, eps = member
+        _, wt, rows = _lincomb_samples(coeffs, terms, n)
+        return [float(np.dot(wt, v)) * eps ** -1 for v in np.abs(rows) ** 2]
+
     inner.x_independent = True
+    inner.row = row
     return inner
 
 

@@ -196,7 +196,8 @@ def embed_C(w: Distribution, omega: Optional[Box] = None,
         return pair(w, phi, n, shift=x)
 
     rep = Representative(ev, formalism="C", linear=True, omega=omega)
-    if w.kind == "smooth" and hasattr(w.f, "form"):  # pairs by terms
+    if w.kind == "heaviside" or hasattr(getattr(w, "f", None), "form") or \
+            w.kind == "dirac" and w.order == 0:  # what pair_row pairs
         rep.row = lambda member, xs: pair_row(w, *member, xs, n)
     return rep
 

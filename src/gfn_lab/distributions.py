@@ -14,7 +14,8 @@ import numpy as np
 
 from . import numdiff
 from .testfunc import (DEFAULT_NODES, DomainError, TestFunction,
-                       falling_factorial, shifted_frame, translate)
+                       _lincomb_samples, _weighted_sum, falling_factorial,
+                       scale, shifted_frame, tf_lincomb, translate, union_box)
 
 #: maximum Dirac-derivative order handled by the Richardson stencils
 K_MAX = numdiff.MAX_ORDER
@@ -78,12 +79,13 @@ class PullbackDistribution(Distribution):
         self.base = base
 
 
-def _simpson(vals: np.ndarray, h: float) -> float:
-    n = len(vals) - 1
+def _simpson(vals: np.ndarray, h: float):
+    n = vals.shape[-1] - 1
     if n % 2:
         raise ValueError("Simpson rule needs an even panel count")
-    return h / 3.0 * (vals[0] + vals[-1]
-                      + 4.0 * vals[1:-1:2].sum() + 2.0 * vals[2:-1:2].sum())
+    return h / 3.0 * (vals[..., 0] + vals[..., -1]
+                      + 4.0 * vals[..., 1:-1:2].sum(axis=-1)
+                      + 2.0 * vals[..., 2:-1:2].sum(axis=-1))
 
 
 def _psi_derivative_at(psi: TestFunction, a: float, order: int) -> float:
@@ -200,13 +202,34 @@ def pair(w: Distribution, psi: TestFunction, n: Optional[int] = None,
     raise TypeError(f"unknown distribution kind {w.kind!r}")
 
 
-def pair_row(w: SmoothDensity, coeffs: np.ndarray, terms: tuple, eps: float,
+def pair_row(w: Distribution, coeffs: np.ndarray, terms: tuple, eps: float,
              xs: list, n: Optional[int] = None) -> np.ndarray:
     """``pair(w, scale(tf_lincomb(coeffs[:, k], terms), eps), n,
-    shift=xs[k])`` for each k, bit for bit, for ``w`` of closed form."""
+    shift=xs[k])`` for each k, bit for bit, for a closed-form density
+    (by terms), delta or the Heaviside.  As in ``pair``: delta is eps^-1
+    sum_j c_j t_j((position - x) / eps) on the box; a Heaviside over a box
+    in x >= 0 is Simpson on the terms' samples, summed per member, and one
+    that straddles 0 is paired alone; the rest are +0.0."""
+    n = DEFAULT_NODES if n is None else n
     b = 0.0 + np.array(xs)  # the offsets of the translates' frames
-    return _by_terms(w.f.form, (coeffs, terms), eps, b, 0.0,
-                     DEFAULT_NODES if n is None else n)
+    if w.kind == "smooth":
+        return _by_terms(w.f.form, (coeffs, terms), eps, b, 0.0, n)
+    c, r = union_box(terms)  # the members' box
+    center, radius = c * eps + b, r * eps  # the translates' boxes
+    if w.kind == "dirac":
+        p = (w.position - b) / eps
+        acc = _weighted_sum(coeffs, [t.fn for t in terms])(p)
+        return np.where(np.abs(w.position - center) > radius, 0.0,
+                        eps ** -1 * acc)
+    out, zero = np.zeros(len(b)), center + radius <= 0.0
+    inside = ~zero & (center - radius >= 0.0)
+    if inside.any():
+        rows = _lincomb_samples(coeffs[:, inside], terms, n)[2]
+        out[inside] = _simpson(rows, ((c + r) - (c - r)) / n)
+    for k in np.flatnonzero(~zero & ~inside):
+        out[k] = pair(w, scale(tf_lincomb(coeffs[:, k], terms), eps), n,
+                      shift=xs[k])
+    return out
 
 
 def derivative(w: Distribution) -> Distribution:

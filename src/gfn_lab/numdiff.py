@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Callable
 
+import numpy as np
+
 # central stencil offsets (in units of h) and weights for d^k/dx^k, O(h^2)
 _CENTRAL = {
     0: ((0,), (1.0,)),
@@ -27,13 +29,16 @@ MAX_ORDER = max(_CENTRAL)
 
 def central_difference(fn: Callable[[float], complex], x: float, order: int,
                        h: float) -> complex:
-    """k-th derivative of fn at x by the second-order central stencil."""
+    """k-th derivative of fn at x by the second-order central stencil; for
+    arrays of points x and steps h, each point's, bit for bit (libm's h^k)."""
     if order == 0:
         return fn(x)
     offsets, weights = _CENTRAL[order]
     acc = 0.0
     for o, w in zip(offsets, weights):
         acc = acc + w * fn(x + o * h)
+    if isinstance(h, np.ndarray):
+        return acc / np.array([step**order for step in h.tolist()])
     return acc / h**order
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import time
 from dataclasses import dataclass, fields, replace
@@ -69,16 +70,22 @@ class ScenarioConfig:
                            f"choose from {', '.join(SCENARIO_NAMES)}")
         if self.seed is None:
             raise ValueError("a seed is mandatory for reproducible runs")
-        if self.quad_n is not None:
-            check_node_count(self.quad_n)
+        if not isinstance(self.out, str):
+            raise ValueError(f"out must be a directory name, got {self.out!r}")
         q_lo, q_hi = Q_RANGES.get(self.scenario, (0, Q_CAP))
         for key, lo, hi in (("q", q_lo, q_hi), ("eps_min", 2, 20),
                             ("eps_max", 2, 20), ("fit_window", 4, math.inf),
                             ("k_points", 1, math.inf),
-                            ("battery_count", 1, math.inf)):
+                            ("battery_count", 1, math.inf),
+                            ("quad_n", 64, math.inf), ("seed", 0, math.inf)):
             v = getattr(self, key)
+            if v is not None and (isinstance(v, bool)  # JSON: 5.5, true
+                                  or not isinstance(v, numbers.Integral)):
+                raise ValueError(f"{key} must be an integer, got {v!r}")
             if v is not None and not lo <= v <= hi:
                 raise ValueError(f"{key} must lie in {lo}..{hi}, got {v}")
+        if self.quad_n is not None:
+            check_node_count(self.quad_n)
         if None not in (self.eps_min, self.eps_max) and \
                 self.eps_min >= self.eps_max:
             raise ValueError("eps_min must be below eps_max")

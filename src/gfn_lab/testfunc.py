@@ -323,10 +323,13 @@ def build_mollifier(q: int, radius: float = 1.0,
     w = np.full(n + 1, h)
     w[0] *= 0.5
     w[-1] *= 0.5
-    B = bump((pts - c) / r)
-    basis = np.stack([(pts - c) ** k * B for k in range(q + 1)])  # (q+1, n+1)
-    powers = np.vander(pts, q + 1, increasing=True).T             # xi^a rows
-    A = (powers * w) @ basis.T
+    d = pts - c
+    B = bump(d / r)
+    basis = np.stack([d ** k * B for k in range(q + 1)])  # (q+1, n+1)
+    powers = np.ones((n + 1, q + 1))  # np.vander's running products, and
+    for k in range(1, q + 1):         # its layout: xi^a columns
+        np.multiply(powers[:, k - 1], pts, out=powers[:, k])
+    A = (powers.T * w) @ basis.T
     cond = np.linalg.cond(A, 1)
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise MollifierError(
@@ -380,6 +383,13 @@ def tf_lincomb(coeffs: Sequence[float],
     out = TestFunction(center, radius, fn, dfn=dfn)
     out._terms = (coeffs, tuple(tfs))
     return out
+
+
+def _lincomb_samples(coeffs: np.ndarray, terms: tuple, n: int):
+    """samples_on of each tf_lincomb(coeffs[:, k], terms), a row per k."""
+    rows = TestFunction(*union_box(terms), None)
+    rows._terms = ([c[:, None] for c in coeffs], tuple(terms))  # columns
+    return rows.samples_on(rows, n)
 
 
 # ---------------------------------------------------------------------------

@@ -162,6 +162,30 @@ class TestCliSurface:
         assert rc == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("data", [
+        pytest.param({"k_points": 5.5}, id="k-points-float"),
+        pytest.param({"seed": 7.5}, id="seed-float"),
+        pytest.param({"battery_count": True}, id="count-true"),
+        pytest.param({"q": 1.0}, id="q-whole-float"),
+        pytest.param({"eps_min": 3.0}, id="eps-min-float"),
+        pytest.param({"eps_max": 12.0}, id="eps-max-float"),
+        pytest.param({"fit_window": 6.0}, id="fit-window-float"),
+        pytest.param({"quad_n": 1024.0}, id="quad-n-float"),
+        pytest.param({"seed": -1}, id="seed-negative"),
+        pytest.param({"out": 3}, id="out-not-a-string"),
+    ])
+    def test_config_value_of_the_wrong_type_is_bad_usage(self, tmp_path,
+                                                         monkeypatch, data):
+        """A JSON float or boolean where an integer belongs, a negative
+        seed, or an out that is not a string exits 2 before anything runs:
+        not 1 from a traceback mid-run, and no run with true taken for 1."""
+        monkeypatch.chdir(tmp_path)
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(data))
+        assert main(["delta-scaling", "--config", str(cfgfile),
+                     "--quiet"]) == 2
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
     def test_run_all_scenarios_from_a_fresh_checkout(self, tmp_path):
         """The script finds the lab without PYTHONPATH or an install."""
         script = Path(__file__).resolve().parent.parent / "scripts" / \

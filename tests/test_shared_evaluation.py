@@ -15,7 +15,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from gfn_lab import asymptotics as asy
@@ -29,7 +29,7 @@ from gfn_lab.test_objects import (TestObjectPath, make_battery,
 from gfn_lab.testfunc import (DEFAULT_NODES, Box, DomainError, TestFunction,
                               build_mollifier, bump, bump_deriv,
                               moments_upto, scale, support_grid, tf_lincomb,
-                              translate)
+                              translate, union_box)
 
 OMEGA = Box.interval(-2.5, 2.5)
 EDGE = 1.0 - 2.0**-53  # the largest double below 1
@@ -690,7 +690,7 @@ def sweep_outcome(rep, path, spec):
     with its message."""
     try:
         tables = asy.sweep(rep, path, spec)
-    except (DomainError, FloatingPointError) as exc:
+    except (DomainError, FloatingPointError, ValueError) as exc:
         return type(exc), str(exc)
     if isinstance(rep, tuple):
         tables = [t for per_rep in tables for t in per_rep]
@@ -701,8 +701,9 @@ def rows_catalog(omega, nan_above):
     """Representatives with a row, by name: every SMOOTH_CHAINS link
     embedded, sin on 256 panels, sigma of sin, a sigma that is NaN above
     ``nan_above``, the composites that embed-order and association sweep,
-    a tuple of them, and a composite whose operand keeps its own open set
-    (it has no row)."""
+    a tuple of them, the delta, the Heaviside and their difference, the
+    counterexample's log channel (a row at alpha = 1 only), and a
+    composite whose operand keeps its own open set (it has no row)."""
     links = {f"{name}[{j}]": embed_C(SmoothDensity(f), omega=omega)
              for name, chain in SMOOTH_CHAINS.items()
              for j, f in enumerate(chain)}
@@ -714,7 +715,14 @@ def rows_catalog(omega, nan_above):
     gap = embed_sigma(lambda x: math.nan if x > nan_above else math.cos(x),
                       omega=omega)
     defect = {f: sub(iota[f], sigma[f]) for f in ("sin", "x4")}
+    delta = embed_C(DiracDerivative(0), omega=omega)
+    step = embed_C(Heaviside(), omega=omega)
     return {
+        "delta": delta,
+        "heaviside": step,
+        "delta-minus-H": sub(delta, step),
+        "exp-exp": ExpExpRepresentative(asy.squared_mass_inner(1024),
+                                        omega=omega),
         **links,
         "sin@256": embed_C(smooth_density("sin"), omega=omega, n=256),
         "sigma-sin": embed_sigma(np.sin, omega=omega),
@@ -735,22 +743,37 @@ class TestCoefficientRows:
     the whole row at once; every table, and every error with its message,
     is the point-by-point sweep's."""
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(mode=st.sampled_from(["static", "eps_path", "full_path"]),
            flavor=st.sampled_from(["strict", "cm", "mixed", "symmetric"]),
            q=st.integers(0, 3), seed=st.integers(0, 2**16),
            index=st.integers(0, 2), k=st.integers(1, 7),
            half=st.sampled_from([2.5, 1.6, 1.3, 1.1]),
            nan_above=st.sampled_from([math.inf, 0.6, -0.2]),
-           name=st.sampled_from(list(rows_catalog(OMEGA, 0.0))))
+           name=st.sampled_from(list(rows_catalog(OMEGA, 0.0))),
+           alphas=st.sampled_from([(0,), (1,), (0, 1), (2,)]))
+    # boxes in x < 0, straddling 0 and in x > 0 on every row
+    @example(mode="full_path", flavor="cm", q=1, seed=3, index=1, k=7,
+             half=2.5, nan_above=math.inf, name="heaviside", alphas=(0, 1))
+    @example(mode="eps_path", flavor="mixed", q=2, seed=4, index=2, k=7,
+             half=1.6, nan_above=math.inf, name="delta-minus-H", alphas=(2,))
+    @example(mode="full_path", flavor="mixed", q=0, seed=5, index=0, k=7,
+             half=2.5, nan_above=math.inf, name="delta", alphas=(1,))
+    @example(mode="full_path", flavor="mixed", q=0, seed=6, index=1, k=5,
+             half=1.6, nan_above=math.inf, name="exp-exp", alphas=(1,))
+    @example(mode="full_path", flavor="strict", q=2, seed=7, index=2, k=4,
+             half=1.1, nan_above=math.inf, name="heaviside", alphas=(1,))
     def test_row_tables_are_the_point_by_point_tables(
-            self, mode, flavor, q, seed, index, k, half, nan_above, name):
-        """Random battery members, every SMOOTH_CHAINS link and the swept
-        composites; an open set of half-width ``half`` that K = [-1, 1]
-        may leave, and a sigma that may turn NaN at some point."""
+            self, mode, flavor, q, seed, index, k, half, nan_above, name,
+            alphas):
+        """Random battery members, every SMOOTH_CHAINS link, the delta, the
+        Heaviside, the log channel and the swept composites, at orders 0 to
+        2; an open set of half-width ``half`` that K = [-1, 1] may leave,
+        and a sigma that may turn NaN at some point."""
         path = make_battery(mode, q, 3, seed, flavor=flavor)[index]
         rep = rows_catalog(Box.interval(-half, half), nan_above)[name]
-        spec = dataclasses.replace(SMALL, K=np.linspace(-1, 1, k))
+        spec = dataclasses.replace(SMALL, K=np.linspace(-1, 1, k),
+                                   alphas=alphas)
         built = []
         with pytest.MonkeyPatch.context() as mp:
             count_calls(mp, TestObjectPath.__call__, built,
@@ -759,15 +782,55 @@ class TestCoefficientRows:
         want = sweep_outcome(rep, point_by_point(path), spec)
         assert got == want
         if mode != "static" and name != "other-set" and \
-                isinstance(got, list):
+                isinstance(got, list) and \
+                not (name == "exp-exp" and 0 in alphas):
             assert built == []  # every row at once
-        if half == 1.1:  # the first row leaves the open set
-            assert got[0] is DomainError
+        if half == 1.1 and name != "exp-exp":  # the first row leaves
+            assert got[0] is DomainError       # (no log-channel check)
+
+    def test_heaviside_rows_cover_every_kind_of_box(self):
+        """The Heaviside example above meets boxes in x < 0, boxes that
+        straddle 0 and boxes in x > 0 on every row of its sweep."""
+        path = make_battery("full_path", 1, 3, 3, flavor="cm")[1]
+        c, r = union_box(path.terms)
+        for eps in SMALL.eps:
+            lo = c * eps + np.linspace(-1, 1, 7) - r * eps
+            hi = lo + 2 * r * eps
+            assert (hi <= 0).any() and (lo >= 0).any()
+            assert ((lo < 0) & (hi > 0)).any()
+
+    @pytest.mark.parametrize("name", ["delta", "heaviside", "sigma-sin",
+                                      "defect-sin"])
+    @pytest.mark.parametrize("alpha", [1, 2])
+    def test_steps_shrink_at_the_ends_of_K(self, name, alpha):
+        """Narrow terms on an open set just past K: the ends of K take a
+        shrunk step, as in partial_x, and the derivative rows keep the
+        point-by-point tables, with no member built."""
+        terms = (build_mollifier(1, radius=0.002, center=0.0002),
+                 build_mollifier(0, radius=0.0015, center=-0.0001))
+        path = TestObjectPath(
+            None, 0.0022, "narrow", terms=terms,
+            weights=lambda e, xs: [[0.5 + 0.1 * x for x in xs],
+                                   [0.5 - 0.1 * x for x in xs]])
+        half = 1.0015
+        rep = rows_catalog(Box.interval(-half, half), math.inf)[name]
+        spec = dataclasses.replace(SMALL, alphas=(alpha,))
+        h = spec.eps[0] * asy.H_FACTOR
+        hw = asy.stencil_halfwidth(alpha)
+        assert hw * h >= half - 1.0  # the first row's ends shrink
+        built = []
+        with pytest.MonkeyPatch.context() as mp:
+            count_calls(mp, TestObjectPath.__call__, built,
+                        owner=TestObjectPath)
+            got = sweep_outcome(rep, path, spec)
+        assert isinstance(got, list) and built == []
+        assert got == sweep_outcome(rep, point_by_point(path), spec)
 
     def test_closed_form_sweep_builds_no_member(self, monkeypatch):
-        """embed-order's defects over a battery path build no member, no
-        combination and call no representative; the same members behind an
-        opaque fn, or the delta, are probed at every point."""
+        """embed-order's defects, and the delta, over a battery path build
+        no member, no combination and call no representative; the same
+        members behind an opaque fn, or delta', are probed at every
+        point."""
         built, combined, called = [], [], []
         count_calls(monkeypatch, TestObjectPath.__call__, built,
                     owner=TestObjectPath)
@@ -784,7 +847,26 @@ class TestCoefficientRows:
         assert len(combined) == points and len(called) == 2 * points
         built.clear()
         asy.sweep(embed_C(DiracDerivative(0), omega=OMEGA), path, SMALL)
+        assert built == []
+        asy.sweep(embed_C(DiracDerivative(1), omega=OMEGA), path, SMALL)
         assert len(built) == points
+        built.clear()
+        asy.sweep(embed_C(DiracDerivative(0), omega=OMEGA),
+                  point_by_point(path), SMALL)
+        assert sum(args[0] is path for args in built) == points
+
+    def test_d1_form_moderate_sweep_builds_no_member(self, monkeypatch):
+        """d1-form's moderate test of iota-sin sweeps alpha 0 and 1 over
+        full-path members: both orders are rows, with no member built."""
+        built = []
+        count_calls(monkeypatch, TestObjectPath.__call__, built,
+                    owner=TestObjectPath)
+        battery = make_battery("full_path", 0, 2, 14)
+        rep = embed_C(smooth_density("sin"), omega=OMEGA)
+        report = asy.test_moderate(
+            rep, battery, dataclasses.replace(SMALL, alphas=(0, 1)))
+        assert [s.alpha for s in report.series] == [0, 1, 0, 1]
+        assert built == []
 
     def test_row_leaves_the_shared_caches_as_a_point_would(self):
         """The (C, S) sums and moments a row caches in each term are those
