@@ -22,8 +22,9 @@ import numpy as np
 from .basic_space import (ExpExpRepresentative, Representative, d1_derivative,
                           partial_x, pullback_pair_transform)
 from .numdiff import MAX_ORDER, central_difference, stencil_halfwidth
-from .testfunc import (Q_CAP, DomainError, TestFunction, _lincomb_samples,
-                       scale, support_grid, union_box)
+from .testfunc import (Q_CAP, DomainError, TestFunction, _grid_rows,
+                       _lincomb_samples, _row_blocks, _weighted_sum, scale,
+                       support_grid, union_box)
 
 LN2 = math.log(2.0)
 
@@ -114,6 +115,17 @@ class AsymptoticVerdict:
         return self.kind != "superpoly"
 
 
+def _first_nan(table: np.ndarray, eps: float, xs: list, who):
+    """Raise ``FloatingPointError`` naming the first x whose row of
+    ``table`` holds a NaN, if one does: ``max`` would drop it or keep it
+    by its position in the row."""
+    bad = np.isnan(table).reshape(len(xs), -1).any(axis=1)
+    if bad.any():
+        raise FloatingPointError(
+            f"probe returned NaN at (eps={eps:g}, x={xs[np.argmax(bad)]:g}) "
+            f"for {who!r}")
+
+
 def _sup_table(path, spec: SweepSpec, row) -> list[np.ndarray]:
     """The eps x K kernel: sup over x in K of each probed magnitude, per row.
 
@@ -133,11 +145,9 @@ def _sup_table(path, spec: SweepSpec, row) -> list[np.ndarray]:
         e = float(e)
         probe = row(e)
         if isinstance(probe, np.ndarray):
-            if not np.isnan(probe).any():
-                values.append(probe.max(axis=1).tolist())
-                continue
-            # the loop below names the first x with a NaN
-            probe = dict(zip(spec.K.tolist(), probe.T.tolist())).__getitem__
+            _first_nan(probe.T, e, spec.K.tolist(), who)
+            values.append(probe.max(axis=1).tolist())
+            continue
         vals = []
         for x in spec.K:
             x = float(x)
@@ -159,20 +169,22 @@ def _insertion_row(reps: tuple, path, alpha: int, K: np.ndarray):
     magnitude per representative in ``reps``.
 
     A coefficient-form path without a partial domain, probed by
-    representatives with rows (a log channel: its inner functional's, at
-    alpha = 1), is evaluated a row at once, bit for bit, if every point,
+    representatives with rows (a log channel: at alpha = 1, its inner
+    functional's), is evaluated a row at once, bit for bit, if every point,
     or stencil point at ``partial_x``'s steps, passes U(Omega) on the
     support all members share (rows are C-formalism); otherwise each
     member S_eps path(eps, x) is built and probed, raising as it would.
-    Log-channel representatives yield log2 magnitudes instead, with the
-    first x-derivative taken through the inner functional, unchecked.
+    Log-channel representatives yield log2 magnitudes instead: 0 at
+    alpha = 0, since |R| = 1 identically, and the first x-derivative
+    through the inner functional at x and x +- h; every member they
+    evaluate there is checked against U(Omega) too.
     """
     for rep in reps:
         if rep.has_log_channel and alpha not in (0, 1):
             raise ValueError("log-channel sweeps support first x-derivatives only")
     xs, support, hw = [float(x) for x in K], None, stencil_halfwidth(alpha)
     if getattr(path, "weights", None) is not None and path.domain is None \
-            and all(getattr(rep.inner, "row", None) and alpha == 1
+            and all(alpha == 0 or getattr(rep.inner, "row", None)
                     if rep.has_log_channel else rep.row for rep in reps):
         support = TestFunction(*union_box(path.terms), None)
 
@@ -183,18 +195,24 @@ def _insertion_row(reps: tuple, path, alpha: int, K: np.ndarray):
         scaled, steps = scale(support, eps), []
         for rep in reps:
             hs, om, rad = np.full(len(xs), h), rep.omega, scaled.radius
-            if om is not None and not rep.has_log_channel:
-                dist = np.minimum(K - om.lo, om.hi - K)
-                if alpha:  # shrunk near the boundary, as in partial_x
-                    hs = np.where(hw * h >= dist, 0.5 * dist / hw, h)
-                c = scaled.center + np.array([K - hw * hs, K + hw * hs])
-                if alpha and np.any(dist <= 0) or not np.all(
-                        (c - rad > om.lo) & (c + rad < om.hi)):
+            if om is not None:
+                if rep.has_log_channel:  # the members at x (and x +- h)
+                    c = scaled.center + np.array([K, K + h, K - h][:1 + 2 * alpha])
+                else:
+                    dist = np.minimum(K - om.lo, om.hi - K)
+                    if alpha:  # shrunk near the boundary, as in partial_x
+                        hs = np.where(hw * h >= dist, 0.5 * dist / hw, h)
+                    c = scaled.center + np.array([K - hw * hs, K + hw * hs])
+                    if alpha and np.any(dist <= 0):
+                        return None
+                if not np.all((c - rad > om.lo) & (c + rad < om.hi)):
                     return None
             steps.append(hs)
         out, at_xs = [], row_members(eps, xs) if alpha == 0 else None
         for rep, hs in zip(reps, steps):
-            if rep.has_log_channel:  # I at x and x +- h
+            if rep.has_log_channel and alpha == 0:
+                out.append(np.zeros(len(xs)))
+            elif rep.has_log_channel:  # I at x and x +- h
                 ys = [y for x in xs for y in (x, x + h, x - h)]
                 inner = rep.inner.row(row_members(eps, ys), ys)
                 section = dict(zip(ys, inner)).__getitem__
@@ -214,19 +232,29 @@ def _insertion_row(reps: tuple, path, alpha: int, K: np.ndarray):
             return mags
 
         def magnitude(rep, member, x):
+            if not rep.has_log_channel:
+                if alpha == 0:
+                    return abs(rep(member, x))
+                return abs(partial_x(rep, alpha, None, x, path=path, eps=eps,
+                                     h=h, refine=False))
             if alpha == 0:
-                return rep.log_abs(member, x) / LN2 if rep.has_log_channel \
-                    else abs(rep(member, x))
-            if rep.has_log_channel:
-                def section(y):
-                    return rep.inner(scale(path(eps, y), eps), y)
+                if rep.omega is not None:
+                    rep.check_domain(member, x)
+                return 0.0
 
-                return rep.log_abs_dx(section, x, h) / LN2
-            return abs(partial_x(rep, alpha, None, x, path=path, eps=eps,
-                                 h=h, refine=False))
+            def section(y):
+                phi = scale(path(eps, y), eps)
+                rep.check_domain(phi, y)
+                return rep.inner(phi, y)
+
+            return rep.log_abs_dx(section, x, h) / LN2
+
+        # only a value channel or a domain check reads the member at x
+        needs_member = alpha == 0 and any(
+            rep.omega is not None or not rep.has_log_channel for rep in reps)
 
         def probe(x):
-            member = scale(path(eps, x), eps) if alpha == 0 else None
+            member = scale(path(eps, x), eps) if needs_member else None
             return [magnitude(rep, member, x) for rep in reps]
 
         return probe
@@ -519,11 +547,57 @@ def squared_mass_inner(quad_n: int):
 
     def row(member, ys):
         coeffs, terms, eps = member
-        _, wt, rows = _lincomb_samples(coeffs, terms, n)
-        return [float(np.dot(wt, v)) * eps ** -1 for v in np.abs(rows) ** 2]
+        out = []
+        for k in _row_blocks(len(ys), 2 * (n + 1)):  # the sum, one product
+            _, wt, rows = _lincomb_samples(coeffs[:, k], terms, n)
+            np.square(np.abs(rows, out=rows), out=rows)
+            out += [float(np.dot(wt, v)) * eps ** -1 for v in rows]
+        return out
+
+    def pulled_row(mu):
+        """``row`` of ``inner`` pulled back along ``mu``, as
+        ``compose_pullback(pullback_pair_transform(mu), ...)`` evaluates
+        it at each (S_eps phi, y), bit for bit: inner(chi, mu(y)) with
+        chi = P(. + mu(y)), P = (psi o mu^{-1}) |det D mu^{-1}| and
+        psi = S_eps phi(. - y), on chi's own grid (at mu(y) = 0, chi = P
+        takes the samples branch, and the bits agree), with every
+        member's inverse in one call."""
+        if mu.is_identity:  # the translates cancel: chi = S_eps phi
+            return row
+
+        def pulled(member, ys):
+            coeffs, terms, eps = member
+            ys = np.array(ys)
+            # a row holds about ten arrays of its nodes at once: the
+            # Newton's, and those of the terms' evaluation
+            return [v for k in _row_blocks(len(ys), 10 * (n + 1))
+                    for v in pulled_block(coeffs[:, k], terms, eps, ys[k])]
+
+        def pulled_block(coeffs, terms, eps, ys):
+            c, r = union_box(terms)
+            shift = 0.0 + ys  # psi's frame offset; its box, then P's
+            lo, hi = (c * eps + shift) - r * eps, (c * eps + shift) + r * eps
+            center, radius = mu.image_box(lo, hi)
+            b = 0.0 + -mu.forward(ys)  # chi's frame offset over P
+            pts, w = _grid_rows(center * 1.0 + b, radius * 1.0, n)
+            pre = mu.inverse(pts - b[:, None])  # chi: (xi - b) / 1.0
+            del pts
+            u = pre - shift[:, None]  # psi: eps^-1 phi((p - shift) / eps)
+            u /= eps
+            v = _weighted_sum([col[:, None] for col in coeffs],
+                              [t.fn for t in terms])(u)
+            del u
+            v *= eps ** -1
+            v *= np.abs(1.0 / mu.d_forward(pre))
+            del pre
+            np.square(np.abs(v, out=v), out=v)
+            return [float(np.dot(wk, vk)) for wk, vk in zip(w, v)]
+
+        return pulled
 
     inner.x_independent = True
     inner.row = row
+    inner.pulled_row = pulled_row
     return inner
 
 
@@ -565,6 +639,8 @@ def counterexample_scenario(mu, path, spec: SweepSpec, eps_battery: Sequence,
     untrans = test_moderate(rep, eps_battery, replace(spec, alphas=(0,)))
 
     pulled = rep.compose_pullback(pullback_pair_transform(mu), None)
+    # mu reaches the row directly: the transform evaluates one point
+    pulled.inner.row = rep.inner.pulled_row(mu)
     ser = replace(sweep(pulled, path, replace(spec, alphas=(1,)))[0],
                   member_id=f"{path.member_id}|{mu.name}")
     verdict = fit_order(ser, spec.fit_window)

@@ -13,9 +13,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .asymptotics import _first_nan
 from .basic_space import FormalismError, Representative, pullback_pair_transform
-from .test_objects import TestObjectPath
-from .testfunc import Box, DomainError, TestFunction
+from .test_objects import TestObjectPath, _member_rows
+from .testfunc import Box, DomainError, TestFunction, _grid_rows
 
 #: smallest eps0 the registration of a compact set searches down to
 EPS0_CAP = 2.0**-20
@@ -96,13 +97,19 @@ class Diffeomorphism:
         widened by NEWTON_STEP_TOL (|x| + |mu(a)| + |mu(b)|) / eps: the ends,
         and an evaluator that inverts eps xi + x, round at a few ulps of
         |x| + |y|.  Non-finite images or an empty interval raise ValueError.
+        Arrays a, b and x give the boxes of a row of members, elementwise.
         """
-        ya, yb = (float(y) for y in self.forward(np.array([a, b], dtype=float)))
-        lo, hi = sorted(((ya - x) / eps, (yb - x) / eps))
-        if not -np.inf < lo < hi < np.inf:
+        ya, yb = self.forward(np.array([a, b], dtype=float))
+        lo = np.minimum((ya - x) / eps, (yb - x) / eps)
+        hi = np.maximum((ya - x) / eps, (yb - x) / eps)
+        bad = ~((-np.inf < lo) & (lo < hi) & (hi < np.inf))
+        if bad.any():
+            k = np.flatnonzero(bad)[0]
+            a, b, lo, hi = (np.ravel(v)[k]
+                            for v in np.broadcast_arrays(a, b, lo, hi))
             raise ValueError(f"{self.name}: the image of [{a:g}, {b:g}] is "
                              f"the empty or non-finite [{lo:g}, {hi:g}]")
-        margin = NEWTON_STEP_TOL * (abs(x) + abs(ya) + abs(yb)) / eps
+        margin = NEWTON_STEP_TOL * (np.abs(x) + np.abs(ya) + np.abs(yb)) / eps
         return 0.5 * (lo + hi), 0.5 * (hi - lo) + margin
 
 
@@ -134,17 +141,40 @@ def sin_bend_map(amplitude: float = 0.25,
         return x + amplitude * np.sin(x)
 
     def inv(y):
-        x = np.array(y, dtype=float, copy=True)
+        """Newton on each row of y (its last axis; a 1-D y is one row): a
+        row stops once its own step passes the test, so a row of a stack
+        gets the bits of the call on that row alone."""
+        y = np.asarray(y, dtype=float)
+        target = y.reshape(-1, y.shape[-1] if y.ndim else 1)
+        out = x = target.copy()  # x: the rows still iterating, open_rows
+        open_rows = np.arange(len(out))
+        step, work = np.empty_like(x), np.empty_like(x)
         for _ in range(NEWTON_MAX_ITER):
-            step = (x + amplitude * np.sin(x) - y) / (1.0 + amplitude * np.cos(x))
-            x = x - step
+            # step = (x + a sin x - y) / (1 + a cos x), x -= step
+            np.sin(x, out=step)
+            step *= amplitude
+            step += x
+            step -= target
+            np.cos(x, out=work)
+            work *= amplitude
+            work += 1.0
+            step /= work
+            x -= step
             # the residual has a rounding floor near eps * |y|, so the test
             # is on the step, not on the residual
-            if np.max(np.abs(step)) <= NEWTON_STEP_TOL * (1.0 + np.max(np.abs(x))):
-                return x
+            last = np.abs(step, out=work).max(axis=1)
+            done = last <= NEWTON_STEP_TOL * (1.0 + np.abs(x, out=work).max(axis=1))
+            if x is not out:  # else the rows are in place
+                out[open_rows[done]] = x[done]
+            if done.all():
+                return out.reshape(y.shape)
+            if done.any():
+                keep = ~done
+                x, target, open_rows = x[keep], target[keep], open_rows[keep]
+                step, work = step[:len(x)], work[:len(x)]
         raise FloatingPointError(
             f"sin-bend({amplitude:g}) inverse did not converge in "
-            f"{NEWTON_MAX_ITER} Newton steps (last step {np.max(np.abs(step)):.3g})")
+            f"{NEWTON_MAX_ITER} Newton steps (last step {last[~done][0]:.3g})")
 
     def dfwd(x):
         return 1.0 + amplitude * np.cos(x)
@@ -265,7 +295,8 @@ def transform_test_object(mu: Diffeomorphism,
     theorem); the partial domain admits only points whose source ball lies
     in that set, so every admitted member keeps the bound.  The path carries
     the partial domain as ``domain``, whose ``register_compact`` gives a
-    grid's eps0.
+    grid's eps0.  Its ``rows`` evaluate a row of members over the source's
+    rows, inverting eps xi + x for all of them in one call.
     """
     src_set = mu.omega_src or Box(-3.0, 3.0)
     dmu = mu.d_forward(np.linspace(src_set.lo, src_set.hi, LIP_SAMPLES))
@@ -292,6 +323,22 @@ def transform_test_object(mu: Diffeomorphism,
 
         return TestFunction(center, radius, fn)
 
+    def rows(eps, xs):
+        xts = np.array([preimage(x) for x in xs])
+        src_c, src_r, src_fn = _member_rows(path, eps, xts.tolist())
+        centers, radii = mu.image_box(xts + eps * (src_c - src_r),
+                                      xts + eps * (src_c + src_r),
+                                      np.array(xs), eps)
+        x_col, xt_col = np.array(xs)[:, None], xts[:, None]
+
+        def fn(nodes):
+            pre = mu.inverse(eps * nodes + x_col)
+            vals = src_fn((pre - xt_col) / eps)  # a new array
+            vals *= np.abs(1.0 / mu.d_forward(pre))
+            return vals
+
+        return centers, radii, fn
+
     src_bound = path.radius_bound
     omega_dst = mu.omega_dst
 
@@ -301,9 +348,10 @@ def transform_test_object(mu: Diffeomorphism,
         return ((omega_dst is None or omega_dst.contains_ball(x, eps * rb))
                 and src_set.contains_ball(preimage(x), eps * src_bound))
 
-    return TestObjectPath(member, rb,
-                          member_id=f"{path.member_id}|{mu.name}",
-                          domain=PartialDomain(admissible))
+    out = TestObjectPath(member, rb, member_id=f"{path.member_id}|{mu.name}",
+                         domain=PartialDomain(admissible))
+    out.rows = rows
+    return out
 
 
 @dataclass
@@ -323,7 +371,9 @@ def check_Z_requirements(path: TestObjectPath, L, eps0: float,
     """Verify, on (0, eps0] x L: membership in the domain, a finite uniform
     support radius bound, and finite sup bounds on xi-derivatives up to
     beta_max (recorded; derivatives by repeated central differences).
-    An empty L raises ``ValueError``: it probes no point."""
+    The points of L admitted at an eps are evaluated as one row of members
+    (``_member_rows``).  An empty L raises ``ValueError``: it probes no
+    point; a NaN sample raises ``FloatingPointError``."""
     L = np.asarray(L, dtype=float)
     if not L.size:
         raise ValueError("Z requirements over an empty set of points L")
@@ -332,24 +382,25 @@ def check_Z_requirements(path: TestObjectPath, L, eps0: float,
     membership_ok = True
     radius_obs = 0.0
     deriv_bounds = {b: 0.0 for b in range(beta_max + 1)}
-    for e in eps_grid:
-        for x in L:
-            if dom is not None and not dom.contains(float(e), float(x)):
-                membership_ok = False
-                continue
-            tf = path(float(e), float(x))
-            radius_obs = max(radius_obs, abs(tf.center) + tf.radius)
-            lo, hi = tf.box
-            xi = np.linspace(lo, hi, Z_XI_SAMPLES)
-            h = xi[1] - xi[0]
-            vals = tf.fn(xi)
-            deriv_bounds[0] = max(deriv_bounds[0], float(np.max(np.abs(vals))))
-            cur = vals
-            for b in range(1, beta_max + 1):
-                cur = (cur[2:] - cur[:-2]) / (2.0 * h)
-                if len(cur) < 3:
-                    break
-                deriv_bounds[b] = max(deriv_bounds[b], float(np.max(np.abs(cur))))
+    for e in eps_grid.tolist():
+        xs = [x for x in L.tolist() if dom is None or dom.contains(e, x)]
+        membership_ok = membership_ok and len(xs) == L.size
+        if not xs:
+            continue
+        centers, radii, fn = _member_rows(path, e, xs)
+        radius_obs = max(radius_obs, *(np.abs(centers) + radii).tolist())
+        xi, _ = _grid_rows(centers, radii, Z_XI_SAMPLES - 1)
+        h = (xi[:, 1] - xi[:, 0])[:, None]
+        cur = fn(xi)
+        sups = [np.abs(cur).max(axis=1)]
+        for b in range(1, beta_max + 1):
+            cur = (cur[:, 2:] - cur[:, :-2]) / (2.0 * h)
+            if cur.shape[1] < 3:
+                break
+            sups.append(np.abs(cur).max(axis=1))
+        _first_nan(np.array(sups).T, e, xs, path.member_id)
+        for b, sup in enumerate(sups):
+            deriv_bounds[b] = max(deriv_bounds[b], *sup.tolist())
     radius_ok = (np.isfinite(path.radius_bound)
                  and radius_obs <= path.radius_bound * (1.0 + 1e-12))
     bounded = all(np.isfinite(v) for v in deriv_bounds.values())

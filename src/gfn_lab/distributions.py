@@ -14,8 +14,9 @@ import numpy as np
 
 from . import numdiff
 from .testfunc import (DEFAULT_NODES, DomainError, TestFunction,
-                       _lincomb_samples, _weighted_sum, falling_factorial,
-                       scale, shifted_frame, tf_lincomb, translate, union_box)
+                       _lincomb_samples, _row_blocks, _weighted_sum,
+                       falling_factorial, scale, shifted_frame, tf_lincomb,
+                       translate, union_box)
 
 #: maximum Dirac-derivative order handled by the Richardson stencils
 K_MAX = numdiff.MAX_ORDER
@@ -223,9 +224,10 @@ def pair_row(w: Distribution, coeffs: np.ndarray, terms: tuple, eps: float,
                         eps ** -1 * acc)
     out, zero = np.zeros(len(b)), center + radius <= 0.0
     inside = ~zero & (center - radius >= 0.0)
-    if inside.any():
-        rows = _lincomb_samples(coeffs[:, inside], terms, n)[2]
-        out[inside] = _simpson(rows, ((c + r) - (c - r)) / n)
+    whole = np.flatnonzero(inside)
+    for k in _row_blocks(len(whole), 2 * (n + 1)):  # the sum, one product
+        rows = _lincomb_samples(coeffs[:, whole[k]], terms, n)[2]
+        out[whole[k]] = _simpson(rows, ((c + r) - (c - r)) / n)
     for k in np.flatnonzero(~zero & ~inside):
         out[k] = pair(w, scale(tf_lincomb(coeffs[:, k], terms), eps), n,
                       shift=xs[k])

@@ -22,9 +22,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .asymptotics import SweepSeries, fit_order
-from .testfunc import (TAU_M, TestFunction, build_mollifier,
-                       bump_testfunction, moments_upto, tf_lincomb)
+from .asymptotics import SweepSeries, _first_nan, fit_order
+from .testfunc import (TAU_M, TestFunction, _grid_rows, _moment_sums,
+                       _weighted_sum, build_mollifier, bump_testfunction,
+                       tf_lincomb, union_box)
 
 #: moment magnitudes at or below this are treated as numerically zero when
 #: fitting decay orders (quadrature / solve residual plateau)
@@ -40,9 +41,11 @@ class TestObjectPath:
     coefficient form has no ``fn``: its member at xs[k] combines fixed
     ``terms`` with weights ``weights(eps, xs)[j][k]`` (``tf_lincomb``).  It
     declares no moment order: a ``MomentClass`` carries the order.
+    ``rows(eps, xs)``, where set, is the path's own ``_member_rows``.
     """
 
     __test__ = False  # pytest: a domain type, not a test case
+    rows = None
 
     fn: Optional[Callable[[float, float], TestFunction]]
     radius_bound: float        # uniform support radius bound about the origin
@@ -56,6 +59,30 @@ class TestObjectPath:
             return self.fn(float(eps), float(x))
         column, = zip(*self.weights(float(eps), [float(x)]))
         return tf_lincomb(column, self.terms)
+
+
+def _member_rows(path: TestObjectPath, eps: float, xs: list) -> tuple:
+    """The members path(eps, x), x in xs, a row at once: their centers and
+    radii, and an evaluator of a C-contiguous (K, m) array of nodes whose
+    row k is bit for bit path(eps, xs[k]).fn on that row.  A
+    coefficient-form path combines its terms with the weights as columns,
+    in ``tf_lincomb``'s order; a path with its own ``rows`` (a transformed
+    one) gives them; any other path builds its members one by one here."""
+    if path.rows is not None:
+        return path.rows(eps, xs)
+    if path.weights is not None:
+        center, radius = union_box(path.terms)
+        cols = [np.array(w, dtype=float)[:, None]
+                for w in path.weights(eps, list(xs))]
+        return (np.full(len(xs), center), np.full(len(xs), radius),
+                _weighted_sum(cols, [t.fn for t in path.terms]))
+    members = [path(eps, x) for x in xs]
+
+    def stacked(nodes):
+        return np.array([m.fn(row) for m, row in zip(members, nodes)])
+
+    return (np.array([m.center for m in members]),
+            np.array([m.radius for m in members]), stacked)
 
 
 @dataclass(frozen=True)
@@ -212,19 +239,24 @@ def check_moment_class(path: TestObjectPath, cls: MomentClass,
     An empty eps or x grid raises ``ValueError``: it samples no member.
     """
     eps_grid = np.asarray(list(eps_grid), dtype=float)
-    xs = np.asarray(list(x_grid), dtype=float)
+    xs = np.asarray(list(x_grid), dtype=float).tolist()
     if not (len(eps_grid) and len(xs)):
         raise ValueError("moment class check over an empty eps or x grid")
     q = cls.q
 
-    # sup over x of |m_alpha| for every alpha 0..q, per eps
+    # sup over x of |m_alpha| for every alpha 0..q, per eps, from the
+    # moments of a row of members (moments_upto's, bit for bit)
     sup_m = np.zeros((len(eps_grid), q + 1))
     mass_dev = 0.0
-    for ie, e in enumerate(eps_grid):
-        for x in xs:
-            ms = moments_upto(path(float(e), float(x)), q, n=n)
-            sup_m[ie] = np.maximum(sup_m[ie], np.abs(ms))
-            mass_dev = max(mass_dev, abs(ms[0] - 1.0))
+    for ie, e in enumerate(eps_grid.tolist()):
+        centers, radii, fn = _member_rows(path, e, xs)
+        pts, w = _grid_rows(centers, radii, n)
+        v = fn(pts)  # a new array: weighted in place
+        v *= w
+        ms = _moment_sums(v, pts, q)
+        _first_nan(ms, e, xs, path.member_id)
+        sup_m[ie] = np.abs(ms).max(axis=0)
+        mass_dev = max(mass_dev, *np.abs(ms[:, 0] - 1.0))
 
     if cls.kind == "strict_Aq":
         worst = float(sup_m[:, 1:].max()) if q >= 1 else 0.0

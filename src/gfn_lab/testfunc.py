@@ -38,6 +38,10 @@ Q_CAP = 8
 #: nodes of the support grid that sup_abs samples
 SUP_NODES = 1024
 
+#: doubles that one block of a row of members holds at once, temporaries
+#: included: a longer row is taken in blocks of rows (``_row_blocks``)
+ROW_BLOCK_NODES = 2**16
+
 
 class MollifierError(ValueError):
     """Moment system too ill-conditioned (or otherwise unsolvable)."""
@@ -163,11 +167,7 @@ class TestFunction:
                 xi, wt = nodes or support_grid(owner, n)
                 vals = self.fn(xi)
             else:
-                coeffs, terms = self._terms
-                xi, wt, first = terms[0].samples_on(owner, n, nodes)
-                vals = coeffs[0] * first  # a new array, summed into
-                for c, t in zip(coeffs[1:], terms[1:]):
-                    vals += c * t.samples_on(owner, n, (xi, wt))[2]
+                xi, wt, vals = _summed_samples(*self._terms, owner, n, nodes)
             vals.flags.writeable = False  # shared from now on
             slot = self._cache["grid"] = (grid, (xi, wt, vals))
         return slot[1]
@@ -247,17 +247,45 @@ def moment(tf: TestFunction, alpha: int, n=None, return_error: bool = False):
     return val, abs(val - integral(2 * n))
 
 
-def moments_upto(tf: TestFunction, qmax: int, n: Optional[int] = None) -> np.ndarray:
-    """All moments m_0..m_qmax from one evaluation on the support grid of
-    ``tf``: with v = fn w on the nodes, m_a is the sum of v, which is then
-    multiplied by the nodes for the next order."""
-    pts, w = support_grid(tf, n)
-    v = tf.fn(pts) * w
-    out = [v.sum()]
+def _grid_rows(centers: np.ndarray, radii: np.ndarray, n=None):
+    """``support_grid`` of the boxes centers[k] +- radii[k], a row per box,
+    bit for bit: C-contiguous (K, n + 1) arrays of nodes and weights.
+    (``linspace`` with array ends gives each row its own ``linspace`` but
+    lays the rows out transposed, and a strided row sums and dots with
+    other roundings.)"""
+    n = _node_count(n)
+    lo, hi = centers - radii, centers + radii
+    pts = np.ascontiguousarray(np.linspace(lo, hi, n + 1, axis=-1))
+    w = np.repeat(((hi - lo) / n)[:, None], n + 1, axis=1)
+    w[:, 0] *= 0.5
+    w[:, -1] *= 0.5
+    return pts, w
+
+
+def _row_blocks(count: int, width: int) -> list:
+    """Slices splitting ``count`` rows into blocks that hold at most
+    ``ROW_BLOCK_NODES`` doubles, or one row, where a row holds ``width``
+    doubles at once (its arrays and their temporaries)."""
+    rows = max(1, ROW_BLOCK_NODES // width)
+    return [slice(i, i + rows) for i in range(0, count, rows)]
+
+
+def _moment_sums(v: np.ndarray, pts: np.ndarray, qmax: int) -> np.ndarray:
+    """m_0..m_qmax over the last axis from v = fn w on the nodes ``pts``:
+    m_a is the sum of v, which is then multiplied by the nodes for the next
+    order, in place.  A row of a C-contiguous stack sums as it would alone."""
+    out = [v.sum(axis=-1)]
     for _ in range(qmax):
         v *= pts
-        out.append(v.sum())
-    return np.array(out)
+        out.append(v.sum(axis=-1))
+    return np.stack(out, axis=-1)
+
+
+def moments_upto(tf: TestFunction, qmax: int, n: Optional[int] = None) -> np.ndarray:
+    """All moments m_0..m_qmax from one evaluation on the support grid of
+    ``tf`` (``_moment_sums``)."""
+    pts, w = support_grid(tf, n)
+    return _moment_sums(tf.fn(pts) * w, pts, qmax)
 
 
 def falling_factorial(beta: int, gamma: int) -> float:
@@ -385,11 +413,24 @@ def tf_lincomb(coeffs: Sequence[float],
     return out
 
 
+def _summed_samples(coeffs, terms: tuple, owner: TestFunction, n: int,
+                    nodes=None):
+    """Nodes, weights and sum_j coeffs[j] terms[j] on ``owner``'s grid, from
+    the terms' cached samples (``samples_on``), in a new array; every
+    product after the first goes through one buffer."""
+    xi, wt, first = terms[0].samples_on(owner, n, nodes)
+    vals = coeffs[0] * first
+    buf = np.empty_like(vals)
+    for c, t in zip(coeffs[1:], terms[1:]):
+        vals += np.multiply(c, t.samples_on(owner, n, (xi, wt))[2], out=buf)
+    return xi, wt, vals
+
+
 def _lincomb_samples(coeffs: np.ndarray, terms: tuple, n: int):
-    """samples_on of each tf_lincomb(coeffs[:, k], terms), a row per k."""
-    rows = TestFunction(*union_box(terms), None)
-    rows._terms = ([c[:, None] for c in coeffs], tuple(terms))  # columns
-    return rows.samples_on(rows, n)
+    """samples_on of each tf_lincomb(coeffs[:, k], terms), a row per k, in
+    a new C-contiguous array that the caller may overwrite."""
+    return _summed_samples([c[:, None] for c in coeffs], terms,
+                           TestFunction(*union_box(terms), None), n)
 
 
 # ---------------------------------------------------------------------------
