@@ -8,8 +8,10 @@ Prints the line count of src/gfn_lab/*.py and the number of settable public
 values: the parameters of public module-level functions and of the public
 methods and ``__init__`` of public classes (``self`` and ``cls`` left out),
 plus the fields of public dataclasses; then how many of those values have a
-default.  A name is public when it does not start with an underscore.  Only
-the standard library's ``ast`` reads the sources; nothing is imported.
+default; then the line count of each module, ``src lines <file>: N``, so a
+change shows where its lines went.  A name is public when it does not start
+with an underscore.  Only the standard library's ``ast`` reads the sources;
+nothing is imported.
 """
 
 import ast
@@ -64,15 +66,17 @@ def settable_values(tree: ast.Module) -> list:
 
 
 def main() -> int:
-    lines = 0
+    lines = {}
     values = []
     for path in sorted(SRC.glob("*.py")):
         text = path.read_text()
-        lines += len(text.splitlines())
+        lines[path.name] = len(text.splitlines())
         values += settable_values(ast.parse(text))
-    print(f"src lines: {lines}")
+    print(f"src lines: {sum(lines.values())}")
     print(f"settable public values: {len(values)}")
     print(f"with a default: {sum(d for _, d in values)}")
+    for name, count in lines.items():
+        print(f"src lines {name}: {count}")
     return 0
 
 

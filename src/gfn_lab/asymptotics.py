@@ -15,13 +15,14 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .basic_space import (ExpExpRepresentative, Representative, d1_derivative,
-                          partial_x, pullback_pair_transform)
-from .numdiff import MAX_ORDER, central_difference, stencil_halfwidth
+                          pullback_pair_transform)
+from .numdiff import _CENTRAL, MAX_ORDER, central_difference, stencil_halfwidth
 from .testfunc import (Q_CAP, DomainError, TestFunction, _grid_rows,
                        _lincomb_samples, _row_blocks, _weighted_sum, scale,
                        support_grid, union_box)
@@ -119,7 +120,7 @@ def _first_nan(table: np.ndarray, eps: float, xs: list, who):
     """Raise ``FloatingPointError`` naming the first x whose row of
     ``table`` holds a NaN, if one does: ``max`` would drop it or keep it
     by its position in the row."""
-    bad = np.isnan(table).reshape(len(xs), -1).any(axis=1)
+    bad = np.isnan(table).any(axis=1)
     if bad.any():
         raise FloatingPointError(
             f"probe returned NaN at (eps={eps:g}, x={xs[np.argmax(bad)]:g}) "
@@ -129,135 +130,117 @@ def _first_nan(table: np.ndarray, eps: float, xs: list, who):
 def _sup_table(path, spec: SweepSpec, row) -> list[np.ndarray]:
     """The eps x K kernel: sup over x in K of each probed magnitude, per row.
 
-    ``row(eps)`` does the work shared by a row once and returns the probe
-    x -> magnitudes, one per representative probed on the row: absolute
-    values or log2 magnitudes; or, for a path without a partial domain,
-    an array of them, a row per representative.  Every point is checked
-    against the path's partial domain before it is probed, and a NaN
-    magnitude raises instead of reaching the max, where its effect would
-    depend on its position in the row.  Returns one table per
-    representative.
+    ``row(eps, n)`` gives the magnitudes at the first n points of K, those
+    before the first one outside the path's partial domain (which then
+    raises): an array, a row per representative, scanned for NaN; or, in
+    ``d1_form_test``, a probe x -> magnitudes, run here point by point.
+    Returns one table per representative.
     """
-    dom = getattr(path, "domain", None)
-    who = getattr(path, "member_id", path)
-    values = []
-    for e in spec.eps:
-        e = float(e)
-        probe = row(e)
-        if isinstance(probe, np.ndarray):
-            _first_nan(probe.T, e, spec.K.tolist(), who)
-            values.append(probe.max(axis=1).tolist())
-            continue
-        vals = []
-        for x in spec.K:
-            x = float(x)
-            if dom is not None and not dom.contains(e, x):
-                raise DomainError(
-                    f"sweep point (eps={e:g}, x={x:g}) outside the partial "
-                    f"domain of {who!r} (eps0 too large?)")
-            mags = probe(x)
-            if any(math.isnan(v) for v in mags):
-                raise FloatingPointError(
-                    f"probe returned NaN at (eps={e:g}, x={x:g}) for {who!r}")
-            vals.append(mags)
-        values.append([float(max(col)) for col in zip(*vals)])
+    dom, who = getattr(path, "domain", None), getattr(path, "member_id", path)
+    xs, values = spec.K.tolist(), []
+    for e in spec.eps.tolist():
+        n = next((k for k, x in enumerate(xs)
+                  if dom is not None and not dom.contains(e, x)), len(xs))
+        mags = row(e, n)
+        if not isinstance(mags, np.ndarray):
+            probe, mags = mags, []
+            for x in xs[:n]:
+                mags.append(probe(x))
+                if any(map(math.isnan, mags[-1])):
+                    _first_nan(np.array(mags[-1:]), e, [x], who)
+            mags = np.array(mags).T
+        if n < len(xs):
+            raise DomainError(
+                f"sweep point (eps={e:g}, x={xs[n]:g}) outside the partial "
+                f"domain of {who!r} (eps0 too large?)")
+        values.append(mags.max(axis=1).tolist())
     return [np.asarray(col) for col in zip(*values)]
 
 
 def _insertion_row(reps: tuple, path, alpha: int, K: np.ndarray):
-    """Row builder for |d^alpha/dx^alpha R(S_eps path(eps, x), x)|, one
-    magnitude per representative in ``reps``.
+    """Row builder for |d^alpha/dx^alpha R(S_eps path(eps, x), x)|:
+    ``row(eps, n)`` is a (reps, n) array of the magnitudes at the first n
+    points of K, a row per representative in ``reps``.
 
-    A coefficient-form path without a partial domain, probed by
-    representatives with rows (a log channel: at alpha = 1, its inner
-    functional's), is evaluated a row at once, bit for bit, if every point,
-    or stencil point at ``partial_x``'s steps, passes U(Omega) on the
-    support all members share (rows are C-formalism); otherwise each
-    member S_eps path(eps, x) is built and probed, raising as it would.
-    Log-channel representatives yield log2 magnitudes instead: 0 at
-    alpha = 0, since |R| = 1 identically, and the first x-derivative
-    through the inner functional at x and x +- h; every member they
-    evaluate there is checked against U(Omega) too.
+    At each x a representative reads x; the central stencil at
+    ``partial_x``'s step, shrunk near the boundary of its Omega; or, for a
+    log channel at alpha = 1, x and x +- h.  All these points are checked
+    against U(Omega) as arrays; the points of K before the first failing x
+    are evaluated, one row per representative, and scanned for NaN; then
+    that x raises what a checked call raises there.  The values come from
+    ``rep.row`` (a log channel's ``rep.inner.row``) on a coefficient-form
+    path, else from ``rep.eval_fn`` (``rep.inner``) on each member S_eps
+    path(eps, y), built once per point.  Log channels yield log2
+    magnitudes: 0 at alpha = 0, since |R| = 1, and ``log_abs_dx`` at 1.
     """
     for rep in reps:
         if rep.has_log_channel and alpha not in (0, 1):
             raise ValueError("log-channel sweeps support first x-derivatives only")
-    xs, support, hw = [float(x) for x in K], None, stencil_halfwidth(alpha)
-    if getattr(path, "weights", None) is not None and path.domain is None \
-            and all(alpha == 0 or getattr(rep.inner, "row", None)
-                    if rep.has_log_channel else rep.row for rep in reps):
-        support = TestFunction(*union_box(path.terms), None)
+    xs, hw, union = K.tolist(), stencil_halfwidth(alpha), None
+    if getattr(path, "weights", None) is not None:
+        union = TestFunction(*union_box(path.terms), None)
 
-    def row_members(eps, ys):
-        return np.array(path.weights(eps, ys)), path.terms, eps
+    def row(eps, n):
+        h, X, built, weights = eps * H_FACTOR, K[:n], {}, {}
+        shared = None if union is None else scale(union, eps)
 
-    def at_once(eps, h):  # an array row per representative, or None
-        scaled, steps = scale(support, eps), []
+        def member(y):  # S_eps path(eps, y), built once per point
+            if y not in built:
+                built[y] = scale(path(eps, y), eps)
+            return built[y]
+
+        def supports(ys):  # the supports of the members at ys, as arrays
+            if shared is not None:  # the one all members share
+                return shared
+            ms = [member(y) for y in ys.tolist()]
+            return SimpleNamespace(center=np.array([m.center for m in ms]),
+                                   radius=np.array([m.radius for m in ms]))
+
+        reads, failed, steps = [], np.zeros(n, dtype=bool), np.full(n, h)
         for rep in reps:
-            hs, om, rad = np.full(len(xs), h), rep.omega, scaled.radius
-            if om is not None:
-                if rep.has_log_channel:  # the members at x (and x +- h)
-                    c = scaled.center + np.array([K, K + h, K - h][:1 + 2 * alpha])
-                else:
-                    dist = np.minimum(K - om.lo, om.hi - K)
-                    if alpha:  # shrunk near the boundary, as in partial_x
-                        hs = np.where(hw * h >= dist, 0.5 * dist / hw, h)
-                    c = scaled.center + np.array([K - hw * hs, K + hw * hs])
-                    if alpha and np.any(dist <= 0):
-                        return None
-                if not np.all((c - rad > om.lo) & (c + rad < om.hi)):
-                    return None
-            steps.append(hs)
-        out, at_xs = [], row_members(eps, xs) if alpha == 0 else None
-        for rep, hs in zip(reps, steps):
-            if rep.has_log_channel and alpha == 0:
-                out.append(np.zeros(len(xs)))
-            elif rep.has_log_channel:  # I at x and x +- h
-                ys = [y for x in xs for y in (x, x + h, x - h)]
-                inner = rep.inner.row(row_members(eps, ys), ys)
-                section = dict(zip(ys, inner)).__getitem__
-                out.append([rep.log_abs_dx(section, x, h) / LN2 for x in xs])
-            elif alpha == 0:
-                out.append(np.abs(rep.row(at_xs, xs)))
+            om, hs, outside = rep.omega, steps, np.zeros(n, dtype=bool)
+            if alpha and not rep.has_log_channel:
+                if om is not None:  # partial_x's step rule
+                    dist = np.minimum(X - om.lo, om.hi - X)
+                    hs = np.where(hw * h >= dist, 0.5 * dist / hw, h)
+                    outside = dist <= 0
+                pts = [X + o * hs for o in _CENTRAL[alpha][0]]
             else:
-                out.append(np.abs(central_difference(
-                    lambda ys, r=rep: r.row(row_members(eps, ys.tolist()),
-                                            ys.tolist()), K, alpha, hs)))
-        return np.array(out)
+                pts = [X, X + h, X - h] if alpha else [X]
+            for ys in pts if om is not None else ():
+                failed |= outside | ~rep.in_domain(supports(ys), ys)
+            reads.append((pts, hs, outside))
+        j = int(np.argmax(failed)) if failed.any() else n
 
-    def row(eps):
-        h = eps * H_FACTOR
-        mags = None if support is None else at_once(eps, h)
-        if mags is not None:
-            return mags
-
-        def magnitude(rep, member, x):
-            if not rep.has_log_channel:
-                if alpha == 0:
-                    return abs(rep(member, x))
-                return abs(partial_x(rep, alpha, None, x, path=path, eps=eps,
-                                     h=h, refine=False))
-            if alpha == 0:
-                if rep.omega is not None:
-                    rep.check_domain(member, x)
-                return 0.0
-
-            def section(y):
-                phi = scale(path(eps, y), eps)
-                rep.check_domain(phi, y)
-                return rep.inner(phi, y)
-
-            return rep.log_abs_dx(section, x, h) / LN2
-
-        # only a value channel or a domain check reads the member at x
-        needs_member = alpha == 0 and any(
-            rep.omega is not None or not rep.has_log_channel for rep in reps)
-
-        def probe(x):
-            member = scale(path(eps, x), eps) if needs_member else None
-            return [magnitude(rep, member, x) for rep in reps]
-
-        return probe
+        out = np.zeros((len(reps), j))
+        for i, (rep, (pts, hs, _)) in enumerate(zip(reps, reads)):
+            if not j or rep.has_log_channel and not alpha:
+                continue  # nothing to evaluate, or |R| = 1
+            ys = np.stack([p[:j] for p in pts], axis=1).ravel()  # x by x
+            fn = rep.inner if rep.has_log_channel else rep.eval_fn  # R or I
+            row_fn = getattr(fn if rep.has_log_channel else rep, "row", None)
+            key, yl = ys.tobytes(), ys.tolist()
+            if shared is None or row_fn is None:
+                vals = [fn(member(y), y) for y in yl]
+            else:  # the weights once per set of points
+                if key not in weights:
+                    weights[key] = np.array(path.weights(eps, yl))
+                vals = row_fn((weights[key], path.terms, eps), yl)
+            if rep.has_log_channel:  # I at x and x +- h
+                section = dict(zip(yl, vals)).__getitem__
+                out[i] = [rep.log_abs_dx(section, x, h) / LN2
+                          for x in xs[:j]]
+            else:  # the stencil's rows, in the order central_difference reads
+                at = iter(np.asarray(vals).reshape(j, len(pts)).T)
+                out[i] = np.abs(central_difference(lambda _: next(at), X[:j],
+                                                   alpha, hs[:j]))
+        _first_nan(out.T, eps, xs, getattr(path, "member_id", path))
+        for rep, (pts, _, outside) in zip(reps, reads) if j < n else ():
+            if outside[j]:
+                raise DomainError(f"derivative point x={xs[j]} outside Omega")
+            for y in (float(ys[j]) for ys in pts if rep.omega is not None):
+                rep.check_domain(member(y) if shared is None else shared, y)
+        return out
 
     return row
 
@@ -469,7 +452,7 @@ def d1_form_test(rep: Representative, battery: Sequence,
     shared = {}  # (eps, x) -> k >= 1 magnitudes of a linear representative
 
     def directional_row(phi0):
-        def row(eps):
+        def row(eps, n):  # a probe, which _sup_table runs up to the n-th x
             sphi = scale(phi0, eps)
             scaled = scaled_at[eps]
 

@@ -22,8 +22,9 @@ import numpy as np
 from . import numdiff
 from .distributions import (Distribution, pair, pair_row,
                             pullback_test_function)
-from .testfunc import (TAU_M, Box, DomainError, TestFunction, scale,
-                       tf_lincomb, translate, union_box)
+from .testfunc import (TAU_M, Box, DomainError, TestFunction, tf_lincomb,
+                       translate, union_box)
+from .testfunc import scale  # noqa: F401  (a binding perfbench traces)
 
 
 #: d_1 central-difference step, in units of sup |phi| / sup |psi|
@@ -49,7 +50,9 @@ class Representative:
     once.  ``phi_independent`` marks those whose value does not depend on
     the test function, so their directional derivatives vanish.
     ``row((coeffs, terms, eps), xs)``, where set, is ``eval_fn`` at each
-    (S_eps tf_lincomb(coeffs[:, k], terms), xs[k]), bit for bit, unchecked.
+    (S_eps tf_lincomb(coeffs[:, k], terms), xs[k]), bit for bit, unchecked;
+    sweeps over coefficient-form paths read it, and otherwise pass each
+    member to ``eval_fn``.
     """
 
     has_log_channel = False
@@ -73,12 +76,13 @@ class Representative:
         return self.eval_fn(phi, x)
 
     def in_domain(self, phi: TestFunction, x) -> bool:
+        """(phi, x) in U(Omega); elementwise for arrays of x and phi's box."""
         if self.omega is None:
             return True
         if self.formalism == "C":
             return self.omega.contains_ball(phi.center + x, phi.radius)
         return (self.omega.contains_ball(phi.center, phi.radius)
-                and self.omega.contains_point(x))
+                & self.omega.contains_point(x))
 
     def check_domain(self, phi: TestFunction, x):
         if not self.in_domain(phi, x):
@@ -314,43 +318,25 @@ def mul(r1: Representative, r2: Representative) -> Representative:
 # derivatives
 
 
-def partial_x(rep: Representative, alpha: int, phi: Optional[TestFunction],
-              x: float, h: float, path=None, eps: Optional[float] = None,
-              refine: bool = True):
-    """d^alpha/dx^alpha of x -> rep(slot(x), x) by central differences.
-
-    With a test-object ``path`` the slot is the scaled member S_eps
-    path(eps, x), so the total derivative includes the path's own
-    x-dependence.  The step ``h`` shrinks symmetrically near the boundary
-    of Omega.
+def partial_x(rep: Representative, alpha: int, phi: TestFunction, x: float,
+              h: float):
+    """d^alpha/dx^alpha of x -> rep(phi, x) by central differences at step
+    ``h`` with one Richardson level.  The step shrinks symmetrically near
+    the boundary of Omega, and a point outside Omega raises
+    ``DomainError``; a sweep's rows apply the same step rule at every
+    point of K at once (``asymptotics._insertion_row``).
     """
     if alpha < 0 or alpha > numdiff.MAX_ORDER:
         raise ValueError(f"derivative order {alpha} unsupported")
-
-    if path is not None:
-        if eps is None:
-            raise ValueError("eps is required when differentiating along a path")
-
-        def section(y):
-            return rep(scale(path(eps, y), eps), y)
-    else:
-        def section(y):
-            return rep(phi, y)
-
-    if alpha == 0:
-        return section(x)
-
     hw = numdiff.stencil_halfwidth(alpha)
-    if rep.omega is not None:
+    if alpha and rep.omega is not None:
         dist = rep.omega.distance_to_boundary(x)
         if dist <= 0:
             raise DomainError(f"derivative point x={x} outside Omega")
         if hw * h >= dist:
             h = 0.5 * dist / hw
-    if refine:
-        return numdiff.richardson_derivative(section, x, order=alpha,
-                                             base_step=h, levels=1)
-    return numdiff.central_difference(section, x, alpha, h)
+    return numdiff.richardson_derivative(lambda y: rep(phi, y), x,
+                                         order=alpha, base_step=h, levels=1)
 
 
 def d1_derivative(rep: Representative, phi: TestFunction, x, directions):

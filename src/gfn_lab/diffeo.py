@@ -265,8 +265,11 @@ class PartialDomain:
         return bool(self._contains(float(eps), float(x)))
 
     def register_compact(self, grid) -> float:
-        """Largest eps0 = 2^-m >= EPS0_CAP with (0, eps0] x grid admissible."""
+        """Largest eps0 = 2^-m >= EPS0_CAP with (0, eps0] x grid admissible;
+        an empty grid, which any eps0 would admit, raises ``ValueError``."""
         grid = np.asarray(grid, dtype=float)
+        if not grid.size:
+            raise ValueError("eps0 registration over an empty set of points L")
         eps = 1.0
         while eps >= EPS0_CAP:
             if all(self.contains(eps, float(x)) for x in grid):
@@ -372,11 +375,14 @@ def check_Z_requirements(path: TestObjectPath, L, eps0: float,
     support radius bound, and finite sup bounds on xi-derivatives up to
     beta_max (recorded; derivatives by repeated central differences).
     The points of L admitted at an eps are evaluated as one row of members
-    (``_member_rows``).  An empty L raises ``ValueError``: it probes no
-    point; a NaN sample raises ``FloatingPointError``."""
+    (``_member_rows``).  An empty L, ``n_eps < 1`` or ``beta_max < 0``
+    raises ``ValueError``: it probes nothing; a NaN sample raises
+    ``FloatingPointError``."""
     L = np.asarray(L, dtype=float)
     if not L.size:
         raise ValueError("Z requirements over an empty set of points L")
+    if n_eps < 1 or beta_max < 0:
+        raise ValueError("Z requirements need n_eps >= 1 and beta_max >= 0")
     eps_grid = eps0 * 2.0 ** -np.arange(n_eps, dtype=float)
     dom = path.domain
     membership_ok = True

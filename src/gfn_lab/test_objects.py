@@ -236,12 +236,15 @@ def check_moment_class(path: TestObjectPath, cls: MomentClass,
 
     strict_Aq: every sampled member has unit mass and |m_1..m_q| <= TAU_M.
     asympt_CM: each moment's sup over x decays with order >= q - 0.3.
-    An empty eps or x grid raises ``ValueError``: it samples no member.
+    An empty eps or x grid raises ``ValueError``: it samples no member; so
+    does an asympt_CM check on fewer than two eps, which fit no order.
     """
     eps_grid = np.asarray(list(eps_grid), dtype=float)
     xs = np.asarray(list(x_grid), dtype=float).tolist()
     if not (len(eps_grid) and len(xs)):
         raise ValueError("moment class check over an empty eps or x grid")
+    if cls.kind == "asympt_CM" and len(eps_grid) < 2:
+        raise ValueError("asympt_CM check needs at least two eps values")
     q = cls.q
 
     # sup over x of |m_alpha| for every alpha 0..q, per eps, from the

@@ -76,7 +76,8 @@ def bump_deriv(t: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Box:
-    """Open interval (lo, hi), the ambient open set for supports and points."""
+    """Open interval (lo, hi), the ambient open set for supports and points.
+    Its tests take arrays of points, centers and radii elementwise."""
 
     lo: float
     hi: float
@@ -86,10 +87,10 @@ class Box:
         return Box(float(a), float(b))
 
     def contains_point(self, x: float) -> bool:
-        return bool(self.lo < x < self.hi)
+        return (self.lo < x) & (x < self.hi)
 
     def contains_ball(self, center: float, radius: float) -> bool:
-        return bool(center - radius > self.lo and center + radius < self.hi)
+        return (center - radius > self.lo) & (center + radius < self.hi)
 
     def distance_to_boundary(self, x: float) -> float:
         return float(min(x - self.lo, self.hi - x))

@@ -199,8 +199,8 @@ class TestCliSurface:
 
     def test_surface_from_a_fresh_checkout(self, tmp_path):
         """scripts/surface.py runs without PYTHONPATH or an install, counts
-        the src/ lines as wc -l does, and at most every value has a
-        default."""
+        the src/ lines as wc -l does, in total and per module, and at most
+        every value has a default."""
         root = Path(__file__).resolve().parent.parent
         env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
         res = subprocess.run([sys.executable,
@@ -212,6 +212,11 @@ class TestCliSurface:
         lines = sum(p.read_text().count("\n")
                     for p in (root / "src" / "gfn_lab").glob("*.py"))
         assert int(got["src lines"]) == lines
+        modules = {k: int(v) for k, v in got.items()
+                   if k.startswith("src lines ")}
+        names = [p.name for p in (root / "src" / "gfn_lab").glob("*.py")]
+        assert sorted(modules) == sorted(f"src lines {n}" for n in names)
+        assert sum(modules.values()) == lines
         assert 0 < int(got["with a default"]) \
             <= int(got["settable public values"])
 

@@ -583,6 +583,11 @@ class TestPartialDomain:
         with pytest.raises(DomainError):
             dom.register_compact([0.0])
 
+    def test_empty_grid_raises(self):
+        """An empty grid used to register eps0 = 1.0, admitting nothing."""
+        with pytest.raises(ValueError, match="empty set of points L"):
+            PartialDomain(lambda e, x: True).register_compact([])
+
 
 class TestZRequirements:
     def test_constant_path_passes(self, moll2):
@@ -610,6 +615,15 @@ class TestZRequirements:
             mu, make_battery("full_path", 2, 1, 9)[0])
         with pytest.raises(ValueError, match="empty set of points"):
             check_Z_requirements(path, [], 0.25)
+
+    @pytest.mark.parametrize("n_eps, beta_max", [(0, 4), (-1, 4), (6, -1)])
+    def test_no_scale_or_order_raises(self, n_eps, beta_max):
+        """No eps used to pass with every bound 0.0; beta_max = -1 raised
+        KeyError from the bounds."""
+        path = make_battery("full_path", 2, 1, 9)[0]
+        with pytest.raises(ValueError, match="n_eps >= 1 and beta_max >= 0"):
+            check_Z_requirements(path, [0.0], 0.5, beta_max=beta_max,
+                                 n_eps=n_eps)
 
     def test_growing_support_fails_boundedness(self, moll0):
         """A path whose support radius grows like 1/eps cannot carry a

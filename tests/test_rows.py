@@ -342,12 +342,13 @@ class TestLogChannelDomain:
 
     @pytest.mark.parametrize("alpha", [0, 1])
     def test_row_and_per_point_paths_agree(self, alpha):
-        """Inside U(Omega) the row gives the per-point bits; a partial
-        domain that admits everything sends the sweep point by point."""
+        """Inside U(Omega) the row gives the bits of the same members built
+        one by one, behind an opaque fn on a partial domain that admits
+        everything."""
         path = make_battery("full_path", 0, 1, 7)[0]
-        everywhere = TestObjectPath(None, path.radius_bound, path.member_id,
-                                    domain=PartialDomain(lambda e, x: True),
-                                    terms=path.terms, weights=path.weights)
+        everywhere = TestObjectPath(lambda e, x: path(e, x), path.radius_bound,
+                                    path.member_id,
+                                    domain=PartialDomain(lambda e, x: True))
         spec = SweepSpec(alphas=(alpha,), **self.SPEC)
         for rep in self.reps(OMEGA):
             rows = sweep(rep, path, spec)[0].values
@@ -367,11 +368,10 @@ class TestLogChannelDomain:
             assert np.array_equal(table, np.zeros(len(spec.eps)))
         assert built == []
         row = _insertion_row((ExpExpRepresentative(squared_mass_inner(1024)),),
-                             TestObjectPath(lambda e, x: 1 / 0, 1.0, "never",
-                                            domain=PartialDomain(
-                                                lambda e, x: True)),
+                             TestObjectPath(lambda e, x: 1 / 0, 1.0, "never"),
                              0, spec.K)
-        assert row(0.25)(0.0) == [0.0]
+        assert np.array_equal(row(0.25, len(spec.K)),
+                              np.zeros((1, len(spec.K))))
 
 
 class TestRowBlocks:

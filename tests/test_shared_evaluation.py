@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from gfn_lab import asymptotics as asy
+from gfn_lab import asymptotics as asy, numdiff
 from gfn_lab.asymptotics import SweepSpec
 from gfn_lab.basic_space import (ExpExpRepresentative, Representative,
                                  embed_C, embed_sigma, mul, sub)
@@ -679,8 +679,8 @@ class TestSquaredMassFromSamples:
         assert calls == {"base": [1025], "other": [1025]}
 
 
-def point_by_point(path):
-    """The same members behind an opaque ``fn``: swept point by point."""
+def opaque(path):
+    """The same members behind an opaque ``fn``: a sweep builds each one."""
     return TestObjectPath(lambda e, x: path(e, x), path.radius_bound,
                           path.member_id)
 
@@ -695,6 +695,76 @@ def sweep_outcome(rep, path, spec):
     if isinstance(rep, tuple):
         tables = [t for per_rep in tables for t in per_rep]
     return [(t.member_id, t.alpha, t.values.tobytes()) for t in tables]
+
+
+def probed_magnitude(rep, path, eps, x, alpha):
+    """|d^alpha/dx^alpha rep(S_eps path(eps, x), x)| at one point by checked
+    calls: rep(member, x); central differences of them at partial_x's
+    step, shrunk near the boundary of Omega; or, for a log channel, 0 at
+    alpha = 0 (the member at x checked) and log_abs_dx in log2 over the
+    checked inner functional at alpha = 1."""
+    def member(y):
+        return scale(path(eps, y), eps)
+
+    h = eps * asy.H_FACTOR
+    if rep.has_log_channel:
+        if alpha == 0:
+            if rep.omega is not None:
+                rep.check_domain(member(x), x)
+            return 0.0
+
+        def section(y):
+            phi = member(y)
+            rep.check_domain(phi, y)
+            return rep.inner(phi, y)
+
+        return rep.log_abs_dx(section, x, h) / asy.LN2
+    if alpha == 0:
+        return abs(rep(member(x), x))
+    if rep.omega is not None:
+        dist = rep.omega.distance_to_boundary(x)
+        if dist <= 0:
+            raise DomainError(f"derivative point x={x} outside Omega")
+        hw = numdiff.stencil_halfwidth(alpha)
+        if hw * h >= dist:
+            h = 0.5 * dist / hw
+    return abs(numdiff.central_difference(lambda y: rep(member(y), y), x,
+                                          alpha, h))
+
+
+def probed_outcome(rep, path, spec):
+    """``sweep_outcome`` of a sweep probed point by point: at each (eps, x)
+    in order, the partial domain, then each representative's checked
+    magnitude, then a NaN among them; the sup over K per row."""
+    reps = rep if isinstance(rep, tuple) else (rep,)
+    who = path.member_id
+    tables = [[] for _ in reps]
+    try:
+        for alpha in spec.alphas:
+            if alpha > 1 and any(r.has_log_channel for r in reps):
+                raise ValueError(
+                    "log-channel sweeps support first x-derivatives only")
+            rows = []
+            for eps in spec.eps.tolist():
+                mags = []
+                for x in spec.K.tolist():
+                    if path.domain is not None and \
+                            not path.domain.contains(eps, x):
+                        raise DomainError(
+                            f"sweep point (eps={eps:g}, x={x:g}) outside the "
+                            f"partial domain of {who!r} (eps0 too large?)")
+                    mags.append([probed_magnitude(r, path, eps, x, alpha)
+                                 for r in reps])
+                    if any(math.isnan(v) for v in mags[-1]):
+                        raise FloatingPointError(
+                            f"probe returned NaN at (eps={eps:g}, x={x:g}) "
+                            f"for {who!r}")
+                rows.append([max(col) for col in zip(*mags)])
+            for table, values in zip(tables, zip(*rows)):
+                table.append((who, alpha, np.array(values).tobytes()))
+    except (DomainError, FloatingPointError, ValueError) as exc:
+        return type(exc), str(exc)
+    return [t for per_rep in tables for t in per_rep]
 
 
 def rows_catalog(omega, nan_above):
@@ -741,17 +811,19 @@ def rows_catalog(omega, nan_above):
 class TestCoefficientRows:
     """A coefficient-form path swept by representatives with a row pairs
     the whole row at once; every table, and every error with its message,
-    is the point-by-point sweep's."""
+    is that of the sweep probed point by point by checked calls
+    (``probed_outcome``), and so are those of the same members behind an
+    opaque fn."""
 
     @settings(max_examples=200, deadline=None)
     @given(mode=st.sampled_from(["static", "eps_path", "full_path"]),
            flavor=st.sampled_from(["strict", "cm", "mixed", "symmetric"]),
            q=st.integers(0, 3), seed=st.integers(0, 2**16),
            index=st.integers(0, 2), k=st.integers(1, 7),
-           half=st.sampled_from([2.5, 1.6, 1.3, 1.1]),
-           nan_above=st.sampled_from([math.inf, 0.6, -0.2]),
+           half=st.sampled_from([2.5, 1.6, 1.3, 1.1, 1.02, 1.0]),
+           nan_above=st.sampled_from([math.inf, 0.6, -0.2, -0.95]),
            name=st.sampled_from(list(rows_catalog(OMEGA, 0.0))),
-           alphas=st.sampled_from([(0,), (1,), (0, 1), (2,)]))
+           alphas=st.sampled_from([(0,), (1,), (0, 1), (2,), (3,)]))
     # boxes in x < 0, straddling 0 and in x > 0 on every row
     @example(mode="full_path", flavor="cm", q=1, seed=3, index=1, k=7,
              half=2.5, nan_above=math.inf, name="heaviside", alphas=(0, 1))
@@ -768,8 +840,8 @@ class TestCoefficientRows:
             alphas):
         """Random battery members, every SMOOTH_CHAINS link, the delta, the
         Heaviside, the log channel and the swept composites, at orders 0 to
-        2; an open set of half-width ``half`` that K = [-1, 1] may leave,
-        and a sigma that may turn NaN at some point."""
+        3; an open set of half-width ``half`` that K = [-1, 1] may leave or
+        touch, and a sigma that may turn NaN at some point."""
         path = make_battery(mode, q, 3, seed, flavor=flavor)[index]
         rep = rows_catalog(Box.interval(-half, half), nan_above)[name]
         spec = dataclasses.replace(SMALL, K=np.linspace(-1, 1, k),
@@ -779,13 +851,12 @@ class TestCoefficientRows:
             count_calls(mp, TestObjectPath.__call__, built,
                         owner=TestObjectPath)
             got = sweep_outcome(rep, path, spec)
-        want = sweep_outcome(rep, point_by_point(path), spec)
+        want = probed_outcome(rep, path, spec)
         assert got == want
-        if mode != "static" and name != "other-set" and \
-                isinstance(got, list) and \
-                not (name == "exp-exp" and 0 in alphas):
-            assert built == []  # every row at once
-        if half == 1.1 and name != "exp-exp":  # the first row leaves
+        assert sweep_outcome(rep, opaque(path), spec) == want
+        if mode != "static" and name != "other-set":
+            assert built == []  # every row at once, errors included
+        if half <= 1.1 and name != "exp-exp":  # the first row leaves
             assert got[0] is DomainError       # (no log-channel check)
 
     def test_heaviside_rows_cover_every_kind_of_box(self):
@@ -805,7 +876,7 @@ class TestCoefficientRows:
     def test_steps_shrink_at_the_ends_of_K(self, name, alpha):
         """Narrow terms on an open set just past K: the ends of K take a
         shrunk step, as in partial_x, and the derivative rows keep the
-        point-by-point tables, with no member built."""
+        tables probed point by point, with no member built."""
         terms = (build_mollifier(1, radius=0.002, center=0.0002),
                  build_mollifier(0, radius=0.0015, center=-0.0001))
         path = TestObjectPath(
@@ -824,14 +895,16 @@ class TestCoefficientRows:
                         owner=TestObjectPath)
             got = sweep_outcome(rep, path, spec)
         assert isinstance(got, list) and built == []
-        assert got == sweep_outcome(rep, point_by_point(path), spec)
+        assert got == probed_outcome(rep, path, spec) \
+            == sweep_outcome(rep, opaque(path), spec)
 
     def test_closed_form_sweep_builds_no_member(self, monkeypatch):
         """embed-order's defects, and the delta, over a battery path build
         no member, no combination and call no representative; the same
-        members behind an opaque fn, or delta', are probed at every
-        point."""
-        built, combined, called = [], [], []
+        members behind an opaque fn, or delta', are built once per point,
+        and each defect evaluates each once, unchecked: U(Omega) is
+        checked as arrays, so no checked call is made."""
+        built, combined, called, evaluated = [], [], [], []
         count_calls(monkeypatch, TestObjectPath.__call__, built,
                     owner=TestObjectPath)
         count_calls(monkeypatch, tf_lincomb, combined)
@@ -839,12 +912,17 @@ class TestCoefficientRows:
                     owner=Representative)
         path = make_battery("full_path", 2, 2, seed=9, flavor="mixed")[1]
         assert len(path.terms) == 3
-        asy.sweep(defects(), path, SMALL)
-        assert (built, combined, called) == ([], [], [])
+        reps = defects()
+        for r in reps:
+            r.eval_fn = (lambda phi, x, f=r.eval_fn:
+                         evaluated.append(x) or f(phi, x))
+        asy.sweep(reps, path, SMALL)
+        assert (built, combined, called, evaluated) == ([], [], [], [])
         points = len(SMALL.eps) * len(SMALL.K)
-        asy.sweep(defects(), point_by_point(path), SMALL)
+        asy.sweep(reps, opaque(path), SMALL)
         assert sum(args[0] is path for args in built) == points
-        assert len(combined) == points and len(called) == 2 * points
+        assert len(combined) == points and len(evaluated) == 2 * points
+        assert called == []
         built.clear()
         asy.sweep(embed_C(DiracDerivative(0), omega=OMEGA), path, SMALL)
         assert built == []
@@ -852,7 +930,7 @@ class TestCoefficientRows:
         assert len(built) == points
         built.clear()
         asy.sweep(embed_C(DiracDerivative(0), omega=OMEGA),
-                  point_by_point(path), SMALL)
+                  opaque(path), SMALL)
         assert sum(args[0] is path for args in built) == points
 
     def test_d1_form_moderate_sweep_builds_no_member(self, monkeypatch):
@@ -870,9 +948,9 @@ class TestCoefficientRows:
 
     def test_row_leaves_the_shared_caches_as_a_point_would(self):
         """The (C, S) sums and moments a row caches in each term are those
-        the point-by-point sweep caches."""
+        a sweep of the same members behind an opaque fn caches."""
         caches = []
-        for swept in (lambda p: p, point_by_point):
+        for swept in (lambda p: p, opaque):
             path = make_battery("full_path", 1, 1, seed=5, flavor="cm")[0]
             asy.sweep(defects(), swept(path), SMALL)
             caches.append([{k: [np.asarray(v).tobytes() for v in vals]

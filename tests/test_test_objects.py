@@ -203,6 +203,18 @@ class TestMomentClasses:
                 check_moment_class(path, MomentClass(kind, 2), eps_grid,
                                    x_grid)
 
+    def test_cm_on_one_eps_raises(self):
+        """One eps fits no decay order: every order read inf, and a member
+        that fails on four eps (orders 2.16 < 3.7) passed."""
+        path = make_battery("full_path", 2, 2, 7, flavor="cm")[1]
+        cls, xs = MomentClass("asympt_CM", 4), [-0.6, 0.0, 0.8]
+        with pytest.raises(ValueError, match="at least two eps"):
+            check_moment_class(path, cls, [0.5], xs)
+        rep = check_moment_class(path, cls, [0.5, 0.25, 0.125, 0.0625], xs)
+        assert not rep.passed and max(rep.orders.values()) < 2.2
+        assert not check_moment_class(path, MomentClass("strict_Aq", 4),
+                                      [0.5], xs).passed  # one eps suffices
+
     def test_a1_mollifier_fails_strict_a2(self):
         """Only the first moment vanishes at order 1; m2 stays O(1)."""
         phi = build_mollifier(1)
