@@ -20,8 +20,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .basic_space import (ExpExpRepresentative, Representative, d1_derivative,
-                          pullback_pair_transform)
+from .basic_space import (ExpExpRepresentative, Representative, _check_tangent,
+                          pullback_pair_transform, sub)
 from .numdiff import _CENTRAL, MAX_ORDER, central_difference, stencil_halfwidth
 from .testfunc import (Q_CAP, DomainError, TestFunction, _grid_rows,
                        _lincomb_samples, _row_blocks, _weighted_sum, scale,
@@ -128,27 +128,22 @@ def _first_nan(table: np.ndarray, eps: float, xs: list, who):
 
 
 def _sup_table(path, spec: SweepSpec, row) -> list[np.ndarray]:
-    """The eps x K kernel: sup over x in K of each probed magnitude, per row.
+    """The eps x K kernel: sup over x in K of each magnitude, per row.
 
-    ``row(eps, n)`` gives the magnitudes at the first n points of K, those
-    before the first one outside the path's partial domain (which then
-    raises): an array, a row per representative, scanned for NaN; or, in
-    ``d1_form_test``, a probe x -> magnitudes, run here point by point.
-    Returns one table per representative.
+    ``row(eps, n)``, n the points of K before the first one outside the
+    path's partial domain, gives a (rows, j) array of the magnitudes at the
+    first j <= n points, scanned here for NaN, and a callable that raises
+    for the j-th point, or None if j = n; then the n-th point raises.
     """
     dom, who = getattr(path, "domain", None), getattr(path, "member_id", path)
     xs, values = spec.K.tolist(), []
     for e in spec.eps.tolist():
         n = next((k for k, x in enumerate(xs)
                   if dom is not None and not dom.contains(e, x)), len(xs))
-        mags = row(e, n)
-        if not isinstance(mags, np.ndarray):
-            probe, mags = mags, []
-            for x in xs[:n]:
-                mags.append(probe(x))
-                if any(map(math.isnan, mags[-1])):
-                    _first_nan(np.array(mags[-1:]), e, [x], who)
-            mags = np.array(mags).T
+        mags, fail = row(e, n)
+        _first_nan(mags.T, e, xs, who)
+        if fail is not None:
+            fail()
         if n < len(xs):
             raise DomainError(
                 f"sweep point (eps={e:g}, x={xs[n]:g}) outside the partial "
@@ -157,47 +152,44 @@ def _sup_table(path, spec: SweepSpec, row) -> list[np.ndarray]:
     return [np.asarray(col) for col in zip(*values)]
 
 
-def _insertion_row(reps: tuple, path, alpha: int, K: np.ndarray):
-    """Row builder for |d^alpha/dx^alpha R(S_eps path(eps, x), x)|:
-    ``row(eps, n)`` is a (reps, n) array of the magnitudes at the first n
-    points of K, a row per representative in ``reps``.
+def _insertion_row(channels: tuple, alpha: int, K: np.ndarray):
+    """Row builder for |d^alpha/dx^alpha R(S_eps path(eps, x), x)| over
+    channels (R, path): ``row(eps, n)`` gives ``_sup_table`` a row per
+    channel of the magnitudes at the first j <= n points of K.
 
-    At each x a representative reads x; the central stencil at
+    At each x a channel's representative reads x; the central stencil at
     ``partial_x``'s step, shrunk near the boundary of its Omega; or, for a
     log channel at alpha = 1, x and x +- h.  All these points are checked
-    against U(Omega) as arrays; the points of K before the first failing x
-    are evaluated, one row per representative, and scanned for NaN; then
-    that x raises what a checked call raises there.  The values come from
-    ``rep.row`` (a log channel's ``rep.inner.row``) on a coefficient-form
-    path, else from ``rep.eval_fn`` (``rep.inner``) on each member S_eps
-    path(eps, y), built once per point.  Log channels yield log2
-    magnitudes: 0 at alpha = 0, since |R| = 1, and ``log_abs_dx`` at 1.
+    against U(Omega) as arrays; the first x that fails is the j-th point,
+    which raises, channel by channel, what a checked call raises there.
+    The points before it are evaluated: by ``rep.row`` (a log channel's
+    ``rep.inner.row``) on a coefficient-form path, else by ``rep.eval_fn``
+    (``rep.inner``) on each member S_eps path(eps, y).  Log channels yield
+    log2 magnitudes: 0 at alpha = 0, since |R| = 1, and ``log_abs_dx`` at 1.
     """
-    for rep in reps:
-        if rep.has_log_channel and alpha not in (0, 1):
-            raise ValueError("log-channel sweeps support first x-derivatives only")
-    xs, hw, union = K.tolist(), stencil_halfwidth(alpha), None
-    if getattr(path, "weights", None) is not None:
-        union = TestFunction(*union_box(path.terms), None)
+    if alpha > 1 and any(rep.has_log_channel for rep, _ in channels):
+        raise ValueError("log-channel sweeps support first x-derivatives only")
+    xs, hw = K.tolist(), stencil_halfwidth(alpha)
 
     def row(eps, n):
         h, X, built, weights = eps * H_FACTOR, K[:n], {}, {}
-        shared = None if union is None else scale(union, eps)
+        shared = {id(p): scale(TestFunction(*union_box(p.terms), None), eps)
+                  for _, p in channels if getattr(p, "weights", None) is not None}
 
-        def member(y):  # S_eps path(eps, y), built once per point
-            if y not in built:
-                built[y] = scale(path(eps, y), eps)
-            return built[y]
+        def member(path, y):  # S_eps path(eps, y), built once per point
+            if (id(path), y) not in built:
+                built[id(path), y] = scale(path(eps, y), eps)
+            return built[id(path), y]
 
-        def supports(ys):  # the supports of the members at ys, as arrays
-            if shared is not None:  # the one all members share
-                return shared
-            ms = [member(y) for y in ys.tolist()]
+        def supports(path, ys):  # the members' supports at ys, as arrays
+            if id(path) in shared:  # the one all members share
+                return shared[id(path)]
+            ms = [member(path, y) for y in ys.tolist()]
             return SimpleNamespace(center=np.array([m.center for m in ms]),
                                    radius=np.array([m.radius for m in ms]))
 
         reads, failed, steps = [], np.zeros(n, dtype=bool), np.full(n, h)
-        for rep in reps:
+        for rep, path in channels:
             om, hs, outside = rep.omega, steps, np.zeros(n, dtype=bool)
             if alpha and not rep.has_log_channel:
                 if om is not None:  # partial_x's step rule
@@ -208,20 +200,20 @@ def _insertion_row(reps: tuple, path, alpha: int, K: np.ndarray):
             else:
                 pts = [X, X + h, X - h] if alpha else [X]
             for ys in pts if om is not None else ():
-                failed |= outside | ~rep.in_domain(supports(ys), ys)
+                failed |= outside | ~rep.in_domain(supports(path, ys), ys)
             reads.append((pts, hs, outside))
         j = int(np.argmax(failed)) if failed.any() else n
 
-        out = np.zeros((len(reps), j))
-        for i, (rep, (pts, hs, _)) in enumerate(zip(reps, reads)):
+        out = np.zeros((len(channels), j))
+        for i, ((rep, path), (pts, hs, _)) in enumerate(zip(channels, reads)):
             if not j or rep.has_log_channel and not alpha:
                 continue  # nothing to evaluate, or |R| = 1
             ys = np.stack([p[:j] for p in pts], axis=1).ravel()  # x by x
             fn = rep.inner if rep.has_log_channel else rep.eval_fn  # R or I
             row_fn = getattr(fn if rep.has_log_channel else rep, "row", None)
-            key, yl = ys.tobytes(), ys.tolist()
-            if shared is None or row_fn is None:
-                vals = [fn(member(y), y) for y in yl]
+            key, yl = (id(path), ys.tobytes()), ys.tolist()
+            if id(path) not in shared or row_fn is None:
+                vals = [fn(member(path, y), y) for y in yl]
             else:  # the weights once per set of points
                 if key not in weights:
                     weights[key] = np.array(path.weights(eps, yl))
@@ -234,13 +226,15 @@ def _insertion_row(reps: tuple, path, alpha: int, K: np.ndarray):
                 at = iter(np.asarray(vals).reshape(j, len(pts)).T)
                 out[i] = np.abs(central_difference(lambda _: next(at), X[:j],
                                                    alpha, hs[:j]))
-        _first_nan(out.T, eps, xs, getattr(path, "member_id", path))
-        for rep, (pts, _, outside) in zip(reps, reads) if j < n else ():
-            if outside[j]:
-                raise DomainError(f"derivative point x={xs[j]} outside Omega")
-            for y in (float(ys[j]) for ys in pts if rep.omega is not None):
-                rep.check_domain(member(y) if shared is None else shared, y)
-        return out
+
+        def fail():  # what checked calls raise at the j-th point
+            for (rep, path), (pts, _, outside) in zip(channels, reads):
+                if outside[j]:
+                    raise DomainError(f"derivative point x={xs[j]} outside Omega")
+                for y in (float(ys[j]) for ys in pts if rep.omega is not None):
+                    rep.check_domain(shared.get(id(path)) or member(path, y), y)
+
+        return out, (fail if j < n else None)
 
     return row
 
@@ -258,8 +252,8 @@ def sweep(rep, path, spec: SweepSpec):
     reps = _representatives(rep)
     out = [[] for _ in reps]
     for alpha in spec.alphas:
-        tables = _sup_table(path, spec,
-                            _insertion_row(reps, path, alpha, spec.K))
+        tables = _sup_table(path, spec, _insertion_row(
+            tuple((r, path) for r in reps), alpha, spec.K))
         for series, r, values in zip(out, reps, tables):
             series.append(SweepSeries(getattr(path, "member_id", "member"),
                                       alpha, spec.eps, values,
@@ -426,14 +420,16 @@ def d1_form_test(rep: Representative, battery: Sequence,
     """Moderateness test in differential form.
 
     Sweeps d_1^k (R o S_eps)(phi, x)(psi_1..psi_k) for k <= k_max over the
-    static battery, with one or two directions from the zero-mass tangent
-    battery (more raise ``ValueError``).  k = 0 reduces to the plain
-    static-battery sweep.  Each member takes one eps x K table holding
-    every direction tuple; a representative that does not depend on x is
-    probed once per eps row.  The directions are scaled
-    once per eps for the whole battery, and the k >= 1 magnitudes of a
-    linear representative, R(S_eps psi, x) and 0, which no member enters,
-    are computed by the first member to reach each (eps, x).
+    static battery, with one or two zero-mass directions (more raise
+    ``ValueError``, one with mass ``PreconditionError``), on rows of the
+    insertion kernel.  k = 0 is the member's own channel.  A linear R's
+    d_1 R(psi) = R(S_eps psi, x) is the channel of psi, a path of constant
+    weights over its terms, evaluated once per eps for the whole battery,
+    and its d_1^2 is 0; a phi-independent R's d_1^k = v - v is the channel
+    of R - R on the path over phi and the psi_j, whose box at eps = 2^-i
+    is the one ``d1_derivative`` checks; a log channel's d_1 comes from
+    ``log_abs_d1_terms`` after the member's U(Omega) test, once per row if
+    R does not depend on x.  Other R raise ``ValueError`` for k_max >= 1.
     """
     if not 0 <= k_max <= 2:
         raise ValueError(f"directional order k_max must lie in 0..2, got {k_max}")
@@ -442,61 +438,58 @@ def d1_form_test(rep: Representative, battery: Sequence,
     if len(directions) > 2:
         raise ValueError(f"at most two directions, got {len(directions)}")
     directions = list(directions) if k_max else []
-    # direction tuples as indices into the directions
-    dir_tuples = {0: [()], 1: [(i,) for i in range(len(directions))],
+    _check_tangent(directions)
+    log, linear, K = rep.has_log_channel, rep.linear, spec.K
+    if directions and not (log or linear or rep.phi_independent):
+        raise ValueError(f"no d_1 rows: {rep!r} is not linear, phi-independent"
+                         " or a log channel")
+    from .test_objects import TestObjectPath  # it imports this module
+
+    def over(coeffs, terms):  # a path of constant weights over the terms
+        bound = max(abs(t.center) + t.radius for t in terms)
+        return TestObjectPath(None, bound, "d1", None, tuple(terms),
+                              lambda e, ys: [[c] * len(ys) for c in coeffs])
+
+    dir_tuples = {0: [()], 1: [(i,) for i in range(len(directions))],  # indices
                   2: [(0, 0), (0, 1)] if len(directions) >= 2 else [(0, 0)]}
-    labels, index_tuples = zip(*[(f"k{k}t{ti}", idx) for k in range(k_max + 1)
+    labels, (_, *tuples) = zip(*[(f"k{k}t{ti}", idx) for k in range(k_max + 1)
                                  for ti, idx in enumerate(dir_tuples[k])])
-    scaled_at = {float(e): [scale(psi, float(e)) for psi in directions]
-                 for e in spec.eps}
-    shared = {}  # (eps, x) -> k >= 1 magnitudes of a linear representative
+    scaled_at, dir_rows = {}, {}  # per eps, and per (eps, j), for every member
+    dir_row = _insertion_row(tuple((rep, over(*(psi._terms or ([1.0], [psi]))))
+                                   for psi in directions), 0, K)  # own terms
 
-    def directional_row(phi0):
-        def row(eps, n):  # a probe, which _sup_table runs up to the n-th x
-            sphi = scale(phi0, eps)
-            scaled = scaled_at[eps]
-
-            def magnitude(x, idx):
-                return abs(d1_derivative(rep, sphi, x, [scaled[i] for i in idx]))
-
-            def probe(x):
-                if rep.has_log_channel:
-                    # one pass over the distinct directions serves every tuple
-                    ival, logs = (rep.log_abs_d1_terms(sphi, x, scaled)
-                                  if scaled else (0.0, []))
-                    return [(rep.log_abs_d1_from_terms(
-                                ival, [logs[i] for i in idx])
-                             if idx else rep.log_abs(sphi, x)) / LN2
-                            for idx in index_tuples]
-                if not rep.linear:
-                    return [magnitude(x, idx) for idx in index_tuples]
-                k0 = magnitude(x, ())
-                if (eps, x) not in shared:
-                    shared[eps, x] = [magnitude(x, idx)
-                                      for idx in index_tuples[1:]]
-                return [k0] + shared[eps, x]
-
-            if not rep.x_independent:
-                return probe
-            # every point of the row gives the same bits: probe the first
-            # point that passes the domain check, and reuse its magnitudes
-            first = []
-
-            def probe_once(x):
-                if not first:
-                    first.extend(probe(x))
-                return first
-
-            return probe_once
-
-        return row
+    def row(member_row, phi0, eps, n):  # the member's rows, then R's k >= 1
+        out, fail = member_row(eps, n)
+        j = out.shape[1]
+        if log and tuples:
+            if eps not in scaled_at:
+                scaled_at[eps] = [scale(psi, eps) for psi in directions]
+            sphi = scale(phi0, eps)  # its terms at one point, or at each
+            terms = [rep.log_abs_d1_terms(sphi, x, scaled_at[eps]) for x in
+                     K[:min(j, 1) if rep.x_independent else j].tolist()]
+            more = np.broadcast_to([[rep.log_abs_d1_from_terms(
+                ival, [logs[i] for i in idx]) / LN2 for ival, logs in terms]
+                for idx in tuples], (len(tuples), j))
+        elif linear:
+            if (eps, j) not in dir_rows:
+                dir_rows[eps, j] = dir_row(eps, j)
+            more, fail = dir_rows[eps, j][0], dir_rows[eps, j][1] or fail
+            more = np.pad(more, ((0, len(tuples) - len(directions)), (0, 0)))
+        else:
+            return out, fail
+        return np.vstack([out[:, :more.shape[1]], more]), fail
 
     verdicts, series = [], []
     for path in battery:
-        tables = _sup_table(path, spec, directional_row(path(1.0, 0.0)))
-        for label, values in zip(labels, tables):
+        phi0 = path(1.0, 0.0)
+        member_row = _insertion_row(((rep, path), *(  # phi-independent: v - v
+            (sub(rep, rep), over([1.0] * (1 + len(idx)),
+                                 [phi0, *(directions[i] for i in idx)]))
+            for idx in tuples if not (log or linear))), 0, K)
+        for label, values in zip(labels, _sup_table(
+                path, spec, lambda e, n, r=member_row, p=phi0: row(r, p, e, n))):
             ser = SweepSeries(f"{path.member_id}|{label}", 0, spec.eps,
-                              values, is_log=rep.has_log_channel)
+                              values, is_log=log)
             series.append(ser)
             verdicts.append(fit_order(ser, spec.fit_window))
     return _moderate_report(verdicts, series)

@@ -45,10 +45,10 @@ class Representative:
     ``linear`` marks evaluators that are linear in the test-function slot
     (every embedded distribution is); the directional derivative exploits it.
     ``omega`` is the ambient open set realizing the domain predicate.
-    ``x_independent`` marks representatives whose magnitudes do not depend
-    on the point x, so a sweep row over a fixed test object may probe them
-    once.  ``phi_independent`` marks those whose value does not depend on
-    the test function, so their directional derivatives vanish.
+    ``x_independent`` marks log channels whose magnitudes do not depend on
+    x, so ``d1_form_test`` reads a row's d_1 terms at one point.
+    ``phi_independent`` marks representatives whose value does not depend
+    on the test function, so their directional derivatives vanish.
     ``row((coeffs, terms, eps), xs)``, where set, is ``eval_fn`` at each
     (S_eps tf_lincomb(coeffs[:, k], terms), xs[k]), bit for bit, unchecked;
     sweeps over coefficient-form paths read it, and otherwise pass each
@@ -339,6 +339,13 @@ def partial_x(rep: Representative, alpha: int, phi: TestFunction, x: float,
                                          order=alpha, base_step=h, levels=1)
 
 
+def _check_tangent(directions):  # d_1 acts on the zero-mass tangent space
+    for psi in directions:
+        if abs(psi.mass()) > TAU_M:
+            raise PreconditionError(f"direction has mass {psi.mass():.3e}, "
+                                    "not in the zero-mass tangent")
+
+
 def d1_derivative(rep: Representative, phi: TestFunction, x, directions):
     """Iterated directional derivative in the test-function slot.
 
@@ -351,10 +358,7 @@ def d1_derivative(rep: Representative, phi: TestFunction, x, directions):
         return rep(phi, x)
     if k > 2:
         raise ValueError("directional derivatives implemented up to order 2")
-    for psi in directions:
-        if abs(psi.mass()) > TAU_M:
-            raise PreconditionError(
-                f"direction has mass {psi.mass():.3e}, not in the zero-mass tangent")
+    _check_tangent(directions)
 
     if rep.linear:
         if k == 1:

@@ -2,7 +2,7 @@
 
 Three modes of family:
 
-* ``static``: a single mollifier, ignoring (eps, x);
+* ``static``: a single mollifier, ignoring (eps, x): one term of weight 1;
 * ``eps_path``: a smooth bounded path eps -> phi(eps), realizing
   asymptotically vanishing moments phi(eps) = phi_q + eps^q rho(eps) chi
   with chi a zero-mass bump;
@@ -36,12 +36,12 @@ MOMENT_FLOOR = 1e-13
 class TestObjectPath:
     """A (possibly eps- and x-dependent) family of unit-mass test functions.
 
-    ``fn(eps, x)`` builds the member; a static or eps-only family's ``fn``
-    ignores the arguments its members do not depend on.  A path in
-    coefficient form has no ``fn``: its member at xs[k] combines fixed
-    ``terms`` with weights ``weights(eps, xs)[j][k]`` (``tf_lincomb``).  It
-    declares no moment order: a ``MomentClass`` carries the order.
-    ``rows(eps, xs)``, where set, is the path's own ``_member_rows``.
+    A path in coefficient form, as every ``make_battery`` path is, has no
+    ``fn``: its member at xs[k] combines fixed ``terms`` with weights
+    ``weights(eps, xs)[j][k]`` (``tf_lincomb``); any other path's
+    ``fn(eps, x)`` builds the member.  It declares no moment order: a
+    ``MomentClass`` carries the order.  ``rows(eps, xs)``, where set, is
+    the path's own ``_member_rows``.
     """
 
     __test__ = False  # pytest: a domain type, not a test case
@@ -147,7 +147,8 @@ def make_battery(mode: str, q: int, count: int, seed: int,
         if mode == "static":
             base = build_mollifier(qb, radius=r, center=c)
             members.append(TestObjectPath(
-                (lambda e, x, tf=base: tf), bound, mid))
+                None, bound, mid, terms=(base,),
+                weights=lambda e, xs: [[1.0] * len(xs)]))
             continue
 
         chi = _zero_mass_bump(rng)

@@ -394,6 +394,8 @@ def _weighted_sum(coeffs: list, fns: list):
 
 def union_box(tfs: Sequence[TestFunction]) -> tuple[float, float]:
     """(center, radius) of the interval covering the supports of ``tfs``."""
+    if len(tfs) == 1:  # its own, which the midpoint of its ends may round
+        return tfs[0].center, tfs[0].radius
     lo = min([t.center - t.radius for t in tfs])
     hi = max([t.center + t.radius for t in tfs])
     center = 0.5 * (lo + hi)

@@ -13,7 +13,7 @@ from gfn_lab.asymptotics import (SweepSeries, SweepSpec,
                                  emit_plotdata, fit_order, sweep,
                                  squared_mass_inner, write_sweep_csv)
 from gfn_lab.basic_space import (ExpExpRepresentative, Representative,
-                                 d1_derivative, embed_C, embed_sigma,
+                                 d1_derivative, embed_C, embed_sigma, mul,
                                  pullback_pair_transform, sub)
 from gfn_lab.diffeo import get_diffeo, identity_map, pullback_rep
 from gfn_lab.distributions import DiracDerivative, smooth_density
@@ -265,6 +265,18 @@ class TestNothingToJudge:
             d1_form_test(embed_C(DiracDerivative(0), omega=OMEGA), bat, dirs,
                          2, self.SPEC)
 
+    def test_d1_form_of_a_nonlinear_representative_raises(self):
+        """A representative that is neither linear, phi-independent nor a
+        log channel has no d_1 rows: k_max >= 1 raises, k = 0 sweeps."""
+        bat = make_battery("static", 0, 1, seed=6)
+        dirs = perturbation_directions(2, seed=5)
+        square = mul(embed_C(DiracDerivative(0), omega=OMEGA),
+                     embed_C(DiracDerivative(0), omega=OMEGA))
+        for k_max in (1, 2):
+            with pytest.raises(ValueError, match="no d_1 rows"):
+                d1_form_test(square, bat, dirs, k_max, self.SPEC)
+        assert len(d1_form_test(square, bat, dirs, 0, self.SPEC).series) == 1
+
 
 class TestNegligibility:
     def test_zero_representative_witness_is_n(self):
@@ -443,6 +455,24 @@ class TestD1Form:
                 assert got == want
                 assert rep.log_abs_d1(phi, 0.0, [dirs[i] for i in idx]) == want
 
+    @pytest.mark.parametrize("x_independent", [True, False])
+    def test_log_channel_is_checked_on_U_Omega(self, x_independent):
+        """The log channel raises where test_moderate raises on the same
+        members, for the x-independent inner and for a plain x-dependent
+        wrapper of it: its checked calls would."""
+        inner = squared_mass_inner(1024)
+        if not x_independent:
+            inner = (lambda f: lambda phi, x: f(phi, x))(inner)
+        rep = ExpExpRepresentative(inner, omega=Box.interval(-0.5, 0.5))
+        assert rep.x_independent == x_independent
+        bat = make_battery("static", 0, 2, 6)
+        dirs = perturbation_directions(2, 5)
+        with pytest.raises(DomainError, match="x=-1.0") as moderate:
+            asy.test_moderate(rep, bat, self.D1_SPEC)
+        with pytest.raises(DomainError) as d1:
+            d1_form_test(rep, bat, dirs, 2, self.D1_SPEC)
+        assert str(d1.value) == str(moderate.value)
+
     def test_reused_row_keeps_the_domain_check(self):
         """A probe reused along the row still checks every point of K."""
 
@@ -495,26 +525,26 @@ class TestD1FormSharedDirections:
         return tables
 
     def test_pairings_do_not_grow_with_the_battery(self):
+        """Each direction's row is evaluated once per eps for the whole
+        battery, and each member's own row once per eps; nothing is paired
+        point by point."""
         dirs = perturbation_directions(2, seed=5)
-        points = len(self.SPEC.eps) * len(self.SPEC.K)
+        rows = len(self.SPEC.eps)
         for rep in self.linear_catalog():
-            ev = rep.eval_fn
-            bases = []
-
-            def counted(phi, x, ev=ev, bases=bases):
-                bases.append(phi.frame[0])
-                return ev(phi, x)
-
-            rep.eval_fn = counted
-            per_size = []
+            calls, points = [], []
+            row, ev = rep.row, rep.eval_fn
+            rep.row = lambda member, xs, row=row: \
+                calls.append(member[1]) or row(member, xs)
+            rep.eval_fn = lambda phi, x, ev=ev: points.append(x) or ev(phi, x)
             for count in (1, 4):
-                bases.clear()
+                calls.clear()
                 bat = make_battery("static", 0, count, seed=6)
                 d1_form_test(rep, bat, dirs, 2, self.SPEC)
-                on_dirs = [sum(b is d for b in bases) for d in dirs]
-                per_size.append(on_dirs)
-                assert len(bases) - sum(on_dirs) == count * points
-            assert per_size == [[points, points]] * 2
+                on_dirs = [sum(terms == d._terms[1] for terms in calls)
+                           for d in dirs]
+                assert on_dirs == [rows, rows]
+                assert len(calls) - sum(on_dirs) == count * rows
+            assert points == []
 
     def test_tables_match_a_per_member_loop(self):
         bat = make_battery("static", 0, 3, seed=6)

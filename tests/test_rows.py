@@ -367,11 +367,12 @@ class TestLogChannelDomain:
             table = sweep(rep, path, spec)[0].values
             assert np.array_equal(table, np.zeros(len(spec.eps)))
         assert built == []
-        row = _insertion_row((ExpExpRepresentative(squared_mass_inner(1024)),),
-                             TestObjectPath(lambda e, x: 1 / 0, 1.0, "never"),
-                             0, spec.K)
-        assert np.array_equal(row(0.25, len(spec.K)),
-                              np.zeros((1, len(spec.K))))
+        row = _insertion_row(((ExpExpRepresentative(squared_mass_inner(1024)),
+                               TestObjectPath(lambda e, x: 1 / 0, 1.0,
+                                              "never")),), 0, spec.K)
+        out, fail = row(0.25, len(spec.K))
+        assert np.array_equal(out, np.zeros((1, len(spec.K))))
+        assert fail is None
 
 
 class TestRowBlocks:

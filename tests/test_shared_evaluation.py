@@ -21,7 +21,9 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from gfn_lab import asymptotics as asy, numdiff
 from gfn_lab.asymptotics import SweepSpec
 from gfn_lab.basic_space import (ExpExpRepresentative, Representative,
-                                 embed_C, embed_sigma, mul, sub)
+                                 d1_derivative, embed_C, embed_sigma, mul,
+                                 sub)
+from gfn_lab.diffeo import PartialDomain
 from gfn_lab.distributions import (SMOOTH_CHAINS, DiracDerivative, Heaviside,
                                    SmoothDensity, pair, smooth_density)
 from gfn_lab.test_objects import (TestObjectPath, make_battery,
@@ -767,6 +769,63 @@ def probed_outcome(rep, path, spec):
     return [t for per_rep in tables for t in per_rep]
 
 
+def d1_outcome(rep, battery, directions, k_max, spec):
+    """The member ids and table bytes of d1_form_test, or the exception it
+    raised with its message."""
+    try:
+        report = asy.d1_form_test(rep, battery, directions, k_max, spec)
+    except (DomainError, FloatingPointError, ValueError) as exc:
+        return type(exc), str(exc)
+    return [(s.member_id, s.values.tobytes()) for s in report.series]
+
+
+def probed_d1_outcome(rep, battery, directions, k_max, spec):
+    """``d1_outcome`` of d1_form_test probed point by point: per member, at
+    each (eps, x) in order, the partial domain, then d1_derivative per
+    direction tuple (for a log channel, the member checked, then
+    log_abs_d1 in log2), then a NaN among them; the sup over K per row."""
+    dirs = list(directions) if k_max else []
+    pairs = [(0, 0), (0, 1)] if len(dirs) >= 2 else [(0, 0)]
+    tuples = {0: [()], 1: [(i,) for i in range(len(dirs))], 2: pairs}
+    labels, tuples = zip(*[(f"k{k}t{ti}", idx) for k in range(k_max + 1)
+                           for ti, idx in enumerate(tuples[k])])
+
+    def magnitude(sphi, x, scaled, idx):
+        psis = [scaled[i] for i in idx]
+        if not rep.has_log_channel:
+            return abs(d1_derivative(rep, sphi, x, psis))
+        return rep.log_abs_d1(sphi, x, psis) / asy.LN2 if idx else 0.0
+
+    out = []
+    try:
+        for path in battery:
+            phi0, who, rows = path(1.0, 0.0), path.member_id, []
+            for eps in spec.eps.tolist():
+                sphi = scale(phi0, eps)
+                scaled = [scale(psi, eps) for psi in dirs]
+                mags = []
+                for x in spec.K.tolist():
+                    if path.domain is not None and \
+                            not path.domain.contains(eps, x):
+                        raise DomainError(
+                            f"sweep point (eps={eps:g}, x={x:g}) outside the "
+                            f"partial domain of {who!r} (eps0 too large?)")
+                    if rep.has_log_channel and rep.omega is not None:
+                        rep.check_domain(sphi, x)
+                    mags.append([magnitude(sphi, x, scaled, idx)
+                                 for idx in tuples])
+                    if any(math.isnan(v) for v in mags[-1]):
+                        raise FloatingPointError(
+                            f"probe returned NaN at (eps={eps:g}, x={x:g}) "
+                            f"for {who!r}")
+                rows.append([max(col) for col in zip(*mags)])
+            out += [(f"{who}|{label}", np.array(col).tobytes())
+                    for label, col in zip(labels, zip(*rows))]
+    except (DomainError, FloatingPointError, ValueError) as exc:
+        return type(exc), str(exc)
+    return out
+
+
 def rows_catalog(omega, nan_above):
     """Representatives with a row, by name: every SMOOTH_CHAINS link
     embedded, sin on 256 panels, sigma of sin, a sigma that is NaN above
@@ -854,10 +913,50 @@ class TestCoefficientRows:
         want = probed_outcome(rep, path, spec)
         assert got == want
         assert sweep_outcome(rep, opaque(path), spec) == want
-        if mode != "static" and name != "other-set":
+        if name != "other-set":
             assert built == []  # every row at once, errors included
         if half <= 1.1 and name != "exp-exp":  # the first row leaves
             assert got[0] is DomainError       # (no log-channel check)
+
+    @settings(max_examples=100, deadline=None)
+    @given(q=st.integers(0, 2), seed=st.integers(0, 2**16),
+           count=st.integers(1, 3), index=st.integers(0, 2),
+           k=st.integers(1, 5), k_max=st.integers(0, 2),
+           n_dirs=st.integers(1, 2),
+           lo=st.sampled_from([2.5, 1.6, 1.3, 1.2, 1.1, 1.02, 1.0]),
+           hi=st.sampled_from([2.5, 1.6, 1.3, 1.2, 1.1, 1.02, 1.0]),
+           nan_above=st.sampled_from([math.inf, 0.6, -0.2, -0.95]),
+           cut=st.sampled_from([None, (-1.0, 2), (0.0, 4), (0.6, 6)]),
+           name=st.sampled_from(["delta", "heaviside", "sin[0]", "sin@256",
+                                 "sigma-sin", "sigma-nan", "exp-exp"]))
+    @example(q=0, seed=6, count=2, index=1, k=5, k_max=2, n_dirs=2, lo=2.5,
+             hi=2.5, nan_above=math.inf, cut=(0.0, 4), name="exp-exp")
+    # a direction leaves (-1.3, hi) at x = -1 and the member first at x = 1
+    @example(q=0, seed=10, count=1, index=0, k=5, k_max=1, n_dirs=2, lo=1.3,
+             hi=1.02, nan_above=math.inf, cut=None, name="delta")
+    # the directions widen sigma's box beyond the member's
+    @example(q=0, seed=14513, count=1, index=0, k=1, k_max=1, n_dirs=1,
+             lo=1.3, hi=2.5, nan_above=math.inf, cut=None, name="sigma-sin")
+    def test_d1_tables_are_the_point_by_point_tables(
+            self, q, seed, count, index, k, k_max, n_dirs, lo, hi, nan_above,
+            cut, name):
+        """d1_form_test's tables, error type and message are those of the
+        d_1 probe run point by point (``probed_d1_outcome``): linear and
+        phi-independent representatives, a sigma that may turn NaN and the
+        log channel, with up to two directions, an open set (-lo, hi) that
+        K may leave at either end, and, on one member, a partial domain
+        that rejects x >= a cut from eps = 2^-i on."""
+        battery = make_battery("static", q, count, seed)
+        if cut is not None and index < count:
+            x0, i0 = cut
+            battery[index] = dataclasses.replace(
+                battery[index], domain=PartialDomain(
+                    lambda e, x: x < x0 or e < 2.0**-i0))
+        dirs = perturbation_directions(n_dirs, seed + 1)
+        rep = rows_catalog(Box.interval(-lo, hi), nan_above)[name]
+        spec = dataclasses.replace(SMALL, K=np.linspace(-1, 1, k))
+        assert d1_outcome(rep, battery, dirs, k_max, spec) == \
+            probed_d1_outcome(rep, battery, dirs, k_max, spec)
 
     def test_heaviside_rows_cover_every_kind_of_box(self):
         """The Heaviside example above meets boxes in x < 0, boxes that

@@ -66,7 +66,8 @@ class TestMakeBattery:
         b = make_battery("static", 2, 4, seed=42)
         xs = np.linspace(-1.3, 1.3, 257)
         for pa, pb in zip(a, b):
-            np.testing.assert_array_equal(pa(1, 0).coeffs, pb(1, 0).coeffs)
+            for ta, tb in zip(pa.terms, pb.terms, strict=True):
+                np.testing.assert_array_equal(ta.coeffs, tb.coeffs)
             np.testing.assert_array_equal(pa(1, 0).fn(xs), pb(1, 0).fn(xs))
         c = make_battery("full_path", 1, 4, seed=7)
         d = make_battery("full_path", 1, 4, seed=7)
@@ -100,7 +101,7 @@ class TestMakeBattery:
             paths = make_battery(mode, q, 4, seed, flavor=flavor)
             refs = closure_battery(mode, q, 4, seed, flavor)
             for path, ref in zip(paths, refs, strict=True):
-                assert (path.fn is None) == (mode != "static")
+                assert path.fn is None  # every mode: coefficient form
                 for eps, x in ((1.0, 0.0), (0.25, 0.7), (2.0**-9, -1.3),
                                (0.3, -0.0), (0.5, 0.123456789)):
                     got, want = path(eps, x), ref(eps, x)
@@ -127,16 +128,25 @@ class TestMakeBattery:
                         ([row[k] for row in rows], path.terms)
 
     def test_static_ignores_arguments(self):
+        """A static member is its one term, its base, at every (eps, x):
+        the same box and samples, bit for bit."""
         path = make_battery("static", 0, 1, seed=1)[0]
-        assert path(0.3, 0.7) is path(0.9, -1.0)
+        base, = path.terms
+        xs = np.linspace(-1.5, 1.5, 257)
+        for eps, x in ((0.3, 0.7), (0.9, -1.0), (1.0, 0.0)):
+            tf = path(eps, x)
+            assert (tf.center, tf.radius) == (base.center, base.radius)
+            assert tf.fn(xs).tobytes() == base.fn(xs).tobytes()
 
     def test_first_member_is_standard_bump(self):
         """Member 0 of a one-element static battery is the canonical
         normalized bump."""
         path = make_battery("static", 0, 1, seed=1)[0]
-        tf = path()
-        assert tf.radius == 1.0 and tf.center == 0.0
-        np.testing.assert_array_equal(tf.coeffs, build_mollifier(0).coeffs)
+        tf, want = path(), build_mollifier(0)
+        assert (tf.center, tf.radius) == (want.center, want.radius) \
+            == (0.0, 1.0)
+        xs = np.linspace(-1.2, 1.2, 257)
+        assert tf.fn(xs).tobytes() == want.fn(xs).tobytes()
         assert abs(tf.mass() - 1.0) <= 1e-12
 
     def test_eps_path_ignores_x(self):
