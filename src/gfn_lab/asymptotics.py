@@ -427,9 +427,11 @@ def d1_form_test(rep: Representative, battery: Sequence,
     weights over its terms, evaluated once per eps for the whole battery,
     and its d_1^2 is 0; a phi-independent R's d_1^k = v - v is the channel
     of R - R on the path over phi and the psi_j, whose box at eps = 2^-i
-    is the one ``d1_derivative`` checks; a log channel's d_1 comes from
-    ``log_abs_d1_terms`` after the member's U(Omega) test, once per row if
-    R does not depend on x.  Other R raise ``ValueError`` for k_max >= 1.
+    is the one ``d1_derivative`` checks; a log channel's d_1 is
+    ``log_abs_d1`` after the member's U(Omega) test, with I and each
+    ``inner.d1`` read once per row, since the inner reads phi alone.  Other
+    R, and a log channel whose inner has no ``d1``, raise ``ValueError``
+    for k_max >= 1.
     """
     if not 0 <= k_max <= 2:
         raise ValueError(f"directional order k_max must lie in 0..2, got {k_max}")
@@ -440,9 +442,10 @@ def d1_form_test(rep: Representative, battery: Sequence,
     directions = list(directions) if k_max else []
     _check_tangent(directions)
     log, linear, K = rep.has_log_channel, rep.linear, spec.K
-    if directions and not (log or linear or rep.phi_independent):
+    if directions and not (linear or rep.phi_independent or log and hasattr(
+            rep.inner, "d1")):
         raise ValueError(f"no d_1 rows: {rep!r} is not linear, phi-independent"
-                         " or a log channel")
+                         " or a log channel with an exact d_1")
     from .test_objects import TestObjectPath  # it imports this module
 
     def over(coeffs, terms):  # a path of constant weights over the terms
@@ -454,22 +457,27 @@ def d1_form_test(rep: Representative, battery: Sequence,
                   2: [(0, 0), (0, 1)] if len(directions) >= 2 else [(0, 0)]}
     labels, (_, *tuples) = zip(*[(f"k{k}t{ti}", idx) for k in range(k_max + 1)
                                  for ti, idx in enumerate(dir_tuples[k])])
-    scaled_at, dir_rows = {}, {}  # per eps, and per (eps, j), for every member
+    dir_rows = {}  # per (eps, j), for every member
     dir_row = _insertion_row(tuple((rep, over(*(psi._terms or ([1.0], [psi]))))
                                    for psi in directions), 0, K)  # own terms
 
     def row(member_row, phi0, eps, n):  # the member's rows, then R's k >= 1
         out, fail = member_row(eps, n)
         j = out.shape[1]
-        if log and tuples:
-            if eps not in scaled_at:
-                scaled_at[eps] = [scale(psi, eps) for psi in directions]
-            sphi = scale(phi0, eps)  # its terms at one point, or at each
-            terms = [rep.log_abs_d1_terms(sphi, x, scaled_at[eps]) for x in
-                     K[:min(j, 1) if rep.x_independent else j].tolist()]
-            more = np.broadcast_to([[rep.log_abs_d1_from_terms(
-                ival, [logs[i] for i in idx]) / LN2 for ival, logs in terms]
-                for idx in tuples], (len(tuples), j))
+        if log and tuples and j:  # each tuple summed as log_abs_d1 sums it
+            sphi = scale(phi0, eps)
+            ival = rep.inner(sphi, float(K[0]))
+            dis = [rep.inner.d1(sphi, scale(psi, eps)) for psi in directions]
+            more = []
+            for idx in tuples:
+                acc = len(idx) * ival
+                for i in idx:
+                    if dis[i] == 0.0:
+                        acc = -np.inf
+                        break
+                    acc += float(np.log(abs(dis[i])))
+                more.append(acc / LN2)
+            more = np.broadcast_to(np.array(more)[:, None], (len(tuples), j))
         elif linear:
             if (eps, j) not in dir_rows:
                 dir_rows[eps, j] = dir_row(eps, j)
@@ -509,6 +517,10 @@ def squared_mass_inner(quad_n: int):
     quadrature on the scaled support bit for bit; every other frame is
     integrated directly.  ``inner.row((coeffs, terms, eps), ys)`` is that
     branch on a sweep row's members at once, for a sweep's eps = 2^-i.
+
+    I is quadratic in phi, so its directional derivative is exact:
+    ``inner.d1(phi, psi)`` = 2 integral of phi psi, on ``quad_n`` panels of
+    the box covering both supports.  Neither reads x.
     """
     n = int(quad_n)
 
@@ -520,6 +532,10 @@ def squared_mass_inner(quad_n: int):
         pts, w = support_grid(phi, n)
         v = phi.fn(pts)
         return float(np.dot(w, np.abs(v) ** 2))
+
+    def d1(phi: TestFunction, psi: TestFunction) -> float:
+        pts, w = support_grid(TestFunction(*union_box([phi, psi]), None), n)
+        return 2.0 * float(np.dot(w, phi.fn(pts) * psi.fn(pts)))
 
     def row(member, ys):
         coeffs, terms, eps = member
@@ -571,7 +587,7 @@ def squared_mass_inner(quad_n: int):
 
         return pulled
 
-    inner.x_independent = True
+    inner.d1 = d1
     inner.row = row
     inner.pulled_row = pulled_row
     return inner

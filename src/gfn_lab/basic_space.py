@@ -22,13 +22,9 @@ import numpy as np
 from . import numdiff
 from .distributions import (Distribution, pair, pair_row,
                             pullback_test_function)
-from .testfunc import (TAU_M, Box, DomainError, TestFunction, tf_lincomb,
-                       translate, union_box)
+from .testfunc import (TAU_M, Box, DomainError, TestFunction, translate,
+                       union_box)
 from .testfunc import scale  # noqa: F401  (a binding perfbench traces)
-
-
-#: d_1 central-difference step, in units of sup |phi| / sup |psi|
-D1_REL_STEP = 1e-4
 
 
 class FormalismError(ValueError):
@@ -43,12 +39,11 @@ class Representative:
     """Element of the basic space: evaluator (phi, x) -> complex.
 
     ``linear`` marks evaluators that are linear in the test-function slot
-    (every embedded distribution is); the directional derivative exploits it.
+    (every embedded distribution is), so d_1 R(phi)(psi) = R(psi).
     ``omega`` is the ambient open set realizing the domain predicate.
-    ``x_independent`` marks log channels whose magnitudes do not depend on
-    x, so ``d1_form_test`` reads a row's d_1 terms at one point.
     ``phi_independent`` marks representatives whose value does not depend
-    on the test function, so their directional derivatives vanish.
+    on the test function, so their directional derivatives vanish.  These
+    are the representatives ``d1_derivative`` differentiates exactly.
     ``row((coeffs, terms, eps), xs)``, where set, is ``eval_fn`` at each
     (S_eps tf_lincomb(coeffs[:, k], terms), xs[k]), bit for bit, unchecked;
     sweeps over coefficient-form paths read it, and otherwise pass each
@@ -56,7 +51,6 @@ class Representative:
     """
 
     has_log_channel = False
-    x_independent = False
     phi_independent = False
     row = None
 
@@ -111,6 +105,9 @@ class ExpExpRepresentative(Representative):
     The plain value overflows once I exceeds ~700 and then raises, so all
     asymptotic work runs through the log-magnitude channel: |R| = 1
     identically, and the magnitudes of x- or phi-derivatives are I + log |dI|.
+    The phi-derivatives need the inner's exact directional derivative
+    ``inner.d1(phi, psi)``, which ``squared_mass_inner`` provides; an inner
+    with ``d1`` reads phi alone, not x.
     """
 
     has_log_channel = True
@@ -118,7 +115,6 @@ class ExpExpRepresentative(Representative):
     def __init__(self, inner: Callable[[TestFunction, float], float],
                  omega: Optional[Box] = None):
         self.inner = inner
-        self.x_independent = getattr(inner, "x_independent", False)
 
         def ev(phi, x):
             ival = inner(phi, x)
@@ -148,35 +144,20 @@ class ExpExpRepresentative(Representative):
             return -np.inf
         return ival + float(np.log(abs(di)))
 
-    def log_abs_d1_terms(self, phi: TestFunction, x, directions):
-        """I(phi, x), and log |d_1 I(psi)| for each direction psi, with d_1 I
-        from ``d1_derivative`` on the inner functional; -inf where it is
-        exactly 0."""
-        ival = self.inner(phi, x)
-        inner = Representative(self.inner)
-        logs = []
-        for psi in directions:
-            di = d1_derivative(inner, phi, x, [psi])
-            logs.append(-np.inf if di == 0.0 else float(np.log(abs(di))))
-        return ival, logs
-
-    @staticmethod
-    def log_abs_d1_from_terms(ival: float, logs) -> float:
-        """k I + sum of the k terms log |d_1 I(psi_j)|, in that order."""
-        acc = len(logs) * ival
-        for lg in logs:
-            if lg == -np.inf:
-                return -np.inf
-            acc += lg
-        return acc
-
     def log_abs_d1(self, phi: TestFunction, x, directions) -> float:
-        """log |d_1^k R(phi,x)(psi_1..psi_k)| ~ k I + sum log |d_1 I(psi_j)|.
+        """log |d_1^k R(phi,x)(psi_1..psi_k)| ~ k I + sum log |d_1 I(psi_j)|,
+        summed in that order, with d_1 I from ``inner.d1``; -inf if one
+        d_1 I is exactly 0.
 
         Exact up to O(e^{-I}) corrections, which is the regime of interest.
         """
-        return self.log_abs_d1_from_terms(
-            *self.log_abs_d1_terms(phi, x, directions))
+        acc = len(directions) * self.inner(phi, x)
+        dis = [self.inner.d1(phi, psi) for psi in directions]
+        for di in dis:  # not sum(), which compensates from Python 3.12 on
+            if di == 0.0:
+                return -np.inf
+            acc += float(np.log(abs(di)))
+        return acc
 
     def compose_pullback(self, transform, omega_src):
         base_inner = self.inner
@@ -347,11 +328,16 @@ def _check_tangent(directions):  # d_1 acts on the zero-mass tangent space
 
 
 def d1_derivative(rep: Representative, phi: TestFunction, x, directions):
-    """Iterated directional derivative in the test-function slot.
+    """Iterated directional derivative in the test-function slot, exact.
 
     Directions must have vanishing integral, up to ``TAU_M`` (the tangent
-    space of the unit-mass constraint).  Linear representatives take the exact path:
-    first order returns rep(psi, x), second and higher vanish.
+    space of the unit-mass constraint).  (phi, x) and then each (psi, x)
+    are tested on U(Omega), as rep(phi, x) and rep(psi, x) test them.  A
+    linear representative's first order is rep(psi, x), and higher orders
+    vanish; a phi-independent one's is v - v, v = rep(phi, x), after the
+    test of the box covering phi and the directions.  Any other
+    representative raises ``ValueError`` (a log channel's d_1 is
+    ``ExpExpRepresentative.log_abs_d1``).
     """
     k = len(directions)
     if k == 0:
@@ -361,34 +347,18 @@ def d1_derivative(rep: Representative, phi: TestFunction, x, directions):
     _check_tangent(directions)
 
     if rep.linear:
-        if k == 1:
-            return rep(directions[0], x)
-        return 0.0
+        if rep.omega is not None:
+            for f in (phi, *directions):
+                rep.check_domain(f, x)
+        return rep.eval_fn(directions[0], x) if k == 1 else 0.0
     if rep.phi_independent:
-        # every perturbation of phi has the support of their lincomb and
-        # the value v = rep(phi, x): the quotient is v - v (0, or NaN)
+        # d_1^k of a value v = rep(phi, x) that ignores phi is v - v (0,
+        # or NaN), tested on the box covering phi and the directions
         rep.check_domain(TestFunction(*union_box([phi, *directions]), phi.fn),
                          x)
         v = rep.eval_fn(phi, x)
         return v - v
-
-    sup_phi = max(phi.sup_abs(), 1e-30)
-    steps = [D1_REL_STEP * sup_phi / max(psi.sup_abs(), 1e-30)
-             for psi in directions]
-    if k == 1:
-        t = steps[0]
-        psi = directions[0]
-        up = rep(tf_lincomb([1.0, t], [phi, psi]), x)
-        dn = rep(tf_lincomb([1.0, -t], [phi, psi]), x)
-        return (up - dn) / (2.0 * t)
-
-    t1, t2 = steps
-    p1, p2 = directions
-
-    def at(s1, s2):
-        return rep(tf_lincomb([1.0, s1, s2], [phi, p1, p2]), x)
-
-    return (at(t1, t2) - at(t1, -t2) - at(-t1, t2) + at(-t1, -t2)) / (4 * t1 * t2)
+    raise ValueError(f"no d_1 rows: {rep!r} is not linear or phi-independent")
 
 
 def Dj_derivative(rep: Representative, phi: TestFunction, x):

@@ -24,8 +24,9 @@ import numpy as np
 
 from .asymptotics import SweepSeries, _first_nan, fit_order
 from .testfunc import (TAU_M, TestFunction, _grid_rows, _moment_sums,
-                       _weighted_sum, build_mollifier, bump_testfunction,
-                       tf_lincomb, union_box)
+                       _node_count, _row_blocks, _weighted_sum,
+                       build_mollifier, bump_testfunction, tf_lincomb,
+                       union_box)
 
 #: moment magnitudes at or below this are treated as numerically zero when
 #: fitting decay orders (quadrature / solve residual plateau)
@@ -249,15 +250,19 @@ def check_moment_class(path: TestObjectPath, cls: MomentClass,
     q = cls.q
 
     # sup over x of |m_alpha| for every alpha 0..q, per eps, from the
-    # moments of a row of members (moments_upto's, bit for bit)
+    # moments of a row of members (moments_upto's, bit for bit), taken in
+    # blocks: a transformed row holds about ten arrays of its nodes at once
     sup_m = np.zeros((len(eps_grid), q + 1))
     mass_dev = 0.0
     for ie, e in enumerate(eps_grid.tolist()):
-        centers, radii, fn = _member_rows(path, e, xs)
-        pts, w = _grid_rows(centers, radii, n)
-        v = fn(pts)  # a new array: weighted in place
-        v *= w
-        ms = _moment_sums(v, pts, q)
+        ms = []
+        for k in _row_blocks(len(xs), 10 * (_node_count(n) + 1)):
+            centers, radii, fn = _member_rows(path, e, xs[k])
+            pts, w = _grid_rows(centers, radii, n)
+            v = fn(pts)  # a new array: weighted in place
+            v *= w
+            ms.append(_moment_sums(v, pts, q))
+        ms = np.concatenate(ms)
         _first_nan(ms, e, xs, path.member_id)
         sup_m[ie] = np.abs(ms).max(axis=0)
         mass_dev = max(mass_dev, *np.abs(ms[:, 0] - 1.0))

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -365,7 +366,8 @@ class TestD1Form:
 
     @staticmethod
     def counted_squared_mass(calls):
-        """The counterexample representative, its inner calls recorded."""
+        """The counterexample representative, its inner calls recorded by
+        x and its inner's d_1 calls as "d1"."""
         rep = ExpExpRepresentative(squared_mass_inner(1024), omega=OMEGA)
         inner = rep.inner
 
@@ -373,104 +375,88 @@ class TestD1Form:
             calls.append(x)
             return inner(phi, x)
 
+        def d1(phi, psi):
+            calls.append("d1")
+            return inner.d1(phi, psi)
+
+        counted.d1 = d1
         rep.inner = counted
         return rep
 
-    def test_x_independent_row_probes_one_point(self):
-        """The squared-mass inner ignores x: each row costs one point."""
+    def test_log_rows_read_I_and_each_d1_once(self):
+        """The squared-mass inner and its d_1 read phi alone: each row
+        costs I once and d_1 I once per direction, whatever K holds."""
         bat = make_battery("static", 0, 2, seed=6)
         dirs = perturbation_directions(2, seed=5)
         one_point = dataclasses.replace(self.D1_SPEC, K=self.D1_SPEC.K[:1])
         calls, per_point = [], []
-        rep = self.counted_squared_mass(calls)
-        assert rep.x_independent
-        d1_form_test(rep, bat, dirs, 2, self.D1_SPEC)
+        d1_form_test(self.counted_squared_mass(calls), bat, dirs, 2,
+                     self.D1_SPEC)
         d1_form_test(self.counted_squared_mass(per_point), bat, dirs, 2,
                      one_point)
-        # I(phi) once, and phi +- t psi for each of the two directions
-        assert len(per_point) == 5 * len(bat) * len(self.D1_SPEC.eps)
+        assert calls == [-1.0, "d1", "d1"] * len(bat) * len(self.D1_SPEC.eps)
         assert calls == per_point
 
-    def test_x_independent_verdicts_bit_identical(self):
-        """Same verdicts as an unflagged inner probed at every point."""
-        bat = make_battery("static", 0, 2, seed=6)
-        dirs = perturbation_directions(2, seed=5)
-        flagged = ExpExpRepresentative(squared_mass_inner(1024), omega=OMEGA)
-        calls = []
-
-        def plain_inner(phi, x):
-            calls.append(x)
-            return flagged.inner(phi, x)
-
-        plain = ExpExpRepresentative(plain_inner, omega=OMEGA)
-        assert flagged.x_independent and not plain.x_independent
-        got = d1_form_test(flagged, bat, dirs, 2, self.D1_SPEC)
-        want = d1_form_test(plain, bat, dirs, 2, self.D1_SPEC)
-        assert len(calls) == 5 * len(bat) * len(self.D1_SPEC.eps) * \
-            len(self.D1_SPEC.K)
-        assert (got.N, got.passed) == (want.N, want.passed)
-        assert len(got.verdicts) == len(want.verdicts) == 5 * len(bat)
-        for a, b in zip(got.verdicts, want.verdicts, strict=True):
-            assert (a.member_id, a.kind, a.n_zero) == \
-                (b.member_id, b.kind, b.n_zero)
-            assert (a.slope, a.intercept, a.residual) == \
-                (b.slope, b.intercept, b.residual)
-            np.testing.assert_array_equal(a.local_slopes, b.local_slopes)
-
-    def test_pullback_drops_x_independence(self):
+    def test_pulled_back_log_channel_has_no_d1_rows(self):
+        """A pulled-back inner depends on x and has no exact d_1: its log
+        channel sweeps k = 0, and k >= 1 raises."""
         rep = ExpExpRepresentative(squared_mass_inner(1024), omega=OMEGA)
         mu = get_diffeo("sin-bend", OMEGA)
         pulled = rep.compose_pullback(pullback_pair_transform(mu), None)
-        assert rep.x_independent and not pulled.x_independent
+        assert hasattr(rep.inner, "d1") and not hasattr(pulled.inner, "d1")
+        bat = make_battery("static", 0, 1, seed=6)
+        dirs = perturbation_directions(2, seed=5)
+        for k_max in (1, 2):
+            with pytest.raises(ValueError, match="no d_1 rows"):
+                d1_form_test(pulled, bat, dirs, k_max, self.D1_SPEC)
+        assert len(d1_form_test(pulled, bat, dirs, 0, self.D1_SPEC).series) \
+            == 1
 
     def test_shared_terms_sum_like_log_abs_d1(self):
-        """Each tuple summed from one pass over the directions equals the
-        straight per-tuple loop bit for bit, an exactly-zero d_1 I included."""
+        """Each tuple summed from I and the d_1 I read once per row equals
+        log_abs_d1 on that tuple, and k I + sum log |2 int phi psi_j|, bit
+        for bit; an exactly-zero d_1 I gives -inf."""
         rep = ExpExpRepresentative(squared_mass_inner(1024), omega=OMEGA)
-
-        def straight(phi, x, directions, rel_step=1e-4):
-            ival = rep.inner(phi, x)
-            acc = len(directions) * ival
-            for psi in directions:
-                t = rel_step * max(phi.sup_abs(), 1e-30) / \
-                    max(psi.sup_abs(), 1e-30)
-                up = rep.inner(tf_lincomb([1.0, t], [phi, psi]), x)
-                dn = rep.inner(tf_lincomb([1.0, -t], [phi, psi]), x)
-                di = (up - dn) / (2.0 * t)
-                if di == 0.0:
-                    return -np.inf
-                acc += float(np.log(abs(di)))
-            return acc
-
+        bat = make_battery("static", 0, 1, seed=6)
         zero = TestFunction(0.0, 0.5, np.zeros_like)
-        for eps in (0.5, 2.0**-6):
-            phi = scale(make_battery("static", 0, 1, seed=6)[0](), eps)
-            dirs = [scale(d, eps) for d in perturbation_directions(2, seed=5)]
-            dirs.append(zero)
-            ival, logs = rep.log_abs_d1_terms(phi, 0.0, dirs)
-            assert logs[2] == -np.inf
-            for idx in [(0,), (1,), (0, 0), (0, 1), (2,), (0, 2)]:
-                want = straight(phi, 0.0, [dirs[i] for i in idx])
-                got = rep.log_abs_d1_from_terms(ival, [logs[i] for i in idx])
-                assert got == want
-                assert rep.log_abs_d1(phi, 0.0, [dirs[i] for i in idx]) == want
+        dirs = [perturbation_directions(1, seed=5)[0], zero]
+        report = d1_form_test(rep, bat, dirs, 2, self.D1_SPEC)
+        tuples = [(0,), (1,), (0, 0), (0, 1)]
+        for j, e in enumerate(self.D1_SPEC.eps.tolist()):
+            phi = scale(bat[0](), e)
+            psis = [scale(d, e) for d in dirs]
+            for ser, idx in zip(report.series[1:], tuples, strict=True):
+                want = rep.log_abs_d1(phi, 0.0, [psis[i] for i in idx])
+                assert ser.values[j] == want / asy.LN2
+                if 1 in idx:
+                    assert want == -np.inf
+                else:
+                    straight = len(idx) * rep.inner(phi, 0.0)
+                    for i in idx:
+                        straight += float(np.log(abs(
+                            rep.inner.d1(phi, psis[i]))))
+                    assert want == straight
 
-    @pytest.mark.parametrize("x_independent", [True, False])
-    def test_log_channel_is_checked_on_U_Omega(self, x_independent):
+    @pytest.mark.parametrize("exact_d1", [True, False])
+    def test_log_channel_is_checked_on_U_Omega(self, exact_d1):
         """The log channel raises where test_moderate raises on the same
-        members, for the x-independent inner and for a plain x-dependent
-        wrapper of it: its checked calls would."""
+        members: with the squared-mass inner at k_max = 2; with a plain
+        wrapper of it, which has no exact d_1, at k_max = 0, while
+        k_max >= 1 raises ``ValueError`` up front."""
         inner = squared_mass_inner(1024)
-        if not x_independent:
+        if not exact_d1:
             inner = (lambda f: lambda phi, x: f(phi, x))(inner)
         rep = ExpExpRepresentative(inner, omega=Box.interval(-0.5, 0.5))
-        assert rep.x_independent == x_independent
         bat = make_battery("static", 0, 2, 6)
         dirs = perturbation_directions(2, 5)
         with pytest.raises(DomainError, match="x=-1.0") as moderate:
             asy.test_moderate(rep, bat, self.D1_SPEC)
+        if not exact_d1:
+            for k_max in (1, 2):
+                with pytest.raises(ValueError, match="no d_1 rows"):
+                    d1_form_test(rep, bat, dirs, k_max, self.D1_SPEC)
         with pytest.raises(DomainError) as d1:
-            d1_form_test(rep, bat, dirs, 2, self.D1_SPEC)
+            d1_form_test(rep, bat, dirs, 2 if exact_d1 else 0, self.D1_SPEC)
         assert str(d1.value) == str(moderate.value)
 
     def test_reused_row_keeps_the_domain_check(self):
@@ -487,7 +473,78 @@ class TestD1Form:
         rep = self.counted_squared_mass(calls)
         with pytest.raises(DomainError, match=r"eps=0\.25, x=0\.5"):
             d1_form_test(rep, [path], dirs, 2, self.D1_SPEC)
-        assert len(calls) == 5
+        assert calls == [-1.0, "d1", "d1"]
+
+
+class TestExactD1:
+    """The squared-mass inner's exact d_1 on the d1-form scenario's seed-7
+    static members and directions, at eps = 2^-2..2^-12 and n = 1024."""
+
+    BATTERY = make_battery("static", 0, 4, seed=13)
+    DIRECTIONS = perturbation_directions(2, seed=12)
+    I_MAX = 12
+    inner = staticmethod(squared_mass_inner(1024))
+    cases = pytest.mark.parametrize(
+        "member,i", list(itertools.product(range(4), range(2, I_MAX + 1))))
+
+    def scaled(self, member, eps):
+        return (scale(self.BATTERY[member](), eps),
+                [scale(psi, eps) for psi in self.DIRECTIONS])
+
+    @cases
+    def test_d1_is_linear_in_the_direction(self, member, i):
+        phi, (p0, p1) = self.scaled(member, 2.0**-i)
+        d0, d1 = self.inner.d1(phi, p0), self.inner.d1(phi, p1)
+        for a, b in ((1.0, 1.0), (0.7, -1.3), (-2.5, 0.0)):
+            got = self.inner.d1(phi, tf_lincomb([a, b], [p0, p1]))
+            assert abs(got - (a * d0 + b * d1)) <= \
+                1e-14 * (abs(a * d0) + abs(b * d1))
+
+    @cases
+    def test_d1_agrees_with_the_central_quotient(self, member, i):
+        """The quotient of I at phi +- t psi, t = 1e-4 sup|phi| / sup|psi|,
+        is 2 int phi psi in exact arithmetic: I is quadratic."""
+        phi, psis = self.scaled(member, 2.0**-i)
+        for psi in psis:
+            t = 1e-4 * phi.sup_abs() / psi.sup_abs()
+            up = self.inner(tf_lincomb([1.0, t], [phi, psi]), 0.0)
+            dn = self.inner(tf_lincomb([1.0, -t], [phi, psi]), 0.0)
+            want = (up - dn) / (2.0 * t)
+            assert abs(self.inner.d1(phi, psi) - want) <= 1e-9 * abs(want)
+
+    @staticmethod
+    def probed_log_tables(rep, battery, directions, spec):
+        """Per member and tuple, the sup over K of log_abs_d1 in log2 at
+        every point (0 for k = 0), in d1_form_test's order."""
+        tuples = [(), (0,), (1,), (0, 0), (0, 1)]
+        tables = []
+        for path in battery:
+            phi0 = path(1.0, 0.0)
+            rows = []
+            for e in spec.eps.tolist():
+                sphi = scale(phi0, e)
+                psis = [scale(psi, e) for psi in directions]
+                rows.append([max(rep.log_abs_d1(sphi, x, [psis[i] for i in idx])
+                                 / asy.LN2 for x in spec.K.tolist())
+                             for idx in tuples])
+            tables += [np.array(col) for col in zip(*rows)]
+        return tables
+
+    def test_log_abs_d1_is_the_d1_form_row(self):
+        """Each log table is, bit for bit, the sup over K of log_abs_d1
+        probed at every point, and so is each verdict."""
+        spec = SweepSpec(i_min=2, i_max=self.I_MAX, K=np.linspace(-1, 1, 5),
+                         alphas=(0,), fit_window=4)
+        rep = ExpExpRepresentative(self.inner, omega=OMEGA)
+        got = d1_form_test(rep, self.BATTERY, self.DIRECTIONS, 2, spec)
+        want = self.probed_log_tables(rep, self.BATTERY, self.DIRECTIONS,
+                                      spec)
+        assert len(got.series) == len(want) == 5 * len(self.BATTERY)
+        for ser, v, table in zip(got.series, got.verdicts, want, strict=True):
+            assert ser.values.tobytes() == table.tobytes()
+            w = fit_order(dataclasses.replace(ser, values=table), 4)
+            assert (v.kind, v.n_zero, v.slope, v.intercept, v.residual) == \
+                (w.kind, w.n_zero, w.slope, w.intercept, w.residual)
 
 
 class TestD1FormSharedDirections:

@@ -211,36 +211,58 @@ class TestD1Derivative:
         psi = tf_lincomb([1.0, -1.0], [moll0, moll2])
         assert d1_derivative(rep, moll0, 0.2, [psi, psi]) == 0.0
 
+    def test_linear_checks_phi_then_each_direction(self, moll0, moll2):
+        """A linear representative's d_1 tests (phi, x) on U(Omega) first,
+        as rep(phi, x) does, and then each direction, at every order."""
+        rep = embed_C(DiracDerivative(0), omega=Box.interval(-1.5, 1.5))
+        psi = tf_lincomb([1.0, -1.0], [build_mollifier(0, radius=0.3),
+                                       build_mollifier(2, radius=0.3)])
+        assert abs(psi.mass()) <= 1e-10
+        for x in (0.9, 5.0):
+            with pytest.raises(DomainError) as value:
+                rep(moll0, x)
+            for dirs in ([psi], [psi, psi]):
+                with pytest.raises(DomainError) as d1:
+                    d1_derivative(rep, moll0, x, dirs)
+                assert str(d1.value) == str(value.value)
+        # phi admitted at x = 1.1, a wide direction not: it raises as rep
+        phi, wide = scale(moll0, 0.25), tf_lincomb([1.0, -1.0], [moll0, moll2])
+        assert rep.in_domain(phi, 1.1) and rep.in_domain(psi, 1.1)
+        with pytest.raises(DomainError) as value:
+            rep(wide, 1.1)
+        for dirs in ([wide], [psi, wide], [wide, psi]):
+            with pytest.raises(DomainError) as d1:
+                d1_derivative(rep, phi, 1.1, dirs)
+            assert str(d1.value) == str(value.value)
+
     def test_squared_mass_chain_rule(self, moll0, moll2):
-        """R(phi,x) = (int phi)^2 has d1 R(phi)(psi) = 2(int phi)(int psi)."""
+        """R(phi,x) = (int phi)^2 is neither linear nor phi-independent:
+        d1_derivative has no exact d_1 for it and raises."""
         rep = Representative(lambda phi, x: moment(phi, 0)**2, linear=False)
         psi = tf_lincomb([1.0, -1.0], [moll0, moll2])
-        got = d1_derivative(rep, moll0, 0.0, [psi])
-        assert abs(got) <= 1e-8
+        with pytest.raises(ValueError, match="no d_1 rows"):
+            d1_derivative(rep, moll0, 0.0, [psi])
 
     @pytest.mark.parametrize("f", [np.sin, lambda x: np.inf],
                              ids=["sin", "inf"])
-    def test_phi_independent_skips_the_perturbations(self, f, moll0, moll2,
-                                                     monkeypatch):
-        """A representative that ignores phi gives the quotient's bits
-        (+0.0, or NaN from a value that is not finite) without building a
-        perturbation, and still checks the perturbations' domain."""
+    def test_phi_independent_skips_the_perturbations(self, f, moll0, moll2):
+        """A representative that ignores phi gives v - v (+0.0, or NaN from
+        a value that is not finite) and checks the domain of the box
+        covering phi and the directions; unflagged, it has no d_1."""
         om = Box.interval(-1.5, 1.5)
         flagged = embed_sigma(f, omega=om)
         plain = Representative(flagged.eval_fn, omega=om)
         assert flagged.phi_independent and not plain.phi_independent
         phi = scale(moll0, 0.25)
         psi = tf_lincomb([1.0, -1.0], [moll0, moll2])  # zero mass, radius 1
+        v = f(0.3)
         for dirs in ([psi], [psi, scale(psi, 0.5)]):
-            want = d1_derivative(plain, phi, 0.3, dirs)
-            monkeypatch.setattr(basic_space, "tf_lincomb", None)
             got = d1_derivative(flagged, phi, 0.3, dirs)
-            monkeypatch.undo()
-            assert np.array(got).tobytes() == np.array(want).tobytes()
-            with pytest.raises(DomainError):
-                d1_derivative(plain, phi, 0.6, dirs)
+            assert np.array(got).tobytes() == np.array(v - v).tobytes()
             with pytest.raises(DomainError):
                 d1_derivative(flagged, phi, 0.6, dirs)
+            with pytest.raises(ValueError, match="no d_1 rows"):
+                d1_derivative(plain, phi, 0.3, dirs)
 
     def test_nonzero_mass_direction_rejected(self, moll0, moll2):
         rep = embed_C(DiracDerivative(0))
@@ -272,6 +294,7 @@ class TestDjDerivative:
 
     def test_constant_representative_vanishes(self, moll0):
         rep = Representative(lambda phi, x: 1.0, formalism="J", linear=False)
+        rep.phi_independent = True
         assert Dj_derivative(rep, moll0, 0.1) == pytest.approx(0.0, abs=1e-9)
 
 
