@@ -9,12 +9,18 @@ values: the parameters of public module-level functions and of the public
 methods and ``__init__`` of public classes (``self`` and ``cls`` left out),
 plus the fields of public dataclasses; then how many of those values have a
 default; then the line count of each module, ``src lines <file>: N``, so a
-change shows where its lines went.  A name is public when it does not start
-with an underscore.  Only the standard library's ``ast`` reads the sources;
-nothing is imported.
+change shows where its lines went.  Last come the code lines, the lines
+that are not blank, not only a comment and not part of a docstring, in
+total (``src code lines: N``) and per module (``src code lines <file>:
+N``): deleting a comment or a docstring changes the raw count, not this
+one.  A name is public when it does not start with an underscore.  Only
+the standard library's ``ast`` and ``tokenize`` read the sources; nothing
+is imported.
 """
 
 import ast
+import io
+import tokenize
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "gfn_lab"
@@ -65,18 +71,47 @@ def settable_values(tree: ast.Module) -> list:
     return out
 
 
+def code_lines(text: str) -> int:
+    """The number of lines of ``text`` that hold a token other than a
+    comment or a docstring (the first statement of a module, class or
+    function body, when it is a string)."""
+    tree = ast.parse(text)
+    docs = set()
+    for node in ast.walk(tree):
+        body = getattr(node, "body", None)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and body and \
+                isinstance(body[0], ast.Expr) and \
+                isinstance(body[0].value, ast.Constant) and \
+                isinstance(body[0].value.value, str):
+            docs.add((body[0].lineno, body[0].col_offset))
+    skip = (tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+            tokenize.DEDENT, tokenize.ENDMARKER)
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type in skip or (tok.type == tokenize.STRING
+                                and tok.start in docs):
+            continue
+        lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines)
+
+
 def main() -> int:
-    lines = {}
+    lines, code = {}, {}
     values = []
     for path in sorted(SRC.glob("*.py")):
         text = path.read_text()
         lines[path.name] = len(text.splitlines())
+        code[path.name] = code_lines(text)
         values += settable_values(ast.parse(text))
     print(f"src lines: {sum(lines.values())}")
     print(f"settable public values: {len(values)}")
     print(f"with a default: {sum(d for _, d in values)}")
     for name, count in lines.items():
         print(f"src lines {name}: {count}")
+    print(f"src code lines: {sum(code.values())}")
+    for name, count in code.items():
+        print(f"src code lines {name}: {count}")
     return 0
 
 

@@ -622,11 +622,8 @@ def counterexample_scenario(mu, path, spec: SweepSpec, eps_battery: Sequence,
     """
     rep = ExpExpRepresentative(squared_mass_inner(quad_n))
 
-    # modulus check straight from the log channel, plus direct small-I probes
-    probe = path(1.0, 0.0)
-    dev = abs(math.exp(rep.log_abs(probe, 0.0)) - 1.0)
-    small = abs(rep(probe, 0.0))
-    dev = max(dev, abs(small - 1.0))
+    # modulus check by a direct small-I probe; a NaN fails it
+    dev = abs(abs(rep(path(1.0, 0.0), 0.0)) - 1.0)
 
     untrans = test_moderate(rep, eps_battery, replace(spec, alphas=(0,)))
 
@@ -665,10 +662,20 @@ def write_rows(path, header: Sequence[str], rows) -> str:
     return path
 
 
+def _unique_keys(items: Sequence) -> Sequence:
+    """``items`` (series or verdicts), after raising ``ValueError`` if two
+    share a (member_id, alpha): a table row would not say which it is."""
+    keys = [(it.member_id, it.alpha) for it in items]
+    if len(set(keys)) < len(keys):
+        raise ValueError(f"repeated (member_id, alpha) among {keys}")
+    return items
+
+
 def write_sweep_csv(path, series_list: Sequence[SweepSeries]):
-    """Per-sweep table: epsilon, alpha, member_id, sup_value_or_log, local_slope."""
+    """Per-sweep table: epsilon, alpha, member_id, sup_value_or_log,
+    local_slope; a repeated (member_id, alpha) raises ``ValueError``."""
     rows = []
-    for ser in series_list:
+    for ser in _unique_keys(series_list):
         lv = ser.log2_values()
         le = np.log2(ser.eps)
         for j, (e, v) in enumerate(zip(ser.eps, ser.values)):
@@ -683,10 +690,11 @@ def write_sweep_csv(path, series_list: Sequence[SweepSeries]):
 
 def emit_plotdata(path, series_list: Sequence[SweepSeries],
                   verdicts: Sequence[AsymptoticVerdict]):
-    """log2-eps vs log2-value series with the fitted line coefficients."""
-    vmap = {(v.member_id, v.alpha): v for v in verdicts}
+    """log2-eps vs log2-value series with the fitted line coefficients; a
+    repeated (member_id, alpha) raises ``ValueError``."""
+    vmap = {(v.member_id, v.alpha): v for v in _unique_keys(verdicts)}
     rows = []
-    for ser in series_list:
+    for ser in _unique_keys(series_list):
         v = vmap.get((ser.member_id, ser.alpha))
         for e, val in zip(np.log2(ser.eps), ser.log2_values()):
             rows.append((ser.member_id, ser.alpha, float(e), float(val),

@@ -125,9 +125,6 @@ class ExpExpRepresentative(Representative):
 
         super().__init__(ev, formalism="C", linear=False, omega=omega)
 
-    def log_abs(self, phi: TestFunction, x) -> float:
-        return 0.0
-
     def log_abs_dx(self, inner_section: Callable[[float], float], x: float,
                    h: float) -> float:
         """log |d/dx R| = I(x) + log |I'(x)|, I' by central differences.
@@ -175,14 +172,15 @@ class ExpExpRepresentative(Representative):
 
 def embed_C(w: Distribution, omega: Optional[Box] = None,
             n: Optional[int] = None) -> Representative:
-    """iota in the C-formalism: (phi, x) -> <w, phi(. - x)>."""
+    """iota in the C-formalism: (phi, x) -> <w, phi(. - x)>.  Every kind
+    but a pullback gets ``pair_row`` as its row, so a sweep over a
+    coefficient-form path builds no member."""
 
     def ev(phi, x):
         return pair(w, phi, n, shift=x)
 
     rep = Representative(ev, formalism="C", linear=True, omega=omega)
-    if w.kind == "heaviside" or hasattr(getattr(w, "f", None), "form") or \
-            w.kind == "dirac" and w.order == 0:  # what pair_row pairs
+    if w.kind != "pullback":
         rep.row = lambda member, xs: pair_row(w, *member, xs, n)
     return rep
 

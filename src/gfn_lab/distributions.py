@@ -15,8 +15,8 @@ import numpy as np
 from . import numdiff
 from .testfunc import (DEFAULT_NODES, DomainError, TestFunction,
                        _lincomb_samples, _row_blocks, _weighted_sum,
-                       falling_factorial, scale, shifted_frame, tf_lincomb,
-                       translate, union_box)
+                       falling_factorial, shifted_frame, translate,
+                       union_box)
 
 #: maximum Dirac-derivative order handled by the Richardson stencils
 K_MAX = numdiff.MAX_ORDER
@@ -89,26 +89,15 @@ def _simpson(vals: np.ndarray, h: float):
                       + 2.0 * vals[..., 2:-1:2].sum(axis=-1))
 
 
-def _psi_derivative_at(psi: TestFunction, a: float, order: int) -> float:
-    if order == 0:
-        return psi(a)
-    # walk down exact derivative closures while they exist; the remaining
-    # numeric step then has the lowest possible stencil order
-    if order > 1 and psi.dfn is not None:
-        return _psi_derivative_at(psi.derivative(), a, order - 1)
-    step = numdiff.DEFAULT_STEP[order] * psi.radius
-    return float(numdiff.richardson_derivative(
-        lambda t: psi(t), a, order=order, base_step=step, levels=2))
-
-
 def _by_terms(form: tuple, tf, a: float, b, d: float, n: int):
     """<f, tf((. - b - d) / a) / a> for f of closed ``form``: a combination
     pairs each term tb((. - s) / r) / r at scale a r and offset d + a s, and
     any other function pairs by an addition theorem on its own grid, from
     its cached moments (per n) or C, S = <cos, sin(a . + d), tf> (per a, d,
-    n).  b is kept from d: b + d, rounded, moves a sine near its zeros.
-    ``tf`` may be the (coeffs, terms) of a combination, with coefficients
-    per shift of an array b: each shift pairs by its operations alone."""
+    n).  b, an array of shifts, is kept from d: b + d, rounded, moves a
+    sine near its zeros.  ``tf`` may be the (coeffs, terms) of a
+    combination, with coefficients per shift: each shift pairs by its
+    operations alone."""
     terms = tf if isinstance(tf, tuple) else tf._terms
     if terms is not None:
         total = 0.0
@@ -133,10 +122,7 @@ def _by_terms(form: tuple, tf, a: float, b, d: float, n: int):
             pb.append(pb[-1] * (b + d))
         return p * sum(math.comb(q, j) * pa[j] * pb[q - j] * sums[j]
                        for j in range(q + 1))
-    if isinstance(b, np.ndarray):  # libm per shift, as for one shift
-        sb, cb = (np.array([*map(g, b)]) for g in (math.sin, math.cos))
-    else:
-        sb, cb = math.sin(b), math.cos(b)
+    sb, cb = (np.array([*map(g, b)]) for g in (math.sin, math.cos))  # libm
     C, S = sums
     return p * (sb * C + cb * S) + q * (cb * C - sb * S)
 
@@ -145,92 +131,93 @@ def pair(w: Distribution, psi: TestFunction, n: Optional[int] = None,
          shift: float = 0.0):
     """The pairing <w, psi(. - shift)>.
 
-    The result is bit for bit ``pair(w, translate(psi, shift), n)``, the
-    exact cancellations of ``translate`` included.  A smooth density reads
-    the frame (base, a, b) of the translate from ``shifted_frame`` and
-    builds no translated function.  One of closed form (a ``form`` on its
-    evaluator, as on every ``SMOOTH_CHAINS`` link) pairs by addition
-    theorems on the base's terms (``_by_terms``); an opaque one integrates
-    over the support grid xi of the base, against its cached samples,
-    <f, psi(. - shift)> = sum_j w_j f(a xi_j + b) base(xi_j).  Densities
-    are real: a complex-valued f raises numpy's casting ``TypeError``.  A
-    Dirac of order 0 at a point off the translate's support box, and a
-    Heaviside whose box lies in x <= 0, pair to +0.0 without building the
-    translate: ``TestFunction`` is exactly zero outside that box, so only
-    the sign of a zero can differ.  A Heaviside whose box lies in x >= 0 integrates the
-    whole translate, which is the integral of the base: composite Simpson
-    on the base's cached samples, again without building the translate.
-    Every other case pairs with the translate (the function itself when the
-    shift cancels).  Dirac derivatives use Richardson-extrapolated central
-    differences on the exact evaluator; the Heaviside integrals use
-    composite Simpson, since a box that straddles 0 gives an integrand that
-    is not flat at the cut point, and only that box builds a fresh grid, on
-    [0, hi].
+    A pullback pairs through ``classical_pullback`` of the translate
+    ``translate(psi, shift)``.  Every other kind is ``pair_row``'s row of
+    one member: the base of the translate's frame (base, a, b), read from
+    ``shifted_frame`` without building the translate, at eps = a and
+    offset b.  The result is bit for bit that of the translate itself, the
+    exact cancellations of ``translate`` included, but for the sign of a
+    zero.
     """
-    if n is None:
-        n = DEFAULT_NODES
-    (base, a, b), center, radius, same = shifted_frame(psi, shift)
-
-    if w.kind == "smooth":
-        if hasattr(w.f, "form"):
-            return float(_by_terms(w.f.form, base, a, b, 0.0, n))
-        xi, wt, samples = base.samples_on(base, n)  # shared, read-only
-        arg = a * xi
-        arg += b
-        vals = np.multiply(w.f(arg), samples, out=arg)  # arg is ours
-        return float(np.dot(wt, vals))
-
-    if (w.kind == "dirac" and w.order == 0
-            and abs(w.position - center) > radius) or \
-            (w.kind == "heaviside" and center + radius <= 0.0):
-        return 0.0
-    if w.kind == "heaviside" and center - radius >= 0.0:
-        lo, hi = base.box
-        return _simpson(base.samples_on(base, n)[2], (hi - lo) / n)
-    psi = same if same is not None else translate(psi, shift)
-
-    if w.kind == "dirac":
-        sign = -1.0 if w.order % 2 else 1.0
-        return sign * _psi_derivative_at(psi, w.position, w.order)
-
-    if w.kind == "heaviside":  # the box straddles 0
-        hi = center + radius
-        return _simpson(psi.fn(np.linspace(0.0, hi, n + 1)), hi / n)
-
     if w.kind == "pullback":
-        return classical_pullback(w.mu, w.base, psi, n)
-
-    raise TypeError(f"unknown distribution kind {w.kind!r}")
+        return classical_pullback(w.mu, w.base, translate(psi, shift), n)
+    (base, a, b), _ = shifted_frame(psi, shift)
+    return float(pair_row(w, np.array([[1.0]]), (base,), a, [b], n)[0])
 
 
 def pair_row(w: Distribution, coeffs: np.ndarray, terms: tuple, eps: float,
              xs: list, n: Optional[int] = None) -> np.ndarray:
-    """``pair(w, scale(tf_lincomb(coeffs[:, k], terms), eps), n,
-    shift=xs[k])`` for each k, bit for bit, for a closed-form density
-    (by terms), delta or the Heaviside.  As in ``pair``: delta is eps^-1
-    sum_j c_j t_j((position - x) / eps) on the box; a Heaviside over a box
-    in x >= 0 is Simpson on the terms' samples, summed per member, and one
-    that straddles 0 is paired alone; the rest are +0.0."""
+    """<w, psi_k(. - xs[k])> for the members psi_k = S_eps
+    tf_lincomb(coeffs[:, k], terms), each k: the lab's one pairing, for
+    every kind but the pullback; it builds no member, and a kind it cannot
+    pair raises ``TypeError``.
+
+    Member k's translate is eps^-1 sum_j c_j t_j((p - b_k) / eps), with
+    b_k = 0.0 + xs[k], on the box c eps + b_k +- r eps, (c, r) the terms'
+    ``union_box``.  A density of closed form (a ``form`` on its evaluator,
+    as on every ``SMOOTH_CHAINS`` link) pairs by addition theorems on the
+    terms (``_by_terms``); an opaque one integrates over the terms' union
+    grid xi, sum_i w_i f(eps xi_i + b_k) psi(xi_i) with psi the
+    combination's samples, and a complex-valued f raises numpy's casting
+    ``TypeError``.  delta^(k) is (-1)^k psi_k^(k)(position): the evaluator
+    itself for k = 0, read only at the members whose box holds the
+    position (the others pair to +0.0), and Richardson-extrapolated
+    central differences for k >= 1, after one exact derivative level when
+    k > 1 and every term has a ``dfn``.  A Heaviside pairs to +0.0 over a
+    box in x <= 0, to composite Simpson on the summed samples over a box
+    in x >= 0, and to Simpson on [0, hi] of the evaluator over a box that
+    straddles 0, since its integrand is not flat at the cut point.  The
+    members that need such work of their own (Dirac points and straddling
+    boxes) are evaluated one at a time, on numpy scalars or one grid.
+    """
     n = DEFAULT_NODES if n is None else n
     b = 0.0 + np.array(xs)  # the offsets of the translates' frames
-    if w.kind == "smooth":
+    if w.kind == "smooth" and hasattr(w.f, "form"):
         return _by_terms(w.f.form, (coeffs, terms), eps, b, 0.0, n)
+    if w.kind == "smooth":
+        out = np.empty(len(b))
+        for k in _row_blocks(len(b), 4 * (n + 1)):
+            xi, wt, rows = _lincomb_samples(coeffs[:, k], terms, n)
+            arg = eps * xi + b[k, None]
+            vals = np.multiply(w.f(arg), rows, out=arg)  # arg is ours
+            out[k] = [np.dot(wt, v) for v in vals]
+        return out
+    if w.kind not in ("dirac", "heaviside"):
+        raise TypeError(f"no pairing of distribution kind {w.kind!r}")
     c, r = union_box(terms)  # the members' box
-    center, radius = c * eps + b, r * eps  # the translates' boxes
+    centers, radius = (c * eps + b).tolist(), r * eps  # the translates'
+    exact = w.kind == "dirac" and w.order > 1 and \
+        all(t.dfn is not None for t in terms)  # one exact level first
+    fns = [t.dfn if exact else t.fn for t in terms]
+    fac = eps ** -1 / eps if exact else eps ** -1
+
+    def member(k):  # fac sum_j c_j fns_j((p - b_k) / eps), translate k's
+        f, bk = _weighted_sum(coeffs[:, k].tolist(), fns), b[k]
+        return lambda p: fac * f((p - bk) / eps)
+
+    out, whole = np.zeros(len(b)), []
     if w.kind == "dirac":
-        p = (w.position - b) / eps
-        acc = _weighted_sum(coeffs, [t.fn for t in terms])(p)
-        return np.where(np.abs(w.position - center) > radius, 0.0,
-                        eps ** -1 * acc)
-    out, zero = np.zeros(len(b)), center + radius <= 0.0
-    inside = ~zero & (center - radius >= 0.0)
-    whole = np.flatnonzero(inside)
+        p, order = w.position, w.order - exact
+        sign = -1.0 if w.order % 2 else 1.0
+        for k, ck in enumerate(centers):
+            if order:
+                out[k] = sign * numdiff.richardson_derivative(
+                    member(k), p, order, numdiff.DEFAULT_STEP[order] * radius,
+                    levels=2)
+            elif not abs(p - ck) > radius:  # the box holds the position
+                out[k] = member(k)(p)
+        return out
+    for k, ck in enumerate(centers):
+        hi = ck + radius
+        if hi <= 0.0:
+            continue  # +0.0
+        if ck - radius >= 0.0:
+            whole.append(k)
+        else:  # the box straddles 0: Simpson on [0, hi]
+            out[k] = _simpson(member(k)(np.linspace(0.0, hi, n + 1)), hi / n)
     for k in _row_blocks(len(whole), 2 * (n + 1)):  # the sum, one product
         rows = _lincomb_samples(coeffs[:, whole[k]], terms, n)[2]
         out[whole[k]] = _simpson(rows, ((c + r) - (c - r)) / n)
-    for k in np.flatnonzero(~zero & ~inside):
-        out[k] = pair(w, scale(tf_lincomb(coeffs[:, k], terms), eps), n,
-                      shift=xs[k])
     return out
 
 

@@ -196,8 +196,8 @@ def _scn_mollifier(cfg: ScenarioConfig, outdir: str):
         for k in range(1, q + 1):
             mk, dbl = moment(phi, k, return_error=True)
             rows.append((q, k, mk, dbl))
-            worst = max(worst, abs(mk))
-            worst_dbl = max(worst_dbl, dbl)
+            worst = np.maximum(worst, abs(mk))  # keeps a NaN, which fails
+            worst_dbl = np.maximum(worst_dbl, dbl)
         if q >= 1:
             _a(records, f"q{q}-moments", worst, "<=1e-10", worst <= 1e-10)
         _a(records, f"q{q}-doubled-grid", worst_dbl, "<=1e-11",
@@ -235,10 +235,12 @@ def _scn_embed_order(cfg: ScenarioConfig, outdir: str):
 
     records, series_all, verdicts_all = [], [], []
     for i, fname in enumerate(fnames):
-        for q in qs:
+        for q in qs:  # both defects sweep the same members: label them
             rep = moderate[q][i]
-            series_all += rep.series
-            verdicts_all += rep.verdicts
+            series_all += [replace(ser, member_id=f"{fname}|{ser.member_id}")
+                           for ser in rep.series]
+            verdicts_all += [replace(v, member_id=f"{fname}|{v.member_id}")
+                             for v in rep.verdicts]
             worst = min(v.slope for v in rep.verdicts)
             _a(records, f"{fname}-q{q}-order", worst, f">={q + 1 - 0.2}",
                worst >= q + 1 - 0.2)
@@ -356,7 +358,7 @@ def _scn_moment_invariance(cfg: ScenarioConfig, outdir: str):
                     if tr.domain.contains(e, x):
                         masses.append(abs(tr(e, x).mass(n=quad_n) - 1.0))
                 _a(records, f"{name}-q{q}-{path.member_id}-mass",
-                   max(masses), "<=1e-9", max(masses) <= 1e-9)
+                   np.max(masses), "<=1e-9", np.max(masses) <= 1e-9)
                 z = check_Z_requirements(tr, L, eps0, beta_max=3, n_eps=4)
                 _a(records, f"{name}-q{q}-{path.member_id}-Z",
                    f"radius {z.radius_observed:.3g}", "all clauses",
@@ -397,7 +399,6 @@ def _scn_jform_commute(cfg: ScenarioConfig, outdir: str):
     rng = np.random.default_rng(cfg.seed)
     cases = [("delta", DiracDerivative(0)), ("delta1", DiracDerivative(1)),
              ("heaviside", Heaviside()), ("sin", smooth_density("sin"))]
-    worst_all = 0.0
     for fname, F in cases:
         repJ = embed_J(F, n=cfg.quad_n)
         repdF = embed_J(derivative(F), n=cfg.quad_n)
@@ -413,9 +414,8 @@ def _scn_jform_commute(cfg: ScenarioConfig, outdir: str):
             rhs = repdF(phi, x)
             err = abs(lhs - rhs)
             rows.append((fname, x, float(abs(lhs)), float(err)))
-            worst = max(worst, float(err))
+            worst = np.maximum(worst, float(err))  # keeps a NaN, which fails
         _a(records, f"commute-{fname}", worst, "<=1e-8", worst <= 1e-8)
-        worst_all = max(worst_all, worst)
 
     # formalism round trip, bit level
     base = embed_J(DiracDerivative(0))
@@ -427,7 +427,7 @@ def _scn_jform_commute(cfg: ScenarioConfig, outdir: str):
                                     center=(rng.random() - 0.5) * 0.3),
                     0.3 + 0.7 * rng.random())
         x = float((rng.random() - 0.5) * 1.6)
-        worst_rt = max(worst_rt, abs(rt(phi, x) - base(phi, x)))
+        worst_rt = np.maximum(worst_rt, abs(rt(phi, x) - base(phi, x)))
     _a(records, "roundtrip-bit-identical", worst_rt, "==0", worst_rt == 0.0)
     p = asy.write_rows(os.path.join(outdir, "jform-commute_probes.csv"),
                     ["distribution", "x", "abs_value", "abs_error"], rows)
@@ -483,7 +483,7 @@ def _scn_pullback_functor(cfg: ScenarioConfig, outdir: str):
     for _ in range(50):
         p = scale(phi, 0.1 + 0.5 * rng.random())
         x = float((rng.random() - 0.5) * 1.6)
-        worst = max(worst, abs(pb(p, x) - R(p, x)))
+        worst = np.maximum(worst, abs(pb(p, x) - R(p, x)))  # keeps a NaN
     _a(records, "identity-bit-identical", worst, "==0", worst == 0.0)
 
     mu = get_diffeo("affine-2x", om)
@@ -496,7 +496,7 @@ def _scn_pullback_functor(cfg: ScenarioConfig, outdir: str):
         x = float(-1.0 + 0.7 * rng.random())
         err = abs(comp(p, x) - seq(p, x))
         rows.append(("functoriality", x, float(err)))
-        worst = max(worst, float(err))
+        worst = np.maximum(worst, float(err))
     _a(records, "functoriality", worst, "<=1e-9", worst <= 1e-9)
 
     for name in ("affine-2x", "sin-bend", "cubic"):
@@ -510,7 +510,7 @@ def _scn_pullback_functor(cfg: ScenarioConfig, outdir: str):
                 x = float((rng.random() - 0.5) * 0.6)
                 err = abs(lhs(p, x) - rhs(p, x))
                 rows.append((f"embed-{name}-{uname}", x, float(err)))
-                worst = max(worst, float(err))
+                worst = np.maximum(worst, float(err))
             _a(records, f"embed-commutes-{name}-{uname}", worst, "<=1e-8",
                worst <= 1e-8)
     p = asy.write_rows(os.path.join(outdir, "pullback-functor_probes.csv"),

@@ -466,8 +466,8 @@ def scale(tf: TestFunction, eps: float) -> TestFunction:
 
 
 def shifted_frame(tf: TestFunction, x: float) -> tuple:
-    """The frame, center and radius of ``translate(tf, x)`` without building
-    it: ``((base, a, b), center, radius, same)``.
+    """The frame of ``translate(tf, x)`` without building it: ``((base, a,
+    b), same)``, which ``pair`` reads.
 
     ``same`` is the existing function that the translate is, when the shift
     cancels exactly, else None.  Stacked shifts fold into the frame's
@@ -484,8 +484,8 @@ def shifted_frame(tf: TestFunction, x: float) -> tuple:
         base, a, b = tf.frame
         b = b + shift
         if b != same.frame[2]:
-            return (base, a, b), base.center * a + b, base.radius * a, None
-    return same.frame, same.center, same.radius, same
+            return (base, a, b), None
+    return same.frame, same
 
 
 def translate(tf: TestFunction, x: float) -> TestFunction:
@@ -497,7 +497,7 @@ def translate(tf: TestFunction, x: float) -> TestFunction:
     formalism is bit-identical also for members that are themselves
     translates.
     """
-    frame, _, _, same = shifted_frame(tf, x)
+    frame, same = shifted_frame(tf, x)
     if same is not None:
         return same
     out = _framed(*frame)

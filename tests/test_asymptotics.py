@@ -738,6 +738,16 @@ class TestCounterexample:
         ratio, = [a for a in res.assertions if a.name == "slope-ratio"]
         assert ratio.observed == "nan" and not ratio.passed
 
+    def test_a_nan_modulus_fails(self, tmp_path, monkeypatch):
+        """A NaN value of R is no evidence of |R| = 1: modulus-one reads
+        it and fails, where a running max(0, NaN) kept the 0."""
+        monkeypatch.setattr(ExpExpRepresentative, "__call__",
+                            lambda self, phi, x: complex(math.nan))
+        res = run_scenario(ScenarioConfig("counterexample", seed=7,
+                                          out=str(tmp_path)))
+        mod, = [a for a in res.assertions if a.name == "modulus-one"]
+        assert mod.observed == "nan" and not mod.passed
+
     def test_overflowing_probe_raises(self):
         """A probe whose I passes 700 gives no evidence of |R| = 1: the
         modulus check raises, naming I, instead of passing."""
@@ -750,6 +760,22 @@ class TestCounterexample:
                          alphas=(1,), fit_window=9)
         with pytest.raises(FloatingPointError, match=r"I = 1382\.\d"):
             counterexample_scenario(mu, src, spec, eps_bat, quad_n=1024)
+
+
+class TestRunningWorsts:
+    def test_a_nan_commutator_fails_jform_commute(self, tmp_path,
+                                                  monkeypatch):
+        """A NaN derivative fails each commute check with observed nan,
+        where a running max kept the errors before it."""
+        from gfn_lab import scenarios
+        monkeypatch.setattr(scenarios, "Dj_derivative",
+                            lambda rep, phi, x: math.nan)
+        res = run_scenario(ScenarioConfig("jform-commute", seed=7,
+                                          out=str(tmp_path)))
+        commute = [a for a in res.assertions
+                   if a.name.startswith("commute-")]
+        assert len(commute) == 4
+        assert all(a.observed == "nan" and not a.passed for a in commute)
 
 
 class TestCSV:
@@ -791,3 +817,45 @@ class TestCSV:
         write_sweep_csv(p1, sweep(rep, bat[0], spec))
         write_sweep_csv(p2, sweep(rep, bat[0], spec))
         assert open(p1, "rb").read() == open(p2, "rb").read()
+
+    def test_a_repeated_member_and_alpha_raises(self, tmp_path):
+        """Two series, or two verdicts, with one (member_id, alpha) would
+        be rows no reader can tell apart, and the plot data would give
+        both the later fit."""
+        ser = series_from(EPS**2)
+        other = dataclasses.replace(ser, values=EPS**3)
+        with pytest.raises(ValueError, match="repeated"):
+            write_sweep_csv(tmp_path / "s.csv", [ser, other])
+        verdicts = [fit_order(ser, 6), fit_order(other, 6)]
+        with pytest.raises(ValueError, match="repeated"):
+            emit_plotdata(tmp_path / "p.csv", [ser, other], verdicts[:1])
+        with pytest.raises(ValueError, match="repeated"):
+            emit_plotdata(tmp_path / "p.csv", [ser], verdicts)
+        relabeled = dataclasses.replace(other, alpha=1)
+        write_sweep_csv(tmp_path / "s.csv", [ser, relabeled])
+
+    def test_embed_order_plotdata_carries_each_series_own_fit(self,
+                                                              tmp_path):
+        """Both embed-order defects sweep the same members; each plotted
+        series is labelled by its defect and carries the fit of its own
+        swept values."""
+        cfg = ScenarioConfig("embed-order", seed=0, q=1, battery_count=2,
+                             k_points=11, out=str(tmp_path))
+        run_scenario(cfg)
+        window = cfg.sweep_bounds("moderate")[2]
+        swept = {}
+        for row in csv.DictReader(open(tmp_path / "embed-order_sweep.csv")):
+            key = (row["member_id"], int(row["alpha"]))
+            swept.setdefault(key, []).append(
+                (float(row["epsilon"]), float(row["sup_value_or_log"])))
+        assert {m.split("|")[0] for m, _ in swept} == {"sin", "x4"}
+        plotted = list(csv.DictReader(
+            open(tmp_path / "embed-order_plotdata.csv")))
+        assert {(r["member_id"], int(r["alpha"])) for r in plotted} == \
+            set(swept)
+        for row in plotted:
+            key = (row["member_id"], int(row["alpha"]))
+            eps, values = map(np.array, zip(*swept[key]))
+            own = fit_order(SweepSeries(key[0], key[1], eps, values), window)
+            assert (float(row["fit_slope"]), float(row["fit_intercept"])) \
+                == (own.slope, own.intercept), key

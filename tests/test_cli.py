@@ -199,8 +199,9 @@ class TestCliSurface:
 
     def test_surface_from_a_fresh_checkout(self, tmp_path):
         """scripts/surface.py runs without PYTHONPATH or an install, counts
-        the src/ lines as wc -l does, in total and per module, and at most
-        every value has a default."""
+        the src/ lines as wc -l does, in total and per module, and the code
+        lines, which sum to their total and never exceed a module's lines;
+        at most every value has a default."""
         root = Path(__file__).resolve().parent.parent
         env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
         res = subprocess.run([sys.executable,
@@ -217,8 +218,37 @@ class TestCliSurface:
         names = [p.name for p in (root / "src" / "gfn_lab").glob("*.py")]
         assert sorted(modules) == sorted(f"src lines {n}" for n in names)
         assert sum(modules.values()) == lines
+        code = {k[len("src code lines "):]: int(v) for k, v in got.items()
+                if k.startswith("src code lines ")}
+        assert sorted(code) == sorted(names)
+        assert sum(code.values()) == int(got["src code lines"]) > 0
+        assert all(0 < v <= modules[f"src lines {k}"] for k, v in code.items())
         assert 0 < int(got["with a default"]) \
             <= int(got["settable public values"])
+
+    def test_code_lines_leave_out_blanks_comments_and_docstrings(
+            self, monkeypatch):
+        monkeypatch.syspath_prepend(
+            str(Path(__file__).resolve().parent.parent / "scripts"))
+        import surface
+        src = '''"""Module
+docstring."""
+
+# a comment
+X = """a string
+that is code"""  # trailing comment
+
+
+class C:
+    """Class docstring."""
+
+    def f(self, a,
+          b):
+        """One line."""
+        return (a +
+                b)
+'''
+        assert surface.code_lines(src) == 2 + 1 + 2 + 2
 
     def test_surface_counts_public_parameters_and_fields(self, monkeypatch):
         monkeypatch.syspath_prepend(
