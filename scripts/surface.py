@@ -15,11 +15,14 @@ total (``src code lines: N``) and per module (``src code lines <file>:
 N``): deleting a comment or a docstring changes the raw count, not this
 one.  A name is public when it does not start with an underscore.  Only
 the standard library's ``ast`` and ``tokenize`` read the sources; nothing
-is imported.
+is imported.  A reader that closes the pipe early (``| head -1``) ends the
+run quietly, with status 1.
 """
 
 import ast
 import io
+import os
+import sys
 import tokenize
 from pathlib import Path
 
@@ -116,4 +119,10 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    try:
+        status = main()
+        sys.stdout.flush()  # here, not at exit, where it cannot be caught
+    except BrokenPipeError:  # the reader is gone, as after ``| head -1``
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    raise SystemExit(status)

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .basic_space import (ExpExpRepresentative, Representative, _check_tangent,
-                          pullback_pair_transform, sub)
+                          sub)
 from .numdiff import _CENTRAL, MAX_ORDER, central_difference, stencil_halfwidth
 from .testfunc import (Q_CAP, DomainError, TestFunction, _grid_rows,
                        _lincomb_samples, _row_blocks, _weighted_sum, scale,
@@ -165,7 +165,8 @@ def _insertion_row(channels: tuple, alpha: int, K: np.ndarray):
     The points before it are evaluated: by ``rep.row`` (a log channel's
     ``rep.inner.row``) on a coefficient-form path, else by ``rep.eval_fn``
     (``rep.inner``) on each member S_eps path(eps, y).  Log channels yield
-    log2 magnitudes: 0 at alpha = 0, since |R| = 1, and ``log_abs_dx`` at 1.
+    log2 magnitudes: 0 at alpha = 0, since |R| = 1, and at alpha = 1
+    ``log_abs_dx`` of the row's I values at x and x +- h, in one call.
     """
     if alpha > 1 and any(rep.has_log_channel for rep, _ in channels):
         raise ValueError("log-channel sweeps support first x-derivatives only")
@@ -219,9 +220,7 @@ def _insertion_row(channels: tuple, alpha: int, K: np.ndarray):
                     weights[key] = np.array(path.weights(eps, yl))
                 vals = row_fn((weights[key], path.terms, eps), yl)
             if rep.has_log_channel:  # I at x and x +- h
-                section = dict(zip(yl, vals)).__getitem__
-                out[i] = [rep.log_abs_dx(section, x, h) / LN2
-                          for x in xs[:j]]
+                out[i] = rep.log_abs_dx(*np.reshape(vals, (j, 3)).T, h) / LN2
             else:  # the stencil's rows, in the order central_difference reads
                 at = iter(np.asarray(vals).reshape(j, len(pts)).T)
                 out[i] = np.abs(central_difference(lambda _: next(at), X[:j],
@@ -428,7 +427,7 @@ def d1_form_test(rep: Representative, battery: Sequence,
     and its d_1^2 is 0; a phi-independent R's d_1^k = v - v is the channel
     of R - R on the path over phi and the psi_j, whose box at eps = 2^-i
     is the one ``d1_derivative`` checks; a log channel's d_1 is
-    ``log_abs_d1`` after the member's U(Omega) test, with I and each
+    ``log_abs_d1`` after the member's U(Omega) test, of I and each
     ``inner.d1`` read once per row, since the inner reads phi alone.  Other
     R, and a log channel whose inner has no ``d1``, raise ``ValueError``
     for k_max >= 1.
@@ -464,19 +463,12 @@ def d1_form_test(rep: Representative, battery: Sequence,
     def row(member_row, phi0, eps, n):  # the member's rows, then R's k >= 1
         out, fail = member_row(eps, n)
         j = out.shape[1]
-        if log and tuples and j:  # each tuple summed as log_abs_d1 sums it
+        if log and tuples and j:  # I and each d_1 I once per row
             sphi = scale(phi0, eps)
             ival = rep.inner(sphi, float(K[0]))
             dis = [rep.inner.d1(sphi, scale(psi, eps)) for psi in directions]
-            more = []
-            for idx in tuples:
-                acc = len(idx) * ival
-                for i in idx:
-                    if dis[i] == 0.0:
-                        acc = -np.inf
-                        break
-                    acc += float(np.log(abs(dis[i])))
-                more.append(acc / LN2)
+            more = [rep.log_abs_d1(ival, [dis[i] for i in idx]) / LN2
+                    for idx in tuples]
             more = np.broadcast_to(np.array(more)[:, None], (len(tuples), j))
         elif linear:
             if (eps, j) not in dir_rows:
@@ -508,15 +500,15 @@ def d1_form_test(rep: Representative, battery: Sequence,
 
 
 def squared_mass_inner(quad_n: int):
-    """inner(phi, x) = integral of |phi|^2 over the support box, on
+    """inner(phi, x) = integral of |phi|^2 over phi's support box, on
     ``quad_n`` panels.
 
-    A dyadic rescale of an untranslated function, frame (base, 2^-i, 0), is
-    integrated over the base's cached samples and multiplied by 2^i.
-    Scaling by a power of two commutes with rounding, so this is the
-    quadrature on the scaled support bit for bit; every other frame is
-    integrated directly.  ``inner.row((coeffs, terms, eps), ys)`` is that
-    branch on a sweep row's members at once, for a sweep's eps = 2^-i.
+    ``inner.row((coeffs, terms, eps), ys)`` is ``inner`` on a sweep row's
+    members at once: the sum over the terms' cached samples, times
+    eps^-1.  For a sweep's eps = 2^-i this is the quadrature on the scaled
+    support bit for bit, since scaling by a power of two commutes with
+    rounding.  ``inner.pulled_row(mu)`` is the row of ``inner`` pulled back
+    along ``mu``.
 
     I is quadratic in phi, so its directional derivative is exact:
     ``inner.d1(phi, psi)`` = 2 integral of phi psi, on ``quad_n`` panels of
@@ -525,13 +517,8 @@ def squared_mass_inner(quad_n: int):
     n = int(quad_n)
 
     def inner(phi: TestFunction, x) -> float:
-        base, a, b = phi.frame
-        if b == 0.0 and a <= 1.0 and math.frexp(a)[0] == 0.5:
-            _, wt, v = base.samples_on(base, n)
-            return float(np.dot(wt, np.abs(v) ** 2)) * a ** -1
         pts, w = support_grid(phi, n)
-        v = phi.fn(pts)
-        return float(np.dot(w, np.abs(v) ** 2))
+        return float(np.dot(w, np.abs(phi.fn(pts)) ** 2))
 
     def d1(phi: TestFunction, psi: TestFunction) -> float:
         pts, w = support_grid(TestFunction(*union_box([phi, psi]), None), n)
@@ -548,12 +535,11 @@ def squared_mass_inner(quad_n: int):
 
     def pulled_row(mu):
         """``row`` of ``inner`` pulled back along ``mu``, as
-        ``compose_pullback(pullback_pair_transform(mu), ...)`` evaluates
-        it at each (S_eps phi, y), bit for bit: inner(chi, mu(y)) with
+        ``ExpExpRepresentative.compose_pullback(mu, ...)`` evaluates it at
+        each (S_eps phi, y), bit for bit: inner(chi, mu(y)) with
         chi = P(. + mu(y)), P = (psi o mu^{-1}) |det D mu^{-1}| and
-        psi = S_eps phi(. - y), on chi's own grid (at mu(y) = 0, chi = P
-        takes the samples branch, and the bits agree), with every
-        member's inverse in one call."""
+        psi = S_eps phi(. - y), on chi's own grid, with every member's
+        inverse in one call."""
         if mu.is_identity:  # the translates cancel: chi = S_eps phi
             return row
 
@@ -619,17 +605,17 @@ def counterexample_scenario(mu, path, spec: SweepSpec, eps_battery: Sequence,
     magnitude is exp(I_eps) |dI_eps/dx| with I_eps ~ c/eps, so its log table
     has local slopes growing without bound: the super-polynomial verdict.
     All of this runs in log space; the raw value would overflow at once.
+    R lives on mu's target set ``mu.omega_dst`` and its pullback on
+    ``mu.omega_src``, so a probe outside either raises ``DomainError``.
     """
-    rep = ExpExpRepresentative(squared_mass_inner(quad_n))
+    rep = ExpExpRepresentative(squared_mass_inner(quad_n), mu.omega_dst)
 
     # modulus check by a direct small-I probe; a NaN fails it
     dev = abs(abs(rep(path(1.0, 0.0), 0.0)) - 1.0)
 
     untrans = test_moderate(rep, eps_battery, replace(spec, alphas=(0,)))
 
-    pulled = rep.compose_pullback(pullback_pair_transform(mu), None)
-    # mu reaches the row directly: the transform evaluates one point
-    pulled.inner.row = rep.inner.pulled_row(mu)
+    pulled = rep.compose_pullback(mu, mu.omega_src)
     ser = replace(sweep(pulled, path, replace(spec, alphas=(1,)))[0],
                   member_id=f"{path.member_id}|{mu.name}")
     verdict = fit_order(ser, spec.fit_window)

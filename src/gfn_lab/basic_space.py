@@ -84,9 +84,11 @@ class Representative:
                 f"(phi, x) with x={x!r}, support B({phi.center}, "
                 f"{phi.radius:g}) is outside U(Omega)")
 
-    def compose_pullback(self, transform,
+    def compose_pullback(self, mu,
                          omega_src: Optional[Box]) -> "Representative":
-        """Representative (phi~, x~) -> self(transform(phi~, x~))."""
+        """Representative (phi~, x~) -> self(T(phi~, x~)), T the transform
+        ``pullback_pair_transform(mu)``, on ``omega_src``."""
+        transform = pullback_pair_transform(mu)
 
         def ev(phi_t, x_t):
             chi, y = transform(phi_t, x_t)
@@ -107,7 +109,9 @@ class ExpExpRepresentative(Representative):
     identically, and the magnitudes of x- or phi-derivatives are I + log |dI|.
     The phi-derivatives need the inner's exact directional derivative
     ``inner.d1(phi, psi)``, which ``squared_mass_inner`` provides; an inner
-    with ``d1`` reads phi alone, not x.
+    with ``d1`` reads phi alone, not x.  Sweeps read I on a row of members
+    by ``inner.row`` where set; ``log_abs_dx`` and ``log_abs_d1`` turn I's
+    values into log magnitudes.
     """
 
     has_log_channel = True
@@ -125,44 +129,47 @@ class ExpExpRepresentative(Representative):
 
         super().__init__(ev, formalism="C", linear=False, omega=omega)
 
-    def log_abs_dx(self, inner_section: Callable[[float], float], x: float,
-                   h: float) -> float:
-        """log |d/dx R| = I(x) + log |I'(x)|, I' by central differences.
+    def log_abs_dx(self, ival, up, dn, h: float):
+        """log |d/dx R| = I(x) + log |I'(x)| from the values ``ival``, ``up``
+        and ``dn`` of I at x, x + h and x - h (floats or arrays, taken
+        elementwise), I' by their central difference.
 
         A difference below the rounding noise of the inner evaluations is
         indistinguishable from zero; reporting it would multiply noise by
-        exp(I).  Such points count as exact zeros (-inf)."""
-        ival = inner_section(x)
-        up = inner_section(x + h)
-        dn = inner_section(x - h)
+        exp(I).  Such points count as exact zeros (-inf).  A NaN among the
+        three values gives NaN."""
         di = (up - dn) / (2.0 * h)
-        noise = 8.0 * np.finfo(float).eps * max(abs(up), abs(dn), 1.0) / (2.0 * h)
-        if abs(di) <= noise:
-            return -np.inf
-        return ival + float(np.log(abs(di)))
+        noise = 8.0 * np.finfo(float).eps * np.maximum(
+            np.maximum(np.abs(up), np.abs(dn)), 1.0) / (2.0 * h)
+        with np.errstate(divide="ignore"):  # log 0 lies below the noise
+            logs = np.where(np.abs(di) <= noise, -np.inf, np.log(np.abs(di)))
+        return ival + logs  # a NaN I at x stays NaN, also below the noise
 
-    def log_abs_d1(self, phi: TestFunction, x, directions) -> float:
-        """log |d_1^k R(phi,x)(psi_1..psi_k)| ~ k I + sum log |d_1 I(psi_j)|,
-        summed in that order, with d_1 I from ``inner.d1``; -inf if one
-        d_1 I is exactly 0.
+    def log_abs_d1(self, ival: float, d1s) -> float:
+        """log |d_1^k R(phi,x)(psi_1..psi_k)| ~ k I + sum log |d_1 I(psi_j)|
+        from I = ``ival`` and the values ``d1s`` of d_1 I(psi_j), added in
+        that order; -inf if one d_1 I is exactly 0.
 
         Exact up to O(e^{-I}) corrections, which is the regime of interest.
         """
-        acc = len(directions) * self.inner(phi, x)
-        dis = [self.inner.d1(phi, psi) for psi in directions]
-        for di in dis:  # not sum(), which compensates from Python 3.12 on
+        acc = len(d1s) * ival
+        for di in d1s:  # not sum(), which compensates from Python 3.12 on
             if di == 0.0:
                 return -np.inf
             acc += float(np.log(abs(di)))
         return acc
 
-    def compose_pullback(self, transform, omega_src):
-        base_inner = self.inner
+    def compose_pullback(self, mu, omega_src):
+        """The pullback of I along ``mu``; an inner with a ``pulled_row``
+        gives the pulled inner its ``row``."""
+        transform, base_inner = pullback_pair_transform(mu), self.inner
 
         def inner2(phi_t, x_t):
             chi, y = transform(phi_t, x_t)
             return base_inner(chi, y)
 
+        if hasattr(base_inner, "pulled_row"):
+            inner2.row = base_inner.pulled_row(mu)
         return ExpExpRepresentative(inner2, omega=omega_src)
 
 

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .asymptotics import _first_nan
-from .basic_space import FormalismError, Representative, pullback_pair_transform
+from .basic_space import FormalismError, Representative
 from .test_objects import TestObjectPath, _member_rows
 from .testfunc import Box, DomainError, TestFunction, _grid_rows
 
@@ -242,11 +242,12 @@ def pullback_rep(mu: Diffeomorphism, rep: Representative) -> Representative:
 
     The transformed test function is opaque, supported on the exact image
     of its source box (``Diffeomorphism.image_box``); a log-magnitude
-    channel on R is transported along.
+    channel on R is transported along, with the pulled row of an inner that
+    has one (``squared_mass_inner``), so its sweeps build no member.
     """
     if rep.formalism != "C":
         raise FormalismError("pullback acts on C-formalism representatives")
-    return rep.compose_pullback(pullback_pair_transform(mu), mu.omega_src)
+    return rep.compose_pullback(mu, mu.omega_src)
 
 
 class PartialDomain:

@@ -394,7 +394,6 @@ def _scn_counterexample(cfg: ScenarioConfig, outdir: str):
 
 
 def _scn_jform_commute(cfg: ScenarioConfig, outdir: str):
-    om = cfg.omega_box
     records, rows = [], []
     rng = np.random.default_rng(cfg.seed)
     cases = [("delta", DiracDerivative(0)), ("delta1", DiracDerivative(1)),

@@ -422,10 +422,10 @@ def _summed_samples(coeffs, terms: tuple, owner: TestFunction, n: int,
     the terms' cached samples (``samples_on``), in a new array; every
     product after the first goes through one buffer."""
     xi, wt, first = terms[0].samples_on(owner, n, nodes)
-    vals = coeffs[0] * first
-    buf = np.empty_like(vals)
+    vals, buf = coeffs[0] * first, None  # the buffer comes with the 2nd term
     for c, t in zip(coeffs[1:], terms[1:]):
-        vals += np.multiply(c, t.samples_on(owner, n, (xi, wt))[2], out=buf)
+        buf = np.multiply(c, t.samples_on(owner, n, (xi, wt))[2], out=buf)
+        vals += buf
     return xi, wt, vals
 
 

@@ -14,8 +14,7 @@ from gfn_lab.asymptotics import (SweepSeries, SweepSpec,
                                  emit_plotdata, fit_order, sweep,
                                  squared_mass_inner, write_sweep_csv)
 from gfn_lab.basic_space import (ExpExpRepresentative, Representative,
-                                 d1_derivative, embed_C, embed_sigma, mul,
-                                 pullback_pair_transform, sub)
+                                 d1_derivative, embed_C, embed_sigma, mul, sub)
 from gfn_lab.diffeo import get_diffeo, identity_map, pullback_rep
 from gfn_lab.distributions import DiracDerivative, smooth_density
 from gfn_lab.scenarios import ScenarioConfig, run_scenario
@@ -402,7 +401,7 @@ class TestD1Form:
         channel sweeps k = 0, and k >= 1 raises."""
         rep = ExpExpRepresentative(squared_mass_inner(1024), omega=OMEGA)
         mu = get_diffeo("sin-bend", OMEGA)
-        pulled = rep.compose_pullback(pullback_pair_transform(mu), None)
+        pulled = rep.compose_pullback(mu, None)
         assert hasattr(rep.inner, "d1") and not hasattr(pulled.inner, "d1")
         bat = make_battery("static", 0, 1, seed=6)
         dirs = perturbation_directions(2, seed=5)
@@ -426,7 +425,8 @@ class TestD1Form:
             phi = scale(bat[0](), e)
             psis = [scale(d, e) for d in dirs]
             for ser, idx in zip(report.series[1:], tuples, strict=True):
-                want = rep.log_abs_d1(phi, 0.0, [psis[i] for i in idx])
+                want = rep.log_abs_d1(rep.inner(phi, 0.0), [
+                    rep.inner.d1(phi, psis[i]) for i in idx])
                 assert ser.values[j] == want / asy.LN2
                 if 1 in idx:
                     assert want == -np.inf
@@ -524,9 +524,9 @@ class TestExactD1:
             for e in spec.eps.tolist():
                 sphi = scale(phi0, e)
                 psis = [scale(psi, e) for psi in directions]
-                rows.append([max(rep.log_abs_d1(sphi, x, [psis[i] for i in idx])
-                                 / asy.LN2 for x in spec.K.tolist())
-                             for idx in tuples])
+                rows.append([max(rep.log_abs_d1(rep.inner(sphi, x), [
+                    rep.inner.d1(sphi, psis[i]) for i in idx]) / asy.LN2
+                    for x in spec.K.tolist()) for idx in tuples])
             tables += [np.array(col) for col in zip(*rows)]
         return tables
 
@@ -737,6 +737,13 @@ class TestCounterexample:
                                           out=str(tmp_path)))
         ratio, = [a for a in res.assertions if a.name == "slope-ratio"]
         assert ratio.observed == "nan" and not ratio.passed
+
+    def test_a_point_outside_omega_raises(self, tmp_path):
+        """The configured Omega holds: K = [-1, 1] reaches past (-0.9, 0.9),
+        so the run raises instead of passing on points outside it."""
+        with pytest.raises(DomainError):
+            run_scenario(ScenarioConfig("counterexample", omega=(-0.9, 0.9),
+                                        out=str(tmp_path)))
 
     def test_a_nan_modulus_fails(self, tmp_path, monkeypatch):
         """A NaN value of R is no evidence of |R| = 1: modulus-one reads

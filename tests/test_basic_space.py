@@ -1,7 +1,10 @@
 """Embeddings, the C/J translation, algebra operations and derivatives."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gfn_lab import basic_space, distributions
 from gfn_lab.basic_space import (Dj_derivative, ExpExpRepresentative,
@@ -327,8 +330,54 @@ class TestExpExpRepresentative:
         rep = ExpExpRepresentative(lambda phi, x: 1e4)
         with pytest.raises(FloatingPointError, match="I = 10000"):
             rep(moll0, 0.0)
-        got = rep.log_abs_dx(lambda x: 1e4 + x, 0.0, 1e-3)
+        got = rep.log_abs_dx(1e4, 1e4 + 1e-3, 1e4 - 1e-3, 1e-3)
         assert got == pytest.approx(1e4, abs=1e-6)
+
+    @staticmethod
+    def log_abs_dx_per_point(ival, up, dn, h):
+        """The per-point formula of log_abs_dx, kept as the reference."""
+        di = (up - dn) / (2.0 * h)
+        noise = 8.0 * np.finfo(float).eps * max(abs(up), abs(dn), 1.0) \
+            / (2.0 * h)
+        if abs(di) <= noise:
+            return -np.inf
+        return ival + float(np.log(abs(di)))
+
+    I_VALUES = st.one_of(st.floats(-5.0, 5.0), st.floats(700.0, 1e5))
+
+    @settings(max_examples=300, deadline=None)
+    @given(points=st.lists(st.tuples(
+        I_VALUES, I_VALUES,  # I(x), I(x - h)
+        st.sampled_from([0.0, 1e-16, 1e-14, 1e-12, 1e-9, 1e-3, 1.0]),
+        st.integers(-3, 3),  # I(x + h) - I(x - h) in units of max(|I|, 1)
+        st.sampled_from([None, 0, 1, 2])), min_size=1, max_size=8),
+        i=st.integers(2, 20))
+    @example(points=[(1e4, 1e4, 1e-16, 1, None), (2.0, 3.0, 1e-3, 2, None),
+                     (2.0, 3.0, 0.0, 0, 0), (2.0, 3.0, 1e-3, 1, 1),
+                     (800.0, 900.0, 1e-3, -1, 2)], i=9)
+    def test_log_abs_dx_on_arrays_is_the_per_point_formula(self, points, i):
+        """Elementwise on arrays, and on floats, the per-point formula's
+        floats: at the -inf noise floor and above I = 700.  A NaN among the
+        three values gives NaN, so that a sweep's NaN check raises; the
+        reference dropped a NaN I(x) below the floor as -inf."""
+        h = 2.0**-i * 2.0**-7
+        rep = ExpExpRepresentative(squared_mass_inner(1024))
+        rows = []
+        for ival, dn, unit, k, nan in points:
+            row = [ival, dn + k * unit * max(abs(dn), 1.0), dn]
+            if nan is not None:
+                row[nan] = math.nan
+            rows.append(row)
+        got = rep.log_abs_dx(*np.array(rows).T, h)
+        for g, row in zip(got.tolist(), rows, strict=True):
+            want = self.log_abs_dx_per_point(*row, h)
+            one = float(rep.log_abs_dx(*row, h))
+            if not any(map(math.isnan, row)):
+                assert g == want == one
+            else:
+                assert math.isnan(g) and math.isnan(one)
+                assert math.isnan(want) or math.isnan(row[0]) and \
+                    want == -np.inf
 
     def test_d1_log_magnitude_matches_analytic(self, moll0, moll2):
         """log |d1 R(phi)(psi)| = I + log |2 int phi psi| for the squared
@@ -340,5 +389,5 @@ class TestExpExpRepresentative:
         cross = oracle_trapezoid(lambda t: moll0.fn(t) * psi.fn(t),
                                  -1.0, 1.0, 16384)
         expect = ival + np.log(abs(2.0 * cross))
-        got = rep.log_abs_d1(moll0, 0.0, [psi])
+        got = rep.log_abs_d1(ival, [inner.d1(moll0, psi)])
         assert got == pytest.approx(expect, abs=1e-5)

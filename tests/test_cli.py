@@ -226,6 +226,21 @@ class TestCliSurface:
         assert 0 < int(got["with a default"]) \
             <= int(got["settable public values"])
 
+    def test_surface_is_quiet_when_its_reader_closes_the_pipe(self):
+        """A reader gone before the first line, as after ``| head -1``,
+        ends the run with no traceback on standard error."""
+        script = Path(__file__).resolve().parent.parent / "scripts" / \
+            "surface.py"
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to the pipe now fails
+        try:
+            res = subprocess.run([sys.executable, str(script)],
+                                 stdout=write_end, stderr=subprocess.PIPE,
+                                 text=True, timeout=60)
+        finally:
+            os.close(write_end)
+        assert res.stderr == ""
+
     def test_code_lines_leave_out_blanks_comments_and_docstrings(
             self, monkeypatch):
         monkeypatch.syspath_prepend(

@@ -9,11 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gfn_lab import asymptotics as asy, test_objects, testfunc
+from gfn_lab import asymptotics as asy, basic_space, test_objects, testfunc
 from gfn_lab.asymptotics import (SweepSpec, _insertion_row,
                                  squared_mass_inner, sweep)
-from gfn_lab.basic_space import (ExpExpRepresentative, embed_C,
-                                 pullback_pair_transform)
+from gfn_lab.basic_space import ExpExpRepresentative, embed_C
 from gfn_lab.diffeo import (Z_XI_SAMPLES, PartialDomain,
                             check_Z_requirements, compose, get_diffeo,
                             sin_bend_map, transform_test_object)
@@ -266,7 +265,7 @@ class TestPulledBackLogRow:
     def test_row_equals_the_pulled_back_inner_per_point(self, name):
         mu = named_map(name)
         rep = ExpExpRepresentative(squared_mass_inner(1024))
-        pulled = rep.compose_pullback(pullback_pair_transform(mu), None)
+        pulled = rep.compose_pullback(mu, None)
         row = rep.inner.pulled_row(mu)
         path = make_battery("eps_path", 0, 1, 7)[0]
         K = np.linspace(-1.0, 1.0, 11).tolist()  # 0.0 is in K
@@ -282,13 +281,13 @@ class TestPulledBackLogRow:
         """The sweep reaches the row with mu itself, not through the
         transform closure, which a traced run wraps."""
         calls = []
-        make = asy.pullback_pair_transform
+        make = basic_space.pullback_pair_transform
 
         def wrapped(mu):
             transform = make(mu)
             return lambda *args: calls.append(1) or transform(*args)
 
-        monkeypatch.setattr(asy, "pullback_pair_transform", wrapped)
+        monkeypatch.setattr(basic_space, "pullback_pair_transform", wrapped)
         spec = SweepSpec(4, 14, np.linspace(-1.0, 1.0, 11), (1,), 11)
         path = make_battery("eps_path", 0, 1, 7)[0]
         report = asy.counterexample_scenario(
@@ -393,7 +392,6 @@ class TestRowBlocks:
         assert inner.row((coeffs, path.terms, eps), K) == \
             [inner(scale(path(eps, x), eps), x) for x in K]
         mu = get_diffeo("cubic", OMEGA)
-        pulled = ExpExpRepresentative(inner).compose_pullback(
-            pullback_pair_transform(mu), None).inner
+        pulled = ExpExpRepresentative(inner).compose_pullback(mu, None).inner
         assert inner.pulled_row(mu)((coeffs, path.terms, eps), K) == \
             [pulled(scale(path(eps, x), eps), x) for x in K]

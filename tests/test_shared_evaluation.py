@@ -18,12 +18,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from gfn_lab import asymptotics as asy, numdiff
+from gfn_lab import asymptotics as asy, basic_space, numdiff
 from gfn_lab.asymptotics import SweepSpec
 from gfn_lab.basic_space import (ExpExpRepresentative, Representative,
                                  d1_derivative, embed_C, embed_sigma, mul,
                                  sub)
-from gfn_lab.diffeo import PartialDomain
+from gfn_lab.diffeo import PartialDomain, get_diffeo, pullback_rep
 from gfn_lab.distributions import (SMOOTH_CHAINS, DiracDerivative, Heaviside,
                                    SmoothDensity, pair, smooth_density)
 from gfn_lab.test_objects import (TestObjectPath, make_battery,
@@ -602,9 +602,8 @@ def squared_mass_direct(phi, n):
 
 
 class TestSquaredMassFromSamples:
-    """The squared-mass inner reads a dyadic rescale of an untranslated
-    function from the base's cached samples, bit for bit the quadrature on
-    the scaled support; every other frame is integrated directly."""
+    """The squared-mass inner integrates every frame on its own support
+    grid; its row reads the terms' cached samples."""
 
     @settings(max_examples=150, deadline=None)
     @given(i=st.integers(0, 20),
@@ -630,8 +629,6 @@ class TestSquaredMassFromSamples:
         base, a, b = phi.frame
         assert (a, b) in ((eps, 0.0), (1.0, 0.0))
         got = asy.squared_mass_inner(n)(phi, x)
-        assert base._cache["grid"][0] == \
-            (base.center, base.radius, n)
         assert got == squared_mass_direct(phi, n)
 
     def test_other_frames_are_integrated_directly(self):
@@ -653,8 +650,9 @@ class TestSquaredMassFromSamples:
             del base.samples_on
 
     def test_full_path_terms_once_across_log_abs_dx_rows(self):
-        """The counterexample's first x-derivative sweeps a full-path member
-        built again at every stencil point; each term is evaluated once."""
+        """The counterexample's first x-derivative sweeps a coefficient-form
+        full path by the inner's row, at every eps and stencil point; each
+        term is evaluated once, on the terms' shared grid."""
         calls = {"base": [], "other": []}
 
         def counted(tf, tag):
@@ -670,11 +668,12 @@ class TestSquaredMassFromSamples:
         base = counted(build_mollifier(0, radius=0.9, center=0.1), "base")
         other = counted(build_mollifier(0, radius=1.1, center=-0.05), "other")
 
-        def member(eps, x):
-            w = 0.5 + 0.4 * np.sin(1.3 * x + 0.2)
-            return tf_lincomb([w, 1.0 - w], [base, other])
+        def weights(eps, xs):
+            w = [0.5 + 0.4 * math.sin(1.3 * x + 0.2) for x in xs]
+            return [w, [1.0 - v for v in w]]
 
-        path = TestObjectPath(member, 1.15, "counted")
+        path = TestObjectPath(None, 1.15, "counted", terms=(base, other),
+                              weights=weights)
         rep = ExpExpRepresentative(asy.squared_mass_inner(1024), omega=OMEGA)
         asy.sweep(rep, path, dataclasses.replace(SMALL, alphas=(1,)))
         assert calls == {"base": [1025], "other": [1025]}
@@ -719,7 +718,8 @@ def probed_magnitude(rep, path, eps, x, alpha):
             rep.check_domain(phi, y)
             return rep.inner(phi, y)
 
-        return rep.log_abs_dx(section, x, h) / asy.LN2
+        return rep.log_abs_dx(section(x), section(x + h), section(x - h),
+                              h) / asy.LN2
     if alpha == 0:
         return abs(rep(member(x), x))
     if rep.omega is not None:
@@ -793,7 +793,8 @@ def probed_d1_outcome(rep, battery, directions, k_max, spec):
         psis = [scaled[i] for i in idx]
         if not rep.has_log_channel:
             return abs(d1_derivative(rep, sphi, x, psis))
-        return rep.log_abs_d1(sphi, x, psis) / asy.LN2 if idx else 0.0
+        return rep.log_abs_d1(rep.inner(sphi, x), [
+            rep.inner.d1(sphi, psi) for psi in psis]) / asy.LN2 if idx else 0.0
 
     out = []
     try:
@@ -869,6 +870,36 @@ def rows_catalog(omega, nan_above):
         "other-set": sub(iota["sin"],
                          embed_sigma(np.sin, omega=Box.interval(-9.0, 9.0))),
     }
+
+
+class TestPulledBackLogChannel:
+    @pytest.mark.parametrize("name", ["sin-bend", "cubic"])
+    def test_rows_run_without_the_transform(self, name, monkeypatch):
+        """``pullback_rep`` of the squared-mass log channel sweeps a
+        coefficient-form path at alphas (0, 1) by its pulled row, which
+        calls the transform 0 times; its tables are, bit for bit, those of
+        the same members behind an opaque path, each pulled back through
+        the transform."""
+        calls = []
+        make = basic_space.pullback_pair_transform
+
+        def counted(mu):
+            transform = make(mu)
+            return lambda *args: calls.append(args) or transform(*args)
+
+        monkeypatch.setattr(basic_space, "pullback_pair_transform", counted)
+        rep = pullback_rep(get_diffeo(name, OMEGA), ExpExpRepresentative(
+            asy.squared_mass_inner(1024), OMEGA))
+        spec = dataclasses.replace(SMALL, K=np.linspace(-0.6, 0.6, 5),
+                                   alphas=(0, 1))
+        for path in make_battery("full_path", 0, 2, 7):
+            rows = asy.sweep(rep, path, spec)
+            assert calls == []
+            members = asy.sweep(rep, opaque(path), spec)
+            assert calls and np.isfinite(rows[1].values).all()
+            calls.clear()
+            for got, want in zip(rows, members, strict=True):
+                assert got.values.tobytes() == want.values.tobytes()
 
 
 class TestCoefficientRows:
