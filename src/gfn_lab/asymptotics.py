@@ -23,9 +23,8 @@ import numpy as np
 from .basic_space import (ExpExpRepresentative, Representative, _check_tangent,
                           sub)
 from .numdiff import _CENTRAL, MAX_ORDER, central_difference, stencil_halfwidth
-from .testfunc import (Q_CAP, DomainError, TestFunction, _grid_rows,
-                       _lincomb_samples, _row_blocks, _weighted_sum, scale,
-                       support_grid, union_box)
+from .testfunc import (Q_CAP, DomainError, TestFunction, _lincomb_samples,
+                       _row_blocks, scale, support_grid, union_box)
 
 LN2 = math.log(2.0)
 
@@ -507,8 +506,15 @@ def squared_mass_inner(quad_n: int):
     members at once: the sum over the terms' cached samples, times
     eps^-1.  For a sweep's eps = 2^-i this is the quadrature on the scaled
     support bit for bit, since scaling by a power of two commutes with
-    rounding.  ``inner.pulled_row(mu)`` is the row of ``inner`` pulled back
-    along ``mu``.
+    rounding.
+
+    ``inner.pulled(mu)`` is ``inner`` pulled back along ``mu``, per point
+    and, as its ``row``, on a sweep row: the integral of |chi|^2, chi the
+    pullback of phi at x (``pullback_pair_transform``), which the change of
+    variables xi = mu(x + p) - mu(x) turns into the integral of
+    |phi(p)|^2 / |mu'(x + p)| over phi's own grid, with no inverse.  The
+    pulled row and the pulled inner agree as ``row`` and ``inner`` do.  A
+    zero or non-finite mu' on the support raises ``ValueError``.
 
     I is quadratic in phi, so its directional derivative is exact:
     ``inner.d1(phi, psi)`` = 2 integral of phi psi, on ``quad_n`` panels of
@@ -524,59 +530,51 @@ def squared_mass_inner(quad_n: int):
         pts, w = support_grid(TestFunction(*union_box([phi, psi]), None), n)
         return 2.0 * float(np.dot(w, phi.fn(pts) * psi.fn(pts)))
 
-    def row(member, ys):
-        coeffs, terms, eps = member
-        out = []
-        for k in _row_blocks(len(ys), 2 * (n + 1)):  # the sum, one product
-            _, wt, rows = _lincomb_samples(coeffs[:, k], terms, n)
-            np.square(np.abs(rows, out=rows), out=rows)
-            out += [float(np.dot(wt, v)) * eps ** -1 for v in rows]
-        return out
-
-    def pulled_row(mu):
-        """``row`` of ``inner`` pulled back along ``mu``, as
-        ``ExpExpRepresentative.compose_pullback(mu, ...)`` evaluates it at
-        each (S_eps phi, y), bit for bit: inner(chi, mu(y)) with
-        chi = P(. + mu(y)), P = (psi o mu^{-1}) |det D mu^{-1}| and
-        psi = S_eps phi(. - y), on chi's own grid, with every member's
-        inverse in one call."""
-        if mu.is_identity:  # the translates cancel: chi = S_eps phi
-            return row
-
-        def pulled(member, ys):
+    def row_along(mu):  # the row of inner pulled back along mu, or None
+        def row(member, ys):
             coeffs, terms, eps = member
-            ys = np.array(ys)
-            # a row holds about ten arrays of its nodes at once: the
-            # Newton's, and those of the terms' evaluation
-            return [v for k in _row_blocks(len(ys), 10 * (n + 1))
-                    for v in pulled_block(coeffs[:, k], terms, eps, ys[k])]
+            out = []
+            # a block holds the squares; pulled, also the points x + eps s
+            # and mu' there, with its temporaries
+            width = (2 if mu is None else 5) * (n + 1)
+            for k in _row_blocks(len(ys), width):
+                xi, wt, rows = _lincomb_samples(coeffs[:, k], terms, n)
+                np.square(np.abs(rows, out=rows), out=rows)
+                if mu is not None:
+                    rows /= _abs_slope(mu, np.array(ys[k])[:, None] + eps * xi)
+                out += [float(np.dot(wt, v)) * eps ** -1 for v in rows]
+            return out
 
-        def pulled_block(coeffs, terms, eps, ys):
-            c, r = union_box(terms)
-            shift = 0.0 + ys  # psi's frame offset; its box, then P's
-            lo, hi = (c * eps + shift) - r * eps, (c * eps + shift) + r * eps
-            center, radius = mu.image_box(lo, hi)
-            b = 0.0 + -mu.forward(ys)  # chi's frame offset over P
-            pts, w = _grid_rows(center * 1.0 + b, radius * 1.0, n)
-            pre = mu.inverse(pts - b[:, None])  # chi: (xi - b) / 1.0
-            del pts
-            u = pre - shift[:, None]  # psi: eps^-1 phi((p - shift) / eps)
-            u /= eps
-            v = _weighted_sum([col[:, None] for col in coeffs],
-                              [t.fn for t in terms])(u)
-            del u
-            v *= eps ** -1
-            v *= np.abs(1.0 / mu.d_forward(pre))
-            del pre
-            np.square(np.abs(v, out=v), out=v)
-            return [float(np.dot(wk, vk)) for wk, vk in zip(w, v)]
+        return row
 
-        return pulled
+    def pulled(mu):
+        if mu.is_identity:  # mu' = 1
+            return inner
+
+        def inner_mu(phi: TestFunction, x) -> float:
+            pts, w = support_grid(phi, n)
+            v = np.abs(phi.fn(pts)) ** 2
+            v /= _abs_slope(mu, x + pts)
+            return float(np.dot(w, v))
+
+        inner_mu.row = row_along(mu)
+        return inner_mu
 
     inner.d1 = d1
-    inner.row = row
-    inner.pulled_row = pulled_row
+    inner.row = row_along(None)
+    inner.pulled = pulled
     return inner
+
+
+def _abs_slope(mu, p: np.ndarray) -> np.ndarray:
+    """|mu'(p)|, after raising ``ValueError`` if it is 0 or not finite at
+    some point: mu is no diffeomorphism there."""
+    d = np.abs(mu.d_forward(p))
+    ok = (d > 0.0) & (d < np.inf)
+    if not ok.all():
+        raise ValueError(f"{mu.name}: mu' is zero or not finite at "
+                         f"{np.ravel(p)[np.argmin(ok)]:g}")
+    return d
 
 
 @dataclass

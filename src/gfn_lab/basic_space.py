@@ -160,16 +160,17 @@ class ExpExpRepresentative(Representative):
         return acc
 
     def compose_pullback(self, mu, omega_src):
-        """The pullback of I along ``mu``; an inner with a ``pulled_row``
-        gives the pulled inner its ``row``."""
+        """The pullback of I along ``mu``: the inner's own ``pulled(mu)``
+        where it has one (``squared_mass_inner``), else I after the
+        transform."""
+        if hasattr(self.inner, "pulled"):
+            return ExpExpRepresentative(self.inner.pulled(mu), omega=omega_src)
         transform, base_inner = pullback_pair_transform(mu), self.inner
 
         def inner2(phi_t, x_t):
             chi, y = transform(phi_t, x_t)
             return base_inner(chi, y)
 
-        if hasattr(base_inner, "pulled_row"):
-            inner2.row = base_inner.pulled_row(mu)
         return ExpExpRepresentative(inner2, omega=omega_src)
 
 

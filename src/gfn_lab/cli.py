@@ -5,7 +5,9 @@
                    [--k-points N] [--quad-n N] [--quiet]
 
 Config files are JSON with keys matching the scenario config fields; flags
-override file keys.  Exit status 0 means every scenario assertion passed.
+override file keys.  Exit status 0 means every scenario assertion passed,
+1 that one failed, and 2 bad usage: an invalid setting, also one found
+mid-run, such as an ``omega`` that a scenario's points or supports leave.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import argparse
 import sys
 
 from .scenarios import SCENARIO_NAMES, ScenarioConfig, run_scenario
+from .testfunc import DomainError
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,7 +52,11 @@ def main(argv=None) -> int:
     except (KeyError, TypeError, ValueError, OSError) as exc:
         print(f"gfn: {exc}", file=sys.stderr)
         return 2
-    result = run_scenario(cfg)
+    try:
+        result = run_scenario(cfg)
+    except DomainError as exc:
+        print(f"gfn: {exc}", file=sys.stderr)
+        return 2
     if not args.quiet:
         for a in result.assertions:
             tag = "pass" if a.passed else "FAIL"

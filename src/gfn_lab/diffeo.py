@@ -15,8 +15,9 @@ import numpy as np
 
 from .asymptotics import _first_nan
 from .basic_space import FormalismError, Representative
-from .test_objects import TestObjectPath, _member_rows
-from .testfunc import Box, DomainError, TestFunction, _grid_rows
+from .test_objects import TestObjectPath, _member_rows, _quadrature_rows
+from .testfunc import (Box, DomainError, TestFunction, _grid_rows,
+                       _lincomb_samples)
 
 #: smallest eps0 the registration of a compact set searches down to
 EPS0_CAP = 2.0**-20
@@ -55,6 +56,11 @@ class Diffeomorphism:
     holds the preimage weights by ``1.0 / d_forward(pre)`` without
     inverting again.
 
+    ``chord(y, h)`` is the divided difference (mu(y + h) - mu(y)) / h,
+    elementwise on arrays that broadcast, and mu'(y) at h = 0.  Catalog
+    maps and ``compose`` give it in closed form, without the cancellation
+    of the difference; a map built without one takes that difference.
+
     The evaluators are given on arrays and wrapped to return a float on a
     scalar.  Without ``omega_src``, the source chart is the preimage of
     ``omega_dst``: its two inverted ends, in increasing order.
@@ -67,22 +73,31 @@ class Diffeomorphism:
     omega_src: Optional[Box] = None
     omega_dst: Optional[Box] = None
     is_identity: bool = False
+    chord: Optional[Callable] = None
 
     def __post_init__(self):
         self.forward = _scalarized(self.forward)
         self.inverse = _scalarized(self.inverse)
         self.d_forward = _scalarized(self.d_forward)
+        if self.chord is None:
+            self.chord = self._divided_difference
         if self.omega_src is None and self.omega_dst is not None:
             ends = sorted((self.inverse(self.omega_dst.lo),
                            self.inverse(self.omega_dst.hi)))
             self.omega_src = Box.interval(*ends)
+
+    def _divided_difference(self, y, h):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = (self.forward(y + h) - self.forward(y)) / h
+        return np.where(np.asarray(h) == 0.0, self.d_forward(y), q)
 
     def det_d_inverse(self, y):
         """det D mu^{-1}(y) = 1 / mu'(mu^{-1}(y)), signed."""
         return 1.0 / self.d_forward(self.inverse(y))
 
     def inverted(self) -> "Diffeomorphism":
-        """The inverse map as a diffeomorphism in its own right."""
+        """The inverse map as a diffeomorphism in its own right; its chord
+        is the divided difference of ``inverse``."""
         return Diffeomorphism(f"{self.name}-inverse", self.inverse,
                               self.forward, self.det_d_inverse,
                               omega_src=self.omega_dst,
@@ -119,7 +134,8 @@ class Diffeomorphism:
 
 def identity_map(omega: Optional[Box] = None) -> Diffeomorphism:
     return Diffeomorphism("identity", np.asarray, np.asarray, np.ones_like,
-                          omega_dst=omega, is_identity=True)
+                          omega_dst=omega, is_identity=True,
+                          chord=lambda y, h: np.ones(np.broadcast(y, h).shape))
 
 
 def affine_map(a: float, b: float = 0.0,
@@ -128,7 +144,9 @@ def affine_map(a: float, b: float = 0.0,
         raise ValueError("affine map needs a != 0")
     return Diffeomorphism(f"affine({a:g},{b:g})", lambda x: a * x + b,
                           lambda y: (y - b) / a,
-                          lambda x: np.full_like(x, a), omega_dst=omega_dst)
+                          lambda x: np.full_like(x, a), omega_dst=omega_dst,
+                          chord=lambda y, h: np.full(np.broadcast(y, h).shape,
+                                                     float(a)))
 
 
 def sin_bend_map(amplitude: float = 0.25,
@@ -179,8 +197,13 @@ def sin_bend_map(amplitude: float = 0.25,
     def dfwd(x):
         return 1.0 + amplitude * np.cos(x)
 
+    def chord(y, h):
+        # sin(y + h) - sin(y) = 2 cos(y + h/2) sin(h/2); np.sinc(t) is
+        # sin(pi t) / (pi t), 1 at t = 0
+        return 1.0 + amplitude * np.cos(y + 0.5 * h) * np.sinc(h / (2.0 * np.pi))
+
     return Diffeomorphism(f"sin-bend({amplitude:g})", fwd, inv, dfwd,
-                          omega_dst=omega_dst)
+                          omega_dst=omega_dst, chord=chord)
 
 
 def cubic_map(omega_dst: Optional[Box] = None) -> Diffeomorphism:
@@ -200,8 +223,11 @@ def cubic_map(omega_dst: Optional[Box] = None) -> Diffeomorphism:
     def dfwd(x):
         return 3.0 * x * x + 1.0
 
-    return Diffeomorphism("cubic", fwd, inv, dfwd,
-                          omega_dst=omega_dst)
+    def chord(y, h):
+        return 3.0 * y * y + 3.0 * y * h + h * h + 1.0
+
+    return Diffeomorphism("cubic", fwd, inv, dfwd, omega_dst=omega_dst,
+                          chord=chord)
 
 
 def catalog(omega_dst: Optional[Box] = None) -> dict:
@@ -223,12 +249,19 @@ def get_diffeo(name: str, omega_dst: Optional[Box] = None) -> Diffeomorphism:
 
 
 def compose(mu: Diffeomorphism, nu: Diffeomorphism) -> Diffeomorphism:
-    """mu o nu (apply nu first)."""
+    """mu o nu (apply nu first).  Its chord is mu's over nu's:
+    nu(y + h) = nu(y) + h c with c = nu.chord(y, h)."""
+
+    def chord(y, h):
+        c = nu.chord(y, h)
+        return mu.chord(nu.forward(y), h * c) * c
+
     return Diffeomorphism(
         f"{mu.name}.{nu.name}", lambda x: mu.forward(nu.forward(x)),
         lambda y: nu.inverse(mu.inverse(y)),
         lambda x: mu.d_forward(nu.forward(x)) * nu.d_forward(x),
-        omega_dst=mu.omega_dst, is_identity=mu.is_identity and nu.is_identity)
+        omega_dst=mu.omega_dst, is_identity=mu.is_identity and nu.is_identity,
+        chord=chord)
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +334,13 @@ def transform_test_object(mu: Diffeomorphism,
     the partial domain as ``domain``, whose ``register_compact`` gives a
     grid's eps0.  Its ``rows`` evaluate a row of members over the source's
     rows, inverting eps xi + x for all of them in one call.
+
+    Its ``quadrature`` integrates in source coordinates and inverts no
+    node: with xi = (mu(xt + eps s) - x) / eps = s chord(xt, eps s),
+    taking mu(xt) for x, and d xi = mu'(xt + eps s) ds, the member against
+    f(xi) d xi is the source member against f(s chord(xt, eps s)) ds.  So
+    the source's quadrature serves, with its nodes s moved there: for a
+    coefficient-form source, the terms' cached samples on their union grid.
     """
     src_set = mu.omega_src or Box(-3.0, 3.0)
     dmu = mu.d_forward(np.linspace(src_set.lo, src_set.hi, LIP_SAMPLES))
@@ -343,6 +383,18 @@ def transform_test_object(mu: Diffeomorphism,
 
         return centers, radii, fn
 
+    def quadrature(eps, xs, n):
+        xts = np.array([preimage(x) for x in xs])
+        if path.weights is None:
+            s, v = _quadrature_rows(path, eps, xts.tolist(), n)
+        else:
+            coeffs = np.array(path.weights(eps, xts.tolist()))
+            s, wt, v = _lincomb_samples(coeffs, path.terms, n)
+            v *= wt
+        nodes = mu.chord(xts[:, None], eps * s)  # a new array
+        nodes *= s
+        return nodes, v
+
     src_bound = path.radius_bound
     omega_dst = mu.omega_dst
 
@@ -354,7 +406,7 @@ def transform_test_object(mu: Diffeomorphism,
 
     out = TestObjectPath(member, rb, member_id=f"{path.member_id}|{mu.name}",
                          domain=PartialDomain(admissible))
-    out.rows = rows
+    out.rows, out.quadrature = rows, quadrature
     return out
 
 

@@ -339,10 +339,11 @@ def _scn_moment_invariance(cfg: ScenarioConfig, outdir: str):
                 eps0 = tr.domain.register_compact(L)
                 i0 = max(2, int(-math.log2(eps0)))
                 eps_grid = 2.0 ** -np.arange(i0, i0 + 6, dtype=float)
-                # (mu^{-1}(eps xi + x) - xt) / eps in the member cancels, with
-                # a rounding floor that grows like u |x| / eps (u the unit
-                # roundoff; ROADMAP item 2), near 1e-12 on this grid: smaller
-                # magnitudes count as decayed-to-zero rather than fit fodder
+                # the moments integrate in source coordinates, with no floor
+                # that grows like u |x| / eps; but under an affine map each
+                # moment is a power of the slope times the source's residual
+                # (about 1e-14), which does not decay with eps: magnitudes
+                # below 1e-11 count as decayed-to-zero (ROADMAP items 1, 2)
                 chk = check_moment_class(tr, MomentClass("asympt_CM", q),
                                          eps_grid, x_grid=L, n=quad_n,
                                          zero_tol=1e-11)

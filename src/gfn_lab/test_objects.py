@@ -41,12 +41,13 @@ class TestObjectPath:
     ``fn``: its member at xs[k] combines fixed ``terms`` with weights
     ``weights(eps, xs)[j][k]`` (``tf_lincomb``); any other path's
     ``fn(eps, x)`` builds the member.  It declares no moment order: a
-    ``MomentClass`` carries the order.  ``rows(eps, xs)``, where set, is
-    the path's own ``_member_rows``.
+    ``MomentClass`` carries the order.  ``rows(eps, xs)`` and
+    ``quadrature(eps, xs, n)``, where set, are the path's own
+    ``_member_rows`` and ``_quadrature_rows``.
     """
 
     __test__ = False  # pytest: a domain type, not a test case
-    rows = None
+    rows = quadrature = None
 
     fn: Optional[Callable[[float, float], TestFunction]]
     radius_bound: float        # uniform support radius bound about the origin
@@ -84,6 +85,23 @@ def _member_rows(path: TestObjectPath, eps: float, xs: list) -> tuple:
 
     return (np.array([m.center for m in members]),
             np.array([m.radius for m in members]), stacked)
+
+
+def _quadrature_rows(path: TestObjectPath, eps: float, xs: list,
+                     n: Optional[int]) -> tuple:
+    """A quadrature of the members path(eps, x), x in xs, a row each: the
+    nodes in xi and the values times the weights, new arrays that broadcast
+    to a C-contiguous (K, m) stack, so the integral of f against member k
+    is the sum of row k of values * f(nodes).  A path with its own
+    ``quadrature`` (a transformed one) gives it; any other path gives each
+    member's trapezoid grid on ``n`` panels of its box."""
+    if path.quadrature is not None:
+        return path.quadrature(eps, xs, n)
+    centers, radii, fn = _member_rows(path, eps, xs)
+    pts, w = _grid_rows(centers, radii, n)
+    v = fn(pts)  # a new array: weighted in place
+    v *= w
+    return pts, v
 
 
 @dataclass(frozen=True)
@@ -250,17 +268,15 @@ def check_moment_class(path: TestObjectPath, cls: MomentClass,
     q = cls.q
 
     # sup over x of |m_alpha| for every alpha 0..q, per eps, from the
-    # moments of a row of members (moments_upto's, bit for bit), taken in
-    # blocks: a transformed row holds about ten arrays of its nodes at once
+    # moments of a row of members (by default moments_upto's, bit for bit),
+    # taken in blocks: a quadrature row holds its nodes and weighted values,
+    # and about two temporaries of their size while they are made
     sup_m = np.zeros((len(eps_grid), q + 1))
     mass_dev = 0.0
     for ie, e in enumerate(eps_grid.tolist()):
         ms = []
-        for k in _row_blocks(len(xs), 10 * (_node_count(n) + 1)):
-            centers, radii, fn = _member_rows(path, e, xs[k])
-            pts, w = _grid_rows(centers, radii, n)
-            v = fn(pts)  # a new array: weighted in place
-            v *= w
+        for k in _row_blocks(len(xs), 4 * (_node_count(n) + 1)):
+            pts, v = _quadrature_rows(path, e, xs[k], n)
             ms.append(_moment_sums(v, pts, q))
         ms = np.concatenate(ms)
         _first_nan(ms, e, xs, path.member_id)

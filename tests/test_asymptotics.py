@@ -15,7 +15,9 @@ from gfn_lab.asymptotics import (SweepSeries, SweepSpec,
                                  squared_mass_inner, write_sweep_csv)
 from gfn_lab.basic_space import (ExpExpRepresentative, Representative,
                                  d1_derivative, embed_C, embed_sigma, mul, sub)
-from gfn_lab.diffeo import get_diffeo, identity_map, pullback_rep
+from gfn_lab.basic_space import pullback_pair_transform
+from gfn_lab.diffeo import (Diffeomorphism, compose, get_diffeo, identity_map,
+                            pullback_rep)
 from gfn_lab.distributions import DiracDerivative, smooth_density
 from gfn_lab.scenarios import ScenarioConfig, run_scenario
 from gfn_lab.test_objects import (TestObjectPath, make_battery,
@@ -24,6 +26,7 @@ from gfn_lab.testfunc import (Box, DomainError, TestFunction,
                               build_mollifier, scale, tf_lincomb)
 
 OMEGA = Box.interval(-2.5, 2.5)
+U = 0.5 * float(np.finfo(float).eps)  # the unit roundoff
 EPS = 2.0 ** -np.arange(2, 13, dtype=float)
 
 
@@ -767,6 +770,44 @@ class TestCounterexample:
                          alphas=(1,), fit_window=9)
         with pytest.raises(FloatingPointError, match=r"I = 1382\.\d"):
             counterexample_scenario(mu, src, spec, eps_bat, quad_n=1024)
+
+
+class TestPulledSquaredMass:
+    """The squared-mass inner pulled back along a map integrates in source
+    coordinates, per point and as a row."""
+
+    @pytest.mark.parametrize("name", ["sin-bend", "cubic", "sin-bend.cubic"])
+    def test_within_the_floor_of_the_transform(self, name):
+        """Through ``pullback_pair_transform`` the integral runs over chi's
+        grid in xi, and chi reads S_eps phi at mu^{-1}(xi + mu(x)) - x, which
+        rounds at a few u (|x| + |mu(x)|); that moves I by about
+        2 ||phi phi'||_1 / ||phi||^2 (a few here) times the rounding over
+        eps, relative to I.  So the pulled inner must lie within
+        32 u (1 + |x|) / eps of it, relative to I, for eps = 2^-2 .. 2^-14."""
+        parts = [get_diffeo(p, OMEGA) for p in name.split(".")]
+        mu = parts[0] if len(parts) == 1 else compose(*parts)
+        inner = squared_mass_inner(1024)
+        pulled, transform = inner.pulled(mu), pullback_pair_transform(mu)
+        paths = [make_battery("eps_path", 0, 1, 7)[0],
+                 make_battery("full_path", 2, 1, 7)[0]]
+        for path in paths:
+            for eps in (2.0 ** -np.arange(2, 15)).tolist():
+                for x in np.linspace(-1.0, 1.0, 11).tolist():
+                    phi = scale(path(eps, x), eps)
+                    want = inner(*transform(phi, x))
+                    bound = 32.0 * U * (1.0 + abs(x)) / eps * want
+                    assert abs(pulled(phi, x) - want) <= bound, (eps, x)
+
+    def test_a_zero_slope_raises(self):
+        flat = Diffeomorphism("flat", lambda x: 0.0 * np.asarray(x),
+                              lambda y: y, lambda x: 0.0 * np.asarray(x))
+        path = make_battery("eps_path", 0, 1, 7)[0]
+        pulled = squared_mass_inner(256).pulled(flat)
+        with pytest.raises(ValueError, match="flat"):
+            pulled(scale(path(0.25, 0.0), 0.25), 0.0)
+        with pytest.raises(ValueError, match="flat"):
+            pulled.row((np.array(path.weights(0.25, [0.0])), path.terms, 0.25),
+                       [0.0])
 
 
 class TestRunningWorsts:

@@ -186,6 +186,19 @@ class TestCliSurface:
                      "--quiet"]) == 2
         assert os.listdir(tmp_path) == ["cfg.json"]
 
+    @pytest.mark.parametrize("scenario", ["counterexample", "delta-scaling"])
+    def test_an_omega_left_mid_run_is_bad_usage(self, tmp_path, capsys,
+                                                scenario):
+        """An omega that the scenario's points or supports leave raises
+        ``DomainError`` mid-run; it exits 2 with a one-line message, not 1
+        with a traceback."""
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"omega": [-0.9, 0.9]}))
+        assert main([scenario, "--config", str(cfgfile), "--quiet",
+                     "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gfn: ") and err.count("\n") == 1
+
     def test_run_all_scenarios_from_a_fresh_checkout(self, tmp_path):
         """The script finds the lab without PYTHONPATH or an install."""
         script = Path(__file__).resolve().parent.parent / "scripts" / \

@@ -12,12 +12,16 @@ from gfn_lab.diffeo import (Diffeomorphism, PartialDomain, affine_map,
 from gfn_lab.distributions import (DiracDerivative, Heaviside,
                                    PullbackDistribution,
                                    pullback_test_function)
-from gfn_lab.test_objects import TestObjectPath, make_battery
-from gfn_lab.testfunc import (Box, DomainError, bump_testfunction, scale,
+from gfn_lab.test_objects import (MomentClass, TestObjectPath,
+                                  _quadrature_rows, check_moment_class,
+                                  make_battery)
+from gfn_lab.testfunc import (Box, DomainError, _moment_sums,
+                              bump_testfunction, moments_upto, scale,
                               translate)
 
 RNG = np.random.default_rng(17)
 OMEGA = Box.interval(-2.5, 2.5)
+U = 0.5 * float(np.finfo(float).eps)  # the unit roundoff
 
 
 def sanity_check(mu, lo: float, hi: float, count: int, seed: int) -> None:
@@ -47,6 +51,53 @@ def transport_maps() -> dict:
     cat["inverted"] = cat["sin-bend"].inverted()
     cat["inverted-cubic"] = cat["cubic"].inverted()
     return cat
+
+
+def chord_maps() -> dict:
+    """``transport_maps()`` and the compositions that tests/test_rows.py
+    transports members by."""
+    maps, cat = transport_maps(), catalog(OMEGA)
+    for outer, inner in (("sin-bend", "cubic"), ("cubic", "sin-bend"),
+                         ("affine-2x", "sin-bend")):
+        maps[f"{outer}.{inner}"] = compose(cat[outer], cat[inner])
+    return maps
+
+
+class TestChord:
+    @pytest.mark.parametrize("name", sorted(chord_maps()))
+    def test_is_d_forward_at_zero(self, name):
+        mu = chord_maps()[name]
+        ys = np.linspace(-1.2, 1.2, 97)
+        assert np.array_equal(mu.chord(ys, np.zeros_like(ys)),
+                              mu.d_forward(ys))
+
+    @pytest.mark.parametrize("name", sorted(chord_maps()))
+    def test_is_the_divided_difference(self, name):
+        """Against (mu(y + h) - mu(y)) / h for 1e-3 <= |h| <= 0.5.  That
+        quotient rounds mu's two values, each at a few ulps of |mu|, and
+        y + h, which moves mu(y + h) by |mu'| ulps of |y + h|; the chord
+        rounds at a few ulps of itself.  The gap must lie within 8 u of
+        the first three over |h|, plus 8 u |chord|."""
+        mu = chord_maps()[name]
+        rng = np.random.default_rng(5)
+        y = rng.uniform(-1.2, 1.2, 400)
+        h = rng.choice([-1.0, 1.0], 400) * 10.0 ** rng.uniform(
+            -3.0, np.log10(0.5), 400)
+        got = mu.chord(y, h)
+        up, at = mu.forward(y + h), mu.forward(y)
+        floor = 8.0 * U * ((np.abs(up) + np.abs(at) + np.abs(
+            mu.d_forward(y + h) * (y + h))) / np.abs(h) + np.abs(got))
+        assert np.all(np.abs(got - (up - at) / h) <= floor)
+
+    def test_a_map_without_one_takes_the_divided_difference(self):
+        cubic = get_diffeo("cubic")
+        mu = Diffeomorphism("plain-cubic", cubic.forward, cubic.inverse,
+                            cubic.d_forward)
+        y, h = np.array([0.3, -0.7, 1.1]), np.array([0.25, 0.0, -0.5])
+        want = [(cubic.forward(0.3 + 0.25) - cubic.forward(0.3)) / 0.25,
+                cubic.d_forward(-0.7),
+                (cubic.forward(1.1 - 0.5) - cubic.forward(1.1)) / -0.5]
+        assert mu.chord(y, h).tolist() == want
 
 
 class TestCatalog:
@@ -644,3 +695,78 @@ class TestZRequirements:
                                    n_eps=3)
         assert not rep.radius_ok
         assert not rep.passed
+
+
+class TestSourceCoordinateMoments:
+    """``check_moment_class`` integrates a transformed member in source
+    coordinates (``_quadrature_rows``), with no inverse at its nodes."""
+
+    L = np.linspace(-0.7, 0.7, 7)
+
+    @pytest.mark.parametrize("name", ["affine-2x", "sin-bend", "cubic"])
+    @pytest.mark.parametrize("q", [2, 4])
+    def test_within_the_floor_of_the_members_moments(self, name, q):
+        """Against ``moments_upto`` of the member itself, which integrates
+        over xi through the Newton inverse.  The member's argument
+        (mu^{-1}(eps xi + x) - xt) / eps rounds at a few u (|x| + |xt|) /
+        eps, and the two coordinates differ by the shift (mu(xt) - x) / eps
+        of as much; a shift d moves m_a by about a |m_{a-1}| d.  So, on the
+        scenario's battery, grid and 2048 panels, the gap must lie within
+        16 u (1 + |x|) / eps for eps = 2^-2 .. 2^-13, at every x the
+        partial domain admits."""
+        mu = get_diffeo(name, OMEGA)
+        bat = make_battery("full_path", q, 2, 7, flavor="symmetric",
+                           build_q=max(q, 2 * q - 2))
+        checked = 0
+        for tr in (transform_test_object(mu, p) for p in bat):
+            for e in (2.0 ** -np.arange(2, 14)).tolist():
+                xs = [x for x in self.L.tolist() if tr.domain.contains(e, x)]
+                if not xs:
+                    continue
+                pts, v = _quadrature_rows(tr, e, xs, 2048)
+                got = _moment_sums(v, pts, q)
+                for x, row in zip(xs, got):
+                    want = moments_upto(tr(e, x), q, n=2048)
+                    bound = 16.0 * U * (1.0 + abs(x)) / e
+                    assert np.all(np.abs(row - want) <= bound), (e, x)
+                    checked += 1
+        assert checked >= 2 * 8 * len(self.L)
+
+    @pytest.mark.parametrize("name", ["sin-bend", "cubic"])
+    def test_a_member_built_source_integrates_as_its_terms(self, name):
+        """A source that builds its members (no terms) gives its members'
+        own grids to the transformed quadrature: the same bits as the
+        terms' shared samples."""
+        mu = get_diffeo(name, OMEGA)
+        src = make_battery("full_path", 2, 1, 7, flavor="symmetric")[0]
+        built = TestObjectPath(lambda e, x: src(e, x), src.radius_bound,
+                               src.member_id)
+        cls, eps = MomentClass("asympt_CM", 2), [2.0**-3, 2.0**-4, 2.0**-5]
+        got, want = (check_moment_class(transform_test_object(mu, p), cls,
+                                        eps, self.L, n=512)
+                     for p in (built, src))
+        assert got.orders == want.orders
+
+    def test_a_plain_a0_source_under_sin_bend_fails(self):
+        """Negative control: a source with unit mass and no vanishing
+        moment keeps a second moment of order eps^0 under a nonlinear map,
+        so the transformed path fails asympt_CM at q = 2."""
+        src = make_battery("full_path", 0, 1, 7, flavor="symmetric")[0]
+        tr = transform_test_object(get_diffeo("sin-bend", OMEGA), src)
+        i0 = max(2, int(-np.log2(tr.domain.register_compact(self.L))))
+        chk = check_moment_class(tr, MomentClass("asympt_CM", 2),
+                                 2.0 ** -np.arange(i0, i0 + 6), self.L,
+                                 n=2048, zero_tol=1e-11)
+        assert not chk.passed and chk.orders[2] < 2 - 0.3
+
+    @pytest.mark.parametrize("name", ["sin-bend", "cubic"])
+    def test_moments_pass_no_array_to_the_inverse(self, name):
+        """Only the points' preimages are inverted, one scalar each."""
+        mu = get_diffeo(name, OMEGA)
+        tr = transform_test_object(
+            mu, make_battery("full_path", 2, 1, 9, flavor="symmetric")[0])
+        inverse, shapes = mu.inverse, []
+        mu.inverse = lambda y: shapes.append(np.shape(y)) or inverse(y)
+        check_moment_class(tr, MomentClass("asympt_CM", 2),
+                           [2.0**-4, 2.0**-5, 2.0**-6], self.L, n=256)
+        assert shapes == [()] * len(self.L)

@@ -21,8 +21,8 @@ from gfn_lab.test_objects import (MomentClass, TestObjectPath, _decay_order,
                                   _member_rows, check_moment_class,
                                   make_battery)
 from gfn_lab.testfunc import (TAU_M, Box, DomainError, TestFunction,
-                              _grid_rows, build_mollifier, moments_upto,
-                              scale, support_grid)
+                              _grid_rows, _moment_sums, build_mollifier,
+                              moments_upto, scale, support_grid)
 
 OMEGA = Box(-2.5, 2.5)
 MAPS = ["identity", "affine-2x", "shift-1", "sin-bend", "cubic",
@@ -34,12 +34,16 @@ def named_map(name):
     return parts[0] if len(parts) == 1 else compose(*parts)
 
 
+def source_battery(q, seed):
+    return make_battery("full_path", q, 2, seed, flavor="symmetric",
+                        build_q=max(q, 2 * q - 2))
+
+
 def transformed_battery(name, q, seed):
     """What moment-invariance checks: symmetric full paths under a map,
     with the grid of points the partial domain admits from eps0 down."""
-    bat = make_battery("full_path", q, 2, seed, flavor="symmetric",
-                       build_q=max(q, 2 * q - 2))
-    return [transform_test_object(named_map(name), p) for p in bat]
+    return [transform_test_object(named_map(name), p)
+            for p in source_battery(q, seed)]
 
 
 # ---------------------------------------------------------------------------
@@ -99,13 +103,30 @@ def assert_rows_are_the_members(path, eps, xs, n):
         assert np.array_equal(vals[k], member.fn(nodes))
 
 
-def moment_report_by_hand(path, cls, eps_grid, xs, n, zero_tol):
-    """check_moment_class's report from one member at a time."""
+def source_coordinate_moments(mu, src):
+    """The moments of transform_test_object(mu, src)'s member at (eps, x),
+    one member at a time, in source coordinates: the source member at
+    xt = mu^{-1} x on its own grid, its nodes s moved to s chord(xt, eps s)."""
+    def moments(e, x, q, n):
+        xt = mu.inverse(x)
+        member = src(e, xt)
+        s, w = support_grid(member, n)
+        return _moment_sums(member.fn(s) * w, s * mu.chord(xt, e * s), q)
+
+    return moments
+
+
+def moment_report_by_hand(path, cls, eps_grid, xs, n, zero_tol,
+                          moments=None):
+    """check_moment_class's report from one member at a time, with each
+    member's moments by ``moments(eps, x, q, n)``, by default
+    ``moments_upto`` of path(eps, x)."""
+    moments = moments or (lambda e, x, q, n: moments_upto(path(e, x), q, n=n))
     sup_m = np.zeros((len(eps_grid), cls.q + 1))
     mass_dev = 0.0
     for ie, e in enumerate(eps_grid):
         for x in xs:
-            ms = moments_upto(path(e, x), cls.q, n=n)
+            ms = moments(e, x, cls.q, n)
             sup_m[ie] = np.maximum(sup_m[ie], np.abs(ms))
             mass_dev = max(mass_dev, abs(ms[0] - 1.0))
     if cls.kind == "strict_Aq":
@@ -186,8 +207,13 @@ class TestMemberRows:
     @given(name=st.sampled_from(MAPS), q=st.sampled_from([2, 4]),
            seed=st.integers(0, 40))
     def test_checks_equal_their_per_point_reports(self, name, q, seed):
+        """Transformed members' moments are integrals in source
+        coordinates (``source_coordinate_moments``); their Z report reads
+        the members themselves."""
         L = np.linspace(-0.7, 0.7, 7)
-        for path in transformed_battery(name, q, seed):
+        mu = named_map(name)
+        for src in source_battery(q, seed):
+            path = transform_test_object(mu, src)
             eps0 = path.domain.register_compact(L)
             i0 = max(2, int(-math.log2(eps0)))
             eps_grid = (2.0 ** -np.arange(i0, i0 + 6, dtype=float)).tolist()
@@ -196,7 +222,7 @@ class TestMemberRows:
                                      zero_tol=1e-11)
             assert (got.passed, got.orders, got.max_moment) == \
                 moment_report_by_hand(path, cls, eps_grid, L.tolist(), 512,
-                                      1e-11)
+                                      1e-11, source_coordinate_moments(mu, src))
             z = check_Z_requirements(path, L, 2.0 * eps0, beta_max=3,
                                      n_eps=4)
             assert (z.membership_ok, z.radius_observed, z.deriv_bounds) == \
@@ -266,7 +292,7 @@ class TestPulledBackLogRow:
         mu = named_map(name)
         rep = ExpExpRepresentative(squared_mass_inner(1024))
         pulled = rep.compose_pullback(mu, None)
-        row = rep.inner.pulled_row(mu)
+        row = rep.inner.pulled(mu).row
         path = make_battery("eps_path", 0, 1, 7)[0]
         K = np.linspace(-1.0, 1.0, 11).tolist()  # 0.0 is in K
         for eps in (0.25, 2.0**-7):
@@ -312,7 +338,7 @@ class TestPulledBackLogRow:
         member = (np.array(path.weights(0.125, ys)), path.terms, 0.125)
         monkeypatch.setattr(np, "dot", guarded)
         rep.inner.row(member, ys)
-        rep.inner.pulled_row(mu)(member, ys)
+        rep.inner.pulled(mu).row(member, ys)
         assert strided == []
 
 
@@ -393,5 +419,5 @@ class TestRowBlocks:
             [inner(scale(path(eps, x), eps), x) for x in K]
         mu = get_diffeo("cubic", OMEGA)
         pulled = ExpExpRepresentative(inner).compose_pullback(mu, None).inner
-        assert inner.pulled_row(mu)((coeffs, path.terms, eps), K) == \
+        assert inner.pulled(mu).row((coeffs, path.terms, eps), K) == \
             [pulled(scale(path(eps, x), eps), x) for x in K]

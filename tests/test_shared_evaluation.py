@@ -595,12 +595,6 @@ class TestSharedMembers:
         assert len(shared_calls) == len(alone_calls)
 
 
-def squared_mass_direct(phi, n):
-    """The quadrature of |phi|^2 on phi's own support grid."""
-    pts, w = support_grid(phi, n)
-    return float(np.dot(w, np.abs(phi.fn(pts)) ** 2))
-
-
 class TestSquaredMassFromSamples:
     """The squared-mass inner integrates every frame on its own support
     grid; its row reads the terms' cached samples."""
@@ -612,42 +606,33 @@ class TestSquaredMassFromSamples:
            q=st.integers(0, 4), radius=st.floats(0.3, 1.2),
            center=st.floats(-0.3, 0.3), t=st.floats(-1e-3, 1e-3),
            x=st.floats(-1.0, 1.0), seed=st.integers(0, 50),
-           n=st.sampled_from([64, 1024, 2048, DEFAULT_NODES]))
+           n=st.sampled_from([64, 1024, 2048, DEFAULT_NODES]),
+           name=st.sampled_from(["identity", "sin-bend", "cubic"]))
     def test_dyadic_scale_equals_direct_quadrature(self, i, kind, q, radius,
-                                                   center, t, x, seed, n):
+                                                   center, t, x, seed, n,
+                                                   name):
+        """At eps = 2^-i the row over the unscaled terms' samples gives
+        the bits of ``inner`` on the scaled member's own grid; so does the
+        row of the inner pulled back along a map."""
         eps = 2.0 ** -i
         moll = build_mollifier(q, radius=radius, center=center)
         psi = perturbation_directions(1, seed)[0]
+        coeffs, terms = [1.0, t], (moll, psi)
         if kind == "mollifier":
-            phi = scale(moll, eps)
+            phi, coeffs, terms = scale(moll, eps), [1.0], (moll,)
         elif kind == "perturbed":  # d_1's phi + t psi, both scaled
             phi = tf_lincomb([1.0, t], [scale(moll, eps), scale(psi, eps)])
         elif kind == "scaled-perturbed":
             phi = scale(tf_lincomb([1.0, t], [moll, psi]), eps)
         else:
-            phi = scale(make_battery("full_path", q, 1, seed)[0](eps, x), eps)
-        base, a, b = phi.frame
-        assert (a, b) in ((eps, 0.0), (1.0, 0.0))
-        got = asy.squared_mass_inner(n)(phi, x)
-        assert got == squared_mass_direct(phi, n)
-
-    def test_other_frames_are_integrated_directly(self):
-        from gfn_lab.basic_space import pullback_pair_transform
-        from gfn_lab.diffeo import get_diffeo
-
-        moll = build_mollifier(2, radius=0.9, center=0.1)
-        chi, _ = pullback_pair_transform(get_diffeo("sin-bend", OMEGA))(
-            scale(moll, 0.25), 0.4)
-        for phi in (translate(scale(moll, 0.25), 0.3), scale(moll, 0.3),
-                    scale(moll, 0.75), scale(translate(moll, 0.2), 0.5),
-                    chi):
-            base = phi.frame[0]
-            read = []
-            base.samples_on = lambda *args, read=read: read.append(args)
-            assert asy.squared_mass_inner(1024)(phi, 0.0) == \
-                squared_mass_direct(phi, 1024)
-            assert read == []
-            del base.samples_on
+            path = make_battery("full_path", q, 1, seed)[0]
+            phi = scale(path(eps, x), eps)
+            coeffs, terms = [w for w, in path.weights(eps, [x])], path.terms
+        member = (np.array(coeffs)[:, None], terms, eps)
+        inner = asy.squared_mass_inner(n)
+        assert inner.row(member, [x]) == [inner(phi, x)]
+        pulled = inner.pulled(get_diffeo(name, OMEGA))
+        assert pulled.row(member, [x]) == [pulled(phi, x)]
 
     def test_full_path_terms_once_across_log_abs_dx_rows(self):
         """The counterexample's first x-derivative sweeps a coefficient-form
@@ -876,10 +861,11 @@ class TestPulledBackLogChannel:
     @pytest.mark.parametrize("name", ["sin-bend", "cubic"])
     def test_rows_run_without_the_transform(self, name, monkeypatch):
         """``pullback_rep`` of the squared-mass log channel sweeps a
-        coefficient-form path at alphas (0, 1) by its pulled row, which
-        calls the transform 0 times; its tables are, bit for bit, those of
-        the same members behind an opaque path, each pulled back through
-        the transform."""
+        coefficient-form path at alphas (0, 1) by its pulled row; its
+        tables are, bit for bit, those of the same members behind an
+        opaque path, each integrated by the pulled inner per point.
+        Neither calls the transform: both integrate in source coordinates
+        (``TestPulledSquaredMass`` compares them with the transform)."""
         calls = []
         make = basic_space.pullback_pair_transform
 
@@ -894,10 +880,8 @@ class TestPulledBackLogChannel:
                                    alphas=(0, 1))
         for path in make_battery("full_path", 0, 2, 7):
             rows = asy.sweep(rep, path, spec)
-            assert calls == []
             members = asy.sweep(rep, opaque(path), spec)
-            assert calls and np.isfinite(rows[1].values).all()
-            calls.clear()
+            assert calls == [] and np.isfinite(rows[1].values).all()
             for got, want in zip(rows, members, strict=True):
                 assert got.values.tobytes() == want.values.tobytes()
 
