@@ -80,13 +80,85 @@ class PullbackDistribution(Distribution):
         self.base = base
 
 
-def _simpson(vals: np.ndarray, h: float):
-    n = vals.shape[-1] - 1
-    if n % 2:
-        raise ValueError("Simpson rule needs an even panel count")
-    return h / 3.0 * (vals[..., 0] + vals[..., -1]
-                      + 4.0 * vals[..., 1:-1:2].sum(axis=-1)
-                      + 2.0 * vals[..., 2:-1:2].sum(axis=-1))
+#: offsets of the samples that the cut rule weights, from the first node
+#: m at or past the cut: the interpolant's nodes m-4..m+3 and Gregory's
+#: m..m+6
+_WINDOW = range(-4, 7)
+
+
+def _cut_rules():
+    """The cut rule's weights on the samples at the ``_WINDOW`` offsets,
+    exact in integers, then rounded once: Gregory's left-end correction to
+    the trapezoid rule, less the half weight at m that the trapezoid sum
+    from m leaves off; and the coefficients of theta^1..theta^8, a row
+    each, in the integral over [-theta, 0] of the Lagrange basis
+    polynomial of each of the interpolant's nodes m-4..m+3."""
+    gamma = [(1, 12), (1, 24), (19, 720), (3, 160), (863, 60480),
+             (275, 24192)]  # Gregory's coefficients, as fractions
+    den = math.lcm(*(q for _, q in gamma))
+    end = [(sum((-1) ** (o + 1) * math.comb(k, o) * p * (den // q)
+                for k, (p, q) in enumerate(gamma, 1))
+            - (o == 0) * den // 2) / den if o >= 0 else 0.0
+           for o in _WINDOW]
+    near = range(_WINDOW[0], _WINDOW[0] + 8)
+    piece = np.zeros((len(near), len(_WINDOW)))
+    for i, o in enumerate(near):
+        poly, scale = [1], 1  # the basis is poly(s) / scale, ascending
+        for q in near:
+            if q != o:  # times (s - q) / (o - q)
+                poly = [lo - q * hi for lo, hi in zip([0] + poly, poly + [0])]
+                scale *= o - q
+        # the integral of s^d over [-theta, 0] is (-1)^d theta^(d+1) / (d+1)
+        piece[:, i] = [(-1) ** d * a / (scale * (d + 1))
+                       for d, a in enumerate(poly)]
+    return np.array(end), piece + 0.0  # a zero over a negative scale is -0.0
+
+
+_END, _PIECE = _cut_rules()
+
+
+def _cut_integral(tf, tau: np.ndarray, n: int) -> np.ndarray:
+    """The integral of ``tf`` over xi >= tau[k], for each k.
+
+    A combination sums its terms', a term tb((. - s) / r) / r cut at
+    (tau - s) / r in its base's coordinates.  Any other function
+    integrates on its own grid of n panels, from its cached samples: a box
+    above the cut gives its trapezoid mass (kept with its moments), a box
+    below it +0.0, evaluating nothing.  A cut inside the box gives the
+    trapezoid sum from the first node m at or past it, Gregory's left-end
+    correction from the samples at m..m+6 and the piece from the cut to
+    node m on the interpolant through nodes m-4..m+3; samples past the box
+    are zeros, as the function is.  The trapezoid rule is exact to
+    rounding at the flat end of the box (Trefethen-Weideman), so only the
+    cut needs a correction.  ``tf`` may be the (coeffs, terms) of a
+    combination, with coefficients per cut."""
+    terms = tf if isinstance(tf, tuple) else tf._terms
+    if terms is not None:
+        total = 0.0
+        for c, t in zip(*terms):
+            tb, r, s = t.frame
+            total += c * _cut_integral(tb, (tau - s) / r, n)
+        return total
+    (lo, hi), out = tf.box, np.zeros(len(tau))  # its grid's end nodes
+    whole, cut = tau <= lo, np.flatnonzero((lo < tau) & (tau < hi))
+    if whole.any():
+        sums = tf._cache.get(("moments", n))
+        if sums is None:  # m_0 of moments_upto, as _by_terms sums it
+            _, wt, v = tf.samples_on(tf, n)
+            sums = tf._cache["moments", n] = [(v * wt).sum()]
+        out[whole] = sums[0]
+    if len(cut):
+        xi, wt, v = tf.samples_on(tf, n)
+        m, h = np.searchsorted(xi, tau[cut]), wt[1]  # m: the first node
+        theta = (xi[m] - tau[cut]) / h  # at or past the cut; in [0, 1)
+        powers = theta[:, None] ** np.arange(1, len(_PIECE) + 1)
+        wts = _END + (powers[:, :, None] * _PIECE).sum(axis=1)
+        lead, trail = -_WINDOW[0], _WINDOW[-1]
+        padded = np.concatenate((np.zeros(lead), v, np.zeros(trail)))
+        win = padded[m[:, None] + np.arange(len(_WINDOW))]
+        tail = np.array([v[k:].sum() for k in m.tolist()])
+        out[cut] = h * (tail + (win * wts).sum(axis=1))
+    return out
 
 
 def _by_terms(form: tuple, tf, a: float, b, d: float, n: int):
@@ -160,15 +232,16 @@ def pair_row(w: Distribution, coeffs: np.ndarray, terms: tuple, eps: float,
     grid xi, sum_i w_i f(eps xi_i + b_k) psi(xi_i) with psi the
     combination's samples, and a complex-valued f raises numpy's casting
     ``TypeError``.  delta^(k) is (-1)^k psi_k^(k)(position): the evaluator
-    itself for k = 0, read only at the members whose box holds the
-    position (the others pair to +0.0), and Richardson-extrapolated
-    central differences for k >= 1, after one exact derivative level when
-    k > 1 and every term has a ``dfn``.  A Heaviside pairs to +0.0 over a
-    box in x <= 0, to composite Simpson on the summed samples over a box
-    in x >= 0, and to Simpson on [0, hi] of the evaluator over a box that
-    straddles 0, since its integrand is not flat at the cut point.  The
-    members that need such work of their own (Dirac points and straddling
-    boxes) are evaluated one at a time, on numpy scalars or one grid.
+    itself for k = 0, one array over the members whose box holds the
+    position (the others pair to +0.0), and for k >= 1 Richardson-
+    extrapolated central differences, after one exact derivative level
+    when k > 1 and every term has a ``dfn``, on one array of every
+    member's values at every stencil point.  A Heaviside is
+    sum_j c_jk int_{xi >= tau_k} t_j(xi) dxi with the cut tau_k = -b_k /
+    eps in the member's coordinates, and -inf or inf for a box in x >= 0
+    or x <= 0, which pairs to +0.0 (``_cut_integral``): each term
+    integrates from its own cached samples, so a term narrower than the
+    members' box keeps its own resolution, and no member is evaluated.
     """
     n = DEFAULT_NODES if n is None else n
     b = 0.0 + np.array(xs)  # the offsets of the translates' frames
@@ -185,40 +258,36 @@ def pair_row(w: Distribution, coeffs: np.ndarray, terms: tuple, eps: float,
     if w.kind not in ("dirac", "heaviside"):
         raise TypeError(f"no pairing of distribution kind {w.kind!r}")
     c, r = union_box(terms)  # the members' box
-    centers, radius = (c * eps + b).tolist(), r * eps  # the translates'
-    exact = w.kind == "dirac" and w.order > 1 and \
-        all(t.dfn is not None for t in terms)  # one exact level first
-    fns = [t.dfn if exact else t.fn for t in terms]
+    center, radius = c * eps + b, r * eps  # the translates'
+    if w.kind == "heaviside":  # the cut at 0, -inf or inf off the box
+        tau = np.where(center + radius <= 0.0, np.inf,
+                       np.where(center - radius >= 0.0, -np.inf,
+                                (0.0 - b) / eps))
+        return _cut_integral((coeffs, terms), tau, n)
+    exact = w.order > 1 and all(t.dfn is not None for t in terms)
+    fns = [t.dfn if exact else t.fn for t in terms]  # one exact level first
     fac = eps ** -1 / eps if exact else eps ** -1
-
-    def member(k):  # fac sum_j c_j fns_j((p - b_k) / eps), translate k's
-        f, bk = _weighted_sum(coeffs[:, k].tolist(), fns), b[k]
-        return lambda p: fac * f((p - bk) / eps)
-
-    out, whole = np.zeros(len(b)), []
-    if w.kind == "dirac":
-        p, order = w.position, w.order - exact
-        sign = -1.0 if w.order % 2 else 1.0
-        for k, ck in enumerate(centers):
-            if order:
-                out[k] = sign * numdiff.richardson_derivative(
-                    member(k), p, order, numdiff.DEFAULT_STEP[order] * radius,
-                    levels=2)
-            elif not abs(p - ck) > radius:  # the box holds the position
-                out[k] = member(k)(p)
+    p, order = w.position, w.order - exact
+    # values on a trailing axis of one: an evaluator that works by rows of
+    # its last axis (a Newton inverse stopping per row) sees each point
+    # alone, as on a scalar
+    out, c1 = np.zeros(len(b)), coeffs[..., None]
+    if not order:  # the members whose box holds the position
+        hit = ~(np.abs(p - center) > radius)
+        if hit.any():
+            out[hit] = fac * _weighted_sum(c1[:, hit], fns)(
+                ((p - b[hit]) / eps)[:, None])[:, 0]
         return out
-    for k, ck in enumerate(centers):
-        hi = ck + radius
-        if hi <= 0.0:
-            continue  # +0.0
-        if ck - radius >= 0.0:
-            whole.append(k)
-        else:  # the box straddles 0: Simpson on [0, hi]
-            out[k] = _simpson(member(k)(np.linspace(0.0, hi, n + 1)), hi / n)
-    for k in _row_blocks(len(whole), 2 * (n + 1)):  # the sum, one product
-        rows = _lincomb_samples(coeffs[:, whole[k]], terms, n)[2]
-        out[whole[k]] = _simpson(rows, ((c + r) - (c - r)) / n)
-    return out
+    # every member at every stencil point, a row per point, in the order
+    # richardson_derivative reads them
+    step, levels = numdiff.DEFAULT_STEP[order] * radius, 2
+    pts = [p + o * (step / 2**j) for j in range(levels + 1)
+           for o in numdiff._CENTRAL[order][0]]
+    at = iter(fac * _weighted_sum(c1, fns)(
+        ((np.array(pts)[:, None] - b) / eps)[..., None])[..., 0])
+    sign = -1.0 if w.order % 2 else 1.0
+    return sign * numdiff.richardson_derivative(lambda _: next(at), p,
+                                                order, step, levels)
 
 
 def derivative(w: Distribution) -> Distribution:

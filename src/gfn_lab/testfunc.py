@@ -152,9 +152,8 @@ class TestFunction:
         """Trapezoid nodes and weights over the support of ``owner``, and
         this function's values there, read-only; one cached slot, holding
         the latest grid.  ``nodes`` passes that grid's (xi, wt) when the
-        caller already holds them.  The nodes are those of composite
-        Simpson too, so the smooth and the Heaviside pairings read the same
-        samples.
+        caller already holds them.  The closed-form and the Heaviside
+        pairings read each term's samples on its own grid.
 
         A linear combination sums its terms' values on the grid, each term
         caching its own next to the shared nodes, so members built again

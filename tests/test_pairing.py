@@ -1,6 +1,8 @@
 """One pairing path: ``pair`` is ``pair_row``'s row of one member for every
 kind but the pullback.  The scalar pairing it replaced is kept below as the
-reference (``pair_reference``), and every pairing must give its floats."""
+reference (``pair_reference``), and every pairing but the Heaviside's must
+give its floats; the Heaviside's is held to its accuracy instead
+(``TestHeavisideByTerms``)."""
 
 import math
 
@@ -12,12 +14,14 @@ from gfn_lab import numdiff
 from gfn_lab.diffeo import get_diffeo
 from gfn_lab.distributions import (SMOOTH_CHAINS, DiracDerivative, Heaviside,
                                    PullbackDistribution, SmoothDensity,
-                                   _simpson, pair, pair_row,
+                                   pair, pair_row,
                                    pullback_test_function, smooth_density)
 from gfn_lab.test_objects import make_battery
-from gfn_lab.testfunc import (DEFAULT_NODES, Box, TestFunction, scale,
-                              shifted_frame, tf_lincomb, translate)
+from gfn_lab.testfunc import (DEFAULT_NODES, Box, TestFunction,
+                              _weighted_sum, build_mollifier, scale,
+                              shifted_frame, tf_lincomb, translate, union_box)
 
+from conftest import half_line_simpson, simpson
 from test_shared_evaluation import LEAVES, nested_lincombs
 
 WIDE = Box.interval(-50.0, 50.0)  # no pullback below leaves its charts
@@ -82,7 +86,9 @@ def pair_reference(w, psi, n=None, shift=0.0):
     but for two lines: the translate's center and radius, which
     ``shifted_frame`` no longer returns, and a pullback paired by this
     reference, the pulled function with it (``classical_pullback``'s
-    checks pass on ``WIDE``)."""
+    checks pass on ``WIDE``).  Its Heaviside branches, composite Simpson
+    on the base's samples or on [0, hi], are gone: the Heaviside pairs by
+    terms (``half_line_reference`` and ``TestHeavisideByTerms``)."""
     if n is None:
         n = DEFAULT_NODES
     (base, a, b), same = shifted_frame(psi, shift)
@@ -98,27 +104,34 @@ def pair_reference(w, psi, n=None, shift=0.0):
         vals = np.multiply(w.f(arg), samples, out=arg)  # arg is ours
         return float(np.dot(wt, vals))
 
-    if (w.kind == "dirac" and w.order == 0
-            and abs(w.position - center) > radius) or \
-            (w.kind == "heaviside" and center + radius <= 0.0):
+    if w.kind == "dirac" and w.order == 0 and \
+            abs(w.position - center) > radius:
         return 0.0
-    if w.kind == "heaviside" and center - radius >= 0.0:
-        lo, hi = base.box
-        return _simpson(base.samples_on(base, n)[2], (hi - lo) / n)
     psi = same if same is not None else translate(psi, shift)
 
     if w.kind == "dirac":
         sign = -1.0 if w.order % 2 else 1.0
         return sign * psi_derivative_at_reference(psi, w.position, w.order)
 
-    if w.kind == "heaviside":  # the box straddles 0
-        hi = center + radius
-        return _simpson(psi.fn(np.linspace(0.0, hi, n + 1)), hi / n)
-
     if w.kind == "pullback":
         return pair_reference(w.base, pullback_test_function(w.mu, psi), n)
 
-    raise TypeError(f"unknown distribution kind {w.kind!r}")
+    raise TypeError(f"no reference for distribution kind {w.kind!r}")
+
+
+def half_line_reference(w, psi, shift):
+    """For the Heaviside or its pullback: the integral over x >= 0 of the
+    translate, pulled back for a pullback, the error estimate of
+    ``half_line_simpson``, and whether the box lies in x <= 0."""
+    chi = translate(psi, shift)
+    if w.kind == "pullback":
+        chi = pullback_test_function(w.mu, chi)
+    return (*half_line_simpson(chi.fn, *chi.box), chi.box[1] <= 0.0)
+
+
+def is_step(w) -> bool:
+    return w.kind == "heaviside" or (w.kind == "pullback"
+                                     and is_step(w.base))
 
 
 def same_float(got, want):
@@ -183,10 +196,22 @@ class TestOnePairingPath:
                   for k in range(numdiff.MAX_ORDER + 1)]
         for shift in shifts:
             for w in dists:
-                want = pair_reference(w, psi, n, shift=shift)
                 got = pair(w, psi, n, shift=shift)
                 assert type(got) is float
-                assert same_float(got, want), (w, shift)
+                if not is_step(w):
+                    want = pair_reference(w, psi, n, shift=shift)
+                    assert same_float(got, want), (w, shift)
+                    continue
+                # within the reference's error estimate, the pairing's own
+                # and 1e-13 for the rounding of both, the translate's
+                # (p - b) / a included.  The pairing's error at n is at
+                # most twice its change from n to 2n panels, as the error
+                # at 2n is at most half the error at n.
+                want, est, left = half_line_reference(w, psi, shift)
+                own = 2.0 * abs(got - pair(w, psi, 2 * n, shift=shift))
+                assert abs(got - want) <= est + own + 1e-13, (w, shift)
+                if left:  # a box in x <= 0
+                    assert got == 0.0 and math.copysign(1.0, got) == 1.0
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_dirac_derivative_rows_are_the_reference_per_member(self, order):
@@ -240,3 +265,233 @@ class TestOnePairingPath:
                     member = scale(tf_lincomb(coeffs[:, k], path.terms), eps)
                     assert same_float(got[k], pair_reference(
                         w, member, 256, shift=x))
+
+
+# ---------------------------------------------------------------------------
+# the Heaviside by terms, and Dirac rows as arrays
+
+U = 2.0**-53
+#: Gregory's seventh coefficient, the first that the cut rule leaves off
+GAMMA_7 = 33953 / 3628800
+#: max over s in [-1, 0] of |prod_{q=-4..3} (s - q)| / 8!: the piece's
+#: interpolation error per panel, in units of the eighth difference
+_S = np.linspace(-1.0, 0.0, 1025)
+INTERP_8 = float(np.max(np.abs(np.prod(_S[:, None] - np.arange(-4, 4),
+                                       axis=1)))) / math.factorial(8)
+
+M0 = build_mollifier(0)
+M2 = build_mollifier(2, radius=0.9, center=0.1)
+NARROW = translate(scale(M2, 0.09), 0.45)  # a term at 0.09 of its leaf
+NESTED = translate(scale(tf_lincomb([0.6, 0.4], [M2, translate(M0, -0.2)]),
+                         0.5), -0.3)
+COMBO = tf_lincomb([0.7, -0.4, 0.5], [M0, NARROW, NESTED])
+PULLED = pullback_test_function(get_diffeo("sin-bend", WIDE), M2)  # opaque
+CUT_EPS = 2.0**-3  # the offset -tau eps gives back the cut tau exactly
+
+
+def leaves(tf, coef=1.0, s=0.0, r=1.0):
+    """(coef, leaf, s, r) with tf's part coef leaf((xi - s) / r) / r, for
+    every leaf of tf's combinations, in the order ``_cut_integral`` takes
+    them."""
+    if tf._terms is None:
+        return [(coef, tf, s, r)]
+    out = []
+    for c, t in zip(*tf._terms):
+        tb, rr, ss = t.frame
+        out += leaves(tb, coef * c, s + r * ss, r * rr)
+    return out
+
+
+def node_grid(tf, n=DEFAULT_NODES):
+    lo, hi = tf.box
+    return np.linspace(lo, hi, n + 1), (hi - lo) / n
+
+
+def cut_cases():
+    """(member, cuts in its coordinates): boxes wholly above and below the
+    cut, cuts inside, on a node of a leaf's grid, within 6 nodes of either
+    end of a leaf's box, and through the narrow term and its ends."""
+    lo, hi = COMBO.box
+    xi0, h0 = node_grid(M0)
+    xin, hn = node_grid(NARROW)
+    n = DEFAULT_NODES
+    combo = [lo - 0.25, hi + 0.25, *np.linspace(lo, hi, 11)[1:-1],
+             xi0[1000], xi0[2] + 0.37 * h0, xi0[n - 3] + 0.61 * h0,
+             xin[3] + 0.3 * hn, xin[n - 2] - 0.7 * hn,
+             xin[n // 2] + 0.123 * hn]
+    xi2, h2 = node_grid(M2)
+    single = [xi2[0] + 0.5 * h2, xi2[7], xi2[n // 3] + 0.25 * h2,
+              xi2[n - 5] + 0.5 * h2]
+    xip, hp = node_grid(PULLED)
+    pulled = [xip[2] + 0.2 * hp, xip[n // 2] + 0.5 * hp, xip[n - 4] - 0.5 * hp]
+    return [(COMBO, combo), (M2, single), (PULLED, pulled)]
+
+
+def cut_reference(member, tau, n=DEFAULT_NODES):
+    """Composite Simpson on 2^17 panels of each leaf's box above the cut,
+    summed, and a bound on the cut rule's distance from it: per leaf, the
+    rounding of the pairwise sums on both sides and of the cut's transform,
+    and the leading terms of the rule's truncation, Gregory's seventh and
+    the interpolant's eighth-order term, with the samples' differences
+    standing in for h^k times the derivative and a factor 4 for their being
+    taken beside the cut rather than at it."""
+    ref = bound = 0.0
+    for coef, leaf, s, r in leaves(member):
+        cut = (tau - s) / r
+        lo, hi = leaf.box
+        if cut >= hi:
+            continue
+        v = leaf.fn(np.linspace(max(cut, lo), hi, 2**17 + 1))
+        part = coef * simpson(v, (hi - max(cut, lo)) / 2**17)
+        ref += part
+        xi, h = node_grid(leaf, n)
+        w = np.concatenate((np.zeros(4), leaf.fn(xi), np.zeros(8)))
+        trunc = 0.0
+        if cut > lo:
+            m = int(np.searchsorted(xi, cut)) + 4
+            trunc = 4.0 * h * (GAMMA_7 * abs(np.diff(w[m:m + 8], 7)[0])
+                               + INTERP_8 * abs(np.diff(w[m - 4:m + 5], 8)[0]))
+        bound += abs(coef) * (
+            (n.bit_length() + 17 + 16) * U * h * np.abs(w).sum()
+            + 4.0 * U * (1.0 + abs(cut)) * np.abs(w).max() + trunc) \
+            + 4.0 * U * abs(part)
+    return ref, bound
+
+
+@pytest.fixture(scope="module")
+def cut_table():
+    """Each case's cuts, the lab's row over them and its one-member pairs,
+    and the references with their bounds, built once."""
+    out = []
+    for member, cuts in cut_cases():
+        xs = [-t * CUT_EPS for t in cuts]
+        row = pair_row(Heaviside(), np.ones((1, len(cuts))), (member,),
+                       CUT_EPS, xs)
+        pairs = [pair(Heaviside(), scale(member, CUT_EPS), shift=x)
+                 for x in xs]
+        out.append((member, cuts, row, pairs,
+                    [cut_reference(member, t) for t in cuts]))
+    return out
+
+
+def dirac_row_reference(w, coeffs, terms, eps, xs):
+    """The Dirac branch of ``pair_row`` as it was before it took a row as
+    one array, verbatim: member by member on numpy scalars."""
+    b = 0.0 + np.array(xs)
+    c, r = union_box(terms)
+    centers, radius = (c * eps + b).tolist(), r * eps
+    exact = w.order > 1 and all(t.dfn is not None for t in terms)
+    fns = [t.dfn if exact else t.fn for t in terms]
+    fac = eps ** -1 / eps if exact else eps ** -1
+
+    def member(k):
+        f, bk = _weighted_sum(coeffs[:, k].tolist(), fns), b[k]
+        return lambda p: fac * f((p - bk) / eps)
+
+    out = np.zeros(len(b))
+    p, order = w.position, w.order - exact
+    sign = -1.0 if w.order % 2 else 1.0
+    for k, ck in enumerate(centers):
+        if order:
+            out[k] = sign * numdiff.richardson_derivative(
+                member(k), p, order, numdiff.DEFAULT_STEP[order] * radius,
+                levels=2)
+        elif not abs(p - ck) > radius:
+            out[k] = member(k)(p)
+    return out
+
+
+class TestHeavisideByTerms:
+    def test_cut_integrals_are_accurate(self, cut_table):
+        """A row's entries are within the bound of ``cut_reference`` and
+        1e-14 of composite Simpson on 2^17 panels of each leaf's box."""
+        for member, cuts, row, _, refs in cut_table:
+            for tau, got, (ref, bound) in zip(cuts, row, refs):
+                assert abs(got - ref) <= min(bound, 1e-14), (member, tau)
+
+    def test_a_one_member_pair_is_its_row_entry(self, cut_table):
+        for _, _, row, pairs, _ in cut_table:
+            assert pairs == row.tolist()
+
+    def test_the_cases_cover_every_kind_of_cut(self, cut_table):
+        """Whole boxes, empty ones, and cuts inside a leaf's box: between
+        nodes, on a node, and within 6 nodes of either end."""
+        kinds = set()
+        for member, cuts, _, _, _ in cut_table:
+            for coef, leaf, s, r in leaves(member):
+                xi, _ = node_grid(leaf)
+                for t in cuts:
+                    m = np.searchsorted(xi, (t - s) / r)
+                    kinds.add("whole" if m == 0 else "empty"
+                              if m > DEFAULT_NODES else "node"
+                              if xi[m] == (t - s) / r else "near-left"
+                              if m <= 6 else "near-right"
+                              if m >= DEFAULT_NODES - 6 else "inside")
+        assert kinds == {"whole", "empty", "node", "near-left",
+                         "near-right", "inside"}
+
+    @pytest.mark.parametrize("K", [1, 5, 40])
+    def test_a_straddling_row_evaluates_each_term_once(self, K):
+        """K members whose boxes all straddle 0 evaluate each term on its
+        own grid once, whatever K (a member-by-member grid on [0, hi]
+        evaluated each term K times)."""
+        terms = (build_mollifier(1, radius=0.8, center=0.1),
+                 build_mollifier(2, radius=1.1, center=-0.05))
+        calls = []
+        for i, t in enumerate(terms):
+            t.fn = lambda p, f=t.fn, i=i: calls.append(i) or f(p)
+        xs = np.linspace(-0.2, 0.2, K).tolist()
+        c, r = union_box(terms)
+        assert all(abs(0.5 * c + x) < 0.5 * r for x in xs)  # straddling
+        coeffs = np.vstack([np.linspace(0.3, 0.7, K),
+                            np.linspace(0.7, 0.3, K)])
+        pair_row(Heaviside(), coeffs, terms, 0.5, xs)
+        assert sorted(calls) == [0, 1]
+
+
+@pytest.fixture(scope="module")
+def battery_rows():
+    """Full-path battery paths of order 1 and 3, built once."""
+    return make_battery("full_path", 1, 2, 3) + make_battery("full_path", 3,
+                                                             2, 7)
+
+
+class TestDiracRowsAsArrays:
+    @pytest.mark.parametrize("order", range(4))
+    def test_battery_rows_are_the_member_by_member_rows(self, order,
+                                                        battery_rows):
+        """delta^(k), k = 0..3, at 0 and 0.3 over battery rows whose boxes
+        hold the position, miss it and end on it, bit for bit."""
+        for path in battery_rows:
+            c, r = union_box(path.terms)
+            for eps in (1.0, 0.25, 2.0**-6):
+                xs = list(np.linspace(-0.4, 0.4, 9)) + [
+                    -c * eps - r * eps, 0.3 - c * eps + r * eps]
+                coeffs = np.array(path.weights(eps, xs))
+                for p in (0.0, 0.3):
+                    w = DiracDerivative(order, p)
+                    got = pair_row(w, coeffs, path.terms, eps, xs)
+                    want = dirac_row_reference(w, coeffs, path.terms, eps,
+                                               xs)
+                    assert got.tobytes() == want.tobytes(), (eps, p)
+
+    @pytest.mark.parametrize("order", range(4))
+    def test_opaque_rows_and_pairs_are_the_member_by_member_values(
+            self, order):
+        """Terms evaluated by a Newton inverse that stops per row, with no
+        ``dfn``, in a row of several members and in one-member pairs."""
+        terms = (PULLED, M2)
+        xs = [-0.45, -0.1, 0.0, 0.2, 0.35]
+        coeffs = np.array([[0.6, -0.2, 1.0, 0.3, 0.5],
+                           [0.4, 1.2, 0.0, 0.7, -0.5]])
+        for eps in (1.0, 0.3, 2.0**-6):
+            for p in (0.0, 0.3):
+                w = DiracDerivative(order, p)
+                got = pair_row(w, coeffs, terms, eps, xs)
+                want = dirac_row_reference(w, coeffs, terms, eps, xs)
+                assert got.tobytes() == want.tobytes(), (eps, p)
+                for x in xs:
+                    one = dirac_row_reference(w, np.array([[1.0]]),
+                                              (PULLED,), eps, [x])[0]
+                    got = pair(w, scale(PULLED, eps), shift=x)
+                    assert np.float64(got).tobytes() == one.tobytes()
