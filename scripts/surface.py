@@ -13,7 +13,11 @@ change shows where its lines went.  Last come the code lines, the lines
 that are not blank, not only a comment and not part of a docstring, in
 total (``src code lines: N``) and per module (``src code lines <file>:
 N``): deleting a comment or a docstring changes the raw count, not this
-one.  A name is public when it does not start with an underscore.  Only
+one.  After the counts come the settable public values themselves, one a
+line and sorted, by module-qualified name (``value: basic_space.embed_C(w)``),
+so the ``diff`` of two checkouts' outputs names each value a change
+removed or added.  A name is public when it does not start with an
+underscore.  Only
 the standard library's ``ast`` and ``tokenize`` read the sources; nothing
 is imported.  A reader that closes the pipe early (``| head -1``) ends the
 run quietly, with status 1.
@@ -106,7 +110,8 @@ def main() -> int:
         text = path.read_text()
         lines[path.name] = len(text.splitlines())
         code[path.name] = code_lines(text)
-        values += settable_values(ast.parse(text))
+        values += [(f"{path.stem}.{name}", d)
+                   for name, d in settable_values(ast.parse(text))]
     print(f"src lines: {sum(lines.values())}")
     print(f"settable public values: {len(values)}")
     print(f"with a default: {sum(d for _, d in values)}")
@@ -115,6 +120,8 @@ def main() -> int:
     print(f"src code lines: {sum(code.values())}")
     for name, count in code.items():
         print(f"src code lines {name}: {count}")
+    for name in sorted(name for name, _ in values):
+        print(f"value: {name}")
     return 0
 
 

@@ -604,7 +604,8 @@ def counterexample_scenario(mu, path, spec: SweepSpec, eps_battery: Sequence,
     has local slopes growing without bound: the super-polynomial verdict.
     All of this runs in log space; the raw value would overflow at once.
     R lives on mu's target set ``mu.omega_dst`` and its pullback on
-    ``mu.omega_src``, so a probe outside either raises ``DomainError``.
+    ``mu.omega_src``, its preimage, so a probe outside either raises
+    ``DomainError``.
     """
     rep = ExpExpRepresentative(squared_mass_inner(quad_n), mu.omega_dst)
 
@@ -613,7 +614,7 @@ def counterexample_scenario(mu, path, spec: SweepSpec, eps_battery: Sequence,
 
     untrans = test_moderate(rep, eps_battery, replace(spec, alphas=(0,)))
 
-    pulled = rep.compose_pullback(mu, mu.omega_src)
+    pulled = rep.compose_pullback(mu)
     ser = replace(sweep(pulled, path, replace(spec, alphas=(1,)))[0],
                   member_id=f"{path.member_id}|{mu.name}")
     verdict = fit_order(ser, spec.fit_window)

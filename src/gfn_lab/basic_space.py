@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import numdiff
-from .distributions import (Distribution, pair, pair_row,
+from .distributions import (Distribution, _pullback, pair, pair_row,
                             pullback_test_function)
 from .testfunc import (TAU_M, Box, DomainError, TestFunction, translate,
                        union_box)
@@ -47,12 +47,15 @@ class Representative:
     ``row((coeffs, terms, eps), xs)``, where set, is ``eval_fn`` at each
     (S_eps tf_lincomb(coeffs[:, k], terms), xs[k]), bit for bit, unchecked;
     sweeps over coefficient-form paths read it, and otherwise pass each
-    member to ``eval_fn``.
+    member to ``eval_fn``.  The constructors that build the lab's
+    representatives also set their pullback in closed form, as they set
+    ``row`` (``compose_pullback``).
     """
 
     has_log_channel = False
     phi_independent = False
     row = None
+    _pulled = None  # (mu, omega) -> the pullback along mu, on omega
 
     def __init__(self, eval_fn: Callable[[TestFunction, float], complex],
                  formalism: str = "C", linear: bool = False,
@@ -84,18 +87,22 @@ class Representative:
                 f"(phi, x) with x={x!r}, support B({phi.center}, "
                 f"{phi.radius:g}) is outside U(Omega)")
 
-    def compose_pullback(self, mu,
-                         omega_src: Optional[Box]) -> "Representative":
-        """Representative (phi~, x~) -> self(T(phi~, x~)), T the transform
-        ``pullback_pair_transform(mu)``, on ``omega_src``."""
-        transform = pullback_pair_transform(mu)
-
-        def ev(phi_t, x_t):
-            chi, y = transform(phi_t, x_t)
-            return self(chi, y)  # re-check the base domain at (chi, y)
-
-        return Representative(ev, formalism=self.formalism, linear=self.linear,
-                              omega=omega_src)
+    def compose_pullback(self, mu) -> "Representative":
+        """(phi~, x~) -> self(T(phi~, x~)), T the transform
+        ``pullback_pair_transform(mu)``, in the closed form its constructor
+        set, with a row where this has one; it lives on mu's source set
+        ``mu.omega_src`` within mu^{-1}(omega), a ``Box`` as mu is
+        monotone.  A representative without a closed form (hand-built, or
+        from ``translate_formalism``) raises ``TypeError``."""
+        if self._pulled is None:
+            raise TypeError(f"no closed-form pullback of {self!r}")
+        src, om = mu.omega_src, self.omega
+        if om is not None:
+            lo, hi = sorted((mu.inverse(om.lo), mu.inverse(om.hi)))
+            if src is not None:
+                lo, hi = max(lo, src.lo), min(hi, src.hi)
+            src = Box.interval(lo, hi)
+        return self._pulled(mu, src)
 
     def __repr__(self):
         return f"Representative({self.eval_fn}, {self.formalism})"
@@ -111,7 +118,8 @@ class ExpExpRepresentative(Representative):
     ``inner.d1(phi, psi)``, which ``squared_mass_inner`` provides; an inner
     with ``d1`` reads phi alone, not x.  Sweeps read I on a row of members
     by ``inner.row`` where set; ``log_abs_dx`` and ``log_abs_d1`` turn I's
-    values into log magnitudes.
+    values into log magnitudes.  The pullback is the log channel of
+    ``inner.pulled(mu)``; an inner without ``pulled`` has none.
     """
 
     has_log_channel = True
@@ -128,6 +136,9 @@ class ExpExpRepresentative(Representative):
             return complex(np.exp(1j * np.exp(ival)))
 
         super().__init__(ev, formalism="C", linear=False, omega=omega)
+        if hasattr(inner, "pulled"):
+            self._pulled = lambda mu, om: ExpExpRepresentative(
+                inner.pulled(mu), omega=om)
 
     def log_abs_dx(self, ival, up, dn, h: float):
         """log |d/dx R| = I(x) + log |I'(x)| from the values ``ival``, ``up``
@@ -159,20 +170,6 @@ class ExpExpRepresentative(Representative):
             acc += float(np.log(abs(di)))
         return acc
 
-    def compose_pullback(self, mu, omega_src):
-        """The pullback of I along ``mu``: the inner's own ``pulled(mu)``
-        where it has one (``squared_mass_inner``), else I after the
-        transform."""
-        if hasattr(self.inner, "pulled"):
-            return ExpExpRepresentative(self.inner.pulled(mu), omega=omega_src)
-        transform, base_inner = pullback_pair_transform(mu), self.inner
-
-        def inner2(phi_t, x_t):
-            chi, y = transform(phi_t, x_t)
-            return base_inner(chi, y)
-
-        return ExpExpRepresentative(inner2, omega=omega_src)
-
 
 # ---------------------------------------------------------------------------
 # embeddings
@@ -180,16 +177,22 @@ class ExpExpRepresentative(Representative):
 
 def embed_C(w: Distribution, omega: Optional[Box] = None,
             n: Optional[int] = None) -> Representative:
-    """iota in the C-formalism: (phi, x) -> <w, phi(. - x)>.  Every kind
-    but a pullback gets ``pair_row`` as its row, so a sweep over a
-    coefficient-form path builds no member."""
+    """iota in the C-formalism: (phi, x) -> <w, phi(. - x)>, with
+    ``pair_row`` as its row, so a sweep over a coefficient-form path builds
+    no member.  Its pullback along mu is the embedding of mu^* w, in the
+    closed form of ``distributions._pullback``, and pulls back again."""
+    return _embedded(w, 1.0, 0.0, omega, n)
 
-    def ev(phi, x):
-        return pair(w, phi, n, shift=x)
 
-    rep = Representative(ev, formalism="C", linear=True, omega=omega)
-    if w.kind != "pullback":
-        rep.row = lambda member, xs: pair_row(w, *member, xs, n)
+def _embedded(w: Distribution, c: float, s: float, omega: Optional[Box],
+              n: Optional[int]) -> Representative:
+    """(phi, x) -> c <w, phi(. - (x - s))>, the embedding of c w(. - s);
+    ``embed_C`` at c = 1, s = 0, which change no bit of its values."""
+    rep = Representative(lambda phi, x: c * pair(w, phi, n, shift=x - s),
+                         formalism="C", linear=True, omega=omega)
+    rep.row = lambda member, xs: c * pair_row(w, *member, np.subtract(xs, s),
+                                              n)
+    rep._pulled = lambda mu, om: _embedded(*_pullback(mu, w, c, s), om, n)
     return rep
 
 
@@ -205,7 +208,7 @@ def embed_J(w: Distribution, n: Optional[int] = None) -> Representative:
 def embed_sigma(f: Callable[[float], complex],
                 omega: Optional[Box] = None) -> Representative:
     """The constant embedding of a smooth function, in the C-formalism:
-    (phi, x) -> f(x)."""
+    (phi, x) -> f(x).  Its pullback along mu is ``embed_sigma(f o mu)``."""
 
     def ev(phi, x):
         return f(x)
@@ -213,6 +216,7 @@ def embed_sigma(f: Callable[[float], complex],
     rep = Representative(ev, formalism="C", linear=False, omega=omega)
     rep.phi_independent = True
     rep.row = lambda member, xs: np.array([f(x) for x in xs])
+    rep._pulled = lambda mu, om: embed_sigma(lambda x: f(mu.forward(x)), om)
     return rep
 
 
@@ -245,9 +249,12 @@ def pullback_pair_transform(mu):
 
         chi(xi) = phi~(mu^{-1}(xi + mu x~) - x~) * |det D mu^{-1}(xi + mu x~)|,
 
-    assembled from the classical pullback of the translated test function.
-    The identity map reproduces (phi~, x~) bit for bit because the two
-    opposite translations cancel structurally.
+    assembled from the pulled test function of the translate
+    (``pullback_test_function``).  The identity map reproduces (phi~, x~)
+    bit for bit because the two opposite translations cancel structurally.
+    No representative calls it: each pulls back in closed form
+    (``Representative.compose_pullback``), and this is the definition those
+    closed forms are checked against.
     """
 
     def transform(phi_t: TestFunction, x_t):
@@ -281,7 +288,10 @@ def _combined(op, g1, g2):
 def _composite(r1: Representative, r2: Representative, op,
                linear: bool) -> Representative:
     """op of the operands' values on the first operand's open set, else the
-    second's; and op of their rows if both have one and its check covers."""
+    second's; and op of their rows if both have one and its check covers.
+    Its pullback is op of the operands' pullbacks, if both have one: an
+    operand the composite's check covers is pulled onto the composite's
+    pulled set, one on another set onto its own."""
     if r1.formalism != r2.formalism:
         raise FormalismError(f"cannot {op.__name__} across formalisms")
     omega = r1.omega if r1.omega is not None else r2.omega
@@ -290,6 +300,11 @@ def _composite(r1: Representative, r2: Representative, op,
                          linear=linear, omega=omega)
     if r1.row and r2.row and f1 is r1.eval_fn and f2 is r2.eval_fn:
         rep.row = _combined(op, r1.row, r2.row)
+
+    if r1._pulled and r2._pulled:  # f1 is r1.eval_fn: omega is r1's or None
+        rep._pulled = lambda mu, om: _composite(
+            r1._pulled(mu, om), r2._pulled(mu, om) if f2 is r2.eval_fn
+            else r2.compose_pullback(mu), op, linear)
     return rep
 
 

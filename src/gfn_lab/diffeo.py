@@ -271,16 +271,19 @@ def compose(mu: Diffeomorphism, nu: Diffeomorphism) -> Diffeomorphism:
 def pullback_rep(mu: Diffeomorphism, rep: Representative) -> Representative:
     """The action on a representative:
 
-        (mu^ R)(phi~, x~) = R(phi~(mu^{-1}(. + mu x~) - x~)|det D mu^{-1}(. + mu x~)|, mu x~).
+        (mu^ R)(phi~, x~) = R(phi~(mu^{-1}(. + mu x~) - x~)|det D mu^{-1}(. + mu x~)|, mu x~),
 
-    The transformed test function is opaque, supported on the exact image
-    of its source box (``Diffeomorphism.image_box``); a log-magnitude
-    channel on R is transported along, with the pulled row of an inner that
-    has one (``squared_mass_inner``), so its sweeps build no member.
+    in closed form (``Representative.compose_pullback``): an embedding
+    pulls back to the embedding of the pulled distribution, sigma(f) to
+    sigma(f o mu), a composite to the composite of its operands' pullbacks
+    and a log channel to that of its pulled inner, each with a row, so no
+    sweep of it builds a member.  It lives on ``mu.omega_src`` within
+    mu^{-1}(R's open set).  A representative without a closed form raises
+    ``TypeError``.
     """
     if rep.formalism != "C":
         raise FormalismError("pullback acts on C-formalism representatives")
-    return rep.compose_pullback(mu, mu.omega_src)
+    return rep.compose_pullback(mu)
 
 
 class PartialDomain:

@@ -1,8 +1,9 @@
 """Distributions as linear pairings against test functions.
 
 Variants: smooth densities, Dirac derivatives and the Heaviside step.  The
-classical pullback under a diffeomorphism is provided so embedding
-consistency can be checked against it.
+derivative and the pullback under a diffeomorphism are given in closed
+form where one exists; ``pullback_test_function`` is the pulled test
+function itself, the reference the closed forms are checked against.
 """
 
 from __future__ import annotations
@@ -13,10 +14,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import numdiff
-from .testfunc import (DEFAULT_NODES, DomainError, TestFunction,
-                       _lincomb_samples, _row_blocks, _weighted_sum,
-                       falling_factorial, shifted_frame, translate,
-                       union_box)
+from .testfunc import (DEFAULT_NODES, TestFunction, _lincomb_samples,
+                       _row_blocks, _weighted_sum, falling_factorial,
+                       shifted_frame, union_box)
 
 #: maximum Dirac-derivative order handled by the Richardson stencils
 K_MAX = numdiff.MAX_ORDER
@@ -68,16 +68,6 @@ class Heaviside(Distribution):
     """Unit step at 0 (one-dimensional)."""
 
     kind = "heaviside"
-
-
-class PullbackDistribution(Distribution):
-    """mu* u, the classical pullback acting through the diffeomorphism."""
-
-    kind = "pullback"
-
-    def __init__(self, mu, base: Distribution):
-        self.mu = mu
-        self.base = base
 
 
 #: offsets of the samples that the cut rule weights, from the first node
@@ -201,18 +191,13 @@ def _by_terms(form: tuple, tf, a: float, b, d: float, n: int):
 
 def pair(w: Distribution, psi: TestFunction, n: Optional[int] = None,
          shift: float = 0.0):
-    """The pairing <w, psi(. - shift)>.
-
-    A pullback pairs through ``classical_pullback`` of the translate
-    ``translate(psi, shift)``.  Every other kind is ``pair_row``'s row of
-    one member: the base of the translate's frame (base, a, b), read from
+    """The pairing <w, psi(. - shift)>: ``pair_row``'s row of one member,
+    the base of the translate's frame (base, a, b), read from
     ``shifted_frame`` without building the translate, at eps = a and
     offset b.  The result is bit for bit that of the translate itself, the
     exact cancellations of ``translate`` included, but for the sign of a
     zero.
     """
-    if w.kind == "pullback":
-        return classical_pullback(w.mu, w.base, translate(psi, shift), n)
     (base, a, b), _ = shifted_frame(psi, shift)
     return float(pair_row(w, np.array([[1.0]]), (base,), a, [b], n)[0])
 
@@ -220,9 +205,8 @@ def pair(w: Distribution, psi: TestFunction, n: Optional[int] = None,
 def pair_row(w: Distribution, coeffs: np.ndarray, terms: tuple, eps: float,
              xs: list, n: Optional[int] = None) -> np.ndarray:
     """<w, psi_k(. - xs[k])> for the members psi_k = S_eps
-    tf_lincomb(coeffs[:, k], terms), each k: the lab's one pairing, for
-    every kind but the pullback; it builds no member, and a kind it cannot
-    pair raises ``TypeError``.
+    tf_lincomb(coeffs[:, k], terms), each k: the lab's one pairing; it
+    builds no member, and a kind it cannot pair raises ``TypeError``.
 
     Member k's translate is eps^-1 sum_j c_j t_j((p - b_k) / eps), with
     b_k = 0.0 + xs[k], on the box c eps + b_k +- r eps, (c, r) the terms'
@@ -302,8 +286,33 @@ def derivative(w: Distribution) -> Distribution:
     raise TypeError(f"no closed-form derivative for {w!r}")
 
 
+def _pullback(mu, w: Distribution, c: float, s: float) -> tuple:
+    """mu^* of the weighted translate c w(. - s), <c w(. - s), psi> =
+    c <w, psi(. + s)>, in closed form: (v, c', t) with mu^* c w(. - s) =
+    c' v(. - t), where <mu^* u, psi> = <u, (psi o mu^{-1}) |det D mu^{-1}|>.
+
+    The identity keeps (w, c, s).  delta at p goes to c |mu'(q)|^-1 delta
+    at q = mu^{-1}(p + s); the step at s, under an increasing map, to the
+    step at mu^{-1}(s); a density f to the opaque f(mu(.) - s).  A kind
+    without a closed form raises ``TypeError``: delta^(k) for k >= 1, and
+    the step under a decreasing map.
+    """
+    if mu.is_identity:
+        return w, c, s
+    if w.kind == "dirac" and w.order == 0:
+        q = mu.inverse(w.position + s)
+        return DiracDerivative(0, q), c / abs(mu.d_forward(q)), 0.0
+    if w.kind == "heaviside" and mu.d_forward(t := mu.inverse(s)) > 0.0:
+        return w, c, t
+    if w.kind == "smooth":
+        return SmoothDensity(lambda p: w.f(mu.forward(p) - s)), c, 0.0
+    raise TypeError(f"no closed-form pullback of {w!r} along {mu.name}")
+
+
 def pullback_test_function(mu, psi: TestFunction) -> TestFunction:
-    """(psi o mu^{-1}) |det D mu^{-1}| as an opaque test function.
+    """(psi o mu^{-1}) |det D mu^{-1}| as an opaque test function: paired
+    with w, the definition of <mu^* w, psi> that ``_pullback``'s closed
+    forms are checked against.
 
     Its box is the exact image of psi's box, the interval between mu(lo)
     and mu(hi) (a one-dimensional diffeomorphism is strictly monotone),
@@ -318,20 +327,6 @@ def pullback_test_function(mu, psi: TestFunction) -> TestFunction:
         return psi.fn(pre) * np.abs(1.0 / mu.d_forward(pre))
 
     return TestFunction(center, radius, fn)
-
-
-def classical_pullback(mu, u: Distribution, psi: TestFunction,
-                       n: Optional[int] = None):
-    """<u, (psi o mu^{-1}) |det D mu^{-1}|>, the classical pullback pairing."""
-    src = getattr(mu, "omega_src", None)
-    if src is not None and not src.contains_ball(psi.center, psi.radius):
-        raise DomainError("test function support leaves the source chart")
-    chi = pullback_test_function(mu, psi)
-    dst = getattr(mu, "omega_dst", None)
-    if dst is not None and chi is not psi and not dst.contains_ball(
-            chi.center, chi.radius):
-        raise DomainError("transformed support leaves the target chart")
-    return pair(u, chi, n)
 
 
 # ---------------------------------------------------------------------------

@@ -404,7 +404,7 @@ class TestD1Form:
         channel sweeps k = 0, and k >= 1 raises."""
         rep = ExpExpRepresentative(squared_mass_inner(1024), omega=OMEGA)
         mu = get_diffeo("sin-bend", OMEGA)
-        pulled = rep.compose_pullback(mu, None)
+        pulled = rep.compose_pullback(mu)
         assert hasattr(rep.inner, "d1") and not hasattr(pulled.inner, "d1")
         bat = make_battery("static", 0, 1, seed=6)
         dirs = perturbation_directions(2, seed=5)

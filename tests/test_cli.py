@@ -214,7 +214,8 @@ class TestCliSurface:
         """scripts/surface.py runs without PYTHONPATH or an install, counts
         the src/ lines as wc -l does, in total and per module, and the code
         lines, which sum to their total and never exceed a module's lines;
-        at most every value has a default."""
+        at most every value has a default; then every value, sorted, by
+        module-qualified name."""
         root = Path(__file__).resolve().parent.parent
         env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
         res = subprocess.run([sys.executable,
@@ -222,7 +223,10 @@ class TestCliSurface:
                              cwd=tmp_path, env=env, capture_output=True,
                              text=True, timeout=60)
         assert res.returncode == 0, res.stderr
-        got = dict(line.split(": ") for line in res.stdout.splitlines())
+        out = [line.split(": ") for line in res.stdout.splitlines()]
+        got = dict(kv for kv in out if kv[0] != "value")
+        values = [v for k, v in out if k == "value"]
+        assert out[-len(values):] == [["value", v] for v in values]
         lines = sum(p.read_text().count("\n")
                     for p in (root / "src" / "gfn_lab").glob("*.py"))
         assert int(got["src lines"]) == lines
@@ -237,7 +241,10 @@ class TestCliSurface:
         assert sum(code.values()) == int(got["src code lines"]) > 0
         assert all(0 < v <= modules[f"src lines {k}"] for k, v in code.items())
         assert 0 < int(got["with a default"]) \
-            <= int(got["settable public values"])
+            <= int(got["settable public values"]) == len(values)
+        assert values == sorted(values)
+        assert {v.split(".")[0] for v in values} <= {p[:-3] for p in names}
+        assert "basic_space.embed_C(omega)" in values
 
     def test_surface_is_quiet_when_its_reader_closes_the_pipe(self):
         """A reader gone before the first line, as after ``| head -1``,

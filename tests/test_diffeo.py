@@ -4,20 +4,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gfn_lab.basic_space import embed_C
+from gfn_lab.asymptotics import squared_mass_inner
+from gfn_lab.basic_space import (ExpExpRepresentative, Representative,
+                                 embed_C, embed_J, embed_sigma,
+                                 pullback_pair_transform, sub,
+                                 translate_formalism)
 from gfn_lab.diffeo import (Diffeomorphism, PartialDomain, affine_map,
                             catalog, check_Z_requirements, compose,
                             get_diffeo, identity_map, pullback_rep,
                             transform_test_object)
 from gfn_lab.distributions import (DiracDerivative, Heaviside,
-                                   PullbackDistribution,
-                                   pullback_test_function)
+                                   pullback_test_function, smooth_density)
 from gfn_lab.test_objects import (MomentClass, TestObjectPath,
                                   _quadrature_rows, check_moment_class,
                                   make_battery)
 from gfn_lab.testfunc import (Box, DomainError, _moment_sums,
-                              bump_testfunction, moments_upto, scale,
-                              translate)
+                              build_mollifier, bump_testfunction,
+                              moments_upto, scale, translate)
+
+from test_shared_evaluation import rows_catalog
 
 RNG = np.random.default_rng(17)
 OMEGA = Box.interval(-2.5, 2.5)
@@ -504,15 +509,174 @@ class TestPullbackRep:
     @pytest.mark.parametrize("name", ["affine-2x", "sin-bend", "cubic"])
     @pytest.mark.parametrize("uname", ["delta", "H"])
     def test_embedding_commutes(self, name, uname, moll2):
-        """mu^ iota(u) = iota(mu* u) to 1e-8."""
+        """mu^ iota(u), in closed form, is iota(u) at the transformed pair
+        to 1e-8."""
         u = DiracDerivative(0) if uname == "delta" else Heaviside()
         mu = get_diffeo(name, OMEGA)
         lhs = pullback_rep(mu, embed_C(u))
-        rhs = embed_C(PullbackDistribution(mu, u))
+        transform = pullback_pair_transform(mu)
         for _ in range(10):
             phi = scale(moll2, 0.1 + 0.3 * RNG.random())
             x = float((RNG.random() - 0.5) * 0.6)
-            assert abs(lhs(phi, x) - rhs(phi, x)) <= 1e-8
+            assert abs(lhs(phi, x) - embed_C(u)(*transform(phi, x))) <= 1e-8
+
+
+def closed_form_maps() -> dict:
+    """Every catalog map on OMEGA and two decreasing affine maps."""
+    maps = dict(catalog(OMEGA))
+    maps["affine(-1,0.25)"] = affine_map(-1.0, 0.25, OMEGA)
+    maps["affine(-2,0)"] = affine_map(-2.0, 0.0, OMEGA)
+    return maps
+
+
+def closed_form_reps() -> dict:
+    """The lab's representatives that pull back in closed form, on OMEGA:
+    delta off the origin, the Heaviside, sin and x^4 embedded, sigma of
+    sin, and embed-order's defects iota(f) - sigma(f)."""
+    out = {"delta": embed_C(DiracDerivative(0, 0.3), omega=OMEGA),
+           "H": embed_C(Heaviside(), omega=OMEGA),
+           "sigma-sin": embed_sigma(np.sin, omega=OMEGA)}
+    for f in ("sin", "x4"):
+        out[f] = embed_C(smooth_density(f), omega=OMEGA)
+        out[f"defect-{f}"] = sub(out[f], embed_sigma(smooth_density(f).f,
+                                                     omega=OMEGA))
+    return out
+
+
+class TestClosedFormPullback:
+    """Each representative the lab builds pulls back in closed form, which
+    ``pullback_pair_transform`` defines: mu^ R (phi~, x~) = R(chi, y)."""
+
+    #: the closed form against R at the transformed pair, relative to
+    #: max(1, |R|): the two quadratures of a density or a step differ by
+    #: rounding (at most 1.3e-13 measured, on shift-1's moved cut)
+    BOUND = 1e-12
+
+    @pytest.mark.parametrize("mname,rname", [
+        (m, r) for m in sorted(closed_form_maps())
+        for r in sorted(closed_form_reps())
+        if not (r == "H" and m.startswith("affine(-"))])  # none: it raises
+    def test_closed_form_is_the_transform(self, mname, rname):
+        """Members down to eps = 2^-11 at points across K and straddling
+        the pulled cut mu^{-1}(0) and the pulled point mu^{-1}(0.3)."""
+        mu, rep = closed_form_maps()[mname], closed_form_reps()[rname]
+        pulled, transform = pullback_rep(mu, rep), pullback_pair_transform(mu)
+        phis = [build_mollifier(2, radius=0.8, center=0.1),
+                build_mollifier(1, radius=0.5)]
+        probes = 0
+        for phi in phis:
+            for eps in (1.0, 2.0**-3, 2.0**-7, 2.0**-11):
+                xs = np.linspace(-0.6, 0.6, 7).tolist() + [
+                    mu.inverse(0.0) + 0.3 * eps, mu.inverse(0.3) - 0.2 * eps]
+                for x in xs:
+                    p = scale(phi, eps)
+                    if not pulled.in_domain(p, x):
+                        continue
+                    want = rep(*transform(p, x))
+                    got = pulled(p, x)
+                    assert abs(got - want) <= self.BOUND * max(1.0, abs(want))
+                    if mu.is_identity:
+                        assert got == want
+                    probes += 1
+        assert probes >= 60
+
+    def test_the_cut_moves_under_shift_1(self, moll2):
+        """H pulled back along x + 1 is the step at mu^{-1}(0) = -1."""
+        pulled = pullback_rep(get_diffeo("shift-1", OMEGA),
+                              embed_C(Heaviside(), omega=OMEGA))
+        for x in (-1.5, -1.0, -0.7, 0.0):
+            phi = scale(moll2, 0.3)
+            assert pulled(phi, x) == embed_C(Heaviside())(phi, x + 1.0)
+
+    def test_pulled_embeddings_pull_back_again(self, moll2):
+        """Functoriality composes for the step and a density too."""
+        mu, nu = get_diffeo("affine-2x", OMEGA), get_diffeo("sin-bend", OMEGA)
+        for u in (Heaviside(), smooth_density("x4")):
+            R = embed_C(u)
+            lhs = pullback_rep(compose(mu, nu), R)
+            rhs = pullback_rep(nu, pullback_rep(mu, R))
+            for x in (-0.4, 0.0, 0.3):
+                phi = scale(moll2, 0.2)
+                assert lhs(phi, x) == pytest.approx(rhs(phi, x), abs=1e-12)
+
+    @pytest.mark.parametrize("case", [
+        "delta1", "H-decreasing", "hand-built", "translated", "inner",
+        "pulled-inner"])
+    def test_no_closed_form_raises(self, case):
+        """delta^(k) for k >= 1, a step under a decreasing map, a
+        hand-built or translated evaluator, and a log channel whose inner
+        has no ``pulled`` (a pulled inner has none) raise ``TypeError``."""
+        mu = get_diffeo("sin-bend", OMEGA)
+        log = ExpExpRepresentative(squared_mass_inner(256), omega=OMEGA)
+        rep = {
+            "delta1": lambda: embed_C(DiracDerivative(1)),
+            "H-decreasing": lambda: embed_C(Heaviside()),
+            "hand-built": lambda: Representative(lambda phi, x: x),
+            "translated": lambda: translate_formalism(
+                embed_J(DiracDerivative(0))),
+            "inner": lambda: ExpExpRepresentative(lambda phi, x: x),
+            "pulled-inner": lambda: pullback_rep(mu, log),
+        }[case]()
+        if case == "H-decreasing":
+            mu = affine_map(-1.0, 0.25, OMEGA)
+        with pytest.raises(TypeError, match="closed-form pullback"):
+            pullback_rep(mu, rep)
+
+    def test_identity_keeps_every_value_and_row(self):
+        """Under the identity every lab-built representative with a row,
+        the composites, the log channel and pulled embeddings included,
+        gives its own values and rows, bit for bit, on its own open set."""
+        path = make_battery("full_path", 1, 2, seed=3)[1]
+        xs = np.linspace(-1.0, 1.0, 9).tolist()
+        for name, rep in rows_catalog(OMEGA, 0.4).items():
+            if isinstance(rep, tuple) or name == "pulled-exp-exp":
+                continue  # a pulled inner has no pullback
+            pulled = pullback_rep(identity_map(), rep)
+            assert pulled.omega == rep.omega, name
+            for eps in (0.5, 2.0**-6):
+                member = (np.array(path.weights(eps, xs)), path.terms, eps)
+                if rep.row is not None:
+                    assert (np.asarray(pulled.row(member, xs)).tobytes()
+                            == np.asarray(rep.row(member, xs)).tobytes()), name
+                phi = scale(path(eps, 0.1), eps)
+                got, want = pulled(phi, 0.1), rep(phi, 0.1)
+                assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+class TestPulledOpenSet:
+    """A pulled representative lives on mu's source set within
+    mu^{-1}(R's open set)."""
+
+    MU = get_diffeo("sin-bend", OMEGA)
+    NARROW = Box.interval(-0.5, 0.5)
+
+    def test_a_pulled_log_channel_keeps_R_open_set(self, moll2):
+        """R raises at the image of (S_0.1 phi, 1.0); so does its pullback."""
+        R = ExpExpRepresentative(squared_mass_inner(1024), omega=self.NARROW)
+        phi = scale(moll2, 0.1)
+        with pytest.raises(DomainError):
+            R(*pullback_pair_transform(self.MU)(phi, 1.0))
+        pulled = pullback_rep(self.MU, R)
+        end = self.MU.inverse(0.5)  # the preimage of R's open set
+        assert pulled.omega == Box.interval(-end, end)
+        assert not pulled.in_domain(phi, 1.0)
+        with pytest.raises(DomainError):
+            pulled(phi, 1.0)
+        assert abs(pulled(phi, 0.0)) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("u", [DiracDerivative(0), Heaviside()],
+                             ids=["delta", "H"])
+    def test_a_pulled_embedding_keeps_its_domain_error(self, u, moll2):
+        """R raises where the transformed pair leaves its open set, and so
+        does the pullback, at the edge of mu^{-1}(0.5) too."""
+        pulled = pullback_rep(self.MU, embed_C(u, omega=self.NARROW))
+        end = self.MU.inverse(0.5)
+        phi = scale(moll2, 0.1)
+        with pytest.raises(DomainError):
+            pulled(phi, 1.0)
+        with pytest.raises(DomainError):
+            pulled(phi, end - 0.05)
+        assert np.isfinite(pulled(phi, end - 0.15))
 
 
 class TestTransformTestObject:

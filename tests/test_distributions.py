@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gfn_lab.basic_space import embed_C
-from gfn_lab.diffeo import affine_map, get_diffeo, identity_map
-from gfn_lab.distributions import (DiracDerivative, Heaviside,
-                                   PullbackDistribution, SmoothDensity,
-                                   classical_pullback, derivative, pair,
+from gfn_lab.diffeo import affine_map, get_diffeo, identity_map, pullback_rep
+from gfn_lab.distributions import (DiracDerivative, Heaviside, SmoothDensity,
+                                   _pullback, derivative, pair,
                                    smooth_density)
 from gfn_lab.testfunc import Box, DomainError, tf_lincomb, translate
 
@@ -92,8 +91,9 @@ class TestDerivative:
         assert abs(total) <= 1e-8
 
     @pytest.mark.parametrize("w", [SmoothDensity(np.sin),
-                                   PullbackDistribution(identity_map(),
-                                                        Heaviside())],
+                                   _pullback(get_diffeo("sin-bend"),
+                                             smooth_density("sin"), 1.0,
+                                             0.0)[0]],
                              ids=["bare-density", "pullback"])
     def test_no_closed_form_raises(self, w):
         with pytest.raises(TypeError, match="closed-form"):
@@ -133,21 +133,27 @@ class TestDomain:
 
 
 class TestClassicalPullback:
+    """<mu* u, psi> = <u, (psi o mu^{-1}) |det D mu^{-1}|>, in closed form:
+    the pulled embedding at x = 0."""
+
+    @staticmethod
+    def pulled(mu, u):
+        return lambda psi: pullback_rep(mu, embed_C(u))(psi, 0.0)
+
     def test_identity_is_plain_pair(self, moll2_offset):
         u = smooth_density("sin")
-        mu = identity_map()
-        assert classical_pullback(mu, u, moll2_offset) == pair(u, moll2_offset)
+        got = self.pulled(identity_map(), u)(moll2_offset)
+        assert got == pair(u, moll2_offset)
 
     def test_delta_under_doubling(self, moll2_offset):
         """<mu* delta, psi> = psi(mu^{-1}(0)) |det D mu^{-1}(0)| = psi(0)/2."""
-        mu = affine_map(2.0)
-        got = classical_pullback(mu, DiracDerivative(0), moll2_offset)
+        got = self.pulled(affine_map(2.0), DiracDerivative(0))(moll2_offset)
         assert got == pytest.approx(0.5 * moll2_offset(0.0), abs=1e-12)
 
     def test_smooth_change_of_variables(self, moll0):
         """<mu* f, psi> = integral of f(mu(x)) psi(x) dx."""
         mu = get_diffeo("sin-bend")
-        got = classical_pullback(mu, smooth_density("sin"), moll0)
+        got = self.pulled(mu, smooth_density("sin"))(moll0)
         oracle = oracle_trapezoid(
             lambda x: np.sin(mu.forward(x)) * moll0.fn(x), -1.0, 1.0, 65536)
         assert got == pytest.approx(oracle, abs=1e-8)
@@ -156,4 +162,4 @@ class TestClassicalPullback:
         om = Box.interval(-1.0, 1.0)
         mu = affine_map(2.0, omega_dst=om)
         with pytest.raises(DomainError):
-            classical_pullback(mu, DiracDerivative(0), moll0)
+            self.pulled(mu, DiracDerivative(0))(moll0)

@@ -1,5 +1,5 @@
 """One pairing path: ``pair`` is ``pair_row``'s row of one member for every
-kind but the pullback.  The scalar pairing it replaced is kept below as the
+kind.  The scalar pairing it replaced is kept below as the
 reference (``pair_reference``), and every pairing but the Heaviside's must
 give its floats; the Heaviside's is held to its accuracy instead
 (``TestHeavisideByTerms``)."""
@@ -13,8 +13,7 @@ from hypothesis import given, settings, strategies as st
 from gfn_lab import numdiff
 from gfn_lab.diffeo import get_diffeo
 from gfn_lab.distributions import (SMOOTH_CHAINS, DiracDerivative, Heaviside,
-                                   PullbackDistribution, SmoothDensity,
-                                   pair, pair_row,
+                                   SmoothDensity, pair, pair_row,
                                    pullback_test_function, smooth_density)
 from gfn_lab.test_objects import make_battery
 from gfn_lab.testfunc import (DEFAULT_NODES, Box, TestFunction,
@@ -24,7 +23,7 @@ from gfn_lab.testfunc import (DEFAULT_NODES, Box, TestFunction,
 from conftest import half_line_simpson, simpson
 from test_shared_evaluation import LEAVES, nested_lincombs
 
-WIDE = Box.interval(-50.0, 50.0)  # no pullback below leaves its charts
+WIDE = Box.interval(-50.0, 50.0)  # no pulled function below leaves it
 
 
 def by_terms_reference(form: tuple, tf, a: float, b, d: float, n: int):
@@ -83,10 +82,10 @@ def psi_derivative_at_reference(psi: TestFunction, a: float, order: int):
 def pair_reference(w, psi, n=None, shift=0.0):
     """The scalar pairing as it was before it became a row of one member,
     verbatim, with the scalar addition theorems of ``by_terms_reference``,
-    but for two lines: the translate's center and radius, which
-    ``shifted_frame`` no longer returns, and a pullback paired by this
-    reference, the pulled function with it (``classical_pullback``'s
-    checks pass on ``WIDE``).  Its Heaviside branches, composite Simpson
+    but for the translate's center and radius, which ``shifted_frame`` no
+    longer returns, and its pullback branch, gone with the pullback kind
+    (pullbacks are closed forms of the other kinds, ``test_diffeo``'s
+    ``TestClosedFormPullback``).  Its Heaviside branches, composite Simpson
     on the base's samples or on [0, hi], are gone: the Heaviside pairs by
     terms (``half_line_reference`` and ``TestHeavisideByTerms``)."""
     if n is None:
@@ -113,25 +112,15 @@ def pair_reference(w, psi, n=None, shift=0.0):
         sign = -1.0 if w.order % 2 else 1.0
         return sign * psi_derivative_at_reference(psi, w.position, w.order)
 
-    if w.kind == "pullback":
-        return pair_reference(w.base, pullback_test_function(w.mu, psi), n)
-
     raise TypeError(f"no reference for distribution kind {w.kind!r}")
 
 
-def half_line_reference(w, psi, shift):
-    """For the Heaviside or its pullback: the integral over x >= 0 of the
-    translate, pulled back for a pullback, the error estimate of
-    ``half_line_simpson``, and whether the box lies in x <= 0."""
+def half_line_reference(psi, shift):
+    """For the Heaviside: the integral over x >= 0 of the translate, the
+    error estimate of ``half_line_simpson``, and whether the box lies in
+    x <= 0."""
     chi = translate(psi, shift)
-    if w.kind == "pullback":
-        chi = pullback_test_function(w.mu, chi)
     return (*half_line_simpson(chi.fn, *chi.box), chi.box[1] <= 0.0)
-
-
-def is_step(w) -> bool:
-    return w.kind == "heaviside" or (w.kind == "pullback"
-                                     and is_step(w.base))
 
 
 def same_float(got, want):
@@ -141,8 +130,7 @@ def same_float(got, want):
 
 def catalog():
     """Every SMOOTH_CHAINS link, closed-form and behind an opaque wrapper,
-    the Heaviside, delta^(0..4) at 0 and pullbacks of delta, the Heaviside
-    and sin."""
+    the Heaviside and delta^(0..4) at 0."""
     out = {}
     for name, chain in SMOOTH_CHAINS.items():
         for j, f in enumerate(chain):
@@ -151,10 +139,6 @@ def catalog():
     out["H"] = Heaviside()
     for k in range(numdiff.MAX_ORDER + 1):
         out[f"delta{k}"] = DiracDerivative(k)
-    for mu in ("sin-bend", "shift-1"):
-        for u in ("delta0", "H", "sin[0]"):
-            out[f"{mu}*{u}"] = PullbackDistribution(get_diffeo(mu, WIDE),
-                                                    out[u])
     return out
 
 
@@ -198,7 +182,7 @@ class TestOnePairingPath:
             for w in dists:
                 got = pair(w, psi, n, shift=shift)
                 assert type(got) is float
-                if not is_step(w):
+                if w.kind != "heaviside":
                     want = pair_reference(w, psi, n, shift=shift)
                     assert same_float(got, want), (w, shift)
                     continue
@@ -207,7 +191,7 @@ class TestOnePairingPath:
                 # (p - b) / a included.  The pairing's error at n is at
                 # most twice its change from n to 2n panels, as the error
                 # at 2n is at most half the error at n.
-                want, est, left = half_line_reference(w, psi, shift)
+                want, est, left = half_line_reference(psi, shift)
                 own = 2.0 * abs(got - pair(w, psi, 2 * n, shift=shift))
                 assert abs(got - want) <= est + own + 1e-13, (w, shift)
                 if left:  # a box in x <= 0
@@ -237,15 +221,6 @@ class TestOnePairingPath:
         row = [pair_row(DiracDerivative(k), coeffs, path.terms, 0.25,
                         [-0.02])[0] for k in (0, 1)]
         assert row == pytest.approx([6.62, 35.17], abs=0.01)
-
-    def test_a_pullback_row_raises(self):
-        """The classical pullback has no row: it pairs through the pulled
-        function of each member, which ``pair`` builds."""
-        path = make_battery("full_path", 1, 2, 3)[1]
-        coeffs = np.array(path.weights(0.5, [-1.0, 0.0]))
-        w = PullbackDistribution(get_diffeo("shift-1", WIDE), Heaviside())
-        with pytest.raises(TypeError):
-            pair_row(w, coeffs, path.terms, 0.5, [-1.0, 0.0])
 
     def test_a_complex_opaque_density_raises(self):
         psi = scale(LEAVES[0], 0.5)

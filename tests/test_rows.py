@@ -291,7 +291,7 @@ class TestPulledBackLogRow:
     def test_row_equals_the_pulled_back_inner_per_point(self, name):
         mu = named_map(name)
         rep = ExpExpRepresentative(squared_mass_inner(1024))
-        pulled = rep.compose_pullback(mu, None)
+        pulled = rep.compose_pullback(mu)
         row = rep.inner.pulled(mu).row
         path = make_battery("eps_path", 0, 1, 7)[0]
         K = np.linspace(-1.0, 1.0, 11).tolist()  # 0.0 is in K
@@ -418,6 +418,6 @@ class TestRowBlocks:
         assert inner.row((coeffs, path.terms, eps), K) == \
             [inner(scale(path(eps, x), eps), x) for x in K]
         mu = get_diffeo("cubic", OMEGA)
-        pulled = ExpExpRepresentative(inner).compose_pullback(mu, None).inner
+        pulled = ExpExpRepresentative(inner).compose_pullback(mu).inner
         assert inner.pulled(mu).row((coeffs, path.terms, eps), K) == \
             [pulled(scale(path(eps, x), eps), x) for x in K]

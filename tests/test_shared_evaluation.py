@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from gfn_lab import asymptotics as asy, basic_space, numdiff
+from gfn_lab import asymptotics as asy, basic_space, distributions, numdiff
 from gfn_lab.asymptotics import SweepSpec
 from gfn_lab.basic_space import (ExpExpRepresentative, Representative,
                                  d1_derivative, embed_C, embed_sigma, mul,
@@ -817,8 +817,10 @@ def rows_catalog(omega, nan_above):
     ``nan_above``, the composites that embed-order and association sweep,
     a tuple of them, the delta, delta', delta'', the Heaviside and the
     difference of delta and the Heaviside, sin behind an opaque wrapper, the
-    counterexample's log channel (a row at alpha = 1 only), and a
-    composite whose operand keeps its own open set (it has no row)."""
+    counterexample's log channel (a row at alpha = 1 only), a composite
+    whose operand keeps its own open set (it has no row), and the closed
+    form pullbacks of delta off the origin, of the Heaviside (its cut moved
+    to -1), sin, sigma of sin, the sin defect and the log channel."""
     links = {f"{name}[{j}]": embed_C(SmoothDensity(f), omega=omega)
              for name, chain in SMOOTH_CHAINS.items()
              for j, f in enumerate(chain)}
@@ -832,6 +834,8 @@ def rows_catalog(omega, nan_above):
     defect = {f: sub(iota[f], sigma[f]) for f in ("sin", "x4")}
     delta = embed_C(DiracDerivative(0), omega=omega)
     step = embed_C(Heaviside(), omega=omega)
+    exp_exp = ExpExpRepresentative(asy.squared_mass_inner(1024), omega=omega)
+    bend, shift = get_diffeo("sin-bend", omega), get_diffeo("shift-1", omega)
     return {
         "delta": delta,
         "heaviside": step,
@@ -840,8 +844,7 @@ def rows_catalog(omega, nan_above):
         "delta2": embed_C(DiracDerivative(2), omega=omega),
         "opaque-sin": embed_C(SmoothDensity(lambda t: np.sin(t)),
                               omega=omega, n=256),
-        "exp-exp": ExpExpRepresentative(asy.squared_mass_inner(1024),
-                                        omega=omega),
+        "exp-exp": exp_exp,
         **links,
         "sin@256": embed_C(smooth_density("sin"), omega=omega, n=256),
         "sigma-sin": embed_sigma(np.sin, omega=omega),
@@ -854,6 +857,13 @@ def rows_catalog(omega, nan_above):
         "shared": (defect["sin"], defect["x4"], gap),
         "other-set": sub(iota["sin"],
                          embed_sigma(np.sin, omega=Box.interval(-9.0, 9.0))),
+        "pulled-delta": pullback_rep(bend, embed_C(DiracDerivative(0, 0.3),
+                                                   omega=omega)),
+        "pulled-heaviside": pullback_rep(shift, step),
+        "pulled-sin": pullback_rep(bend, iota["sin"]),
+        "pulled-sigma-sin": pullback_rep(bend, sigma["sin"]),
+        "pulled-defect-sin": pullback_rep(bend, defect["sin"]),
+        "pulled-exp-exp": pullback_rep(bend, exp_exp),
     }
 
 
@@ -884,6 +894,32 @@ class TestPulledBackLogChannel:
             assert calls == [] and np.isfinite(rows[1].values).all()
             for got, want in zip(rows, members, strict=True):
                 assert got.values.tobytes() == want.values.tobytes()
+
+
+class TestPulledEmbeddings:
+    @pytest.mark.parametrize("name", ["sin-bend", "cubic"])
+    def test_rows_run_without_the_transform(self, name, monkeypatch):
+        """``pullback_rep`` of the delta's embedding sweeps a
+        coefficient-form path at alphas (0, 1) by its row, with no member
+        built and neither the transform nor the pulled test function
+        called; the same members behind an opaque path give its tables."""
+        calls, built = [], []
+        count_calls(monkeypatch, basic_space.pullback_pair_transform, calls)
+        count_calls(monkeypatch, distributions.pullback_test_function, calls)
+        count_calls(monkeypatch, TestObjectPath.__call__, built,
+                    owner=TestObjectPath)
+        rep = pullback_rep(get_diffeo(name, OMEGA),
+                           embed_C(DiracDerivative(0), omega=OMEGA))
+        spec = dataclasses.replace(SMALL, K=np.linspace(-0.6, 0.6, 5),
+                                   alphas=(0, 1))
+        for path in make_battery("full_path", 1, 2, 7):
+            rows = asy.sweep(rep, path, spec)
+            assert (calls, built) == ([], [])
+            members = asy.sweep(rep, opaque(path), spec)
+            assert calls == [] and np.isfinite(rows[1].values).all()
+            for got, want in zip(rows, members, strict=True):
+                assert got.values.tobytes() == want.values.tobytes()
+            built.clear()
 
 
 class TestCoefficientRows:
@@ -934,8 +970,11 @@ class TestCoefficientRows:
         assert sweep_outcome(rep, opaque(path), spec) == want
         if name != "other-set":
             assert built == []  # every row at once, errors included
-        if half <= 1.1 and name != "exp-exp":  # the first row leaves
-            assert got[0] is DomainError       # (no log-channel check)
+        # the first row leaves the catalog's own set, which a pulled
+        # representative trades for its preimage (no log-channel check)
+        if half <= 1.1 and "exp-exp" not in name \
+                and not name.startswith("pulled-"):
+            assert got[0] is DomainError
 
     @settings(max_examples=100, deadline=None)
     @given(q=st.integers(0, 2), seed=st.integers(0, 2**16),
