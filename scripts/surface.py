@@ -16,10 +16,12 @@ N``): deleting a comment or a docstring changes the raw count, not this
 one.  After the counts come the settable public values themselves, one a
 line and sorted, by module-qualified name (``value: basic_space.embed_C(w)``),
 so the ``diff`` of two checkouts' outputs names each value a change
-removed or added.  A name is public when it does not start with an
-underscore.  Only
-the standard library's ``ast`` and ``tokenize`` read the sources; nothing
-is imported.  A reader that closes the pipe early (``| head -1``) ends the
+removed or added.  Last, sorted, each public function, class and method
+of a public class in src/gfn_lab that nothing in src/ or scripts/ names
+(as a name, an attribute or an import): ``unused: testfunc.moments_upto``.
+A name is public when it does not start with an underscore.  Only the
+standard library's ``ast`` and ``tokenize`` read the sources; nothing is
+imported.  A reader that closes the pipe early (``| head -1``) ends the
 run quietly, with status 1.
 """
 
@@ -78,6 +80,37 @@ def settable_values(tree: ast.Module) -> list:
     return out
 
 
+def definitions(tree: ast.Module) -> list:
+    """(qualified name, name) of each public module-level function and
+    class, and of each public method of a public class."""
+    out = []
+    for node in tree.body:
+        if not (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and _public(node.name)):
+            continue
+        out.append((node.name, node.name))
+        if isinstance(node, ast.ClassDef):
+            out += [(f"{node.name}.{item.name}", item.name)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and _public(item.name)]
+    return out
+
+
+def used_names(tree: ast.Module) -> set:
+    """Every name ``tree`` reads or binds as a name, an attribute or an
+    import."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.update(node.name.split("."))
+    return out
+
+
 def code_lines(text: str) -> int:
     """The number of lines of ``text`` that hold a token other than a
     comment or a docstring (the first statement of a module, class or
@@ -105,13 +138,18 @@ def code_lines(text: str) -> int:
 
 def main() -> int:
     lines, code = {}, {}
-    values = []
+    values, defined, used = [], [], set()
     for path in sorted(SRC.glob("*.py")):
         text = path.read_text()
+        tree = ast.parse(text)
         lines[path.name] = len(text.splitlines())
         code[path.name] = code_lines(text)
         values += [(f"{path.stem}.{name}", d)
-                   for name, d in settable_values(ast.parse(text))]
+                   for name, d in settable_values(tree)]
+        defined += [(f"{path.stem}.{q}", name) for q, name in definitions(tree)]
+        used |= used_names(tree)
+    for path in sorted(SRC.parent.parent.joinpath("scripts").glob("*.py")):
+        used |= used_names(ast.parse(path.read_text()))
     print(f"src lines: {sum(lines.values())}")
     print(f"settable public values: {len(values)}")
     print(f"with a default: {sum(d for _, d in values)}")
@@ -122,6 +160,8 @@ def main() -> int:
         print(f"src code lines {name}: {count}")
     for name in sorted(name for name, _ in values):
         print(f"value: {name}")
+    for name in sorted(q for q, name in defined if name not in used):
+        print(f"unused: {name}")
     return 0
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field, replace
-from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -134,7 +133,7 @@ def _sup_table(path, spec: SweepSpec, row) -> list[np.ndarray]:
     first j <= n points, scanned here for NaN, and a callable that raises
     for the j-th point, or None if j = n; then the n-th point raises.
     """
-    dom, who = getattr(path, "domain", None), getattr(path, "member_id", path)
+    dom, who = path.domain, path.member_id
     xs, values = spec.K.tolist(), []
     for e in spec.eps.tolist():
         n = next((k for k, x in enumerate(xs)
@@ -156,38 +155,33 @@ def _insertion_row(channels: tuple, alpha: int, K: np.ndarray):
     channels (R, path): ``row(eps, n)`` gives ``_sup_table`` a row per
     channel of the magnitudes at the first j <= n points of K.
 
-    At each x a channel's representative reads x; the central stencil at
-    ``partial_x``'s step, shrunk near the boundary of its Omega; or, for a
-    log channel at alpha = 1, x and x +- h.  All these points are checked
-    against U(Omega) as arrays; the first x that fails is the j-th point,
-    which raises, channel by channel, what a checked call raises there.
-    The points before it are evaluated: by ``rep.row`` (a log channel's
-    ``rep.inner.row``) on a coefficient-form path, else by ``rep.eval_fn``
-    (``rep.inner``) on each member S_eps path(eps, y).  Log channels yield
-    log2 magnitudes: 0 at alpha = 0, since |R| = 1, and at alpha = 1
-    ``log_abs_dx`` of the row's I values at x and x +- h, in one call.
+    A channel reads ``rep.row`` (a log channel's ``rep.inner.row``) over a
+    coefficient-form path, the path's weights once per set of points; a
+    channel without a row, or a path without ``weights``, raises
+    ``TypeError`` here, before any eps.  At each x a channel's
+    representative reads x; the central stencil at ``partial_x``'s step,
+    shrunk near the boundary of its Omega; or, for a log channel at
+    alpha = 1, x and x +- h.  All these points are checked against
+    U(Omega) as arrays, on the box all members of the row share; the first
+    x that fails is the j-th point, which raises, channel by channel, what
+    a checked call raises there.  Log channels yield log2 magnitudes: 0 at
+    alpha = 0, since |R| = 1, and at alpha = 1 ``log_abs_dx`` of the row's
+    I values at x and x +- h, in one call.
     """
     if alpha > 1 and any(rep.has_log_channel for rep, _ in channels):
         raise ValueError("log-channel sweeps support first x-derivatives only")
+    rows = [getattr(rep.inner, "row", None) if rep.has_log_channel
+            else rep.row for rep, _ in channels]
+    for (rep, path), row_fn in zip(channels, rows):
+        if row_fn is None or path.weights is None:
+            raise TypeError(f"cannot sweep {rep!r} over {path.member_id!r}: "
+                            "a sweep reads rows, over coefficient-form paths")
     xs, hw = K.tolist(), stencil_halfwidth(alpha)
 
     def row(eps, n):
-        h, X, built, weights = eps * H_FACTOR, K[:n], {}, {}
+        h, X, weights = eps * H_FACTOR, K[:n], {}
         shared = {id(p): scale(TestFunction(*union_box(p.terms), None), eps)
-                  for _, p in channels if getattr(p, "weights", None) is not None}
-
-        def member(path, y):  # S_eps path(eps, y), built once per point
-            if (id(path), y) not in built:
-                built[id(path), y] = scale(path(eps, y), eps)
-            return built[id(path), y]
-
-        def supports(path, ys):  # the members' supports at ys, as arrays
-            if id(path) in shared:  # the one all members share
-                return shared[id(path)]
-            ms = [member(path, y) for y in ys.tolist()]
-            return SimpleNamespace(center=np.array([m.center for m in ms]),
-                                   radius=np.array([m.radius for m in ms]))
-
+                  for _, p in channels}  # the box all members share
         reads, failed, steps = [], np.zeros(n, dtype=bool), np.full(n, h)
         for rep, path in channels:
             om, hs, outside = rep.omega, steps, np.zeros(n, dtype=bool)
@@ -200,24 +194,20 @@ def _insertion_row(channels: tuple, alpha: int, K: np.ndarray):
             else:
                 pts = [X, X + h, X - h] if alpha else [X]
             for ys in pts if om is not None else ():
-                failed |= outside | ~rep.in_domain(supports(path, ys), ys)
+                failed |= outside | ~rep.in_domain(shared[id(path)], ys)
             reads.append((pts, hs, outside))
         j = int(np.argmax(failed)) if failed.any() else n
 
         out = np.zeros((len(channels), j))
-        for i, ((rep, path), (pts, hs, _)) in enumerate(zip(channels, reads)):
+        for i, ((rep, path), row_fn, (pts, hs, _)) in enumerate(
+                zip(channels, rows, reads)):
             if not j or rep.has_log_channel and not alpha:
                 continue  # nothing to evaluate, or |R| = 1
             ys = np.stack([p[:j] for p in pts], axis=1).ravel()  # x by x
-            fn = rep.inner if rep.has_log_channel else rep.eval_fn  # R or I
-            row_fn = getattr(fn if rep.has_log_channel else rep, "row", None)
             key, yl = (id(path), ys.tobytes()), ys.tolist()
-            if id(path) not in shared or row_fn is None:
-                vals = [fn(member(path, y), y) for y in yl]
-            else:  # the weights once per set of points
-                if key not in weights:
-                    weights[key] = np.array(path.weights(eps, yl))
-                vals = row_fn((weights[key], path.terms, eps), yl)
+            if key not in weights:
+                weights[key] = np.array(path.weights(eps, yl))
+            vals = row_fn((weights[key], path.terms, eps), yl)
             if rep.has_log_channel:  # I at x and x +- h
                 out[i] = rep.log_abs_dx(*np.reshape(vals, (j, 3)).T, h) / LN2
             else:  # the stencil's rows, in the order central_difference reads
@@ -230,7 +220,7 @@ def _insertion_row(channels: tuple, alpha: int, K: np.ndarray):
                 if outside[j]:
                     raise DomainError(f"derivative point x={xs[j]} outside Omega")
                 for y in (float(ys[j]) for ys in pts if rep.omega is not None):
-                    rep.check_domain(shared.get(id(path)) or member(path, y), y)
+                    rep.check_domain(shared[id(path)], y)
 
         return out, (fail if j < n else None)
 
@@ -246,6 +236,9 @@ def sweep(rep, path, spec: SweepSpec):
 
     ``rep`` is a representative or a tuple of them probed on the same
     members; a tuple yields a tuple of table lists, one per representative.
+    The tables are read from rows (``_insertion_row``): ``path`` must be
+    in coefficient form and each representative have a row, else
+    ``TypeError``.
     """
     reps = _representatives(rep)
     out = [[] for _ in reps]
@@ -253,8 +246,7 @@ def sweep(rep, path, spec: SweepSpec):
         tables = _sup_table(path, spec, _insertion_row(
             tuple((r, path) for r in reps), alpha, spec.K))
         for series, r, values in zip(out, reps, tables):
-            series.append(SweepSeries(getattr(path, "member_id", "member"),
-                                      alpha, spec.eps, values,
+            series.append(SweepSeries(path.member_id, alpha, spec.eps, values,
                                       is_log=r.has_log_channel))
     return tuple(out) if isinstance(rep, tuple) else out[0]
 

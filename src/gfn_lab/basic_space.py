@@ -45,9 +45,10 @@ class Representative:
     on the test function, so their directional derivatives vanish.  These
     are the representatives ``d1_derivative`` differentiates exactly.
     ``row((coeffs, terms, eps), xs)``, where set, is ``eval_fn`` at each
-    (S_eps tf_lincomb(coeffs[:, k], terms), xs[k]), bit for bit, unchecked;
-    sweeps over coefficient-form paths read it, and otherwise pass each
-    member to ``eval_fn``.  The constructors that build the lab's
+    (S_eps tf_lincomb(coeffs[:, k], terms), xs[k]), bit for bit, unchecked.
+    It is what sweeps read, over coefficient-form paths only; a
+    representative without one is evaluated point by point, and a sweep
+    of it raises ``TypeError``.  The constructors that build the lab's
     representatives also set their pullback in closed form, as they set
     ``row`` (``compose_pullback``).
     """
@@ -98,10 +99,8 @@ class Representative:
             raise TypeError(f"no closed-form pullback of {self!r}")
         src, om = mu.omega_src, self.omega
         if om is not None:
-            lo, hi = sorted((mu.inverse(om.lo), mu.inverse(om.hi)))
-            if src is not None:
-                lo, hi = max(lo, src.lo), min(hi, src.hi)
-            src = Box.interval(lo, hi)
+            src = _meet(Box.interval(*sorted((mu.inverse(om.lo),
+                                              mu.inverse(om.hi)))), src)
         return self._pulled(mu, src)
 
     def __repr__(self):
@@ -117,8 +116,9 @@ class ExpExpRepresentative(Representative):
     The phi-derivatives need the inner's exact directional derivative
     ``inner.d1(phi, psi)``, which ``squared_mass_inner`` provides; an inner
     with ``d1`` reads phi alone, not x.  Sweeps read I on a row of members
-    by ``inner.row`` where set; ``log_abs_dx`` and ``log_abs_d1`` turn I's
-    values into log magnitudes.  The pullback is the log channel of
+    by ``inner.row``, and an inner without one cannot be swept;
+    ``log_abs_dx`` and ``log_abs_d1`` turn I's values into log
+    magnitudes.  The pullback is the log channel of
     ``inner.pulled(mu)``; an inner without ``pulled`` has none.
     """
 
@@ -270,12 +270,14 @@ def pullback_pair_transform(mu):
 # algebra operations (pointwise on U(Omega))
 
 
-def _operand(r: Representative, omega: Optional[Box]):
-    """Evaluator of an operand of a composite on ``omega``.  Operands share
-    the composite's formalism, so the composite's own check covers an
-    operand without an open set or on the same one, which then runs its
-    bare ``eval_fn``; an operand on another set keeps its own check."""
-    return r.eval_fn if r.omega is None or r.omega == omega else r
+def _meet(a: Optional[Box], b: Optional[Box]) -> Optional[Box]:
+    """The intersection of two open sets, None standing for the line; two
+    equal sets give the first."""
+    if b is None or a == b:
+        return a
+    if a is None:
+        return b
+    return Box.interval(max(a.lo, b.lo), min(a.hi, b.hi))
 
 
 def _combined(op, g1, g2):
@@ -287,32 +289,31 @@ def _combined(op, g1, g2):
 
 def _composite(r1: Representative, r2: Representative, op,
                linear: bool) -> Representative:
-    """op of the operands' values on the first operand's open set, else the
-    second's; and op of their rows if both have one and its check covers.
-    Its pullback is op of the operands' pullbacks, if both have one: an
-    operand the composite's check covers is pulled onto the composite's
-    pulled set, one on another set onto its own."""
+    """op of the operands' values on the intersection of their open sets,
+    where a ball lies exactly when it lies in both, so the composite's one
+    check covers both operands, which run their bare ``eval_fn``.  Its row
+    is op of their rows, if both have one; its pullback op of their
+    pullbacks onto its own pulled set, if both have one."""
     if r1.formalism != r2.formalism:
         raise FormalismError(f"cannot {op.__name__} across formalisms")
-    omega = r1.omega if r1.omega is not None else r2.omega
-    f1, f2 = _operand(r1, omega), _operand(r2, omega)
-    rep = Representative(_combined(op, f1, f2), formalism=r1.formalism,
-                         linear=linear, omega=omega)
-    if r1.row and r2.row and f1 is r1.eval_fn and f2 is r2.eval_fn:
+    rep = Representative(_combined(op, r1.eval_fn, r2.eval_fn),
+                         formalism=r1.formalism, linear=linear,
+                         omega=_meet(r1.omega, r2.omega))
+    if r1.row and r2.row:
         rep.row = _combined(op, r1.row, r2.row)
-
-    if r1._pulled and r2._pulled:  # f1 is r1.eval_fn: omega is r1's or None
+    if r1._pulled and r2._pulled:
         rep._pulled = lambda mu, om: _composite(
-            r1._pulled(mu, om), r2._pulled(mu, om) if f2 is r2.eval_fn
-            else r2.compose_pullback(mu), op, linear)
+            r1._pulled(mu, om), r2._pulled(mu, om), op, linear)
     return rep
 
 
 def sub(r1: Representative, r2: Representative) -> Representative:
+    """r1 - r2 on the intersection of their open sets (``_composite``)."""
     return _composite(r1, r2, operator.sub, r1.linear and r2.linear)
 
 
 def mul(r1: Representative, r2: Representative) -> Representative:
+    """r1 r2 on the intersection of their open sets (``_composite``)."""
     return _composite(r1, r2, operator.mul, linear=False)
 
 

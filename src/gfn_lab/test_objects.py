@@ -40,7 +40,8 @@ class TestObjectPath:
     A path in coefficient form, as every ``make_battery`` path is, has no
     ``fn``: its member at xs[k] combines fixed ``terms`` with weights
     ``weights(eps, xs)[j][k]`` (``tf_lincomb``); any other path's
-    ``fn(eps, x)`` builds the member.  It declares no moment order: a
+    ``fn(eps, x)`` builds the member.  Sweeps read coefficient-form paths
+    only; any path serves a per-point call and the moment and Z checks.  It declares no moment order: a
     ``MomentClass`` carries the order.  ``rows(eps, xs)`` and
     ``quadrature(eps, xs, n)``, where set, are the path's own
     ``_member_rows`` and ``_quadrature_rows``.

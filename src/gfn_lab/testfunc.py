@@ -35,9 +35,6 @@ COND_LIMIT = 1e12
 #: orders up to twice this
 Q_CAP = 8
 
-#: nodes of the support grid that sup_abs samples
-SUP_NODES = 1024
-
 #: doubles that one block of a row of members holds at once, temporaries
 #: included: a longer row is taken in blocks of rows (``_row_blocks``)
 ROW_BLOCK_NODES = 2**16
@@ -182,12 +179,6 @@ class TestFunction:
     @property
     def box(self) -> tuple[float, float]:
         return self.center - self.radius, self.center + self.radius
-
-    def sup_abs(self) -> float:
-        if "sup" not in self._cache:
-            pts, _ = support_grid(self, SUP_NODES)
-            self._cache["sup"] = float(np.max(np.abs(self.fn(pts))))
-        return self._cache["sup"]
 
     def mass(self, n: Optional[int] = None) -> float:
         key = ("mass", n)

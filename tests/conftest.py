@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gfn_lab.testfunc import build_mollifier
+from gfn_lab.testfunc import build_mollifier, support_grid
 
 
 @pytest.fixture(scope="session")
@@ -18,6 +18,12 @@ def moll2():
 def moll2_offset():
     # center-offset member: asymmetric, first unconstrained moment nonzero
     return build_mollifier(2, center=0.15)
+
+
+def sup_abs(tf, n: int = 1024) -> float:
+    """max |tf| over its support grid on ``n`` panels."""
+    pts, _ = support_grid(tf, n)
+    return float(np.max(np.abs(tf.fn(pts))))
 
 
 _np_trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2

@@ -16,14 +16,17 @@ from gfn_lab.asymptotics import (SweepSeries, SweepSpec,
 from gfn_lab.basic_space import (ExpExpRepresentative, Representative,
                                  d1_derivative, embed_C, embed_sigma, mul, sub)
 from gfn_lab.basic_space import pullback_pair_transform
-from gfn_lab.diffeo import (Diffeomorphism, compose, get_diffeo, identity_map,
-                            pullback_rep)
+from gfn_lab.diffeo import (Diffeomorphism, PartialDomain, compose, get_diffeo,
+                            identity_map, pullback_rep)
 from gfn_lab.distributions import DiracDerivative, smooth_density
 from gfn_lab.scenarios import ScenarioConfig, run_scenario
 from gfn_lab.test_objects import (TestObjectPath, make_battery,
                                   perturbation_directions)
 from gfn_lab.testfunc import (Box, DomainError, TestFunction,
                               build_mollifier, scale, tf_lincomb)
+
+from conftest import sup_abs
+from probes import probed_tables
 
 OMEGA = Box.interval(-2.5, 2.5)
 U = 0.5 * float(np.finfo(float).eps)  # the unit roundoff
@@ -120,20 +123,21 @@ class TestSweep:
         assert ser.values[0] == pytest.approx(np.sin(1.0), abs=1e-12)
 
     def test_domain_violation_names_point(self):
-        from gfn_lab.diffeo import transform_test_object
-        mu = get_diffeo("affine-2x", OMEGA)
+        """A point outside the path's partial domain raises, naming it."""
         src = make_battery("full_path", 0, 1, seed=9, flavor="strict")[0]
-        out = transform_test_object(mu, src)
+        path = dataclasses.replace(src, domain=PartialDomain(
+            lambda e, x: abs(x) < 2.0 or e < 2.0**-5))
         spec = SweepSpec(i_min=2, i_max=8, K=np.linspace(-2.3, 2.3, 5),
                          alphas=(0,), fit_window=4)
         rep = embed_C(DiracDerivative(0), omega=OMEGA)
-        with pytest.raises(DomainError, match="eps"):
-            sweep(rep, out, spec)
+        with pytest.raises(DomainError, match=r"eps=0\.25, x=-2\.3\) outside "
+                                              r"the partial domain"):
+            sweep(rep, path, spec)
 
     def test_nan_probe_names_point(self):
         """A NaN at one K point raises instead of reaching the max."""
         bat = make_battery("full_path", 0, 1, seed=21)
-        rep = Representative(lambda phi, x: math.nan if x == 0.5 else 1.0)
+        rep = embed_sigma(lambda x: math.nan if x == 0.5 else 1.0)
         spec = SweepSpec(i_min=2, i_max=8, K=np.linspace(-1, 1, 5),
                          alphas=(0,), fit_window=4)
         with pytest.raises(FloatingPointError, match=r"eps=0\.25, x=0\.5"):
@@ -284,6 +288,7 @@ class TestNothingToJudge:
 class TestNegligibility:
     def test_zero_representative_witness_is_n(self):
         rep = Representative(lambda phi, x: 0.0, linear=True, omega=OMEGA)
+        rep.row = lambda member, xs: np.zeros(len(xs))
         spec = SweepSpec(i_min=2, i_max=8, K=np.linspace(-1, 1, 5),
                          alphas=(0,), fit_window=4)
 
@@ -381,7 +386,7 @@ class TestD1Form:
             calls.append("d1")
             return inner.d1(phi, psi)
 
-        counted.d1 = d1
+        counted.d1, counted.row = d1, inner.row
         rep.inner = counted
         return rep
 
@@ -448,7 +453,9 @@ class TestD1Form:
         k_max >= 1 raises ``ValueError`` up front."""
         inner = squared_mass_inner(1024)
         if not exact_d1:
-            inner = (lambda f: lambda phi, x: f(phi, x))(inner)
+            wrapper = (lambda f: lambda phi, x: f(phi, x))(inner)
+            wrapper.row = inner.row
+            inner = wrapper
         rep = ExpExpRepresentative(inner, omega=Box.interval(-0.5, 0.5))
         bat = make_battery("static", 0, 2, 6)
         dirs = perturbation_directions(2, 5)
@@ -509,7 +516,7 @@ class TestExactD1:
         is 2 int phi psi in exact arithmetic: I is quadratic."""
         phi, psis = self.scaled(member, 2.0**-i)
         for psi in psis:
-            t = 1e-4 * phi.sup_abs() / psi.sup_abs()
+            t = 1e-4 * sup_abs(phi) / sup_abs(psi)
             up = self.inner(tf_lincomb([1.0, t], [phi, psi]), 0.0)
             dn = self.inner(tf_lincomb([1.0, -t], [phi, psi]), 0.0)
             want = (up - dn) / (2.0 * t)
@@ -688,12 +695,16 @@ class TestVerdictInvariance:
         pulled = asy.test_moderate(pullback_rep(mu, rep), bat, spec)
         assert pulled.passed and pulled.N == expected_N
 
-        trans_bat = []
+        # a transformed path has no coefficient form: its tables are
+        # probed point by point
+        verdicts, series = [], []
         for path in bat:
             out = transform_test_object(mu, path)
             out.domain.register_compact(K)
-            trans_bat.append(out)
-        via_battery = asy.test_moderate(rep, trans_bat, spec)
+            [[values]] = probed_tables(rep, out, spec)
+            series.append(SweepSeries(out.member_id, 0, spec.eps, values))
+            verdicts.append(fit_order(series[-1], spec.fit_window))
+        via_battery = asy._moderate_report(verdicts, series)
         assert via_battery.passed and via_battery.N == expected_N
 
 

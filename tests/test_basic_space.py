@@ -13,10 +13,13 @@ from gfn_lab.basic_space import (Dj_derivative, ExpExpRepresentative,
                                  embed_J, embed_sigma, mul, partial_x, sub,
                                  translate_formalism)
 from gfn_lab.asymptotics import squared_mass_inner
+from gfn_lab.diffeo import get_diffeo, pullback_rep
 from gfn_lab.distributions import (DiracDerivative, Heaviside, SmoothDensity,
                                    derivative, pair, smooth_density)
 from gfn_lab.testfunc import (Box, DomainError, build_mollifier, moment,
                               scale, tf_lincomb)
+from gfn_lab.asymptotics import SweepSpec, sweep
+from gfn_lab.test_objects import TestObjectPath
 
 from conftest import oracle_trapezoid
 
@@ -155,16 +158,39 @@ class TestAlgebra:
                                            (mul, lambda u, v: u * v)],
                              ids=["sub", "mul"])
     def test_operand_on_another_box_keeps_its_check(self, op, value, moll0):
-        """A composite checks its own open set once; an operand on another
-        one still raises where only its own set is left."""
+        """A composite of operands on different open sets lives on their
+        intersection: it raises where the narrower operand raises, with
+        that operand's message, in either order."""
         wide = embed_C(smooth_density("sin"), omega=Box.interval(-2.5, 2.5))
         narrow = embed_C(smooth_density("x"), omega=Box.interval(-1.5, 1.5))
         phi = scale(moll0, 0.5)  # support B(x, 0.5) at x
+        with pytest.raises(DomainError) as alone:
+            narrow(phi, 1.2)  # inside the wide box, not the narrow one
         for r1, r2 in ((wide, narrow), (narrow, wide)):
             both = op(r1, r2)
             assert both(phi, 0.3) == value(r1(phi, 0.3), r2(phi, 0.3))
-            with pytest.raises(DomainError):
-                both(phi, 1.2)  # inside the wide box, not the narrow one
+            with pytest.raises(DomainError) as got:
+                both(phi, 1.2)
+            assert str(got.value) == str(alone.value)
+
+    def test_composite_lives_on_the_intersection(self):
+        """None stands for the line, equal sets give the first operand's
+        box, and the pullback lives on the pulled intersection."""
+        a, b = Box.interval(-2.0, 1.0), Box.interval(-1.0, 2.0)
+        sets = {(None, None): None, (a, None): a, (None, a): a,
+                (a, Box.interval(-2.0, 1.0)): a, (a, b): Box(-1.0, 1.0)}
+        for (s1, s2), want in sets.items():
+            got = sub(embed_sigma(np.sin, omega=s1),
+                      embed_C(DiracDerivative(0), omega=s2)).omega
+            assert got == want and (want is not a or got is a)
+        mu = get_diffeo("sin-bend", Box.interval(-2.5, 2.5))
+        mixed = mul(embed_sigma(np.sin, omega=a),
+                    embed_C(smooth_density("sin"), omega=b))
+        on_one = mul(embed_sigma(np.sin, omega=Box(-1.0, 1.0)),
+                     embed_C(smooth_density("sin"), omega=Box(-1.0, 1.0)))
+        pulled = pullback_rep(mu, mixed)
+        assert pulled.omega == pullback_rep(mu, on_one).omega
+        assert pulled.row is not None
 
     def test_embedded_product_gap_strict_a2(self, moll2):
         """iota(x)^2 - iota(x^2) = eps^2 (m1^2 - m2), zero on strict A_2."""
@@ -177,6 +203,34 @@ class TestAlgebra:
 
 
 class TestPartialX:
+    def test_mixed_set_composite_steps_on_the_intersection(self):
+        """A composite of operands on a wide and a narrow set takes its
+        x-derivative's step on their intersection whichever operand is the
+        narrow one: both orders give the value of the composite with both
+        operands on the narrow set, as does a sweep's row at alpha = 1."""
+        wide, narrow = Box.interval(-2.5, 2.5), Box.interval(-1.5, 1.5)
+        w = smooth_density("sin")
+
+        def defect(s1, s2):
+            return sub(embed_C(w, omega=s1), embed_sigma(np.sin, omega=s2))
+
+        phi = scale(build_mollifier(0), 2.0**-16)
+        x = 1.5 - 5e-5
+        want = partial_x(defect(narrow, narrow), 1, phi, x, h=1e-4)
+        # terms narrower than the step: K's last point takes a shrunk one
+        path = TestObjectPath(
+            None, 0.0022, "narrow",
+            terms=(build_mollifier(1, radius=0.002, center=0.0002),
+                   build_mollifier(0, radius=0.0015, center=-0.0001)),
+            weights=lambda e, xs: [[0.6] * len(xs), [0.4] * len(xs)])
+        spec = SweepSpec(i_min=2, i_max=7, K=np.array([-0.5, 1.4985]),
+                         alphas=(1,), fit_window=4)
+        table = sweep(defect(narrow, narrow), path, spec)[0].values
+        for s1, s2 in ((wide, narrow), (narrow, wide)):
+            assert partial_x(defect(s1, s2), 1, phi, x, h=1e-4) == want
+            got = sweep(defect(s1, s2), path, spec)[0].values
+            assert got.tobytes() == table.tobytes()
+
     def test_sigma_sin_derivative(self, moll0):
         rep = embed_sigma(np.sin)
         for x in (-0.8, 0.0, 0.5):

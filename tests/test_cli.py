@@ -215,7 +215,7 @@ class TestCliSurface:
         the src/ lines as wc -l does, in total and per module, and the code
         lines, which sum to their total and never exceed a module's lines;
         at most every value has a default; then every value, sorted, by
-        module-qualified name."""
+        module-qualified name; last the unused names, sorted."""
         root = Path(__file__).resolve().parent.parent
         env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
         res = subprocess.run([sys.executable,
@@ -224,9 +224,12 @@ class TestCliSurface:
                              text=True, timeout=60)
         assert res.returncode == 0, res.stderr
         out = [line.split(": ") for line in res.stdout.splitlines()]
-        got = dict(kv for kv in out if kv[0] != "value")
+        got = dict(kv for kv in out if kv[0] not in ("value", "unused"))
         values = [v for k, v in out if k == "value"]
-        assert out[-len(values):] == [["value", v] for v in values]
+        unused = [v for k, v in out if k == "unused"]
+        assert out[len(out) - len(values) - len(unused):] == \
+            [["value", v] for v in values] + [["unused", v] for v in unused]
+        assert unused == sorted(unused)
         lines = sum(p.read_text().count("\n")
                     for p in (root / "src" / "gfn_lab").glob("*.py"))
         assert int(got["src lines"]) == lines
@@ -245,6 +248,49 @@ class TestCliSurface:
         assert values == sorted(values)
         assert {v.split(".")[0] for v in values} <= {p[:-3] for p in names}
         assert "basic_space.embed_C(omega)" in values
+
+    #: public names that nothing in src/ or scripts/ uses, each with the
+    #: reason it stays
+    UNUSED = {
+        "testfunc.moments_upto": "perfbench binds and times it",
+        "diffeo.Diffeomorphism.inverted": "tier-1 builds inverse maps by it",
+    }
+
+    def test_every_public_name_is_used_or_allowed(self, monkeypatch, capsys):
+        """The names surface.py reports unused are exactly the allow-list:
+        a public function, class or method that no scenario, script or
+        other module calls is deleted, or listed here with its reason."""
+        monkeypatch.syspath_prepend(
+            str(Path(__file__).resolve().parent.parent / "scripts"))
+        import surface
+        assert surface.main() == 0
+        unused = [line.split(": ")[1]
+                  for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("unused: ")]
+        assert unused == sorted(self.UNUSED)
+
+    def test_unused_names_read_names_attributes_and_imports(
+            self, monkeypatch):
+        monkeypatch.syspath_prepend(
+            str(Path(__file__).resolve().parent.parent / "scripts"))
+        import ast
+        import surface
+        src = """
+import a.b as c
+from d import e
+def f(): pass
+def _g(): pass
+class H:
+    def m(self): pass
+    def _n(self): pass
+class _I:
+    def k(self): pass
+x = y.z
+"""
+        tree = ast.parse(src)
+        assert surface.definitions(tree) == [("f", "f"), ("H", "H"),
+                                             ("H.m", "m")]
+        assert surface.used_names(tree) == {"a", "b", "e", "x", "y", "z"}
 
     def test_surface_is_quiet_when_its_reader_closes_the_pipe(self):
         """A reader gone before the first line, as after ``| head -1``,

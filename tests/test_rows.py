@@ -3,6 +3,7 @@ row-wise Newton inverse under them, the pulled-back log channel over a
 sweep row, and the checks that read them.  Every row must give the bits of
 the per-point code it replaces."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -23,6 +24,8 @@ from gfn_lab.test_objects import (MomentClass, TestObjectPath, _decay_order,
 from gfn_lab.testfunc import (TAU_M, Box, DomainError, TestFunction,
                               _grid_rows, _moment_sums, build_mollifier,
                               moments_upto, scale, support_grid)
+
+from probes import probed_tables
 
 OMEGA = Box(-2.5, 2.5)
 MAPS = ["identity", "affine-2x", "shift-1", "sin-bend", "cubic",
@@ -368,17 +371,15 @@ class TestLogChannelDomain:
     @pytest.mark.parametrize("alpha", [0, 1])
     def test_row_and_per_point_paths_agree(self, alpha):
         """Inside U(Omega) the row gives the bits of the same members built
-        one by one, behind an opaque fn on a partial domain that admits
-        everything."""
-        path = make_battery("full_path", 0, 1, 7)[0]
-        everywhere = TestObjectPath(lambda e, x: path(e, x), path.radius_bound,
-                                    path.member_id,
-                                    domain=PartialDomain(lambda e, x: True))
+        one by one and probed by checked calls, on a partial domain that
+        admits everything."""
+        path = dataclasses.replace(make_battery("full_path", 0, 1, 7)[0],
+                                   domain=PartialDomain(lambda e, x: True))
         spec = SweepSpec(alphas=(alpha,), **self.SPEC)
         for rep in self.reps(OMEGA):
             rows = sweep(rep, path, spec)[0].values
-            points = sweep(rep, everywhere, spec)[0].values
-            assert np.array_equal(rows, points)
+            [[points]] = probed_tables(rep, path, spec)
+            assert rows.tobytes() == points.tobytes()
 
     def test_alpha_zero_builds_no_member(self, monkeypatch):
         built = []
@@ -392,9 +393,9 @@ class TestLogChannelDomain:
             table = sweep(rep, path, spec)[0].values
             assert np.array_equal(table, np.zeros(len(spec.eps)))
         assert built == []
+        never = dataclasses.replace(path, weights=lambda e, xs: 1 / 0)
         row = _insertion_row(((ExpExpRepresentative(squared_mass_inner(1024)),
-                               TestObjectPath(lambda e, x: 1 / 0, 1.0,
-                                              "never")),), 0, spec.K)
+                               never),), 0, spec.K)
         out, fail = row(0.25, len(spec.K))
         assert np.array_equal(out, np.zeros((1, len(spec.K))))
         assert fail is None

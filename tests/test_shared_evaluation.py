@@ -18,12 +18,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from gfn_lab import asymptotics as asy, basic_space, distributions, numdiff
+from gfn_lab import asymptotics as asy, basic_space, distributions
 from gfn_lab.asymptotics import SweepSpec
 from gfn_lab.basic_space import (ExpExpRepresentative, Representative,
-                                 d1_derivative, embed_C, embed_sigma, mul,
-                                 sub)
-from gfn_lab.diffeo import PartialDomain, get_diffeo, pullback_rep
+                                 embed_C, embed_J, embed_sigma, mul, sub,
+                                 translate_formalism)
+from gfn_lab.diffeo import (PartialDomain, get_diffeo, pullback_rep,
+                            transform_test_object)
 from gfn_lab.distributions import (SMOOTH_CHAINS, DiracDerivative, Heaviside,
                                    SmoothDensity, pair, smooth_density)
 from gfn_lab.test_objects import (TestObjectPath, make_battery,
@@ -32,6 +33,8 @@ from gfn_lab.testfunc import (DEFAULT_NODES, Box, DomainError, TestFunction,
                               build_mollifier, bump, bump_deriv,
                               moments_upto, scale, support_grid, tf_lincomb,
                               translate, union_box)
+
+from probes import probed_d1_outcome, probed_outcome, probed_tables
 
 OMEGA = Box.interval(-2.5, 2.5)
 EDGE = 1.0 - 2.0**-53  # the largest double below 1
@@ -195,7 +198,7 @@ def fresh_member():
 class TestSharedSamples:
     def test_association_probe_evaluates_each_base_once_per_member(self):
         """A full-path member is built again at every (eps, x), always over
-        the same support; its terms are evaluated once for the whole sweep."""
+        the same support; its terms are evaluated once, for all points."""
         calls = {"base": [], "other": []}
 
         def counted(tf, tag):
@@ -218,16 +221,16 @@ class TestSharedSamples:
         path = TestObjectPath(member, 1.15, "counted")
         ix = embed_C(smooth_density("x"), omega=OMEGA)
         ix2 = embed_C(smooth_density("x2"), omega=OMEGA)
-        tables = asy.sweep(sub(mul(ix, ix), ix2), path, SMALL)
+        [[values]] = probed_tables(sub(mul(ix, ix), ix2), path, SMALL)
         assert calls == {"base": [DEFAULT_NODES + 1],
                          "other": [DEFAULT_NODES + 1]}
         # the gap vanishes on strict A_2 members up to rounding
-        assert np.max(tables[0].values) <= 1e-12
+        assert np.max(values) <= 1e-12
 
     def test_smooth_sweep_pairs_at_a_shift(self, monkeypatch):
-        """embed_C of a smooth density pairs at the probe's shift: a sweep
-        over a full-path member builds no translated function and makes
-        one pair call per point."""
+        """embed_C of a smooth density pairs at the probe's shift: probing
+        full-path members point by point builds no translated function and
+        makes one pair call per point."""
         translated, paired, built = [], [], []
         count_calls(monkeypatch, translate, translated)
         count_calls(monkeypatch, pair, paired)
@@ -241,7 +244,7 @@ class TestSharedSamples:
 
         path = TestObjectPath(member, 1.15, "counted")
         w = smooth_density("x4")
-        asy.sweep(embed_C(w, omega=OMEGA), path, SMALL)
+        probed_tables(embed_C(w, omega=OMEGA), path, SMALL)
         points = len(SMALL.eps) * len(SMALL.K)
         assert len(built) == points
         assert translated == []
@@ -249,9 +252,10 @@ class TestSharedSamples:
 
     def test_missed_dirac_evaluates_and_translates_nothing(self,
                                                          monkeypatch):
-        """embed_C of delta over a full-path member: the terms are evaluated
-        only at points whose shifted box holds 0, elsewhere the pairing is
-        +0.0, and no translate is built at any point."""
+        """embed_C of delta probed on full-path members point by point: the
+        terms are evaluated only at points whose shifted box holds 0,
+        elsewhere the pairing is +0.0, and no translate is built at any
+        point."""
         spec = dataclasses.replace(SMALL, K=np.linspace(-1, 1, 9))
         base = build_mollifier(2, radius=0.9, center=0.1)
         other = build_mollifier(2, radius=1.1, center=-0.05)
@@ -273,11 +277,11 @@ class TestSharedSamples:
             tf.fn = lambda p, inner=inner: evaluated.append(p) or inner(p)
         count_calls(monkeypatch, translate, translated)
         path = TestObjectPath(member, 1.15, "counted")
-        tables = asy.sweep(embed_C(DiracDerivative(0), omega=OMEGA), path,
-                           spec)
+        [[values]] = probed_tables(embed_C(DiracDerivative(0), omega=OMEGA),
+                                   path, spec)
         assert len(evaluated) == 2 * len(hits)
         assert translated == []
-        assert np.all(tables[0].values > 0.0)
+        assert np.all(values > 0.0)
 
     def test_heaviside_over_the_whole_box_reads_cached_samples(self,
                                                               monkeypatch):
@@ -326,8 +330,9 @@ class TestSharedSamples:
             assert value == ix(fresh_member(), x) * ix(fresh_member(), x)
 
     def test_composite_probe_checks_the_domain_once(self, monkeypatch):
-        """An embed-order or association probe tests U(Omega) once: the
-        operands on the composite's own open set skip their checks."""
+        """An embed-order or association probe tests U(Omega) once, and so
+        does a composite of operands on different open sets: it lives on
+        their intersection, and its operands skip their checks."""
         checks = []
         in_domain = Representative.in_domain
 
@@ -340,7 +345,9 @@ class TestSharedSamples:
                    embed_sigma(np.sin, omega=OMEGA))
         ix = embed_C(smooth_density("x"), omega=OMEGA)
         gap = sub(mul(ix, ix), embed_C(smooth_density("x2"), omega=OMEGA))
-        for rep in (diff, gap):
+        mixed = sub(embed_C(smooth_density("sin"), omega=OMEGA),
+                    embed_sigma(np.sin, omega=Box.interval(-9.0, 9.0)))
+        for rep in (diff, gap, mixed):
             for x in (-0.7, 0.3):
                 checks.clear()
                 rep(fresh_member(), x)
@@ -569,16 +576,17 @@ class TestSharedMembers:
             flavor = "strict" if kind == "strict" else "cm"
             return make_battery("full_path", q, 1, seed=31 + q, flavor=flavor)
 
-        def counted(rep, calls):
-            def ev(phi, x):
-                calls.append(x)
-                return rep(phi, x)
-
-            return Representative(ev, linear=rep.linear, omega=rep.omega)
+        def counted(rep, calls):  # rep, its rows' points recorded
+            out = Representative(rep.eval_fn, linear=rep.linear,
+                                 omega=rep.omega)
+            out.row = lambda member, xs: calls.extend(xs) or rep.row(member,
+                                                                     xs)
+            return out
 
         # the zero representative has its witness at q = n and leaves the
         # search there; the delta embedding never has one and runs to q_max
         zero = Representative(lambda phi, x: 0.0, linear=True, omega=OMEGA)
+        zero.row = lambda member, xs: np.zeros(len(xs))
         delta = embed_C(DiracDerivative(0), omega=OMEGA)
         shared_calls, alone_calls = [], []
         reps = tuple(counted(r, shared_calls) for r in (zero, delta))
@@ -664,12 +672,6 @@ class TestSquaredMassFromSamples:
         assert calls == {"base": [1025], "other": [1025]}
 
 
-def opaque(path):
-    """The same members behind an opaque ``fn``: a sweep builds each one."""
-    return TestObjectPath(lambda e, x: path(e, x), path.radius_bound,
-                          path.member_id)
-
-
 def sweep_outcome(rep, path, spec):
     """The bytes of every table of the sweep, or the exception it raised
     with its message."""
@@ -682,77 +684,6 @@ def sweep_outcome(rep, path, spec):
     return [(t.member_id, t.alpha, t.values.tobytes()) for t in tables]
 
 
-def probed_magnitude(rep, path, eps, x, alpha):
-    """|d^alpha/dx^alpha rep(S_eps path(eps, x), x)| at one point by checked
-    calls: rep(member, x); central differences of them at partial_x's
-    step, shrunk near the boundary of Omega; or, for a log channel, 0 at
-    alpha = 0 (the member at x checked) and log_abs_dx in log2 over the
-    checked inner functional at alpha = 1."""
-    def member(y):
-        return scale(path(eps, y), eps)
-
-    h = eps * asy.H_FACTOR
-    if rep.has_log_channel:
-        if alpha == 0:
-            if rep.omega is not None:
-                rep.check_domain(member(x), x)
-            return 0.0
-
-        def section(y):
-            phi = member(y)
-            rep.check_domain(phi, y)
-            return rep.inner(phi, y)
-
-        return rep.log_abs_dx(section(x), section(x + h), section(x - h),
-                              h) / asy.LN2
-    if alpha == 0:
-        return abs(rep(member(x), x))
-    if rep.omega is not None:
-        dist = rep.omega.distance_to_boundary(x)
-        if dist <= 0:
-            raise DomainError(f"derivative point x={x} outside Omega")
-        hw = numdiff.stencil_halfwidth(alpha)
-        if hw * h >= dist:
-            h = 0.5 * dist / hw
-    return abs(numdiff.central_difference(lambda y: rep(member(y), y), x,
-                                          alpha, h))
-
-
-def probed_outcome(rep, path, spec):
-    """``sweep_outcome`` of a sweep probed point by point: at each (eps, x)
-    in order, the partial domain, then each representative's checked
-    magnitude, then a NaN among them; the sup over K per row."""
-    reps = rep if isinstance(rep, tuple) else (rep,)
-    who = path.member_id
-    tables = [[] for _ in reps]
-    try:
-        for alpha in spec.alphas:
-            if alpha > 1 and any(r.has_log_channel for r in reps):
-                raise ValueError(
-                    "log-channel sweeps support first x-derivatives only")
-            rows = []
-            for eps in spec.eps.tolist():
-                mags = []
-                for x in spec.K.tolist():
-                    if path.domain is not None and \
-                            not path.domain.contains(eps, x):
-                        raise DomainError(
-                            f"sweep point (eps={eps:g}, x={x:g}) outside the "
-                            f"partial domain of {who!r} (eps0 too large?)")
-                    mags.append([probed_magnitude(r, path, eps, x, alpha)
-                                 for r in reps])
-                    if any(math.isnan(v) for v in mags[-1]):
-                        raise FloatingPointError(
-                            f"probe returned NaN at (eps={eps:g}, x={x:g}) "
-                            f"for {who!r}")
-                rows.append([max(col) for col in zip(*mags)])
-            for table, values in zip(tables, zip(*rows)):
-                table.append((who, alpha, np.array(values).tobytes()))
-    except (DomainError, FloatingPointError, ValueError) as exc:
-        return type(exc), str(exc)
-    return [t for per_rep in tables for t in per_rep]
-
-
 def d1_outcome(rep, battery, directions, k_max, spec):
     """The member ids and table bytes of d1_form_test, or the exception it
     raised with its message."""
@@ -763,54 +694,6 @@ def d1_outcome(rep, battery, directions, k_max, spec):
     return [(s.member_id, s.values.tobytes()) for s in report.series]
 
 
-def probed_d1_outcome(rep, battery, directions, k_max, spec):
-    """``d1_outcome`` of d1_form_test probed point by point: per member, at
-    each (eps, x) in order, the partial domain, then d1_derivative per
-    direction tuple (for a log channel, the member checked, then
-    log_abs_d1 in log2), then a NaN among them; the sup over K per row."""
-    dirs = list(directions) if k_max else []
-    pairs = [(0, 0), (0, 1)] if len(dirs) >= 2 else [(0, 0)]
-    tuples = {0: [()], 1: [(i,) for i in range(len(dirs))], 2: pairs}
-    labels, tuples = zip(*[(f"k{k}t{ti}", idx) for k in range(k_max + 1)
-                           for ti, idx in enumerate(tuples[k])])
-
-    def magnitude(sphi, x, scaled, idx):
-        psis = [scaled[i] for i in idx]
-        if not rep.has_log_channel:
-            return abs(d1_derivative(rep, sphi, x, psis))
-        return rep.log_abs_d1(rep.inner(sphi, x), [
-            rep.inner.d1(sphi, psi) for psi in psis]) / asy.LN2 if idx else 0.0
-
-    out = []
-    try:
-        for path in battery:
-            phi0, who, rows = path(1.0, 0.0), path.member_id, []
-            for eps in spec.eps.tolist():
-                sphi = scale(phi0, eps)
-                scaled = [scale(psi, eps) for psi in dirs]
-                mags = []
-                for x in spec.K.tolist():
-                    if path.domain is not None and \
-                            not path.domain.contains(eps, x):
-                        raise DomainError(
-                            f"sweep point (eps={eps:g}, x={x:g}) outside the "
-                            f"partial domain of {who!r} (eps0 too large?)")
-                    if rep.has_log_channel and rep.omega is not None:
-                        rep.check_domain(sphi, x)
-                    mags.append([magnitude(sphi, x, scaled, idx)
-                                 for idx in tuples])
-                    if any(math.isnan(v) for v in mags[-1]):
-                        raise FloatingPointError(
-                            f"probe returned NaN at (eps={eps:g}, x={x:g}) "
-                            f"for {who!r}")
-                rows.append([max(col) for col in zip(*mags)])
-            out += [(f"{who}|{label}", np.array(col).tobytes())
-                    for label, col in zip(labels, zip(*rows))]
-    except (DomainError, FloatingPointError, ValueError) as exc:
-        return type(exc), str(exc)
-    return out
-
-
 def rows_catalog(omega, nan_above):
     """Representatives with a row, by name: every SMOOTH_CHAINS link
     embedded, sin on 256 panels, sigma of sin, a sigma that is NaN above
@@ -818,8 +701,8 @@ def rows_catalog(omega, nan_above):
     a tuple of them, the delta, delta', delta'', the Heaviside and the
     difference of delta and the Heaviside, sin behind an opaque wrapper, the
     counterexample's log channel (a row at alpha = 1 only), a composite
-    whose operand keeps its own open set (it has no row), and the closed
-    form pullbacks of delta off the origin, of the Heaviside (its cut moved
+    of operands on different open sets (it lives on their intersection),
+    and the closed form pullbacks of delta off the origin, of the Heaviside (its cut moved
     to -1), sin, sigma of sin, the sin defect and the log channel."""
     links = {f"{name}[{j}]": embed_C(SmoothDensity(f), omega=omega)
              for name, chain in SMOOTH_CHAINS.items()
@@ -872,10 +755,10 @@ class TestPulledBackLogChannel:
     def test_rows_run_without_the_transform(self, name, monkeypatch):
         """``pullback_rep`` of the squared-mass log channel sweeps a
         coefficient-form path at alphas (0, 1) by its pulled row; its
-        tables are, bit for bit, those of the same members behind an
-        opaque path, each integrated by the pulled inner per point.
-        Neither calls the transform: both integrate in source coordinates
-        (``TestPulledSquaredMass`` compares them with the transform)."""
+        tables are, bit for bit, those probed point by point, each member
+        integrated by the pulled inner.  Neither calls the transform: both
+        integrate in source coordinates (``TestPulledSquaredMass``
+        compares them with the transform)."""
         calls = []
         make = basic_space.pullback_pair_transform
 
@@ -890,10 +773,10 @@ class TestPulledBackLogChannel:
                                    alphas=(0, 1))
         for path in make_battery("full_path", 0, 2, 7):
             rows = asy.sweep(rep, path, spec)
-            members = asy.sweep(rep, opaque(path), spec)
+            [points] = probed_tables(rep, path, spec)
             assert calls == [] and np.isfinite(rows[1].values).all()
-            for got, want in zip(rows, members, strict=True):
-                assert got.values.tobytes() == want.values.tobytes()
+            for got, want in zip(rows, points, strict=True):
+                assert got.values.tobytes() == want.tobytes()
 
 
 class TestPulledEmbeddings:
@@ -902,7 +785,7 @@ class TestPulledEmbeddings:
         """``pullback_rep`` of the delta's embedding sweeps a
         coefficient-form path at alphas (0, 1) by its row, with no member
         built and neither the transform nor the pulled test function
-        called; the same members behind an opaque path give its tables."""
+        called; probed point by point, the same members give its tables."""
         calls, built = [], []
         count_calls(monkeypatch, basic_space.pullback_pair_transform, calls)
         count_calls(monkeypatch, distributions.pullback_test_function, calls)
@@ -915,19 +798,58 @@ class TestPulledEmbeddings:
         for path in make_battery("full_path", 1, 2, 7):
             rows = asy.sweep(rep, path, spec)
             assert (calls, built) == ([], [])
-            members = asy.sweep(rep, opaque(path), spec)
+            [points] = probed_tables(rep, path, spec)
             assert calls == [] and np.isfinite(rows[1].values).all()
-            for got, want in zip(rows, members, strict=True):
-                assert got.values.tobytes() == want.values.tobytes()
+            for got, want in zip(rows, points, strict=True):
+                assert got.values.tobytes() == want.tobytes()
             built.clear()
+
+
+class TestOneSweepSource:
+    """A sweep reads rows only: a channel without a row, or a path not in
+    coefficient form, raises ``TypeError`` naming both before any eps, with
+    nothing paired and no member built."""
+
+    @staticmethod
+    def cases():
+        path = make_battery("full_path", 1, 1, seed=5)[0]
+        delta = embed_C(DiracDerivative(0), omega=OMEGA)
+        return {
+            "embed_J": (embed_J(DiracDerivative(0)), path),
+            "translated": (translate_formalism(delta), path),
+            "hand-built": (Representative(lambda phi, x: 0.0), path),
+            "log-without-row": (ExpExpRepresentative(
+                lambda phi, x: 0.0, omega=OMEGA), path),
+            "transformed-path": (delta, transform_test_object(
+                get_diffeo("sin-bend", OMEGA), path)),
+            "hand-built-path": (delta, TestObjectPath(
+                lambda e, x: path(e, x), path.radius_bound, "by-hand")),
+        }
+
+    @pytest.mark.parametrize("name", list(cases()))
+    @pytest.mark.parametrize("alphas", [(0,), (1,)])
+    def test_no_row_raises_before_any_member(self, name, alphas,
+                                             monkeypatch):
+        rep, path = self.cases()[name]
+        paired, built = [], []
+        count_calls(monkeypatch, pair, paired)
+        count_calls(monkeypatch, TestObjectPath.__call__, built,
+                    owner=TestObjectPath)
+        spec = dataclasses.replace(SMALL, alphas=alphas)
+        with pytest.raises(TypeError) as got:
+            asy.sweep(rep, path, spec)
+        assert repr(rep) in str(got.value)
+        assert repr(path.member_id) in str(got.value)
+        assert (paired, built) == ([], [])
+        # the same representative and path still probe point by point
+        probed_tables(rep, path, spec)
 
 
 class TestCoefficientRows:
     """A coefficient-form path swept by representatives with a row pairs
     the whole row at once; every table, and every error with its message,
     is that of the sweep probed point by point by checked calls
-    (``probed_outcome``), and so are those of the same members behind an
-    opaque fn."""
+    (``probed_outcome``)."""
 
     @settings(max_examples=200, deadline=None)
     @given(mode=st.sampled_from(["static", "eps_path", "full_path"]),
@@ -967,9 +889,7 @@ class TestCoefficientRows:
             got = sweep_outcome(rep, path, spec)
         want = probed_outcome(rep, path, spec)
         assert got == want
-        assert sweep_outcome(rep, opaque(path), spec) == want
-        if name != "other-set":
-            assert built == []  # every row at once, errors included
+        assert built == []  # every row at once, errors included
         # the first row leaves the catalog's own set, which a pulled
         # representative trades for its preimage (no log-channel check)
         if half <= 1.1 and "exp-exp" not in name \
@@ -1052,16 +972,13 @@ class TestCoefficientRows:
                         owner=TestObjectPath)
             got = sweep_outcome(rep, path, spec)
         assert isinstance(got, list) and built == []
-        assert got == probed_outcome(rep, path, spec) \
-            == sweep_outcome(rep, opaque(path), spec)
+        assert got == probed_outcome(rep, path, spec)
 
     def test_closed_form_sweep_builds_no_member(self, monkeypatch):
-        """embed-order's defects, and the delta, over a battery path build
-        no member, no combination and call no representative, and neither
-        does delta or delta'; the same members behind an opaque fn are
-        built once per point, and each defect evaluates each once,
-        unchecked: U(Omega) is checked as arrays, so no checked call is
-        made."""
+        """embed-order's defects over a battery path build no member and no
+        combination, and call no representative, checked or not: U(Omega)
+        is checked as arrays, and the rows read the terms; neither does
+        delta or delta'."""
         built, combined, called, evaluated = [], [], [], []
         count_calls(monkeypatch, TestObjectPath.__call__, built,
                     owner=TestObjectPath)
@@ -1075,20 +992,9 @@ class TestCoefficientRows:
             r.eval_fn = (lambda phi, x, f=r.eval_fn:
                          evaluated.append(x) or f(phi, x))
         asy.sweep(reps, path, SMALL)
+        for k in (0, 1):
+            asy.sweep(embed_C(DiracDerivative(k), omega=OMEGA), path, SMALL)
         assert (built, combined, called, evaluated) == ([], [], [], [])
-        points = len(SMALL.eps) * len(SMALL.K)
-        asy.sweep(reps, opaque(path), SMALL)
-        assert sum(args[0] is path for args in built) == points
-        assert len(combined) == points and len(evaluated) == 2 * points
-        assert called == []
-        built.clear()
-        asy.sweep(embed_C(DiracDerivative(0), omega=OMEGA), path, SMALL)
-        assert built == []
-        asy.sweep(embed_C(DiracDerivative(1), omega=OMEGA), path, SMALL)
-        assert built == []
-        asy.sweep(embed_C(DiracDerivative(0), omega=OMEGA),
-                  opaque(path), SMALL)
-        assert sum(args[0] is path for args in built) == points
 
     def test_d1_form_moderate_sweep_builds_no_member(self, monkeypatch):
         """d1-form's moderate test of iota-sin sweeps alpha 0 and 1 over
@@ -1105,11 +1011,11 @@ class TestCoefficientRows:
 
     def test_row_leaves_the_shared_caches_as_a_point_would(self):
         """The (C, S) sums and moments a row caches in each term are those
-        a sweep of the same members behind an opaque fn caches."""
+        that probing the same members point by point caches."""
         caches = []
-        for swept in (lambda p: p, opaque):
+        for run in (asy.sweep, probed_tables):
             path = make_battery("full_path", 1, 1, seed=5, flavor="cm")[0]
-            asy.sweep(defects(), swept(path), SMALL)
+            run(defects(), path, SMALL)
             caches.append([{k: [np.asarray(v).tobytes() for v in vals]
                             for k, vals in t._cache.items() if k != "grid"}
                            for t in path.terms])

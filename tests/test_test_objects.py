@@ -10,6 +10,8 @@ from gfn_lab.test_objects import (MomentClass, check_moment_class,
 from gfn_lab.testfunc import (build_mollifier, bump_testfunction, moment,
                               tf_lincomb)
 
+from conftest import sup_abs
+
 RNG = np.random.default_rng(29)
 EPS_GRID = 2.0 ** -np.arange(2, 9, dtype=float)
 
@@ -281,7 +283,7 @@ class TestPerturbationDirections:
         assert abs(moment(d, 0)) <= 1e-12
 
     def test_bounded_battery(self):
-        sups = [psi.sup_abs() for psi in perturbation_directions(4, seed=2)]
+        sups = [sup_abs(psi) for psi in perturbation_directions(4, seed=2)]
         assert all(np.isfinite(s) and s < 50 for s in sups)
 
     def test_deterministic(self):
