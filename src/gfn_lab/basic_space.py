@@ -20,8 +20,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import numdiff
-from .distributions import (Distribution, _pullback, pair, pair_row,
-                            pullback_test_function)
+from .distributions import (Distribution, _fn_name, _pullback, pair,
+                            pair_row, pullback_test_function)
 from .testfunc import (TAU_M, Box, DomainError, TestFunction, translate,
                        union_box)
 from .testfunc import scale  # noqa: F401  (a binding perfbench traces)
@@ -50,7 +50,8 @@ class Representative:
     representative without one is evaluated point by point, and a sweep
     of it raises ``TypeError``.  The constructors that build the lab's
     representatives also set their pullback in closed form, as they set
-    ``row`` (``compose_pullback``).
+    ``row`` (``compose_pullback``), and name what they built (``_label``),
+    which the repr prints with the open set.
     """
 
     has_log_channel = False
@@ -67,6 +68,7 @@ class Representative:
         self.formalism = formalism
         self.linear = bool(linear)
         self.omega = omega
+        self._label = f"Representative({_fn_name(eval_fn)}, {formalism})"
 
     def __call__(self, phi: TestFunction, x):
         if self.omega is not None:
@@ -101,10 +103,14 @@ class Representative:
         if om is not None:
             src = _meet(Box.interval(*sorted((mu.inverse(om.lo),
                                               mu.inverse(om.hi)))), src)
-        return self._pulled(mu, src)
+        out = self._pulled(mu, src)
+        out._label = f"pullback({self._label}, {mu.name})"
+        return out
 
     def __repr__(self):
-        return f"Representative({self.eval_fn}, {self.formalism})"
+        om = self.omega
+        return self._label + ("" if om is None else f" on ({om.lo!r}, "
+                                                    f"{om.hi!r})")
 
 
 class ExpExpRepresentative(Representative):
@@ -136,6 +142,7 @@ class ExpExpRepresentative(Representative):
             return complex(np.exp(1j * np.exp(ival)))
 
         super().__init__(ev, formalism="C", linear=False, omega=omega)
+        self._label = f"ExpExpRepresentative({_fn_name(inner)})"
         if hasattr(inner, "pulled"):
             self._pulled = lambda mu, om: ExpExpRepresentative(
                 inner.pulled(mu), omega=om)
@@ -192,6 +199,7 @@ def _embedded(w: Distribution, c: float, s: float, omega: Optional[Box],
                          formalism="C", linear=True, omega=omega)
     rep.row = lambda member, xs: c * pair_row(w, *member, np.subtract(xs, s),
                                               n)
+    rep._label = f"embed_C({w!r})"
     rep._pulled = lambda mu, om: _embedded(*_pullback(mu, w, c, s), om, n)
     return rep
 
@@ -202,7 +210,9 @@ def embed_J(w: Distribution, n: Optional[int] = None) -> Representative:
     def ev(phi, x):
         return pair(w, phi, n)
 
-    return Representative(ev, formalism="J", linear=True)
+    rep = Representative(ev, formalism="J", linear=True)
+    rep._label = f"embed_J({w!r})"
+    return rep
 
 
 def embed_sigma(f: Callable[[float], complex],
@@ -216,6 +226,7 @@ def embed_sigma(f: Callable[[float], complex],
     rep = Representative(ev, formalism="C", linear=False, omega=omega)
     rep.phi_independent = True
     rep.row = lambda member, xs: np.array([f(x) for x in xs])
+    rep._label = f"embed_sigma({_fn_name(f)})"
     rep._pulled = lambda mu, om: embed_sigma(lambda x: f(mu.forward(x)), om)
     return rep
 
@@ -227,19 +238,15 @@ def translate_formalism(rep: Representative) -> Representative:
     inverse.  A round trip reproduces the original evaluator outputs
     bit for bit because opposite translations cancel structurally.
     """
-    base = rep.eval_fn
-    if rep.formalism == "J":
-        def ev(phi, x):
-            return base(translate(phi, x), x)
-
-        return Representative(ev, formalism="C", linear=rep.linear,
-                              omega=rep.omega)
+    base, sign = rep.eval_fn, 1.0 if rep.formalism == "J" else -1.0
 
     def ev(phi, x):
-        return base(translate(phi, -x), x)
+        return base(translate(phi, sign * x), x)
 
-    return Representative(ev, formalism="J", linear=rep.linear,
-                          omega=rep.omega)
+    out = Representative(ev, formalism="C" if sign > 0 else "J",
+                         linear=rep.linear, omega=rep.omega)
+    out._label = f"translate_formalism({rep._label})"
+    return out
 
 
 def pullback_pair_transform(mu):
@@ -299,6 +306,7 @@ def _composite(r1: Representative, r2: Representative, op,
     rep = Representative(_combined(op, r1.eval_fn, r2.eval_fn),
                          formalism=r1.formalism, linear=linear,
                          omega=_meet(r1.omega, r2.omega))
+    rep._label = f"{op.__name__}({r1._label}, {r2._label})"
     if r1.row and r2.row:
         rep.row = _combined(op, r1.row, r2.row)
     if r1._pulled and r2._pulled:

@@ -21,6 +21,16 @@ from .testfunc import (DEFAULT_NODES, TestFunction, _lincomb_samples,
 #: maximum Dirac-derivative order handled by the Richardson stencils
 K_MAX = numdiff.MAX_ORDER
 
+_U = 2.0**-53  # the unit roundoff of a double
+#: largest AM at which a sine or cosine pairs by its Taylor series over a
+#: term's moments (``_by_terms``), A the scale and M = max |xi| on the
+#: term's box.  At AM = 4 the series takes J = 32 orders, and its rounding
+#: bound e^(AM) (J + 2) u is 1,856 u, below the (n + 1) u of a node sum at
+#: DEFAULT_NODES (Higham's gamma_(n+1)), which it passes at AM = 4.71.  The
+#: scenarios reach AM = 1.36 at seeds 0-20, and the tests 2.43 (J = 25, a
+#: bound of 307 u).
+_TRIG_AM_CAP = 4.0
+
 
 class Distribution:
     """Base: a linear functional on test functions.  The open set of the
@@ -50,6 +60,9 @@ class SmoothDensity(Distribution):
     @property
     def f(self) -> Callable:
         return self.fns[0]
+
+    def __repr__(self):
+        return f"SmoothDensity({_fn_name(self.f)})"
 
 
 class DiracDerivative(Distribution):
@@ -151,15 +164,39 @@ def _cut_integral(tf, tau: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def _series_order(am: float) -> int:
+    """The least J with (am)^(J+1) / (J+1)! <= (u / 4) min(1, am): the
+    Taylor remainder of cos and sin over |A xi| <= am after order J, kept
+    below a quarter unit of rounding of a sine's leading term A m_1 as
+    well as of a cosine's m_0."""
+    tol, top, order = 0.25 * _U * min(1.0, am), am, 0
+    while top > tol:
+        order += 1
+        top *= am / (order + 1)
+    return order
+
+
 def _by_terms(form: tuple, tf, a: float, b, d: float, n: int):
     """<f, tf((. - b - d) / a) / a> for f of closed ``form``: a combination
     pairs each term tb((. - s) / r) / r at scale a r and offset d + a s, and
     any other function pairs by an addition theorem on its own grid, from
-    its cached moments (per n) or C, S = <cos, sin(a . + d), tf> (per a, d,
-    n).  b, an array of shifts, is kept from d: b + d, rounded, moves a
-    sine near its zeros.  ``tf`` may be the (coeffs, terms) of a
-    combination, with coefficients per shift: each shift pairs by its
-    operations alone."""
+    its cached raw moments m_j = sum_i w_i v_i xi_i^j (per n, by running
+    products, extended when a pairing needs more orders).  b, an array of
+    shifts, is kept from d: b + d, rounded, moves a sine near its zeros;
+    for a sine or cosine it is (sin b, cos b), which ``pair_row`` takes
+    once per row.  ``tf`` may be the (coeffs, terms) of a combination, with
+    coefficients per shift: each shift pairs by its operations alone.
+
+    A sine or cosine pairs from C, S = <cos, sin(A . + d), tf>, A = a:
+    C = cos d C0 - sin d S0 and S = sin d C0 + cos d S0, with C0 and S0
+    the even and odd parts of the Taylor sum sum_j (-1)^(j // 2) A^j m_j /
+    j!, to the order J of ``_series_order`` at AM, M = max |xi| on the
+    box.  The truncation error is at most (u / 4) min(1, AM) ||v||_1, with
+    ||v||_1 = sum_i w_i |v_i|; the series' rounding adds at most e^(AM)
+    (J + 2) u ||v||_1 to the moments' own, since its j-th term is at most
+    (AM)^j / j! ||v||_1 (Higham, ch. 3-4).  An AM above ``_TRIG_AM_CAP``
+    raises ``ValueError``.  No node is evaluated once the moments are
+    cached: a sweep row costs O(J) per term, whatever its eps."""
     terms = tf if isinstance(tf, tuple) else tf._terms
     if terms is not None:
         total = 0.0
@@ -168,15 +205,22 @@ def _by_terms(form: tuple, tf, a: float, b, d: float, n: int):
             total += c * _by_terms(form, tb, a * r, b, d + a * s, n)
         return total
     kind, p, q = form  # ("mono", c, k) or ("trig", alpha, beta)
-    key = ("moments", n) if kind == "mono" else ("trig", a, d, n)
-    sums = tf._cache.get(key)
-    if sums is None or (kind == "mono" and len(sums) <= q):
-        xi, wt, v = tf.samples_on(tf, n)
-        if kind == "mono":  # moments_upto(tf, q, n), from the samples
-            sums = [(v := v * m).sum() for m in [wt] + [xi] * q]
-        else:
-            sums = [np.dot(wt, g(a * xi + d) * v) for g in (np.cos, np.sin)]
-        tf._cache[key] = sums
+    order = q  # the moments it reads: m_0..m_order
+    if kind == "trig":
+        big = max(-tf.box[0], tf.box[1])
+        am = a * big  # a frame's scale is positive
+        if not am <= _TRIG_AM_CAP:
+            raise ValueError(
+                f"no sine or cosine pairing at A = {a!r} of a term with "
+                f"M = max |xi| = {big!r} on n = {n} panels: AM = {am:.6g} "
+                f"exceeds {_TRIG_AM_CAP}, where the series over moments "
+                f"loses its rounding bound")
+        order = _series_order(am)
+    sums = tf._cache.get(("moments", n))
+    if sums is None or len(sums) <= order:
+        xi, wt, v = tf.samples_on(tf, n)  # moments_upto(tf, order, n)
+        sums = [float((v := v * m).sum()) for m in [wt] + [xi] * order]
+        tf._cache["moments", n] = sums
     if kind == "mono":  # p sum_j C(q, j) a^j (b + d)^(q - j) m_j, no pow
         pa, pb = [1.0], [1.0]
         for _ in range(q):
@@ -184,9 +228,15 @@ def _by_terms(form: tuple, tf, a: float, b, d: float, n: int):
             pb.append(pb[-1] * (b + d))
         return p * sum(math.comb(q, j) * pa[j] * pb[q - j] * sums[j]
                        for j in range(q + 1))
-    sb, cb = (np.array([*map(g, b)]) for g in (math.sin, math.cos))  # libm
-    C, S = sums
-    return p * (sb * C + cb * S) + q * (cb * C - sb * S)
+    parts, t = ([], []), 1.0  # t = a^j / j!
+    for j in range(order + 1):
+        parts[j % 2].append(t * sums[j] if j % 4 < 2 else -t * sums[j])
+        t = t * a / (j + 1)
+    c0, s0 = math.fsum(parts[0]), math.fsum(parts[1])
+    cd, sd = math.cos(d), math.sin(d)
+    C, S = cd * c0 - sd * s0, sd * c0 + cd * s0
+    sb, cb = b  # p sin(. + b) + q cos(. + b), by the addition theorems
+    return sb * (p * C - q * S) + cb * (p * S + q * C)
 
 
 def pair(w: Distribution, psi: TestFunction, n: Optional[int] = None,
@@ -212,8 +262,10 @@ def pair_row(w: Distribution, coeffs: np.ndarray, terms: tuple, eps: float,
     b_k = 0.0 + xs[k], on the box c eps + b_k +- r eps, (c, r) the terms'
     ``union_box``.  A density of closed form (a ``form`` on its evaluator,
     as on every ``SMOOTH_CHAINS`` link) pairs by addition theorems on the
-    terms (``_by_terms``); an opaque one integrates over the terms' union
-    grid xi, sum_i w_i f(eps xi_i + b_k) psi(xi_i) with psi the
+    terms, from each term's cached moments (``_by_terms``), a sine or
+    cosine with libm's sin and cos of the offsets b_k, taken once per
+    call, evaluating no node; an opaque one integrates over the terms'
+    union grid xi, sum_i w_i f(eps xi_i + b_k) psi(xi_i) with psi the
     combination's samples, and a complex-valued f raises numpy's casting
     ``TypeError``.  delta^(k) is (-1)^k psi_k^(k)(position): the evaluator
     itself for k = 0, one array over the members whose box holds the
@@ -230,6 +282,8 @@ def pair_row(w: Distribution, coeffs: np.ndarray, terms: tuple, eps: float,
     n = DEFAULT_NODES if n is None else n
     b = 0.0 + np.array(xs)  # the offsets of the translates' frames
     if w.kind == "smooth" and hasattr(w.f, "form"):
+        if w.f.form[0] == "trig":  # libm per shift, once per row
+            b = tuple(np.array([*map(g, b)]) for g in (math.sin, math.cos))
         return _by_terms(w.f.form, (coeffs, terms), eps, b, 0.0, n)
     if w.kind == "smooth":
         out = np.empty(len(b))
@@ -331,6 +385,18 @@ def pullback_test_function(mu, psi: TestFunction) -> TestFunction:
 
 # ---------------------------------------------------------------------------
 # a small catalog of smooth functions with exact derivative chains
+
+
+def _fn_name(f) -> str:
+    """A name of the evaluator ``f`` that is the same in every process: its
+    closed form ("sin", "-cos", "4*x^3"), else its qualified name."""
+    kind, p, q = getattr(f, "form", (None, None, None))
+    if kind == "trig":
+        return ("-" if p + q < 0 else "") + ("sin" if p else "cos")
+    if kind == "mono":
+        x = "" if q == 0 else "x" if q == 1 else f"x^{q}"
+        return f"{p:g}" if not x else x if p == 1.0 else f"{p:g}*{x}"
+    return getattr(f, "__qualname__", type(f).__name__)
 
 
 def _with_form(f, *form):

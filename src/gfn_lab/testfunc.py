@@ -289,18 +289,22 @@ def falling_factorial(beta: int, gamma: int) -> float:
 # construction
 
 
+def _bump_poly(coeffs: np.ndarray, d: np.ndarray, B: np.ndarray):
+    """sum_k coeffs[k] d^k by Horner's rule, times B, in a new array."""
+    acc = np.zeros_like(B)
+    for k in range(len(coeffs) - 1, -1, -1):
+        acc *= d
+        acc += coeffs[k]
+    acc *= B
+    return acc
+
+
 def _parametric_eval(coeffs: np.ndarray, center: float, radius: float):
     c, r = float(center), float(radius)
 
     def fn(x):
         d = x - c
-        B = bump(d / r)
-        acc = np.zeros_like(B)
-        for k in range(len(coeffs) - 1, -1, -1):
-            acc *= d
-            acc += coeffs[k]
-        acc *= B
-        return acc
+        return _bump_poly(coeffs, d, bump(d / r))
 
     def dfn(x):
         d = x - c
@@ -357,11 +361,11 @@ def build_mollifier(q: int, radius: float = 1.0,
     b[0] = 1.0
     coeffs = np.linalg.solve(A, b)
     coeffs += np.linalg.solve(A, b - A @ coeffs)  # one refinement pass
-    # unit mass on the member's own grid, through the evaluator itself: the
-    # solve leaves a mass defect of up to a few 1e-14, which products of
-    # embeddings amplify above the decay they are tested for
-    fn, _ = _parametric_eval(coeffs, c, r)
-    coeffs = coeffs / float(np.dot(w, fn(pts)))
+    # unit mass on the member's own grid, through the evaluator's own
+    # operations on the bump values above: the solve leaves a mass defect
+    # of up to a few 1e-14, which products of embeddings amplify above the
+    # decay they are tested for
+    coeffs = coeffs / float(np.dot(w, _bump_poly(coeffs, d, B)))
     fn, dfn = _parametric_eval(coeffs, c, r)
     return TestFunction(c, r, fn, dfn=dfn, coeffs=coeffs)
 

@@ -445,3 +445,33 @@ class TestExpExpRepresentative:
         expect = ival + np.log(abs(2.0 * cross))
         got = rep.log_abs_d1(ival, [inner.d1(moll0, psi)])
         assert got == pytest.approx(expect, abs=1e-5)
+
+
+class TestReprs:
+    @staticmethod
+    def built():
+        """Representatives and densities as the lab builds them."""
+        om = Box.interval(-2.5, 2.5)
+        sin_defect = sub(embed_C(smooth_density("sin"), omega=om),
+                         embed_sigma(np.sin, omega=om))
+        return [sin_defect,
+                mul(embed_C(smooth_density("x4"), omega=om),
+                    embed_C(DiracDerivative(1), omega=om)),
+                translate_formalism(embed_J(Heaviside())),
+                ExpExpRepresentative(squared_mass_inner(256), om),
+                pullback_rep(get_diffeo("sin-bend", om), sin_defect),
+                Representative(lambda phi, x: 0.0),
+                derivative(smooth_density("x4")),
+                SmoothDensity(lambda t: t)]
+
+    def test_a_repr_names_what_was_built(self):
+        """The same in every construction, with no address in it."""
+        first, again = map(repr, self.built()), map(repr, self.built())
+        first = list(first)
+        assert first == list(again)
+        assert not any("0x" in r for r in first)
+        assert first[0] == ("sub(embed_C(SmoothDensity(sin)), "
+                            "embed_sigma(sin)) on (-2.5, 2.5)")
+        assert first[-2:] == ["SmoothDensity(4*x^3)",
+                              "SmoothDensity(TestReprs.built.<locals>."
+                              "<lambda>)"]

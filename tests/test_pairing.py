@@ -11,60 +11,83 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gfn_lab import numdiff
+from gfn_lab.asymptotics import SweepSpec, sweep
+from gfn_lab.basic_space import embed_C, embed_sigma, sub
 from gfn_lab.diffeo import get_diffeo
 from gfn_lab.distributions import (SMOOTH_CHAINS, DiracDerivative, Heaviside,
-                                   SmoothDensity, pair, pair_row,
-                                   pullback_test_function, smooth_density)
+                                   SmoothDensity, _series_order, pair,
+                                   pair_row, pullback_test_function,
+                                   smooth_density)
 from gfn_lab.test_objects import make_battery
 from gfn_lab.testfunc import (DEFAULT_NODES, Box, TestFunction,
-                              _weighted_sum, build_mollifier, scale,
-                              shifted_frame, tf_lincomb, translate, union_box)
+                              _weighted_sum, build_mollifier, moments_upto,
+                              scale, shifted_frame, support_grid, tf_lincomb,
+                              translate, union_box)
 
 from conftest import half_line_simpson, simpson
 from test_shared_evaluation import LEAVES, nested_lincombs
 
 WIDE = Box.interval(-50.0, 50.0)  # no pulled function below leaves it
+U = 2.0**-53
 
 
-def by_terms_reference(form: tuple, tf, a: float, b, d: float, n: int):
-    """<f, tf((. - b - d) / a) / a> for f of closed ``form``: a combination
-    pairs each term tb((. - s) / r) / r at scale a r and offset d + a s, and
-    any other function pairs by an addition theorem on its own grid, from
-    its cached moments (per n) or C, S = <cos, sin(a . + d), tf> (per a, d,
-    n).  b is kept from d: b + d, rounded, moves a sine near its zeros.
-    ``tf`` may be the (coeffs, terms) of a combination, with coefficients
-    per shift of an array b: each shift pairs by its operations alone."""
+def by_terms_reference(form: tuple, tf, a: float, b: float, d: float,
+                       n: int):
+    """<f, tf((. - b - d) / a) / a> for f of closed ``form``, and a bound on
+    the pairing's distance from it: a combination pairs each term tb((. -
+    s) / r) / r at scale a r and offset d + a s, and any other function
+    pairs on its own grid, from samples it evaluates anew, never reading
+    or writing a cache.  A monomial pairs by moments, from running
+    products of the samples and the nodes, bound 0: the pairing's floats.
+    A sine or cosine pairs by the addition theorem in b (kept from d: b +
+    d, rounded, moves a sine near its zeros) over C, S = <cos, sin(a . +
+    d), tf> as trapezoid sums in extended precision, within ``trig_bound``
+    per term and the rounding of the pairing's sums over the terms."""
     terms = tf if isinstance(tf, tuple) else tf._terms
     if terms is not None:
-        total = 0.0
+        total, bound, size = 0.0, 0.0, 0.0
         for c, t in zip(*terms):
             tb, r, s = t.frame
-            total += c * by_terms_reference(form, tb, a * r, b, d + a * s,
-                                            n)
-        return total
+            val, tol = by_terms_reference(form, tb, a * r, b, d + a * s, n)
+            total += c * val
+            bound, size = bound + abs(c) * tol, size + abs(c * val)
+        return total, bound and bound + (len(terms) + 1) * U * size
+    xi, wt = support_grid(tf, n)
+    v = tf.fn(xi)
     kind, p, q = form  # ("mono", c, k) or ("trig", alpha, beta)
-    key = ("moments", n) if kind == "mono" else ("trig", a, d, n)
-    sums = tf._cache.get(key)
-    if sums is None or (kind == "mono" and len(sums) <= q):
-        xi, wt, v = tf.samples_on(tf, n)
-        if kind == "mono":  # moments_upto(tf, q, n), from the samples
-            sums = [(v := v * m).sum() for m in [wt] + [xi] * q]
-        else:
-            sums = [np.dot(wt, g(a * xi + d) * v) for g in (np.cos, np.sin)]
-        tf._cache[key] = sums
     if kind == "mono":  # p sum_j C(q, j) a^j (b + d)^(q - j) m_j, no pow
+        sums = [(v := v * m).sum() for m in [wt] + [xi] * q]
         pa, pb = [1.0], [1.0]
         for _ in range(q):
             pa.append(pa[-1] * a)
             pb.append(pb[-1] * (b + d))
         return p * sum(math.comb(q, j) * pa[j] * pb[q - j] * sums[j]
-                       for j in range(q + 1))
-    if isinstance(b, np.ndarray):  # libm per shift, as for one shift
-        sb, cb = (np.array([*map(g, b)]) for g in (math.sin, math.cos))
-    else:
-        sb, cb = math.sin(b), math.cos(b)
-    C, S = sums
-    return p * (sb * C + cb * S) + q * (cb * C - sb * S)
+                       for j in range(q + 1)), 0.0
+    arg = a * xi.astype(np.longdouble) + d
+    C, S = (np.dot(wt, g(arg) * v) for g in (np.cos, np.sin))
+    sb, cb = math.sin(b), math.cos(b)
+    value = p * (sb * C + cb * S) + q * (cb * C - sb * S)
+    big = max(-tf.box[0], tf.box[1])
+    l1 = np.dot(wt, np.abs(v))
+    return value, trig_bound(a * big, n, 3.0) * U * l1 + U * abs(value)
+
+
+def trig_bound(am: float, n: int, ref: float) -> float:
+    """A first-order bound, in units of u ||v||_1 with ||v||_1 = sum w |v|,
+    on the distance of a term's sine or cosine pairing at AM, M = max |xi|
+    on its box, from its trapezoid sum, where ``ref`` bounds a reference's
+    own error in the same units.  C0 and S0 together carry the two
+    truncations, u / 4 min(1, AM) each, and the series' rounding, e^(AM)
+    (J + 2), as ``distributions._by_terms`` states them, and the moments'
+    rounding: m_j rounds at most (j + 1 + D) u M^j ||v||_1, D = n.bit_length()
+    + 17 bounding the additions of numpy's pairwise sums of n + 1 terms
+    (``cut_reference``), so the series' weights A^j / j! sum it to at most
+    e^(AM) (AM + 1 + D).  C and S each add 3 e^(AM) in cos d C0 - sin d S0
+    and its like; the addition theorem in b adds their errors, |sin b| and
+    |cos b| being at most 1, and 4 of its own."""
+    e, depth = math.exp(am), n.bit_length() + 17
+    series = 0.5 * min(1.0, am) + e * (_series_order(am) + 2)
+    return 2.0 * (series + e * (am + 1 + depth) + 3.0 * e) + 4.0 + ref
 
 
 def psi_derivative_at_reference(psi: TestFunction, a: float, order: int):
@@ -87,7 +110,9 @@ def pair_reference(w, psi, n=None, shift=0.0):
     (pullbacks are closed forms of the other kinds, ``test_diffeo``'s
     ``TestClosedFormPullback``).  Its Heaviside branches, composite Simpson
     on the base's samples or on [0, hi], are gone: the Heaviside pairs by
-    terms (``half_line_reference`` and ``TestHeavisideByTerms``)."""
+    terms (``half_line_reference`` and ``TestHeavisideByTerms``).  Returns
+    the value and the bound on the pairing's distance from it, 0 where the
+    pairing must give its float."""
     if n is None:
         n = DEFAULT_NODES
     (base, a, b), same = shifted_frame(psi, shift)
@@ -96,21 +121,23 @@ def pair_reference(w, psi, n=None, shift=0.0):
 
     if w.kind == "smooth":
         if hasattr(w.f, "form"):
-            return float(by_terms_reference(w.f.form, base, a, b, 0.0, n))
+            value, bound = by_terms_reference(w.f.form, base, a, b, 0.0, n)
+            return float(value), float(bound)
         xi, wt, samples = base.samples_on(base, n)  # shared, read-only
         arg = a * xi
         arg += b
         vals = np.multiply(w.f(arg), samples, out=arg)  # arg is ours
-        return float(np.dot(wt, vals))
+        return float(np.dot(wt, vals)), 0.0
 
     if w.kind == "dirac" and w.order == 0 and \
             abs(w.position - center) > radius:
-        return 0.0
+        return 0.0, 0.0
     psi = same if same is not None else translate(psi, shift)
 
     if w.kind == "dirac":
         sign = -1.0 if w.order % 2 else 1.0
-        return sign * psi_derivative_at_reference(psi, w.position, w.order)
+        return sign * psi_derivative_at_reference(psi, w.position,
+                                                  w.order), 0.0
 
     raise TypeError(f"no reference for distribution kind {w.kind!r}")
 
@@ -183,8 +210,9 @@ class TestOnePairingPath:
                 got = pair(w, psi, n, shift=shift)
                 assert type(got) is float
                 if w.kind != "heaviside":
-                    want = pair_reference(w, psi, n, shift=shift)
-                    assert same_float(got, want), (w, shift)
+                    want, bound = pair_reference(w, psi, n, shift=shift)
+                    assert same_float(got, want) if not bound else \
+                        abs(got - want) <= bound, (w, shift)
                     continue
                 # within the reference's error estimate, the pairing's own
                 # and 1e-13 for the rounding of both, the translate's
@@ -209,8 +237,8 @@ class TestOnePairingPath:
                            xs)
             for k, x in enumerate(xs):
                 member = scale(tf_lincomb(coeffs[:, k], path.terms), eps)
-                want = pair_reference(DiracDerivative(order), member,
-                                      shift=x)
+                want, _ = pair_reference(DiracDerivative(order), member,
+                                         shift=x)
                 assert same_float(got[k], want), (eps, x)
 
     def test_a_dirac_derivative_row_is_not_the_dirac_row(self):
@@ -239,13 +267,12 @@ class TestOnePairingPath:
                 for k, x in enumerate(xs):
                     member = scale(tf_lincomb(coeffs[:, k], path.terms), eps)
                     assert same_float(got[k], pair_reference(
-                        w, member, 256, shift=x))
+                        w, member, 256, shift=x)[0])
 
 
 # ---------------------------------------------------------------------------
 # the Heaviside by terms, and Dirac rows as arrays
 
-U = 2.0**-53
 #: Gregory's seventh coefficient, the first that the cut rule leaves off
 GAMMA_7 = 33953 / 3628800
 #: max over s in [-1, 0] of |prod_{q=-4..3} (s - q)| / 8!: the piece's
@@ -470,3 +497,97 @@ class TestDiracRowsAsArrays:
                                               (PULLED,), eps, [x])[0]
                     got = pair(w, scale(PULLED, eps), shift=x)
                     assert np.float64(got).tobytes() == one.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# sines and cosines from each term's moments
+
+#: terms with M = max |xi| of 1, 1.15 and 1.4
+SERIES_TERMS = [M2, build_mollifier(0, radius=1.1, center=-0.05),
+                build_mollifier(4, radius=1.2, center=-0.2)]
+TRIG_LINKS = SMOOTH_CHAINS["sin"][:4]  # sin, cos, -sin, -cos
+
+
+def fsum_pairing(f, leaf, eps: float, x: float, n: int) -> float:
+    """sum_i w_i v_i f(eps xi_i + x) over the leaf's grid by the standard
+    library: ``math.sin`` or ``math.cos`` of each node's argument, rounded
+    in double, and ``math.fsum``, rounded once.  Its error is at most (2
+    eps M + |x| + 3.5) u ||v||_1: the argument's two roundings, libm's
+    ulp and the products' two."""
+    _, p, q = f.form
+    g, sign = (math.sin if p else math.cos), p + q
+    xi, wt = support_grid(leaf, n)
+    return sign * math.fsum(w * v * g(eps * t + x) for t, w, v in zip(
+        xi.tolist(), wt.tolist(), leaf.fn(xi).tolist()))
+
+
+class TestTrigSeries:
+    @pytest.mark.parametrize("n", [256, DEFAULT_NODES])
+    def test_pairs_within_the_bound_of_an_fsum_reference(self, n):
+        """Each term, scaled and shifted, pairs every sine and cosine link
+        within ``trig_bound`` of ``fsum_pairing``, whose own error it
+        counts, with 2 for the rounding of sin x and cos x in the
+        pairing's addition theorem."""
+        for leaf in SERIES_TERMS:
+            xi, wt = support_grid(leaf, n)
+            l1 = float(np.dot(wt, np.abs(leaf.fn(xi))))
+            big = max(-leaf.box[0], leaf.box[1])
+            for eps in (1.0, 0.5, 2.0**-5, 2.0**-14):
+                for x in (0.0, 0.7, -1.9):
+                    psi = translate(scale(leaf, eps), x)
+                    assert psi.frame == (leaf, eps, x)
+                    am = eps * big
+                    bound = trig_bound(am, n, 2 * am + abs(x) + 5.5) * U * l1
+                    for f in TRIG_LINKS:
+                        got = pair(SmoothDensity(f), psi, n)
+                        want = fsum_pairing(f, leaf, eps, x, n)
+                        assert abs(got - want) <= bound, (leaf, eps, x, f)
+
+    @pytest.mark.parametrize("eps", [2.0**-14, 2.0**-18])
+    def test_a_small_sine_keeps_its_cubic_term(self, eps):
+        """M2's first moment vanishes, so at x = 0 the sine pairs to about
+        -A^3 m_3 / 6, A = eps.  The series' truncation is held below u / 4
+        of the sine's leading term AM, not of 1: at eps = 2^-18 the latter
+        drops the cubic term, and the pairing with it.  Every link is
+        within 1e-14 of the integrand's L1 norm, as in
+        ``test_every_chain_link_pairs_by_addition_theorems``."""
+        m = moments_upto(M2, 3)
+        assert abs(m[1]) <= 1e-15 and abs(m[3]) > 0.02  # rounding; a term
+        xi, wt = support_grid(M2, DEFAULT_NODES)
+        v, arg = M2.fn(xi), eps * xi.astype(np.longdouble)
+        for f in TRIG_LINKS:
+            integrand = f(arg) * v
+            got = pair(SmoothDensity(f), scale(M2, eps))
+            assert abs(got - np.dot(wt, integrand)) <= \
+                1e-14 * np.dot(wt, np.abs(integrand)), f
+
+    def test_a_term_beyond_the_cap_raises(self):
+        """AM above 4 raises, naming A, M and n; just below it, and for a
+        monomial at any AM, the term pairs."""
+        far = build_mollifier(0, radius=1.0, center=3.5)  # M = 4.5
+        with pytest.raises(ValueError, match=r"A = 1\.0 .* M = max \|xi\| "
+                                             r"= 4\.5 on n = 256 panels"):
+            pair(smooth_density("sin"), far, 256)
+        assert math.isfinite(pair(smooth_density("cos"), scale(far, 0.875)))
+        assert math.isfinite(pair(smooth_density("x4"), far, 256))
+
+    def test_a_sine_sweep_evaluates_no_trig_on_the_nodes(self, monkeypatch):
+        """A sweep of the sine's embedding defect calls ``np.cos`` and
+        ``np.sin`` on no array of n + 1 nodes, at its first eps or any
+        other: a row costs O(J) per term, from the terms' moments."""
+        sizes = []
+        for name in ("cos", "sin"):
+            monkeypatch.setattr(np, name, lambda t, *args, g=getattr(np, name),
+                                **kw: sizes.append(np.size(t))
+                                or g(t, *args, **kw))
+        om = Box.interval(-2.5, 2.5)
+        defect = sub(embed_C(smooth_density("sin"), omega=om),
+                     embed_sigma(smooth_density("sin").f, omega=om))
+        path = make_battery("full_path", 1, 1, seed=5)[0]
+        spec = SweepSpec(i_min=2, i_max=7, K=np.linspace(-1, 1, 5),
+                         alphas=(0, 1), fit_window=4)
+        tables = sweep(defect, path, spec)
+        assert all(np.isfinite(t.values).all() for t in tables)
+        assert DEFAULT_NODES + 1 not in sizes
+        assert all(("moments", DEFAULT_NODES) in t._cache
+                   for t in path.terms)

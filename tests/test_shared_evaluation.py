@@ -355,26 +355,27 @@ class TestSharedSamples:
 
     def test_other_node_count_is_sampled_again(self):
         """The pairing reads the base's samples on the base's own grid,
-        once per node count, and keeps one (C, S) pair per (scale, offset,
-        node count): <sin, base((. - x) / a) / a> = sin(x) C + cos(x) S."""
-        w = smooth_density("sin")
+        once per node count, and keeps one moment list per node count,
+        whatever the shift: <sin, base((. - x) / a) / a> = sin(x) C +
+        cos(x) S, where C and S are the pairings of cos and sin at x = 0."""
+        w, cos = smooth_density("sin"), smooth_density("cos")
         member = fresh_member()
         base, a, _ = member.frame
+        calls, inner = [], base.fn
+        base.fn = lambda p: calls.append(np.size(p)) or inner(p)
         for x, n in [(0.3, 1024), (-0.4, 1024), (0.3, 1024), (0.3, 2048)]:
             psi = translate(member, x)
             assert psi.frame == (base, a, x)
-            xi, wt = support_grid(base, n)
-            v = base.fn(xi)
-            C = np.dot(wt, np.cos(a * xi) * v)
-            S = np.dot(wt, np.sin(a * xi) * v)
+            C, S = pair(cos, member, n), pair(w, member, n)
             assert pair(w, psi, n) == math.sin(x) * C + math.cos(x) * S
             assert base._cache["grid"][0] == (base.center, base.radius, n)
-        assert list(base._cache) == ["grid", ("trig", a, 0.0, 1024),
-                                     ("trig", a, 0.0, 2048)]
+        assert calls == [1024 + 1, 2048 + 1]
+        assert list(base._cache) == ["grid", ("moments", 1024),
+                                     ("moments", 2048)]
 
     def test_base_keeps_one_samples_entry_along_a_row(self):
         """A 41-point row evaluates the base once and caches one grid and
-        one (C, S) pair."""
+        one moment list."""
         rep = embed_C(smooth_density("sin"), omega=OMEGA)
         owner = fresh_member()
         base, a, _ = owner.frame
@@ -389,8 +390,7 @@ class TestSharedSamples:
         for x in np.linspace(-1.0, 1.0, 41):
             rep(owner, float(x))
         assert calls == [DEFAULT_NODES + 1]
-        assert list(base._cache) == ["grid",
-                                     ("trig", a, 0.0, DEFAULT_NODES)]
+        assert list(base._cache) == ["grid", ("moments", DEFAULT_NODES)]
         assert base._cache["grid"][0] == \
             (base.center, base.radius, DEFAULT_NODES)
         assert owner._cache == {}
