@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .basic_space import (ExpExpRepresentative, Representative, _check_tangent,
-                          sub)
+                          _value_at, sub)
 from .numdiff import _CENTRAL, MAX_ORDER, central_difference, stencil_halfwidth
 from .testfunc import (Q_CAP, DomainError, TestFunction, _lincomb_samples,
                        _row_blocks, scale, support_grid, union_box)
@@ -156,9 +156,9 @@ def _insertion_row(channels: tuple, alpha: int, K: np.ndarray):
     channel of the magnitudes at the first j <= n points of K.
 
     A channel reads ``rep.row`` (a log channel's ``rep.inner.row``) over a
-    coefficient-form path, the path's weights once per set of points; a
-    channel without a row, or a path without ``weights``, raises
-    ``TypeError`` here, before any eps.  At each x a channel's
+    coefficient-form path, the path's weights once per set of points, its
+    members of offset 0; a path without ``weights`` raises ``TypeError``
+    here, before any eps.  At each x a channel's
     representative reads x; the central stencil at ``partial_x``'s step,
     shrunk near the boundary of its Omega; or, for a log channel at
     alpha = 1, x and x +- h.  All these points are checked against
@@ -170,10 +170,10 @@ def _insertion_row(channels: tuple, alpha: int, K: np.ndarray):
     """
     if alpha > 1 and any(rep.has_log_channel for rep, _ in channels):
         raise ValueError("log-channel sweeps support first x-derivatives only")
-    rows = [getattr(rep.inner, "row", None) if rep.has_log_channel
-            else rep.row for rep, _ in channels]
-    for (rep, path), row_fn in zip(channels, rows):
-        if row_fn is None or path.weights is None:
+    rows = [rep.inner.row if rep.has_log_channel else rep.row
+            for rep, _ in channels]
+    for rep, path in channels:
+        if path.weights is None:
             raise TypeError(f"cannot sweep {rep!r} over {path.member_id!r}: "
                             "a sweep reads rows, over coefficient-form paths")
     xs, hw = K.tolist(), stencil_halfwidth(alpha)
@@ -207,7 +207,7 @@ def _insertion_row(channels: tuple, alpha: int, K: np.ndarray):
             key, yl = (id(path), ys.tobytes()), ys.tolist()
             if key not in weights:
                 weights[key] = np.array(path.weights(eps, yl))
-            vals = row_fn((weights[key], path.terms, eps), yl)
+            vals = row_fn((weights[key], path.terms, eps, 0.0), yl)
             if rep.has_log_channel:  # I at x and x +- h
                 out[i] = rep.log_abs_dx(*np.reshape(vals, (j, 3)).T, h) / LN2
             else:  # the stencil's rows, in the order central_difference reads
@@ -456,7 +456,7 @@ def d1_form_test(rep: Representative, battery: Sequence,
         j = out.shape[1]
         if log and tuples and j:  # I and each d_1 I once per row
             sphi = scale(phi0, eps)
-            ival = rep.inner(sphi, float(K[0]))
+            ival = _value_at(rep.inner.row, sphi, float(K[0]))
             dis = [rep.inner.d1(sphi, scale(psi, eps)) for psi in directions]
             more = [rep.log_abs_d1(ival, [dis[i] for i in idx]) / LN2
                     for idx in tuples]
@@ -491,22 +491,22 @@ def d1_form_test(rep: Representative, battery: Sequence,
 
 
 def squared_mass_inner(quad_n: int):
-    """inner(phi, x) = integral of |phi|^2 over phi's support box, on
-    ``quad_n`` panels.
+    """inner(phi, x) = integral of |phi|^2 over phi's support, on
+    ``quad_n`` panels, with its row.
 
-    ``inner.row((coeffs, terms, eps), ys)`` is ``inner`` on a sweep row's
-    members at once: the sum over the terms' cached samples, times
-    eps^-1.  For a sweep's eps = 2^-i this is the quadrature on the scaled
-    support bit for bit, since scaling by a power of two commutes with
-    rounding.
+    ``inner.row((coeffs, terms, eps, b), ys)`` is the sum over the terms'
+    cached samples of a row's members, times eps^-1; ``inner(phi, x)`` is
+    that row on the one member read from phi's frame (``_value_at``), which
+    integrates on phi's base's grid.  For eps = 2^-i, as in every sweep,
+    this is the quadrature on the scaled support bit for bit, since
+    scaling by a power of two commutes with rounding.
 
-    ``inner.pulled(mu)`` is ``inner`` pulled back along ``mu``, per point
-    and, as its ``row``, on a sweep row: the integral of |chi|^2, chi the
-    pullback of phi at x (``pullback_pair_transform``), which the change of
-    variables xi = mu(x + p) - mu(x) turns into the integral of
-    |phi(p)|^2 / |mu'(x + p)| over phi's own grid, with no inverse.  The
-    pulled row and the pulled inner agree as ``row`` and ``inner`` do.  A
-    zero or non-finite mu' on the support raises ``ValueError``.
+    ``inner.pulled(mu)`` is ``inner`` pulled back along ``mu``, with its
+    row: the integral of |chi|^2, chi the pullback of phi at x
+    (``pullback_pair_transform``), which the change of variables xi =
+    mu(x + p) - mu(x) turns into the integral of |phi(p)|^2 / |mu'(x + p)|
+    over phi's own grid, p = b + eps xi, with no inverse.  A zero or
+    non-finite mu' on the support raises ``ValueError``.
 
     I is quadratic in phi, so its directional derivative is exact:
     ``inner.d1(phi, psi)`` = 2 integral of phi psi, on ``quad_n`` panels of
@@ -514,47 +514,36 @@ def squared_mass_inner(quad_n: int):
     """
     n = int(quad_n)
 
-    def inner(phi: TestFunction, x) -> float:
-        pts, w = support_grid(phi, n)
-        return float(np.dot(w, np.abs(phi.fn(pts)) ** 2))
-
-    def d1(phi: TestFunction, psi: TestFunction) -> float:
-        pts, w = support_grid(TestFunction(*union_box([phi, psi]), None), n)
-        return 2.0 * float(np.dot(w, phi.fn(pts) * psi.fn(pts)))
-
-    def row_along(mu):  # the row of inner pulled back along mu, or None
+    def along(mu):  # inner pulled back along mu, or itself for None
         def row(member, ys):
-            coeffs, terms, eps = member
+            coeffs, terms, eps, b = member
             out = []
-            # a block holds the squares; pulled, also the points x + eps s
-            # and mu' there, with its temporaries
+            # a block holds the squares; pulled, also the points x + p and
+            # mu' there, with its temporaries
             width = (2 if mu is None else 5) * (n + 1)
             for k in _row_blocks(len(ys), width):
                 xi, wt, rows = _lincomb_samples(coeffs[:, k], terms, n)
                 np.square(np.abs(rows, out=rows), out=rows)
                 if mu is not None:
-                    rows /= _abs_slope(mu, np.array(ys[k])[:, None] + eps * xi)
+                    at = b + np.array(ys[k])
+                    rows /= _abs_slope(mu, at[:, None] + eps * xi)
                 out += [float(np.dot(wt, v)) * eps ** -1 for v in rows]
             return out
 
-        return row
+        def inner(phi: TestFunction, x) -> float:
+            return _value_at(row, phi, x)
 
-    def pulled(mu):
-        if mu.is_identity:  # mu' = 1
-            return inner
+        inner.row = row
+        return inner
 
-        def inner_mu(phi: TestFunction, x) -> float:
-            pts, w = support_grid(phi, n)
-            v = np.abs(phi.fn(pts)) ** 2
-            v /= _abs_slope(mu, x + pts)
-            return float(np.dot(w, v))
+    def d1(phi: TestFunction, psi: TestFunction) -> float:
+        pts, w = support_grid(TestFunction(*union_box([phi, psi]), None), n)
+        return 2.0 * float(np.dot(w, phi.fn(pts) * psi.fn(pts)))
 
-        inner_mu.row = row_along(mu)
-        return inner_mu
-
+    inner = along(None)
     inner.d1 = d1
-    inner.row = row_along(None)
-    inner.pulled = pulled
+    # the identity's mu' is 1: its pullback is the inner itself
+    inner.pulled = lambda mu: inner if mu.is_identity else along(mu)
     return inner
 
 

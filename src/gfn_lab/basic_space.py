@@ -20,8 +20,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import numdiff
-from .distributions import (Distribution, _fn_name, _pullback, pair,
-                            pair_row, pullback_test_function)
+from .distributions import (Distribution, _fn_name, _pullback, pair_row,
+                            pullback_test_function)
+from .distributions import pair  # noqa: F401  (a binding perfbench traces)
 from .testfunc import (TAU_M, Box, DomainError, TestFunction, translate,
                        union_box)
 from .testfunc import scale  # noqa: F401  (a binding perfbench traces)
@@ -36,44 +37,50 @@ class PreconditionError(ValueError):
 
 
 class Representative:
-    """Element of the basic space: evaluator (phi, x) -> complex.
+    """Element of the basic space: its one evaluator is ``row``.
 
-    ``linear`` marks evaluators that are linear in the test-function slot
-    (every embedded distribution is), so d_1 R(phi)(psi) = R(psi).
+    ``row((coeffs, terms, eps, b), xs)`` gives the values at the pairs
+    (phi_k, xs[k]), phi_k the member b + S_eps tf_lincomb(coeffs[:, k],
+    terms), that is p -> eps^-1 sum_j coeffs[j, k] terms[j]((p - b) /
+    eps); a sweep's members have offset b = 0.  ``rep(phi, x)``, after
+    its U(Omega) test, is the row of the one member read from phi's frame
+    (base, a, b): a 1 x 1 coefficient array over (base,) at eps = a, with
+    offset b (``_value_at``).  So a member's value is the same whether it
+    is evaluated alone or in a row, and no representative has a second
+    evaluator.
+
+    ``linear`` marks representatives that are linear in the test-function
+    slot (every embedded distribution is), so d_1 R(phi)(psi) = R(psi).
     ``omega`` is the ambient open set realizing the domain predicate.
     ``phi_independent`` marks representatives whose value does not depend
     on the test function, so their directional derivatives vanish.  These
-    are the representatives ``d1_derivative`` differentiates exactly.
-    ``row((coeffs, terms, eps), xs)``, where set, is ``eval_fn`` at each
-    (S_eps tf_lincomb(coeffs[:, k], terms), xs[k]), bit for bit, unchecked.
-    It is what sweeps read, over coefficient-form paths only; a
-    representative without one is evaluated point by point, and a sweep
-    of it raises ``TypeError``.  The constructors that build the lab's
-    representatives also set their pullback in closed form, as they set
-    ``row`` (``compose_pullback``), and name what they built (``_label``),
-    which the repr prints with the open set.
+    are the representatives ``d1_derivative`` differentiates exactly.  The
+    constructors that build the lab's representatives also set their
+    pullback in closed form (``compose_pullback``) and their translate to
+    the other formalism (``translate_formalism``), and name what they
+    built (``_label``), which the repr prints with the open set.
     """
 
     has_log_channel = False
     phi_independent = False
-    row = None
     _pulled = None  # (mu, omega) -> the pullback along mu, on omega
+    _translate = None  # () -> the translate to the other formalism
 
-    def __init__(self, eval_fn: Callable[[TestFunction, float], complex],
+    def __init__(self, row: Callable[[tuple, list], np.ndarray],
                  formalism: str = "C", linear: bool = False,
                  omega: Optional[Box] = None):
         if formalism not in ("C", "J"):
             raise ValueError("formalism must be 'C' or 'J'")
-        self.eval_fn = eval_fn
+        self.row = row
         self.formalism = formalism
         self.linear = bool(linear)
         self.omega = omega
-        self._label = f"Representative({_fn_name(eval_fn)}, {formalism})"
+        self._label = f"Representative({_fn_name(row)}, {formalism})"
 
     def __call__(self, phi: TestFunction, x):
         if self.omega is not None:
             self.check_domain(phi, x)
-        return self.eval_fn(phi, x)
+        return _value_at(self.row, phi, x)
 
     def in_domain(self, phi: TestFunction, x) -> bool:
         """(phi, x) in U(Omega); elementwise for arrays of x and phi's box."""
@@ -93,10 +100,10 @@ class Representative:
     def compose_pullback(self, mu) -> "Representative":
         """(phi~, x~) -> self(T(phi~, x~)), T the transform
         ``pullback_pair_transform(mu)``, in the closed form its constructor
-        set, with a row where this has one; it lives on mu's source set
+        set, with its row; it lives on mu's source set
         ``mu.omega_src`` within mu^{-1}(omega), a ``Box`` as mu is
         monotone.  A representative without a closed form (hand-built, or
-        from ``translate_formalism``) raises ``TypeError``."""
+        in the J-formalism) raises ``TypeError``."""
         if self._pulled is None:
             raise TypeError(f"no closed-form pullback of {self!r}")
         src, om = mu.omega_src, self.omega
@@ -113,35 +120,55 @@ class Representative:
                                                     f"{om.hi!r})")
 
 
+#: the formalism a representative's translate is in
+_OTHER = {"C": "J", "J": "C"}
+
+#: the coefficients of the one member read from a test function's frame
+_ONE = np.ones((1, 1))
+_ONE.flags.writeable = False
+
+
+def _value_at(row, phi: TestFunction, x):
+    """``row`` at (phi, x): the row of the one member read from phi's frame
+    (base, a, b), a 1 x 1 coefficient array over (base,) at eps = a, with
+    offset b, at the one point x.  An embedding pairs it at x + (b - s),
+    as ``pair`` pairs phi shifted by x - s, without building a
+    translate."""
+    base, a, b = phi.frame
+    return row((_ONE, (base,), a, b), [x])[0]
+
+
 class ExpExpRepresentative(Representative):
     """R(phi, x) = exp(i exp(I(phi, x))) for a real inner functional I.
 
-    The plain value overflows once I exceeds ~700 and then raises, so all
-    asymptotic work runs through the log-magnitude channel: |R| = 1
-    identically, and the magnitudes of x- or phi-derivatives are I + log |dI|.
+    The inner is I(phi, x) with its row ``inner.row``, as
+    ``squared_mass_inner`` builds it.  R's row is exp(i exp(I)) of each
+    value of the inner's row, and raises once I exceeds ~700, where that
+    overflows; so all asymptotic work runs through the log-magnitude
+    channel: |R| = 1 identically, and the magnitudes of x- or
+    phi-derivatives are I + log |dI|.  Sweeps read I by ``inner.row``;
+    ``log_abs_dx`` and ``log_abs_d1`` turn I's values into log magnitudes.
     The phi-derivatives need the inner's exact directional derivative
     ``inner.d1(phi, psi)``, which ``squared_mass_inner`` provides; an inner
-    with ``d1`` reads phi alone, not x.  Sweeps read I on a row of members
-    by ``inner.row``, and an inner without one cannot be swept;
-    ``log_abs_dx`` and ``log_abs_d1`` turn I's values into log
-    magnitudes.  The pullback is the log channel of
-    ``inner.pulled(mu)``; an inner without ``pulled`` has none.
+    with ``d1`` reads phi alone, not x.  The pullback is the log channel of
+    ``inner.pulled(mu)``; an inner without ``pulled`` has none.  A log
+    channel has no translate to the J-formalism.
     """
 
     has_log_channel = True
 
-    def __init__(self, inner: Callable[[TestFunction, float], float],
-                 omega: Optional[Box] = None):
+    def __init__(self, inner, omega: Optional[Box] = None):
         self.inner = inner
 
-        def ev(phi, x):
-            ival = inner(phi, x)
-            if ival > 700.0:
-                raise FloatingPointError(
-                    f"exp(I) overflows at I = {ival:.6g}; use the log channel")
-            return complex(np.exp(1j * np.exp(ival)))
+        def row(member, xs):
+            ivals = inner.row(member, xs)
+            big = [ival for ival in ivals if ival > 700.0]
+            if big:
+                raise FloatingPointError(f"exp(I) overflows at I = "
+                                         f"{big[0]:.6g}; use the log channel")
+            return np.array([complex(np.exp(1j * np.exp(v))) for v in ivals])
 
-        super().__init__(ev, formalism="C", linear=False, omega=omega)
+        super().__init__(row, formalism="C", linear=False, omega=omega)
         self._label = f"ExpExpRepresentative({_fn_name(inner)})"
         if hasattr(inner, "pulled"):
             self._pulled = lambda mu, om: ExpExpRepresentative(
@@ -187,65 +214,81 @@ def embed_C(w: Distribution, omega: Optional[Box] = None,
     """iota in the C-formalism: (phi, x) -> <w, phi(. - x)>, with
     ``pair_row`` as its row, so a sweep over a coefficient-form path builds
     no member.  Its pullback along mu is the embedding of mu^* w, in the
-    closed form of ``distributions._pullback``, and pulls back again."""
-    return _embedded(w, 1.0, 0.0, omega, n)
-
-
-def _embedded(w: Distribution, c: float, s: float, omega: Optional[Box],
-              n: Optional[int]) -> Representative:
-    """(phi, x) -> c <w, phi(. - (x - s))>, the embedding of c w(. - s);
-    ``embed_C`` at c = 1, s = 0, which change no bit of its values."""
-    rep = Representative(lambda phi, x: c * pair(w, phi, n, shift=x - s),
-                         formalism="C", linear=True, omega=omega)
-    rep.row = lambda member, xs: c * pair_row(w, *member, np.subtract(xs, s),
-                                              n)
-    rep._label = f"embed_C({w!r})"
-    rep._pulled = lambda mu, om: _embedded(*_pullback(mu, w, c, s), om, n)
-    return rep
+    closed form of ``distributions._pullback``, and pulls back again.  Its
+    translate is ``embed_J(w)`` on omega (``_embedded``)."""
+    return _embedded(w, 1.0, 0.0, omega, n, "C")
 
 
 def embed_J(w: Distribution, n: Optional[int] = None) -> Representative:
-    """iota in the J-formalism: (phi, x) -> <w, phi>, independent of x."""
+    """iota in the J-formalism: (phi, x) -> <w, phi>, independent of x: the
+    row of ``embed_C(w)`` at x = 0.  Its translate is ``embed_C(w)``."""
+    return _embedded(w, 1.0, 0.0, None, n, "J")
 
-    def ev(phi, x):
-        return pair(w, phi, n)
 
-    rep = Representative(ev, formalism="J", linear=True)
-    rep._label = f"embed_J({w!r})"
+def _embedded(w: Distribution, c: float, s: float, omega: Optional[Box],
+              n: Optional[int], formalism: str) -> Representative:
+    """The embedding of c w(. - s): (phi, x) -> c <w, phi(. - (x - s))> in
+    the C-formalism, and in the J-formalism c <w, phi(. + s)>, the C value
+    at x = 0.  A member of offset b pairs by ``pair_row`` at x + (b - s),
+    and at b - s in the J-formalism; c = 1 and s = 0, as in ``embed_C``
+    and ``embed_J``, change no bit.  Its translate is the same (w, c, s)
+    embedding on omega in the other formalism; in the C-formalism, its
+    pullback along mu is the embedding of mu^* c w(. - s)."""
+    at_zero = formalism == "J"  # the J value is the C value at x = 0
+
+    def row(member, xs):
+        coeffs, terms, eps, b = member
+        d = b - s  # offsets x + d, and xs at d = 0: pair_row adds 0.0
+        at = [d] * len(xs) if at_zero else [x + d for x in xs] if d else xs
+        out = pair_row(w, coeffs, terms, eps, at, n)
+        return out if c == 1.0 else c * out  # 1.0 * v is v, bit for bit
+
+    rep = Representative(row, formalism=formalism, linear=True, omega=omega)
+    rep._label = f"embed_{formalism}({w!r})"
+    rep._translate = lambda: _embedded(w, c, s, omega, n, _OTHER[formalism])
+    if not at_zero:
+        rep._pulled = lambda mu, om: _embedded(*_pullback(mu, w, c, s), om,
+                                               n, "C")
     return rep
 
 
 def embed_sigma(f: Callable[[float], complex],
                 omega: Optional[Box] = None) -> Representative:
     """The constant embedding of a smooth function, in the C-formalism:
-    (phi, x) -> f(x).  Its pullback along mu is ``embed_sigma(f o mu)``."""
+    (phi, x) -> f(x).  Its pullback along mu is ``embed_sigma(f o mu)``;
+    its translate is the same map f(x) in the J-formalism."""
+    return _sigma(f, omega, "C")
 
-    def ev(phi, x):
-        return f(x)
 
-    rep = Representative(ev, formalism="C", linear=False, omega=omega)
+def _sigma(f, omega: Optional[Box], formalism: str) -> Representative:
+    """(phi, x) -> f(x) in ``formalism``, as ``embed_sigma`` describes."""
+    rep = Representative(lambda member, xs: np.array([f(x) for x in xs]),
+                         formalism=formalism, linear=False, omega=omega)
     rep.phi_independent = True
-    rep.row = lambda member, xs: np.array([f(x) for x in xs])
     rep._label = f"embed_sigma({_fn_name(f)})"
-    rep._pulled = lambda mu, om: embed_sigma(lambda x: f(mu.forward(x)), om)
+    rep._translate = lambda: _sigma(f, omega, _OTHER[formalism])
+    if formalism == "C":
+        rep._pulled = lambda m, om: embed_sigma(lambda x: f(m.forward(x)), om)
     return rep
 
 
 def translate_formalism(rep: Representative) -> Representative:
-    """Toggle between the C- and J-formalism presentations.
+    """The same element in the other formalism, built once, here.
 
-    J -> C composes with (phi, x) -> (phi(. - x), x); C -> J with its
-    inverse.  A round trip reproduces the original evaluator outputs
-    bit for bit because opposite translations cancel structurally.
+    J -> C composes with (phi, x) -> (phi(. - x), x), and C -> J with its
+    inverse.  Each constructor sets the result as it sets its row: an
+    embedding becomes the same embedding in the other formalism, on the
+    same open set; sigma(f) the same map f(x); a composite the composite
+    of its operands' translates.  So a translate evaluates as any
+    representative of its kind does, and translates no test function per
+    call.  The translate of the translate is ``rep`` itself.  A
+    representative without one (hand-built, or a log channel) raises
+    ``TypeError``.
     """
-    base, sign = rep.eval_fn, 1.0 if rep.formalism == "J" else -1.0
-
-    def ev(phi, x):
-        return base(translate(phi, sign * x), x)
-
-    out = Representative(ev, formalism="C" if sign > 0 else "J",
-                         linear=rep.linear, omega=rep.omega)
-    out._label = f"translate_formalism({rep._label})"
+    if rep._translate is None:
+        raise TypeError(f"no translate of {rep!r} to the other formalism")
+    out = rep._translate()
+    out._translate = lambda: rep
     return out
 
 
@@ -288,30 +331,36 @@ def _meet(a: Optional[Box], b: Optional[Box]) -> Optional[Box]:
 
 
 def _combined(op, g1, g2):
-    """(phi, x) -> op(g1(phi, x), g2(phi, x)); a square evaluates g1 once."""
+    """(member, xs) -> op(g1(member, xs), g2(member, xs)); a square
+    evaluates g1 once."""
     if g1 is g2:
-        return lambda phi, x: op(v := g1(phi, x), v)
-    return lambda phi, x: op(g1(phi, x), g2(phi, x))
+        return lambda member, xs: op(v := g1(member, xs), v)
+    return lambda member, xs: op(g1(member, xs), g2(member, xs))
 
 
 def _composite(r1: Representative, r2: Representative, op,
                linear: bool) -> Representative:
-    """op of the operands' values on the intersection of their open sets,
+    """op of the operands' rows on the intersection of their open sets,
     where a ball lies exactly when it lies in both, so the composite's one
-    check covers both operands, which run their bare ``eval_fn``.  Its row
-    is op of their rows, if both have one; its pullback op of their
-    pullbacks onto its own pulled set, if both have one."""
+    check covers both operands, whose rows run unchecked.  Its translate is
+    op of their translates; its pullback op of their pullbacks onto its
+    own pulled set, if both have one.  A square translates and pulls back
+    its operand once."""
     if r1.formalism != r2.formalism:
         raise FormalismError(f"cannot {op.__name__} across formalisms")
-    rep = Representative(_combined(op, r1.eval_fn, r2.eval_fn),
+    rep = Representative(_combined(op, r1.row, r2.row),
                          formalism=r1.formalism, linear=linear,
                          omega=_meet(r1.omega, r2.omega))
     rep._label = f"{op.__name__}({r1._label}, {r2._label})"
-    if r1.row and r2.row:
-        rep.row = _combined(op, r1.row, r2.row)
+
+    def of_operands(act):  # op of act on each operand, once for a square
+        v1 = act(r1)
+        return _composite(v1, v1 if r2 is r1 else act(r2), op, linear)
+
+    rep._translate = lambda: of_operands(translate_formalism)
     if r1._pulled and r2._pulled:
-        rep._pulled = lambda mu, om: _composite(
-            r1._pulled(mu, om), r2._pulled(mu, om), op, linear)
+        rep._pulled = lambda mu, om: of_operands(
+            lambda r: r._pulled(mu, om))
     return rep
 
 
@@ -380,14 +429,15 @@ def d1_derivative(rep: Representative, phi: TestFunction, x, directions):
         if rep.omega is not None:
             for f in (phi, *directions):
                 rep.check_domain(f, x)
-        return rep.eval_fn(directions[0], x) if k == 1 else 0.0
+        return _value_at(rep.row, directions[0], x) if k == 1 else 0.0
     if rep.phi_independent:
         # d_1^k of a value v = rep(phi, x) that ignores phi is v - v (0,
         # or NaN), tested on the box covering phi and the directions
         rep.check_domain(TestFunction(*union_box([phi, *directions]), phi.fn),
                          x)
-        v = rep.eval_fn(phi, x)
-        return v - v
+        v = _value_at(rep.row, phi, x)
+        with np.errstate(invalid="ignore"):  # inf - inf is the NaN meant
+            return v - v
     raise ValueError(f"no d_1 rows: {rep!r} is not linear or phi-independent")
 
 

@@ -336,7 +336,9 @@ def transform_test_object(mu: Diffeomorphism,
     in that set, so every admitted member keeps the bound.  The path carries
     the partial domain as ``domain``, whose ``register_compact`` gives a
     grid's eps0.  Its ``rows`` evaluate a row of members over the source's
-    rows, inverting eps xi + x for all of them in one call.
+    rows, inverting eps xi + x for all of them in one call, and a member
+    path(eps, x) is the row of that one member, its nodes a stack of one
+    row, so the member has the bits of the row.
 
     Its ``quadrature`` integrates in source coordinates and inverts no
     node: with xi = (mu(xt + eps s) - x) / eps = s chord(xt, eps s),
@@ -358,18 +360,6 @@ def transform_test_object(mu: Diffeomorphism,
             pre_of[x] = mu.inverse(x)
         return pre_of[x]
 
-    def member(eps, x):
-        xt = preimage(x)
-        src = path(eps, xt)
-        a, b = src.box
-        center, radius = mu.image_box(xt + eps * a, xt + eps * b, x, eps)
-
-        def fn(xi):
-            pre = mu.inverse(eps * xi + x)
-            return src.fn((pre - xt) / eps) * np.abs(1.0 / mu.d_forward(pre))
-
-        return TestFunction(center, radius, fn)
-
     def rows(eps, xs):
         xts = np.array([preimage(x) for x in xs])
         src_c, src_r, src_fn = _member_rows(path, eps, xts.tolist())
@@ -385,6 +375,11 @@ def transform_test_object(mu: Diffeomorphism,
             return vals
 
         return centers, radii, fn
+
+    def member(eps, x):  # the row of one member, its nodes a stack of one
+        (center,), (radius,), fn = rows(eps, [x])
+        return TestFunction(center, radius, lambda xi: np.reshape(
+            fn(np.asarray(xi)[None])[0], np.shape(xi)))
 
     def quadrature(eps, xs, n):
         xts = np.array([preimage(x) for x in xs])

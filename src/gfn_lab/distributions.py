@@ -246,7 +246,8 @@ def pair(w: Distribution, psi: TestFunction, n: Optional[int] = None,
     ``shifted_frame`` without building the translate, at eps = a and
     offset b.  The result is bit for bit that of the translate itself, the
     exact cancellations of ``translate`` included, but for the sign of a
-    zero.
+    zero.  No representative calls it: an embedding reads the member's
+    frame itself (``basic_space._value_at``), with no cancellation.
     """
     (base, a, b), _ = shifted_frame(psi, shift)
     return float(pair_row(w, np.array([[1.0]]), (base,), a, [b], n)[0])

@@ -2,8 +2,8 @@
 sweep kernel's rows must reproduce, tables, errors and messages included.
 
 A probe builds each member S_eps path(eps, x) and calls the representative
-on it, one (eps, x) at a time, so it reads any path and any representative,
-with or without a row.
+on it, one (eps, x) at a time, so it reads any path; the call evaluates
+the representative's row on the one member read from the member's frame.
 """
 
 import math

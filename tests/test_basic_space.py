@@ -1,6 +1,7 @@
 """Embeddings, the C/J translation, algebra operations and derivatives."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -74,22 +75,26 @@ class TestTracedPair:
     def test_counting_wrapper_sees_each_embed_C_pairing_once(self,
                                                              monkeypatch,
                                                              moll2_offset):
-        """The benchmark's traced run replaces ``pair`` where it is bound
-        with a wrapper taking (*args, **kwargs) and naming the call by the
-        kind of its first argument; an embedding must pair through it."""
+        """The benchmark's traced run replaces ``Representative.__call__``
+        with a wrapper taking (*args, **kwargs) and counting the call; an
+        embedding's pairing at a point goes through it once, as the row of
+        one member, and gives the same value.  ``pair``, which no
+        representative calls, stays bound in ``basic_space`` for the
+        traced run to replace."""
         rep = embed_C(smooth_density("sin"))
         phi = scale(moll2_offset, 0.5)
         before = rep(phi, 0.3)
-        calls = []
+        calls, call = [], Representative.__call__
 
         def counted(*args, **kwargs):
-            calls.append(args[0].kind)
-            return pair(*args, **kwargs)
+            calls.append(args[2])
+            return call(*args, **kwargs)
 
-        monkeypatch.setattr(distributions, "pair", counted)
-        monkeypatch.setattr(basic_space, "pair", counted)
-        assert rep(phi, 0.3) == before
-        assert calls == ["smooth"]
+        monkeypatch.setattr(Representative, "__call__", counted)
+        assert rep(phi, 0.3) == before == pair(smooth_density("sin"), phi,
+                                               shift=0.3)
+        assert calls == [0.3]
+        assert basic_space.pair is distributions.pair
 
 
 class TestEmbedJ:
@@ -295,7 +300,10 @@ class TestD1Derivative:
     def test_squared_mass_chain_rule(self, moll0, moll2):
         """R(phi,x) = (int phi)^2 is neither linear nor phi-independent:
         d1_derivative has no exact d_1 for it and raises."""
-        rep = Representative(lambda phi, x: moment(phi, 0)**2, linear=False)
+        rep = Representative(  # each member's mass, from its terms'
+            lambda member, xs: (member[0].T @ [moment(t, 0)
+                                               for t in member[1]]) ** 2,
+            linear=False)
         psi = tf_lincomb([1.0, -1.0], [moll0, moll2])
         with pytest.raises(ValueError, match="no d_1 rows"):
             d1_derivative(rep, moll0, 0.0, [psi])
@@ -308,7 +316,7 @@ class TestD1Derivative:
         covering phi and the directions; unflagged, it has no d_1."""
         om = Box.interval(-1.5, 1.5)
         flagged = embed_sigma(f, omega=om)
-        plain = Representative(flagged.eval_fn, omega=om)
+        plain = Representative(flagged.row, omega=om)
         assert flagged.phi_independent and not plain.phi_independent
         phi = scale(moll0, 0.25)
         psi = tf_lincomb([1.0, -1.0], [moll0, moll2])  # zero mass, radius 1
@@ -350,7 +358,8 @@ class TestDjDerivative:
             Dj_derivative(embed_C(DiracDerivative(0)), moll0, 0.0)
 
     def test_constant_representative_vanishes(self, moll0):
-        rep = Representative(lambda phi, x: 1.0, formalism="J", linear=False)
+        rep = Representative(lambda member, xs: np.ones(len(xs)),
+                             formalism="J", linear=False)
         rep.phi_independent = True
         assert Dj_derivative(rep, moll0, 0.1) == pytest.approx(0.0, abs=1e-9)
 
@@ -381,7 +390,8 @@ class TestExpExpRepresentative:
     def test_overflow_guard(self, moll0):
         """Past I = 700 the value channel raises, naming I; the log channel
         still answers."""
-        rep = ExpExpRepresentative(lambda phi, x: 1e4)
+        rep = ExpExpRepresentative(  # an inner of 1e4 everywhere
+            SimpleNamespace(row=lambda member, xs: [1e4] * len(xs)))
         with pytest.raises(FloatingPointError, match="I = 10000"):
             rep(moll0, 0.0)
         got = rep.log_abs_dx(1e4, 1e4 + 1e-3, 1e4 - 1e-3, 1e-3)
@@ -460,7 +470,7 @@ class TestReprs:
                 translate_formalism(embed_J(Heaviside())),
                 ExpExpRepresentative(squared_mass_inner(256), om),
                 pullback_rep(get_diffeo("sin-bend", om), sin_defect),
-                Representative(lambda phi, x: 0.0),
+                Representative(lambda member, xs: np.zeros(len(xs))),
                 derivative(smooth_density("x4")),
                 SmoothDensity(lambda t: t)]
 

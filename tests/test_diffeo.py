@@ -1,19 +1,22 @@
 """Diffeomorphism catalog, pullbacks, transformed test objects, domains."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gfn_lab import basic_space
 from gfn_lab.asymptotics import squared_mass_inner
 from gfn_lab.basic_space import (ExpExpRepresentative, Representative,
-                                 embed_C, embed_J, embed_sigma,
+                                 embed_C, embed_J, embed_sigma, mul,
                                  pullback_pair_transform, sub,
                                  translate_formalism)
 from gfn_lab.diffeo import (Diffeomorphism, PartialDomain, affine_map,
                             catalog, check_Z_requirements, compose,
                             get_diffeo, identity_map, pullback_rep,
                             transform_test_object)
-from gfn_lab.distributions import (DiracDerivative, Heaviside,
+from gfn_lab.distributions import (DiracDerivative, Heaviside, pair_row,
                                    pullback_test_function, smooth_density)
 from gfn_lab.test_objects import (MomentClass, TestObjectPath,
                                   _quadrature_rows, check_moment_class,
@@ -439,8 +442,8 @@ class TestBoundsWithoutInverse:
         assert calls == [("inverse", 0)]
         xi = np.linspace(-1.0, 1.0, 65)
         chi.fn(xi)
-        member.fn(xi)
-        assert calls == [("inverse", 0), ("inverse", 1), ("inverse", 1)]
+        member.fn(xi)  # the row of one member: a (1, 65) stack of nodes
+        assert calls == [("inverse", 0), ("inverse", 1), ("inverse", 2)]
 
 
 class TestFailLoudly:
@@ -601,21 +604,20 @@ class TestClosedFormPullback:
                 assert lhs(phi, x) == pytest.approx(rhs(phi, x), abs=1e-12)
 
     @pytest.mark.parametrize("case", [
-        "delta1", "H-decreasing", "hand-built", "translated", "inner",
-        "pulled-inner"])
+        "delta1", "H-decreasing", "hand-built", "inner", "pulled-inner"])
     def test_no_closed_form_raises(self, case):
         """delta^(k) for k >= 1, a step under a decreasing map, a
-        hand-built or translated evaluator, and a log channel whose inner
-        has no ``pulled`` (a pulled inner has none) raise ``TypeError``."""
+        hand-built row, and a log channel whose inner has no ``pulled`` (a
+        pulled inner has none) raise ``TypeError``."""
         mu = get_diffeo("sin-bend", OMEGA)
         log = ExpExpRepresentative(squared_mass_inner(256), omega=OMEGA)
         rep = {
             "delta1": lambda: embed_C(DiracDerivative(1)),
             "H-decreasing": lambda: embed_C(Heaviside()),
-            "hand-built": lambda: Representative(lambda phi, x: x),
-            "translated": lambda: translate_formalism(
-                embed_J(DiracDerivative(0))),
-            "inner": lambda: ExpExpRepresentative(lambda phi, x: x),
+            "hand-built": lambda: Representative(
+                lambda member, xs: np.array(xs)),
+            "inner": lambda: ExpExpRepresentative(
+                SimpleNamespace(row=lambda member, xs: list(xs))),
             "pulled-inner": lambda: pullback_rep(mu, log),
         }[case]()
         if case == "H-decreasing":
@@ -623,9 +625,42 @@ class TestClosedFormPullback:
         with pytest.raises(TypeError, match="closed-form pullback"):
             pullback_rep(mu, rep)
 
+    def test_a_pulled_square_pulls_back_once(self, monkeypatch):
+        """pullback_rep(mu, mul(R, R)) pulls R back once and squares it:
+        one pair_row call per row, where the product of two pullbacks of R
+        makes two, with the same bits."""
+        mu = get_diffeo("sin-bend", OMEGA)
+        R = embed_C(smooth_density("sin"), omega=OMEGA)
+        square = pullback_rep(mu, mul(R, R))
+        apart = mul(pullback_rep(mu, R), pullback_rep(mu, R))
+        path = make_battery("full_path", 1, 1, seed=3)[0]
+        xs = np.linspace(-1.0, 1.0, 9).tolist()
+        for eps in (0.5, 2.0**-6):
+            member = (np.array(path.weights(eps, xs)), path.terms, eps, 0.0)
+            calls = []
+            with monkeypatch.context() as mp:
+                mp.setattr(basic_space, "pair_row",
+                           lambda *args: calls.append(1) or pair_row(*args))
+                got = square.row(member, xs)
+                assert len(calls) == 1
+                want = apart.row(member, xs)
+                assert len(calls) == 3
+            assert got.tobytes() == want.tobytes()
+
+    def test_a_translate_to_C_has_a_closed_form(self, moll2):
+        """The C translate of embed_J(delta) is embed_C(delta): it pulls
+        back in closed form, to the values of embed_C(delta)'s pullback."""
+        mu = get_diffeo("sin-bend", OMEGA)
+        rep = translate_formalism(embed_J(DiracDerivative(0)))
+        pulled = pullback_rep(mu, rep)
+        want = pullback_rep(mu, embed_C(DiracDerivative(0)))
+        for x in (-0.4, 0.0, 0.3):
+            phi = scale(moll2, 0.2)
+            assert pulled(phi, x) == want(phi, x)
+
     def test_identity_keeps_every_value_and_row(self):
-        """Under the identity every lab-built representative with a row,
-        the composites, the log channel and pulled embeddings included,
+        """Under the identity every lab-built representative, the
+        composites, the log channel and pulled embeddings included,
         gives its own values and rows, bit for bit, on its own open set."""
         path = make_battery("full_path", 1, 2, seed=3)[1]
         xs = np.linspace(-1.0, 1.0, 9).tolist()
@@ -635,10 +670,10 @@ class TestClosedFormPullback:
             pulled = pullback_rep(identity_map(), rep)
             assert pulled.omega == rep.omega, name
             for eps in (0.5, 2.0**-6):
-                member = (np.array(path.weights(eps, xs)), path.terms, eps)
-                if rep.row is not None:
-                    assert (np.asarray(pulled.row(member, xs)).tobytes()
-                            == np.asarray(rep.row(member, xs)).tobytes()), name
+                member = (np.array(path.weights(eps, xs)), path.terms, eps,
+                          0.0)
+                assert (np.asarray(pulled.row(member, xs)).tobytes()
+                        == np.asarray(rep.row(member, xs)).tobytes()), name
                 phi = scale(path(eps, 0.1), eps)
                 got, want = pulled(phi, 0.1), rep(phi, 0.1)
                 assert np.array(got).tobytes() == np.array(want).tobytes()

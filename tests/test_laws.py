@@ -18,14 +18,16 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from gfn_lab.asymptotics import SweepSeries, fit_order
-from gfn_lab.basic_space import embed_C, embed_J, translate_formalism
+from gfn_lab.basic_space import (embed_C, embed_J, embed_sigma, mul, sub,
+                                 translate_formalism)
 from gfn_lab.diffeo import affine_map, compose, pullback_rep
 from gfn_lab.distributions import (DiracDerivative, Heaviside, pair,
                                    smooth_density)
-from gfn_lab.testfunc import (build_mollifier, scale, support_grid,
-                              tf_lincomb, translate)
+from gfn_lab.testfunc import (Box, DomainError, build_mollifier, scale,
+                              support_grid, tf_lincomb, translate)
 
 from conftest import sup_abs
+from test_shared_evaluation import OMEGA, rows_catalog
 
 shifts = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 scales = st.floats(min_value=0.05, max_value=1.0)
@@ -272,6 +274,67 @@ class TestFormalismRoundTrip:
             assert back.formalism == rep.formalism
             for phi in members(base, e, t):
                 assert back(phi, x) == rep(phi, x)
+
+    def test_translating_twice_returns_the_representative(self):
+        om = Box.interval(-2.5, 2.5)
+        ix = embed_C(smooth_density("x"), omega=om)
+        for rep in [embed_C(DiracDerivative(0), omega=om),
+                    embed_J(Heaviside()), embed_sigma(np.sin, omega=om),
+                    sub(embed_C(smooth_density("sin"), omega=om),
+                        embed_sigma(np.sin, omega=om)),
+                    mul(ix, ix)]:
+            out = translate_formalism(rep)
+            assert {out.formalism, rep.formalism} == {"C", "J"}
+            assert out.omega == rep.omega and out.linear == rep.linear
+            assert translate_formalism(out) is rep
+
+    @settings(max_examples=40, deadline=None)
+    @given(e=scales, t=shifts, x=shifts)
+    @example(e=0.5, t=0.25, x=-0.25)
+    def test_J_and_C_embeddings_translate_into_each_other(self, moll2_offset,
+                                                          e, t, x):
+        """translate_formalism(embed_J(w)) is embed_C(w), which is embed_J
+        on the member translated by x, and translate_formalism(embed_C(w))
+        is embed_J(w), bit for bit."""
+        for w in (DiracDerivative(0), DiracDerivative(1), Heaviside(),
+                  smooth_density("sin")):
+            J, C = embed_J(w), embed_C(w)
+            to_C, to_J = translate_formalism(J), translate_formalism(C)
+            for phi in members(moll2_offset, e, t):
+                want = np.array([C(phi, x), J(translate(phi, x), x),
+                                 J(phi, x)])
+                got = np.array([to_C(phi, x), C(phi, x), to_J(phi, x)])
+                assert got.tobytes() == want.tobytes()
+
+
+class TestOneEvaluator:
+    """A representative's value at (phi, x) is, after its U(Omega) test,
+    its row on the one member read from phi's frame (base, a, b): a 1 x 1
+    coefficient array over (base,) at eps = a, with offset b."""
+
+    @pytest.fixture(scope="class")
+    def catalog(self):
+        reps = {name: rep for name, rep in rows_catalog(OMEGA, 0.4).items()
+                if not isinstance(rep, tuple)}
+        reps["J-delta"] = translate_formalism(reps["delta"])
+        return reps
+
+    @settings(max_examples=15, deadline=None)
+    @given(e=scales, t=shifts, x=shifts)
+    @example(e=0.5, t=0.25, x=-0.25)
+    def test_a_value_is_the_row_of_one_member(self, catalog, moll2_offset,
+                                              e, t, x):
+        for name, rep in catalog.items():
+            for phi in members(moll2_offset, e, t):
+                if not rep.in_domain(phi, x):
+                    with pytest.raises(DomainError):
+                        rep(phi, x)
+                    continue
+                base, a, b = phi.frame
+                want = np.asarray(rep.row((np.ones((1, 1)), (base,), a, b),
+                                          [x]))
+                assert np.array(rep(phi, x)).tobytes() == \
+                    want[0].tobytes(), name
 
 
 factors = st.floats(min_value=0.3, max_value=3.0).flatmap(

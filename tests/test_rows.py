@@ -301,7 +301,7 @@ class TestPulledBackLogRow:
         for eps in (0.25, 2.0**-7):
             h = eps * asy.H_FACTOR
             ys = [y for x in K for y in (x, x + h, x - h)]
-            member = (np.array(path.weights(eps, ys)), path.terms, eps)
+            member = (np.array(path.weights(eps, ys)), path.terms, eps, 0.0)
             got = row(member, ys)
             want = [pulled.inner(scale(path(eps, y), eps), y) for y in ys]
             assert got == want
@@ -338,7 +338,8 @@ class TestPulledBackLogRow:
         rep = ExpExpRepresentative(squared_mass_inner(1024))
         mu = get_diffeo("sin-bend", OMEGA)
         ys = [-0.5, 0.0, 0.5]
-        member = (np.array(path.weights(0.125, ys)), path.terms, 0.125)
+        member = (np.array(path.weights(0.125, ys)), path.terms, 0.125,
+                  0.0)
         monkeypatch.setattr(np, "dot", guarded)
         rep.inner.row(member, ys)
         rep.inner.pulled(mu).row(member, ys)
@@ -416,9 +417,9 @@ class TestRowBlocks:
         assert pair_row(Heaviside(), coeffs, path.terms, eps, K,
                         512).tolist() == want
         inner = squared_mass_inner(1024)
-        assert inner.row((coeffs, path.terms, eps), K) == \
+        assert inner.row((coeffs, path.terms, eps, 0.0), K) == \
             [inner(scale(path(eps, x), eps), x) for x in K]
         mu = get_diffeo("cubic", OMEGA)
         pulled = ExpExpRepresentative(inner).compose_pullback(mu).inner
-        assert inner.pulled(mu).row((coeffs, path.terms, eps), K) == \
+        assert inner.pulled(mu).row((coeffs, path.terms, eps, 0.0), K) == \
             [pulled(scale(path(eps, x), eps), x) for x in K]

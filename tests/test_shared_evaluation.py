@@ -21,12 +21,13 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from gfn_lab import asymptotics as asy, basic_space, distributions
 from gfn_lab.asymptotics import SweepSpec
 from gfn_lab.basic_space import (ExpExpRepresentative, Representative,
-                                 embed_C, embed_J, embed_sigma, mul, sub,
-                                 translate_formalism)
+                                 _value_at, embed_C, embed_J, embed_sigma,
+                                 mul, sub, translate_formalism)
 from gfn_lab.diffeo import (PartialDomain, get_diffeo, pullback_rep,
                             transform_test_object)
 from gfn_lab.distributions import (SMOOTH_CHAINS, DiracDerivative, Heaviside,
-                                   SmoothDensity, pair, smooth_density)
+                                   SmoothDensity, pair, pair_row,
+                                   smooth_density)
 from gfn_lab.test_objects import (TestObjectPath, make_battery,
                                   perturbation_directions)
 from gfn_lab.testfunc import (DEFAULT_NODES, Box, DomainError, TestFunction,
@@ -230,10 +231,11 @@ class TestSharedSamples:
     def test_smooth_sweep_pairs_at_a_shift(self, monkeypatch):
         """embed_C of a smooth density pairs at the probe's shift: probing
         full-path members point by point builds no translated function and
-        makes one pair call per point."""
+        makes one pair_row call per point, on the member read from its
+        frame."""
         translated, paired, built = [], [], []
         count_calls(monkeypatch, translate, translated)
-        count_calls(monkeypatch, pair, paired)
+        count_calls(monkeypatch, pair_row, paired)
         base = build_mollifier(2, radius=0.9, center=0.1)
         other = build_mollifier(2, radius=1.1, center=-0.05)
 
@@ -313,14 +315,8 @@ class TestSharedSamples:
     def test_square_evaluates_its_factor_once(self):
         """mul(ix, ix) in association: one evaluation per probe, squared."""
         ix = embed_C(smooth_density("x"), omega=OMEGA)
-        calls = []
-        inner = ix.eval_fn
-
-        def counted(phi, x):
-            calls.append(x)
-            return inner(phi, x)
-
-        ix.eval_fn = counted
+        calls, row = [], ix.row
+        ix.row = lambda member, xs: calls.extend(xs) or row(member, xs)
         square = mul(ix, ix)
         for x in (-0.7, 0.0, 0.3):
             member = fresh_member()
@@ -577,16 +573,14 @@ class TestSharedMembers:
             return make_battery("full_path", q, 1, seed=31 + q, flavor=flavor)
 
         def counted(rep, calls):  # rep, its rows' points recorded
-            out = Representative(rep.eval_fn, linear=rep.linear,
-                                 omega=rep.omega)
-            out.row = lambda member, xs: calls.extend(xs) or rep.row(member,
-                                                                     xs)
-            return out
+            return Representative(
+                lambda member, xs: calls.extend(xs) or rep.row(member, xs),
+                linear=rep.linear, omega=rep.omega)
 
         # the zero representative has its witness at q = n and leaves the
         # search there; the delta embedding never has one and runs to q_max
-        zero = Representative(lambda phi, x: 0.0, linear=True, omega=OMEGA)
-        zero.row = lambda member, xs: np.zeros(len(xs))
+        zero = Representative(lambda member, xs: np.zeros(len(xs)),
+                              linear=True, omega=OMEGA)
         delta = embed_C(DiracDerivative(0), omega=OMEGA)
         shared_calls, alone_calls = [], []
         reps = tuple(counted(r, shared_calls) for r in (zero, delta))
@@ -636,7 +630,7 @@ class TestSquaredMassFromSamples:
             path = make_battery("full_path", q, 1, seed)[0]
             phi = scale(path(eps, x), eps)
             coeffs, terms = [w for w, in path.weights(eps, [x])], path.terms
-        member = (np.array(coeffs)[:, None], terms, eps)
+        member = (np.array(coeffs)[:, None], terms, eps, 0.0)
         inner = asy.squared_mass_inner(n)
         assert inner.row(member, [x]) == [inner(phi, x)]
         pulled = inner.pulled(get_diffeo(name, OMEGA))
@@ -806,20 +800,16 @@ class TestPulledEmbeddings:
 
 
 class TestOneSweepSource:
-    """A sweep reads rows only: a channel without a row, or a path not in
-    coefficient form, raises ``TypeError`` naming both before any eps, with
-    nothing paired and no member built."""
+    """A sweep reads rows only: a path not in coefficient form raises
+    ``TypeError`` naming the representative and the path before any eps,
+    with nothing paired and no member built.  Every representative has a
+    row, so every representative sweeps a coefficient-form path."""
 
     @staticmethod
     def cases():
         path = make_battery("full_path", 1, 1, seed=5)[0]
         delta = embed_C(DiracDerivative(0), omega=OMEGA)
         return {
-            "embed_J": (embed_J(DiracDerivative(0)), path),
-            "translated": (translate_formalism(delta), path),
-            "hand-built": (Representative(lambda phi, x: 0.0), path),
-            "log-without-row": (ExpExpRepresentative(
-                lambda phi, x: 0.0, omega=OMEGA), path),
             "transformed-path": (delta, transform_test_object(
                 get_diffeo("sin-bend", OMEGA), path)),
             "hand-built-path": (delta, TestObjectPath(
@@ -843,6 +833,29 @@ class TestOneSweepSource:
         assert (paired, built) == ([], [])
         # the same representative and path still probe point by point
         probed_tables(rep, path, spec)
+
+    @pytest.mark.parametrize("name", ["embed_J", "translated", "hand-built"])
+    @pytest.mark.parametrize("alphas", [(0,), (1,)])
+    def test_any_rep_sweeps_by_row(self, name, alphas, monkeypatch):
+        """A J-formalism embedding, the J translate of delta and a
+        hand-built row sweep a coefficient-form path with no member built,
+        to the tables and errors probed point by point."""
+        path = make_battery("full_path", 1, 1, seed=5)[0]
+        rep = {
+            "embed_J": embed_J(DiracDerivative(0)),
+            "translated": translate_formalism(
+                embed_C(DiracDerivative(0), omega=OMEGA)),
+            "hand-built": Representative(
+                lambda member, xs: np.cos(np.array(xs)), omega=OMEGA),
+        }[name]
+        spec = dataclasses.replace(SMALL, alphas=alphas)
+        built = []
+        with monkeypatch.context() as mp:
+            count_calls(mp, TestObjectPath.__call__, built,
+                        owner=TestObjectPath)
+            got = sweep_outcome(rep, path, spec)
+        assert built == [] and isinstance(got, list)
+        assert got == probed_outcome(rep, path, spec)
 
 
 class TestCoefficientRows:
@@ -987,10 +1000,8 @@ class TestCoefficientRows:
                     owner=Representative)
         path = make_battery("full_path", 2, 2, seed=9, flavor="mixed")[1]
         assert len(path.terms) == 3
+        count_calls(monkeypatch, _value_at, evaluated)  # one-member rows
         reps = defects()
-        for r in reps:
-            r.eval_fn = (lambda phi, x, f=r.eval_fn:
-                         evaluated.append(x) or f(phi, x))
         asy.sweep(reps, path, SMALL)
         for k in (0, 1):
             asy.sweep(embed_C(DiracDerivative(k), omega=OMEGA), path, SMALL)
