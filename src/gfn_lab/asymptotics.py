@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .basic_space import (ExpExpRepresentative, Representative, _check_tangent,
-                          _value_at, sub)
+                          _value_at, _x_steps, sub)
 from .numdiff import _CENTRAL, MAX_ORDER, central_difference, stencil_halfwidth
 from .testfunc import (Q_CAP, DomainError, TestFunction, _lincomb_samples,
                        _row_blocks, scale, support_grid, union_box)
@@ -125,19 +125,20 @@ def _first_nan(table: np.ndarray, eps: float, xs: list, who):
             f"for {who!r}")
 
 
-def _sup_table(path, spec: SweepSpec, row) -> list[np.ndarray]:
-    """The eps x K kernel: sup over x in K of each magnitude, per row.
+def _sup_table(path, eps: np.ndarray, K: np.ndarray,
+               row) -> list[np.ndarray]:
+    """The eps x K kernel: sup over x in K of each magnitude, per eps.
 
     ``row(eps, n)``, n the points of K before the first one outside the
-    path's partial domain, gives a (rows, j) array of the magnitudes at the
-    first j <= n points, scanned here for NaN, and a callable that raises
-    for the j-th point, or None if j = n; then the n-th point raises.
+    path's domain (``path._admits``), gives a (rows, j) array of the
+    magnitudes at the first j <= n points, scanned here for NaN, and a
+    callable that raises for the j-th point, or None if j = n; then the
+    n-th point raises.
     """
-    dom, who = path.domain, path.member_id
-    xs, values = spec.K.tolist(), []
-    for e in spec.eps.tolist():
-        n = next((k for k, x in enumerate(xs)
-                  if dom is not None and not dom.contains(e, x)), len(xs))
+    who, xs, values = path.member_id, K.tolist(), []
+    for e in eps.tolist():
+        admitted = path._admits(e, xs)
+        n = admitted.index(False) if False in admitted else len(xs)
         mags, fail = row(e, n)
         _first_nan(mags.T, e, xs, who)
         if fail is not None:
@@ -157,10 +158,10 @@ def _insertion_row(channels: tuple, alpha: int, K: np.ndarray):
 
     A channel reads ``rep.row`` (a log channel's ``rep.inner.row``) over a
     coefficient-form path, the path's weights once per set of points, its
-    members of offset 0; a path without ``weights`` raises ``TypeError``
+    members of offset 0; a path of another kind raises ``TypeError``
     here, before any eps.  At each x a channel's
-    representative reads x; the central stencil at ``partial_x``'s step,
-    shrunk near the boundary of its Omega; or, for a log channel at
+    representative reads x; the central stencil at ``partial_x``'s step
+    (``basic_space._x_steps``), or, for a log channel at
     alpha = 1, x and x +- h.  All these points are checked against
     U(Omega) as arrays, on the box all members of the row share; the first
     x that fails is the j-th point, which raises, channel by channel, what
@@ -170,10 +171,11 @@ def _insertion_row(channels: tuple, alpha: int, K: np.ndarray):
     """
     if alpha > 1 and any(rep.has_log_channel for rep, _ in channels):
         raise ValueError("log-channel sweeps support first x-derivatives only")
+    from .test_objects import TestObjectPath  # it imports this module
     rows = [rep.inner.row if rep.has_log_channel else rep.row
             for rep, _ in channels]
     for rep, path in channels:
-        if path.weights is None:
+        if not isinstance(path, TestObjectPath):
             raise TypeError(f"cannot sweep {rep!r} over {path.member_id!r}: "
                             "a sweep reads rows, over coefficient-form paths")
     xs, hw = K.tolist(), stencil_halfwidth(alpha)
@@ -186,10 +188,8 @@ def _insertion_row(channels: tuple, alpha: int, K: np.ndarray):
         for rep, path in channels:
             om, hs, outside = rep.omega, steps, np.zeros(n, dtype=bool)
             if alpha and not rep.has_log_channel:
-                if om is not None:  # partial_x's step rule
-                    dist = np.minimum(X - om.lo, om.hi - X)
-                    hs = np.where(hw * h >= dist, 0.5 * dist / hw, h)
-                    outside = dist <= 0
+                if om is not None:
+                    hs, outside = _x_steps(om, X, h, hw)
                 pts = [X + o * hs for o in _CENTRAL[alpha][0]]
             else:
                 pts = [X, X + h, X - h] if alpha else [X]
@@ -243,7 +243,7 @@ def sweep(rep, path, spec: SweepSpec):
     reps = _representatives(rep)
     out = [[] for _ in reps]
     for alpha in spec.alphas:
-        tables = _sup_table(path, spec, _insertion_row(
+        tables = _sup_table(path, spec.eps, spec.K, _insertion_row(
             tuple((r, path) for r in reps), alpha, spec.K))
         for series, r, values in zip(out, reps, tables):
             series.append(SweepSeries(path.member_id, alpha, spec.eps, values,
@@ -439,9 +439,9 @@ def d1_form_test(rep: Representative, battery: Sequence,
     from .test_objects import TestObjectPath  # it imports this module
 
     def over(coeffs, terms):  # a path of constant weights over the terms
-        bound = max(abs(t.center) + t.radius for t in terms)
-        return TestObjectPath(None, bound, "d1", None, tuple(terms),
-                              lambda e, ys: [[c] * len(ys) for c in coeffs])
+        return TestObjectPath(tuple(terms),
+                              lambda e, ys: [[c] * len(ys) for c in coeffs],
+                              "d1")
 
     dir_tuples = {0: [()], 1: [(i,) for i in range(len(directions))],  # indices
                   2: [(0, 0), (0, 1)] if len(directions) >= 2 else [(0, 0)]}
@@ -477,8 +477,8 @@ def d1_form_test(rep: Representative, battery: Sequence,
             (sub(rep, rep), over([1.0] * (1 + len(idx)),
                                  [phi0, *(directions[i] for i in idx)]))
             for idx in tuples if not (log or linear))), 0, K)
-        for label, values in zip(labels, _sup_table(
-                path, spec, lambda e, n, r=member_row, p=phi0: row(r, p, e, n))):
+        for label, values in zip(labels, _sup_table(path, spec.eps, K, (
+                lambda e, n, r=member_row, p=phi0: row(r, p, e, n)))):
             ser = SweepSeries(f"{path.member_id}|{label}", 0, spec.eps,
                               values, is_log=log)
             series.append(ser)

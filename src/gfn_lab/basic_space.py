@@ -388,15 +388,23 @@ def partial_x(rep: Representative, alpha: int, phi: TestFunction, x: float,
     """
     if alpha < 0 or alpha > numdiff.MAX_ORDER:
         raise ValueError(f"derivative order {alpha} unsupported")
-    hw = numdiff.stencil_halfwidth(alpha)
     if alpha and rep.omega is not None:
-        dist = rep.omega.distance_to_boundary(x)
-        if dist <= 0:
+        hw = numdiff.stencil_halfwidth(alpha)
+        h, outside = _x_steps(rep.omega, x, h, hw)
+        if outside:
             raise DomainError(f"derivative point x={x} outside Omega")
-        if hw * h >= dist:
-            h = 0.5 * dist / hw
+        h = float(h)
     return numdiff.richardson_derivative(lambda y: rep(phi, y), x,
                                          order=alpha, base_step=h, levels=1)
+
+
+def _x_steps(omega: Box, xs, h: float, hw: int) -> tuple:
+    """The step of a central stencil of half-width ``hw`` at each point of
+    xs (a point or an array): h, shrunk to 0.5 dist / hw where hw h >= dist,
+    dist the distance to the boundary of Omega; and where dist <= 0, the
+    point lies outside Omega."""
+    dist = np.minimum(xs - omega.lo, omega.hi - xs)
+    return np.where(hw * h >= dist, 0.5 * dist / hw, h), dist <= 0
 
 
 def _check_tangent(directions):  # d_1 acts on the zero-mass tangent space

@@ -15,9 +15,7 @@ import numpy as np
 
 from .asymptotics import _first_nan
 from .basic_space import FormalismError, Representative
-from .test_objects import TestObjectPath, _member_rows, _quadrature_rows
-from .testfunc import (Box, DomainError, TestFunction, _grid_rows,
-                       _lincomb_samples)
+from .testfunc import Box, DomainError, TestFunction, _grid_rows
 
 #: smallest eps0 the registration of a compact set searches down to
 EPS0_CAP = 2.0**-20
@@ -321,48 +319,89 @@ class PartialDomain:
                           f"L[{grid.min():g},{grid.max():g}]#{len(grid)}")
 
 
-def transform_test_object(mu: Diffeomorphism,
-                          path: TestObjectPath) -> TestObjectPath:
+def transform_test_object(mu: Diffeomorphism, path) -> "_TransformedPath":
     """Transformed test object of a source path, on its partial domain.
 
         phi(eps, x)(xi) = phi~(eps, mu^{-1} x)((mu^{-1}(eps xi + x) - mu^{-1} x)/eps)
                           * |det D mu^{-1}(eps xi + x)|
+
+    The source is a coefficient-form path or a transformed one; the result
+    is complete here: its member, rows, quadrature, partial domain and
+    radius bound (``_TransformedPath``).
+    """
+    return _TransformedPath(mu, path)
+
+
+class _TransformedPath:
+    """A transformed test object, defined on its partial domain only.
 
     A member lives on the exact image of its source member's box under
     s -> (mu(xt + eps s) - x)/eps, xt = mu^{-1} x (``image_box``); the
     uniform radius bound is LIP_SAFETY sup |mu'|, sampled on the source set
     (``mu.omega_src``, else (-3, 3)), times the source's (mean value
     theorem); the partial domain admits only points whose source ball lies
-    in that set, so every admitted member keeps the bound.  The path carries
-    the partial domain as ``domain``, whose ``register_compact`` gives a
-    grid's eps0.  Its ``rows`` evaluate a row of members over the source's
-    rows, inverting eps xi + x for all of them in one call, and a member
-    path(eps, x) is the row of that one member, its nodes a stack of one
-    row, so the member has the bits of the row.
+    in that set, so every admitted member keeps the bound, and whose
+    preimage the source admits.  The path
+    carries the partial domain as ``domain``, whose ``register_compact``
+    gives a grid's eps0.  Its ``_rows`` evaluate a row of members over the
+    source's rows, inverting eps xi + x for all of them in one call, and a
+    member path(eps, x) is the row of that one member, its nodes a stack of
+    one row, so the member has the bits of the row.
 
-    Its ``quadrature`` integrates in source coordinates and inverts no
+    Its ``_quadrature`` integrates in source coordinates and inverts no
     node: with xi = (mu(xt + eps s) - x) / eps = s chord(xt, eps s),
     taking mu(xt) for x, and d xi = mu'(xt + eps s) ds, the member against
     f(xi) d xi is the source member against f(s chord(xt, eps s)) ds.  So
-    the source's quadrature serves, with its nodes s moved there: for a
-    coefficient-form source, the terms' cached samples on their union grid.
+    the source's quadrature serves, with its nodes s moved there.
     """
-    src_set = mu.omega_src or Box(-3.0, 3.0)
-    dmu = mu.d_forward(np.linspace(src_set.lo, src_set.hi, LIP_SAMPLES))
-    rb = LIP_SAFETY * float(np.max(np.abs(dmu))) * path.radius_bound
-    if not np.isfinite(rb):
-        raise ValueError(f"{mu.name}: derivative not finite on {src_set}")
-    pre_of: dict = {}  # x -> mu^{-1} x, shared by members and the domain
 
-    def preimage(x):
-        # look mu.inverse up per call: a traced run replaces it on the map
-        if x not in pre_of:
-            pre_of[x] = mu.inverse(x)
-        return pre_of[x]
+    def __init__(self, mu: Diffeomorphism, source):
+        src_set = mu.omega_src or Box(-3.0, 3.0)
+        dmu = mu.d_forward(np.linspace(src_set.lo, src_set.hi, LIP_SAMPLES))
+        rb = LIP_SAFETY * float(np.max(np.abs(dmu))) * source.radius_bound
+        if not np.isfinite(rb):
+            raise ValueError(f"{mu.name}: derivative not finite on {src_set}")
+        self.member_id = f"{source.member_id}|{mu.name}"
+        self.radius_bound = rb
+        self._mu, self._source = mu, source
+        src_bound, omega_dst = source.radius_bound, mu.omega_dst
+        pre_of: dict = {}  # x -> mu^{-1} x, shared by rows and domain
 
-    def rows(eps, xs):
-        xts = np.array([preimage(x) for x in xs])
-        src_c, src_r, src_fn = _member_rows(path, eps, xts.tolist())
+        # closures over no self: a path in a reference cycle would keep its
+        # source's cached samples until the cycle collector runs
+        def preimage(x):
+            # look mu.inverse up per call: a traced run replaces it on the map
+            if x not in pre_of:
+                pre_of[x] = mu.inverse(x)
+            return pre_of[x]
+
+        def admissible(eps, x):
+            # the source ball must lie in the set that rb's derivative was
+            # sampled on, also when the map names no source set, and the
+            # source must admit its point
+            xt = preimage(x)
+            return ((omega_dst is None or omega_dst.contains_ball(x, eps * rb))
+                    and src_set.contains_ball(xt, eps * src_bound)
+                    and source._admits(eps, [xt])[0])
+
+        self._preimage, self.domain = preimage, PartialDomain(admissible)
+
+    def __call__(self, eps: float = 1.0, x: float = 0.0) -> TestFunction:
+        # the row of one member, its nodes a stack of one
+        (center,), (radius,), fn = self._rows(eps, [x])
+        return TestFunction(center, radius, lambda xi: np.reshape(
+            fn(np.asarray(xi)[None])[0], np.shape(xi)))
+
+    def _admits(self, eps: float, xs: list) -> list:
+        """Whether each point of xs is in the partial domain at eps."""
+        return [self.domain.contains(eps, x) for x in xs]
+
+    def _rows(self, eps: float, xs: list) -> tuple:
+        """The members at (eps, x), x in xs, as ``TestObjectPath._rows``
+        gives them."""
+        mu = self._mu
+        xts = np.array([self._preimage(x) for x in xs])
+        src_c, src_r, src_fn = self._source._rows(eps, xts.tolist())
         centers, radii = mu.image_box(xts + eps * (src_c - src_r),
                                       xts + eps * (src_c + src_r),
                                       np.array(xs), eps)
@@ -376,36 +415,15 @@ def transform_test_object(mu: Diffeomorphism,
 
         return centers, radii, fn
 
-    def member(eps, x):  # the row of one member, its nodes a stack of one
-        (center,), (radius,), fn = rows(eps, [x])
-        return TestFunction(center, radius, lambda xi: np.reshape(
-            fn(np.asarray(xi)[None])[0], np.shape(xi)))
-
-    def quadrature(eps, xs, n):
-        xts = np.array([preimage(x) for x in xs])
-        if path.weights is None:
-            s, v = _quadrature_rows(path, eps, xts.tolist(), n)
-        else:
-            coeffs = np.array(path.weights(eps, xts.tolist()))
-            s, wt, v = _lincomb_samples(coeffs, path.terms, n)
-            v *= wt
-        nodes = mu.chord(xts[:, None], eps * s)  # a new array
+    def _quadrature(self, eps: float, xs: list, n: Optional[int]) -> tuple:
+        """A quadrature of the members at (eps, x), x in xs, as
+        ``TestObjectPath._quadrature`` gives it: the source's, at the
+        points' preimages, its nodes s moved to s chord(xt, eps s)."""
+        xts = np.array([self._preimage(x) for x in xs])
+        s, v = self._source._quadrature(eps, xts.tolist(), n)
+        nodes = self._mu.chord(xts[:, None], eps * s)  # a new array
         nodes *= s
         return nodes, v
-
-    src_bound = path.radius_bound
-    omega_dst = mu.omega_dst
-
-    def admissible(eps, x):
-        # the source ball must lie in the set that rb's derivative was
-        # sampled on, also when the map names no source set
-        return ((omega_dst is None or omega_dst.contains_ball(x, eps * rb))
-                and src_set.contains_ball(preimage(x), eps * src_bound))
-
-    out = TestObjectPath(member, rb, member_id=f"{path.member_id}|{mu.name}",
-                         domain=PartialDomain(admissible))
-    out.rows, out.quadrature = rows, quadrature
-    return out
 
 
 @dataclass
@@ -420,31 +438,32 @@ class ZReport:
     passed: bool = False
 
 
-def check_Z_requirements(path: TestObjectPath, L, eps0: float,
+def check_Z_requirements(path, L, eps0: float,
                          beta_max: int = 4, n_eps: int = 6) -> ZReport:
     """Verify, on (0, eps0] x L: membership in the domain, a finite uniform
     support radius bound, and finite sup bounds on xi-derivatives up to
     beta_max (recorded; derivatives by repeated central differences).
-    The points of L admitted at an eps are evaluated as one row of members
-    (``_member_rows``).  An empty L, ``n_eps < 1`` or ``beta_max < 0``
-    raises ``ValueError``: it probes nothing; a NaN sample raises
-    ``FloatingPointError``."""
+    The points of L that the path's domain admits at an eps
+    (``_admits``) are evaluated as one row of members (``_rows``), for a
+    coefficient-form path and a transformed one alike.  An empty L,
+    ``n_eps < 1`` or ``beta_max < 0`` raises ``ValueError``: it probes
+    nothing; a NaN sample raises ``FloatingPointError``."""
     L = np.asarray(L, dtype=float)
     if not L.size:
         raise ValueError("Z requirements over an empty set of points L")
     if n_eps < 1 or beta_max < 0:
         raise ValueError("Z requirements need n_eps >= 1 and beta_max >= 0")
     eps_grid = eps0 * 2.0 ** -np.arange(n_eps, dtype=float)
-    dom = path.domain
     membership_ok = True
     radius_obs = 0.0
     deriv_bounds = {b: 0.0 for b in range(beta_max + 1)}
     for e in eps_grid.tolist():
-        xs = [x for x in L.tolist() if dom is None or dom.contains(e, x)]
+        xs = [x for x, ok in zip(L.tolist(), path._admits(e, L.tolist()))
+              if ok]
         membership_ok = membership_ok and len(xs) == L.size
         if not xs:
             continue
-        centers, radii, fn = _member_rows(path, e, xs)
+        centers, radii, fn = path._rows(e, xs)
         radius_obs = max(radius_obs, *(np.abs(centers) + radii).tolist())
         xi, _ = _grid_rows(centers, radii, Z_XI_SAMPLES - 1)
         h = (xi[:, 1] - xi[:, 0])[:, None]

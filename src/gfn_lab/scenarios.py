@@ -42,6 +42,23 @@ SWEEPS = {
     "d1-form": {"d1": (2, 12, 6), "moderate": (2, 12, 6)},
 }
 
+#: the settings that default to None which each scenario reads, besides
+#: eps_min, eps_max and fit_window: those it reads exactly when it has SWEEPS
+READS = {
+    "mollifier": ("q",),
+    "embed-order": ("q", "battery_count", "battery_mode", "k_points",
+                    "quad_n"),
+    "delta-scaling": ("q", "battery_count", "battery_mode", "k_points",
+                      "quad_n"),
+    "association": ("q", "battery_count", "k_points", "quad_n"),
+    "moment-invariance": ("q", "battery_count", "k_points", "quad_n",
+                          "diffeo"),
+    "counterexample": ("battery_count", "k_points", "quad_n", "diffeo"),
+    "jform-commute": ("quad_n",),
+    "d1-form": ("battery_count", "k_points", "quad_n"),
+    "pullback-functor": ("quad_n",),
+}
+
 #: q range of a scenario whose range is narrower than 0..Q_CAP:
 #: moment-invariance fits moments 1..q, so it needs q >= 1, and builds
 #: symmetric A_{max(q, 2q-2)} sources, whose moment system is too
@@ -123,7 +140,11 @@ class ScenarioConfig:
     def from_sources(scenario: str, config_file: Optional[str] = None,
                      overrides: Optional[dict] = None) -> "ScenarioConfig":
         """File keys first, command-line overrides on top.  A file whose
-        ``scenario`` key names another scenario raises ``KeyError``."""
+        ``scenario`` key names another scenario raises ``KeyError``; an
+        override of a setting that defaults to None and that the scenario
+        does not read (``READS``) raises ``ValueError``.  A file's keys are
+        not checked so: one file may serve several scenarios, as
+        perfbench's reduced config serves a whole workload."""
         data: dict = {}
         if config_file:
             with open(config_file) as fh:
@@ -141,7 +162,16 @@ class ScenarioConfig:
             raise KeyError(f"unknown config keys: {sorted(unknown)}")
         if "omega" in data:
             data["omega"] = tuple(data["omega"])
-        return ScenarioConfig(**data)
+        cfg = ScenarioConfig(**data)
+        optional = {f.name for f in fields(cfg) if f.default is None}
+        reads = {*READS[scenario], *(("eps_min", "eps_max", "fit_window")
+                                     if scenario in SWEEPS else ())}
+        unread = sorted(k for k, v in (overrides or {}).items()
+                        if v is not None and k in optional - reads)
+        if unread:
+            raise ValueError(f"scenario {scenario!r} does not read "
+                             f"{', '.join(unread)}")
+        return cfg
 
 
 @dataclass

@@ -22,8 +22,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .asymptotics import SweepSeries, _first_nan, fit_order
-from .testfunc import (TAU_M, TestFunction, _grid_rows, _moment_sums,
+from .asymptotics import SweepSeries, _sup_table, fit_order
+from .testfunc import (TAU_M, TestFunction, _lincomb_samples, _moment_sums,
                        _node_count, _row_blocks, _weighted_sum,
                        build_mollifier, bump_testfunction, tf_lincomb,
                        union_box)
@@ -35,74 +35,61 @@ MOMENT_FLOOR = 1e-13
 
 @dataclass
 class TestObjectPath:
-    """A (possibly eps- and x-dependent) family of unit-mass test functions.
-
-    A path in coefficient form, as every ``make_battery`` path is, has no
-    ``fn``: its member at xs[k] combines fixed ``terms`` with weights
-    ``weights(eps, xs)[j][k]`` (``tf_lincomb``); any other path's
-    ``fn(eps, x)`` builds the member.  Sweeps read coefficient-form paths
-    only; any path serves a per-point call and the moment and Z checks.  It declares no moment order: a
-    ``MomentClass`` carries the order.  ``rows(eps, xs)`` and
-    ``quadrature(eps, xs, n)``, where set, are the path's own
-    ``_member_rows`` and ``_quadrature_rows``.
+    """A (possibly eps- and x-dependent) family of unit-mass test functions
+    in coefficient form, as every ``make_battery`` path is: its member at
+    (eps, x) combines the fixed ``terms`` with weights
+    ``weights(eps, xs)[j][k]`` at x = xs[k] (``tf_lincomb``).  It is
+    defined at every (eps, x), and it declares no moment order: a
+    ``MomentClass`` carries the order.  A transformed path
+    (``diffeo.transform_test_object``) is the other kind of path; both
+    kinds read ``_admits``, ``_rows`` and ``_quadrature``.
     """
 
     __test__ = False  # pytest: a domain type, not a test case
-    rows = quadrature = None
 
-    fn: Optional[Callable[[float, float], TestFunction]]
-    radius_bound: float        # uniform support radius bound about the origin
+    terms: tuple
+    weights: Callable[[float, list], list]
     member_id: str
-    domain: Optional[object] = None   # PartialDomain when only partially defined
-    terms: tuple = ()
-    weights: Optional[Callable[[float, list], list]] = None
+
+    @property
+    def radius_bound(self) -> float:
+        """Uniform support radius bound about the origin: the terms' extent."""
+        return max(abs(t.center) + t.radius for t in self.terms)
 
     def __call__(self, eps: float = 1.0, x: float = 0.0) -> TestFunction:
-        if self.weights is None:
-            return self.fn(float(eps), float(x))
         column, = zip(*self.weights(float(eps), [float(x)]))
         return tf_lincomb(column, self.terms)
 
+    def _admits(self, eps: float, xs: list) -> list:
+        """Whether each point of xs is in the path's domain: all are."""
+        return [True] * len(xs)
 
-def _member_rows(path: TestObjectPath, eps: float, xs: list) -> tuple:
-    """The members path(eps, x), x in xs, a row at once: their centers and
-    radii, and an evaluator of a C-contiguous (K, m) array of nodes whose
-    row k is bit for bit path(eps, xs[k]).fn on that row.  A
-    coefficient-form path combines its terms with the weights as columns,
-    in ``tf_lincomb``'s order; a path with its own ``rows`` (a transformed
-    one) gives them; any other path builds its members one by one here."""
-    if path.rows is not None:
-        return path.rows(eps, xs)
-    if path.weights is not None:
-        center, radius = union_box(path.terms)
+    def _rows(self, eps: float, xs: list) -> tuple:
+        """The members at (eps, x), x in xs, a row at once: their centers
+        and radii, and an evaluator of a C-contiguous (K, m) array of nodes
+        whose row k is bit for bit self(eps, xs[k]).fn on that row, the
+        terms combined with the weights as columns, in ``tf_lincomb``'s
+        order."""
+        center, radius = union_box(self.terms)
         cols = [np.array(w, dtype=float)[:, None]
-                for w in path.weights(eps, list(xs))]
+                for w in self.weights(eps, list(xs))]
         return (np.full(len(xs), center), np.full(len(xs), radius),
-                _weighted_sum(cols, [t.fn for t in path.terms]))
-    members = [path(eps, x) for x in xs]
+                _weighted_sum(cols, [t.fn for t in self.terms]))
 
-    def stacked(nodes):
-        return np.array([m.fn(row) for m, row in zip(members, nodes)])
-
-    return (np.array([m.center for m in members]),
-            np.array([m.radius for m in members]), stacked)
-
-
-def _quadrature_rows(path: TestObjectPath, eps: float, xs: list,
-                     n: Optional[int]) -> tuple:
-    """A quadrature of the members path(eps, x), x in xs, a row each: the
-    nodes in xi and the values times the weights, new arrays that broadcast
-    to a C-contiguous (K, m) stack, so the integral of f against member k
-    is the sum of row k of values * f(nodes).  A path with its own
-    ``quadrature`` (a transformed one) gives it; any other path gives each
-    member's trapezoid grid on ``n`` panels of its box."""
-    if path.quadrature is not None:
-        return path.quadrature(eps, xs, n)
-    centers, radii, fn = _member_rows(path, eps, xs)
-    pts, w = _grid_rows(centers, radii, n)
-    v = fn(pts)  # a new array: weighted in place
-    v *= w
-    return pts, v
+    def _quadrature(self, eps: float, xs: list, n: Optional[int]) -> tuple:
+        """A quadrature of the members at (eps, x), x in xs, a row each:
+        the nodes in xi, read-only, and the values times the weights, a new
+        array the caller may overwrite; they broadcast to a C-contiguous
+        (K, m) stack, so the integral of f against member k is the sum of
+        row k of values * f(nodes).  Here the trapezoid grid on ``n``
+        panels of the terms' union box, with the terms' cached samples
+        there (``_lincomb_samples``): bit for bit each member's own
+        grid."""
+        coeffs = np.array(self.weights(eps, list(xs)))
+        nodes, wt, values = _lincomb_samples(coeffs, self.terms,
+                                             _node_count(n))
+        values *= wt
+        return nodes, values
 
 
 @dataclass(frozen=True)
@@ -161,31 +148,26 @@ def make_battery(mode: str, q: int, count: int, seed: int,
         # member 0 is the canonical representative (unit radius, centered)
         r = 1.0 if i == 0 else 0.75 + 0.5 * rng.random()
         c = 0.0 if (i == 0 or symmetric) else (rng.random() - 0.5) * 0.4 * r
-        bound = abs(c) + r
         mid = f"{mode}-q{q}-s{seed}-m{i:02d}"
 
         if mode == "static":
             base = build_mollifier(qb, radius=r, center=c)
             members.append(TestObjectPath(
-                None, bound, mid, terms=(base,),
-                weights=lambda e, xs: [[1.0] * len(xs)]))
+                (base,), lambda e, xs: [[1.0] * len(xs)], mid))
             continue
 
         chi = _zero_mass_bump(rng)
         amp = 0.05 + 0.15 * rng.random()
-        chi_bound = abs(chi.center) + chi.radius
 
         if mode == "eps_path":
             base = build_mollifier(qb + 2, radius=r, center=c)
             members.append(TestObjectPath(
-                None, max(bound, chi_bound), mid, terms=(base, chi),
-                weights=lambda e, xs, amp=amp: [
-                    [1.0] * len(xs), [amp * e**q * (1.0 + e)] * len(xs)]))
+                (base, chi), lambda e, xs, amp=amp: [
+                    [1.0] * len(xs), [amp * e**q * (1.0 + e)] * len(xs)], mid))
             continue
 
         r2 = 0.75 + 0.5 * rng.random()
         c2 = 0.0 if symmetric else (rng.random() - 0.5) * 0.4 * r2
-        bound = max(bound, abs(c2) + r2)
         omega_w = 0.5 + 1.0 * rng.random()
         theta = 2.0 * math.pi * rng.random()
         with_cm = {"strict": False, "symmetric": False,
@@ -195,7 +177,6 @@ def make_battery(mode: str, q: int, count: int, seed: int,
                  build_mollifier(member_q, radius=r2, center=c2))
         if with_cm:
             terms += (chi,)
-            bound = max(bound, chi_bound)
 
         def weights(e, xs, om=omega_w, th=theta, amp=amp, cm=with_cm):
             rows = [[], []]  # w and 1 - w; a loop: one x is the common case
@@ -205,8 +186,7 @@ def make_battery(mode: str, q: int, count: int, seed: int,
                 rows[1].append(1.0 - w)
             return rows + ([[amp * e**q * (1.0 + e)] * len(xs)] if cm else [])
 
-        members.append(TestObjectPath(None, bound, mid, terms=terms,
-                                      weights=weights))
+        members.append(TestObjectPath(terms, weights, mid))
     return members
 
 
@@ -257,32 +237,37 @@ def check_moment_class(path: TestObjectPath, cls: MomentClass,
 
     strict_Aq: every sampled member has unit mass and |m_1..m_q| <= TAU_M.
     asympt_CM: each moment's sup over x decays with order >= q - 0.3.
-    An empty eps or x grid raises ``ValueError``: it samples no member; so
-    does an asympt_CM check on fewer than two eps, which fit no order.
+    The moments integrate by the path's own quadrature (``_quadrature``),
+    on the sweep kernel (``asymptotics._sup_table``): a point outside a
+    partial domain raises ``DomainError``, and a NaN moment
+    ``FloatingPointError``.  An empty eps or x grid raises ``ValueError``:
+    it samples no member; so does an asympt_CM check on fewer than two eps,
+    which fit no order.
     """
     eps_grid = np.asarray(list(eps_grid), dtype=float)
-    xs = np.asarray(list(x_grid), dtype=float).tolist()
+    xs = np.asarray(list(x_grid), dtype=float)
     if not (len(eps_grid) and len(xs)):
         raise ValueError("moment class check over an empty eps or x grid")
     if cls.kind == "asympt_CM" and len(eps_grid) < 2:
         raise ValueError("asympt_CM check needs at least two eps values")
     q = cls.q
 
-    # sup over x of |m_alpha| for every alpha 0..q, per eps, from the
-    # moments of a row of members (by default moments_upto's, bit for bit),
-    # taken in blocks: a quadrature row holds its nodes and weighted values,
-    # and about two temporaries of their size while they are made
-    sup_m = np.zeros((len(eps_grid), q + 1))
-    mass_dev = 0.0
-    for ie, e in enumerate(eps_grid.tolist()):
-        ms = []
-        for k in _row_blocks(len(xs), 4 * (_node_count(n) + 1)):
-            pts, v = _quadrature_rows(path, e, xs[k], n)
-            ms.append(_moment_sums(v, pts, q))
-        ms = np.concatenate(ms)
-        _first_nan(ms, e, xs, path.member_id)
-        sup_m[ie] = np.abs(ms).max(axis=0)
-        mass_dev = max(mass_dev, *np.abs(ms[:, 0] - 1.0))
+    def row(eps, j):
+        # |m_0..m_q| and |m_0 - 1| at the first j points, from the moments
+        # of a row of members (by default moments_upto's, bit for bit),
+        # taken in blocks: a quadrature row holds its nodes and weighted
+        # values, and about two temporaries of their size while they are
+        # made
+        ms = np.zeros((0, q + 1))
+        for k in _row_blocks(j, 4 * (_node_count(n) + 1)):
+            pts, v = path._quadrature(eps, xs[k].tolist(), n)
+            ms = np.concatenate([ms, _moment_sums(v, pts, q)])
+        return np.vstack([np.abs(ms).T, np.abs(ms[:, 0] - 1.0)]), None
+
+    # sup over x of each, per eps; the sweep kernel raises at the first
+    # point outside a partial domain and at a NaN
+    *sups, devs = _sup_table(path, eps_grid, xs, row)
+    sup_m, mass_dev = np.array(sups).T, float(devs.max())
 
     if cls.kind == "strict_Aq":
         worst = float(sup_m[:, 1:].max()) if q >= 1 else 0.0

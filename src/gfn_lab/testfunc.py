@@ -89,9 +89,6 @@ class Box:
     def contains_ball(self, center: float, radius: float) -> bool:
         return (center - radius > self.lo) & (center + radius < self.hi)
 
-    def distance_to_boundary(self, x: float) -> float:
-        return float(min(x - self.lo, self.hi - x))
-
 
 def check_node_count(n: int):
     """Raise unless ``n`` is a usable panel count: a power of two >= 64."""

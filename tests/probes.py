@@ -1,18 +1,82 @@
 """Sweeps probed point by point, by checked calls: the reference that the
-sweep kernel's rows must reproduce, tables, errors and messages included.
+sweep kernel's rows must reproduce, tables, errors and messages included;
+and paths built member by member, the reference for a path's rows and
+quadrature.
 
 A probe builds each member S_eps path(eps, x) and calls the representative
 on it, one (eps, x) at a time, so it reads any path; the call evaluates
 the representative's row on the one member read from the member's frame.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 
 from gfn_lab import asymptotics as asy, numdiff
 from gfn_lab.basic_space import d1_derivative
-from gfn_lab.testfunc import DomainError, scale
+from gfn_lab.test_objects import TestObjectPath
+from gfn_lab.testfunc import DomainError, _grid_rows, scale
+
+
+class MemberPath:
+    """A path built member by member: ``fn(eps, x)`` is its member at
+    (eps, x), and a row or a quadrature of members builds each of them.
+    Checks and transforms read it as they read any path; a sweep, which
+    reads coefficient-form paths only, raises ``TypeError`` on it.  With a
+    ``domain`` it admits only the points ``domain.contains``."""
+
+    def __init__(self, fn, radius_bound, member_id, domain=None):
+        self.fn, self.radius_bound = fn, radius_bound
+        self.member_id, self.domain = member_id, domain
+
+    def __call__(self, eps=1.0, x=0.0):
+        return self.fn(float(eps), float(x))
+
+    def _admits(self, eps, xs):
+        return [self.domain is None or self.domain.contains(eps, x)
+                for x in xs]
+
+    def _rows(self, eps, xs):
+        """Each member's center and radius, and an evaluator whose row k is
+        member k's fn on that row of nodes."""
+        members = [self(eps, x) for x in xs]
+
+        def stacked(nodes):
+            return np.array([m.fn(row) for m, row in zip(members, nodes)])
+
+        return (np.array([m.center for m in members]),
+                np.array([m.radius for m in members]), stacked)
+
+    def _quadrature(self, eps, xs, n):
+        """Each member's trapezoid grid on ``n`` panels of its own box, and
+        its values there times the weights."""
+        centers, radii, fn = self._rows(eps, xs)
+        pts, w = _grid_rows(centers, radii, n)
+        v = fn(pts)
+        v *= w
+        return pts, v
+
+
+def by_members(path):
+    """``path`` built member by member (``MemberPath``)."""
+    return MemberPath(path, path.radius_bound, path.member_id)
+
+
+@dataclasses.dataclass
+class PartialPath(TestObjectPath):
+    """A coefficient-form path that admits only the points
+    ``domain.contains``: a sweep reads it, and stops at such a point."""
+
+    domain: object = None
+
+    def _admits(self, eps, xs):
+        return [self.domain.contains(eps, x) for x in xs]
+
+
+def with_domain(path, domain):
+    """The coefficient-form ``path`` on the partial domain ``domain``."""
+    return PartialPath(path.terms, path.weights, path.member_id, domain)
 
 
 def probed_magnitude(rep, path, eps, x, alpha):
@@ -41,7 +105,7 @@ def probed_magnitude(rep, path, eps, x, alpha):
     if alpha == 0:
         return abs(rep(member(x), x))
     if rep.omega is not None:
-        dist = rep.omega.distance_to_boundary(x)
+        dist = min(x - rep.omega.lo, rep.omega.hi - x)
         if dist <= 0:
             raise DomainError(f"derivative point x={x} outside Omega")
         hw = numdiff.stencil_halfwidth(alpha)
@@ -53,7 +117,8 @@ def probed_magnitude(rep, path, eps, x, alpha):
 
 def _partial_domain(path, eps, x):
     """Raise the sweep's ``DomainError`` if the path rejects (eps, x)."""
-    if path.domain is not None and not path.domain.contains(eps, x):
+    domain = getattr(path, "domain", None)
+    if domain is not None and not domain.contains(eps, x):
         raise DomainError(
             f"sweep point (eps={eps:g}, x={x:g}) outside the partial domain "
             f"of {path.member_id!r} (eps0 too large?)")

@@ -20,13 +20,12 @@ from gfn_lab.diffeo import (Diffeomorphism, PartialDomain, compose, get_diffeo,
                             identity_map, pullback_rep)
 from gfn_lab.distributions import DiracDerivative, smooth_density
 from gfn_lab.scenarios import ScenarioConfig, run_scenario
-from gfn_lab.test_objects import (TestObjectPath, make_battery,
-                                  perturbation_directions)
+from gfn_lab.test_objects import make_battery, perturbation_directions
 from gfn_lab.testfunc import (Box, DomainError, TestFunction,
                               build_mollifier, scale, tf_lincomb)
 
 from conftest import sup_abs
-from probes import probed_tables
+from probes import MemberPath, probed_tables, with_domain
 
 OMEGA = Box.interval(-2.5, 2.5)
 U = 0.5 * float(np.finfo(float).eps)  # the unit roundoff
@@ -125,7 +124,7 @@ class TestSweep:
     def test_domain_violation_names_point(self):
         """A point outside the path's partial domain raises, naming it."""
         src = make_battery("full_path", 0, 1, seed=9, flavor="strict")[0]
-        path = dataclasses.replace(src, domain=PartialDomain(
+        path = with_domain(src, PartialDomain(
             lambda e, x: abs(x) < 2.0 or e < 2.0**-5))
         spec = SweepSpec(i_min=2, i_max=8, K=np.linspace(-2.3, 2.3, 5),
                          alphas=(0,), fit_window=4)
@@ -467,8 +466,8 @@ class TestD1Form:
             def contains(self, eps, x):
                 return x < 0.5
 
-        path = dataclasses.replace(make_battery("static", 0, 1, seed=6)[0],
-                                   domain=RejectFrom())
+        path = with_domain(make_battery("static", 0, 1, seed=6)[0],
+                           RejectFrom())
         dirs = perturbation_directions(2, seed=5)
         calls = []
         rep = self.counted_squared_mass(calls)
@@ -632,7 +631,7 @@ class TestD1FormSharedDirections:
                 return not (eps == 0.125 and x >= 0.5)
 
         first, second = make_battery("static", 0, 2, seed=6)
-        second = dataclasses.replace(second, domain=RejectFrom())
+        second = with_domain(second, RejectFrom())
         dirs = perturbation_directions(2, seed=5)
         for rep in self.linear_catalog():
             with pytest.raises(DomainError,
@@ -763,8 +762,7 @@ class TestCounterexample:
         """A probe whose I passes 700 gives no evidence of |R| = 1: the
         modulus check raises, naming I, instead of passing."""
         probe = scale(build_mollifier(0), 2.0**-11)
-        src = TestObjectPath(lambda e, x: probe, probe.radius,
-                             "overflow-probe")
+        src = MemberPath(lambda e, x: probe, probe.radius, "overflow-probe")
         mu = get_diffeo("sin-bend", OMEGA)
         eps_bat = make_battery("eps_path", 0, 1, seed=14)
         spec = SweepSpec(i_min=4, i_max=12, K=np.linspace(-1, 1, 7),

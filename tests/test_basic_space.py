@@ -224,10 +224,9 @@ class TestPartialX:
         want = partial_x(defect(narrow, narrow), 1, phi, x, h=1e-4)
         # terms narrower than the step: K's last point takes a shrunk one
         path = TestObjectPath(
-            None, 0.0022, "narrow",
-            terms=(build_mollifier(1, radius=0.002, center=0.0002),
-                   build_mollifier(0, radius=0.0015, center=-0.0001)),
-            weights=lambda e, xs: [[0.6] * len(xs), [0.4] * len(xs)])
+            (build_mollifier(1, radius=0.002, center=0.0002),
+             build_mollifier(0, radius=0.0015, center=-0.0001)),
+            lambda e, xs: [[0.6] * len(xs), [0.4] * len(xs)], "narrow")
         spec = SweepSpec(i_min=2, i_max=7, K=np.array([-0.5, 1.4985]),
                          alphas=(1,), fit_window=4)
         table = sweep(defect(narrow, narrow), path, spec)[0].values

@@ -6,13 +6,15 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from gfn_lab import cli
 from gfn_lab.cli import main
-from gfn_lab.scenarios import SCENARIO_NAMES, ScenarioConfig, run_scenario
+from gfn_lab.scenarios import (READS, SCENARIO_NAMES, SWEEPS, ScenarioConfig,
+                               run_scenario)
 
 
 def read_bytes_excluding_log(d):
@@ -446,6 +448,53 @@ class _E:
             assert rc == 0
             sweeps.append((out / "counterexample_sweep.csv").read_bytes())
         assert sweeps[0] != sweeps[1]
+
+    @pytest.mark.parametrize("args, unread", [
+        (["mollifier", "--quad-n", "512"], "quad_n"),
+        (["mollifier", "--k-points", "3", "--count", "2", "--diffeo", "cubic",
+          "--eps-max", "5"], "battery_count, diffeo, eps_max, k_points"),
+        (["jform-commute", "--q", "3", "--count", "1", "--k-points", "2"],
+         "battery_count, k_points, q")])
+    def test_a_flag_the_scenario_does_not_read_is_bad_usage(
+            self, tmp_path, capsys, args, unread):
+        """Each of these ran before, to CSVs byte-identical to the
+        defaults: a setting the scenario never reads exits 2, naming the
+        scenario and every such setting, before anything runs."""
+        out = tmp_path / "x"
+        assert main([*args, "--quiet", "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert f"scenario {args[0]!r} does not read {unread}" in err
+
+    def test_a_file_key_the_scenario_does_not_read_runs(self, tmp_path):
+        """One config file may serve several scenarios (perfbench's reduced
+        config serves a whole workload): its keys are not checked so."""
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"q": 2, "quad_n": 256}))
+        assert main(["mollifier", "--config", str(cfgfile), "--quiet",
+                     "--out", str(tmp_path / "x")]) == 0
+
+    def test_reads_is_what_each_scenario_reads(self, tmp_path):
+        """``READS``, with eps_min, eps_max and fit_window for a scenario
+        with sweeps, names exactly the settings that default to None which
+        a run of the scenario reads."""
+        optional = {f.name for f in fields(ScenarioConfig)
+                    if f.default is None}
+        for name in SCENARIO_NAMES:
+            seen = set()
+
+            class Recording(ScenarioConfig):
+                def __getattribute__(self, key):
+                    if key in optional:
+                        seen.add(key)
+                    return super().__getattribute__(key)
+
+            cfg = ScenarioConfig(name, out=str(tmp_path / name))
+            cfg.__class__ = Recording  # record the run, not the validation
+            run_scenario(cfg)
+            eps = {"eps_min", "eps_max", "fit_window"} if name in SWEEPS \
+                else set()
+            assert seen == {*READS[name], *eps}, name
 
     def test_scenario_names_all_registered(self):
         from gfn_lab.scenarios import _SCENARIOS

@@ -18,14 +18,14 @@ from gfn_lab.diffeo import (Diffeomorphism, PartialDomain, affine_map,
                             transform_test_object)
 from gfn_lab.distributions import (DiracDerivative, Heaviside, pair_row,
                                    pullback_test_function, smooth_density)
-from gfn_lab.test_objects import (MomentClass, TestObjectPath,
-                                  _quadrature_rows, check_moment_class,
+from gfn_lab.test_objects import (MomentClass, check_moment_class,
                                   make_battery)
 from gfn_lab.testfunc import (Box, DomainError, _moment_sums,
                               build_mollifier, bump_testfunction,
                               moments_upto, scale, translate)
 
 from conftest import sup_abs
+from probes import MemberPath, by_members
 from test_shared_evaluation import rows_catalog
 
 RNG = np.random.default_rng(17)
@@ -408,7 +408,7 @@ class TestExactImageBoxes:
         label = f"{key} c={c!r} r={r!r} eps=2^{log_eps!r} x={x!r}"
         if not mu.is_identity:
             self.assert_fills_its_box(pullback_test_function(mu, psi), label)
-        path = TestObjectPath(lambda e, y: psi, abs(c) + r, "box")
+        path = MemberPath(lambda e, y: psi, abs(c) + r, "box")
         tr = transform_test_object(mu, path)
         member = tr(2.0**log_eps, x)
         self.assert_fills_its_box(member, label)
@@ -452,8 +452,8 @@ class TestFailLoudly:
 
     def test_overflowing_image_raises(self):
         mu = get_diffeo("cubic")
-        path = TestObjectPath(lambda e, y: bump_testfunction(1e103),
-                              1e103, "huge")
+        path = MemberPath(lambda e, y: bump_testfunction(1e103), 1e103,
+                          "huge")
         with np.errstate(over="ignore"):
             with pytest.raises(ValueError, match="cubic"):
                 pullback_test_function(mu, bump_testfunction(1.0, 1e103))
@@ -842,8 +842,7 @@ class TestPartialDomain:
 
 class TestZRequirements:
     def test_constant_path_passes(self, moll2):
-        path = TestObjectPath(lambda e, x: moll2,
-                              float(moll2.radius), "const")
+        path = MemberPath(lambda e, x: moll2, float(moll2.radius), "const")
         rep = check_Z_requirements(path, np.linspace(-1, 1, 5), 1.0,
                                    beta_max=3)
         assert rep.passed
@@ -890,7 +889,7 @@ class TestZRequirements:
                            lambda xi: grown(xi * e * e))
             return out
 
-        path = TestObjectPath(fn_grow, float("inf"), "grow")
+        path = MemberPath(fn_grow, float("inf"), "grow")
         rep = check_Z_requirements(path, np.array([0.0]), 0.5, beta_max=1,
                                    n_eps=3)
         assert not rep.radius_ok
@@ -899,7 +898,7 @@ class TestZRequirements:
 
 class TestSourceCoordinateMoments:
     """``check_moment_class`` integrates a transformed member in source
-    coordinates (``_quadrature_rows``), with no inverse at its nodes."""
+    coordinates (``_quadrature``), with no inverse at its nodes."""
 
     L = np.linspace(-0.7, 0.7, 7)
 
@@ -923,7 +922,7 @@ class TestSourceCoordinateMoments:
                 xs = [x for x in self.L.tolist() if tr.domain.contains(e, x)]
                 if not xs:
                     continue
-                pts, v = _quadrature_rows(tr, e, xs, 2048)
+                pts, v = tr._quadrature(e, xs, 2048)
                 got = _moment_sums(v, pts, q)
                 for x, row in zip(xs, got):
                     want = moments_upto(tr(e, x), q, n=2048)
@@ -939,8 +938,7 @@ class TestSourceCoordinateMoments:
         terms' shared samples."""
         mu = get_diffeo(name, OMEGA)
         src = make_battery("full_path", 2, 1, 7, flavor="symmetric")[0]
-        built = TestObjectPath(lambda e, x: src(e, x), src.radius_bound,
-                               src.member_id)
+        built = by_members(src)
         cls, eps = MomentClass("asympt_CM", 2), [2.0**-3, 2.0**-4, 2.0**-5]
         got, want = (check_moment_class(transform_test_object(mu, p), cls,
                                         eps, self.L, n=512)

@@ -19,13 +19,12 @@ from gfn_lab.diffeo import (Z_XI_SAMPLES, PartialDomain,
                             sin_bend_map, transform_test_object)
 from gfn_lab.distributions import Heaviside, pair, pair_row, smooth_density
 from gfn_lab.test_objects import (MomentClass, TestObjectPath, _decay_order,
-                                  _member_rows, check_moment_class,
-                                  make_battery)
+                                  check_moment_class, make_battery)
 from gfn_lab.testfunc import (TAU_M, Box, DomainError, TestFunction,
                               _grid_rows, _moment_sums, build_mollifier,
                               moments_upto, scale, support_grid)
 
-from probes import probed_tables
+from probes import MemberPath, by_members, probed_tables, with_domain
 
 OMEGA = Box(-2.5, 2.5)
 MAPS = ["identity", "affine-2x", "shift-1", "sin-bend", "cubic",
@@ -92,7 +91,7 @@ class TestRowNewton:
 
 
 def assert_rows_are_the_members(path, eps, xs, n):
-    centers, radii, fn = _member_rows(path, eps, xs)
+    centers, radii, fn = path._rows(eps, xs)
     pts, w = _grid_rows(centers, radii, n)
     vals = fn(pts)
     for flags in (pts.flags, w.flags, vals.flags):
@@ -183,11 +182,6 @@ class TestMemberRows:
             for e in (1.0, 0.5, 2.0**-9):
                 assert_rows_are_the_members(path, e, [-0.7, 0.0, 0.35], 512)
 
-    def test_a_hand_built_path_is_built_member_by_member(self, moll2):
-        path = TestObjectPath(lambda e, x: scale(moll2, e * (1.0 + x * x)),
-                              1.0, "hand")
-        assert_rows_are_the_members(path, 0.5, [0.0, 0.3, -0.6], 128)
-
     def test_transformed_rows_look_the_inverse_up_per_call(self):
         """A traced run replaces ``inverse`` on the map after the path is
         built; one row inverts every member's nodes in one call."""
@@ -202,7 +196,7 @@ class TestMemberRows:
             return inverse(y)
 
         mu.inverse = counted
-        centers, radii, fn = _member_rows(path, 0.125, L)
+        centers, radii, fn = path._rows(0.125, L)
         fn(_grid_rows(centers, radii, 64)[0])
         assert sizes == [3 * 65]
 
@@ -253,6 +247,98 @@ class TestMemberRows:
         assert seen == [True, True]
 
 
+class TestPathKinds:
+    """A path is in coefficient form or transformed, and each kind owns
+    its rows and quadrature: a coefficient-form path's are those of its
+    members built one by one (``probes.by_members``); a transformed path's
+    quadrature reads its source's, whatever the source's kind."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(mode=st.sampled_from(["static", "eps_path", "full_path"]),
+           flavor=st.sampled_from(["strict", "cm", "mixed", "symmetric"]),
+           q=st.integers(0, 4), seed=st.integers(0, 2**16),
+           eps=st.sampled_from([1.0, 0.5, 0.3, 0.25, 2.0**-9]),
+           n=st.sampled_from([None, 64, 512, 2048]), k=st.integers(1, 6))
+    def test_battery_rows_and_quadrature_are_the_members(
+            self, mode, flavor, q, seed, eps, n, k):
+        xs = np.linspace(-1.3, 1.1, k).tolist()
+        for path in make_battery(mode, q, 3, seed, flavor=flavor):
+            ref = by_members(path)
+            nodes, values = path._quadrature(eps, xs, n)
+            want_nodes, want_values = ref._quadrature(eps, xs, n)
+            assert values.flags.c_contiguous and values.flags.writeable
+            assert np.broadcast_to(nodes, want_nodes.shape).tobytes() == \
+                want_nodes.tobytes()
+            assert values.tobytes() == want_values.tobytes()
+            (centers, radii, fn), (c, r, want_fn) = (path._rows(eps, xs),
+                                                     ref._rows(eps, xs))
+            assert (centers.tobytes(), radii.tobytes()) == \
+                (c.tobytes(), r.tobytes())
+            pts = _grid_rows(c, r, n)[0]
+            assert fn(pts).tobytes() == want_fn(pts).tobytes()
+            assert path.radius_bound == max(abs(t.center) + t.radius
+                                            for t in path.terms)
+
+    @pytest.mark.parametrize("outer, inner", [("cubic", "sin-bend"),
+                                              ("sin-bend", "affine-2x")])
+    def test_a_transform_of_a_transform_integrates_through_its_source(
+            self, outer, inner):
+        """The outer quadrature is the inner one at the points'
+        preimages, its nodes s moved to s chord(xt, eps s); the moments it
+        gives are the member's own, to the floor of the inverse."""
+        mu, nu = named_map(outer), named_map(inner)
+        first = transform_test_object(nu, source_battery(2, 9)[0])
+        second = transform_test_object(mu, first)
+        L = np.linspace(-0.5, 0.5, 5)
+        eps = second.domain.register_compact(L) / 4
+        calls, quadrature = [], first._quadrature
+        first._quadrature = lambda *a: calls.append(a) or quadrature(*a)
+        nodes, values = second._quadrature(eps, L.tolist(), 512)
+        xts = [mu.inverse(x) for x in L.tolist()]
+        assert calls == [(eps, xts, 512)]
+        s, v = quadrature(eps, xts, 512)
+        assert values.tobytes() == v.tobytes()
+        want = mu.chord(np.array(xts)[:, None], eps * s)
+        want *= s
+        assert nodes.tobytes() == want.tobytes()
+        got = _moment_sums(values, nodes, 2)
+        for x, row in zip(L.tolist(), got):
+            member = moments_upto(second(eps, x), 2, n=512)
+            assert np.all(np.abs(row - member) <= 1e-9), x
+
+    def test_a_transform_of_a_transform_admits_what_its_source_admits(self):
+        """Under shift-1 twice, the outer ball conditions alone admit
+        points such as (1, -1) whose preimage the inner path rejects; the
+        outer partial domain admits only points its source admits."""
+        mu = named_map("shift-1")
+        first = transform_test_object(mu, source_battery(2, 9)[0])
+        second = transform_test_object(mu, first)
+        admitted = [(e, x) for e in (1.0, 0.5, 0.25, 0.125)
+                    for x in np.linspace(-2.4, 2.4, 49).tolist()
+                    if second.domain.contains(e, x)]
+        assert len(admitted) > 40
+        assert all(first.domain.contains(e, mu.inverse(x))
+                   for e, x in admitted)
+        assert not second.domain.contains(1.0, -1.0)
+
+    def test_a_moment_check_outside_the_partial_domain_raises(self):
+        """moment-invariance's first q = 2 source at seed 7 under cubic
+        has eps0 = 0.25 on its points L; a moment check at eps 1 and 0.5
+        meets 14 points outside the partial domain and raises at the first,
+        as a sweep does (it used to integrate them and pass)."""
+        L = np.linspace(-0.7, 0.7, 7)
+        src = make_battery("full_path", 2, 4, 9, flavor="symmetric",
+                           build_q=2)[0]
+        path = transform_test_object(named_map("cubic"), src)
+        assert path.domain.register_compact(L) == 0.25
+        assert sum(not path.domain.contains(e, x)
+                   for e in (1.0, 0.5) for x in L.tolist()) == 14
+        with pytest.raises(DomainError, match=r"\(eps=1, x=-0\.7\) outside "
+                                              r"the partial domain"):
+            check_moment_class(path, MomentClass("asympt_CM", 2), [1.0, 0.5],
+                               L, n=2048)
+
+
 # ---------------------------------------------------------------------------
 # a NaN sample fails loudly
 
@@ -268,8 +354,8 @@ def path_with_a_nan_sample():
         return out
 
     member = TestFunction(base.center, base.radius, broken)
-    return TestObjectPath(lambda e, x: base if x == 0.0 else member, 1.0,
-                          "nan-path")
+    return MemberPath(lambda e, x: base if x == 0.0 else member, 1.0,
+                      "nan-path")
 
 
 class TestNanSamples:
@@ -374,8 +460,8 @@ class TestLogChannelDomain:
         """Inside U(Omega) the row gives the bits of the same members built
         one by one and probed by checked calls, on a partial domain that
         admits everything."""
-        path = dataclasses.replace(make_battery("full_path", 0, 1, 7)[0],
-                                   domain=PartialDomain(lambda e, x: True))
+        path = with_domain(make_battery("full_path", 0, 1, 7)[0],
+                           PartialDomain(lambda e, x: True))
         spec = SweepSpec(alphas=(alpha,), **self.SPEC)
         for rep in self.reps(OMEGA):
             rows = sweep(rep, path, spec)[0].values

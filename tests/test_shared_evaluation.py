@@ -35,7 +35,8 @@ from gfn_lab.testfunc import (DEFAULT_NODES, Box, DomainError, TestFunction,
                               moments_upto, scale, support_grid, tf_lincomb,
                               translate, union_box)
 
-from probes import probed_d1_outcome, probed_outcome, probed_tables
+from probes import (MemberPath, probed_d1_outcome, probed_outcome,
+                    probed_tables, with_domain)
 
 OMEGA = Box.interval(-2.5, 2.5)
 EDGE = 1.0 - 2.0**-53  # the largest double below 1
@@ -219,7 +220,7 @@ class TestSharedSamples:
             w = 0.5 + 0.4 * np.sin(1.3 * x + 0.2)
             return tf_lincomb([w, 1.0 - w], [base, other])
 
-        path = TestObjectPath(member, 1.15, "counted")
+        path = MemberPath(member, 1.15, "counted")
         ix = embed_C(smooth_density("x"), omega=OMEGA)
         ix2 = embed_C(smooth_density("x2"), omega=OMEGA)
         [[values]] = probed_tables(sub(mul(ix, ix), ix2), path, SMALL)
@@ -244,7 +245,7 @@ class TestSharedSamples:
             w = 0.5 + 0.4 * np.sin(1.3 * x + 0.2)
             return tf_lincomb([w, 1.0 - w], [base, other])
 
-        path = TestObjectPath(member, 1.15, "counted")
+        path = MemberPath(member, 1.15, "counted")
         w = smooth_density("x4")
         probed_tables(embed_C(w, omega=OMEGA), path, SMALL)
         points = len(SMALL.eps) * len(SMALL.K)
@@ -278,7 +279,7 @@ class TestSharedSamples:
             inner = tf.fn
             tf.fn = lambda p, inner=inner: evaluated.append(p) or inner(p)
         count_calls(monkeypatch, translate, translated)
-        path = TestObjectPath(member, 1.15, "counted")
+        path = MemberPath(member, 1.15, "counted")
         [[values]] = probed_tables(embed_C(DiracDerivative(0), omega=OMEGA),
                                    path, spec)
         assert len(evaluated) == 2 * len(hits)
@@ -659,8 +660,7 @@ class TestSquaredMassFromSamples:
             w = [0.5 + 0.4 * math.sin(1.3 * x + 0.2) for x in xs]
             return [w, [1.0 - v for v in w]]
 
-        path = TestObjectPath(None, 1.15, "counted", terms=(base, other),
-                              weights=weights)
+        path = TestObjectPath((base, other), weights, "counted")
         rep = ExpExpRepresentative(asy.squared_mass_inner(1024), omega=OMEGA)
         asy.sweep(rep, path, dataclasses.replace(SMALL, alphas=(1,)))
         assert calls == {"base": [1025], "other": [1025]}
@@ -812,7 +812,7 @@ class TestOneSweepSource:
         return {
             "transformed-path": (delta, transform_test_object(
                 get_diffeo("sin-bend", OMEGA), path)),
-            "hand-built-path": (delta, TestObjectPath(
+            "hand-built-path": (delta, MemberPath(
                 lambda e, x: path(e, x), path.radius_bound, "by-hand")),
         }
 
@@ -940,9 +940,8 @@ class TestCoefficientRows:
         battery = make_battery("static", q, count, seed)
         if cut is not None and index < count:
             x0, i0 = cut
-            battery[index] = dataclasses.replace(
-                battery[index], domain=PartialDomain(
-                    lambda e, x: x < x0 or e < 2.0**-i0))
+            battery[index] = with_domain(battery[index], PartialDomain(
+                lambda e, x: x < x0 or e < 2.0**-i0))
         dirs = perturbation_directions(n_dirs, seed + 1)
         rep = rows_catalog(Box.interval(-lo, hi), nan_above)[name]
         spec = dataclasses.replace(SMALL, K=np.linspace(-1, 1, k))
@@ -970,9 +969,8 @@ class TestCoefficientRows:
         terms = (build_mollifier(1, radius=0.002, center=0.0002),
                  build_mollifier(0, radius=0.0015, center=-0.0001))
         path = TestObjectPath(
-            None, 0.0022, "narrow", terms=terms,
-            weights=lambda e, xs: [[0.5 + 0.1 * x for x in xs],
-                                   [0.5 - 0.1 * x for x in xs]])
+            terms, lambda e, xs: [[0.5 + 0.1 * x for x in xs],
+                                  [0.5 - 0.1 * x for x in xs]], "narrow")
         half = 1.0015
         rep = rows_catalog(Box.interval(-half, half), math.inf)[name]
         spec = dataclasses.replace(SMALL, alphas=(alpha,))

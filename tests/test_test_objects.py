@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from gfn_lab.test_objects import (MomentClass, check_moment_class,
-                                  make_battery, perturbation_directions)
+from gfn_lab.test_objects import (MomentClass, TestObjectPath,
+                                  check_moment_class, make_battery,
+                                  perturbation_directions)
 from gfn_lab.testfunc import (build_mollifier, bump_testfunction, moment,
                               tf_lincomb)
 
 from conftest import sup_abs
+from probes import MemberPath
 
 RNG = np.random.default_rng(29)
 EPS_GRID = 2.0 ** -np.arange(2, 9, dtype=float)
@@ -103,7 +105,7 @@ class TestMakeBattery:
             paths = make_battery(mode, q, 4, seed, flavor=flavor)
             refs = closure_battery(mode, q, 4, seed, flavor)
             for path, ref in zip(paths, refs, strict=True):
-                assert path.fn is None  # every mode: coefficient form
+                assert type(path) is TestObjectPath  # coefficient form
                 for eps, x in ((1.0, 0.0), (0.25, 0.7), (2.0**-9, -1.3),
                                (0.3, -0.0), (0.5, 0.123456789)):
                     got, want = path(eps, x), ref(eps, x)
@@ -231,8 +233,7 @@ class TestMomentClasses:
         """Only the first moment vanishes at order 1; m2 stays O(1)."""
         phi = build_mollifier(1)
         assert abs(moment(phi, 2)) > 1e-3
-        from gfn_lab.test_objects import TestObjectPath
-        path = TestObjectPath(lambda e, x: phi, float(phi.radius), "a1")
+        path = MemberPath(lambda e, x: phi, float(phi.radius), "a1")
         rep = check_moment_class(path, MomentClass("strict_Aq", 2),
                                  EPS_GRID[:2], x_grid=[0.0])
         assert not rep.passed
