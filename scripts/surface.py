@@ -17,8 +17,11 @@ one.  After the counts come the settable public values themselves, one a
 line and sorted, by module-qualified name (``value: basic_space.embed_C(w)``),
 so the ``diff`` of two checkouts' outputs names each value a change
 removed or added.  Last, sorted, each public function, class and method
-of a public class in src/gfn_lab that nothing in src/ or scripts/ names
-(as a name, an attribute or an import): ``unused: testfunc.moments_upto``.
+of a public class in src/gfn_lab that no used code names (as a name, an
+attribute or an import): ``unused: testfunc.moments_upto``.  Used code is
+transitive: the module-level statements of src/ outside any definition
+and all of scripts/ are used, and so is every definition whose name used
+code names; a function that only an unused function calls is unused.
 A name is public when it does not start with an underscore.  Only the
 standard library's ``ast`` and ``tokenize`` read the sources; nothing is
 imported.  A reader that closes the pipe early (``| head -1``) ends the
@@ -111,6 +114,55 @@ def used_names(tree: ast.Module) -> set:
     return out
 
 
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def references(tree: ast.Module) -> tuple:
+    """(names the module-level statements outside any definition use,
+    {defined name: names its definition uses}).  A class's own entry holds
+    its bases, decorators, body statements and special methods, which run
+    when the class is used; each other method is an entry of its own."""
+    roots, defs = set(), {}
+
+    def add(name, node):
+        defs.setdefault(name, set()).update(used_names(node))
+
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            add(node.name, node)
+        elif isinstance(node, ast.ClassDef):
+            for part in [*node.bases, *node.keywords, *node.decorator_list,
+                         *node.body]:
+                own = isinstance(part, ast.FunctionDef) and \
+                    not _is_dunder(part.name)
+                add(part.name if own else node.name, part)
+        else:
+            roots |= used_names(node)
+    return roots, defs
+
+
+def live_names(src_trees: list, script_trees: list) -> set:
+    """The names that used code names: the roots of ``references`` over
+    ``src_trees`` and every name in ``script_trees``, closed under the
+    definitions they name."""
+    live, defs = set(), {}
+    for tree in src_trees:
+        roots, own = references(tree)
+        live |= roots
+        for name, names in own.items():
+            defs.setdefault(name, set()).update(names)
+    for tree in script_trees:
+        live |= used_names(tree)
+    todo = list(live)
+    while todo:
+        for name in defs.get(todo.pop(), ()):
+            if name not in live:
+                live.add(name)
+                todo.append(name)
+    return live
+
+
 def code_lines(text: str) -> int:
     """The number of lines of ``text`` that hold a token other than a
     comment or a docstring (the first statement of a module, class or
@@ -138,18 +190,19 @@ def code_lines(text: str) -> int:
 
 def main() -> int:
     lines, code = {}, {}
-    values, defined, used = [], [], set()
+    values, defined, trees = [], [], []
     for path in sorted(SRC.glob("*.py")):
         text = path.read_text()
         tree = ast.parse(text)
+        trees.append(tree)
         lines[path.name] = len(text.splitlines())
         code[path.name] = code_lines(text)
         values += [(f"{path.stem}.{name}", d)
                    for name, d in settable_values(tree)]
         defined += [(f"{path.stem}.{q}", name) for q, name in definitions(tree)]
-        used |= used_names(tree)
-    for path in sorted(SRC.parent.parent.joinpath("scripts").glob("*.py")):
-        used |= used_names(ast.parse(path.read_text()))
+    used = live_names(trees, [
+        ast.parse(path.read_text()) for path in
+        sorted(SRC.parent.parent.joinpath("scripts").glob("*.py"))])
     print(f"src lines: {sum(lines.values())}")
     print(f"settable public values: {len(values)}")
     print(f"with a default: {sum(d for _, d in values)}")

@@ -380,15 +380,14 @@ def test_negligible(rep, n_targets: Sequence[int], spec: SweepSpec,
                 battery = battery_factory(kind, q)
                 if not battery:
                     raise ValueError(f"empty {kind} battery at q = {q}")
-                for path in battery:
-                    tables = sweep(tuple(reps[i] for i in active), path, spec)
-                    for i, sers in zip(active, tables):
-                        for ser in sers:
-                            v = fit_order(ser, spec.fit_window)
-                            if v.kind == "superpoly":
-                                worst[i] = -math.inf
-                            elif v.kind != "zero":
-                                worst[i] = min(worst[i], v.slope)
+                reports = test_moderate(tuple(reps[i] for i in active),
+                                        battery, spec)
+                for i, report in zip(active, reports):
+                    for v in report.verdicts:
+                        if v.kind == "superpoly":
+                            worst[i] = -math.inf
+                        elif v.kind != "zero":
+                            worst[i] = min(worst[i], v.slope)
             for i in active:
                 orders[i][q] = worst[i]
                 if worst[i] >= n - SLOPE_TOL:

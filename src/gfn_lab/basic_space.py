@@ -281,15 +281,13 @@ def translate_formalism(rep: Representative) -> Representative:
     same open set; sigma(f) the same map f(x); a composite the composite
     of its operands' translates.  So a translate evaluates as any
     representative of its kind does, and translates no test function per
-    call.  The translate of the translate is ``rep`` itself.  A
-    representative without one (hand-built, or a log channel) raises
-    ``TypeError``.
+    call.  Translating twice builds a representative equal to ``rep``, not
+    ``rep`` itself.  A representative without one (hand-built, or a log
+    channel) raises ``TypeError``.
     """
     if rep._translate is None:
         raise TypeError(f"no translate of {rep!r} to the other formalism")
-    out = rep._translate()
-    out._translate = lambda: rep
-    return out
+    return rep._translate()
 
 
 def pullback_pair_transform(mu):
@@ -300,8 +298,9 @@ def pullback_pair_transform(mu):
         chi(xi) = phi~(mu^{-1}(xi + mu x~) - x~) * |det D mu^{-1}(xi + mu x~)|,
 
     assembled from the pulled test function of the translate
-    (``pullback_test_function``).  The identity map reproduces (phi~, x~)
-    bit for bit because the two opposite translations cancel structurally.
+    (``pullback_test_function``).  Under the identity map chi is phi~'s
+    base in the frame at offset (b + x~) - x~, b phi~'s own: phi~'s frame
+    bit for bit when that offset rounds back to b, as it does for b = 0.
     No representative calls it: each pulls back in closed form
     (``Representative.compose_pullback``), and this is the definition those
     closed forms are checked against.
@@ -322,12 +321,15 @@ def pullback_pair_transform(mu):
 
 def _meet(a: Optional[Box], b: Optional[Box]) -> Optional[Box]:
     """The intersection of two open sets, None standing for the line; two
-    equal sets give the first."""
+    equal sets give the first, and disjoint ones raise ``ValueError``."""
     if b is None or a == b:
         return a
     if a is None:
         return b
-    return Box.interval(max(a.lo, b.lo), min(a.hi, b.hi))
+    lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
+    if not lo < hi:
+        raise ValueError(f"the open sets {a} and {b} do not meet")
+    return Box.interval(lo, hi)
 
 
 def _combined(op, g1, g2):

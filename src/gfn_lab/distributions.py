@@ -16,7 +16,7 @@ import numpy as np
 from . import numdiff
 from .testfunc import (DEFAULT_NODES, TestFunction, _lincomb_samples,
                        _row_blocks, _weighted_sum, falling_factorial,
-                       shifted_frame, union_box)
+                       union_box)
 
 #: maximum Dirac-derivative order handled by the Richardson stencils
 K_MAX = numdiff.MAX_ORDER
@@ -126,7 +126,7 @@ def _cut_integral(tf, tau: np.ndarray, n: int) -> np.ndarray:
     A combination sums its terms', a term tb((. - s) / r) / r cut at
     (tau - s) / r in its base's coordinates.  Any other function
     integrates on its own grid of n panels, from its cached samples: a box
-    above the cut gives its trapezoid mass (kept with its moments), a box
+    above the cut gives its trapezoid mass m_0 (``_moments``), a box
     below it +0.0, evaluating nothing.  A cut inside the box gives the
     trapezoid sum from the first node m at or past it, Gregory's left-end
     correction from the samples at m..m+6 and the piece from the cut to
@@ -145,11 +145,7 @@ def _cut_integral(tf, tau: np.ndarray, n: int) -> np.ndarray:
     (lo, hi), out = tf.box, np.zeros(len(tau))  # its grid's end nodes
     whole, cut = tau <= lo, np.flatnonzero((lo < tau) & (tau < hi))
     if whole.any():
-        sums = tf._cache.get(("moments", n))
-        if sums is None:  # m_0 of moments_upto, as _by_terms sums it
-            _, wt, v = tf.samples_on(tf, n)
-            sums = tf._cache["moments", n] = [(v * wt).sum()]
-        out[whole] = sums[0]
+        out[whole] = _moments(tf, n, 0)[0]
     if len(cut):
         xi, wt, v = tf.samples_on(tf, n)
         m, h = np.searchsorted(xi, tau[cut]), wt[1]  # m: the first node
@@ -162,6 +158,19 @@ def _cut_integral(tf, tau: np.ndarray, n: int) -> np.ndarray:
         tail = np.array([v[k:].sum() for k in m.tolist()])
         out[cut] = h * (tail + (win * wts).sum(axis=1))
     return out
+
+
+def _moments(tf: TestFunction, n: int, order: int) -> list:
+    """The raw moments m_0..m_order (at least) of ``tf`` on its own grid
+    of n panels, m_j = sum_i w_i v_i xi_i^j by running products, as
+    ``moments_upto`` sums them; cached per n, and computed again when a
+    pairing needs more orders."""
+    sums = tf._cache.get(("moments", n))
+    if sums is None or len(sums) <= order:
+        xi, wt, v = tf.samples_on(tf, n)
+        sums = [float((v := v * m).sum()) for m in [wt] + [xi] * order]
+        tf._cache["moments", n] = sums
+    return sums
 
 
 def _series_order(am: float) -> int:
@@ -180,12 +189,12 @@ def _by_terms(form: tuple, tf, a: float, b, d: float, n: int):
     """<f, tf((. - b - d) / a) / a> for f of closed ``form``: a combination
     pairs each term tb((. - s) / r) / r at scale a r and offset d + a s, and
     any other function pairs by an addition theorem on its own grid, from
-    its cached raw moments m_j = sum_i w_i v_i xi_i^j (per n, by running
-    products, extended when a pairing needs more orders).  b, an array of
-    shifts, is kept from d: b + d, rounded, moves a sine near its zeros;
-    for a sine or cosine it is (sin b, cos b), which ``pair_row`` takes
-    once per row.  ``tf`` may be the (coeffs, terms) of a combination, with
-    coefficients per shift: each shift pairs by its operations alone.
+    its cached raw moments m_j = sum_i w_i v_i xi_i^j (``_moments``).  b,
+    an array of shifts, is kept from d: b + d, rounded, moves a sine near
+    its zeros; for a sine or cosine it is (sin b, cos b), which
+    ``pair_row`` takes once per row.  ``tf`` may be the (coeffs, terms) of
+    a combination, with coefficients per shift: each shift pairs by its
+    operations alone.
 
     A sine or cosine pairs from C, S = <cos, sin(A . + d), tf>, A = a:
     C = cos d C0 - sin d S0 and S = sin d C0 + cos d S0, with C0 and S0
@@ -216,11 +225,7 @@ def _by_terms(form: tuple, tf, a: float, b, d: float, n: int):
                 f"exceeds {_TRIG_AM_CAP}, where the series over moments "
                 f"loses its rounding bound")
         order = _series_order(am)
-    sums = tf._cache.get(("moments", n))
-    if sums is None or len(sums) <= order:
-        xi, wt, v = tf.samples_on(tf, n)  # moments_upto(tf, order, n)
-        sums = [float((v := v * m).sum()) for m in [wt] + [xi] * order]
-        tf._cache["moments", n] = sums
+    sums = _moments(tf, n, order)
     if kind == "mono":  # p sum_j C(q, j) a^j (b + d)^(q - j) m_j, no pow
         pa, pb = [1.0], [1.0]
         for _ in range(q):
@@ -242,15 +247,15 @@ def _by_terms(form: tuple, tf, a: float, b, d: float, n: int):
 def pair(w: Distribution, psi: TestFunction, n: Optional[int] = None,
          shift: float = 0.0):
     """The pairing <w, psi(. - shift)>: ``pair_row``'s row of one member,
-    the base of the translate's frame (base, a, b), read from
-    ``shifted_frame`` without building the translate, at eps = a and
-    offset b.  The result is bit for bit that of the translate itself, the
-    exact cancellations of ``translate`` included, but for the sign of a
-    zero.  No representative calls it: an embedding reads the member's
-    frame itself (``basic_space._value_at``), with no cancellation.
+    the base of psi's frame (base, a, b), at eps = a and offset b + shift,
+    without building the translate.  The result is bit for bit that of
+    the translate itself, but for the sign of a zero.  No representative
+    calls it: an embedding reads the member's frame itself
+    (``basic_space._value_at``).
     """
-    (base, a, b), _ = shifted_frame(psi, shift)
-    return float(pair_row(w, np.array([[1.0]]), (base,), a, [b], n)[0])
+    base, a, b = psi.frame
+    return float(pair_row(w, np.array([[1.0]]), (base,), a, [b + shift],
+                          n)[0])
 
 
 def pair_row(w: Distribution, coeffs: np.ndarray, terms: tuple, eps: float,

@@ -74,10 +74,16 @@ def bump_deriv(t: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class Box:
     """Open interval (lo, hi), the ambient open set for supports and points.
-    Its tests take arrays of points, centers and radii elementwise."""
+    Its tests take arrays of points, centers and radii elementwise.  Ends
+    that are not finite numbers lo < hi raise ``ValueError``."""
 
     lo: float
     hi: float
+
+    def __post_init__(self):
+        if not -math.inf < self.lo < self.hi < math.inf:
+            raise ValueError(f"an open interval needs finite ends lo < hi, "
+                             f"got ({self.lo!r}, {self.hi!r})")
 
     @staticmethod
     def interval(a: float, b: float) -> "Box":
@@ -101,9 +107,8 @@ class TestFunction:
     """A smooth function with support inside [center - radius, center + radius].
 
     ``fn`` is a vectorized evaluator returning exactly zero outside that
-    interval.  ``dfn``, when present, is an exact derivative evaluator.
-    ``coeffs`` records the construction coefficients of internally built
-    members; a test function carries no name or label.
+    interval.  ``dfn``, when present, is an exact derivative evaluator.  A
+    test function carries no name, label or record of how it was built.
 
     Every test function has an affine frame ``(base, a, b)``: it equals
     ``base((p - b) / a) / a``.  Scaled and translated functions carry the
@@ -117,19 +122,14 @@ class TestFunction:
     # set only on the instances that have them
     _frame: Optional[tuple] = None   # (base, a, b) unless its own base
     _terms: Optional[tuple] = None   # (coeffs, terms) of a lincomb
-    _trans_base: Optional["TestFunction"] = None
-    _trans_prev: Optional["TestFunction"] = None
-    _trans_last: Optional[float] = None
 
     def __init__(self, center: float, radius: float,
                  fn: Callable[[np.ndarray], np.ndarray],
-                 dfn: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-                 coeffs: Optional[np.ndarray] = None):
+                 dfn: Optional[Callable[[np.ndarray], np.ndarray]] = None):
         self.center = float(center)
         self.radius = float(radius)
         self.fn = fn
         self.dfn = dfn
-        self.coeffs = coeffs
         self._cache: dict = {}
 
     def __call__(self, x):
@@ -364,13 +364,13 @@ def build_mollifier(q: int, radius: float = 1.0,
     # decay they are tested for
     coeffs = coeffs / float(np.dot(w, _bump_poly(coeffs, d, B)))
     fn, dfn = _parametric_eval(coeffs, c, r)
-    return TestFunction(c, r, fn, dfn=dfn, coeffs=coeffs)
+    return TestFunction(c, r, fn, dfn=dfn)
 
 
 def bump_testfunction(radius: float = 1.0, center: float = 0.0) -> TestFunction:
     """The base bump B((xi - center)/radius), not normalized."""
     fn, dfn = _parametric_eval(np.array([1.0]), center, radius)
-    return TestFunction(center, radius, fn, dfn=dfn, coeffs=np.array([1.0]))
+    return TestFunction(center, radius, fn, dfn=dfn)
 
 
 def _weighted_sum(coeffs: list, fns: list):
@@ -456,43 +456,14 @@ def scale(tf: TestFunction, eps: float) -> TestFunction:
     return _framed(base, a * eps, b * eps)
 
 
-def shifted_frame(tf: TestFunction, x: float) -> tuple:
-    """The frame of ``translate(tf, x)`` without building it: ``((base, a,
-    b), same)``, which ``pair`` reads.
-
-    ``same`` is the existing function that the translate is, when the shift
-    cancels exactly, else None.  Stacked shifts fold into the frame's
-    offset, a zero net shift gives the untranslated function, and undoing
-    the latest shift gives the very function it was applied to.
-    """
-    shift = float(x)
-    if shift == 0.0:
-        same = tf
-    elif tf._trans_last == -shift:
-        same = tf._trans_prev
-    else:
-        same = tf._trans_base if tf._trans_base is not None else tf
-        base, a, b = tf.frame
-        b = b + shift
-        if b != same.frame[2]:
-            return (base, a, b), None
-    return same.frame, same
-
-
 def translate(tf: TestFunction, x: float) -> TestFunction:
-    """tf(. - x), with exact cancellation of opposite translations.
-
-    Stacked shifts fold into the frame's offset, a zero net shift returns
-    the untranslated function, and undoing the latest shift returns the
-    very function it was applied to, so a round trip through the other
-    formalism is bit-identical also for members that are themselves
-    translates.
-    """
-    frame, same = shifted_frame(tf, x)
-    if same is not None:
-        return same
-    out = _framed(*frame)
-    out._trans_base = tf._trans_base if tf._trans_base is not None else tf
-    out._trans_prev = tf
-    out._trans_last = float(x)
-    return out
+    """tf(. - x): the frame of ``tf`` at offset b + x, so stacked shifts
+    fold into one frame level; a zero shift returns ``tf``.  A shift that
+    is not finite raises ``ValueError``."""
+    shift = float(x)
+    if not math.isfinite(shift):
+        raise ValueError(f"translation must be finite, got {shift}")
+    if shift == 0.0:
+        return tf
+    base, a, b = tf.frame
+    return _framed(base, a, b + shift)

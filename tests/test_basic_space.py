@@ -197,6 +197,21 @@ class TestAlgebra:
         assert pulled.omega == pullback_rep(mu, on_one).omega
         assert pulled.row is not None
 
+    @pytest.mark.parametrize("s2", [Box(1.0, 2.0), Box(-1.0, 0.0)],
+                             ids=["apart", "touching"])
+    def test_operands_on_disjoint_sets_raise(self, s2):
+        """Operands whose open sets do not meet raise ``ValueError`` when
+        the composite is built, naming both sets, in either order."""
+        s1 = Box(-2.0, -1.0)
+        delta = embed_C(DiracDerivative(0), omega=s1)
+        sigma = embed_sigma(np.sin, omega=s2)
+        for op in (sub, mul):
+            for r1, r2 in ((delta, sigma), (sigma, delta)):
+                with pytest.raises(ValueError) as got:
+                    op(r1, r2)
+                assert repr(s1) in str(got.value)
+                assert repr(s2) in str(got.value)
+
     def test_embedded_product_gap_strict_a2(self, moll2):
         """iota(x)^2 - iota(x^2) = eps^2 (m1^2 - m2), zero on strict A_2."""
         ix = embed_C(smooth_density("x"))

@@ -256,6 +256,9 @@ class TestCliSurface:
     UNUSED = {
         "testfunc.moments_upto": "perfbench binds and times it",
         "diffeo.Diffeomorphism.inverted": "tier-1 builds inverse maps by it",
+        "diffeo.Diffeomorphism.det_d_inverse":
+            "perfbench's traced run wraps it on every catalog map "
+            "(ROADMAP item 15 drops that binding)",
     }
 
     def test_every_public_name_is_used_or_allowed(self, monkeypatch, capsys):
@@ -293,6 +296,35 @@ x = y.z
         assert surface.definitions(tree) == [("f", "f"), ("H", "H"),
                                              ("H.m", "m")]
         assert surface.used_names(tree) == {"a", "b", "e", "x", "y", "z"}
+        # use is transitive: module-level statements and scripts are used,
+        # and so is what used code names, a class's special methods running
+        # with the class; a name that only unused code reads, a cycle of
+        # them included, is unused
+        src = """
+def run(): return used(1)
+def used(x): return helper(x)
+def helper(x): return x
+def orphan(): return only_orphan()
+def only_orphan(): return orphan()
+class K:
+    def __init__(self): self.v = init_only()
+    def method(self): return by_method()
+    def idle(self): return by_idle()
+def init_only(): pass
+def by_method(): pass
+def by_idle(): pass
+def _private(): return by_private()
+def by_private(): pass
+run()
+K()
+"""
+        names = {"run", "used", "helper", "orphan", "only_orphan", "K",
+                 "init_only", "method", "by_method", "idle", "by_idle",
+                 "_private", "by_private"}
+        live = surface.live_names([ast.parse(src)],
+                                  [ast.parse("K().method()")])
+        assert live & names == {"run", "used", "helper", "K", "init_only",
+                                "method", "by_method"}
 
     def test_surface_is_quiet_when_its_reader_closes_the_pipe(self):
         """A reader gone before the first line, as after ``| head -1``,

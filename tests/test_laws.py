@@ -47,24 +47,33 @@ def members(base, e, t):
 
 
 class TestTranslateGroup:
-    @settings(max_examples=200, deadline=None)
-    @given(a=shifts, b=shifts)
-    def test_three_translations_cancel_to_the_original(self, moll2_offset,
-                                                        a, b):
-        # when b absorbs a (a + b rounds to b) the last shift undoes only
-        # the second one; see the test below
-        assume(a + b != b or a == 0.0)
-        f = moll2_offset
-        assert translate(translate(translate(f, a), b), -(a + b)) is f
+    @settings(max_examples=50, deadline=None)
+    @given(e=scales, t=shifts)
+    def test_a_zero_shift_is_the_function(self, moll2_offset, e, t):
+        for phi in [moll2_offset, *members(moll2_offset, e, t)]:
+            assert translate(phi, 0.0) is phi
+            assert translate(phi, -0.0) is phi
 
     @settings(max_examples=100, deadline=None)
-    @given(t=shifts, x=shifts)
-    def test_undoing_the_latest_shift_is_exact(self, moll2_offset, t, x):
-        assume(x != -t)  # then the first shift already cancels t
-        phi = translate(moll2_offset, t)
-        assert translate(translate(phi, x), -x) is phi
-        tiny = translate(moll2_offset, 1e-300)
-        assert translate(translate(tiny, 1.0), -1.0) is tiny
+    @given(e=scales, a=shifts, b=shifts, c=shifts)
+    @example(e=0.5, a=0.7, b=-0.7, c=0.0)
+    def test_stacked_shifts_are_one_frame_level(self, moll2_offset, e, a, b,
+                                                c):
+        """Shifts stack as one frame over the base, its offset the shifts
+        added in order; the functions it was built through are not kept."""
+        f = moll2_offset
+        phi = scale(f, e)
+        _, eps, offset = phi.frame
+        built = []
+        for s in (a, b, c):
+            built.append(weakref.ref(phi))
+            phi = translate(phi, s)
+            offset += s
+        assert all(r() in (None, phi, f) for r in built)
+        assert phi.frame[0] is f and phi.frame[1:] == (eps, offset)
+        xs = np.linspace(*phi.box, 257)
+        np.testing.assert_array_equal(phi.fn(xs),
+                                      eps**-1 * f.fn((xs - offset) / eps))
 
     @settings(max_examples=50, deadline=None)
     @given(a=shifts, b=shifts)
@@ -175,7 +184,7 @@ class TestPairAtAShift:
     def test_pair_at_a_shift_is_pair_with_the_translate(self, moll2_offset,
                                                         moll0, e, t, u, x, n):
         """pair(w, phi, n, shift=s) is pair(w, translate(phi, s), n) bit for
-        bit, the exact cancellations included."""
+        bit, at shifts that undo phi's own too."""
         combo = tf_lincomb([0.6, 0.4], [moll2_offset, translate(moll0, -0.2)])
         for phi, undo, home in shifted_members(moll2_offset, combo, e, t, u):
             for s in {x, 0.0, undo, home} - {None}:
@@ -275,9 +284,17 @@ class TestFormalismRoundTrip:
             for phi in members(base, e, t):
                 assert back(phi, x) == rep(phi, x)
 
-    def test_translating_twice_returns_the_representative(self):
+    def test_translating_twice_rebuilds_the_representative(self):
+        """Translating twice builds a new representative, in rep's
+        formalism, on rep's open set, whose rows are rep's bit for bit."""
         om = Box.interval(-2.5, 2.5)
         ix = embed_C(smooth_density("x"), omega=om)
+        terms = (build_mollifier(2, radius=0.8, center=0.1),
+                 build_mollifier(0, radius=0.5))
+        coeffs = np.array([[1.0, 0.25, 0.6], [0.0, 0.75, 0.4]])
+        rows = [(coeffs, terms, eps, b) for eps in (1.0, 0.125)
+                for b in (0.0, 0.3)]
+        xs = [-0.7, 0.0, 0.55]
         for rep in [embed_C(DiracDerivative(0), omega=om),
                     embed_J(Heaviside()), embed_sigma(np.sin, omega=om),
                     sub(embed_C(smooth_density("sin"), omega=om),
@@ -286,7 +303,13 @@ class TestFormalismRoundTrip:
             out = translate_formalism(rep)
             assert {out.formalism, rep.formalism} == {"C", "J"}
             assert out.omega == rep.omega and out.linear == rep.linear
-            assert translate_formalism(out) is rep
+            back = translate_formalism(out)
+            assert back is not rep
+            assert (back.formalism, back.omega, back.linear) == \
+                (rep.formalism, rep.omega, rep.linear)
+            for member in rows:
+                assert back.row(member, xs).tobytes() == \
+                    rep.row(member, xs).tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(e=scales, t=shifts, x=shifts)

@@ -21,7 +21,7 @@ from gfn_lab.distributions import (SMOOTH_CHAINS, DiracDerivative, Heaviside,
 from gfn_lab.test_objects import make_battery
 from gfn_lab.testfunc import (DEFAULT_NODES, Box, TestFunction,
                               _weighted_sum, build_mollifier, moments_upto,
-                              scale, shifted_frame, support_grid, tf_lincomb,
+                              scale, support_grid, tf_lincomb,
                               translate, union_box)
 
 from conftest import half_line_simpson, simpson
@@ -105,8 +105,9 @@ def psi_derivative_at_reference(psi: TestFunction, a: float, order: int):
 def pair_reference(w, psi, n=None, shift=0.0):
     """The scalar pairing as it was before it became a row of one member,
     verbatim, with the scalar addition theorems of ``by_terms_reference``,
-    but for the translate's center and radius, which ``shifted_frame`` no
-    longer returns, and its pullback branch, gone with the pullback kind
+    but for the translate's frame, read as psi's frame plus the shift, and
+    its center and radius, taken from that frame, and its pullback branch,
+    gone with the pullback kind
     (pullbacks are closed forms of the other kinds, ``test_diffeo``'s
     ``TestClosedFormPullback``).  Its Heaviside branches, composite Simpson
     on the base's samples or on [0, hi], are gone: the Heaviside pairs by
@@ -115,9 +116,9 @@ def pair_reference(w, psi, n=None, shift=0.0):
     pairing must give its float."""
     if n is None:
         n = DEFAULT_NODES
-    (base, a, b), same = shifted_frame(psi, shift)
-    center, radius = ((same.center, same.radius) if same is not None
-                      else (base.center * a + b, base.radius * a))
+    base, a, b = psi.frame
+    b = b + shift
+    center, radius = base.center * a + b, base.radius * a
 
     if w.kind == "smooth":
         if hasattr(w.f, "form"):
@@ -132,7 +133,7 @@ def pair_reference(w, psi, n=None, shift=0.0):
     if w.kind == "dirac" and w.order == 0 and \
             abs(w.position - center) > radius:
         return 0.0, 0.0
-    psi = same if same is not None else translate(psi, shift)
+    psi = translate(psi, shift)
 
     if w.kind == "dirac":
         sign = -1.0 if w.order % 2 else 1.0

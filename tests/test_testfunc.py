@@ -171,13 +171,33 @@ class TestTranslate:
     def test_zero_shift_is_identity(self, moll2):
         assert translate(moll2, 0.0) is moll2
 
-    def test_round_trip_returns_original_object(self, moll2):
-        assert translate(translate(moll2, 0.7), -0.7) is moll2
+    @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+    def test_non_finite_shift_rejected(self, moll2, x):
+        with pytest.raises(ValueError, match="finite"):
+            translate(moll2, x)
+
+    def test_round_trip_is_the_original_frame(self, moll2):
+        """A shift and its undoing build a new function in moll2's own
+        frame, which evaluates as moll2."""
+        back = translate(translate(moll2, 0.7), -0.7)
+        assert back is not moll2 and back.frame == (moll2, 1.0, 0.0)
+        xs = RNG.uniform(-1.5, 1.5, 64)
+        np.testing.assert_array_equal(back.fn(xs), moll2.fn(xs))
 
     def test_pointwise_definition(self, moll2):
         t = translate(moll2, 0.4)
         xs = RNG.uniform(-1.5, 1.5, 64)
         np.testing.assert_array_equal(t.fn(xs), moll2.fn(xs - 0.4))
+
+
+class TestBox:
+    @pytest.mark.parametrize("lo, hi", [
+        (np.nan, 1.0), (-1.0, np.nan), (-np.inf, 1.0), (-1.0, np.inf),
+        (1.0, 1.0), (1.0, -1.0)])
+    def test_non_finite_or_empty_interval_rejected(self, lo, hi):
+        for make in (testfunc.Box, testfunc.Box.interval):
+            with pytest.raises(ValueError, match="finite ends lo < hi"):
+                make(lo, hi)
 
 
 class TestSupport:
